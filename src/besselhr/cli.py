@@ -192,9 +192,9 @@ def cmd_eval(args) -> int:
     sv = SignVector.from_string(args.signs)
     if sv.n != si.rank:
         raise ValueError("--signs length must match the rank")
-    xs = parse_grid(args.x_grid) if args.x_grid else [args.x]
-    if xs is None:
+    if not args.x_grid and args.x is None:
         raise ValueError("provide --x or --x-grid")
+    xs = parse_grid(args.x_grid) if args.x_grid else [args.x]
     cfg = {
         "command": "eval",
         "method": args.method,

@@ -2,13 +2,17 @@
 rank-n Hankel transform with its functional-equation verification.
 
 The kernel at signed argument x is the sum over the 2^{n-1} sign vectors
-whose product matches sgn x of (prod_l sig_l^{delta_l}) J(2 pi |x|^{1/n});
-each inner evaluation is dispatched to the ascending series or to the
-asymptotic route depending on its argument, with the Mellin-Barnes
-quadrature available as arbiter.  The signed sum can cancel catastrophically
-(holomorphic-parameter kernels vanish identically on one side), so results
-carry a cancellation indicator and auto mode switches to the direct kernel
-contour integral when it explodes.
+whose product matches sgn x of (prod_l sig_l^{delta_l}) J(2 pi |x|^{1/n}).
+Below the asymptotic floor every one of those sign-vector functions is a
+combination of the same n first-kind series J_l(2 pi |x|^{1/n}; sgn x), so
+the sum collapses onto n kernel connection coefficients (series.kernel_series):
+n series per point, summed at one precision chosen for the kernel's own
+accuracy.  Above the floor the sign-vector functions are summed by the
+asymptotic route, and the Mellin-Barnes quadrature is available as
+arbiter.  The signed sum can cancel catastrophically (holomorphic-parameter
+kernels vanish identically on one side), so results carry a cancellation
+indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
+kernel contour integral when it explodes.
 
 The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
@@ -21,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product as _product
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +35,10 @@ from .coeffs import cached_b_table
 from .core import (
     EvalResult,
     RootOfUnity,
-    SignVector,
     SpectralIndex,
     e2pi,
 )
-from .series import j_function
+from .series import kernel_series, sign_vectors
 
 CANCEL_SWITCH = 1e6
 _ASYMPT_MIN = 12.0
@@ -172,21 +174,19 @@ class SampledWeightFunction:
         return 2.0 * complex(np.trapezoid(integrand, self.u))
 
 
-def sign_vectors(n: int, parity: int):
-    out = []
-    for signs in _product((1, -1), repeat=n):
-        p = 1
-        for s in signs:
-            p *= s
-        if p == parity:
-            out.append(SignVector(signs))
-    return out
-
-
 def bessel_kernel(
     x: float, ki: KernelIndex, method: str = "auto", tol: float = 1e-9
 ) -> EvalResult:
-    """Signed kernel J_(lambda,delta)(x), x != 0."""
+    """Signed kernel J_(lambda,delta)(x), x != 0.
+
+    In the series zone the value is sum_l K_l J_l(2 pi |x|^{1/n}; sgn x) and
+    the reported error is relative to the kernel: at most tol * |value| (plus
+    final rounding) unless the precision escalation gives up.  In the
+    asymptotic zone it is the sum of the 2^{n-1} asymptotic sign-vector
+    functions with their summed error estimates.  The cancellation is
+    max |J(sig)| over those sign vectors divided by |value|; auto mode hands
+    points above CANCEL_SWITCH to the Mellin-Barnes kernel integral.
+    """
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
     n = ki.rank
@@ -206,26 +206,24 @@ def bessel_kernel(
     if method == "asympt" and not use_asympt:
         raise ValueError("argument below the asymptotic validity floor")
 
-    total = 0j
-    err = 0.0
-    peak = 0.0
-    for sv in sign_vectors(n, parity):
-        coef = 1.0
-        for s, d in zip(sv.signs, ki.deltas):
-            if d % 2:
-                coef *= s
-        if use_asympt:
+    if use_asympt:
+        total = 0j
+        err = 0.0
+        peak = 0.0
+        for sv in sign_vectors(n, parity):
+            coef = 1.0
+            for s, d in zip(sv.signs, ki.deltas):
+                if d % 2:
+                    coef *= s
             ev = j_varsigma_asymptotic(inner, sv, si)
-            term, term_err = ev.value, ev.error_estimate
-            tag = "asymptotic"
-        else:
-            ev = j_function(inner, sv, si, tol)
-            term, term_err = ev.value, ev.tail_bound
-            tag = "series"
-        total += coef * term
-        err += term_err
-        peak = max(peak, abs(term))
-    err += 4.0 * np.finfo(float).eps * peak * (n + 1)
+            total += coef * ev.value
+            err += ev.error_estimate
+            peak = max(peak, abs(ev.value))
+        err += 4.0 * np.finfo(float).eps * peak * (n + 1)
+        tag = "asymptotic"
+    else:
+        est, peak = kernel_series(inner, parity, si, ki.deltas, tol)
+        total, err, tag = est.value, est.tail_bound, "series"
     cancel = peak / max(abs(total), 1e-300)
     if method == "auto" and cancel > CANCEL_SWITCH:
         value, merr = mb.mb_kernel_est(x, si, ki.deltas, max(tol * peak, 1e-13 * peak))

@@ -149,33 +149,37 @@ def _gk15(f, a: complex, b: complex):
 
 
 def _adaptive(f, segs, tol, max_pieces=4000):
-    """Adaptive bisection over straight pieces; deterministic summation."""
-    pieces = []
-    heap = []
-    for i, (a, b) in enumerate(segs):
-        val, err, mass = _gk15(f, a, b)
-        pieces.append([a, b, val, err, mass])
-        heapq.heappush(heap, (-err, i))
-    extra = []
-    while len(pieces) + len(extra) < max_pieces:
-        tot_err = sum(p[3] for p in pieces) + sum(p[3] for p in extra)
-        if tot_err <= 0.25 * tol:
+    """Adaptive bisection over straight pieces; deterministic summation.
+
+    The heap holds (-err, index) for every piece, so the worst piece is split
+    first and ties go to the lowest index; the left half keeps the index of
+    the piece it replaces and the right half is appended.
+    """
+    pieces = [[a, b, *_gk15(f, a, b)] for a, b in segs]
+    heap = [(-p[3], i) for i, p in enumerate(pieces)]
+    heapq.heapify(heap)
+    tot_err = sum(p[3] for p in pieces)
+    while len(pieces) < max_pieces:
+        if tot_err <= 0.3 * tol:
+            # the running total drifts by rounding; decide on a fresh sum
+            tot_err = sum(p[3] for p in pieces)
+            if tot_err <= 0.25 * tol:
+                break
+        neg_err, i = heap[0]
+        if -neg_err <= 0.25 * tol / len(pieces):
             break
-        src = pieces if not extra or max(p[3] for p in pieces) >= max(
-            p[3] for p in extra
-        ) else extra
-        worst = max(src, key=lambda p: p[3])
-        if worst[3] <= 0.25 * tol / max(1, len(pieces) + len(extra)):
-            break
-        a, b = worst[0], worst[1]
+        heapq.heappop(heap)
+        a, b = pieces[i][0], pieces[i][1]
         m = 0.5 * (a + b)
         v1, e1, m1 = _gk15(f, a, m)
         v2, e2, m2 = _gk15(f, m, b)
-        worst[1], worst[2], worst[3], worst[4] = m, v1, e1, m1
-        extra.append([m, b, v2, e2, m2])
+        pieces[i] = [a, m, v1, e1, m1]
+        heapq.heappush(heap, (-e1, i))
+        heapq.heappush(heap, (-e2, len(pieces)))
+        pieces.append([m, b, v2, e2, m2])
+        tot_err += e1 + e2 + neg_err
     # deterministic order: sort all pieces by (Im a, Re a)
-    allp = pieces + extra
-    allp.sort(key=lambda p: (p[0].imag, p[0].real, p[1].imag))
+    allp = sorted(pieces, key=lambda p: (p[0].imag, p[0].real, p[1].imag))
     total = 0j
     err = 0.0
     mass = 0.0

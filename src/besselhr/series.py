@@ -9,20 +9,24 @@ sign-vector function is the combination
 
     pi^{n-1} E(sig, lam) sum_l E_l(sig, lam) S_l(lam) J_l(z; (-1)^{n_minus})
 
-with S_l = prod_{k != l} 1/sin(pi(lam_l - lam_k)).  Two numerical hazards
-drive the implementation: for non-generic indices the S_l blow up and the
-combination must be taken as a limit (done here by averaging over a small
-circle of generic perturbations, the Cauchy mean of an analytic function);
-and for large |z| the combination cancels to exponentially small values, so
-the summation switches to adaptive-precision big floats when the reported
-double-precision error cannot meet the requested tolerance.
+with S_l = prod_{k != l} 1/sin(pi(lam_l - lam_k)).  The signed kernel sums
+such combinations over sign vectors that share one first-kind family, so it
+is again a combination sum_l K_l J_l (kernel_series), evaluated by the same
+machinery with the kernel connection coefficients K_l.  Two numerical
+hazards drive the implementation: for non-generic indices the S_l blow up
+and the combination must be taken as a limit (done here by averaging over a
+small circle of generic perturbations, the Cauchy mean of an analytic
+function); and for large |z| the combination cancels to exponentially small
+values, so the summation switches to adaptive-precision big floats when the
+reported double-precision error cannot meet the requested tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import Union
 
 import mpmath as mp
@@ -110,41 +114,101 @@ def first_kind(
     return SeriesEval(pref * complex(total), int(terms), float(tail))
 
 
-def _connection_coeffs(sv: SignVector, si: SpectralIndex):
-    """E * E_l * S_l for each l, and the scalar sign of the first-kind family."""
-    n = si.rank
-    lam = si.lam
-    front = math.pi ** (n - 1) * e2pi(
-        -0.25 * sum(s * v for s, v in zip(sv.signs, lam))
+class _DoubleContext:
+    """Double-precision stand-ins for the mpmath functions the connection
+    coefficients use, so one formula serves the double pass and the big-float
+    rounds (where the context is mpmath itself, at the working precision)."""
+
+    pi = math.pi
+
+    @staticmethod
+    def expjpi(x):
+        return e2pi(0.5 * x)
+
+    @staticmethod
+    def sinpi(x):
+        return complex(_backend.sinpi(complex(x)))
+
+
+_DOUBLE = _DoubleContext()
+
+
+def _sines(ctx, lam):
+    """sin(pi(lam_l - lam_k)) for l != k."""
+    n = len(lam)
+    return [
+        [ctx.sinpi(lam[l] - lam[k]) if k != l else None for k in range(n)]
+        for l in range(n)
+    ]
+
+
+def _connection_coeffs(ctx, lam, sines, sv: SignVector):
+    """E * E_l * S_l for each l, and their moduli."""
+    n = len(lam)
+    front = ctx.pi ** (n - 1) * ctx.expjpi(
+        -0.5 * sum(s * v for s, v in zip(sv.signs, lam))
     )
     dn = sv.n_plus - sv.n_minus
     coeffs = []
     for l in range(n):
-        c = front * e2pi(0.25 * dn * lam[l])
+        c = front * ctx.expjpi(0.5 * dn * lam[l])
         for k in range(n):
             if k != l:
-                c /= complex(_backend.sinpi(complex(lam[l] - lam[k])))
+                c /= sines[l][k]
         coeffs.append(c)
-    return coeffs
+    return coeffs, [abs(c) for c in coeffs]
 
 
-def _j_generic_double(z: SurfacePoint, sv: SignVector, si: SpectralIndex, tol: float):
-    sign = 1 if sv.n_minus % 2 == 0 else -1
-    coeffs = _connection_coeffs(sv, si)
+def _kernel_coeffs(ctx, lam, sines, deltas, parity: int):
+    """K_l = sum over sign vectors sig with prod sig = parity of
+    (prod_k sig_k^delta_k) E E_l S_l, in closed form.
+
+    With a_k = lam_l - lam_k each E E_l is pi^{n-1} prod_k e(sig_k a_k/4),
+    so the signed sum over half the sign vectors is
+    pi^{n-1} S_l [prod_k (e(a_k/4) + (-1)^delta_k e(-a_k/4))
+                  + parity prod_k (e(a_k/4) - (-1)^delta_k e(-a_k/4))] / 2.
+    The moduli returned are |pi^{n-1} S_l| (|first product| + |second|) / 2,
+    which bound the rounding of K_l when the two products cancel.
+    """
+    n = len(lam)
+    front = ctx.pi ** (n - 1) / 2
+    coeffs = []
+    mags = []
+    for l in range(n):
+        even = odd = 1
+        for k in range(n):
+            p = ctx.expjpi(0.5 * (lam[l] - lam[k]))
+            q = ctx.expjpi(-0.5 * (lam[l] - lam[k]))
+            if deltas[k]:
+                q = -q
+            even *= p + q
+            odd *= p - q
+        half = front
+        for k in range(n):
+            if k != l:
+                half /= sines[l][k]
+        coeffs.append(half * (even + parity * odd))
+        mags.append(abs(half) * (abs(even) + abs(odd)))
+    return coeffs, mags
+
+
+def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs):
+    cs, mags = coeffs(_DOUBLE, si.lam, _sines(_DOUBLE, si.lam))
     value = 0j
     mass = 0.0
     err = 0.0
     terms = 0
+    family = []
     for l in range(si.rank):
         comp = first_kind(z, sign, si, l + 1, tol * 1e-3)
-        c = coeffs[l]
-        value += c * comp.value
-        mass += abs(c) * abs(comp.value)
-        err += abs(c) * comp.tail_bound
+        value += cs[l] * comp.value
+        mass += mags[l] * abs(comp.value)
+        err += mags[l] * comp.tail_bound
         terms += comp.terms_used
+        family.append(comp.value)
     eps = np.finfo(float).eps
     err += 8.0 * eps * mass
-    return SeriesEval(value, terms, err), mass
+    return SeriesEval(value, terms, err), mass, family
 
 
 def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_tol):
@@ -196,60 +260,75 @@ def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_to
     return pref * total, terms, abs(pref) * abs_total
 
 
-def _j_generic_mp(z: SurfacePoint, sv: SignVector, si: SpectralIndex, dps: int):
-    """Connection combination in dps-digit arithmetic; returns mp values."""
+def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, coeffs):
+    """The combination in dps-digit arithmetic; returns mp values and the
+    first-kind family values it was summed from."""
     n = si.rank
-    sign = 1 if sv.n_minus % 2 == 0 else -1
     with mp.workdps(dps):
         lam = [mp.mpc(v) for v in si.lam]
-        front = mp.pi ** (n - 1) * mp.expjpi(
-            -mp.mpf(1) / 2 * sum(s * v for s, v in zip(sv.signs, lam))
-        )
-        dn = sv.n_plus - sv.n_minus
+        cs, mags = coeffs(mp, lam, _sines(mp, lam))
         rel = mp.mpf(10) ** (-(dps - 4))
         value = mp.mpc(0)
         mass = mp.mpf(0)
         terms = 0
+        family = []
         for l in range(n):
-            c = front * mp.expjpi(mp.mpf(dn) / 2 * lam[l])
-            for k in range(n):
-                if k != l:
-                    c /= mp.sinpi(lam[l] - lam[k])
             comp, t_used, comp_scale = _first_kind_mp(z, sign, si, l + 1, rel)
-            value += c * comp
+            value += cs[l] * comp
             # noise scales with the summed term magnitudes inside each
             # component, not with the (already cancelled) component value
-            mass += abs(c) * comp_scale
+            mass += mags[l] * comp_scale
             terms += t_used
-        return value, mass, terms, rel
+            family.append(comp)
+        return value, mass, terms, rel, family
 
 
-def _j_generic(z: SurfacePoint, sv: SignVector, si: SpectralIndex, tol: float):
+def _recombine(ctx, lam, family, sides):
+    """sum_l c_l J_l for the coefficients c of each side, from family values
+    already computed in the context ctx."""
+    if not sides:
+        return []
+    sines = _sines(ctx, lam)
+    return [
+        complex(sum(c * f for c, f in zip(side(ctx, lam, sines)[0], family)))
+        for side in sides
+    ]
+
+
+def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs, sides=()):
+    """sum_l c_l J_l(z; sign) with error at most tol times its modulus.
+
+    coeffs(ctx, lam, sines) gives the c_l and bounds on their moduli in the
+    number context ctx.  Also returns sum_l c'_l J_l for each coefficient
+    function in sides, rebuilt from the family values of the accepted pass.
+    """
     overflow = si.rank * z.modulus > 690.0
-    eps0 = np.finfo(float).eps
+    eps = np.finfo(float).eps
     if not overflow:
-        est, mass = _j_generic_double(z, sv, si, tol)
+        est, mass, family = _j_generic_double(z, sign, si, tol, coeffs)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
-            return est
+            return est, _recombine(_DOUBLE, si.lam, family, sides)
         # the double-pass error aggregates eps * (internal term mass), so it
-        # back-solves for the cancellation the big-float pass must absorb
-        noise_mass = max(est.tail_bound / (8.0 * eps0), mass)
+        # back-solves for the cancellation the big-float pass must absorb;
+        # the digits are a difference of logs because the ratio overflows
+        # when the double value underflows to zero
+        noise_mass = max(est.tail_bound / (8.0 * eps), mass)
         scale = max(abs(est.value), 1e-280)
-        dps = 24 + int(math.log10(max(noise_mass / scale, 1.0))) - int(
+        dps = 24 + int(math.log10(max(noise_mass, scale)) - math.log10(scale)) - int(
             math.log10(tol)
         )
     else:
         # summing past the e^{n|z|} term ridge needs ~0.44 n|z| digits; the
         # escalation loop below buys more if the combination cancels deeper
         dps = 26 + int(0.45 * si.rank * z.modulus) - int(math.log10(tol))
-    eps = np.finfo(float).eps
     for _ in range(8):
-        value, mass, terms, rel = _j_generic_mp(z, sv, si, dps)
+        round_dps = dps
+        value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, coeffs)
         v = complex(value)
         noise = mass * rel * 10
         ach = float(noise) + 4.0 * eps * abs(v)  # incl. final rounding
         if abs(v) > 0 and mp.mpf(abs(v)) > noise and ach <= tol * abs(v) + 8.0 * eps * abs(v):
-            return SeriesEval(v, terms, ach)
+            break
         # |v| may still be cancellation noise, so escalate geometrically as
         # well as by the apparent requirement
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
@@ -257,13 +336,44 @@ def _j_generic(z: SurfacePoint, sv: SignVector, si: SpectralIndex, tol: float):
             math.log10(tol)
         )
         dps = max(int(dps * 1.6) + 8, need)
-    return SeriesEval(v, terms, ach)
+    with mp.workdps(round_dps):
+        lam = [mp.mpc(a) for a in si.lam]
+        return SeriesEval(v, terms, ach), _recombine(mp, lam, family, sides)
 
 
 def _degeneracy_direction(n: int):
     u = [l - (n + 1) / 2.0 for l in range(1, n + 1)]
     scale = max(abs(x) for x in u)
     return [x / scale for x in u]
+
+
+def _evaluate(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs, sides=()):
+    """_j_generic, taken as a limit at non-generic indices (gap below 1e-4):
+    the average over 8 generic perturbations on a circle of radius 1e-3,
+    which reproduces the limit value to O(radius^8)."""
+    if genericity_gap(si) >= EPS_GEN:
+        return _j_generic(z, sign, si, tol, coeffs, sides)
+    u = _degeneracy_direction(si.rank)
+    vals = []
+    tails = []
+    side_vals = []
+    terms = 0
+    for q in range(_CAUCHY_POINTS):
+        rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
+        pert = SpectralIndex([v + rot * ul for v, ul in zip(si.lam, u)])
+        est, parts = _j_generic(z, sign, pert, tol * 0.2, coeffs, sides)
+        vals.append(est.value)
+        tails.append(est.tail_bound)
+        side_vals.append(parts)
+        terms += est.terms_used
+    value = sum(vals) / len(vals)
+    spread = max(abs(v - value) for v in vals)
+    tail = (
+        sum(tails) / len(tails)
+        + _CAUCHY_RADIUS**_CAUCHY_POINTS * (abs(value) + spread)
+        + 4.0 * np.finfo(float).eps * max(abs(v) for v in vals)
+    )
+    return SeriesEval(value, terms, tail), [sum(col) / len(col) for col in zip(*side_vals)]
 
 
 def j_function(
@@ -279,28 +389,32 @@ def j_function(
     z = _as_point(z)
     if sv.n != si.rank:
         raise ValueError("sign vector length must match the rank")
-    gap = genericity_gap(si)
-    if gap >= EPS_GEN:
-        return _j_generic(z, sv, si, tol)
-    u = _degeneracy_direction(si.rank)
-    vals = []
-    tails = []
-    terms = 0
-    for q in range(_CAUCHY_POINTS):
-        rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
-        pert = SpectralIndex([v + rot * ul for v, ul in zip(si.lam, u)])
-        est = _j_generic(z, sv, pert, tol * 0.2)
-        vals.append(est.value)
-        tails.append(est.tail_bound)
-        terms += est.terms_used
-    value = sum(vals) / len(vals)
-    spread = max(abs(v - value) for v in vals)
-    tail = (
-        sum(tails) / len(tails)
-        + _CAUCHY_RADIUS**_CAUCHY_POINTS * (abs(value) + spread)
-        + 4.0 * np.finfo(float).eps * max(abs(v) for v in vals)
-    )
-    return SeriesEval(value, terms, tail)
+    return _evaluate(z, sv.product_sign, si, tol, partial(_connection_coeffs, sv=sv))[0]
+
+
+def sign_vectors(n: int, parity: int):
+    """The 2^{n-1} sign vectors of length n whose product is parity."""
+    return [SignVector(s) for s in product((1, -1), repeat=n) if math.prod(s) == parity]
+
+
+def kernel_series(
+    z: Pointlike, parity: int, si: SpectralIndex, deltas, tol: float = 1e-9
+):
+    """The signed kernel sum_l K_l J_l(z; parity) by the ascending series.
+
+    At x with sgn x = parity and z = 2 pi |x|^{1/n}, every sign vector of
+    the kernel sum uses the same first-kind family J_l(z; parity), so the
+    sum collapses onto the n kernel coefficients K_l of _kernel_coeffs:
+    n series per point instead of 2^{n-1} sign-vector functions.  tol is
+    relative to the kernel value; the precision is chosen once, for the
+    kernel.  Also returns max |J(z; sig)| over the sign vectors of the sum,
+    rebuilt from the same family values (the cancellation reference).
+    """
+    z = _as_point(z)
+    parts = [partial(_connection_coeffs, sv=sv) for sv in sign_vectors(si.rank, parity)]
+    coeffs = partial(_kernel_coeffs, deltas=tuple(int(d) % 2 for d in deltas), parity=parity)
+    est, signvec_values = _evaluate(z, parity, si, tol, coeffs, parts)
+    return est, max(abs(v) for v in signvec_values)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ def test_eval_missing_flag_exits_2():
     assert proc.returncode == 2
 
 
+def test_eval_missing_point_exits_2(capsys):
+    # neither --x nor --x-grid: a usage error, not a traceback
+    rc = main(
+        ["eval", "--method", "series", "--n", "3", "--signs", "++-",
+         "--lambda", "0.3,-0.1,-0.2"]
+    )
+    assert rc == 2
+    assert "provide --x or --x-grid" in capsys.readouterr().err
+
+
 def test_eval_numeric_failure_exits_3(tmp_path):
     # an unattainable quadrature tolerance must flag the row and exit 3
     out = tmp_path / "r.csv"

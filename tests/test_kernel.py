@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from besselhr import _reference as ref
+from besselhr import series
 from besselhr.core import SpectralIndex
 from besselhr.kernel import (
     KernelIndex,
@@ -14,8 +16,10 @@ from besselhr.kernel import (
     hankel_transform,
     kernel_asymptotics,
     mellin_inversion,
+    sign_vectors,
 )
 from besselhr.mellinbarnes import mb_kernel_est
+from besselhr.series import j_function
 
 
 def test_kernel_maass_even_plus_side():
@@ -75,6 +79,82 @@ def test_kernel_vs_mb_kernel_log_grid():
                     r.error,
                     em,
                 )
+
+
+def _generic_index(n, kind):
+    # fixed generic indices: distinct real parts, and for "complex" also
+    # distinct imaginary parts
+    re = [0.31, -0.12, 0.07, -0.26, 0.19, -0.04][:n]
+    im = [0.0] * n if kind == "real" else [0.2, -0.1, 0.15, -0.3, 0.05, 0.25][:n]
+    return SpectralIndex([complex(a, b) for a, b in zip(re, im)])
+
+
+def _signvec_sum(x, ki, tol):
+    """The kernel as the explicit signed sum of sign-vector functions."""
+    n = ki.rank
+    inner = 2.0 * math.pi * abs(x) ** (1.0 / n)  # as bessel_kernel rounds it
+    total = 0j
+    err = 0.0
+    peak = 0.0
+    for sv in sign_vectors(n, 1 if x > 0 else -1):
+        r = j_function(inner, sv, ki.lam, tol)
+        total += math.prod(s for s, d in zip(sv.signs, ki.deltas) if d) * r.value
+        err += r.tail_bound
+        peak = max(peak, abs(r.value))
+    return total, err + 4.0 * np.finfo(float).eps * peak * (n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_coeffs_closed_form(n):
+    # K_l in closed form equals the 2^(n-1)-term signed sum of the
+    # sign-vector connection coefficients
+    for kind in ("real", "complex"):
+        lam = _generic_index(n, kind).lam
+        sines = series._sines(series._DOUBLE, lam)
+        for deltas in ((0,) * n, (1,) + (0,) * (n - 1), tuple(l % 2 for l in range(1, n + 1))):
+            for parity in (1, -1):
+                want = [0j] * n
+                for sv in sign_vectors(n, parity):
+                    coef = math.prod(s for s, d in zip(sv.signs, deltas) if d)
+                    cs, _ = series._connection_coeffs(series._DOUBLE, lam, sines, sv)
+                    want = [w + coef * c for w, c in zip(want, cs)]
+                got, mags = series._kernel_coeffs(series._DOUBLE, lam, sines, deltas, parity)
+                scale = max(abs(w) for w in want)
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * scale
+                assert all(abs(g) <= m * (1 + 1e-12) for g, m in zip(got, mags))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kernel_series_matches_signvec_sum(n, kind):
+    # n first-kind series against 2^(n-1) sign-vector functions, within the
+    # summed reported errors; the error is relative to the kernel
+    tol = 1e-9
+    ki = KernelIndex(_generic_index(n, kind), [l % 2 for l in range(n)])
+    for inner in (1.5, 7.0):
+        ax = (inner / (2 * math.pi)) ** n
+        for sgn in (1, -1):
+            r = bessel_kernel(sgn * ax, ki, "series", tol)
+            want, want_err = _signvec_sum(sgn * ax, ki, tol)
+            assert r.method == "series"
+            assert abs(r.value - want) <= r.error + want_err, (n, kind, sgn * ax)
+            assert r.error <= (tol + 1e-14) * abs(r.value), (n, kind, sgn * ax)
+
+
+def test_kernel_series_nongeneric_cauchy_mean():
+    # lam = (1/2, -1/2) is non-generic, so the collapsed sum is taken as the
+    # Cauchy mean over generic perturbations.  Classical values:
+    # -2 pi J_1(4 pi sqrt x) for x > 0 (delta = 00), -4i K_1(4 pi sqrt|x|)
+    # for x < 0 (delta = 10)
+    si = SpectralIndex([0.5, -0.5])
+    cases = [
+        (0.7, (0, 0), -2 * math.pi * complex(mp.besselj(1, 4 * math.pi * math.sqrt(0.7)))),
+        (-0.7, (1, 0), -4j * complex(mp.besselk(1, 4 * math.pi * math.sqrt(0.7)))),
+    ]
+    for x, deltas, want in cases:
+        r = bessel_kernel(x, KernelIndex(si, deltas), "series", 1e-9)
+        assert abs(r.value - want) <= 1e-9 * abs(want)
+        assert abs(r.value - want) <= 4 * r.error
 
 
 def test_kernel_cancellation_switch():

@@ -151,6 +151,17 @@ def test_j_function_high_precision_path():
     assert r.tail_bound <= 1e-8 * abs(r.value)
 
 
+def test_j_function_double_pass_underflow():
+    # K-type values near e^{-80}: the double pass cancels to exactly zero, and
+    # the precision estimate must not overflow turning that into digits
+    si = SpectralIndex([0.25, -0.25])
+    for s, phase in (("+-", -0.25), ("-+", 0.25)):
+        r = j_function(40.0, SignVector(s), si, 1e-10)
+        want = 2 * complex(mp.expjpi(phase) * mp.besselk(0.5, 80))
+        assert abs(r.value - want) <= 1e-10 * abs(want)
+        assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
 def test_j_function_beyond_double_range():
     # n |z| > 690 overflows double series termwise; the big-float route
     # must take over transparently
