@@ -77,10 +77,6 @@ def cdd_add(x, y):
     return (dd_add(x[0], y[0]), dd_add(x[1], y[1]))
 
 
-def cdd_sub(x, y):
-    return (dd_sub(x[0], y[0]), dd_sub(x[1], y[1]))
-
-
 def cdd_mul(x, y):
     re = dd_sub(dd_mul(x[0], y[0]), dd_mul(x[1], y[1]))
     im = dd_add(dd_mul(x[0], y[1]), dd_mul(x[1], y[0]))

@@ -36,7 +36,7 @@ class ValidityFloorError(ValueError):
 
 
 class ToleranceNotMetError(RuntimeError):
-    """Quadrature could not certify the requested tolerance."""
+    """An evaluator could not certify the requested tolerance."""
 
     def __init__(self, message, value=None, achieved=None):
         super().__init__(message)
@@ -80,18 +80,11 @@ class SpectralIndex:
         return max(abs(v) for v in self.lam) + 1.0
 
     @property
-    def real_bound(self) -> float:
-        return max(abs(v.real) for v in self.lam)
-
-    @property
     def imag_bound(self) -> float:
         return max(abs(v.imag) for v in self.lam)
 
     def genericity_gap(self) -> float:
         return genericity_gap(self)
-
-    def shifted(self, offsets: Sequence) -> "SpectralIndex":
-        return SpectralIndex([v + complex(o) for v, o in zip(self.lam, offsets)])
 
 
 @dataclass(frozen=True)
@@ -241,9 +234,6 @@ class RootOfUnity:
             raise ValueError("equation sign defined for even order only")
         return -1 if self.index % 2 else 1
 
-    def conj_arg(self) -> float:
-        return -self.argument
-
 
 @dataclass(frozen=True)
 class SurfacePoint:
@@ -285,12 +275,6 @@ class SurfacePoint:
 
     def times_root(self, xi: RootOfUnity) -> "SurfacePoint":
         return self.rotated(xi.argument)
-
-    def scaled(self, factor: float) -> "SurfacePoint":
-        factor = float(factor)
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return SurfacePoint(self.log_modulus + math.log(factor), self.argument)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,13 @@ a straight vertical line it would only decay polynomially.
 
 Quadrature is adaptive Gauss-Kronrod 15(7) per straight segment with
 geometric subdivision toward the bend, deterministic summation order, and a
-tail cut where an empirical decay-rate bound drops below tol/10.
+tail cut where an empirical decay-rate bound drops below tol/10.  A piece
+whose Kronrod-Gauss difference is at most 50 eps times its absolute mass is
+at its rounding floor and is never split again, so the loop stops where the
+error estimate stops falling instead of running to its piece cap.  The
+integrand is called on batches of panels: all initial segments at once, both
+halves of each split together, and the four tail probes of each t_max trial
+together; each panel's 15-point sums are the same bits as when it is alone.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending abscissae
 _WK15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG15 = np.zeros(15)
 _WG15[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss points are odd-indexed
+
+# A GK15 piece whose error estimate is at most this times its absolute mass
+# is at its own rounding level (QUADPACK dqk15 bounds the estimate from below
+# by 50 eps times the mass); splitting it cannot lower the estimate.
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -136,30 +147,48 @@ def _segments(c: Contour, osc_rate: float):
     return segs
 
 
-def _gk15(f, a: complex, b: complex):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    s = mid + half * _NODES
-    fv = f(s)
-    ik = half * np.dot(_WK15, fv)
-    ig = half * np.dot(_WG15, fv)
-    err = abs(ik - ig)
-    mass = abs(half) * float(np.dot(_WK15, np.abs(fv)))
-    return ik, err, mass
+def _gk15(f, pieces):
+    """GK15 on each straight piece (a, b), all nodes in one integrand call.
+
+    Returns (Kronrod value, |Kronrod - Gauss|, absolute mass) per piece.  The
+    15-point sums stay one np.dot per piece, so a piece gets the same bits
+    alone or in a batch.
+    """
+    ends = np.array(pieces, dtype=np.complex128)
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    fv = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    av = np.abs(fv)
+    out = []
+    for h, row, arow in zip(half, fv, av):
+        ik = h * np.dot(_WK15, row)
+        ig = h * np.dot(_WG15, row)
+        out.append((ik, abs(ik - ig), abs(h) * float(np.dot(_WK15, arow))))
+    return out
 
 
 def _adaptive(f, segs, tol, max_pieces=4000):
     """Adaptive bisection over straight pieces; deterministic summation.
 
-    The heap holds (-err, index) for every piece, so the worst piece is split
-    first and ties go to the lowest index; the left half keeps the index of
-    the piece it replaces and the right half is appended.
+    The heap holds (-err, index) for every piece that splitting can still
+    improve, so the worst piece is split first and ties go to the lowest
+    index; the left half keeps the index of the piece it replaces and the
+    right half is appended.  A piece whose Kronrod-Gauss difference is at
+    most _ROUNDING_FLOOR times its absolute mass sits at the rounding level
+    of its own rule (the QUADPACK dqk15 floor), so it never enters the heap:
+    the loop ends when the heap is empty, when the error meets tol, or at
+    max_pieces.  The initial segments go to the integrand in one call, and
+    the two halves of each split in one more.
     """
-    pieces = [[a, b, *_gk15(f, a, b)] for a, b in segs]
-    heap = [(-p[3], i) for i, p in enumerate(pieces)]
+    pieces = [[a, b, *r] for (a, b), r in zip(segs, _gk15(f, segs))]
+
+    def splittable(err, mass):
+        return err > _ROUNDING_FLOOR * mass
+
+    heap = [(-p[3], i) for i, p in enumerate(pieces) if splittable(p[3], p[4])]
     heapq.heapify(heap)
     tot_err = sum(p[3] for p in pieces)
-    while len(pieces) < max_pieces:
+    while heap and len(pieces) < max_pieces:
         if tot_err <= 0.3 * tol:
             # the running total drifts by rounding; decide on a fresh sum
             tot_err = sum(p[3] for p in pieces)
@@ -171,11 +200,12 @@ def _adaptive(f, segs, tol, max_pieces=4000):
         heapq.heappop(heap)
         a, b = pieces[i][0], pieces[i][1]
         m = 0.5 * (a + b)
-        v1, e1, m1 = _gk15(f, a, m)
-        v2, e2, m2 = _gk15(f, m, b)
+        (v1, e1, m1), (v2, e2, m2) = _gk15(f, [(a, m), (m, b)])
         pieces[i] = [a, m, v1, e1, m1]
-        heapq.heappush(heap, (-e1, i))
-        heapq.heappush(heap, (-e2, len(pieces)))
+        if splittable(e1, m1):
+            heapq.heappush(heap, (-e1, i))
+        if splittable(e2, m2):
+            heapq.heappush(heap, (-e2, len(pieces)))
         pieces.append([m, b, v2, e2, m2])
         tot_err += e1 + e2 + neg_err
     # deterministic order: sort all pieces by (Im a, Re a)
@@ -190,27 +220,34 @@ def _adaptive(f, segs, tol, max_pieces=4000):
     return total, err, mass
 
 
-def _tail_rate(f, end: complex, direction: complex, h: float = 2.0):
-    """Empirical decay rate of ln|f| at the ray end; positive = decaying."""
-    f1 = abs(f(np.array([end - h * direction]))[0])
-    f0 = abs(f(np.array([end]))[0])
-    if f0 == 0.0:
-        return math.inf, 0.0
-    return (math.log(f1) - math.log(f0)) / h, f0
+def _tail_rates(f, rays, h: float = 2.0):
+    """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
+    ray end, from one integrand call at two points per ray."""
+    pts = np.array([p for end, d in rays for p in (end - h * d, end)])
+    fv = f(pts)
+    out = []
+    for k in range(len(rays)):
+        f1 = abs(fv[2 * k])
+        f0 = abs(fv[2 * k + 1])
+        if f0 == 0.0:
+            out.append((math.inf, 0.0))
+        else:
+            out.append(((math.log(f1) - math.log(f0)) / h, f0))
+    return out
 
 
 def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
     """Integrate f along the contour, growing t_max until the tail is safe."""
     cc = c
     for _ in range(10):
-        end_up = complex(cc.base_real, cc.bend_height) + cc.t_max * _ray_dir(cc, True)
-        end_dn = complex(cc.base_real, -cc.bend_height) + cc.t_max * _ray_dir(
-            cc, False
+        up, dn = _ray_dir(cc, True), _ray_dir(cc, False)
+        rays = (
+            (complex(cc.base_real, cc.bend_height) + cc.t_max * up, up),
+            (complex(cc.base_real, -cc.bend_height) + cc.t_max * dn, dn),
         )
         ok = True
         tail = 0.0
-        for end, d in ((end_up, _ray_dir(cc, True)), (end_dn, _ray_dir(cc, False))):
-            rate, f0 = _tail_rate(f, end, d)
+        for rate, f0 in _tail_rates(f, rays):
             if not (rate > 0.05) or not math.isfinite(f0):
                 ok = False
                 break

@@ -39,6 +39,7 @@ from .core import (
     SignVector,
     SpectralIndex,
     SurfacePoint,
+    ToleranceNotMetError,
     e2pi,
     genericity_gap,
     lambda_of_nu,
@@ -50,6 +51,8 @@ EPS_GEN = 1e-4  # below this gap the connection switches to the limit form
 _CAUCHY_RADIUS = 1e-3
 _CAUCHY_POINTS = 8
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # exact i^n
+# the big-float rounds stop at the digits that resolve a value this small
+_DPS_CEILING_SIZE = 1e-300
 
 Pointlike = Union[SurfacePoint, float, int]
 
@@ -309,11 +312,12 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
             return est, _recombine(_DOUBLE, si.lam, family, sides)
         # the double-pass error aggregates eps * (internal term mass), so it
-        # back-solves for the cancellation the big-float pass must absorb;
-        # the digits are a difference of logs because the ratio overflows
-        # when the double value underflows to zero
+        # back-solves for the cancellation the big-float pass must absorb.
+        # A value inside its own noise only says |value| <~ eps * noise_mass,
+        # so the scale is not taken below that; the rounds below escalate if
+        # the value is smaller still
         noise_mass = max(est.tail_bound / (8.0 * eps), mass)
-        scale = max(abs(est.value), 1e-280)
+        scale = max(abs(est.value), eps * noise_mass, 1e-280)
         dps = 24 + int(math.log10(max(noise_mass, scale)) - math.log10(scale)) - int(
             math.log10(tol)
         )
@@ -330,12 +334,25 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
         if abs(v) > 0 and mp.mpf(abs(v)) > noise and ach <= tol * abs(v) + 8.0 * eps * abs(v):
             break
         # |v| may still be cancellation noise, so escalate geometrically as
-        # well as by the apparent requirement
+        # well as by the apparent requirement, up to the digits that resolve
+        # any value of double range (|v| >= 1e-300) against this term mass;
+        # a round there that fails asks for a value the series cannot give
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
-        need = 24 + int(logmass - math.log10(max(abs(v), 1e-300))) - int(
-            math.log10(tol)
-        )
-        dps = max(int(dps * 1.6) + 8, need)
+
+        def digits(size):
+            return 24 + int(logmass - math.log10(size)) - int(math.log10(tol))
+
+        ceiling = digits(_DPS_CEILING_SIZE)
+        if round_dps >= ceiling:
+            raise ToleranceNotMetError(
+                f"series precision ceiling of {ceiling} digits reached at "
+                f"|z|={z.modulus:.6g} (achieved {ach:.2e}, |value| {abs(v):.2e}); "
+                "the value is below double range or beyond what the ascending "
+                "series resolves: use the asymptotic route",
+                value=v,
+                achieved=ach,
+            )
+        dps = min(max(int(dps * 1.6) + 8, digits(max(abs(v), _DPS_CEILING_SIZE))), ceiling)
     with mp.workdps(round_dps):
         lam = [mp.mpc(a) for a in si.lam]
         return SeriesEval(v, terms, ach), _recombine(mp, lam, family, sides)
@@ -384,7 +401,10 @@ def j_function(
     tol is a relative-accuracy request; the achieved absolute bound comes
     back in tail_bound.  Non-generic indices (gap below 1e-4) are evaluated
     as the average over 8 generic perturbations on a circle of radius 1e-3,
-    which reproduces the limit value to O(radius^8).
+    which reproduces the limit value to O(radius^8).  Raises
+    ToleranceNotMetError when the big-float rounds reach their precision
+    ceiling, which happens for values below double range (use the
+    asymptotic route there).
     """
     z = _as_point(z)
     if sv.n != si.rank:

@@ -134,6 +134,21 @@ def test_eval_numeric_failure_exits_3(tmp_path):
     assert "tolerance-not-met" in row
 
 
+def test_eval_series_precision_ceiling_exits_3(capsys):
+    # the value is far below double range: the big-float rounds stop at
+    # their precision ceiling and point to the asymptotic route
+    import time
+
+    t0 = time.perf_counter()
+    rc = main(
+        ["eval", "--method", "series", "--n", "3", "--signs", "++-",
+         "--lambda", "0.3,-0.1,-0.2", "--x", "300"]
+    )
+    assert rc == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert "asymptotic route" in capsys.readouterr().err
+
+
 def test_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -5,9 +5,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from besselhr import _backend
 from besselhr.core import SignVector, SpectralIndex, ToleranceNotMetError
+from besselhr.kernel import KernelIndex, bessel_kernel
 from besselhr.mellinbarnes import (
+    _NODES,
+    _WG15,
+    _WK15,
     Contour,
+    _adaptive,
+    _gk15,
+    _segments,
     default_contour,
     g_delta,
     mb_eval,
@@ -170,3 +178,89 @@ def test_residue_series_partial_sums():
         resid.append(abs(tot - v))
     assert resid[-1] < 1e-10
     assert resid[0] > resid[-1]
+
+
+def _counting(f):
+    """f with a tally of its calls and of the points it was called on."""
+    tally = {"calls": 0, "points": 0}
+
+    def wrapped(s, *args):
+        tally["calls"] += 1
+        tally["points"] += len(s)
+        return f(s, *args)
+
+    return wrapped, tally
+
+
+def test_adaptive_stops_at_rounding_floor():
+    # degree 13: the 7-point Gauss and the 15-point Kronrod rules are both
+    # exact, so every Kronrod-Gauss difference is rounding; tol=1e-300 used
+    # to split to the 4000-piece cap, now no piece is split at all
+    coef = np.linspace(1.0, -0.5, 14)
+    poly = np.polynomial.Polynomial(coef)
+    f, tally = _counting(poly)
+    segs = _segments(default_contour(SpectralIndex([0.3, -0.1, -0.2]), 2.0), 3.0)
+    segs = [(0.1 * a, 0.1 * b) for a, b in segs]  # keep |s|^13 moderate
+    val, err, mass = _adaptive(f, segs, 1e-300)
+    assert tally == {"calls": 1, "points": 15 * len(segs)}
+    anti = poly.integ()
+    want = sum(complex(anti(b) - anti(a)) for a, b in segs)
+    assert abs(val - want) <= 1e-12 * mass
+    assert err <= 50 * np.finfo(float).eps * mass
+
+
+def _gk15_alone(f, a, b):
+    """One GK15 panel in its own integrand call: the per-piece formula."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fv = f(mid + half * _NODES)
+    ik = half * np.dot(_WK15, fv)
+    ig = half * np.dot(_WG15, fv)
+    return ik, abs(ik - ig), abs(half) * float(np.dot(_WK15, np.abs(fv)))
+
+
+def test_gk15_batch_bit_identical():
+    rng = np.random.default_rng(7)
+    lam = np.array([0.3, -0.1 + 0.2j, -0.2 - 0.2j])
+    sig = np.array([1.0, 1.0, -1.0])
+    dl = np.array([0, 1, 0])
+
+    def fj(s):
+        return _backend.mb_j_integrand(s, lam, sig, 3, math.log(2.0))
+
+    def fk(s):
+        return _backend.mb_kernel_integrand(s, lam, dl, 1, math.log(0.7))
+
+    for trial in range(40):
+        f = fj if trial % 2 else fk
+        k = int(rng.integers(1, 30))
+        a = rng.uniform(-6, 2, k) + 1j * rng.uniform(-40, 40, k)
+        b = a + rng.uniform(-2, 2, k) + 1j * rng.uniform(-3, 3, k)
+        pieces = [(complex(p), complex(q)) for p, q in zip(a, b)]
+        batch = _gk15(f, pieces)
+        assert batch == [_gk15(f, [p])[0] for p in pieces]
+        assert batch == [_gk15_alone(f, p, q) for p, q in pieces]
+
+
+def test_vanishing_kernel_stops_at_rounding_floor(monkeypatch):
+    # n=2, lam=(0,0), delta=(1,0) vanishes identically for x < 0; auto mode
+    # hands it to the kernel contour integral, whose error stalls at the
+    # integrand's rounding level (it used to take 4000 pieces per parity)
+    f, tally = _counting(_backend.mb_kernel_integrand)
+    monkeypatch.setattr(_backend, "mb_kernel_integrand", f)
+    r = bessel_kernel(-3.0, KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), "auto", 1e-9)
+    assert r.method == "mellin-barnes"
+    assert tally["points"] < 10_000
+    assert abs(r.value) <= r.error
+
+
+def test_mb_rank5_floor_agrees_with_series():
+    # rank 5 at the prototype index, +++++, x=0.5: a point where pieces hit
+    # the rounding floor before the tolerance
+    from besselhr.series import j_function
+
+    si = SpectralIndex([(6 - 2 * l) / 10.0 for l in range(1, 6)])
+    sv = SignVector("+++++")
+    v, e = mb_eval_est(0.5, sv, si, 1e-10)
+    r = j_function(0.5, sv, si, 1e-10)
+    assert abs(v - r.value) <= e + r.tail_bound

@@ -12,10 +12,13 @@ from besselhr.core import (
     SignVector,
     SpectralIndex,
     SurfacePoint,
+    ToleranceNotMetError,
     e2pi,
     lambda_of_nu,
 )
-from besselhr.mellinbarnes import mb_eval_est
+from besselhr import series
+from besselhr.kernel import KernelIndex, bessel_kernel
+from besselhr.mellinbarnes import mb_eval_est, mb_kernel_est
 from besselhr.series import derivatives, first_kind, j_function, ode_residual
 
 mp.mp.dps = 35
@@ -160,6 +163,49 @@ def test_j_function_double_pass_underflow():
         want = 2 * complex(mp.expjpi(phase) * mp.besselk(0.5, 80))
         assert abs(r.value - want) <= 1e-10 * abs(want)
         assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
+def _record_rounds(monkeypatch):
+    """The dps of every big-float round, in call order."""
+    rounds = []
+    mp_pass = series._j_generic_mp
+
+    def recorded(z, sign, si, dps, coeffs):
+        rounds.append(dps)
+        return mp_pass(z, sign, si, dps, coeffs)
+
+    monkeypatch.setattr(series, "_j_generic_mp", recorded)
+    return rounds
+
+
+def test_bigfloat_first_round_from_noise_scale(monkeypatch):
+    # a double value inside its own noise (here exactly 0, or K_{1/2}(80)
+    # underflowing) only bounds |value| by eps times the term mass; the first
+    # round used to start near 320-350 digits from a 1e-280 scale
+    rounds = _record_rounds(monkeypatch)
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    x = -2.3983292130691796
+    r = bessel_kernel(x, ki, "auto", 1e-9)
+    assert r.method == "series"
+    assert 0 < max(rounds) < 100
+    want, want_err = mb_kernel_est(x, ki.lam, ki.deltas, 1e-13)
+    assert abs(r.value - want) <= r.error + want_err
+    rounds.clear()
+    r = j_function(40.0, SignVector("+-"), SpectralIndex([0.25, -0.25]), 1e-10)
+    assert rounds[0] < 60 and max(rounds) < 100
+    want = 2 * complex(mp.expjpi(-0.25) * mp.besselk(0.5, 80))
+    assert abs(r.value - want) <= 1e-10 * abs(want)
+
+
+def test_bigfloat_precision_ceiling(monkeypatch):
+    # J(300; ++-) is far below double range: no number of digits certifies
+    # it, so the rounds stop at the precision ceiling instead of escalating
+    # x1.6 per round for minutes
+    rounds = _record_rounds(monkeypatch)
+    with pytest.raises(ToleranceNotMetError, match="asymptotic route") as exc:
+        j_function(300.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
+    assert exc.value.value is not None and exc.value.achieved is not None
+    assert len(rounds) <= 4 and max(rounds) < 1000
 
 
 def test_j_function_beyond_double_range():
