@@ -115,6 +115,75 @@ def second_kind(
     return AsymptoticEval(pref * total, m_star, err, True)
 
 
+def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
+    """second_kind at the positive reals z (argument 0), for many points.
+
+    The same per-point rules as second_kind (truncation at the first
+    smallest term, at least one term, the partial sum left to right and the
+    same error formula), with the expansion summed as numpy passes over the
+    cached B_m table: one pass finds each point's truncation, a second sums
+    up to it.  Memory is a few arrays of the size of z.  Returns the values
+    and the absolute error estimates.
+    """
+    n = si.rank
+    if xi.order != 2 * n:
+        raise ValueError("xi must be a 2n-th root of unity for rank n")
+    if not in_validity_sector(SurfacePoint(0.0, 0.0), xi, n, DEFAULT_THETA):
+        raise OutOfSectorError(
+            f"the positive reals lie outside the sector around {sector_center(xi):.4f}"
+        )
+    z = np.asarray(z, dtype=float)
+    floor = validity_floor(si)
+    if (z < floor).any():
+        raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
+    tab = cached_b_table(si, xi, M_CAP)
+    logs = [math.log(v) for v in z]
+    zinv = np.array([math.exp(-v) for v in logs])  # z.power(-1) at argument 0
+    coeffs = [(b.real, b.imag) for b in tab.coeffs]
+
+    def terms():
+        t = np.ones(z.shape)
+        for b_re, b_im in coeffs:
+            re = b_re * t
+            im = b_im * t
+            yield re, im, np.hypot(re, im)
+            t = t * zinv
+
+    best = np.full(z.shape, np.inf)
+    m_star = np.zeros(z.shape, dtype=np.int64)
+    for m, (_, _, mag) in enumerate(terms()):
+        smaller = mag < best  # strict: the first smallest term, as np.argmin
+        best = np.where(smaller, mag, best)
+        m_star = np.where(smaller, m, m_star)
+    m_star = np.maximum(m_star, 1)  # always keep the leading term
+    last = np.minimum(m_star, len(coeffs) - 1)
+    tot_re = np.zeros(z.shape)
+    tot_im = np.zeros(z.shape)
+    mag_sum = np.zeros(z.shape)
+    omitted = np.zeros(z.shape)
+    for m, (re, im, mag) in enumerate(terms()):
+        keep = m < m_star
+        tot_re = tot_re + np.where(keep, re, 0.0)
+        tot_im = tot_im + np.where(keep, im, 0.0)
+        mag_sum = mag_sum + np.where(keep, mag, 0.0)
+        omitted = np.where(m == last, mag, omitted)
+    eps = np.finfo(float).eps
+    wc = 1j * n * xi.value
+    half = complex(-(n - 1) / 2.0)
+    values = np.empty(z.shape, dtype=np.complex128)
+    errors = np.empty(z.shape)
+    for i, (lg, t_re, t_im, o, ms) in enumerate(
+        zip(logs, tot_re.tolist(), tot_im.tolist(), omitted.tolist(), mag_sum.tolist())
+    ):
+        log_z = complex(lg, 0.0)
+        w = wc * cmath.exp(log_z)
+        pref = cmath.exp(w) * cmath.exp(half * log_z)
+        total = complex(t_re, t_im)
+        values[i] = pref * total
+        errors[i] = abs(pref) * (2.0 * o + eps * (4.0 * ms + (4.0 + 2.0 * abs(w)) * abs(total)))
+    return values, errors
+
+
 def w_function(
     z: Pointlike,
     si: SpectralIndex,

@@ -17,7 +17,12 @@ kernel contour integral when it explodes.
 The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
 x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
-only the smooth weight factor re-evaluated.
+only the smooth weight factor re-evaluated.  The grid's nodes share one
+index, so kernel_sweep computes them in array passes: below the asymptotic
+floor one double-double sweep over all nodes (series.kernel_series_grid),
+above it one numpy pass per second-kind root (asympt.second_kind_sweep);
+bessel_kernel takes only the nodes these passes cannot certify, those near
+the Mellin-Barnes switch, and the nodes of non-generic indices.
 """
 
 from __future__ import annotations
@@ -30,15 +35,21 @@ from typing import Sequence
 import numpy as np
 
 from . import mellinbarnes as mb
-from .asympt import j_varsigma_asymptotic, validity_floor
+from .asympt import (
+    j_varsigma_asymptotic,
+    second_kind_sweep,
+    validity_floor,
+    varsigma_constant,
+)
 from .coeffs import cached_b_table
 from .core import (
     EvalResult,
     RootOfUnity,
     SpectralIndex,
     e2pi,
+    genericity_gap,
 )
-from .series import kernel_series, sign_vectors
+from .series import EPS_GEN, kernel_series, kernel_series_grid, sign_vectors
 
 CANCEL_SWITCH = 1e6
 _ASYMPT_MIN = 12.0
@@ -338,8 +349,110 @@ def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9, max_panels: int 
     return np.array(edges)
 
 
+def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
+    """The asymptotic branch of bessel_kernel at the points inner (one sign):
+    values, errors and max |J(sig)|, the same numbers per point.
+
+    Sign vectors with the same number of minus signs share their root xi
+    and so their second-kind values; asympt.second_kind_sweep computes each
+    of those once for all points, and the per-point sums over sign vectors
+    run in the order bessel_kernel uses.
+    """
+    n = ki.rank
+    si = ki.lam
+    base = {}
+    parts = []
+    for sv in sign_vectors(n, parity):
+        if sv.n_minus not in base:
+            vals, errs = second_kind_sweep(inner, si, sv.xi())
+            base[sv.n_minus] = (vals.tolist(), errs.tolist())
+        coef = 1.0
+        for s, d in zip(sv.signs, ki.deltas):
+            if d % 2:
+                coef *= s
+        const = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * varsigma_constant(sv, si)
+        parts.append((coef, const, abs(const)) + base[sv.n_minus])
+    eps = np.finfo(float).eps
+    values = np.empty(len(inner), dtype=np.complex128)
+    errors = np.empty(len(inner))
+    peaks = np.empty(len(inner))
+    for i in range(len(inner)):
+        total = 0j
+        err = 0.0
+        peak = 0.0
+        for coef, const, const_abs, vals, errs in parts:
+            v = const * vals[i]
+            total += coef * v
+            err += const_abs * errs[i]
+            peak = max(peak, abs(v))
+        values[i] = total
+        errors[i] = err + 4.0 * eps * peak * (n + 1)
+        peaks[i] = peak
+    return values, errors, peaks
+
+
+_BLOCK = 512  # nodes per array pass
+
+
+def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
+    """bessel_kernel(sgn e^u_i, ki, "auto", tol) at every node u_i, in array
+    passes over blocks of at most _BLOCK nodes.
+
+    Below the asymptotic floor a node is summed by series.kernel_series_grid
+    (double-double), above it by _asymptotic_sweep.  bessel_kernel itself
+    takes every node those passes leave: the series nodes they do not
+    certify, the nodes whose cancellation comes within a factor 2 of
+    CANCEL_SWITCH (so that bessel_kernel decides the Mellin-Barnes switch),
+    and every node of a non-generic index.  Each node's value depends only
+    on (u_i, sgn, ki, tol).  Returns the values, the errors, the route of
+    each node (the method names of EvalResult) and the mask of the nodes
+    the array passes served.
+    """
+    n = ki.rank
+    si = ki.lam
+    # the argument bessel_kernel computes from x = sgn e^u_i, bit for bit
+    inner = np.fromiter(
+        (2.0 * math.pi * math.exp(v) ** (1.0 / n) for v in u), dtype=float, count=len(u)
+    )
+    values = np.zeros(len(u), dtype=np.complex128)
+    errors = np.zeros(len(u))
+    routes = [None] * len(u)
+    swept = np.zeros(len(u), dtype=bool)
+    if genericity_gap(si) >= EPS_GEN:
+        floor = max(validity_floor(si), _ASYMPT_MIN)
+        for lo in range(0, len(u), _BLOCK):
+            z = inner[lo : lo + _BLOCK]
+            above = z >= floor
+            for zone, route in ((~above, "series"), (above, "asymptotic")):
+                if not zone.any():
+                    continue
+                if route == "series":
+                    v, e, peak, ok = kernel_series_grid(z[zone], sgn, si, ki.deltas, tol)
+                else:
+                    v, e, peak = _asymptotic_sweep(z[zone], sgn, ki)
+                    ok = True
+                size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
+                ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
+                idx = lo + np.flatnonzero(zone)[ok]
+                values[idx] = v[ok]
+                errors[idx] = e[ok]
+                swept[idx] = True
+                for i in idx:
+                    routes[i] = route
+    for i, route in enumerate(routes):
+        if route is None:
+            r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
+            values[i] = r.value
+            errors[i] = r.error
+            routes[i] = r.method
+    return values, errors, routes, swept
+
+
 class _KernelGrid:
-    """Kernel samples on Gauss-Kronrod nodes of a paneled log|w| grid."""
+    """Kernel samples on Gauss-Kronrod nodes of a paneled log|w| grid, by
+    kernel_sweep; counts the nodes the array passes served (swept), the
+    nodes left to bessel_kernel (fallback) and those of them it sent to the
+    Mellin-Barnes route (mb)."""
 
     def __init__(self, ki: KernelIndex, lo: float, hi: float, tol: float):
         self.ki = ki
@@ -350,15 +463,14 @@ class _KernelGrid:
         self.half = halfs
         self.kvals = {}
         self.kerr = {}
+        self.swept = self.fallback = self.mb = 0
         for sgn in (1, -1):
-            vals = np.empty(self.u.shape, dtype=np.complex128)
-            errs = np.empty(self.u.shape, dtype=np.float64)
-            for i, ui in enumerate(self.u):
-                r = bessel_kernel(sgn * math.exp(ui), ki, "auto", tol)
-                vals[i] = r.value
-                errs[i] = r.error
+            vals, errs, routes, swept = kernel_sweep(self.u, sgn, ki, tol)
             self.kvals[sgn] = vals.reshape(len(halfs), 15)
             self.kerr[sgn] = errs.reshape(len(halfs), 15)
+            self.swept += int(swept.sum())
+            self.fallback += int((~swept).sum())
+            self.mb += routes.count("mellin-barnes")
 
     def transform_at(self, x: float, weight: WeightFunction):
         """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid."""
@@ -400,8 +512,12 @@ def hankel_transform(
 ) -> HankelResult:
     """Transform values on the grid, with per-point error estimates.
 
-    Deterministic: grid points are processed in input order over one shared
-    kernel table, so permuting or extending the grid never changes a value.
+    Deterministic: every point is integrated over one shared kernel table,
+    which depends only on the smallest and largest |x| of the grid, so
+    permuting the grid, or adding points whose |x| lies between those two,
+    never changes a value.  Extending that range does: the panel edges
+    start at the table's lower end, so they all move, and every value
+    changes within its error estimate.
     """
     xs = [float(x) for x in x_grid]
     if any(x == 0.0 for x in xs):

@@ -33,6 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from . import _backend
+from ._pair import cdd_add, cdd_exp, cdd_mul, dd_add, dd_exp, dd_mul, dd_neg, two_prod
 from .core import (
     NuIndex,
     OverflowEvalError,
@@ -353,6 +354,14 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
                 achieved=ach,
             )
         dps = min(max(int(dps * 1.6) + 8, digits(max(abs(v), _DPS_CEILING_SIZE))), ceiling)
+    else:
+        raise ToleranceNotMetError(
+            f"series not certified after 8 big-float rounds at |z|={z.modulus:.6g} "
+            f"(last {round_dps} digits, achieved {ach:.2e}, |value| {abs(v):.2e}); "
+            "use the asymptotic route",
+            value=v,
+            achieved=ach,
+        )
     with mp.workdps(round_dps):
         lam = [mp.mpc(a) for a in si.lam]
         return SeriesEval(v, terms, ach), _recombine(mp, lam, family, sides)
@@ -403,8 +412,8 @@ def j_function(
     as the average over 8 generic perturbations on a circle of radius 1e-3,
     which reproduces the limit value to O(radius^8).  Raises
     ToleranceNotMetError when the big-float rounds reach their precision
-    ceiling, which happens for values below double range (use the
-    asymptotic route there).
+    ceiling, which happens for values below double range, or end their 8
+    rounds without certifying the value (use the asymptotic route there).
     """
     z = _as_point(z)
     if sv.n != si.rank:
@@ -435,6 +444,222 @@ def kernel_series(
     coeffs = partial(_kernel_coeffs, deltas=tuple(int(d) % 2 for d in deltas), parity=parity)
     est, signvec_values = _evaluate(z, parity, si, tol, coeffs, parts)
     return est, max(abs(v) for v in signvec_values)
+
+
+# ---------------------------------------------------------------------------
+# the kernel at many points of one index: one double-double sweep
+# ---------------------------------------------------------------------------
+
+_GRID_DPS = 50  # digits of the per-index tables before rounding to pairs
+_GRID_M_CAP = 600  # a point whose series needs more terms is left uncertified
+_U2 = 2.0**-106  # unit roundoff of the pair arithmetic
+
+
+def _split(x):
+    """An mpmath real as a pair (hi, lo) of floats."""
+    hi = float(x)
+    return (hi, float(x - hi))
+
+
+def _mp_pair(z):
+    """An mpmath complex as a complex pair ((re_hi, re_lo), (im_hi, im_lo))."""
+    return (_split(z.real), _split(z.imag))
+
+
+class _FirstKindTable:
+    """c_m^(l) = prod_k 1/Gamma(lam_k - lam_l + m + 1) of one index, built in
+    mpmath at _GRID_DPS digits (reciprocal gammas through _m_fresh, then the
+    term ratio) and stored as a complex pair mantissa with a power-of-two
+    exponent, so no entry over- or underflows.  Grows on demand; entry m is
+    the same whatever length the table has reached."""
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.m_fresh = [_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam]
+        self.coeffs = [[] for _ in lam]  # (mantissa pair, exponent)
+        self.ratios = [[] for _ in lam]  # |c_0|, then |c_m / c_{m-1}|
+        self._last = [None for _ in lam]
+
+    def extend(self, m_top: int):
+        if len(self.coeffs[0]) > m_top:
+            return
+        with mp.workdps(_GRID_DPS):
+            lam = [mp.mpc(v) for v in self.lam]
+            for l, lam_l in enumerate(lam):
+                diffs = [lk - lam_l for lk in lam]
+                for m in range(len(self.coeffs[l]), m_top + 1):
+                    prev = self._last[l]
+                    if m <= self.m_fresh[l]:
+                        t = mp.mpc(1)
+                        for d in diffs:
+                            t *= mp.rgamma(d + m + 1)
+                    else:
+                        t = prev
+                        for d in diffs:
+                            t /= d + m
+                    size = abs(t)
+                    e = int(mp.floor(mp.log(size, 2)))
+                    mant = mp.mpc(mp.ldexp(t.real, -e), mp.ldexp(t.imag, -e))
+                    self.coeffs[l].append((_mp_pair(mant), e))
+                    self.ratios[l].append(float(size if m == 0 else size / abs(prev)))
+                    self._last[l] = t
+
+
+@lru_cache(maxsize=16)
+def _first_kind_table(lam: tuple) -> _FirstKindTable:
+    return _FirstKindTable(lam)
+
+
+@lru_cache(maxsize=32)
+def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
+    """K_l and, for every sign vector of the kernel sum, E E_l S_l, from
+    mpmath at _GRID_DPS digits rounded to complex pairs; and |K_l|."""
+    with mp.workdps(_GRID_DPS):
+        lam_mp = [mp.mpc(v) for v in lam]
+        sines = _sines(mp, lam_mp)
+        kern, _ = _kernel_coeffs(mp, lam_mp, sines, deltas, parity)
+        sides = tuple(
+            tuple(_mp_pair(c) for c in _connection_coeffs(mp, lam_mp, sines, sv)[0])
+            for sv in sign_vectors(len(lam), parity)
+        )
+        return tuple(_mp_pair(c) for c in kern), sides, tuple(float(abs(c)) for c in kern)
+
+
+def _rotate(c, k: int):
+    """Complex pair times i^k, exactly."""
+    re, im = c
+    for _ in range(k % 4):
+        re, im = dd_neg(im), re
+    return re, im
+
+
+def _pair_abs(c):
+    return np.hypot(c[0][0], c[1][0])
+
+
+def _sum_degrees(table: _FirstKindTable, l: int, zabs):
+    """Per point, the degree d at which the l-th series is summed, its term
+    mass sum_{m<=d} a_m and weighted mass sum (m+1) a_m, with
+    a_m = |c_m| |zf|^m, and twice the first omitted term.
+
+    d is the first index past _m_fresh - 2 where the next term ratio is at
+    most 1/2 and the next term is at most 2^-106 of the mass: from there the
+    ratios only fall, so the omitted tail is below twice its first term.
+    Points still running at _GRID_M_CAP get degree -1."""
+    fresh = table.m_fresh[l]
+    table.extend(2)
+    a = np.full(zabs.shape, table.ratios[l][0])
+    mass = a.copy()
+    wmass = a.copy()
+    deg = np.full(zabs.shape, -1, dtype=np.int64)
+    out_mass = np.zeros(zabs.shape)
+    out_wmass = np.zeros(zabs.shape)
+    tail = np.zeros(zabs.shape)
+    m = 0
+    while m < _GRID_M_CAP:
+        table.extend(m + 2)
+        ratios = table.ratios[l]
+        nxt = a * zabs * ratios[m + 1]
+        if m + 2 >= fresh:
+            stop = (deg < 0) & (zabs * ratios[m + 2] <= 0.5) & (nxt <= _U2 * mass)
+            deg = np.where(stop, m, deg)
+            out_mass = np.where(stop, mass, out_mass)
+            out_wmass = np.where(stop, wmass, out_wmass)
+            tail = np.where(stop, 2.0 * nxt, tail)
+            if (deg >= 0).all():
+                break
+        m += 1
+        a = nxt
+        mass = mass + a
+        wmass = wmass + (m + 1) * a
+    return deg, out_mass, out_wmass, tail
+
+
+def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float = 1e-9):
+    """The signed kernel sum_l K_l J_l(z; parity) at the points z of the
+    array inner, for one generic index, in double-double arithmetic.
+
+    kernel_series at one point, as one array pass: each J_l is z^{-n lam_l}
+    times a power series in zf = parity i^n z^n whose coefficients c_m^(l)
+    come from mpmath (_first_kind_table), summed by Horner over m in pair
+    arithmetic.  As in the big-float rounds of kernel_series, z is taken as
+    exp(L) with L = log z in double, so zf and the prefactors are exp of
+    exact pairs.  Each point has its own degree (_sum_degrees), so its
+    value depends only on (z, index, tol), never on the other points.
+
+    Returns the values, their error bounds, max |J(z; sig)| over the sign
+    vectors of the sum (the cancellation reference, also in pairs) and a
+    mask of the certified points: error at most tol * |value|, value
+    nonzero, n z <= 690.  The error bound is
+    sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
+    + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|, with M_l and W_l
+    the term mass and weighted mass of _sum_degrees: the rounding of the
+    coefficients and of Horner, of exp(nL) raised to the m-th power, and of
+    the prefactor.
+    """
+    if genericity_gap(si) < EPS_GEN:
+        raise ValueError("the grid sweep needs a generic index")
+    n = si.rank
+    parity = _norm_sign(parity)
+    deltas = tuple(int(d) % 2 for d in deltas)
+    inner = np.asarray(inner, dtype=float)
+    ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
+    table = _first_kind_table(si.lam)
+    kern, sides, kern_abs = _kernel_grid_coeffs(si.lam, deltas, parity)
+    logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
+    nl = two_prod(float(n), logs)  # n L as an exact pair
+    r = dd_exp(nl)  # |zf|
+    shift = np.frexp(r[0])[1]
+    r_scaled = (np.ldexp(r[0], -shift), np.ldexp(r[1], -shift))
+    # zf^m = (parity i^n)^m |zf|^m: the unit goes into the coefficients
+    quarter = n % 4 + (0 if parity > 0 else 2)
+    zero = np.zeros(inner.shape)
+    value = ((zero, zero), (zero, zero))
+    family = []
+    err = np.zeros(inner.shape)
+    for l in range(n):
+        deg, mass, wmass, tail = _sum_degrees(table, l, r[0])
+        ok &= deg >= 0
+        acc = ((zero, zero), (zero, zero))
+        for m in range(int(deg.max()), -1, -1):
+            mant, e = table.coeffs[l][m]
+            scale = np.where(deg >= m, e + shift * m, -2000)  # ldexp to 0 past the degree
+            c = tuple(
+                (np.ldexp(part[0], scale), np.ldexp(part[1], scale))
+                for part in _rotate(mant, quarter * m)
+            )
+            acc = (
+                dd_add(dd_mul(acc[0], r_scaled), c[0]),
+                dd_add(dd_mul(acc[1], r_scaled), c[1]),
+            )
+        lam_l = si.lam[l]
+        w = (dd_mul(nl, (-lam_l.real, 0.0)), dd_mul(nl, (-lam_l.imag, 0.0)))
+        pref = cdd_exp(w)
+        family.append(cdd_mul(pref, acc))
+        value = cdd_add(value, cdd_mul(kern[l], family[-1]))
+        wsize = np.hypot(w[0][0], w[1][0])
+        err += kern_abs[l] * _pair_abs(pref) * (
+            _U2
+            * (
+                16.0 * (mass + wmass)
+                + (16.0 + 4.0 * np.abs(nl[0])) * wmass
+                + (16.0 + 4.0 * wsize) * mass
+            )
+            + tail
+        )
+    peak = zero
+    for side in sides:
+        j = ((zero, zero), (zero, zero))
+        for c, f in zip(side, family):
+            j = cdd_add(j, cdd_mul(c, f))
+        peak = np.maximum(peak, _pair_abs(j))
+    size = _pair_abs(value)
+    err = err + 4.0 * np.finfo(float).eps * size
+    ok &= (err <= tol * size) & (size > 0)
+    out = np.empty(inner.shape, dtype=np.complex128)
+    out.real = value[0][0] + value[0][1]
+    out.imag = value[1][0] + value[1][1]
+    return out, err, peak, ok
 
 
 # ---------------------------------------------------------------------------

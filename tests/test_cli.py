@@ -1,16 +1,25 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import besselhr
 from besselhr.cli import main, parse_complex, parse_grid, parse_weight
+
+# the subprocess imports the same besselhr as this process, also when it was
+# found through pytest's pythonpath setting rather than an installed package
+_PACKAGE_ROOT = str(Path(besselhr.__file__).resolve().parents[1])
 
 
 def run_cli(args):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "besselhr.cli"] + args,
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 

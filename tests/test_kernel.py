@@ -11,10 +11,12 @@ from besselhr.core import SpectralIndex
 from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
+    _KernelGrid,
     bessel_kernel,
     functional_equation_check,
     hankel_transform,
     kernel_asymptotics,
+    kernel_sweep,
     mellin_inversion,
     sign_vectors,
 )
@@ -289,3 +291,81 @@ def test_functional_equation_rank2():
     rep = functional_equation_check(ki, w, [0.5, 0.5 + 1j, 0.5 + 2j], rel_tol=1e-6)
     assert rep.passed
     assert rep.max_rel_error < 1e-6
+
+
+# kernel indices of the array sweep: the rank-2 index of the README
+# transform, the rank-3 index of acceptance criterion 11, the rank-4
+# prototype index, and a non-generic index (every node to bessel_kernel)
+_SWEEP_CASES = {
+    "rank2": (
+        KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0)),
+        # 1.2..1.285 holds negative-side K-type nodes the sweep leaves
+        np.concatenate([np.linspace(-8.0, 5.0, 40), np.linspace(1.2, 1.285, 6)]),
+    ),
+    "rank3": (
+        KernelIndex(SpectralIndex([0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j]), (0, 1, 0)),
+        np.linspace(-20.0, 9.0, 40),
+    ),
+    "rank4": (
+        KernelIndex(SpectralIndex([0.375, 0.125, -0.125, -0.375]), (0, 1, 0, 1)),
+        np.linspace(-6.0, 8.0, 30),
+    ),
+    "nongeneric": (
+        KernelIndex(SpectralIndex([0.5, -0.5]), (1, 0)),
+        np.linspace(-3.0, 4.0, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_kernel_sweep_matches_bessel_kernel(case):
+    # per node: the route bessel_kernel takes, and agreement within the
+    # summed reported errors
+    ki, u = _SWEEP_CASES[case]
+    tol = 1e-9
+    for sgn in (1, -1):
+        values, errors, routes, swept = kernel_sweep(u, sgn, ki, tol)
+        for i, ui in enumerate(u):
+            r = bessel_kernel(sgn * math.exp(ui), ki, "auto", tol)
+            assert routes[i] == r.method, (case, sgn, ui)
+            assert abs(values[i] - r.value) <= errors[i] + r.error, (case, sgn, ui)
+        assert set(routes) == {"series", "asymptotic"}
+        if case == "nongeneric":
+            assert not swept.any()
+        else:
+            assert swept.sum() > len(u) // 2
+        if case == "rank2" and sgn < 0:
+            assert not swept.all()
+
+
+def test_kernel_sweep_sub_batch_bits():
+    # each node's value depends on the node alone: a sub-batch (spanning
+    # other blocks, in reverse order) returns the same bits as the full batch
+    ki = _SWEEP_CASES["rank3"][0]
+    u = np.linspace(-20.0, 9.0, 700)
+    sub = np.arange(3, 700, 7)[::-1]
+    for sgn in (1, -1):
+        full = kernel_sweep(u, sgn, ki, 1e-9)
+        part = kernel_sweep(u[sub], sgn, ki, 1e-9)
+        assert full[0][sub].tobytes() == part[0].tobytes()
+        assert full[1][sub].tobytes() == part[1].tobytes()
+        assert [full[2][i] for i in sub] == part[2]
+
+
+def test_kernel_grid_counts():
+    ki = _SWEEP_CASES["rank2"][0]
+    grid = _KernelGrid(ki, -3.0, 3.0, 1e-9)
+    assert grid.swept + grid.fallback == 2 * grid.u.size
+    assert 0 < grid.fallback < 20
+    assert grid.mb == 0
+
+
+def test_hankel_transform_permutation_bits():
+    ki = KernelIndex(SpectralIndex([0.2j, -0.2j]), (0, 0))
+    w = WeightFunction(eta=0)
+    xs = [0.5, -1.0, 2.0, 1.3]
+    a = hankel_transform(w, ki, xs)
+    b = hankel_transform(w, ki, xs[::-1])
+    for x, v, e in zip(b.x, b.values, b.errors):
+        i = xs.index(x)
+        assert v == a.values[i] and e == a.errors[i]

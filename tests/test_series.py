@@ -273,3 +273,27 @@ def test_ode_residual_small():
         sv = SignVector([1] * (n - 1) + [-1])
         for x in (1.0, 4.0, 9.5):
             assert ode_residual(x, sv, si, 1e-10) < 1e-8
+
+
+def test_bigfloat_rounds_exhausted(monkeypatch):
+    # a term mass that grows with the working precision keeps the precision
+    # ceiling ahead of the rounds, so no round certifies and none reaches
+    # the ceiling: after 8 rounds the series must raise, not return a value
+    # whose error exceeds tol * |value|
+    rounds = []
+
+    def stub(z, sign, si, dps, coeffs):
+        rounds.append(dps)
+        with mp.workdps(dps):
+            mass = mp.mpf(10) ** dps
+            rel = mp.mpf(10) ** (-(dps - 4))
+            return mp.mpc(1), mass, 1, rel, [mp.mpc(1)] * si.rank
+
+    monkeypatch.setattr(series, "_j_generic_mp", stub)
+    # n |z| > 690 skips the double pass
+    with pytest.raises(ToleranceNotMetError, match="asymptotic route") as exc:
+        j_function(700.0, SignVector("+"), SpectralIndex([0.0]), 1e-10)
+    assert len(rounds) == 8
+    assert all(a < b for a, b in zip(rounds, rounds[1:]))
+    assert exc.value.value == 1
+    assert exc.value.achieved > 1e-10
