@@ -1,4 +1,4 @@
-"""Numeric hot kernels with numba and pure-numpy twins.
+"""Numeric hot kernels: python scalars and numpy vectorized forms.
 
 The complex log-gamma is a Lanczos approximation with Godfrey's g = 607/128
 coefficient set (the same 14-term series Numerical Recipes uses for
@@ -7,17 +7,15 @@ formula.  The reciprocal gamma is computed through
 sin(pi z) * Gamma(1 - z) / pi on the left half plane so that its zeros at
 the non-positive integers come out exact.
 
-Backend selection: the environment variable ``BESSELHR_BACKEND`` may be
-``numba`` (require the JIT), ``numpy`` (force the vectorized fallback) or
-``auto`` (default: numba when importable).  Both implementations stay
-importable through ``IMPLS`` so they can be benchmarked against each other.
+The module-level names ``series_sum``, ``mb_j_integrand`` and
+``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
+them in place.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 
 import numpy as np
 
@@ -52,8 +50,7 @@ def _is_nonpositive_int(z):
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels; when numba is active these globals are rebound to their
-# jitted copies bottom-up, so jitted callers resolve jitted callees
+# scalar kernels
 # ---------------------------------------------------------------------------
 
 def _loggamma_right(z):
@@ -130,27 +127,6 @@ def _log_gdelta(w, delta):
     return out
 
 
-def _mb_j_integrand(s, lam, sig, n, lnx, out):
-    # exp( sum_l [log Gamma(s - lam_l) + (i pi/2) sig_l (s - lam_l)] - n s ln x )
-    for i in range(s.shape[0]):
-        acc = -n * lnx * s[i]
-        for l in range(lam.shape[0]):
-            w = s[i] - lam[l]
-            acc = acc + _loggamma(w) + complex(0.0, 0.5 * _PI * sig[l]) * w
-        out[i] = cmath.exp(acc)
-    return out
-
-
-def _mb_kernel_integrand(s, lam, dl, delta, lnx, out):
-    # exp( sum_l log G_{dl_l + delta}(s - lam_l) - s ln|x| )
-    for i in range(s.shape[0]):
-        acc = -lnx * s[i]
-        for l in range(lam.shape[0]):
-            acc = acc + _log_gdelta(s[i] - lam[l], (dl[l] + delta) % 2)
-        out[i] = cmath.exp(acc)
-    return out
-
-
 def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
     """Sum_{m>=0} zf^m / prod_k Gamma(diffs_k + m + 1).
 
@@ -198,7 +174,7 @@ def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
 
 
 # ---------------------------------------------------------------------------
-# numpy vectorized twins
+# numpy vectorized kernels
 # ---------------------------------------------------------------------------
 
 def _loggamma_right_np(z):
@@ -249,19 +225,6 @@ def _loggamma_np(z):
     return np.where(left, refl, lg)
 
 
-def _recip_gamma_np(z):
-    z = np.asarray(z, dtype=np.complex128)
-    left = z.real < 0.5
-    zr = np.where(left, 1.0 - z, z)
-    lg = _loggamma_right_np(zr)
-    out = np.exp(-lg)
-    if left.any():
-        lv = np.exp(lg + _logsinpi_np(np.where(left, z, 0.25)) - _LN_PI)
-        out = np.where(left, lv, out)
-    zero = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    return np.where(zero, 0.0 + 0.0j, out)
-
-
 def _log_gdelta_np(w, delta):
     out = (0.5 - w) * _LN_PI + _loggamma_np(0.5 * (w + delta)) - _loggamma_np(
         0.5 * (1.0 - w + delta)
@@ -286,98 +249,13 @@ def _mb_kernel_integrand_np(s, lam, dl, delta, lnx):
     return np.exp(acc)
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_ENV = os.environ.get("BESSELHR_BACKEND", "auto").strip().lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValueError("BESSELHR_BACKEND must be auto, numba or numpy")
-
-_HAVE_NUMBA = False
-if _ENV in ("auto", "numba"):
-    try:
-        import numba as _nb
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-# keep the plain-python scalars reachable regardless of backend
+BACKEND = "numpy"
 loggamma = _loggamma
 recip_gamma = _recip_gamma
 sinpi = _sinpi
 cospi = _cospi
 log_gdelta = _log_gdelta
 is_nonpositive_int = _is_nonpositive_int
-
-if _HAVE_NUMBA:
-    _jit = _nb.njit(cache=True)
-    # rebind bottom-up so each jitted function sees jitted callees
-    _loggamma_right = _jit(_loggamma_right)
-    _sinpi = _jit(_sinpi)
-    _logsinpi = _jit(_logsinpi)
-    _loggamma = _jit(_loggamma)
-    _recip_gamma = _jit(_recip_gamma)
-    _log_gdelta = _jit(_log_gdelta)
-    _mb_j_integrand_nb = _jit(_mb_j_integrand)
-    _mb_kernel_integrand_nb = _jit(_mb_kernel_integrand)
-    _series_sum_nb = _jit(_series_sum)
-
-    @_jit
-    def _loggamma_arr_nb(z):
-        out = np.empty(z.shape[0], dtype=np.complex128)
-        for i in range(z.shape[0]):
-            out[i] = _loggamma(z[i])
-        return out
-
-    @_jit
-    def _recip_gamma_arr_nb(z):
-        out = np.empty(z.shape[0], dtype=np.complex128)
-        for i in range(z.shape[0]):
-            out[i] = _recip_gamma(z[i])
-        return out
-
-    def _mb_j_numba(s, lam, sig, n, lnx):
-        out = np.empty(s.shape[0], dtype=np.complex128)
-        return _mb_j_integrand_nb(s, lam, sig, n, lnx, out)
-
-    def _mb_kernel_numba(s, lam, dl, delta, lnx):
-        out = np.empty(s.shape[0], dtype=np.complex128)
-        return _mb_kernel_integrand_nb(s, lam, dl, delta, lnx, out)
-
-
-def _series_sum_py(zf, diffs, tol, m_min, m_cap, m_fresh):
-    return _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh)
-
-
-IMPLS = {
-    "numpy": {
-        "loggamma_arr": _loggamma_np,
-        "recip_gamma_arr": _recip_gamma_np,
-        "mb_j_integrand": _mb_j_integrand_np,
-        "mb_kernel_integrand": _mb_kernel_integrand_np,
-        "series_sum": _series_sum_py,
-    }
-}
-if _HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "loggamma_arr": _loggamma_arr_nb,
-        "recip_gamma_arr": _recip_gamma_arr_nb,
-        "mb_j_integrand": _mb_j_numba,
-        "mb_kernel_integrand": _mb_kernel_numba,
-        "series_sum": lambda zf, diffs, tol, m_min, m_cap, m_fresh: _series_sum_nb(
-            zf, diffs, tol, m_min, m_cap, m_fresh
-        ),
-    }
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-_ACTIVE = IMPLS[BACKEND]
-
-loggamma_arr = _ACTIVE["loggamma_arr"]
-recip_gamma_arr = _ACTIVE["recip_gamma_arr"]
-mb_j_integrand = _ACTIVE["mb_j_integrand"]
-mb_kernel_integrand = _ACTIVE["mb_kernel_integrand"]
-series_sum = _ACTIVE["series_sum"]
+series_sum = _series_sum
+mb_j_integrand = _mb_j_integrand_np
+mb_kernel_integrand = _mb_kernel_integrand_np

@@ -22,7 +22,10 @@ index, so kernel_sweep computes them in array passes: below the asymptotic
 floor one double-double sweep over all nodes (series.kernel_series_grid),
 above it one numpy pass per second-kind root (asympt.second_kind_sweep);
 bessel_kernel takes only the nodes these passes cannot certify, those near
-the Mellin-Barnes switch, and the nodes of non-generic indices.
+the Mellin-Barnes switch, and the nodes of non-generic indices.  The
+functional-equation check integrates each of its transform nodes only over
+the panels its weight window reaches, and takes the negative side from the
+parity of the weight instead of a second pass.
 """
 
 from __future__ import annotations
@@ -345,7 +348,10 @@ def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9, max_panels: int 
         u = min(hi, u + h)
         edges.append(u)
         if len(edges) > max_panels:
-            raise RuntimeError("panel budget exceeded")
+            raise ValueError(
+                f"the |x| range needs more than the {max_panels}-panel budget "
+                "of the transform grid; narrow the x grid"
+            )
     return np.array(edges)
 
 
@@ -472,28 +478,40 @@ class _KernelGrid:
             self.fallback += int((~swept).sum())
             self.mb += routes.count("mellin-barnes")
 
-    def transform_at(self, x: float, weight: WeightFunction):
-        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid."""
+    def transform_at(self, x: float, weight: WeightFunction, window=None):
+        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid, with
+        the Kronrod-Gauss panel differences plus the kernel errors as error.
+
+        window = (ylo, yhi) integrates only the whole panels that overlap
+        [log|x| + ylo, log|x| + yhi], the reach of a weight cut at
+        log|y| in [ylo, yhi], each with the same arithmetic as without a
+        window.  Each value depends only on (x, grid, weight, window).
+        """
         L = math.log(abs(x))
         sgn = 1 if x > 0 else -1
+        p0, p1 = 0, len(self.half)
+        if window is not None:
+            ylo, yhi = window
+            p0 = max(int(np.searchsorted(self.edges, L + ylo, side="right")) - 1, 0)
+            p1 = min(int(np.searchsorted(self.edges, L + yhi, side="left")), p1)
+        half = self.half[p0:p1, None]
+        t = self.u[15 * p0 : 15 * p1] - L
+        e = np.exp(t)
         out = 0j
         est = 0.0
         kerr_acc = 0.0
         for s_w in (1, -1):
             # w and y = w/x share or flip sign: v(y) with y = s_w*sgn(x)*e^{u-L}
             s_y = s_w * sgn
-            kv = self.kvals[s_w]
-            ke = self.kerr[s_w]
-            g = np.exp(self.u - L) * weight.log_values(self.u - L, s_y)
-            g = g.reshape(kv.shape)
+            kv = self.kvals[s_w][p0:p1]
+            ke = self.kerr[s_w][p0:p1]
+            g = (e * weight.log_values(t, s_y)).reshape(kv.shape)
             f = g * kv
-            ik = np.sum(self.half[:, None] * f * _GKW[None, :], axis=1)
-            ig = np.sum(self.half[:, None] * f * _GGW[None, :], axis=1)
+            ik = np.sum(half * f * _GKW[None, :], axis=1)
+            ig = np.sum(half * f * _GGW[None, :], axis=1)
             out += np.sum(ik)
             est += float(np.sum(np.abs(ik - ig)))
-            kerr_acc += float(
-                np.sum(self.half[:, None] * np.abs(g) * ke * _GKW[None, :])
-            )
+            kerr_acc += float(np.sum(half * np.abs(g) * ke * _GKW[None, :]))
         return complex(out), est + kerr_acc
 
 
@@ -576,6 +594,26 @@ class FunctionalEquationReport:
     passed: bool
 
 
+def _fe_grid(ki: KernelIndex, weight: WeightFunction, mellin_tol: float):
+    """The functional-equation check's kernel grid, its transform nodes
+    ux = log x with their panel half-widths, and its weight window."""
+    beta = 0.5 - max(v.real for v in ki.lam.lam)
+    if beta <= 0.05:
+        raise ValueError("Re lambda too large for the Re s = 1/2 check")
+    ux_lo = math.log(mellin_tol) / beta - 2.0
+    ux_hi = 6.5
+    window = weight.log_support(mellin_tol * 1e-3)
+    grid = _KernelGrid(ki, ux_lo + window[0], ux_hi + window[1], mellin_tol * 1e-1)
+
+    # the transform oscillates at the kernel rate shifted by the bump center
+    edges = _panel_grid(ux_lo + weight.mu, ux_hi + weight.mu, ki.rank, rad=0.7)
+    edges = edges - weight.mu
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    ux = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
+    return grid, ux, halfs, window
+
+
 def functional_equation_check(
     ki: KernelIndex,
     weight: WeightFunction,
@@ -589,29 +627,20 @@ def functional_equation_check(
     kernel grid; the right side is gamma factors times the closed-form
     Mellin transform of the weight.  Only parities d with d + eta even
     contribute (the other signed transform vanishes identically).
+
+    Each transform node is one windowed transform_at call over the panels
+    that the weight, cut at log_support(mellin_tol * 1e-3) as at the grid's
+    ends, reaches; the negative side is Upsilon(-x) = (-1)^eta Upsilon(x),
+    which transform_at(-x) reproduces bit for bit.
     """
     si = ki.lam
     n = ki.rank
-    beta = 0.5 - max(v.real for v in si.lam)
-    if beta <= 0.05:
-        raise ValueError("Re lambda too large for the Re s = 1/2 check")
-    ux_lo = math.log(mellin_tol) / beta - 2.0
-    ux_hi = 6.5
-    ylo, yhi = weight.log_support(mellin_tol * 1e-3)
-    grid = _KernelGrid(ki, ux_lo + ylo, ux_hi + yhi, mellin_tol * 1e-1)
-
-    # the transform oscillates at the kernel rate shifted by the bump center
-    edges = _panel_grid(ux_lo + weight.mu, ux_hi + weight.mu, n, rad=0.7)
-    edges = edges - weight.mu
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    ux = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
-
+    grid, ux, halfs, window = _fe_grid(ki, weight, mellin_tol)
     up = np.empty(ux.shape, dtype=np.complex128)
-    um = np.empty(ux.shape, dtype=np.complex128)
     for i, uxi in enumerate(ux):
-        up[i], _ = grid.transform_at(math.exp(uxi), weight)
-        um[i], _ = grid.transform_at(-math.exp(uxi), weight)
+        up[i], _ = grid.transform_at(math.exp(uxi), weight, window)
+    # upsilon(-y) = (-1)^eta upsilon(y), so Upsilon(-x) = (-1)^eta Upsilon(x)
+    um = -up if weight.eta % 2 else up
 
     rels = []
     worst = 0.0

@@ -300,3 +300,15 @@ def test_transform_command_with_fe_report(tmp_path):
     # transform table went to stdout in this invocation; the report is the
     # artifact under test here
     assert payload["functional_equation"]["max_rel_error"] < 1e-6
+
+
+def test_transform_panel_budget_exits_2(capsys):
+    # |x| = 1e9 needs more transform panels than the grid's budget: a usage
+    # error raised while the panel edges are laid out, before any kernel work
+    rc = main(
+        ["transform", "--n", "2", "--lambda", "0.25i,-0.25i", "--delta", "0,0",
+         "--weight", "gaussian-log:eta=0", "--x-grid", "1e9"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "panel budget" in err and len(err.strip().splitlines()) == 1

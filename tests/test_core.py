@@ -208,17 +208,3 @@ def test_recip_gamma_clean_zeros_near_series_usage():
     assert all(abs(v) < 1e-6 for v in vals)
     assert recip_gamma(-5.0) == 0.0
 
-
-def test_backends_agree():
-    from besselhr import _backend as bk
-
-    if "numba" not in bk.IMPLS:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(11)
-    z = rng.uniform(-30, 30, 300) + 1j * rng.uniform(-30, 30, 300)
-    a = bk.IMPLS["numpy"]["loggamma_arr"](z)
-    b = bk.IMPLS["numba"]["loggamma_arr"](z)
-    assert np.allclose(np.exp(a - b), 1.0, rtol=1e-13, atol=0)
-    ra = bk.IMPLS["numpy"]["recip_gamma_arr"](z)
-    rb = bk.IMPLS["numba"]["recip_gamma_arr"](z)
-    assert np.allclose(ra, rb, rtol=5e-13, atol=1e-300)

@@ -12,6 +12,7 @@ from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
     _KernelGrid,
+    _fe_grid,
     bessel_kernel,
     functional_equation_check,
     hankel_transform,
@@ -369,3 +370,53 @@ def test_hankel_transform_permutation_bits():
     for x, v, e in zip(b.x, b.values, b.errors):
         i = xs.index(x)
         assert v == a.values[i] and e == a.errors[i]
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+def test_transform_at_parity_bits(eta):
+    # upsilon(-y) = (-1)^eta upsilon(y) gives Upsilon(-x) = (-1)^eta Upsilon(x),
+    # bit for bit, with and without a window
+    ki = _SWEEP_CASES["rank3"][0]
+    w = WeightFunction(eta=eta)
+    grid = _KernelGrid(ki, -8.0, 7.0, 1e-9)
+    sign = -1 if eta else 1
+    for x in (0.2, 0.9, 1.0, 2.5, 7.0):
+        for window in (None, w.log_support(1e-11)):
+            vp, ep = grid.transform_at(x, w, window)
+            vm, em = grid.transform_at(-x, w, window)
+            assert vm == sign * vp and em == ep, (x, window)
+
+
+@pytest.mark.parametrize("case", ["rank2", "rank3"])
+def test_windowed_transform_on_fe_grid(case):
+    # the window leaves out only panels the weight, cut at the grid's own
+    # cutoff, does not reach
+    ki = _SWEEP_CASES[case][0]
+    w = WeightFunction(eta=0)
+    grid, ux, _, window = _fe_grid(ki, w, 1e-8)
+    xs = np.exp(ux[::5])
+    win = np.array([grid.transform_at(x, w, window)[0] for x in xs])
+    full = np.array([grid.transform_at(x, w)[0] for x in xs])
+    assert np.max(np.abs(win - full)) <= 1e-9 * np.max(np.abs(full))
+
+
+def test_hankel_transform_uses_full_grid():
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    w = WeightFunction(eta=0)
+    xs = [0.5, -1.0, 2.0, 4.0]
+    tol = 1e-7
+    res = hankel_transform(w, ki, xs, tol)
+    ylo, yhi = w.log_support(tol * 1e-3)
+    grid = _KernelGrid(ki, math.log(0.5) + ylo, math.log(4.0) + yhi, tol * 1e-2)
+    for x, v, e in zip(xs, res.values, res.errors):
+        assert (v, e) == grid.transform_at(x, w)
+
+
+def test_functional_equation_rank2_odd_weight():
+    # eta = 1: the negative side of the FE grid is -Upsilon(x)
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 1))
+    w = WeightFunction(eta=1)
+    rep = functional_equation_check(ki, w, [0.5, 0.5 + 1j, 0.5 + 2j], rel_tol=1e-6)
+    assert rep.passed
+    assert rep.max_rel_error < 1e-6
+    assert {d for d, _, _ in rep.rel_errors} == {1}
