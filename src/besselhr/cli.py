@@ -4,7 +4,8 @@ Subcommands: eval (single/grid evaluation by series, asymptotics or
 Mellin-Barnes), coeffs (coefficient-table dumps with exact integers as
 decimal strings), kernel and transform (signed-kernel and Hankel-transform
 tables), oracle compare (per-point cross-method discrepancies) and verify
-(the named invariant suites).
+(one suite of the invariant registry in `besselhr.invariants`, each entry
+run with its pinned inputs and tolerance, timed on its own).
 
 Every output artifact embeds a JSON run-configuration header (commented out
 in CSV) with the package version, a hash of the canonical configuration and
@@ -18,25 +19,17 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, _backend
-from .asympt import INVERSE_THETA, j_varsigma_asymptotic, rotate_second_kind
-from .coeffs import (
-    build_a_table,
-    build_b_table,
-    build_uv_tables,
-    bessel_eq_coeffs,
-    check_combinatorial_identity,
-)
+from . import __version__, _backend, invariants
+from .asympt import j_varsigma_asymptotic
+from .coeffs import build_a_table, build_b_table, build_uv_tables
 from .core import (
     OutOfSectorError,
     OverflowEvalError,
@@ -44,6 +37,7 @@ from .core import (
     RootOfUnity,
     SignVector,
     SpectralIndex,
+    SurfacePoint,
     ToleranceNotMetError,
     ValidityFloorError,
 )
@@ -53,10 +47,9 @@ from .kernel import (
     bessel_kernel,
     functional_equation_check,
     hankel_transform,
-    mellin_inversion,
 )
-from .mellinbarnes import default_contour, g_delta, mb_eval_est
-from .series import j_function, ode_residual
+from .mellinbarnes import default_contour, mb_eval_est
+from .series import j_function
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -208,23 +201,9 @@ def cmd_eval(args) -> int:
     }
     rows = []
     failures = 0
-    threads = max(1, int(os.environ.get("BESSELHR_THREADS", "1")))
-    points = list(xs)
-
-    def work(x):
-        from .core import SurfacePoint
-
+    for x in xs:
         z = SurfacePoint.from_polar(x, args.arg) if args.arg else x
-        return _eval_point(args.method, z, sv, si, args.tol)
-
-    if threads > 1 and args.method == "mb":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, points))
-    else:
-        results = [work(x) for x in points]
-    for x, (v, e, tag, status) in zip(points, results):
+        v, e, tag, status = _eval_point(args.method, z, sv, si, args.tol)
         if status != "ok":
             failures += 1
         rows.append([float(x), float(v.real), float(v.imag), float(e), tag, status])
@@ -428,241 +407,28 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_coeffs(args):
-    checks = []
-    t0 = time.time()
-    tab = build_a_table(20, 20)
-    checks.append(("a-table-closed-form", tab.verify_closed_form(), 0.0, t0))
-    n_exact = min(args.n or 6, 6)
-    for n in range(1, n_exact + 1):
-        t0 = time.time()
-        uv = build_uv_tables(n)
-        checks.append((f"uv-orthogonality-exact-n{n}", uv.orthogonality_exact(), 0.0, t0))
-    rng = np.random.default_rng(args.seed)
-    n_num = args.n or 8
-    worst = 0.0
-    t0 = time.time()
-    for _ in range(20):
-        lam = rng.standard_normal(n_num) + 1j * rng.standard_normal(n_num)
-        uv = build_uv_tables(n_num, SpectralIndex(lam))
-        worst = max(worst, uv.orthogonality_residual())
-    checks.append((f"uv-orthogonality-numeric-n{n_num}", worst < 1e-10, worst, t0))
-    return checks
-
-
-def _suite_identity54(args):
-    t0 = time.time()
-    rep = check_combinatorial_identity(args.mmax or 8)
-    return [("identity54", rep.all_equal, 0.0, t0)]
-
-
-def _suite_rank2(args):
-    from . import _reference as ref
-
-    checks = []
-    lam = 0.2 + 0.1j
-    si = SpectralIndex([lam, -lam])
-    for x in (0.7, 3.0, 9.0):
-        t0 = time.time()
-        forms = {
-            "++": 1j * math.pi * cmath.exp(1j * math.pi * lam) * ref.hankel1(2 * lam, 2 * x),
-            "--": -1j * math.pi * cmath.exp(-1j * math.pi * lam) * ref.hankel2(2 * lam, 2 * x),
-            "+-": 2 * cmath.exp(-1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
-            "-+": 2 * cmath.exp(1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
-        }
-        worst = 0.0
-        for s, want in forms.items():
-            got = j_function(x, SignVector.from_string(s), si, 1e-11).value
-            worst = max(worst, abs(got - want) / abs(want))
-        checks.append((f"rank2-closed-forms-x{x}", worst < 1e-9, worst, t0))
-    return checks
-
-
-def _suite_special(args):
-    import itertools
-
-    checks = []
-    n = args.n or 3
-    si = SpectralIndex([(n + 1 - 2 * l) / (2.0 * n) for l in range(1, n + 1)])
-    t0 = time.time()
-    worst = 0.0
-    for signs in itertools.product("+-", repeat=n):
-        sv = SignVector.from_string("".join(signs))
-        for x in (1.0, 4.0):
-            xi = 1j * cmath.exp(1j * math.pi * (sv.n_minus - sv.n_plus) / (2 * n))
-            c = cmath.exp(
-                2j
-                * math.pi
-                * (-(n - 1) / 8.0 + sum(l - 1 for l in sv.plus_positions) / (2.0 * n))
-            )
-            want = (
-                c
-                / math.sqrt(n)
-                * (2 * math.pi / x) ** ((n - 1) / 2.0)
-                * cmath.exp(1j * n * xi * x)
-            )
-            got = j_function(x, sv, si, 1e-10).value
-            worst = max(worst, abs(got - want) / abs(want))
-    checks.append((f"prototype-closed-form-n{n}", worst < 1e-8, worst, t0))
-    return checks
-
-
-def _suite_crossmethod(args):
-    checks = []
-    si = SpectralIndex([0.3, -0.1, -0.2])
-    for x in (2.0, 10.0, 25.0):
-        t0 = time.time()
-        worst = 0.0
-        for s in ("+++", "++-"):
-            sv = SignVector.from_string(s)
-            rs = j_function(x, sv, si, 1e-9)
-            vm, em = mb_eval_est(x, sv, si, 1e-10)
-            scale = max(abs(rs.value), abs(vm))
-            budget = max(1e-7 * scale, 2.0 * (rs.tail_bound + em))
-            worst = max(worst, abs(rs.value - vm) / budget)
-        checks.append((f"crossmethod-x{x}", worst < 1.0, worst, t0))
-    return checks
-
-
-def _suite_ode(args):
-    checks = []
-    rng = np.random.default_rng(args.seed)
-    for n in range(2, (args.n or 4) + 1):
-        t0 = time.time()
-        lam = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        si = SpectralIndex(lam)
-        sv = SignVector([1] * (n - 1) + [-1])
-        worst = max(ode_residual(x, sv, si, 1e-10) for x in (1.5, 6.0))
-        checks.append((f"ode-residual-n{n}", worst < 1e-8, worst, t0))
-    return checks
-
-
-def _suite_bridge(args):
-    from .asympt import h_bessel
-
-    checks = []
-    rng = np.random.default_rng(args.seed)
-    for n in range(2, (args.n or 4) + 1):
-        t0 = time.time()
-        lam = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        si = SpectralIndex(lam)
-        x = 8.0 * si.magnitude_bound**2
-        worst = 0.0
-        for sgn, s in ((1, "+"), (-1, "-")):
-            a = j_varsigma_asymptotic(x, SignVector([sgn] * n), si)
-            b = h_bessel(x, si, s)
-            worst = max(worst, abs(a.value - b.value) / abs(b.value))
-        checks.append((f"bridge-n{n}", worst < 1e-13, worst, t0))
-    return checks
-
-
-def _suite_rotation(args):
-    checks = []
-    rng = np.random.default_rng(args.seed)
-    for n in range(2, (args.n or 4) + 1):
-        t0 = time.time()
-        lam = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        si = SpectralIndex(lam)
-        x = 10.0 * si.magnitude_bound**2
-        worst = 0.0
-        theta = INVERSE_THETA
-        for idx in range(2 * n):
-            xi = RootOfUnity(2 * n, idx)
-            from .asympt import in_validity_sector, second_kind
-            from .core import SurfacePoint
-
-            z = SurfacePoint.from_positive(x)
-            if not in_validity_sector(z, xi, n, theta):
-                continue  # positive reals sit outside this root's sector
-            try:
-                r = rotate_second_kind(x, si, xi, theta)
-            except OutOfSectorError:
-                continue
-            d = second_kind(z, si, xi, theta)
-            worst = max(worst, abs(r.value - d.value) / abs(d.value))
-        checks.append((f"rotation-two-path-n{n}", worst < 1e-10, worst, t0))
-    return checks
-
-
-def _suite_kdecay(args):
-    t0 = time.time()
-    si = SpectralIndex([0.2, -0.05, -0.15])
-    sv = SignVector.from_string("++-")
-    xs = np.linspace(30, 60, 11)
-    ys = [
-        math.log(abs(j_varsigma_asymptotic(float(x), sv, si).value))
-        + math.log(x)
-        for x in xs
-    ]
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    want = -3 * math.sin(math.pi / 3)
-    rel = abs(slope - want) / abs(want)
-    return [("kdecay-slope", rel < 0.02, rel, t0)]
-
-
-def _suite_mellin_id(args):
-    checks = []
-    rng = np.random.default_rng(args.seed)
-    t0 = time.time()
-    worst = 0.0
-    for _ in range(40):
-        s = complex(rng.uniform(-2, 3), rng.uniform(-8, 8))
-        for d in (0, 1):
-            a = g_delta(s, d, "ratio")
-            b = g_delta(s, d, "trig")
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-280))
-    checks.append(("gamma-factor-two-forms", worst < 1e-12, worst, t0))
-    t0 = time.time()
-    w = WeightFunction(eta=0)
-    worst = max(
-        abs(mellin_inversion(w, x) - w(x)) for x in (0.5, -0.8, 2.0)
-    )
-    checks.append(("mellin-inversion-roundtrip", worst < 1e-7, worst, t0))
-    return checks
-
-
-SUITES = {
-    "coeffs": _suite_coeffs,
-    "identity54": _suite_identity54,
-    "rank2": _suite_rank2,
-    "special": _suite_special,
-    "crossmethod": _suite_crossmethod,
-    "ode": _suite_ode,
-    "bridge": _suite_bridge,
-    "rotation": _suite_rotation,
-    "kdecay": _suite_kdecay,
-    "mellin-id": _suite_mellin_id,
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite}; choose from {sorted(SUITES)}", file=sys.stderr)
+    entries = invariants.suite(args.suite)
+    if not entries:
+        print(f"unknown suite {args.suite}; choose from {invariants.suites()}", file=sys.stderr)
         return USAGE_EXIT
-    cfg = {
-        "command": f"verify {args.suite}",
-        "n": args.n,
-        "mmax": args.mmax,
-        "seed": args.seed,
-    }
-    checks = SUITES[args.suite](args)
-    report = {
-        "meta": config_header(cfg),
-        "suite": args.suite,
-        "checks": [
+    checks = []
+    for inv in entries:
+        t0 = time.perf_counter()
+        ok, dev, _ = inv.check()
+        checks.append(
             {
-                "name": name,
+                "name": inv.name,
                 "status": "pass" if ok else "fail",
                 "max_deviation": dev,
-                "runtime_s": round(time.time() - t0, 3),
+                "runtime_s": round(time.perf_counter() - t0, 3),
             }
-            for name, ok, dev, t0 in checks
-        ],
-        "passed": all(ok for _, ok, _, _ in checks),
+        )
+    report = {
+        "meta": config_header({"command": f"verify {args.suite}"}),
+        "suite": args.suite,
+        "checks": checks,
+        "passed": all(c["status"] == "pass" for c in checks),
     }
     text = json.dumps(report, indent=1, default=str) + "\n"
     if args.out:
@@ -740,10 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(func=cmd_oracle)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("suite", help="|".join(sorted(SUITES)))
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--mmax", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=20240801)
+    pv.add_argument("suite", help="|".join(invariants.suites()))
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
 

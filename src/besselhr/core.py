@@ -181,9 +181,6 @@ class SignVector:
     def minus_positions(self) -> tuple:
         return tuple(i + 1 for i, s in enumerate(self.signs) if s < 0)
 
-    def is_uniform(self) -> bool:
-        return self.n_plus == 0 or self.n_minus == 0
-
     def xi(self) -> "RootOfUnity":
         """Distinguished 2n-th root: argument n_minus pi / n, never reduced."""
         return RootOfUnity(order=2 * self.n, index=self.n_minus)
@@ -313,7 +310,3 @@ def gamma(s) -> complex:
 
 def sinpi(s) -> complex:
     return complex(_backend.sinpi(complex(s)))
-
-
-def cospi(s) -> complex:
-    return complex(_backend.cospi(complex(s)))

@@ -1,37 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` (or through
-`besselhr verify <suite>` for the CLI-driven subsets).  Tolerances are
-pinned here and nowhere else.
+`besselhr verify <suite>`, which runs the same checks one suite at a time).
+The inputs and tolerances live in the registry `besselhr.invariants` and
+nowhere else; each numbered entry there is one criterion here, under the
+test name `test_criterion_NN_<entry name>`.  The registry's unnumbered
+entries, which only `besselhr verify` reports, run in `test_verify_only`.
 """
 
-import cmath
-import itertools
-import math
-import time
-
-import mpmath as mp
-import numpy as np
 import pytest
 
-from besselhr import _reference as ref
-from besselhr.asympt import j_varsigma_asymptotic
-from besselhr.coeffs import (
-    build_a_table,
-    build_b_table,
-    build_uv_tables,
-    check_combinatorial_identity,
-    rising,
-)
-from besselhr.core import RootOfUnity, SignVector, SpectralIndex
-from besselhr.kernel import (
-    KernelIndex,
-    WeightFunction,
-    bessel_kernel,
-    functional_equation_check,
-)
-from besselhr.mellinbarnes import mb_eval, mb_eval_est
-from besselhr.series import j_function, ode_residual
+from besselhr import invariants
 
 _RESULTS = []
 
@@ -43,200 +22,30 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def test_criterion_01_coefficient_exactness():
-    t0 = time.time()
-    tab = build_a_table(20, 20)
-    ok = tab.verify_closed_form()
-    dt = time.time() - t0
-    _report(1, "A-table recurrence == closed form (j,m <= 20)", ok and dt < 1.0,
-            f"runtime {dt:.2f}s")
+def _criterion_test(inv):
+    def test():
+        ok, _, detail = inv.check()
+        _report(inv.number, inv.title, ok, detail)
+
+    test.__name__ = f"test_criterion_{inv.number:02d}_{inv.name.replace('-', '_')}"
+    return test
 
 
-def test_criterion_02_orthogonality():
-    exact_ok = all(build_uv_tables(n).orthogonality_exact() for n in range(1, 7))
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(100):
-        lam = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        uv = build_uv_tables(8, SpectralIndex(lam))
-        worst = max(worst, uv.orthogonality_residual())
-    _report(2, "U,V orthogonality exact (n<=6) and numeric < 1e-10 (n=8, 100 draws)",
-            exact_ok and worst < 1e-10, f"max numeric residual {worst:.2e}")
+for _inv in sorted((inv for inv in invariants.REGISTRY if inv.number), key=lambda inv: inv.number):
+    _test = _criterion_test(_inv)
+    globals()[_test.__name__] = _test
+del _inv, _test
 
 
-def test_criterion_03_rank1_oracle():
-    si = SpectralIndex([0.0])
-    worst = 0.0
-    for x in np.linspace(0.1, 50.0, 50):
-        for s, sgn in (("+", 1), ("-", -1)):
-            v = mb_eval(float(x), SignVector(s), si, 1e-10)
-            worst = max(worst, abs(v - cmath.exp(sgn * 1j * x)))
-    _report(3, "|mb(x;+-,0) - e^{+-ix}| < 1e-10 on 50 points in [0.1,50]",
-            worst < 1e-10, f"max abs dev {worst:.2e}")
-
-
-def test_criterion_04_rank2_closed_forms():
-    worst = 0.0
-    for lam in (0.3, 0.5j, 0.2 + 0.1j):
-        si = SpectralIndex([lam, -lam])
-        for x in (0.5, 2.0, 7.0, 20.0):
-            forms = {
-                "++": 1j * math.pi * cmath.exp(1j * math.pi * lam)
-                * ref.hankel1(2 * lam, 2 * x),
-                "--": -1j * math.pi * cmath.exp(-1j * math.pi * lam)
-                * ref.hankel2(2 * lam, 2 * x),
-                "+-": 2 * cmath.exp(-1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
-                "-+": 2 * cmath.exp(1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
-            }
-            for s, want in forms.items():
-                got = j_function(x, SignVector(s), si, 1e-11).value
-                worst = max(worst, abs(got - want) / abs(want))
-    _report(4, "rank-2: all four sign vectors vs classical-series refs < 1e-9",
-            worst < 1e-9, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_05_prototype_index():
-    worst = 0.0
-    for n in (3, 4, 5):
-        si = SpectralIndex([(n + 1 - 2 * l) / (2.0 * n) for l in range(1, n + 1)])
-        for signs in itertools.product("+-", repeat=n):
-            sv = SignVector("".join(signs))
-            xi = 1j * cmath.exp(1j * math.pi * (sv.n_minus - sv.n_plus) / (2 * n))
-            c = cmath.exp(
-                2j * math.pi
-                * (-(n - 1) / 8.0 + sum(l - 1 for l in sv.plus_positions) / (2.0 * n))
-            )
-            for x in (1.0, 3.0, 10.0):
-                want = (
-                    c / math.sqrt(n)
-                    * (2 * math.pi / x) ** ((n - 1) / 2.0)
-                    * cmath.exp(1j * n * xi * x)
-                )
-                got = j_function(x, sv, si, 1e-9).value
-                worst = max(worst, abs(got - want) / abs(want))
-    _report(5, "prototype index closed form, n in {3,4,5}, every sign vector, x in [1,10]",
-            worst < 1e-8, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_06_three_way_agreement():
-    si = SpectralIndex([0.3, -0.1, -0.2])
-    worst_ratio = 0.0
-    for x in (20.0, 35.0, 60.0, 100.0):
-        for s in ("+++", "++-"):
-            sv = SignVector(s)
-            rs = j_function(x, sv, si, 1e-9)
-            ra = j_varsigma_asymptotic(x, sv, si)
-            vm, em = mb_eval_est(x, sv, si, 1e-10)
-            vals = {
-                "series": (rs.value, rs.tail_bound),
-                "asympt": (ra.value, ra.error_estimate),
-                "mb": (vm, em),
-            }
-            for (na, (a, ea)), (nb, (b, eb)) in itertools.combinations(
-                vals.items(), 2
-            ):
-                scale = max(abs(a), abs(b))
-                budget = max(1e-7 * scale, 2.0 * (ea + eb))
-                worst_ratio = max(worst_ratio, abs(a - b) / budget)
-    _report(6, "three-way series/mb/asympt pairwise < max(1e-7, 2 err), n=3, x in [20,100]",
-            worst_ratio < 1.0, f"worst diff/budget {worst_ratio:.3f}")
-
-
-def test_criterion_07_ode_residual():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        lam = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        si = SpectralIndex(lam)
-        for signs in ([1] * n, [1] * (n - 1) + [-1]):
-            sv = SignVector(signs)
-            for x in (1.0, 5.0, 10.0):
-                worst = max(worst, ode_residual(x, sv, si, 1e-10))
-    _report(7, "ODE residual (relative to term sum) < 1e-8, n <= 5, x <= 10",
-            worst < 1e-8, f"max residual {worst:.2e}")
-
-
-def test_criterion_08_identity54():
-    rep = check_combinatorial_identity(8)
-    _report(8, "rank-two coefficient identity exact for m <= 8", rep.all_equal)
-
-
-def test_criterion_09_bridge_rotation_laws():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for n in range(2, 6):
-        lam = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        si = SpectralIndex(lam)
-        base = {
-            1: build_b_table(n, si, RootOfUnity(2 * n, 0), 15),
-            -1: build_b_table(n, si, RootOfUnity(2 * n, n), 15),
-        }
-        for idx in range(1, 2 * n):
-            xi = RootOfUnity(2 * n, idx)
-            tab = build_b_table(n, si, xi, 15)
-            sgn = xi.equation_sign()
-            rot = xi if sgn == 1 else RootOfUnity(2 * n, xi.index + n)
-            for m in range(16):
-                want = rot.power(-m) * base[sgn].coeffs[m]
-                worst = max(worst, abs(tab.coeffs[m] - want) / max(1.0, abs(want)))
-    # rank-two closed form
-    worst2 = 0.0
-    for _ in range(30):
-        lam = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        si = SpectralIndex([lam, -lam])
-        for idx in range(4):
-            xi = RootOfUnity(4, idx)
-            tab = build_b_table(2, si, xi, 15)
-            for m in range(16):
-                want = (
-                    rising(0.5 - 2 * lam, m) * rising(0.5 + 2 * lam, m)
-                    / ((4j * xi.value) ** m * math.factorial(m))
-                )
-                worst2 = max(worst2, abs(tab.coeffs[m] - want) / max(1.0, abs(want)))
-    _report(9, "B rotation law (n<=5, m<=15) and rank-2 closed form < 1e-12",
-            worst < 1e-12 and worst2 < 1e-12,
-            f"rotation {worst:.2e}, closed form {worst2:.2e}")
-
-
-def test_criterion_10_k_decay():
-    si = SpectralIndex([0.2, -0.05, -0.15])
-    sv = SignVector("++-")
-    xs = np.linspace(30.0, 60.0, 13)
-    ys = [
-        math.log(abs(j_varsigma_asymptotic(float(x), sv, si).value)) + math.log(x)
-        for x in xs
-    ]
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    want = -3.0 * math.sin(math.pi / 3.0)
-    rel = abs(slope - want) / abs(want)
-    _report(10, "K-decay slope within 2% of -3 sin(pi/3) over x in [30,60]",
-            rel < 0.02, f"slope {slope:.6f} vs {want:.6f} (rel {rel:.2e})")
-
-
-def test_criterion_11_functional_equation():
-    w = WeightFunction(eta=0)
-    s_pts = [0.5, 0.5 + 1j, 0.5 + 2j]
-    rep2 = functional_equation_check(
-        KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0)), w, s_pts, rel_tol=1e-6
-    )
-    rep3 = functional_equation_check(
-        KernelIndex(SpectralIndex([0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j]), (0, 1, 0)),
-        w,
-        s_pts,
-        rel_tol=1e-6,
-    )
-    _report(11, "Hankel functional equation < 1e-6 at Re s = 1/2, n = 2 and 3",
-            rep2.passed and rep3.passed,
-            f"max rel n2 {rep2.max_rel_error:.2e}, n3 {rep3.max_rel_error:.2e}")
-
-
-def test_criterion_12_kernel_parity():
-    ki = KernelIndex(SpectralIndex([0.3j, -0.3j]), (0, 0))
-    xs = np.linspace(3.0, 6.0, 7)
-    logs = [math.log(abs(bessel_kernel(-float(x) ** 2, ki).value)) for x in xs]
-    rate = -float(np.polyfit(xs, logs, 1)[0])
-    _report(12, "even-rank kernel parity decay rate >= 0.9 * 4 pi on x in [3,6]",
-            rate >= 0.9 * 4.0 * math.pi, f"rate {rate:.3f} vs {0.9*4*math.pi:.3f}")
+@pytest.mark.parametrize(
+    "inv",
+    [inv for inv in invariants.REGISTRY if inv.number is None],
+    ids=lambda inv: inv.name,
+)
+def test_verify_only(inv):
+    ok, _, detail = inv.check()
+    print(f"VERIFY {inv.suite}/{inv.name} [{'PASS' if ok else 'FAIL'}] {inv.title} {detail}")
+    assert ok, f"{inv.name}: {detail}"
 
 
 def test_zz_summary():

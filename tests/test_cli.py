@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import besselhr
+from besselhr import invariants
 from besselhr.cli import main, parse_complex, parse_grid, parse_weight
 
 # the subprocess imports the same besselhr as this process, also when it was
@@ -234,8 +236,34 @@ def test_kernel_command(tmp_path):
 
 
 def test_verify_identity54():
-    rc = main(["verify", "identity54", "--mmax", "6"])
+    rc = main(["verify", "identity54"])
     assert rc == 0
+
+
+def test_verify_runtimes_within_wall_time(tmp_path):
+    # each check is timed on its own, so the runtimes of one suite add up to
+    # no more than the whole command (each rounded to 1 ms, hence the slack)
+    out = tmp_path / "v.json"
+    t0 = time.perf_counter()
+    rc = main(["verify", "coeffs", "--out", str(out)])
+    wall = time.perf_counter() - t0
+    assert rc == 0
+    runtimes = [c["runtime_s"] for c in json.loads(out.read_text())["checks"]]
+    assert sum(runtimes) <= wall + 0.0005 * len(runtimes)
+
+
+def test_verify_suites_partition_registry():
+    # every entry sits in exactly one suite, under a unique name
+    names = [inv.name for inv in invariants.REGISTRY]
+    assert len(set(names)) == len(names)
+    per_suite = [inv for s in invariants.suites() for inv in invariants.suite(s)]
+    assert sorted(inv.name for inv in per_suite) == sorted(names)
+    # the README's verify line names exactly the registry's suites
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(
+        ln for ln in readme.read_text().splitlines() if ln.startswith("besselhr verify ")
+    )
+    assert sorted(line.split(" ", 2)[2].split("|")) == invariants.suites()
 
 
 def test_verify_unknown_suite():

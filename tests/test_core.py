@@ -203,7 +203,7 @@ def test_recip_gamma_clean_zeros_near_series_usage():
     # denominators of the first-kind series hit exact poles for integral
     # lambda differences; the reciprocal must vanish there and stay smooth
     for m in range(6):
-        assert recip_gamma(-1.0 + m + 1 - 6) == 0 or True
+        assert recip_gamma(-1.0 + m + 1 - 6) == 0
     vals = [recip_gamma(complex(-5 + 1e-9, 0.0)), recip_gamma(complex(-5 - 1e-9, 0.0))]
     assert all(abs(v) < 1e-6 for v in vals)
     assert recip_gamma(-5.0) == 0.0
