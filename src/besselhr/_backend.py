@@ -7,9 +7,16 @@ formula.  The reciprocal gamma is computed through
 sin(pi z) * Gamma(1 - z) / pi on the left half plane so that its zeros at
 the non-positive integers come out exact.
 
+The first-kind series recurrence (first_kind_terms) and its summation loop
+(sum_first_kind) are written once for any number type: the caller passes
+the reciprocal gamma, _recip_gamma for the double pass (series_sum) or
+mp.rgamma for the big-float rounds and the kernel grid's coefficient table.
+
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
-them in place.
+them in place.  ``series_sum`` is the double pass only: the big-float
+rounds call sum_first_kind directly, so a wrapped series_sum counts no
+big-float work.
 """
 
 from __future__ import annotations
@@ -127,50 +134,65 @@ def _log_gdelta(w, delta):
     return out
 
 
-def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
-    """Sum_{m>=0} zf^m / prod_k Gamma(diffs_k + m + 1).
+def first_kind_terms(zf, diffs, m_fresh, recip_gamma):
+    """The terms t_m = zf^m / prod_k Gamma(diffs_k + m + 1), m = 0, 1, ...
 
-    Terms up to m_fresh are built from reciprocal-gamma products so that
-    pole-induced zero terms come out exact; afterwards the term ratio
-    zf / prod_k (diffs_k + m) is applied incrementally.  Stops after three
-    consecutive terms below tol * |partial sum| once past m_min.
-
-    Returns (sum, abs_sum, terms_used, next_ratio, last_abs_term).
+    Through m = m_fresh each term is rebuilt from reciprocal-gamma products,
+    so integer pole crossings give exact zero terms; after that the term
+    ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is that of
+    zf, diffs and recip_gamma: python and numpy scalars with _recip_gamma,
+    or mpmath numbers with mp.rgamma at the working precision.
     """
-    nk = diffs.shape[0]
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    t = 0.0 + 0.0j
-    t_abs = 0.0
-    small = 0
+    diffs = tuple(diffs)  # a tuple iterates faster than a numpy array
     m = 0
-    while m <= m_cap:
+    while True:
         if m <= m_fresh:
             t = 1.0 + 0.0j
             for _ in range(m):
                 t = t * zf
-            for k in range(nk):
-                t = t * _recip_gamma(diffs[k] + m + 1.0)
+            for d in diffs:
+                t = t * recip_gamma(d + m + 1.0)
         else:
             r = zf
-            for k in range(nk):
-                r = r / (diffs[k] + m)
+            for d in diffs:
+                r = r / (d + m)
             t = t * r
+        yield t
+        m += 1
+
+
+def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, m_fresh, recip_gamma):
+    """Sum of first_kind_terms: past m_min it stops after three consecutive
+    terms below tol * |partial sum| + floor, or after the term m_cap.
+
+    Returns (sum, abs_sum, terms_used, next_ratio, last_abs_term), where
+    next_ratio is |t_(m+1) / t_m| for the last term summed, t_m.
+    """
+    total = 0.0 + 0.0j
+    abs_total = 0.0
+    small = 0
+    for m, t in enumerate(first_kind_terms(zf, diffs, m_fresh, recip_gamma)):
         total = total + t
         t_abs = abs(t)
         abs_total = abs_total + t_abs
         if m >= m_min:
-            if t_abs <= tol * abs(total) + 1e-300:
+            if t_abs <= tol * abs(total) + floor:
                 small += 1
                 if small >= 3:
                     break
             else:
                 small = 0
-        m += 1
+        if m >= m_cap:
+            break
     q = abs(zf)
-    for k in range(nk):
-        q = q / abs(diffs[k] + m + 1.0)
+    for d in diffs:
+        q = q / abs(d + m + 1.0)
     return total, abs_total, m + 1, q, t_abs
+
+
+def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
+    """sum_first_kind in double precision, the pass first_kind makes."""
+    return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, m_fresh, _recip_gamma)
 
 
 # ---------------------------------------------------------------------------

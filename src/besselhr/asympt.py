@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import cached_b_table, falling
+from .coeffs import cached_b_table, elementary_symmetric, falling
 from .core import (
     OutOfSectorError,
     RootOfUnity,
@@ -300,21 +300,10 @@ def rotate_second_kind(
 
 def _sym_funcs_omitting(values: Sequence[complex]) -> list:
     """Row of elementary symmetric polynomials with one variable omitted."""
-    out = []
-    n = len(values)
-    for l in range(n):
-        coeffs = [1.0 + 0.0j]
-        for k in range(n):
-            if k == l:
-                continue
-            nxt = [1.0 + 0.0j] * (len(coeffs) + 1)
-            nxt[0] = coeffs[0]
-            for i in range(1, len(coeffs)):
-                nxt[i] = coeffs[i] + values[k] * coeffs[i - 1]
-            nxt[len(coeffs)] = values[k] * coeffs[-1]
-            coeffs = nxt
-        out.append(coeffs)  # degree 0..n-1
-    return out
+    return [
+        elementary_symmetric([v for k, v in enumerate(values) if k != l])
+        for l in range(len(values))
+    ]
 
 
 def inverse_connection(

@@ -518,7 +518,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PoleError) as exc:
+    except (ValueError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ToleranceNotMetError as exc:

@@ -19,6 +19,12 @@ small circle of generic perturbations, the Cauchy mean of an analytic
 function); and for large |z| the combination cancels to exponentially small
 values, so the summation switches to adaptive-precision big floats when the
 reported double-precision error cannot meet the requested tolerance.
+
+The terms of J_l come from one recurrence, _backend.first_kind_terms: in
+double precision for first_kind, in mpmath for the big-float rounds
+(_first_kind_mp), and at zf = 1 in 50-digit mpmath for the coefficient table
+of kernel_series_grid (_FirstKindTable), which sums them by Horner in
+double-double arithmetic.
 """
 
 from __future__ import annotations
@@ -216,7 +222,9 @@ def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float,
 
 
 def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_tol):
-    """mpmath twin of first_kind at the current working precision.
+    """first_kind at the current mpmath working precision: the same series
+    and stop rule (_backend.sum_first_kind) in mpmath numbers, with the
+    floor 10^(-dps-30) and at most m_min + 50 000 terms.
 
     Returns (value, terms, abs_scale) where abs_scale is the summed term
     magnitude times |prefactor| - the quantity arithmetic noise scales with.
@@ -228,38 +236,11 @@ def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_to
     diffs = [lk - lam_l for lk in lam]
     zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
     m_min = int(math.e * z.modulus) + 4
-    m_fresh = _m_fresh([complex(d) for d in diffs])
-    total = mp.mpc(0)
-    abs_total = mp.mpf(0)
-    t = mp.mpc(1)
-    small = 0
-    m = 0
-    terms = 0
-    while True:
-        if m <= m_fresh:
-            t = mp.mpc(1)
-            for _ in range(m):
-                t *= zf
-            for k in range(n):
-                t *= mp.rgamma(diffs[k] + m + 1)
-        else:
-            r = zf
-            for k in range(n):
-                r /= diffs[k] + m
-            t *= r
-        total += t
-        abs_total += abs(t)
-        terms += 1
-        if m >= m_min:
-            if abs(t) <= rel_tol * abs(total) + mp.mpf(10) ** (-mp.mp.dps - 30):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        m += 1
-        if m > m_min + 50000:
-            break
+    floor = mp.mpf(10) ** (-mp.mp.dps - 30)
+    total, abs_total, terms, _, _ = _backend.sum_first_kind(
+        zf, diffs, rel_tol, floor, m_min, m_min + 50000,
+        _m_fresh([complex(d) for d in diffs]), mp.rgamma,
+    )
     pref = mp.exp(-n * lam_l * logz)
     return pref * total, terms, abs(pref) * abs_total
 
@@ -467,42 +448,37 @@ def _mp_pair(z):
 
 
 class _FirstKindTable:
-    """c_m^(l) = prod_k 1/Gamma(lam_k - lam_l + m + 1) of one index, built in
-    mpmath at _GRID_DPS digits (reciprocal gammas through _m_fresh, then the
-    term ratio) and stored as a complex pair mantissa with a power-of-two
-    exponent, so no entry over- or underflows.  Grows on demand; entry m is
-    the same whatever length the table has reached."""
+    """c_m^(l) = prod_k 1/Gamma(lam_k - lam_l + m + 1) of one index: the
+    terms of _backend.first_kind_terms at zf = 1 in mpmath at _GRID_DPS
+    digits, pulled as the table grows, each stored as a complex pair
+    mantissa with a power-of-two exponent, so no entry over- or underflows.
+    Entry m is the same whatever length the table has reached."""
 
     def __init__(self, lam):
-        self.lam = lam
         self.m_fresh = [_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam]
         self.coeffs = [[] for _ in lam]  # (mantissa pair, exponent)
         self.ratios = [[] for _ in lam]  # |c_0|, then |c_m / c_{m-1}|
-        self._last = [None for _ in lam]
+        self._last = [1 for _ in lam]  # |c_(m-1)| for the next entry m
+        with mp.workdps(_GRID_DPS):
+            lam_mp = [mp.mpc(v) for v in lam]
+            self._terms = [
+                _backend.first_kind_terms(1, [lk - lam_l for lk in lam_mp], fresh, mp.rgamma)
+                for lam_l, fresh in zip(lam_mp, self.m_fresh)
+            ]
 
     def extend(self, m_top: int):
         if len(self.coeffs[0]) > m_top:
             return
         with mp.workdps(_GRID_DPS):
-            lam = [mp.mpc(v) for v in self.lam]
-            for l, lam_l in enumerate(lam):
-                diffs = [lk - lam_l for lk in lam]
-                for m in range(len(self.coeffs[l]), m_top + 1):
-                    prev = self._last[l]
-                    if m <= self.m_fresh[l]:
-                        t = mp.mpc(1)
-                        for d in diffs:
-                            t *= mp.rgamma(d + m + 1)
-                    else:
-                        t = prev
-                        for d in diffs:
-                            t /= d + m
+            for l, terms in enumerate(self._terms):
+                for _ in range(len(self.coeffs[l]), m_top + 1):
+                    t = next(terms)
                     size = abs(t)
                     e = int(mp.floor(mp.log(size, 2)))
                     mant = mp.mpc(mp.ldexp(t.real, -e), mp.ldexp(t.imag, -e))
                     self.coeffs[l].append((_mp_pair(mant), e))
-                    self.ratios[l].append(float(size if m == 0 else size / abs(prev)))
-                    self._last[l] = t
+                    self.ratios[l].append(float(size / self._last[l]))
+                    self._last[l] = size
 
 
 @lru_cache(maxsize=16)

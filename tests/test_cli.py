@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import besselhr
 from besselhr import invariants
 from besselhr.cli import main, parse_complex, parse_grid, parse_weight
@@ -116,6 +118,22 @@ def test_eval_missing_point_exits_2(capsys):
     )
     assert rc == 2
     assert "provide --x or --x-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "1", "--signs", "+", "--lambda", "0", "--x", "1", "--out"],
+        ["verify", "coeffs", "--out"],
+    ],
+    ids=["eval", "verify"],
+)
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # an --out path in a missing directory is a usage error, not a traceback
+    rc = main(argv + [str(tmp_path / "missing" / "out.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_numeric_failure_exits_3(tmp_path):

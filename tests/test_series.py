@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from besselhr import _backend
 from besselhr import _reference as ref
 from besselhr.core import (
     NuIndex,
@@ -38,6 +39,28 @@ def test_first_kind_rank2_classical():
         r = first_kind(x, -1, si, 2)
         want = ref.besseli(2 * lam, 2 * x)
         assert abs(r.value - want) <= max(2e-13 * abs(want), r.tail_bound + 1e-18)
+    # the big-float instance of the same series at 60 digits; 2w is taken
+    # from log x in mpmath, as _first_kind_mp does (the double x is an ulp off)
+    with mp.workdps(60):
+        for x in (0.6, 2.5, 8.0, 30.0):
+            z = SurfacePoint.from_positive(x)
+            w2 = 2 * mp.exp(z.log_modulus)
+            nu = 2 * mp.mpc(lam)
+            for sign, l, want in (
+                (1, 2, mp.besselj(nu, w2)),
+                (1, 1, mp.besselj(-nu, w2)),
+                (-1, 2, mp.besseli(nu, w2)),
+            ):
+                got, _, _ = series._first_kind_mp(z, sign, si, l, mp.mpf(10) ** -56)
+                assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want)
+
+
+def test_series_sum_count_at_cap():
+    # sum 3^m / m! stopped by the cap after m = 4: five terms, and the tail
+    # ratio is that of the first omitted term, 3/5
+    total, _, terms, q, _ = _backend.series_sum(3 + 0j, np.array([0j]), 0.0, 0, 4, 2)
+    assert terms == 5 and q == 0.6
+    assert abs(total - 16.375) < 1e-13
 
 
 def test_first_kind_leading_behavior():
