@@ -10,13 +10,17 @@ the non-positive integers come out exact.
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes
 the reciprocal gamma, _recip_gamma for the double pass (series_sum) or
-mp.rgamma for the big-float rounds and the kernel grid's coefficient table.
+mp.rgamma for the kernel grid's coefficient table and the first terms of
+the big-float rounds.  The big-float rounds sum the rest of each series in
+fixed-point Python integers (sum_first_kind_fixed: one complex multiply and
+one division per term, whatever the rank), with the same stop rule; the
+module takes and returns plain integers there and never imports mpmath.
 
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
 them in place.  ``series_sum`` is the double pass only: the big-float
-rounds call sum_first_kind directly, so a wrapped series_sum counts no
-big-float work.
+rounds call first_kind_terms and sum_first_kind_fixed directly, so a
+wrapped series_sum counts no big-float work.
 """
 
 from __future__ import annotations
@@ -188,6 +192,114 @@ def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, m_fresh, recip_gamma):
     for d in diffs:
         q = q / abs(d + m + 1.0)
     return total, abs_total, m + 1, q, t_abs
+
+
+def _abs_ub(re, im):
+    """|re + i im| rounded up to an integer, from the top 60 bits of each
+    part: an upper bound, at most about 2^-58 relative above."""
+    ar = abs(re)
+    ai = abs(im)
+    k = max(ar.bit_length(), ai.bit_length()) - 60
+    if k <= 0:
+        return math.isqrt(ar * ar + ai * ai) + 1
+    ar = (ar >> k) + 1
+    ai = (ai >> k) + 1
+    return (math.isqrt(ar * ar + ai * ai) + 1) << k
+
+
+def _difference_table(values):
+    """Forward differences [f(0), Δf(0), Δ²f(0), ...] of the samples
+    f(0), f(1), ... of a polynomial whose degree is len(values) - 1."""
+    table = list(values)
+    for level in range(1, len(table)):
+        for j in range(len(table) - 1, level - 1, -1):
+            table[j] -= table[j - 1]
+    return table
+
+
+def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
+    """sum_first_kind in fixed-point integers, for the big-float rounds.
+
+    head holds the terms t_0 .. t_M as (re, im) integers in units of 2^E,
+    with |t_M| near 2^wp; past it t_m = t_(m-1) zf / P(m) with
+    P(m) = prod_k (d_k + m).  zf and the d_k are (re, im) integers with wp
+    fraction bits, and every Re(d_k + m) > 0 for m > M.  The stop rule is
+    that of sum_first_kind on integer magnitudes: tol and floor carry wp
+    fraction bits, floor in units of 2^E.
+
+    Each term costs one complex multiply by W(m) = zf conj(P(m)) and one
+    floor division by R(m) = |P(m)|^2.  W and R are polynomials in m with
+    integer coefficients (scaled by 2^((n+1) wp) and 2^(2n wp)), stepped by
+    forward differences: additions only, and exact.
+
+    Returns (sum_re, sum_im, abs_sum, terms_used) in units of 2^E.  abs_sum
+    is sum_m |t_m| in integer upper bounds (_abs_ub) plus the bound on the
+    loop's own rounding, so it never undercounts the term mass A of the
+    exact series from t_M: each division floors both parts of a term, an
+    error below sqrt(2) units, and |t_(m+1) / t_m| falls with m past M, so
+    the terms rise to one peak and fall.  With N terms, the floors move the
+    sum and sum |t_m| by at most sqrt(2) N (N + 2 A / |t_M|) units, and the
+    rounding of zf and d_k to wp bits by at most 2 (n + 1) N A 2^-wp.
+    """
+    n = len(diffs)
+    M = len(head) - 1
+    one = 1 << wp
+    zr, zi = zf
+
+    def w_and_r(m):
+        pr, pi = 1, 0
+        for dr, di in diffs:
+            ar = dr + m * one
+            pr, pi = pr * ar - pi * di, pr * di + pi * ar
+        return zr * pr + zi * pi, zi * pr - zr * pi, pr * pr + pi * pi
+
+    samples = [w_and_r(M + 1 + j) for j in range(2 * n + 1)]
+    wr = _difference_table([s[0] for s in samples[: n + 1]])
+    wi = _difference_table([s[1] for s in samples[: n + 1]])
+    rr = _difference_table([s[2] for s in samples])
+    w_steps = range(n)
+    r_steps = range(2 * n)
+    shift = (n - 1) * wp
+    sr = si = 0
+    abs_sum = 0
+    small = 0
+    m = 0
+    while True:
+        if m <= M:
+            tr, ti = head[m]
+        else:
+            w_re = wr[0]
+            w_im = wi[0]
+            r = rr[0]
+            tr, ti = (
+                ((tr * w_re - ti * w_im) << shift) // r,
+                ((tr * w_im + ti * w_re) << shift) // r,
+            )
+            for j in w_steps:
+                wr[j] += wr[j + 1]
+                wi[j] += wi[j + 1]
+            for j in r_steps:
+                rr[j] += rr[j + 1]
+        sr += tr
+        si += ti
+        t_abs = _abs_ub(tr, ti)
+        abs_sum += t_abs
+        if m >= m_min:
+            if (t_abs << wp) <= tol * _abs_ub(sr, si) + floor:
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+        if m >= m_cap:
+            break
+        m += 1
+    terms = m + 1
+    t_low = max(abs(c) for c in head[M]) or 1
+    slack = 2 * terms * (terms + 2 * (2 * abs_sum // t_low + 1)) + 2 * (n + 1) * terms * (
+        (2 * abs_sum >> wp) + 1
+    )
+    return sr, si, abs_sum + slack, terms
 
 
 def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):

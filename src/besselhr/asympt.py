@@ -26,6 +26,7 @@ import numpy as np
 from .coeffs import cached_b_table, elementary_symmetric, falling
 from .core import (
     OutOfSectorError,
+    OverflowEvalError,
     RootOfUnity,
     SignVector,
     SpectralIndex,
@@ -59,7 +60,13 @@ def in_validity_sector(z: SurfacePoint, xi: RootOfUnity, n: int, theta: float) -
 
 
 def validity_floor(si: SpectralIndex) -> float:
-    return FLOOR_FACTOR * si.magnitude_bound**2
+    try:
+        return FLOOR_FACTOR * si.magnitude_bound**2
+    except OverflowError:
+        raise OverflowEvalError(
+            f"the asymptotic validity floor overflows double range for |lambda| "
+            f"{si.magnitude_bound:.3g}"
+        ) from None
 
 
 def second_kind(

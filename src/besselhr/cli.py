@@ -77,7 +77,10 @@ def parse_grid(text: str):
         if kind == "lin":
             return list(np.linspace(lo, hi, count))
         raise ValueError("grid must be log:lo:hi:n, lin:lo:hi:n or a comma list")
-    return [float(p) for p in text.split(",") if p.strip()]
+    points = [float(p) for p in text.split(",") if p.strip()]
+    if not all(math.isfinite(x) for x in points):
+        raise ValueError("grid points must be finite")
+    return points
 
 
 def parse_weight(text: str) -> WeightFunction:
@@ -187,7 +190,11 @@ def cmd_eval(args) -> int:
         raise ValueError("--signs length must match the rank")
     if not args.x_grid and args.x is None:
         raise ValueError("provide --x or --x-grid")
+    if args.x is not None and not math.isfinite(args.x):
+        raise ValueError("--x must be finite")
     xs = parse_grid(args.x_grid) if args.x_grid else [args.x]
+    if min(xs) <= 0:
+        raise ValueError("modulus must be positive")
     cfg = {
         "command": "eval",
         "method": args.method,
@@ -513,15 +520,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_tolerances(args):
+    for name in ("tol", "fe_tol"):
+        tol = getattr(args, name, None)
+        if tol is not None and not 0 < tol < math.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be a positive number")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.func(args)
     except (ValueError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except ToleranceNotMetError as exc:
+    except (ToleranceNotMetError, OverflowEvalError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

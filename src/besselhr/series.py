@@ -21,9 +21,10 @@ values, so the summation switches to adaptive-precision big floats when the
 reported double-precision error cannot meet the requested tolerance.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms: in
-double precision for first_kind, in mpmath for the big-float rounds
-(_first_kind_mp), and at zf = 1 in 50-digit mpmath for the coefficient table
-of kernel_series_grid (_FirstKindTable), which sums them by Horner in
+double precision for first_kind, in mpmath for the first terms of the
+big-float rounds (_first_kind_mp, which sums the rest in fixed-point
+integers), and at zf = 1 in 50-digit mpmath for the coefficient table of
+kernel_series_grid (_FirstKindTable), which sums them by Horner in
 double-double arithmetic.
 """
 
@@ -32,17 +33,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from typing import Union
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from . import _backend
 from ._pair import cdd_add, cdd_exp, cdd_mul, dd_add, dd_exp, dd_mul, dd_neg, two_prod
 from .core import (
     NuIndex,
     OverflowEvalError,
+    PoleError,
     SignVector,
     SpectralIndex,
     SurfacePoint,
@@ -60,6 +63,9 @@ _CAUCHY_POINTS = 8
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # exact i^n
 # the big-float rounds stop at the digits that resolve a value this small
 _DPS_CEILING_SIZE = 1e-300
+# past this n|z| the series is not attempted: its first round alone would
+# need some 45 000 digits
+_SERIES_MAX_NZ = 1e5
 
 Pointlike = Union[SurfacePoint, float, int]
 
@@ -222,27 +228,62 @@ def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float,
 
 
 def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_tol):
-    """first_kind at the current mpmath working precision: the same series
-    and stop rule (_backend.sum_first_kind) in mpmath numbers, with the
-    floor 10^(-dps-30) and at most m_min + 50 000 terms.
+    """first_kind at the current mpmath working precision dps: the same
+    series and stop rule, with the floor 10^(-dps-30) and at most
+    m_min + 50 000 terms.
+
+    Every step runs with wp = dps log2(10) + 2 bitlen(m_cap) + 8 bits, and
+    with the bits |zf| < 1 costs zf.  The terms through _m_fresh come from
+    _backend.first_kind_terms with mp.rgamma, so pole crossings stay exact.
+    The rest of the series runs in fixed-point integers
+    (_backend.sum_first_kind_fixed), in units of 2^E with |t_(m_fresh)|
+    just below 2^wp.
 
     Returns (value, terms, abs_scale) where abs_scale is the summed term
     magnitude times |prefactor| - the quantity arithmetic noise scales with.
+    abs_scale is an upper bound that includes the integer loop's rounding,
+    and that rounding is at most about terms^2 2^-wp abs_scale.  The value
+    is then within 10^-dps abs_scale of the same terms summed exactly, far
+    inside the noise model 10^-(dps-5) abs_scale of _j_generic.
     """
     n = si.rank
-    logz = mp.mpc(z.log_modulus, z.argument)
-    lam = [mp.mpc(v) for v in si.lam]
-    lam_l = lam[l - 1]
-    diffs = [lk - lam_l for lk in lam]
-    zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
     m_min = int(math.e * z.modulus) + 4
-    floor = mp.mpf(10) ** (-mp.mp.dps - 30)
-    total, abs_total, terms, _, _ = _backend.sum_first_kind(
-        zf, diffs, rel_tol, floor, m_min, m_min + 50000,
-        _m_fresh([complex(d) for d in diffs]), mp.rgamma,
-    )
-    pref = mp.exp(-n * lam_l * logz)
-    return pref * total, terms, abs(pref) * abs_total
+    m_cap = m_min + 50000
+    dps = mp.mp.dps
+    wp = math.ceil(dps * math.log2(10)) + 2 * m_cap.bit_length() + 8
+    wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))  # |zf| < 1
+    floor = mp.mpf(10) ** (-dps - 30)
+    with mp.workprec(wp):
+        logz = mp.mpc(z.log_modulus, z.argument)
+        lam = [mp.mpc(v) for v in si.lam]
+        lam_l = lam[l - 1]
+        diffs = [lk - lam_l for lk in lam]
+        zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
+        m_fresh = _m_fresh([complex(d) for d in diffs])
+        gen = _backend.first_kind_terms(zf, diffs, m_fresh, mp.rgamma)
+        head = list(islice(gen, min(m_fresh, m_cap) + 1))
+        e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
+        sr, si_, abs_sum, terms = _backend.sum_first_kind_fixed(
+            [_to_fixed(t, -e) for t in head],
+            _to_fixed(zf, wp),
+            [_to_fixed(d, wp) for d in diffs],
+            wp,
+            to_fixed(mp.mpf(rel_tol)._mpf_, wp),
+            to_fixed(floor._mpf_, wp - e),
+            m_min,
+            m_cap,
+        )
+        total = mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e)))
+        pref = mp.exp(-n * lam_l * logz)
+        value = pref * total
+        scale = abs(pref) * mp.mpf((abs_sum, e))
+    return +value, terms, +scale
+
+
+def _to_fixed(x, bits):
+    """An mpmath complex as integers (re, im) with bits fraction bits."""
+    x = mp.mpc(x)
+    return to_fixed(x.real._mpf_, bits), to_fixed(x.imag._mpf_, bits)
 
 
 def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, coeffs):
@@ -304,6 +345,12 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
             math.log10(tol)
         )
     else:
+        if si.rank * z.modulus > _SERIES_MAX_NZ:
+            raise OverflowEvalError(
+                f"|z| = {z.modulus:.6g} at rank {si.rank} is beyond the series: its "
+                "first big-float round would need over 45 000 digits; use the "
+                "asymptotic route"
+            )
         # summing past the e^{n|z|} term ridge needs ~0.44 n|z| digits; the
         # escalation loop below buys more if the combination cancels deeper
         dps = 26 + int(0.45 * si.rank * z.modulus) - int(math.log10(tol))
@@ -318,7 +365,10 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
         # |v| may still be cancellation noise, so escalate geometrically as
         # well as by the apparent requirement, up to the digits that resolve
         # any value of double range (|v| >= 1e-300) against this term mass;
-        # a round there that fails asks for a value the series cannot give
+        # a round there that fails asks for a value the series cannot give.
+        # A failed round's |v| is its arithmetic's noise, which depends on
+        # how the terms were rounded (and may be exactly 0), so the
+        # requirement is taken at no less than the noise bound
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
 
         def digits(size):
@@ -334,7 +384,8 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
                 value=v,
                 achieved=ach,
             )
-        dps = min(max(int(dps * 1.6) + 8, digits(max(abs(v), _DPS_CEILING_SIZE))), ceiling)
+        size = max(abs(v), min(float(noise), 1e300), _DPS_CEILING_SIZE)
+        dps = min(max(int(dps * 1.6) + 8, digits(size)), ceiling)
     else:
         raise ToleranceNotMetError(
             f"series not certified after 8 big-float rounds at |z|={z.modulus:.6g} "
@@ -368,6 +419,14 @@ def _evaluate(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs,
     for q in range(_CAUCHY_POINTS):
         rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
         pert = SpectralIndex([v + rot * ul for v, ul in zip(si.lam, u)])
+        # components so large that a step of the radius is lost to rounding
+        # leave the index on its degeneracy, where the sines vanish
+        lost = (abs(p - v - rot * ul) for p, v, ul in zip(pert.lam, si.lam, u))
+        if max(lost) > 1e-6 * _CAUCHY_RADIUS:
+            raise PoleError(
+                "non-generic index whose components are too large to perturb "
+                f"by {_CAUCHY_RADIUS:g} in double precision"
+            )
         est, parts = _j_generic(z, sign, pert, tol * 0.2, coeffs, sides)
         vals.append(est.value)
         tails.append(est.tail_bound)

@@ -7,6 +7,7 @@ import pytest
 from besselhr import _reference as ref
 from besselhr.core import (
     OutOfSectorError,
+    OverflowEvalError,
     RootOfUnity,
     SignVector,
     SpectralIndex,
@@ -19,6 +20,7 @@ from besselhr.asympt import (
     j_varsigma_asymptotic,
     rotate_second_kind,
     second_kind,
+    validity_floor,
     w_function,
 )
 from besselhr.mellinbarnes import mb_eval_est
@@ -260,3 +262,9 @@ def test_inverse_connection_vs_series_rank3():
             want, _, _ = _first_kind_mp(z, 1, si, l, mpm.mpf(10) ** -100)
             wantc = complex(want)
             assert abs(recon[l - 1] - wantc) < 1e-6 * abs(wantc)
+
+
+def test_validity_floor_overflow_is_typed():
+    # |lambda| = 5e299: the floor overflows double range
+    with pytest.raises(OverflowEvalError):
+        validity_floor(SpectralIndex([1e300, 0.0]))

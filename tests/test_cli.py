@@ -358,3 +358,99 @@ def test_transform_panel_budget_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "panel budget" in err and len(err.strip().splitlines()) == 1
+
+
+_RANK2 = ["--n", "2", "--lambda", "0.2,-0.2"]
+
+
+def _usage_error(argv, capsys, flag_text):
+    # exit 2 with one "error:" line that names what is wrong
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag_text in err
+
+
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--x", "-1"], "modulus must be positive"),
+        (["--x", "inf"], "--x must be finite"),
+        (["--x", "nan"], "--x must be finite"),
+        (["--x-grid", "1,inf"], "grid points must be finite"),
+        (["--x", "1", "--tol", "0"], "--tol"),
+        (["--x", "1", "--tol", "nan"], "--tol"),
+    ],
+    ids=["negative-x", "inf-x", "nan-x", "inf-grid", "zero-tol", "nan-tol"],
+)
+def test_eval_out_of_domain_exits_2(extra, text, capsys):
+    _usage_error(["eval", "--signs", "++"] + _RANK2 + extra, capsys, text)
+
+
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--x-grid", "inf"], "grid points must be finite"),
+        (["--x-grid", "1,-inf"], "grid points must be finite"),
+        (["--x-grid", "1", "--tol", "-1"], "--tol"),
+        (["--x-grid", "1", "--tol", "nan"], "--tol"),
+    ],
+    ids=["inf-grid", "minus-inf-grid", "negative-tol", "nan-tol"],
+)
+def test_kernel_out_of_domain_exits_2(extra, text, capsys):
+    _usage_error(["kernel", "--delta", "0,0"] + _RANK2 + extra, capsys, text)
+
+
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--x-grid", "inf"], "grid points must be finite"),
+        (["--x-grid", "1", "--tol", "0"], "--tol"),
+        (["--x-grid", "1", "--tol", "nan"], "--tol"),
+        (["--x-grid", "1", "--fe-tol", "nan"], "--fe-tol"),
+    ],
+    ids=["inf-grid", "zero-tol", "nan-tol", "nan-fe-tol"],
+)
+def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
+    argv = ["transform", "--delta", "0,0"] + _RANK2 + extra
+    _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, text)
+
+
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--x-grid", "inf"], "grid points must be finite"),
+        (["--x-grid", "1", "--tol", "0"], "--tol"),
+        (["--x-grid", "1", "--tol", "nan"], "--tol"),
+    ],
+    ids=["inf-grid", "zero-tol", "nan-tol"],
+)
+def test_oracle_out_of_domain_exits_2(extra, text, capsys):
+    _usage_error(["oracle", "compare", "--signs", "++"] + _RANK2 + extra, capsys, text)
+
+
+def test_eval_index_that_cannot_be_perturbed_exits_2(capsys):
+    # lambda_1 - lambda_2 = 1e17 is an integer, and a Cauchy step of 1e-3
+    # is lost to rounding at that size: a usage error, not a division by 0
+    _usage_error(
+        ["eval", "--n", "2", "--signs", "++", "--lambda", "1e17,0", "--x", "1"],
+        capsys,
+        "too large to perturb",
+    )
+
+
+def test_kernel_validity_floor_overflow_exits_3(capsys):
+    # |lambda| = 5e299: the asymptotic validity floor overflows double range
+    rc = main(["kernel", "--n", "2", "--lambda", "1e300,0", "--delta", "0,0", "--x-grid", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_eval_huge_finite_x_exits_3(tmp_path):
+    # x = 1e308 is finite but beyond the series: the row carries the error
+    out = tmp_path / "r.csv"
+    rc = main(["eval", "--signs", "++"] + _RANK2 + ["--x", "1e308", "--out", str(out)])
+    assert rc == 3
+    assert "asymptotic route" in out.read_text().splitlines()[2]

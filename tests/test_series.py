@@ -4,12 +4,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselhr import _backend
 from besselhr import _reference as ref
 from besselhr.core import (
     NuIndex,
     OverflowEvalError,
+    PoleError,
     SignVector,
     SpectralIndex,
     SurfacePoint,
@@ -320,3 +323,65 @@ def test_bigfloat_rounds_exhausted(monkeypatch):
     assert all(a < b for a, b in zip(rounds, rounds[1:]))
     assert exc.value.value == 1
     assert exc.value.achieved > 1e-10
+
+
+@st.composite
+def _bigfloat_cases(draw):
+    n = draw(st.integers(1, 6))
+    part = st.floats(-1.0, 1.0)
+    lam = [complex(draw(part), draw(part)) for _ in range(n)]
+    if n > 1:
+        # exact integer differences cross poles of the reciprocal gammas;
+        # 1e-3 off an integer is where the Cauchy mean evaluates
+        kind = draw(st.sampled_from(["generic", "integer", "cauchy"]))
+        if kind != "generic":
+            lam[1] = lam[0] + draw(st.sampled_from([-2, -1, 1, 2]))
+        if kind == "cauchy":
+            lam[1] += 1e-3 * e2pi(draw(st.floats(0.0, 1.0)))
+    # x < 1 gives |zf| = x^n < 1
+    x = draw(st.floats(0.3, 60.0))
+    return SpectralIndex(lam), x, draw(st.sampled_from([1, -1])), draw(st.integers(1, n)), draw(
+        st.integers(30, 300)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_bigfloat_cases())
+def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
+    # the fixed-point loop against the same series and stop rule summed in
+    # mpmath 40 digits higher: within the stated bound (its own rounding far
+    # below 10^-dps of the term mass), with a term mass that never undercounts
+    si, x, sign, l, dps = case
+    z = SurfacePoint.from_positive(x)
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** -dps
+        got, terms, scale = series._first_kind_mp(z, sign, si, l, tol)
+    with mp.workdps(dps + 40):
+        n = si.rank
+        logz = mp.mpc(z.log_modulus, z.argument)
+        lam = [mp.mpc(v) for v in si.lam]
+        diffs = [lk - lam[l - 1] for lk in lam]
+        zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
+        m_min = int(math.e * x) + 4
+        total, abs_total, ref_terms, _, _ = _backend.sum_first_kind(
+            zf, diffs, tol, mp.mpf(10) ** (-dps - 30), m_min, m_min + 50000,
+            series._m_fresh([complex(d) for d in diffs]), mp.rgamma,
+        )
+        pref = mp.exp(-n * lam[l - 1] * logz)
+        assert terms == ref_terms
+        assert abs(got - pref * total) <= scale * mp.mpf(10) ** -dps
+        assert scale >= abs(pref) * abs_total
+
+
+def test_non_generic_index_too_large_to_perturb_raises():
+    # lambda_1 - lambda_2 = 1e17 is an integer and a Cauchy step of 1e-3 is
+    # lost to rounding, so every perturbed index would keep sin = 0
+    with pytest.raises(PoleError):
+        j_function(1.0, SignVector("++"), SpectralIndex([1e17, 0.0]))
+
+
+def test_series_beyond_reach_raises_overflow():
+    # n|z| = 2e308 cannot be summed at any precision; a typed error, not an
+    # OverflowError from int(inf)
+    with pytest.raises(OverflowEvalError):
+        j_function(1e308, SignVector("++"), SpectralIndex([0.2, -0.2]))
