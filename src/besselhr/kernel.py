@@ -49,6 +49,7 @@ from .core import (
     EvalResult,
     RootOfUnity,
     SpectralIndex,
+    ToleranceNotMetError,
     e2pi,
     genericity_gap,
 )
@@ -197,9 +198,12 @@ def bessel_kernel(
     the reported error is relative to the kernel: at most tol * |value| (plus
     final rounding) unless the precision escalation gives up.  In the
     asymptotic zone it is the sum of the 2^{n-1} asymptotic sign-vector
-    functions with their summed error estimates.  The cancellation is
-    max |J(sig)| over those sign vectors divided by |value|; auto mode hands
-    points above CANCEL_SWITCH to the Mellin-Barnes kernel integral.
+    functions with their summed error estimates.  Where a nonzero error
+    reaches max |J(sig)| no digit is correct (at huge x the rounding of the
+    phase alone does that), and ToleranceNotMetError is raised.  The
+    cancellation is max |J(sig)| over those sign vectors divided by |value|;
+    auto mode hands points above CANCEL_SWITCH to the Mellin-Barnes kernel
+    integral.
     """
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
@@ -234,6 +238,15 @@ def bessel_kernel(
             err += ev.error_estimate
             peak = max(peak, abs(ev.value))
         err += 4.0 * np.finfo(float).eps * peak * (n + 1)
+        # an error of 0 is an exact underflow (a decaying side far out);
+        # any other error that reaches max |J(sig)| leaves no digit correct
+        if err and not err < peak:
+            raise ToleranceNotMetError(
+                f"asymptotic kernel error {err:.2e} exceeds max |J(sig)| {peak:.2e} "
+                f"at x={x:.6g}: no digit of the value is correct",
+                value=total,
+                achieved=err,
+            )
         tag = "asymptotic"
     else:
         est, peak = kernel_series(inner, parity, si, ki.deltas, tol)

@@ -224,7 +224,10 @@ def _tail_rates(f, rays, h: float = 2.0):
     """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
     ray end, from one integrand call at two points per ray."""
     pts = np.array([p for end, d in rays for p in (end - h * d, end)])
-    fv = f(pts)
+    # at x near the top of double range the ray ends lie where the log-gamma
+    # sums overflow to inf and nan; the caller's finiteness check reports it
+    with np.errstate(all="ignore"):
+        fv = f(pts)
     out = []
     for k in range(len(rays)):
         f1 = abs(fv[2 * k])

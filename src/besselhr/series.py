@@ -26,13 +26,32 @@ big-float rounds (_first_kind_mp, which sums the rest in fixed-point
 integers), and at zf = 1 in 50-digit mpmath for the coefficient table of
 kernel_series_grid (_FirstKindTable), which sums them by Horner in
 double-double arithmetic.
+
+The big-float rounds need constants that depend on the index and the
+working precision only, never on z, and the same ones recur across points,
+sign vectors, parities and rounds.  Each is built once and kept in a
+bounded lru_cache: the coefficients c_l with their bounds (_coeffs_mp, by
+index, kind and digits), the sign-vector coefficient sets that rebuild
+J(z; sig) for the kernel's cancellation reference (_signvec_sets_mp, by
+index, parity and digits), and the reciprocal gammas of the head terms
+(_rgamma_at, by exact argument and bits).  A key holds nothing of z, of a
+family value or of the tolerance, so a cached constant is the number the
+round would build, and every result is the same bit for bit with or
+without the caches.  The 8 perturbations of a non-generic index are fixed
+functions of the index and are cached like any index.  The double pass
+builds its coefficients afresh: they cost little there, and keys of
+doubles would not tell 0.0 from -0.0.  Entries above rank 6 (rank 4 for
+the sign-vector sets) or _CACHE_DPS digits (4 _CACHE_DPS bits for the
+gammas) are built at each use and not kept, so an entry takes at most
+6.2 KB, 19 KB and 1.3 KB (measured with tracemalloc on CPython 3.11), and
+the three caches at most 0.8 + 1.2 + 2.0 = 4.0 MB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, product
 from typing import Union
 
@@ -208,8 +227,83 @@ def _kernel_coeffs(ctx, lam, sines, deltas, parity: int):
     return coeffs, mags
 
 
-def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs):
-    cs, mags = coeffs(_DOUBLE, si.lam, _sines(_DOUBLE, si.lam))
+def _coeffs_of(ctx, lam, sines, kind):
+    """The c_l of a combination sum_l c_l J_l and bounds on their moduli:
+    kind is ("signvec", sv) for E E_l S_l, or ("kernel", deltas, parity)
+    for the kernel coefficients K_l."""
+    if kind[0] == "signvec":
+        return _connection_coeffs(ctx, lam, sines, kind[1])
+    return _kernel_coeffs(ctx, lam, sines, kind[1], kind[2])
+
+
+def _signvec_sets(ctx, lam, parity: int):
+    """E E_l S_l of every sign vector of product parity, values only."""
+    sines = _sines(ctx, lam)
+    return tuple(
+        tuple(_connection_coeffs(ctx, lam, sines, sv)[0])
+        for sv in sign_vectors(len(lam), parity)
+    )
+
+
+# Entries larger than this are built afresh at each use instead of cached,
+# which bounds the caches below (the module docstring has the sums)
+_CACHE_DPS = 150
+
+
+@lru_cache(maxsize=128)
+def _coeffs_mp(lam: tuple, kind, dps: int):
+    """_coeffs_of in mpmath at dps digits, as tuples.
+
+    Cached through _coeffs_at up to rank 6 and _CACHE_DPS digits, where 6
+    coefficients, 6 bounds and the key take at most 6.2 KB: 0.8 MB in all.
+    """
+    with mp.workdps(dps):
+        lam_mp = [mp.mpc(v) for v in lam]
+        cs, mags = _coeffs_of(mp, lam_mp, _sines(mp, lam_mp), kind)
+    return tuple(cs), tuple(mags)
+
+
+def _coeffs_at(lam: tuple, kind, dps: int):
+    fits = len(lam) <= 6 and dps <= _CACHE_DPS
+    return (_coeffs_mp if fits else _coeffs_mp.__wrapped__)(lam, kind, dps)
+
+
+@lru_cache(maxsize=64)
+def _signvec_sets_mp(lam: tuple, parity: int, dps: int):
+    """_signvec_sets in mpmath at dps digits.
+
+    Cached through _signvec_sets_at up to rank 4 and _CACHE_DPS digits,
+    where 8 sets of 4 values and the key take at most 19 KB: 1.2 MB in all.
+    """
+    with mp.workdps(dps):
+        return _signvec_sets(mp, [mp.mpc(v) for v in lam], parity)
+
+
+def _signvec_sets_at(lam: tuple, parity: int, dps: int):
+    fits = len(lam) <= 4 and dps <= _CACHE_DPS
+    return (_signvec_sets_mp if fits else _signvec_sets_mp.__wrapped__)(lam, parity, dps)
+
+
+@lru_cache(maxsize=1536)
+def _rgamma_at(arg, prec: int):
+    """mp.rgamma at prec bits of the mpmath complex whose _mpc_ is arg.
+
+    Cached through _recip_gamma_mp up to 4 _CACHE_DPS bits, the precision
+    of a round at _CACHE_DPS digits, where the argument, the value and the
+    key take at most 1.3 KB: 2.0 MB in all.
+    """
+    with mp.workprec(prec):
+        return mp.rgamma(mp.make_mpc(arg))
+
+
+def _recip_gamma_mp(x):
+    """mp.rgamma of the mpmath complex x at the working precision."""
+    prec = mp.mp.prec
+    return (_rgamma_at if prec <= 4 * _CACHE_DPS else _rgamma_at.__wrapped__)(x._mpc_, prec)
+
+
+def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind):
+    cs, mags = _coeffs_of(_DOUBLE, si.lam, _sines(_DOUBLE, si.lam), kind)
     value = 0j
     mass = 0.0
     err = 0.0
@@ -260,7 +354,7 @@ def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_to
         diffs = [lk - lam_l for lk in lam]
         zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
         m_fresh = _m_fresh([complex(d) for d in diffs])
-        gen = _backend.first_kind_terms(zf, diffs, m_fresh, mp.rgamma)
+        gen = _backend.first_kind_terms(zf, diffs, m_fresh, _recip_gamma_mp)
         head = list(islice(gen, min(m_fresh, m_cap) + 1))
         e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
         sr, si_, abs_sum, terms = _backend.sum_first_kind_fixed(
@@ -286,13 +380,12 @@ def _to_fixed(x, bits):
     return to_fixed(x.real._mpf_, bits), to_fixed(x.imag._mpf_, bits)
 
 
-def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, coeffs):
+def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind):
     """The combination in dps-digit arithmetic; returns mp values and the
     first-kind family values it was summed from."""
     n = si.rank
     with mp.workdps(dps):
-        lam = [mp.mpc(v) for v in si.lam]
-        cs, mags = coeffs(mp, lam, _sines(mp, lam))
+        cs, mags = _coeffs_at(si.lam, kind, dps)
         rel = mp.mpf(10) ** (-(dps - 4))
         value = mp.mpc(0)
         mass = mp.mpf(0)
@@ -309,31 +402,27 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, coeff
         return value, mass, terms, rel, family
 
 
-def _recombine(ctx, lam, family, sides):
-    """sum_l c_l J_l for the coefficients c of each side, from family values
-    already computed in the context ctx."""
-    if not sides:
-        return []
-    sines = _sines(ctx, lam)
-    return [
-        complex(sum(c * f for c, f in zip(side(ctx, lam, sines)[0], family)))
-        for side in sides
-    ]
+def _recombine(coeff_sets, family):
+    """sum_l c_l J_l for each set of coefficients c, from family values in
+    the same arithmetic."""
+    return [complex(sum(c * f for c, f in zip(cs, family))) for cs in coeff_sets]
 
 
-def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs, sides=()):
-    """sum_l c_l J_l(z; sign) with error at most tol times its modulus.
-
-    coeffs(ctx, lam, sines) gives the c_l and bounds on their moduli in the
-    number context ctx.  Also returns sum_l c'_l J_l for each coefficient
-    function in sides, rebuilt from the family values of the accepted pass.
+def _j_generic(
+    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, signvec_parity=None
+):
+    """sum_l c_l J_l(z; sign) with error at most tol times its modulus, for
+    the coefficients of kind (see _coeffs_of).  With a signvec_parity, also
+    returns J(z; sig) for every sign vector sig of that product, rebuilt
+    from the family values of the accepted pass.
     """
     overflow = si.rank * z.modulus > 690.0
     eps = np.finfo(float).eps
     if not overflow:
-        est, mass, family = _j_generic_double(z, sign, si, tol, coeffs)
+        est, mass, family = _j_generic_double(z, sign, si, tol, kind)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
-            return est, _recombine(_DOUBLE, si.lam, family, sides)
+            sets = _signvec_sets(_DOUBLE, si.lam, signvec_parity) if signvec_parity else ()
+            return est, _recombine(sets, family)
         # the double-pass error aggregates eps * (internal term mass), so it
         # back-solves for the cancellation the big-float pass must absorb.
         # A value inside its own noise only says |value| <~ eps * noise_mass,
@@ -356,7 +445,7 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
         dps = 26 + int(0.45 * si.rank * z.modulus) - int(math.log10(tol))
     for _ in range(8):
         round_dps = dps
-        value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, coeffs)
+        value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, kind)
         v = complex(value)
         noise = mass * rel * 10
         ach = float(noise) + 4.0 * eps * abs(v)  # incl. final rounding
@@ -395,8 +484,8 @@ def _j_generic(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs
             achieved=ach,
         )
     with mp.workdps(round_dps):
-        lam = [mp.mpc(a) for a in si.lam]
-        return SeriesEval(v, terms, ach), _recombine(mp, lam, family, sides)
+        sets = _signvec_sets_at(si.lam, signvec_parity, round_dps) if signvec_parity else ()
+        return SeriesEval(v, terms, ach), _recombine(sets, family)
 
 
 def _degeneracy_direction(n: int):
@@ -405,12 +494,14 @@ def _degeneracy_direction(n: int):
     return [x / scale for x in u]
 
 
-def _evaluate(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs, sides=()):
+def _evaluate(
+    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, signvec_parity=None
+):
     """_j_generic, taken as a limit at non-generic indices (gap below 1e-4):
     the average over 8 generic perturbations on a circle of radius 1e-3,
     which reproduces the limit value to O(radius^8)."""
     if genericity_gap(si) >= EPS_GEN:
-        return _j_generic(z, sign, si, tol, coeffs, sides)
+        return _j_generic(z, sign, si, tol, kind, signvec_parity)
     u = _degeneracy_direction(si.rank)
     vals = []
     tails = []
@@ -427,7 +518,7 @@ def _evaluate(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, coeffs,
                 "non-generic index whose components are too large to perturb "
                 f"by {_CAUCHY_RADIUS:g} in double precision"
             )
-        est, parts = _j_generic(z, sign, pert, tol * 0.2, coeffs, sides)
+        est, parts = _j_generic(z, sign, pert, tol * 0.2, kind, signvec_parity)
         vals.append(est.value)
         tails.append(est.tail_bound)
         side_vals.append(parts)
@@ -458,7 +549,7 @@ def j_function(
     z = _as_point(z)
     if sv.n != si.rank:
         raise ValueError("sign vector length must match the rank")
-    return _evaluate(z, sv.product_sign, si, tol, partial(_connection_coeffs, sv=sv))[0]
+    return _evaluate(z, sv.product_sign, si, tol, ("signvec", sv))[0]
 
 
 def sign_vectors(n: int, parity: int):
@@ -480,9 +571,8 @@ def kernel_series(
     rebuilt from the same family values (the cancellation reference).
     """
     z = _as_point(z)
-    parts = [partial(_connection_coeffs, sv=sv) for sv in sign_vectors(si.rank, parity)]
-    coeffs = partial(_kernel_coeffs, deltas=tuple(int(d) % 2 for d in deltas), parity=parity)
-    est, signvec_values = _evaluate(z, parity, si, tol, coeffs, parts)
+    kind = ("kernel", tuple(int(d) % 2 for d in deltas), parity)
+    est, signvec_values = _evaluate(z, parity, si, tol, kind, signvec_parity=parity)
     return est, max(abs(v) for v in signvec_values)
 
 
@@ -549,15 +639,14 @@ def _first_kind_table(lam: tuple) -> _FirstKindTable:
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
     """K_l and, for every sign vector of the kernel sum, E E_l S_l, from
     mpmath at _GRID_DPS digits rounded to complex pairs; and |K_l|."""
+    kern = _coeffs_at(lam, ("kernel", deltas, parity), _GRID_DPS)[0]
+    sides = _signvec_sets_at(lam, parity, _GRID_DPS)
     with mp.workdps(_GRID_DPS):
-        lam_mp = [mp.mpc(v) for v in lam]
-        sines = _sines(mp, lam_mp)
-        kern, _ = _kernel_coeffs(mp, lam_mp, sines, deltas, parity)
-        sides = tuple(
-            tuple(_mp_pair(c) for c in _connection_coeffs(mp, lam_mp, sines, sv)[0])
-            for sv in sign_vectors(len(lam), parity)
+        return (
+            tuple(_mp_pair(c) for c in kern),
+            tuple(tuple(_mp_pair(c) for c in side) for side in sides),
+            tuple(float(abs(c)) for c in kern),
         )
-        return tuple(_mp_pair(c) for c in kern), sides, tuple(float(abs(c)) for c in kern)
 
 
 def _rotate(c, k: int):

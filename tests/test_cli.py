@@ -454,3 +454,21 @@ def test_eval_huge_finite_x_exits_3(tmp_path):
     rc = main(["eval", "--signs", "++"] + _RANK2 + ["--x", "1e308", "--out", str(out)])
     assert rc == 3
     assert "asymptotic route" in out.read_text().splitlines()[2]
+
+
+def test_kernel_without_a_correct_digit_exits_3(capsys):
+    # the asymptotic error at x = 1e308 exceeds the value by 140 orders
+    rc = main(["kernel", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1e12,1e308"])
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rc == 3
+    assert rows[0].endswith(",asymptotic,0.7071067806573058")
+    assert rows[1] == "1e+308,nan,nan,inf,failed,0.0"
+    assert main(["kernel", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1e12"]) == 0
+
+
+def test_oracle_compare_overflowing_contour_warns_nothing():
+    # far out on the contour the integrand overflows: the one line on
+    # stderr is the quadrature's own failure, with no numpy warning
+    proc = run_cli(["oracle", "compare", "--signs", "++"] + _RANK2 + ["--x-grid", "1e308"])
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric failure: contour tail does not come under control\n"

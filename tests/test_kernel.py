@@ -7,7 +7,7 @@ import pytest
 
 from besselhr import _reference as ref
 from besselhr import series
-from besselhr.core import SpectralIndex
+from besselhr.core import SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
@@ -420,3 +420,18 @@ def test_functional_equation_rank2_odd_weight():
     assert rep.passed
     assert rep.max_rel_error < 1e-6
     assert {d for d, _, _ in rep.rel_errors} == {1}
+
+
+def test_asymptotic_kernel_without_a_correct_digit_raises():
+    # at x = 1e100 the rounding of the phase leaves an error of 7.9e10
+    # against a value of 1.4e-25; at 1e12 the error is 7.9e-12 against 1e-3
+    ki = KernelIndex(SpectralIndex([0.2, -0.2]), (0, 0))
+    for x in (1e100, 1e308):
+        with pytest.raises(ToleranceNotMetError, match="no digit"):
+            bessel_kernel(x, ki)
+    r = bessel_kernel(1e12, ki)
+    assert r.method == "asymptotic"
+    assert r.error < 1e-8 * abs(r.value)
+    # the negative side decays below double range: 0 with error 0 is exact
+    r = bessel_kernel(-1e6, ki)
+    assert (r.value, r.error, r.method) == (0, 0, "asymptotic")

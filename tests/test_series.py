@@ -196,9 +196,9 @@ def _record_rounds(monkeypatch):
     rounds = []
     mp_pass = series._j_generic_mp
 
-    def recorded(z, sign, si, dps, coeffs):
+    def recorded(z, sign, si, dps, kind):
         rounds.append(dps)
-        return mp_pass(z, sign, si, dps, coeffs)
+        return mp_pass(z, sign, si, dps, kind)
 
     monkeypatch.setattr(series, "_j_generic_mp", recorded)
     return rounds
@@ -308,7 +308,7 @@ def test_bigfloat_rounds_exhausted(monkeypatch):
     # whose error exceeds tol * |value|
     rounds = []
 
-    def stub(z, sign, si, dps, coeffs):
+    def stub(z, sign, si, dps, kind):
         rounds.append(dps)
         with mp.workdps(dps):
             mass = mp.mpf(10) ** dps
@@ -385,3 +385,97 @@ def test_series_beyond_reach_raises_overflow():
     # OverflowError from int(inf)
     with pytest.raises(OverflowEvalError):
         j_function(1e308, SignVector("++"), SpectralIndex([0.2, -0.2]))
+
+
+# ---------------------------------------------------------------------------
+# the caches of index constants
+# ---------------------------------------------------------------------------
+
+_INDEX_CACHES = (series._coeffs_mp, series._signvec_sets_mp, series._rgamma_at)
+
+
+def _clear_index_caches():
+    for cache in _INDEX_CACHES:
+        cache.cache_clear()
+
+
+def _cold_warm_fresh(monkeypatch, evaluate):
+    """evaluate() with the caches cleared, again from the caches, and with
+    every constant built afresh; and the cache hits of the second call."""
+    _clear_index_caches()
+    cold = evaluate()
+    before = [cache.cache_info().hits for cache in _INDEX_CACHES]
+    warm = evaluate()
+    hits = [cache.cache_info().hits - b for cache, b in zip(_INDEX_CACHES, before)]
+    with monkeypatch.context() as m:
+        m.setattr(series, "_CACHE_DPS", -1)  # no entry fits
+        fresh = evaluate()
+    return cold, warm, fresh, hits
+
+
+def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
+    # a series-zone kernel point whose double pass does not certify: one
+    # big-float round, its coefficients, gammas and sign-vector sets cached
+    rounds = _record_rounds(monkeypatch)
+    ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
+    runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "auto", 1e-9))
+    assert runs[0].method == "series" and rounds == [43] * 3
+    assert min(runs[3]) > 0
+    assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
+
+
+def test_cached_cauchy_mean_repeats_bit_for_bit(monkeypatch):
+    # lambda_1 - lambda_2 = 1: the value is the mean over 8 perturbed
+    # indices, each running its own big-float rounds (49 then 86 digits)
+    rounds = _record_rounds(monkeypatch)
+    args = (20.0, SignVector("+-"), SpectralIndex([0.5, -0.5]), 1e-10)
+    runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
+    assert rounds == [49, 86] * 24
+    assert runs[3][0] > 0 and runs[3][2] > 0
+    assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
+
+
+def test_cached_escalating_j_function_repeats_bit_for_bit(monkeypatch):
+    # the 49-digit round fails and the 86-digit one certifies
+    rounds = _record_rounds(monkeypatch)
+    args = (20.0, SignVector("+-"), SpectralIndex([0.25, -0.25]), 1e-10)
+    runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
+    assert rounds == [49, 86] * 3
+    assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
+    want = 2 * complex(mp.expjpi(-0.25) * mp.besselk(0.5, 40))
+    assert abs(runs[0].value - want) <= 1e-10 * abs(want)
+
+
+def test_index_caches_keep_precisions_apart():
+    # one key at two precisions: each entry is the fresh build at its own
+    _clear_index_caches()
+    lam = SpectralIndex([0.3, -0.1, -0.2]).lam
+    kind = ("kernel", (0, 1, 0), 1)
+    x = mp.mpc(0.3, -1.7) + 2
+    for dps in (30, 60, 30, 60):
+        assert series._coeffs_at(lam, kind, dps) == series._coeffs_mp.__wrapped__(lam, kind, dps)
+        assert series._signvec_sets_at(lam, 1, dps) == series._signvec_sets_mp.__wrapped__(
+            lam, 1, dps
+        )
+        with mp.workdps(dps):
+            assert series._recip_gamma_mp(x) == mp.rgamma(x)
+    assert series._coeffs_at(lam, kind, 30) != series._coeffs_at(lam, kind, 60)
+    assert [cache.cache_info().hits for cache in _INDEX_CACHES] == [4, 2, 2]
+
+
+def test_index_caches_are_bounded():
+    for cache in _INDEX_CACHES:
+        assert isinstance(cache.cache_info().maxsize, int)
+    # entries above the bounds the docstrings state are built, not kept
+    _clear_index_caches()
+    lam5 = SpectralIndex([0.3, -0.1, -0.2, 0.15, -0.05]).lam
+    lam7 = SpectralIndex([0.1 * k for k in range(7)]).lam
+    deep = series._CACHE_DPS + 1
+    assert series._signvec_sets_at(lam5, 1, 40) == series._signvec_sets_mp.__wrapped__(
+        lam5, 1, 40
+    )
+    series._coeffs_at(lam7, ("kernel", (0,) * 7, 1), 40)
+    series._coeffs_at(lam5, ("kernel", (0,) * 5, 1), deep)
+    with mp.workprec(4 * series._CACHE_DPS + 1):
+        series._recip_gamma_mp(mp.mpc(0.5, 0.5))
+    assert [cache.cache_info().currsize for cache in _INDEX_CACHES] == [0, 0, 0]
