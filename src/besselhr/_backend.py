@@ -9,7 +9,7 @@ the non-positive integers come out exact.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes
-the reciprocal gamma, _recip_gamma for the double pass (series_sum) or
+the reciprocal gamma, recip_gamma for the double pass (series_sum) or
 mp.rgamma for the kernel grid's coefficient table and the first terms of
 the big-float rounds.  The big-float rounds sum the rest of each series in
 fixed-point Python integers (sum_first_kind_fixed: one complex multiply and
@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+BACKEND = "numpy"
 _PI = math.pi
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
@@ -56,7 +57,7 @@ _LG_COEF = np.array(
 _SQRT_2PI = 2.5066282746310005
 
 
-def _is_nonpositive_int(z):
+def is_nonpositive_int(z):
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
@@ -79,7 +80,7 @@ def _loggamma_right(z):
     return t + cmath.log(_SQRT_2PI * ser / z)
 
 
-def _sinpi(z):
+def sinpi(z):
     # argument reduction: exact zeros at the integers
     k = math.floor(z.real + 0.5)
     s = cmath.sin(_PI * complex(z.real - k, z.imag))
@@ -88,7 +89,7 @@ def _sinpi(z):
     return s
 
 
-def _cospi(z):
+def cospi(z):
     k = math.floor(z.real + 0.5)
     c = cmath.cos(_PI * complex(z.real - k, z.imag))
     if k % 2.0 != 0.0:
@@ -100,7 +101,7 @@ def _logsinpi(z):
     # stable for large |Im z|: peel off the dominant exponential
     y = z.imag
     if abs(y) < 18.0:
-        return cmath.log(_sinpi(z))
+        return cmath.log(sinpi(z))
     if y > 0.0:
         # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 pi i z})
         return complex(-_LN_2, 0.5 * _PI) - 1j * _PI * z + cmath.log(
@@ -111,16 +112,16 @@ def _logsinpi(z):
     )
 
 
-def _loggamma(z):
+def loggamma(z):
     # principal branch on the right half plane, reflection on the left;
-    # exp(_loggamma) is accurate everywhere off the poles, the imaginary
+    # exp(loggamma) is accurate everywhere off the poles, the imaginary
     # part on the left may differ from the continuous branch by 2 pi k
     if z.real >= 0.5:
         return _loggamma_right(z)
     return _LN_PI - _logsinpi(z) - _loggamma_right(1.0 - z)
 
 
-def _recip_gamma(z):
+def recip_gamma(z):
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         return 0.0 + 0.0j
     if z.real >= 0.5:
@@ -128,9 +129,9 @@ def _recip_gamma(z):
     return cmath.exp(_loggamma_right(1.0 - z) + _logsinpi(z) - _LN_PI)
 
 
-def _log_gdelta(w, delta):
+def log_gdelta(w, delta):
     # gamma factor i^d pi^(1/2-w) Gamma((w+d)/2) / Gamma((1-w+d)/2), as a log
-    out = (0.5 - w) * _LN_PI + _loggamma(0.5 * (w + delta)) - _loggamma(
+    out = (0.5 - w) * _LN_PI + loggamma(0.5 * (w + delta)) - loggamma(
         0.5 * (1.0 - w + delta)
     )
     if delta % 2 != 0:
@@ -144,8 +145,8 @@ def first_kind_terms(zf, diffs, m_fresh, recip_gamma):
     Through m = m_fresh each term is rebuilt from reciprocal-gamma products,
     so integer pole crossings give exact zero terms; after that the term
     ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is that of
-    zf, diffs and recip_gamma: python and numpy scalars with _recip_gamma,
-    or mpmath numbers with mp.rgamma at the working precision.
+    zf, diffs and recip_gamma: python and numpy scalars with this module's
+    recip_gamma, or mpmath numbers with mp.rgamma at the working precision.
     """
     diffs = tuple(diffs)  # a tuple iterates faster than a numpy array
     m = 0
@@ -302,9 +303,9 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     return sr, si, abs_sum + slack, terms
 
 
-def _series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
+def series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
     """sum_first_kind in double precision, the pass first_kind makes."""
-    return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, m_fresh, _recip_gamma)
+    return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, m_fresh, recip_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def _log_gdelta_np(w, delta):
     return out
 
 
-def _mb_j_integrand_np(s, lam, sig, n, lnx):
+def mb_j_integrand(s, lam, sig, n, lnx):
     acc = -n * lnx * s
     for l in range(lam.shape[0]):
         w = s - lam[l]
@@ -376,20 +377,10 @@ def _mb_j_integrand_np(s, lam, sig, n, lnx):
     return np.exp(acc)
 
 
-def _mb_kernel_integrand_np(s, lam, dl, delta, lnx):
+def mb_kernel_integrand(s, lam, dl, delta, lnx):
     acc = -lnx * s
     for l in range(lam.shape[0]):
         acc = acc + _log_gdelta_np(s - lam[l], int((dl[l] + delta) % 2))
     return np.exp(acc)
 
 
-BACKEND = "numpy"
-loggamma = _loggamma
-recip_gamma = _recip_gamma
-sinpi = _sinpi
-cospi = _cospi
-log_gdelta = _log_gdelta
-is_nonpositive_int = _is_nonpositive_int
-series_sum = _series_sum
-mb_j_integrand = _mb_j_integrand_np
-mb_kernel_integrand = _mb_kernel_integrand_np

@@ -9,9 +9,12 @@ rank-one irregular singularity are evaluated by superasymptotic truncation
 with the absolute error estimated as twice the first omitted term.  The
 expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
-(max|lambda|+1)^2.  Connection constants relate these to the sign-vector
-functions and to the first-kind family (through a Vandermonde matrix in
-e^{-2 pi i lambda_l} and its Lagrange-form inverse).
+(max|lambda|+1)^2.  second_kind takes one point of the universal cover,
+second_kind_sweep many positive reals in 2-D array passes with the same
+arithmetic, and both finish each point by one rule (_finish).  Connection
+constants relate these to the sign-vector functions and to the first-kind
+family (through a Vandermonde matrix in e^{-2 pi i lambda_l} and its
+Lagrange-form inverse).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ DEFAULT_THETA = math.pi / 6
 INVERSE_THETA = math.pi / 12  # all n rotated roots must sit in-sector on R+
 M_CAP = 30
 FLOOR_FACTOR = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,40 @@ def validity_floor(si: SpectralIndex) -> float:
         ) from None
 
 
+def _truncate(coeffs, t, zinv):
+    """Superasymptotic truncation of sum_m coeffs[m] t z^{-m}, the powers by
+    repeated multiplication with zinv: keep the terms before the first
+    smallest one, and at least the leading term.
+
+    Returns the truncation m*, the partial sum left to right, the first
+    omitted term's magnitude and the magnitudes summed over the kept terms.
+    """
+    terms = []
+    for b in coeffs:
+        terms.append(b * t)
+        t *= zinv
+    mags = [abs(v) for v in terms]
+    m_star = max(1, int(np.argmin(mags)))
+    return m_star, sum(terms[:m_star]), mags[min(m_star, len(mags) - 1)], sum(mags[:m_star])
+
+
+def _finish(wc: complex, log_z: complex, n: int, total: complex, omitted: float, mass: float):
+    """One point's value e^w z^{-(n-1)/2} * total, with w = wc z, and its
+    absolute error: twice the first omitted term plus the rounding of the
+    kept terms and of the phase."""
+    w = wc * cmath.exp(log_z)
+    pref = cmath.exp(w) * cmath.exp(complex(-(n - 1) / 2.0) * log_z)
+    # the exp(i n xi z) phase is conditioned like |n z|, which caps the
+    # attainable relative accuracy of the whole evaluation
+    err = abs(pref) * (2.0 * omitted + _EPS * (4.0 * mass + (4.0 + 2.0 * abs(w)) * abs(total)))
+    return pref * total, err
+
+
 def second_kind(
     z: Pointlike,
     si: SpectralIndex,
     xi: RootOfUnity,
     theta: float = DEFAULT_THETA,
-    m_cap: int = M_CAP,
 ) -> AsymptoticEval:
     """Superasymptotically truncated second-kind evaluation at xi.
 
@@ -98,38 +130,22 @@ def second_kind(
             f"|z| = {z.modulus:.3f} below validity floor {floor:.3f}; "
             "use the series or Mellin-Barnes evaluation"
         )
-    tab = cached_b_table(si, xi, m_cap)
-    zinv = z.power(-1)
-    terms = []
-    t = 1.0 + 0.0j
-    for m in range(len(tab.coeffs)):
-        terms.append(tab.coeffs[m] * t)
-        t *= zinv
-    mags = [abs(v) for v in terms]
-    m_star = int(np.argmin(mags))
-    if m_star == 0:
-        m_star = 1  # always keep the leading term
-    total = sum(terms[:m_star])
-    w = 1j * n * xi.value * z.to_complex()
-    pref = cmath.exp(w) * z.power(-(n - 1) / 2.0)
-    eps = np.finfo(float).eps
-    # the exp(i n xi z) phase is conditioned like |n z|, which caps the
-    # attainable relative accuracy of the whole evaluation
-    err = abs(pref) * (
-        2.0 * mags[min(m_star, len(mags) - 1)]
-        + eps * (4.0 * sum(mags[:m_star]) + (4.0 + 2.0 * abs(w)) * abs(total))
-    )
-    return AsymptoticEval(pref * total, m_star, err, True)
+    tab = cached_b_table(si, xi, M_CAP)
+    m_star, total, omitted, mass = _truncate(tab.coeffs, 1.0 + 0.0j, z.power(-1))
+    value, err = _finish(1j * n * xi.value, z.log(), n, total, omitted, mass)
+    return AsymptoticEval(value, m_star, err, True)
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
-    """second_kind at the positive reals z (argument 0), for many points.
+    """second_kind at the positive reals z (a 1-d array, argument 0).
 
-    The same per-point rules as second_kind (truncation at the first
-    smallest term, at least one term, the partial sum left to right and the
-    same error formula), with the expansion summed as numpy passes over the
-    cached B_m table: one pass finds each point's truncation, a second sums
-    up to it.  Memory is a few arrays of the size of z.  Returns the values
+    The truncation runs as 2-D (points x M_CAP+1) array passes over the
+    cached B_m table, with second_kind's arithmetic: the powers z^{-m} by
+    repeated multiplication (cumprod), the first smallest term, at least
+    one (argmin), and the partial sums and term mass left to right
+    (cumsum).  Each point is then finished by the same _finish as
+    second_kind.  Memory is a few float arrays of len(z) x (M_CAP+1)
+    entries, so callers pass blocks of bounded size.  Returns the values
     and the absolute error estimates.
     """
     n = si.rank
@@ -143,51 +159,31 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     floor = validity_floor(si)
     if (z < floor).any():
         raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
-    tab = cached_b_table(si, xi, M_CAP)
+    b = np.array(cached_b_table(si, xi, M_CAP).coeffs, dtype=np.complex128)
     logs = [math.log(v) for v in z]
-    zinv = np.array([math.exp(-v) for v in logs])  # z.power(-1) at argument 0
-    coeffs = [(b.real, b.imag) for b in tab.coeffs]
+    t = np.empty((len(z), len(b)))
+    t[:, 0] = 1.0
+    t[:, 1:] = np.array([math.exp(-v) for v in logs])[:, None]  # z.power(-1) at argument 0
+    t = np.cumprod(t, axis=1)
+    re = b.real * t
+    im = b.imag * t
+    mag = np.hypot(re, im)
+    rows = np.arange(len(z))
+    m_star = np.maximum(np.argmin(mag, axis=1), 1)
+    omitted = mag[rows, np.minimum(m_star, len(b) - 1)]
+    zero = np.zeros((len(z), 1))
 
-    def terms():
-        t = np.ones(z.shape)
-        for b_re, b_im in coeffs:
-            re = b_re * t
-            im = b_im * t
-            yield re, im, np.hypot(re, im)
-            t = t * zinv
+    def kept(a):
+        # column m of the running sum from 0 holds the terms before m
+        return np.cumsum(np.hstack([zero, a]), axis=1)[rows, m_star].tolist()
 
-    best = np.full(z.shape, np.inf)
-    m_star = np.zeros(z.shape, dtype=np.int64)
-    for m, (_, _, mag) in enumerate(terms()):
-        smaller = mag < best  # strict: the first smallest term, as np.argmin
-        best = np.where(smaller, mag, best)
-        m_star = np.where(smaller, m, m_star)
-    m_star = np.maximum(m_star, 1)  # always keep the leading term
-    last = np.minimum(m_star, len(coeffs) - 1)
-    tot_re = np.zeros(z.shape)
-    tot_im = np.zeros(z.shape)
-    mag_sum = np.zeros(z.shape)
-    omitted = np.zeros(z.shape)
-    for m, (re, im, mag) in enumerate(terms()):
-        keep = m < m_star
-        tot_re = tot_re + np.where(keep, re, 0.0)
-        tot_im = tot_im + np.where(keep, im, 0.0)
-        mag_sum = mag_sum + np.where(keep, mag, 0.0)
-        omitted = np.where(m == last, mag, omitted)
-    eps = np.finfo(float).eps
     wc = 1j * n * xi.value
-    half = complex(-(n - 1) / 2.0)
-    values = np.empty(z.shape, dtype=np.complex128)
-    errors = np.empty(z.shape)
+    values = np.empty(len(z), dtype=np.complex128)
+    errors = np.empty(len(z))
     for i, (lg, t_re, t_im, o, ms) in enumerate(
-        zip(logs, tot_re.tolist(), tot_im.tolist(), omitted.tolist(), mag_sum.tolist())
+        zip(logs, kept(re), kept(im), omitted.tolist(), kept(mag))
     ):
-        log_z = complex(lg, 0.0)
-        w = wc * cmath.exp(log_z)
-        pref = cmath.exp(w) * cmath.exp(half * log_z)
-        total = complex(t_re, t_im)
-        values[i] = pref * total
-        errors[i] = abs(pref) * (2.0 * o + eps * (4.0 * ms + (4.0 + 2.0 * abs(w)) * abs(total)))
+        values[i], errors[i] = _finish(wc, complex(lg, 0.0), n, complex(t_re, t_im), o, ms)
     return values, errors
 
 
@@ -196,7 +192,6 @@ def w_function(
     si: SpectralIndex,
     sign,
     j: int = 0,
-    m_cap: int = M_CAP,
 ) -> AsymptoticEval:
     """W^+- and its j-th derivative by term-wise differentiation.
 
@@ -211,20 +206,18 @@ def w_function(
     floor = validity_floor(si)
     if z.modulus < floor:
         raise ValidityFloorError(f"|z| = {z.modulus:.3f} below floor {floor:.3f}")
-    tab = cached_b_table(si, xi, m_cap)
+    tab = cached_b_table(si, xi, M_CAP)
     half = (n - 1) / 2.0
-    zinv = z.power(-1)
-    terms = []
-    t = z.power(-half - j)
-    for m in range(len(tab.coeffs)):
-        terms.append(tab.coeffs[m] * falling(-(m + half), j) * t)
-        t *= zinv
-    mags = [abs(v) for v in terms]
-    m_star = max(1, int(np.argmin(mags)))
-    total = sum(terms[:m_star])
-    eps = np.finfo(float).eps
-    err = 2.0 * mags[min(m_star, len(mags) - 1)] + 4.0 * eps * sum(mags[:m_star])
-    return AsymptoticEval(total, m_star, err, True)
+    coeffs = [b * falling(-(m + half), j) for m, b in enumerate(tab.coeffs)]
+    m_star, total, omitted, mass = _truncate(coeffs, z.power(-half - j), z.power(-1))
+    return AsymptoticEval(total, m_star, 2.0 * omitted + 4.0 * _EPS * mass, True)
+
+
+def _scaled(const: complex, base: AsymptoticEval) -> AsymptoticEval:
+    """const times a second-kind evaluation, with its error scaled by |const|."""
+    return AsymptoticEval(
+        const * base.value, base.truncation_m, abs(const) * base.error_estimate, True
+    )
 
 
 def h_bessel(z: Pointlike, si: SpectralIndex, sign) -> AsymptoticEval:
@@ -238,39 +231,28 @@ def h_bessel(z: Pointlike, si: SpectralIndex, sign) -> AsymptoticEval:
     if not (-1e-12 <= sgn * z.argument <= math.pi + 1e-12):
         raise OutOfSectorError("argument outside the half-plane of analyticity")
     xi = RootOfUnity(2 * n, 0 if sgn > 0 else n)
-    base = second_kind(z, si, xi)
     const = n**-0.5 * cmath.exp(
         ((n - 1) / 2.0) * complex(math.log(2 * math.pi), sgn * 0.5 * math.pi)
     )
-    return AsymptoticEval(
-        const * base.value, base.truncation_m, abs(const) * base.error_estimate, True
-    )
+    return _scaled(const, second_kind(z, si, xi))
 
 
-def varsigma_constant(sv: SignVector, si: SpectralIndex) -> complex:
-    """c(sig, lam) with J(z; sig, lam) = (2 pi)^{(n-1)/2} c / sqrt(n) * J(z; lam; xi(sig))."""
+def varsigma_factor(sv: SignVector, si: SpectralIndex) -> complex:
+    """(2 pi)^{(n-1)/2} c(sig, lam) / sqrt(n), the factor that takes the
+    second-kind solution J(z; lam; xi(sig)) to J(z; sig, lam)."""
     n = sv.n
     lam_minus = sum(si.lam[l - 1] for l in sv.minus_positions)
-    return e2pi(
-        (n - 1) / 8.0
-        - (n - 1) * sv.n_minus / (4.0 * n)
-        + 0.5 * lam_minus
-    )
+    c = e2pi((n - 1) / 8.0 - (n - 1) * sv.n_minus / (4.0 * n) + 0.5 * lam_minus)
+    return (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * c
 
 
 def j_varsigma_asymptotic(
     z: Pointlike, sv: SignVector, si: SpectralIndex, theta: float = DEFAULT_THETA
 ) -> AsymptoticEval:
     """Sign-vector function through its distinguished second-kind solution."""
-    z = _as_point(z)
-    n = si.rank
-    if sv.n != n:
+    if sv.n != si.rank:
         raise ValueError("sign vector length must match rank")
-    base = second_kind(z, si, sv.xi(), theta)
-    const = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * varsigma_constant(sv, si)
-    return AsymptoticEval(
-        const * base.value, base.truncation_m, abs(const) * base.error_estimate, True
-    )
+    return _scaled(varsigma_factor(sv, si), second_kind(z, si, sv.xi(), theta))
 
 
 def rotate_second_kind(
@@ -295,13 +277,7 @@ def rotate_second_kind(
         except OutOfSectorError as exc:
             last_exc = exc
             continue
-        const = cmath.exp(1j * ((n - 1) / 2.0) * rot.argument)
-        return AsymptoticEval(
-            const * base.value,
-            base.truncation_m,
-            abs(const) * base.error_estimate,
-            True,
-        )
+        return _scaled(cmath.exp(1j * ((n - 1) / 2.0) * rot.argument), base)
     raise last_exc
 
 

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__, _backend, invariants
-from .asympt import j_varsigma_asymptotic
+from .asympt import DEFAULT_THETA, M_CAP, j_varsigma_asymptotic, validity_floor
 from .coeffs import build_a_table, build_b_table, build_uv_tables
 from .core import (
     OutOfSectorError,
@@ -165,6 +165,10 @@ def _contour_meta(si, x):
     }
 
 
+def _asympt_policy(si):
+    return {"m_cap": M_CAP, "theta": DEFAULT_THETA, "validity_floor": validity_floor(si)}
+
+
 def _eval_point(method, x, sv, si, tol):
     """Returns (value, err, method_tag, status)."""
     try:
@@ -280,8 +284,6 @@ def cmd_kernel(args) -> int:
     deltas = [int(d) for d in args.delta.split(",")]
     ki = KernelIndex(si, deltas)
     xs = parse_grid(args.x_grid)
-    from .asympt import DEFAULT_THETA, M_CAP, validity_floor
-
     cfg = {
         "command": "kernel",
         "n": si.rank,
@@ -291,11 +293,7 @@ def cmd_kernel(args) -> int:
         "method": args.method,
         "tol": args.tol,
         "mb_contour": _contour_meta(si, max(abs(float(x)) for x in xs) ** (1.0 / si.rank) * 2 * math.pi),
-        "asympt_policy": {
-            "m_cap": M_CAP,
-            "theta": DEFAULT_THETA,
-            "validity_floor": validity_floor(si),
-        },
+        "asympt_policy": _asympt_policy(si),
     }
     rows = []
     failures = 0
@@ -331,8 +329,6 @@ def cmd_transform(args) -> int:
     ki = KernelIndex(si, deltas)
     weight = parse_weight(args.weight)
     xs = parse_grid(args.x_grid)
-    from .asympt import DEFAULT_THETA, M_CAP, validity_floor
-
     cfg = {
         "command": "transform",
         "n": si.rank,
@@ -341,11 +337,7 @@ def cmd_transform(args) -> int:
         "weight": args.weight,
         "x_grid_spec": args.x_grid,
         "tol": args.tol,
-        "asympt_policy": {
-            "m_cap": M_CAP,
-            "theta": DEFAULT_THETA,
-            "validity_floor": validity_floor(si),
-        },
+        "asympt_policy": _asympt_policy(si),
     }
     res = hankel_transform(weight, ki, xs, args.tol)
     rows = [

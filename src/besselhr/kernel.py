@@ -8,9 +8,10 @@ combination of the same n first-kind series J_l(2 pi |x|^{1/n}; sgn x), so
 the sum collapses onto n kernel connection coefficients (series.kernel_series):
 n series per point, summed at one precision chosen for the kernel's own
 accuracy.  Above the floor the sign-vector functions are summed by the
-asymptotic route, and the Mellin-Barnes quadrature is available as
-arbiter.  The signed sum can cancel catastrophically (holomorphic-parameter
-kernels vanish identically on one side), so results carry a cancellation
+asymptotic route, through one array path (_asymptotic_sweep) for one point
+and for many, and the Mellin-Barnes quadrature is available as arbiter.
+The signed sum can cancel catastrophically (holomorphic-parameter kernels
+vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
 kernel contour integral when it explodes.
 
@@ -21,11 +22,12 @@ only the smooth weight factor re-evaluated.  The grid's nodes share one
 index, so kernel_sweep computes them in array passes: below the asymptotic
 floor one double-double sweep over all nodes (series.kernel_series_grid),
 above it one numpy pass per second-kind root (asympt.second_kind_sweep);
-bessel_kernel takes only the nodes these passes cannot certify, those near
-the Mellin-Barnes switch, and the nodes of non-generic indices.  The
-functional-equation check integrates each of its transform nodes only over
-the panels its weight window reaches, and takes the negative side from the
-parity of the weight instead of a second pass.
+bessel_kernel takes only the nodes these passes cannot certify (it raises
+on those without a correct digit), those near the Mellin-Barnes switch,
+and the nodes of non-generic indices.  The functional-equation check
+integrates each of its transform nodes only over the panels its weight
+window reaches, and takes the negative side from the parity of the weight
+instead of a second pass.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mellinbarnes as mb
-from .asympt import (
-    j_varsigma_asymptotic,
-    second_kind_sweep,
-    validity_floor,
-    varsigma_constant,
-)
+from .asympt import second_kind_sweep, validity_floor, varsigma_factor
 from .coeffs import cached_b_table
 from .core import (
     EvalResult,
@@ -198,12 +195,12 @@ def bessel_kernel(
     the reported error is relative to the kernel: at most tol * |value| (plus
     final rounding) unless the precision escalation gives up.  In the
     asymptotic zone it is the sum of the 2^{n-1} asymptotic sign-vector
-    functions with their summed error estimates.  Where a nonzero error
-    reaches max |J(sig)| no digit is correct (at huge x the rounding of the
-    phase alone does that), and ToleranceNotMetError is raised.  The
-    cancellation is max |J(sig)| over those sign vectors divided by |value|;
-    auto mode hands points above CANCEL_SWITCH to the Mellin-Barnes kernel
-    integral.
+    functions with their summed error estimates, by kernel_sweep's array
+    pass at this one point.  Where a nonzero error reaches max |J(sig)| no
+    digit is correct (at huge x the rounding of the phase alone does that),
+    and ToleranceNotMetError is raised.  The cancellation is max |J(sig)|
+    over those sign vectors divided by |value|; auto mode hands points above
+    CANCEL_SWITCH to the Mellin-Barnes kernel integral.
     """
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
@@ -218,29 +215,16 @@ def bessel_kernel(
     if method not in ("auto", "series", "asympt"):
         raise ValueError("method must be auto|series|mb|asympt")
 
-    use_asympt = inner >= max(validity_floor(si), _ASYMPT_MIN)
+    use_asympt = inner >= _asymptotic_floor(si)
     if method == "series":
         use_asympt = False
     if method == "asympt" and not use_asympt:
         raise ValueError("argument below the asymptotic validity floor")
 
     if use_asympt:
-        total = 0j
-        err = 0.0
-        peak = 0.0
-        for sv in sign_vectors(n, parity):
-            coef = 1.0
-            for s, d in zip(sv.signs, ki.deltas):
-                if d % 2:
-                    coef *= s
-            ev = j_varsigma_asymptotic(inner, sv, si)
-            total += coef * ev.value
-            err += ev.error_estimate
-            peak = max(peak, abs(ev.value))
-        err += 4.0 * np.finfo(float).eps * peak * (n + 1)
-        # an error of 0 is an exact underflow (a decaying side far out);
-        # any other error that reaches max |J(sig)| leaves no digit correct
-        if err and not err < peak:
+        values, errors, peaks, ok = _asymptotic_sweep(np.array([inner]), parity, ki)
+        total, err, peak = complex(values[0]), float(errors[0]), float(peaks[0])
+        if not ok[0]:
             raise ToleranceNotMetError(
                 f"asymptotic kernel error {err:.2e} exceeds max |J(sig)| {peak:.2e} "
                 f"at x={x:.6g}: no digit of the value is correct",
@@ -347,7 +331,10 @@ _GKW = mb._WK15
 _GGW = mb._WG15
 
 
-def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9, max_panels: int = 20000):
+_MAX_PANELS = 20000  # panels of one transform grid
+
+
+def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9):
     """Panel edges in u = log|w| sized to the kernel oscillation.
 
     The kernel phase runs like 2 pi n |w|^{1/n}, i.e. at rate 2 pi e^{u/n}
@@ -360,22 +347,31 @@ def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9, max_panels: int 
         h = min(0.8, rad / (1.0 + math.exp(u / n)))
         u = min(hi, u + h)
         edges.append(u)
-        if len(edges) > max_panels:
+        if len(edges) > _MAX_PANELS:
             raise ValueError(
-                f"the |x| range needs more than the {max_panels}-panel budget "
+                f"the |x| range needs more than the {_MAX_PANELS}-panel budget "
                 "of the transform grid; narrow the x grid"
             )
     return np.array(edges)
 
 
+def _asymptotic_floor(si: SpectralIndex) -> float:
+    """Where the kernel's asymptotic zone starts, in 2 pi |x|^{1/n}."""
+    return max(validity_floor(si), _ASYMPT_MIN)
+
+
 def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
-    """The asymptotic branch of bessel_kernel at the points inner (one sign):
-    values, errors and max |J(sig)|, the same numbers per point.
+    """The kernel at the points inner (one sign, at or above the asymptotic
+    floor): the signed sum of the 2^{n-1} asymptotic sign-vector functions.
 
     Sign vectors with the same number of minus signs share their root xi
     and so their second-kind values; asympt.second_kind_sweep computes each
-    of those once for all points, and the per-point sums over sign vectors
-    run in the order bessel_kernel uses.
+    of those once for all points, and each point's sum over sign vectors
+    runs in sign-vector order.  Returns the values, the summed errors,
+    max |J(sig)| and the mask of the points with a correct digit: an error
+    of 0 is an exact underflow (a decaying side far out), and any other
+    error that reaches max |J(sig)| leaves none (at huge x the rounding of
+    the phase alone does that).
     """
     n = ki.rank
     si = ki.lam
@@ -389,7 +385,7 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
         for s, d in zip(sv.signs, ki.deltas):
             if d % 2:
                 coef *= s
-        const = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * varsigma_constant(sv, si)
+        const = varsigma_factor(sv, si)
         parts.append((coef, const, abs(const)) + base[sv.n_minus])
     eps = np.finfo(float).eps
     values = np.empty(len(inner), dtype=np.complex128)
@@ -407,7 +403,7 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
         values[i] = total
         errors[i] = err + 4.0 * eps * peak * (n + 1)
         peaks[i] = peak
-    return values, errors, peaks
+    return values, errors, peaks, (errors == 0.0) | (errors < peaks)
 
 
 _BLOCK = 512  # nodes per array pass
@@ -438,7 +434,7 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
     routes = [None] * len(u)
     swept = np.zeros(len(u), dtype=bool)
     if genericity_gap(si) >= EPS_GEN:
-        floor = max(validity_floor(si), _ASYMPT_MIN)
+        floor = _asymptotic_floor(si)
         for lo in range(0, len(u), _BLOCK):
             z = inner[lo : lo + _BLOCK]
             above = z >= floor
@@ -448,8 +444,7 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
                 if route == "series":
                     v, e, peak, ok = kernel_series_grid(z[zone], sgn, si, ki.deltas, tol)
                 else:
-                    v, e, peak = _asymptotic_sweep(z[zone], sgn, ki)
-                    ok = True
+                    v, e, peak, ok = _asymptotic_sweep(z[zone], sgn, ki)
                 size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
                 ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
                 idx = lo + np.flatnonzero(zone)[ok]

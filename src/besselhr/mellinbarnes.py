@@ -26,6 +26,7 @@ together; each panel's 15-point sums are the same bits as when it is alone.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -84,6 +85,7 @@ _WG15[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss points are odd-inde
 # is at its own rounding level (QUADPACK dqk15 bounds the estimate from below
 # by 50 eps times the mass); splitting it cannot lower the estimate.
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+_MAX_PIECES = 4000  # adaptive pieces per contour integral
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def _gk15(f, pieces):
     return out
 
 
-def _adaptive(f, segs, tol, max_pieces=4000):
+def _adaptive(f, segs, tol):
     """Adaptive bisection over straight pieces; deterministic summation.
 
     The heap holds (-err, index) for every piece that splitting can still
@@ -177,7 +179,7 @@ def _adaptive(f, segs, tol, max_pieces=4000):
     most _ROUNDING_FLOOR times its absolute mass sits at the rounding level
     of its own rule (the QUADPACK dqk15 floor), so it never enters the heap:
     the loop ends when the heap is empty, when the error meets tol, or at
-    max_pieces.  The initial segments go to the integrand in one call, and
+    _MAX_PIECES.  The initial segments go to the integrand in one call, and
     the two halves of each split in one more.
     """
     pieces = [[a, b, *r] for (a, b), r in zip(segs, _gk15(f, segs))]
@@ -188,7 +190,7 @@ def _adaptive(f, segs, tol, max_pieces=4000):
     heap = [(-p[3], i) for i, p in enumerate(pieces) if splittable(p[3], p[4])]
     heapq.heapify(heap)
     tot_err = sum(p[3] for p in pieces)
-    while heap and len(pieces) < max_pieces:
+    while heap and len(pieces) < _MAX_PIECES:
         if tot_err <= 0.3 * tol:
             # the running total drifts by rounding; decide on a fresh sum
             tot_err = sum(p[3] for p in pieces)
@@ -224,10 +226,7 @@ def _tail_rates(f, rays, h: float = 2.0):
     """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
     ray end, from one integrand call at two points per ray."""
     pts = np.array([p for end, d in rays for p in (end - h * d, end)])
-    # at x near the top of double range the ray ends lie where the log-gamma
-    # sums overflow to inf and nan; the caller's finiteness check reports it
-    with np.errstate(all="ignore"):
-        fv = f(pts)
+    fv = f(pts)
     out = []
     for k in range(len(rays)):
         f1 = abs(fv[2 * k])
@@ -240,27 +239,34 @@ def _tail_rates(f, rays, h: float = 2.0):
 
 
 def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
-    """Integrate f along the contour, growing t_max until the tail is safe."""
-    cc = c
-    for _ in range(10):
-        up, dn = _ray_dir(cc, True), _ray_dir(cc, False)
-        rays = (
-            (complex(cc.base_real, cc.bend_height) + cc.t_max * up, up),
-            (complex(cc.base_real, -cc.bend_height) + cc.t_max * dn, dn),
+    """Integrate f along the contour, growing t_max until the tail is safe.
+
+    At x near the top of double range the log-gamma sums overflow to inf
+    and nan, on the tail probes or on the panels; numpy's warnings are off
+    for the whole call, and a tail that does not come under control or a
+    value, error or mass that is not finite raises ToleranceNotMetError.
+    """
+    with np.errstate(all="ignore"):
+        cc = c
+        for _ in range(10):
+            up, dn = _ray_dir(cc, True), _ray_dir(cc, False)
+            rays = (
+                (complex(cc.base_real, cc.bend_height) + cc.t_max * up, up),
+                (complex(cc.base_real, -cc.bend_height) + cc.t_max * dn, dn),
+            )
+            rates = _tail_rates(f, rays)
+            if all(rate > 0.05 and math.isfinite(f0) for rate, f0 in rates):
+                tail = sum(4.0 * f0 / rate for rate, f0 in rates)
+                if tail < 0.1 * tol:
+                    break
+            cc = replace(cc, t_max=cc.t_max * 1.7)
+        else:
+            raise ToleranceNotMetError("contour tail does not come under control")
+        val, err, mass = _adaptive(f, _segments(cc, osc_rate), tol)
+    if not (cmath.isfinite(val) and math.isfinite(err) and math.isfinite(mass)):
+        raise ToleranceNotMetError(
+            "the contour integral overflows double range: its value, error or mass is not finite"
         )
-        ok = True
-        tail = 0.0
-        for rate, f0 in _tail_rates(f, rays):
-            if not (rate > 0.05) or not math.isfinite(f0):
-                ok = False
-                break
-            tail += 4.0 * f0 / rate
-        if ok and tail < 0.1 * tol:
-            break
-        cc = replace(cc, t_max=cc.t_max * 1.7)
-    else:
-        raise ToleranceNotMetError("contour tail does not come under control")
-    val, err, mass = _adaptive(f, _segments(cc, osc_rate), tol)
     return val, err + tail, mass, cc
 
 
@@ -379,8 +385,6 @@ def g_delta(s, delta: int, form: str = "ratio") -> complex:
     trig:  2 (2 pi)^{-s} Gamma(s) cos(pi s/2)        (delta even)
            2 i (2 pi)^{-s} Gamma(s) sin(pi s/2)      (delta odd)
     """
-    import cmath
-
     s = complex(s)
     delta = int(delta) % 2
     if form == "ratio":

@@ -15,11 +15,14 @@ from besselhr.core import (
     ValidityFloorError,
 )
 from besselhr.asympt import (
+    DEFAULT_THETA,
     h_bessel,
+    in_validity_sector,
     inverse_connection,
     j_varsigma_asymptotic,
     rotate_second_kind,
     second_kind,
+    second_kind_sweep,
     validity_floor,
     w_function,
 )
@@ -47,6 +50,30 @@ def test_second_kind_leading_term():
         r = second_kind(z, si, xi)
         lead = r.value * cmath.exp(-3j * xi.value * z.to_complex()) * z.power(1.0)
         assert abs(lead - 1.0) < 5.0 / mod
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_second_kind_sweep_matches_second_kind_bits(n):
+    # the sweep's 2-D truncation passes keep second_kind's arithmetic: the
+    # same value and error at every node, alone and in a batch, also where
+    # the powers z^-m underflow
+    si = SpectralIndex([0.1 * l + 0.05j * (l % 2) for l in range(n)])
+    floor = 1.0001 * validity_floor(si)
+    for k in range(2 * n):
+        xi = RootOfUnity(2 * n, k)
+        if not in_validity_sector(SurfacePoint(0.0, 0.0), xi, n, DEFAULT_THETA):
+            with pytest.raises(OutOfSectorError):
+                second_kind_sweep(np.array([40.0]), si, xi)
+            continue
+        zs = [floor, 1.5 * floor, 40.0, 100.0]
+        if (1j * xi.value).real <= 0.0:  # no growing exponential: far out too
+            zs += [1e160, 1e300]
+        vals, errs = second_kind_sweep(np.array(zs), si, xi)
+        for z, v, e in zip(zs, vals, errs):
+            want = second_kind(z, si, xi)
+            one = second_kind_sweep(np.array([z]), si, xi)
+            assert (v, e) == (one[0][0], one[1][0]), (n, k, z)
+            assert (v, e) == (want.value, want.error_estimate), (n, k, z)
 
 
 def test_second_kind_guards():

@@ -472,3 +472,23 @@ def test_oracle_compare_overflowing_contour_warns_nothing():
     proc = run_cli(["oracle", "compare", "--signs", "++"] + _RANK2 + ["--x-grid", "1e308"])
     assert proc.returncode == 3
     assert proc.stderr == "numeric failure: contour tail does not come under control\n"
+
+
+def test_mellin_barnes_overflow_exits_3_without_nan_rows():
+    # at x = 1e308 (kernel) and 1e200 (sign vector) the contour panels
+    # overflow double range: the quadrature raises instead of summing nan
+    # panels, and numpy prints no warning
+    proc = run_cli(
+        ["kernel", "--method", "mb", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1e308"]
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[2:] == ["1e+308,nan,nan,inf,failed,0.0"]
+    proc = run_cli(
+        ["oracle", "compare", "--methods", "series,mb,asympt", "--n", "3", "--signs", "++-",
+         "--lambda", "0.3,-0.1,-0.2", "--x-grid", "1e200"]
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+    assert "not finite" in proc.stderr

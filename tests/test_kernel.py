@@ -7,11 +7,13 @@ import pytest
 
 from besselhr import _reference as ref
 from besselhr import series
+from besselhr.asympt import j_varsigma_asymptotic
 from besselhr.core import SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
     _KernelGrid,
+    _asymptotic_floor,
     _fe_grid,
     bessel_kernel,
     functional_equation_check,
@@ -435,3 +437,51 @@ def test_asymptotic_kernel_without_a_correct_digit_raises():
     # the negative side decays below double range: 0 with error 0 is exact
     r = bessel_kernel(-1e6, ki)
     assert (r.value, r.error, r.method) == (0, 0, "asymptotic")
+
+
+def _signvec_sum_kernel(x, ki):
+    """The asymptotic kernel as the plain sum of j_varsigma_asymptotic over
+    the sign vectors: value, error and max |J(sig)|."""
+    n = ki.rank
+    inner = 2.0 * math.pi * abs(x) ** (1.0 / n)
+    total = 0j
+    err = 0.0
+    peak = 0.0
+    for sv in series.sign_vectors(n, 1 if x > 0 else -1):
+        coef = 1.0
+        for s, d in zip(sv.signs, ki.deltas):
+            if d % 2:
+                coef *= s
+        ev = j_varsigma_asymptotic(inner, sv, ki.lam)
+        total += coef * ev.value
+        err += ev.error_estimate
+        peak = max(peak, abs(ev.value))
+    err += 4.0 * np.finfo(float).eps * peak * (n + 1)
+    return total, err, peak
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_asymptotic_kernel_equals_signvec_sum_bits(n):
+    # bessel_kernel's asymptotic zone runs the grid's sweep at one node; it
+    # keeps the bits of the sum over sign vectors
+    for lam in ([0.15 * l for l in range(n)], [0.1 * l + 0.07j * (l % 2) for l in range(n)]):
+        si = SpectralIndex(lam)
+        x_floor = (_asymptotic_floor(si) / (2.0 * math.pi)) ** n
+        for deltas in ((0,) * n, tuple(l % 2 for l in range(n))):
+            ki = KernelIndex(si, deltas)
+            for ax in np.geomspace(x_floor * (1 + 1e-12), max(1e6, 2 * x_floor), 7):
+                for x in (float(ax), -float(ax)):
+                    total, err, peak = _signvec_sum_kernel(x, ki)
+                    r = bessel_kernel(x, ki, "asympt")
+                    assert (r.value, r.error) == (total, err), (lam, deltas, x)
+                    assert r.cancellation == peak / max(abs(total), 1e-300)
+                    assert r.method == "asymptotic"
+
+
+def test_kernel_sweep_without_a_correct_digit_leaves_the_node():
+    # at x = 1e100 and 1e308 the sweep's error reaches max |J(sig)|: the node
+    # goes to bessel_kernel, which raises, as it does for the same x alone
+    ki = KernelIndex(SpectralIndex([0.2, -0.2]), (0, 0))
+    for x in (1e100, 1e308):
+        with pytest.raises(ToleranceNotMetError, match="no digit"):
+            kernel_sweep(np.array([math.log(x)]), 1, ki, 1e-9)
