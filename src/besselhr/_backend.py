@@ -330,57 +330,61 @@ def _sinpi_np(z):
 
 
 def _logsinpi_np(z):
+    # each branch of _logsinpi at its own points only
     y = z.imag
     big_up = y >= 18.0
     big_dn = y <= -18.0
     mid = ~(big_up | big_dn)
-    zm = np.where(mid, z, 0.25)
-    out = np.log(_sinpi_np(zm))
-    zu = np.where(big_up, z, 18j)
-    up = complex(-_LN_2, 0.5 * _PI) - 1j * _PI * zu + np.log1p(
-        -np.exp(2j * _PI * zu)
-    )
-    zd = np.where(big_dn, z, -18j)
-    dn = complex(-_LN_2, -0.5 * _PI) + 1j * _PI * zd + np.log1p(
-        -np.exp(-2j * _PI * zd)
-    )
-    out = np.where(big_up, up, out)
-    out = np.where(big_dn, dn, out)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out[mid] = np.log(_sinpi_np(z[mid]))
+    zu = z[big_up]
+    out[big_up] = complex(-_LN_2, 0.5 * _PI) - 1j * _PI * zu + np.log1p(-np.exp(2j * _PI * zu))
+    zd = z[big_dn]
+    out[big_dn] = complex(-_LN_2, -0.5 * _PI) + 1j * _PI * zd + np.log1p(-np.exp(-2j * _PI * zd))
     return out
 
 
 def _loggamma_np(z):
+    # elementwise, any shape; the reflection only at the points with Re z < 1/2
     z = np.asarray(z, dtype=np.complex128)
     left = z.real < 0.5
-    zr = np.where(left, 1.0 - z, z)
-    lg = _loggamma_right_np(zr)
-    if not left.any():
-        return lg
-    refl = _LN_PI - _logsinpi_np(np.where(left, z, 0.25)) - lg
-    return np.where(left, refl, lg)
+    lg = _loggamma_right_np(np.where(left, 1.0 - z, z))
+    if left.any():
+        lg[left] = _LN_PI - _logsinpi_np(z[left]) - lg[left]
+    return lg
 
 
 def _log_gdelta_np(w, delta):
-    out = (0.5 - w) * _LN_PI + _loggamma_np(0.5 * (w + delta)) - _loggamma_np(
-        0.5 * (1.0 - w + delta)
-    )
-    if delta % 2 != 0:
-        out = out + complex(0.0, 0.5 * _PI)
+    # elementwise; delta (integers) broadcasts against w, and both gamma
+    # arguments go through one _loggamma_np call
+    delta = np.asarray(delta)
+    lg = _loggamma_np(np.stack([0.5 * (w + delta), 0.5 * (1.0 - w + delta)]))
+    out = (0.5 - w) * _LN_PI + lg[0] - lg[1]
+    out[np.broadcast_to(delta % 2 != 0, out.shape)] += complex(0.0, 0.5 * _PI)
     return out
 
 
+def _shifts(s, lam):
+    """The (n, *s.shape) array of s - lam_l, one row per l."""
+    return s - lam.reshape((-1,) + (1,) * np.ndim(s))
+
+
 def mb_j_integrand(s, lam, sig, n, lnx):
+    # one log-gamma pass over all factors; acc still sums them in order
+    w = _shifts(s, lam)
+    lg = _loggamma_np(w)
     acc = -n * lnx * s
     for l in range(lam.shape[0]):
-        w = s - lam[l]
-        acc = acc + _loggamma_np(w) + complex(0.0, 0.5 * _PI * sig[l]) * w
+        acc = acc + lg[l] + complex(0.0, 0.5 * _PI * sig[l]) * w[l]
     return np.exp(acc)
 
 
 def mb_kernel_integrand(s, lam, dl, delta, lnx):
+    w = _shifts(s, lam)
+    gd = _log_gdelta_np(w, ((dl + delta) % 2).reshape((-1,) + (1,) * np.ndim(s)))
     acc = -lnx * s
     for l in range(lam.shape[0]):
-        acc = acc + _log_gdelta_np(s - lam[l], int((dl[l] + delta) % 2))
+        acc = acc + gd[l]
     return np.exp(acc)
 
 

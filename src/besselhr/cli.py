@@ -169,8 +169,13 @@ def _asympt_policy(si):
     return {"m_cap": M_CAP, "theta": DEFAULT_THETA, "validity_floor": validity_floor(si)}
 
 
-def _eval_point(method, x, sv, si, tol):
-    """Returns (value, err, method_tag, status)."""
+# a route that does not reach a point: below its floor, outside its sector
+_OUT_OF_REACH = (OutOfSectorError, ValidityFloorError)
+
+
+def _eval_point(method, x, sv, si, tol, caught=_OUT_OF_REACH + (OverflowEvalError,)):
+    """Returns (value, err, method_tag, status); the errors in caught become
+    a nan value with status "error: ..." instead of propagating."""
     try:
         if method == "series":
             r = j_function(x, sv, si, tol)
@@ -183,7 +188,7 @@ def _eval_point(method, x, sv, si, tol):
             status = "ok" if e <= tol else "tolerance-not-met"
             return v, e, "mellin-barnes", status
         raise ValueError(f"unknown method {method}")
-    except (OutOfSectorError, ValidityFloorError, OverflowEvalError) as exc:
+    except caught as exc:
         return complex("nan"), math.inf, method, f"error: {exc}"
 
 
@@ -390,18 +395,29 @@ def cmd_oracle(args) -> int:
     for i in range(len(methods)):
         for j in range(i + 1, len(methods)):
             cols.append(f"diff_{methods[i]}_{methods[j]}")
+    # A route that does not reach x leaves nan columns.  A point beyond the
+    # series (OverflowEvalError) fails as in eval, after every point is
+    # evaluated, but with no status column the table is not written; a
+    # quadrature failure ends the command at once, as in eval.
     rows = []
+    failure = None
     for x in xs:
         vals = {}
         row = [float(x)]
         for m in methods:
-            v, e, _, status = _eval_point(m, float(x), sv, si, args.tol)
+            try:
+                v, e, _, _ = _eval_point(m, float(x), sv, si, args.tol, caught=_OUT_OF_REACH)
+            except OverflowEvalError as exc:
+                failure = failure or exc
+                v, e = complex("nan"), math.inf
             vals[m] = (v, e)
             row += [float(v.real), float(v.imag), float(e)]
         for i in range(len(methods)):
             for j in range(i + 1, len(methods)):
                 row.append(abs(vals[methods[i]][0] - vals[methods[j]][0]))
         rows.append(row)
+    if failure is not None:
+        raise failure
     emit_rows(config_header(cfg), cols, rows, args.format, args.out)
     return 0
 

@@ -27,7 +27,9 @@ on those without a correct digit), those near the Mellin-Barnes switch,
 and the nodes of non-generic indices.  The functional-equation check
 integrates each of its transform nodes only over the panels its weight
 window reaches, and takes the negative side from the parity of the weight
-instead of a second pass.
+instead of a second pass.  The grid keeps its samples with the quadrature
+weights folded in, so a transform node costs one weight evaluation and a few
+real products.
 """
 
 from __future__ import annotations
@@ -463,64 +465,69 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
 
 
 class _KernelGrid:
-    """Kernel samples on Gauss-Kronrod nodes of a paneled log|w| grid, by
-    kernel_sweep; counts the nodes the array passes served (swept), the
-    nodes left to bessel_kernel (fallback) and those of them it sent to the
-    Mellin-Barnes route (mb)."""
+    """Kernel samples (K, err) on Gauss-Kronrod nodes of a paneled log|w|
+    grid, by kernel_sweep, kept with the quadrature folded in: with h the
+    panel half-width, the value weights K h w_K as float pairs (vw, nodes x
+    4), the Kronrod-Gauss difference weights K h (w_K - w_G) (dw, panels x
+    15 x 4) and the kernel-error weights err h w_K (ew, nodes x 2), each
+    with the kernel signs + and - side by side.  Counts the nodes the array
+    passes served (swept), the nodes left to bessel_kernel (fallback) and
+    those of them it sent to the Mellin-Barnes route (mb)."""
 
     def __init__(self, ki: KernelIndex, lo: float, hi: float, tol: float):
-        self.ki = ki
         self.edges = _panel_grid(lo, hi, ki.rank)
         mids = 0.5 * (self.edges[1:] + self.edges[:-1])
         halfs = 0.5 * (self.edges[1:] - self.edges[:-1])
         self.u = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
-        self.half = halfs
-        self.kvals = {}
-        self.kerr = {}
-        self.swept = self.fallback = self.mb = 0
-        for sgn in (1, -1):
-            vals, errs, routes, swept = kernel_sweep(self.u, sgn, ki, tol)
-            self.kvals[sgn] = vals.reshape(len(halfs), 15)
-            self.kerr[sgn] = errs.reshape(len(halfs), 15)
-            self.swept += int(swept.sum())
-            self.fallback += int((~swept).sum())
-            self.mb += routes.count("mellin-barnes")
+        (kp, ep, rp, sp), (km, em, rm, sm) = (kernel_sweep(self.u, s, ki, tol) for s in (1, -1))
+        self.swept = int(sp.sum() + sm.sum())
+        self.fallback = 2 * len(self.u) - self.swept
+        self.mb = (rp + rm).count("mellin-barnes")
+        # the products in place, so that building holds one table less
+        kv = np.stack([kp, km], axis=1)
+        hw, hd = (np.outer(halfs, w).reshape(-1, 1) for w in (_GKW, _GKW - _GGW))
+        self.dw = (kv * hd).view(float).reshape(len(halfs), 15, 4)
+        kv *= hw
+        self.vw = kv.view(float)
+        self.ew = np.stack([ep, em], axis=1)
+        self.ew *= hw
 
-    def transform_at(self, x: float, weight: WeightFunction, window=None):
-        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid, with
-        the Kronrod-Gauss panel differences plus the kernel errors as error.
+    def transform(self, xs, weight: WeightFunction, window=None):
+        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid at each
+        x of xs, with the Kronrod-Gauss panel differences plus the kernel
+        errors as error: arrays of values and errors.
 
         window = (ylo, yhi) integrates only the whole panels that overlap
-        [log|x| + ylo, log|x| + yhi], the reach of a weight cut at
-        log|y| in [ylo, yhi], each with the same arithmetic as without a
-        window.  Each value depends only on (x, grid, weight, window).
+        [log|x| + ylo, log|x| + yhi], the reach of a weight cut at log|y| in
+        [ylo, yhi]; the windows of all x are looked up at once.  Each x takes
+        the weight factor g = e^t v(e^t), t = u - log|x|, once (on kernel
+        sign s the weight is read at s sgn(x) e^t, for odd eta an exact sign
+        flip): its value is the real product of g with vw, its error the
+        panels' |g . dw| plus |g| . ew.  Each (value, error) depends only on
+        (x, grid, weight, window).
         """
-        L = math.log(abs(x))
-        sgn = 1 if x > 0 else -1
-        p0, p1 = 0, len(self.half)
+        xs = np.asarray(xs, dtype=float)
+        ls = np.log(np.abs(xs))
+        p0, p1 = np.zeros(len(xs), dtype=int), np.full(len(xs), len(self.dw))
         if window is not None:
-            ylo, yhi = window
-            p0 = max(int(np.searchsorted(self.edges, L + ylo, side="right")) - 1, 0)
-            p1 = min(int(np.searchsorted(self.edges, L + yhi, side="left")), p1)
-        half = self.half[p0:p1, None]
-        t = self.u[15 * p0 : 15 * p1] - L
-        e = np.exp(t)
-        out = 0j
-        est = 0.0
-        kerr_acc = 0.0
-        for s_w in (1, -1):
-            # w and y = w/x share or flip sign: v(y) with y = s_w*sgn(x)*e^{u-L}
-            s_y = s_w * sgn
-            kv = self.kvals[s_w][p0:p1]
-            ke = self.kerr[s_w][p0:p1]
-            g = (e * weight.log_values(t, s_y)).reshape(kv.shape)
-            f = g * kv
-            ik = np.sum(half * f * _GKW[None, :], axis=1)
-            ig = np.sum(half * f * _GGW[None, :], axis=1)
-            out += np.sum(ik)
-            est += float(np.sum(np.abs(ik - ig)))
-            kerr_acc += float(np.sum(half * np.abs(g) * ke * _GKW[None, :]))
-        return complex(out), est + kerr_acc
+            p0 = np.maximum(np.searchsorted(self.edges, ls + window[0], side="right") - 1, 0)
+            p1 = np.minimum(np.searchsorted(self.edges, ls + window[1], side="left"), p1)
+        flip = -1.0 if weight.eta % 2 else 1.0
+        values, errors = np.empty(len(xs), dtype=np.complex128), np.empty(len(xs))
+        for i, (L, a, b) in enumerate(zip(ls.tolist(), p0.tolist(), p1.tolist())):
+            t = self.u[15 * a : 15 * b] - L
+            g = np.exp(t) * weight.log_values(t)
+            v = g @ self.vw[15 * a : 15 * b]
+            values[i] = complex(v[0] + flip * v[2], v[1] + flip * v[3])
+            d = (g.reshape(-1, 1, 15) @ self.dw[a:b]).reshape(-1, 4).view(np.complex128)
+            errors[i] = np.abs(d).sum() + (np.abs(g) @ self.ew[15 * a : 15 * b]).sum()
+        values[xs < 0] *= flip
+        return values, errors
+
+    def transform_at(self, x: float, weight: WeightFunction, window=None):
+        """transform at the one point x: (value, error)."""
+        v, e = self.transform([x], weight, window)
+        return complex(v[0]), float(e[0])
 
 
 @dataclass(frozen=True)
@@ -552,13 +559,8 @@ def hankel_transform(
     lmin = min(math.log(abs(x)) for x in xs)
     lmax = max(math.log(abs(x)) for x in xs)
     grid = _KernelGrid(ki, lmin + ylo, lmax + yhi, tol * 1e-2)
-    vals = []
-    errs = []
-    for x in xs:
-        v, e = grid.transform_at(x, weight)
-        vals.append(v)
-        errs.append(e)
-    return HankelResult(tuple(xs), tuple(vals), tuple(errs))
+    vals, errs = grid.transform(xs, weight)
+    return HankelResult(tuple(xs), tuple(vals.tolist()), tuple(errs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,7 @@ def functional_equation_check(
     Mellin transform of the weight.  Only parities d with d + eta even
     contribute (the other signed transform vanishes identically).
 
-    Each transform node is one windowed transform_at call over the panels
+    The transform nodes are one windowed grid.transform call over the panels
     that the weight, cut at log_support(mellin_tol * 1e-3) as at the grid's
     ends, reaches; the negative side is Upsilon(-x) = (-1)^eta Upsilon(x),
     which transform_at(-x) reproduces bit for bit.
@@ -644,9 +646,7 @@ def functional_equation_check(
     si = ki.lam
     n = ki.rank
     grid, ux, halfs, window = _fe_grid(ki, weight, mellin_tol)
-    up = np.empty(ux.shape, dtype=np.complex128)
-    for i, uxi in enumerate(ux):
-        up[i], _ = grid.transform_at(math.exp(uxi), weight, window)
+    up = grid.transform(np.exp(ux), weight, window)[0]
     # upsilon(-y) = (-1)^eta upsilon(y), so Upsilon(-x) = (-1)^eta Upsilon(x)
     um = -up if weight.eta % 2 else up
 

@@ -474,6 +474,27 @@ def test_oracle_compare_overflowing_contour_warns_nothing():
     assert proc.stderr == "numeric failure: contour tail does not come under control\n"
 
 
+def test_oracle_compare_series_failure_exits_3():
+    # at x = 1e200 the series would need a 45 000-digit round: the command
+    # ends with one line on stderr instead of writing a nan series column
+    proc = run_cli(
+        ["oracle", "compare", "--methods", "series,asympt", "--n", "3", "--signs", "++-",
+         "--lambda", "0.3,-0.1,-0.2", "--x-grid", "1e200"]
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+    assert "beyond the series" in proc.stderr
+
+
+def test_oracle_compare_keeps_routes_out_of_reach():
+    # below its validity floor the asymptotic route has no value: nan columns
+    # and exit 0, as in the README example
+    rc = main(["oracle", "compare", "--methods", "series,asympt", "--n", "3", "--signs", "++-",
+               "--lambda", "0.3,-0.1,-0.2", "--x-grid", "1,14"])
+    assert rc == 0
+
+
 def test_mellin_barnes_overflow_exits_3_without_nan_rows():
     # at x = 1e308 (kernel) and 1e200 (sign vector) the contour panels
     # overflow double range: the quadrature raises instead of summing nan

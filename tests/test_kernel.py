@@ -12,6 +12,8 @@ from besselhr.core import SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
+    _GGW,
+    _GKW,
     _KernelGrid,
     _asymptotic_floor,
     _fe_grid,
@@ -485,3 +487,73 @@ def test_kernel_sweep_without_a_correct_digit_leaves_the_node():
     for x in (1e100, 1e308):
         with pytest.raises(ToleranceNotMetError, match="no digit"):
             kernel_sweep(np.array([math.log(x)]), 1, ki, 1e-9)
+
+
+def _panel_transform(grid, kvals, kerr, x, weight, window):
+    """The transform with the kernel table kept per panel, summed as before
+    the quadrature weights were folded into the table: per kernel sign the
+    weight at y = s sgn(x) e^t, Kronrod and Gauss sums per panel, and the
+    kernel errors times |weight| h w_K."""
+    L = math.log(abs(x))
+    sgn = 1 if x > 0 else -1
+    edges = grid.edges
+    p0, p1 = 0, len(edges) - 1
+    if window is not None:
+        p0 = max(int(np.searchsorted(edges, L + window[0], side="right")) - 1, 0)
+        p1 = min(int(np.searchsorted(edges, L + window[1], side="left")), p1)
+    half = 0.5 * (edges[p0 + 1 : p1 + 1] - edges[p0:p1])[:, None]
+    t = grid.u[15 * p0 : 15 * p1] - L
+    wk, wg = _GKW[None, :], _GGW[None, :]
+    out, est = 0j, 0.0
+    for s_w in (1, -1):
+        kv = kvals[s_w].reshape(-1, 15)[p0:p1]
+        g = (np.exp(t) * weight.log_values(t, s_w * sgn)).reshape(kv.shape)
+        ik = np.sum(half * g * kv * wk, axis=1)
+        ig = np.sum(half * g * kv * wg, axis=1)
+        out += np.sum(ik)
+        est += float(np.sum(np.abs(ik - ig)))
+        est += float(np.sum(half * np.abs(g) * kerr[s_w].reshape(-1, 15)[p0:p1] * wk))
+    return out, est
+
+
+@pytest.mark.parametrize("case, eta", [("rank2", 0), ("rank3", 0), ("rank3", 1)])
+def test_weighted_table_matches_panel_sums(case, eta):
+    # folding the quadrature weights into the kernel table moves the FE
+    # transform values only by rounding, and their errors by under 1 %.  The
+    # odd weight subtracts the kernel signs' sums: at x ~ 1e-20 they are 2e3
+    # times the value, so its rounding is bounded against the errors only
+    ki = _SWEEP_CASES[case][0]
+    w = WeightFunction(eta=eta)
+    mellin_tol = 1e-8
+    grid, ux, _, window = _fe_grid(ki, w, mellin_tol)
+    kvals, kerr = {}, {}
+    for s in (1, -1):
+        kvals[s], kerr[s], _, _ = kernel_sweep(grid.u, s, ki, mellin_tol * 1e-1)
+    xs = np.exp(ux[::3])
+    xs = np.concatenate([xs, -xs[::5]])
+    values, errors = grid.transform(xs, w, window)
+    ref = [_panel_transform(grid, kvals, kerr, x, w, window) for x in xs]
+    ref_v = np.array([v for v, _ in ref])
+    ref_e = np.array([e for _, e in ref])
+    if eta == 0:
+        assert np.max(np.abs(values - ref_v)) <= 2e-15 * np.max(np.abs(ref_v))
+    assert np.all(np.abs(values - ref_v) <= 0.05 * ref_e)
+    assert np.all(np.abs(errors / ref_e - 1.0) < 0.01)
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+def test_fe_transform_order_bits(eta):
+    # each node's (value, error) depends on the node alone: the FE nodes in
+    # order, reversed and one at a time give the same bits, with and
+    # without the window
+    ki = _SWEEP_CASES["rank3"][0]
+    w = WeightFunction(eta=eta)
+    grid, ux, _, window = _fe_grid(ki, w, 1e-8)
+    xs = np.exp(ux[::4])
+    xs = np.concatenate([xs, -xs[::3]])
+    for win in (window, None):
+        v, e = grid.transform(xs, w, win)
+        rv, re_ = grid.transform(xs[::-1], w, win)
+        assert v.tobytes() == rv[::-1].tobytes() and e.tobytes() == re_[::-1].tobytes()
+        for i in range(0, len(xs), 7):
+            assert grid.transform_at(xs[i], w, win) == (v[i], e[i])

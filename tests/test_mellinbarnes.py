@@ -264,3 +264,74 @@ def test_mb_rank5_floor_agrees_with_series():
     v, e = mb_eval_est(0.5, sv, si, 1e-10)
     r = j_function(0.5, sv, si, 1e-10)
     assert abs(v - r.value) <= e + r.tail_bound
+
+
+def _loggamma_all_points(z):
+    """The log-gamma with the reflection and each log-sine branch taken at
+    every point and selected by np.where afterwards."""
+    left = z.real < 0.5
+    lg = _backend._loggamma_right_np(np.where(left, 1.0 - z, z))
+    zl = np.where(left, z, 0.25)
+    y = zl.imag
+    zm = np.where(np.abs(y) < 18.0, zl, 0.25)
+    zu = np.where(y >= 18.0, zl, 18j)
+    zd = np.where(y <= -18.0, zl, -18j)
+    ls = np.log(_backend._sinpi_np(zm))
+    up = complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * zu + np.log1p(
+        -np.exp(2j * math.pi * zu)
+    )
+    dn = complex(-math.log(2.0), -0.5 * math.pi) + 1j * math.pi * zd + np.log1p(
+        -np.exp(-2j * math.pi * zd)
+    )
+    ls = np.where(y >= 18.0, up, np.where(y <= -18.0, dn, ls))
+    return np.where(left, math.log(math.pi) - ls - lg, lg)
+
+
+def _mb_integrands_per_factor(s, lam, sig, dl, delta, lnx):
+    """The two contour integrands with one log-gamma call per factor."""
+    n = lam.shape[0]
+    acc_j = -n * lnx * s
+    acc_k = -lnx * s
+    for l in range(n):
+        w = s - lam[l]
+        acc_j = acc_j + _backend._loggamma_np(w) + complex(0.0, 0.5 * math.pi * sig[l]) * w
+        d = int((dl[l] + delta) % 2)
+        gd = (0.5 - w) * math.log(math.pi) + _backend._loggamma_np(
+            0.5 * (w + d)
+        ) - _backend._loggamma_np(0.5 * (1.0 - w + d))
+        if d:
+            gd = gd + complex(0.0, 0.5 * math.pi)
+        acc_k = acc_k + gd
+    return np.exp(acc_j), np.exp(acc_k)
+
+
+def test_loggamma_np_branches_and_rows():
+    # the reflection and each log-sine branch at their own points only give
+    # the bits of taking them everywhere; a 2-d array equals its rows
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-30.0, 30.0, (6, 400)) + 1j * rng.uniform(-45.0, 45.0, (6, 400))
+    z[0, :40] = -np.arange(40) + 0.5
+    z[1, :40] = rng.uniform(-5.0, 0.5, 40) + 1j * np.repeat([18.0, -18.0], 20)
+    lg = _backend._loggamma_np(z)
+    assert lg.tobytes() == _loggamma_all_points(z).tobytes()
+    for row, ref in zip(z, lg):
+        assert _backend._loggamma_np(row).tobytes() == ref.tobytes()
+    right = z[:, 0] + 40.0
+    assert _backend._loggamma_np(right).tobytes() == _loggamma_all_points(right).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mb_integrands_stacked_bits(n):
+    # one log-gamma pass over all factors leaves the bits of one call per factor
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        lam = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        sig = rng.choice([-1.0, 1.0], n)
+        dl = rng.integers(0, 2, n)
+        s = rng.uniform(-8.0, 3.0, 150) + 1j * rng.uniform(-45.0, 45.0, 150)
+        lnx = float(rng.uniform(-3.0, 3.0))
+        for delta in (0, 1):
+            ref_j, ref_k = _mb_integrands_per_factor(s, lam, sig, dl, delta, lnx)
+            assert _backend.mb_j_integrand(s, lam, sig, n, lnx).tobytes() == ref_j.tobytes()
+            got = _backend.mb_kernel_integrand(s, lam, dl, delta, lnx)
+            assert got.tobytes() == ref_k.tobytes()
