@@ -70,16 +70,19 @@ def parse_grid(text: str):
     if ":" in text:
         kind, lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if kind == "log":
-            if lo <= 0 or hi <= 0:
-                raise ValueError("log grid needs positive endpoints")
-            return list(np.geomspace(lo, hi, count))
-        if kind == "lin":
-            return list(np.linspace(lo, hi, count))
-        raise ValueError("grid must be log:lo:hi:n, lin:lo:hi:n or a comma list")
-    points = [float(p) for p in text.split(",") if p.strip()]
-    if not all(math.isfinite(x) for x in points):
-        raise ValueError("grid points must be finite")
+        if kind not in ("log", "lin"):
+            raise ValueError("grid must be log:lo:hi:n, lin:lo:hi:n or a comma list")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("grid endpoints must be finite")
+        if kind == "log" and (lo <= 0 or hi <= 0):
+            raise ValueError("log grid needs positive endpoints")
+        points = list((np.geomspace if kind == "log" else np.linspace)(lo, hi, max(count, 0)))
+    else:
+        points = [float(p) for p in text.split(",") if p.strip()]
+        if not all(math.isfinite(x) for x in points):
+            raise ValueError("grid points must be finite")
+    if not points:
+        raise ValueError("grid has no points")
     return points
 
 
@@ -235,6 +238,8 @@ def cmd_eval(args) -> int:
 
 def cmd_coeffs(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError("--n must be at least 1")
     si = _index_from_args(args) if args.lam else None
     cfg = {
         "command": "coeffs",

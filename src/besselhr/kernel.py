@@ -88,8 +88,8 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind != "gaussian-log":
             raise ValueError("only the gaussian-log weight is built in")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not all(map(math.isfinite, (self.mu, self.amplitude))) or not 0 < self.width < math.inf:
+            raise ValueError("mu and amplitude must be finite, width positive and finite")
 
     def __call__(self, y: float) -> float:
         if y == 0.0:
@@ -524,11 +524,6 @@ class _KernelGrid:
         values[xs < 0] *= flip
         return values, errors
 
-    def transform_at(self, x: float, weight: WeightFunction, window=None):
-        """transform at the one point x: (value, error)."""
-        v, e = self.transform([x], weight, window)
-        return complex(v[0]), float(e[0])
-
 
 @dataclass(frozen=True)
 class HankelResult:
@@ -641,7 +636,7 @@ def functional_equation_check(
     The transform nodes are one windowed grid.transform call over the panels
     that the weight, cut at log_support(mellin_tol * 1e-3) as at the grid's
     ends, reaches; the negative side is Upsilon(-x) = (-1)^eta Upsilon(x),
-    which transform_at(-x) reproduces bit for bit.
+    which grid.transform at -x reproduces bit for bit.
     """
     si = ki.lam
     n = ki.rank
@@ -663,7 +658,7 @@ def functional_equation_check(
                 rhs *= mb.g_delta(s - si.lam[l], ki.deltas[l] + d)
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
             rels.append((d, s, rel))
-            worst = max(worst, rel)
+            worst = rel if math.isnan(rel) else max(worst, rel)
     return FunctionalEquationReport(
         tuple(complex(s) for s in s_points),
         tuple(rels),

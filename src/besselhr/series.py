@@ -27,37 +27,35 @@ integers), and at zf = 1 in 50-digit mpmath for the coefficient table of
 kernel_series_grid (_FirstKindTable), which sums them by Horner in
 double-double arithmetic.
 
-The big-float rounds need constants that depend on the index and the
-working precision only, never on z, and the same ones recur across points,
-sign vectors, parities and rounds.  Each is built once and kept in a
-bounded lru_cache: the coefficients c_l with their bounds (_coeffs_mp, by
-index, kind and digits), the sign-vector coefficient sets that rebuild
-J(z; sig) for the kernel's cancellation reference (_signvec_sets_mp, by
-index, parity and digits), and the reciprocal gammas of the head terms
-(_rgamma_at, by exact argument and bits).  A key holds nothing of z, of a
-family value or of the tolerance, so a cached constant is the number the
-round would build, and every result is the same bit for bit with or
-without the caches.  The 8 perturbations of a non-generic index are fixed
-functions of the index and are cached like any index.  The double pass
-builds its coefficients afresh: they cost little there, and keys of
-doubles would not tell 0.0 from -0.0.  Entries above rank 6 (rank 4 for
-the sign-vector sets) or _CACHE_DPS digits (4 _CACHE_DPS bits for the
-gammas) are built at each use and not kept, so an entry takes at most
-6.2 KB, 19 KB and 1.3 KB (measured with tracemalloc on CPython 3.11), and
-the three caches at most 0.8 + 1.2 + 2.0 = 4.0 MB.
+The big-float rounds and the grid sweep need constants that depend on the
+index and the working precision only, never on z, and the same ones recur
+across points, sign vectors, parities and rounds.  Each is built once and
+kept in one LRU store (_stored): the coefficients c_l with their bounds, the
+sign-vector coefficient sets of the kernel's cancellation reference (both
+by index, kind or parity, and digits), the reciprocal gammas of the head
+terms (by exact argument and bits), the grid's first-kind tables and
+coefficient pairs, and the index-shift matrix of derivatives.  A key holds
+nothing of z, of a family value or of the tolerance, so every result is the
+same bit for bit with or without the store.  The double pass builds its
+coefficients afresh: they cost little there, and keys of doubles would not
+tell 0.0 from -0.0.  Each entry is charged an upper bound on its bytes from
+how many numbers it holds and their precision (_charge; a first-kind table
+at its longest), and the store evicts the least recently used entries to
+hold at most _STORE_BYTES (4 MB) at every rank and precision; an entry
+charged more is built at each use and not kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, product
 from typing import Union
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from . import _backend
 from ._pair import cdd_add, cdd_exp, cdd_mul, dd_add, dd_exp, dd_mul, dd_neg, two_prod
@@ -227,13 +225,13 @@ def _kernel_coeffs(ctx, lam, sines, deltas, parity: int):
     return coeffs, mags
 
 
-def _coeffs_of(ctx, lam, sines, kind):
+def _coeffs_of(ctx, lam, kind):
     """The c_l of a combination sum_l c_l J_l and bounds on their moduli:
     kind is ("signvec", sv) for E E_l S_l, or ("kernel", deltas, parity)
     for the kernel coefficients K_l."""
     if kind[0] == "signvec":
-        return _connection_coeffs(ctx, lam, sines, kind[1])
-    return _kernel_coeffs(ctx, lam, sines, kind[1], kind[2])
+        return _connection_coeffs(ctx, lam, _sines(ctx, lam), kind[1])
+    return _kernel_coeffs(ctx, lam, _sines(ctx, lam), kind[1], kind[2])
 
 
 def _signvec_sets(ctx, lam, parity: int):
@@ -245,65 +243,70 @@ def _signvec_sets(ctx, lam, parity: int):
     )
 
 
-# Entries larger than this are built afresh at each use instead of cached,
-# which bounds the caches below (the module docstring has the sums)
-_CACHE_DPS = 150
+_STORE_BYTES = 4 << 20
+_NUMBER_BYTES = 576  # a stored complex number less its mantissas (tracemalloc, CPython 3.11)
 
 
-@lru_cache(maxsize=128)
+def _charge(numbers: int, bits: int) -> int:
+    """Bytes charged for numbers complex values of bits-bit mantissas and a
+    key (one number more): CPython stores an int in 4-byte digits of 30 bits,
+    so two mantissas take at most bits / 3.75 + 8 bytes."""
+    return (numbers + 1) * (_NUMBER_BYTES + bits // 3)
+
+
+class _Store(OrderedDict):
+    """key -> (value, charge), least recently used first.  store(key, cost,
+    build) returns the value under key, or on a miss build(), kept at cost
+    bytes, evicting from the front, unless cost alone is over _STORE_BYTES."""
+
+    held = 0
+
+    def __call__(self, key, cost: int, build):
+        if key in self:
+            self.move_to_end(key)
+            return self[key][0]
+        value = build()
+        if cost <= _STORE_BYTES:
+            self[key] = (value, cost)
+            self.held += cost
+            while self.held > _STORE_BYTES:
+                self.held -= self.popitem(last=False)[1][1]
+        return value
+
+
+_stored = _Store()
+
+
 def _coeffs_mp(lam: tuple, kind, dps: int):
-    """_coeffs_of in mpmath at dps digits, as tuples.
+    """_coeffs_of in mpmath at dps digits, as tuples: n values, n bounds."""
 
-    Cached through _coeffs_at up to rank 6 and _CACHE_DPS digits, where 6
-    coefficients, 6 bounds and the key take at most 6.2 KB: 0.8 MB in all.
-    """
-    with mp.workdps(dps):
-        lam_mp = [mp.mpc(v) for v in lam]
-        cs, mags = _coeffs_of(mp, lam_mp, _sines(mp, lam_mp), kind)
-    return tuple(cs), tuple(mags)
+    def build():
+        with mp.workdps(dps):
+            cs, mags = _coeffs_of(mp, [mp.mpc(v) for v in lam], kind)
+        return tuple(cs), tuple(mags)
 
-
-def _coeffs_at(lam: tuple, kind, dps: int):
-    fits = len(lam) <= 6 and dps <= _CACHE_DPS
-    return (_coeffs_mp if fits else _coeffs_mp.__wrapped__)(lam, kind, dps)
+    return _stored(("coeffs", lam, kind, dps), _charge(2 * len(lam), dps_to_prec(dps)), build)
 
 
-@lru_cache(maxsize=64)
 def _signvec_sets_mp(lam: tuple, parity: int, dps: int):
-    """_signvec_sets in mpmath at dps digits.
+    """_signvec_sets in mpmath at dps digits: 2^(n-1) sets of n values."""
 
-    Cached through _signvec_sets_at up to rank 4 and _CACHE_DPS digits,
-    where 8 sets of 4 values and the key take at most 19 KB: 1.2 MB in all.
-    """
-    with mp.workdps(dps):
-        return _signvec_sets(mp, [mp.mpc(v) for v in lam], parity)
+    def build():
+        with mp.workdps(dps):
+            return _signvec_sets(mp, [mp.mpc(v) for v in lam], parity)
 
-
-def _signvec_sets_at(lam: tuple, parity: int, dps: int):
-    fits = len(lam) <= 4 and dps <= _CACHE_DPS
-    return (_signvec_sets_mp if fits else _signvec_sets_mp.__wrapped__)(lam, parity, dps)
-
-
-@lru_cache(maxsize=1536)
-def _rgamma_at(arg, prec: int):
-    """mp.rgamma at prec bits of the mpmath complex whose _mpc_ is arg.
-
-    Cached through _recip_gamma_mp up to 4 _CACHE_DPS bits, the precision
-    of a round at _CACHE_DPS digits, where the argument, the value and the
-    key take at most 1.3 KB: 2.0 MB in all.
-    """
-    with mp.workprec(prec):
-        return mp.rgamma(mp.make_mpc(arg))
+    n = len(lam)
+    return _stored(("signvec", lam, parity, dps), _charge(n << (n - 1), dps_to_prec(dps)), build)
 
 
 def _recip_gamma_mp(x):
     """mp.rgamma of the mpmath complex x at the working precision."""
     prec = mp.mp.prec
-    return (_rgamma_at if prec <= 4 * _CACHE_DPS else _rgamma_at.__wrapped__)(x._mpc_, prec)
+    return _stored(("rgamma", x._mpc_, prec), _charge(1, prec), lambda: mp.rgamma(x))
 
 
 def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind):
-    cs, mags = _coeffs_of(_DOUBLE, si.lam, _sines(_DOUBLE, si.lam), kind)
+    cs, mags = _coeffs_of(_DOUBLE, si.lam, kind)
     value = 0j
     mass = 0.0
     err = 0.0
@@ -385,7 +388,7 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind)
     first-kind family values it was summed from."""
     n = si.rank
     with mp.workdps(dps):
-        cs, mags = _coeffs_at(si.lam, kind, dps)
+        cs, mags = _coeffs_mp(si.lam, kind, dps)
         rel = mp.mpf(10) ** (-(dps - 4))
         value = mp.mpc(0)
         mass = mp.mpf(0)
@@ -484,7 +487,7 @@ def _j_generic(
             achieved=ach,
         )
     with mp.workdps(round_dps):
-        sets = _signvec_sets_at(si.lam, signvec_parity, round_dps) if signvec_parity else ()
+        sets = _signvec_sets_mp(si.lam, signvec_parity, round_dps) if signvec_parity else ()
         return SeriesEval(v, terms, ach), _recombine(sets, family)
 
 
@@ -630,17 +633,11 @@ class _FirstKindTable:
                     self._last[l] = size
 
 
-@lru_cache(maxsize=16)
-def _first_kind_table(lam: tuple) -> _FirstKindTable:
-    return _FirstKindTable(lam)
-
-
-@lru_cache(maxsize=32)
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
     """K_l and, for every sign vector of the kernel sum, E E_l S_l, from
     mpmath at _GRID_DPS digits rounded to complex pairs; and |K_l|."""
-    kern = _coeffs_at(lam, ("kernel", deltas, parity), _GRID_DPS)[0]
-    sides = _signvec_sets_at(lam, parity, _GRID_DPS)
+    kern = _coeffs_mp(lam, ("kernel", deltas, parity), _GRID_DPS)[0]
+    sides = _signvec_sets_mp(lam, parity, _GRID_DPS)
     with mp.workdps(_GRID_DPS):
         return (
             tuple(_mp_pair(c) for c in kern),
@@ -705,7 +702,7 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
 
     kernel_series at one point, as one array pass: each J_l is z^{-n lam_l}
     times a power series in zf = parity i^n z^n whose coefficients c_m^(l)
-    come from mpmath (_first_kind_table), summed by Horner over m in pair
+    come from mpmath (_FirstKindTable), summed by Horner over m in pair
     arithmetic.  As in the big-float rounds of kernel_series, z is taken as
     exp(L) with L = log z in double, so zf and the prefactors are exp of
     exact pairs.  Each point has its own degree (_sum_degrees), so its
@@ -728,8 +725,14 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
-    table = _first_kind_table(si.lam)
-    kern, sides, kern_abs = _kernel_grid_coeffs(si.lam, deltas, parity)
+    # charged at its longest: _GRID_M_CAP + 2 terms and n + 4 generator numbers a series
+    table_cost = _charge(n * (_GRID_M_CAP + n + 6), dps_to_prec(_GRID_DPS))
+    table = _stored(("table", si.lam), table_cost, lambda: _FirstKindTable(si.lam))
+    kern, sides, kern_abs = _stored(
+        ("grid", si.lam, deltas, parity),
+        _charge(n * ((1 << (n - 1)) + 2), 106),
+        lambda: _kernel_grid_coeffs(si.lam, deltas, parity),
+    )
     logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
     nl = two_prod(float(n), logs)  # n L as an exact pair
     r = dd_exp(nl)  # |zf|
@@ -790,11 +793,6 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
 # derivatives through the index-shift matrix
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _u_numeric(si: SpectralIndex):
-    return build_uv_tables(si.rank, si).u_num
-
-
 def derivatives(
     z: Pointlike,
     sv: SignVector,
@@ -812,7 +810,7 @@ def derivatives(
     n = si.rank
     if not 0 <= k_max <= n:
         raise ValueError("k_max must lie in [0, n]")
-    u_num = _u_numeric(si)
+    u_num = _stored(("u", si.lam), _charge((n + 1) ** 2, 53), lambda: build_uv_tables(n, si).u_num)
     nu = nu_of_lambda(si).nu
     d = n - 1
 

@@ -379,10 +379,13 @@ def _usage_error(argv, capsys, flag_text):
         (["--x", "inf"], "--x must be finite"),
         (["--x", "nan"], "--x must be finite"),
         (["--x-grid", "1,inf"], "grid points must be finite"),
+        (["--x-grid", ","], "grid has no points"),
+        (["--x-grid", "log:1:nan:3"], "grid endpoints must be finite"),
         (["--x", "1", "--tol", "0"], "--tol"),
         (["--x", "1", "--tol", "nan"], "--tol"),
     ],
-    ids=["negative-x", "inf-x", "nan-x", "inf-grid", "zero-tol", "nan-tol"],
+    ids=["negative-x", "inf-x", "nan-x", "inf-grid", "empty-grid", "nan-endpoint", "zero-tol",
+         "nan-tol"],
 )
 def test_eval_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["eval", "--signs", "++"] + _RANK2 + extra, capsys, text)
@@ -393,10 +396,12 @@ def test_eval_out_of_domain_exits_2(extra, text, capsys):
     [
         (["--x-grid", "inf"], "grid points must be finite"),
         (["--x-grid", "1,-inf"], "grid points must be finite"),
+        (["--x-grid", "lin:1:2:0"], "grid has no points"),
+        (["--x-grid", "lin:-inf:2:3"], "grid endpoints must be finite"),
         (["--x-grid", "1", "--tol", "-1"], "--tol"),
         (["--x-grid", "1", "--tol", "nan"], "--tol"),
     ],
-    ids=["inf-grid", "minus-inf-grid", "negative-tol", "nan-tol"],
+    ids=["inf-grid", "minus-inf-grid", "empty-grid", "inf-endpoint", "negative-tol", "nan-tol"],
 )
 def test_kernel_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["kernel", "--delta", "0,0"] + _RANK2 + extra, capsys, text)
@@ -406,11 +411,16 @@ def test_kernel_out_of_domain_exits_2(extra, text, capsys):
     "extra, text",
     [
         (["--x-grid", "inf"], "grid points must be finite"),
+        (["--x-grid", "log:1:4:-1"], "grid has no points"),
         (["--x-grid", "1", "--tol", "0"], "--tol"),
         (["--x-grid", "1", "--tol", "nan"], "--tol"),
         (["--x-grid", "1", "--fe-tol", "nan"], "--fe-tol"),
+        (["--x-grid", "1", "--weight", "gaussian-log:width=nan"], "must be finite"),
+        (["--x-grid", "1", "--weight", "gaussian-log:mu=inf"], "must be finite"),
+        (["--x-grid", "1", "--weight", "gaussian-log:amplitude=nan"], "must be finite"),
     ],
-    ids=["inf-grid", "zero-tol", "nan-tol", "nan-fe-tol"],
+    ids=["inf-grid", "empty-grid", "zero-tol", "nan-tol", "nan-fe-tol", "nan-width", "inf-mu",
+         "nan-amplitude"],
 )
 def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     argv = ["transform", "--delta", "0,0"] + _RANK2 + extra
@@ -421,13 +431,19 @@ def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     "extra, text",
     [
         (["--x-grid", "inf"], "grid points must be finite"),
+        (["--x-grid", "lin:0.5:nan:2"], "grid endpoints must be finite"),
         (["--x-grid", "1", "--tol", "0"], "--tol"),
         (["--x-grid", "1", "--tol", "nan"], "--tol"),
     ],
-    ids=["inf-grid", "zero-tol", "nan-tol"],
+    ids=["inf-grid", "nan-endpoint", "zero-tol", "nan-tol"],
 )
 def test_oracle_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["oracle", "compare", "--signs", "++"] + _RANK2 + extra, capsys, text)
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_coeffs_out_of_domain_exits_2(n, capsys):
+    _usage_error(["coeffs", "--n", n], capsys, "--n must be at least 1")
 
 
 def test_eval_index_that_cannot_be_perturbed_exits_2(capsys):

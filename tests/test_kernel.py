@@ -386,8 +386,8 @@ def test_transform_at_parity_bits(eta):
     sign = -1 if eta else 1
     for x in (0.2, 0.9, 1.0, 2.5, 7.0):
         for window in (None, w.log_support(1e-11)):
-            vp, ep = grid.transform_at(x, w, window)
-            vm, em = grid.transform_at(-x, w, window)
+            (vp,), (ep,) = grid.transform([x], w, window)
+            (vm,), (em,) = grid.transform([-x], w, window)
             assert vm == sign * vp and em == ep, (x, window)
 
 
@@ -399,8 +399,8 @@ def test_windowed_transform_on_fe_grid(case):
     w = WeightFunction(eta=0)
     grid, ux, _, window = _fe_grid(ki, w, 1e-8)
     xs = np.exp(ux[::5])
-    win = np.array([grid.transform_at(x, w, window)[0] for x in xs])
-    full = np.array([grid.transform_at(x, w)[0] for x in xs])
+    win = grid.transform(xs, w, window)[0]
+    full = grid.transform(xs, w)[0]
     assert np.max(np.abs(win - full)) <= 1e-9 * np.max(np.abs(full))
 
 
@@ -413,7 +413,8 @@ def test_hankel_transform_uses_full_grid():
     ylo, yhi = w.log_support(tol * 1e-3)
     grid = _KernelGrid(ki, math.log(0.5) + ylo, math.log(4.0) + yhi, tol * 1e-2)
     for x, v, e in zip(xs, res.values, res.errors):
-        assert (v, e) == grid.transform_at(x, w)
+        (gv,), (ge,) = grid.transform([x], w)
+        assert (v, e) == (gv, ge)
 
 
 def test_functional_equation_rank2_odd_weight():
@@ -424,6 +425,23 @@ def test_functional_equation_rank2_odd_weight():
     assert rep.passed
     assert rep.max_rel_error < 1e-6
     assert {d for d, _, _ in rep.rel_errors} == {1}
+
+
+class _NanMellinAt1(WeightFunction):
+    """The README weight with a Mellin transform that is not a number at
+    s = 1 - (0.5 + 1i)."""
+
+    def mellin(self, delta, s):
+        return complex("nan") if s == 0.5 - 1j else super().mellin(delta, s)
+
+
+def test_functional_equation_check_fails_on_nan():
+    # a relative error that is not a number fails the check and is the
+    # reported maximum, wherever it falls among the checks
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    rep = functional_equation_check(ki, _NanMellinAt1(eta=0), [0.5, 0.5 + 1j, 0.5 + 2j])
+    assert [math.isnan(r) for _, _, r in rep.rel_errors] == [False, True, False]
+    assert not rep.passed and math.isnan(rep.max_rel_error)
 
 
 def test_asymptotic_kernel_without_a_correct_digit_raises():
@@ -556,4 +574,6 @@ def test_fe_transform_order_bits(eta):
         rv, re_ = grid.transform(xs[::-1], w, win)
         assert v.tobytes() == rv[::-1].tobytes() and e.tobytes() == re_[::-1].tobytes()
         for i in range(0, len(xs), 7):
-            assert grid.transform_at(xs[i], w, win) == (v[i], e[i])
+            one = grid.transform(xs[i : i + 1], w, win)
+            assert one[0].tobytes() == v[i : i + 1].tobytes()
+            assert one[1].tobytes() == e[i : i + 1].tobytes()

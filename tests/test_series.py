@@ -1,5 +1,8 @@
 import cmath
+import gc
 import math
+import pickle
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -388,39 +391,59 @@ def test_series_beyond_reach_raises_overflow():
 
 
 # ---------------------------------------------------------------------------
-# the caches of index constants
+# the store of index constants
 # ---------------------------------------------------------------------------
 
-_INDEX_CACHES = (series._coeffs_mp, series._signvec_sets_mp, series._rgamma_at)
+
+class _CountingStore(series._Store):
+    """The module's store, counting hits by the kind of constant."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = {}
+
+    def __call__(self, key, cost, build):
+        self.hits[key[0]] = self.hits.get(key[0], 0) + (key in self)
+        return super().__call__(key, cost, build)
 
 
-def _clear_index_caches():
-    for cache in _INDEX_CACHES:
-        cache.cache_clear()
+def _empty_store(monkeypatch):
+    store = _CountingStore()
+    monkeypatch.setattr(series, "_stored", store)
+    return store
 
 
 def _cold_warm_fresh(monkeypatch, evaluate):
-    """evaluate() with the caches cleared, again from the caches, and with
-    every constant built afresh; and the cache hits of the second call."""
-    _clear_index_caches()
+    """evaluate() from an empty store, again from the store, and with every
+    constant built afresh; and the store hits of the second call by kind."""
+    store = _empty_store(monkeypatch)
     cold = evaluate()
-    before = [cache.cache_info().hits for cache in _INDEX_CACHES]
+    before = dict(store.hits)
     warm = evaluate()
-    hits = [cache.cache_info().hits - b for cache, b in zip(_INDEX_CACHES, before)]
+    hits = {k: v - before.get(k, 0) for k, v in store.hits.items()}
     with monkeypatch.context() as m:
-        m.setattr(series, "_CACHE_DPS", -1)  # no entry fits
+        m.setattr(series, "_stored", series._Store())
+        m.setattr(series, "_STORE_BYTES", 0)  # no entry fits
         fresh = evaluate()
+        assert not series._stored
     return cold, warm, fresh, hits
+
+
+def _built_afresh(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(series, "_stored", series._Store())
+        m.setattr(series, "_STORE_BYTES", 0)
+        return fn(*args)
 
 
 def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
     # a series-zone kernel point whose double pass does not certify: one
-    # big-float round, its coefficients, gammas and sign-vector sets cached
+    # big-float round, its coefficients, gammas and sign-vector sets stored
     rounds = _record_rounds(monkeypatch)
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
     runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "auto", 1e-9))
     assert runs[0].method == "series" and rounds == [43] * 3
-    assert min(runs[3]) > 0
+    assert min(runs[3][k] for k in ("coeffs", "signvec", "rgamma")) > 0
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
@@ -431,7 +454,7 @@ def test_cached_cauchy_mean_repeats_bit_for_bit(monkeypatch):
     args = (20.0, SignVector("+-"), SpectralIndex([0.5, -0.5]), 1e-10)
     runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
     assert rounds == [49, 86] * 24
-    assert runs[3][0] > 0 and runs[3][2] > 0
+    assert runs[3]["coeffs"] > 0 and runs[3]["rgamma"] > 0
     assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
 
 
@@ -446,36 +469,163 @@ def test_cached_escalating_j_function_repeats_bit_for_bit(monkeypatch):
     assert abs(runs[0].value - want) <= 1e-10 * abs(want)
 
 
-def test_index_caches_keep_precisions_apart():
+def test_index_caches_keep_precisions_apart(monkeypatch):
     # one key at two precisions: each entry is the fresh build at its own
-    _clear_index_caches()
+    store = _empty_store(monkeypatch)
     lam = SpectralIndex([0.3, -0.1, -0.2]).lam
     kind = ("kernel", (0, 1, 0), 1)
     x = mp.mpc(0.3, -1.7) + 2
     for dps in (30, 60, 30, 60):
-        assert series._coeffs_at(lam, kind, dps) == series._coeffs_mp.__wrapped__(lam, kind, dps)
-        assert series._signvec_sets_at(lam, 1, dps) == series._signvec_sets_mp.__wrapped__(
-            lam, 1, dps
-        )
+        fresh = _built_afresh(monkeypatch, series._coeffs_mp, lam, kind, dps)
+        assert series._coeffs_mp(lam, kind, dps) == fresh
+        fresh = _built_afresh(monkeypatch, series._signvec_sets_mp, lam, 1, dps)
+        assert series._signvec_sets_mp(lam, 1, dps) == fresh
         with mp.workdps(dps):
             assert series._recip_gamma_mp(x) == mp.rgamma(x)
-    assert series._coeffs_at(lam, kind, 30) != series._coeffs_at(lam, kind, 60)
-    assert [cache.cache_info().hits for cache in _INDEX_CACHES] == [4, 2, 2]
+    assert series._coeffs_mp(lam, kind, 30) != series._coeffs_mp(lam, kind, 60)
+    assert store.hits == {"coeffs": 4, "signvec": 2, "rgamma": 2}
 
 
-def test_index_caches_are_bounded():
-    for cache in _INDEX_CACHES:
-        assert isinstance(cache.cache_info().maxsize, int)
-    # entries above the bounds the docstrings state are built, not kept
-    _clear_index_caches()
+def test_index_caches_are_bounded(monkeypatch):
+    # no rank or precision gate: what fits the budget is kept, and an entry
+    # charged more than the budget is built at each use and not kept
+    store = _empty_store(monkeypatch)
     lam5 = SpectralIndex([0.3, -0.1, -0.2, 0.15, -0.05]).lam
     lam7 = SpectralIndex([0.1 * k for k in range(7)]).lam
-    deep = series._CACHE_DPS + 1
-    assert series._signvec_sets_at(lam5, 1, 40) == series._signvec_sets_mp.__wrapped__(
-        lam5, 1, 40
-    )
-    series._coeffs_at(lam7, ("kernel", (0,) * 7, 1), 40)
-    series._coeffs_at(lam5, ("kernel", (0,) * 5, 1), deep)
-    with mp.workprec(4 * series._CACHE_DPS + 1):
+    series._coeffs_mp(lam7, ("kernel", (0,) * 7, 1), 40)
+    series._coeffs_mp(lam5, ("kernel", (0,) * 5, 1), 400)
+    with mp.workprec(2000):
         series._recip_gamma_mp(mp.mpc(0.5, 0.5))
-    assert [cache.cache_info().currsize for cache in _INDEX_CACHES] == [0, 0, 0]
+    assert len(store) == 3
+    assert store.held == sum(cost for _, cost in store.values())
+    monkeypatch.setattr(series, "_STORE_BYTES", store.held)
+    for _ in range(2):
+        assert series._signvec_sets_mp(lam5, 1, 40) == _built_afresh(
+            monkeypatch, series._signvec_sets_mp, lam5, 1, 40
+        )
+    assert len(store) == 3 and store.hits["signvec"] == 0
+
+
+@pytest.mark.parametrize(
+    "n, deltas, x",
+    [(5, (0, 1, 0, 0, 1), 1.0), (6, (0, 1, 0, 0, 1, 0), 0.3)],
+    ids=["rank5", "rank6"],
+)
+def test_rank5_and_rank6_signvec_sets_are_kept(monkeypatch, n, deltas, x):
+    # a series-zone kernel point past rank 4 builds its sign-vector sets for
+    # the cancellation reference once, not at every evaluation
+    builds = []
+    signvec_sets = series._signvec_sets
+
+    def counted(ctx, lam, parity):
+        builds.append(ctx is mp)
+        return signvec_sets(ctx, lam, parity)
+
+    monkeypatch.setattr(series, "_signvec_sets", counted)
+    # an index no other test uses, so that nothing of it is stored before
+    ki = KernelIndex(SpectralIndex([0.31, -0.12, -0.23, 0.14, -0.06, 0.11][:n]), deltas)
+    first = bessel_kernel(x, ki, "auto", 1e-9)
+    assert first.method == "series" and builds == [True]
+    again = bessel_kernel(x, ki, "auto", 1e-9)
+    assert builds == [True]
+    assert (again.value, again.error, again.cancellation) == (
+        first.value, first.error, first.cancellation
+    )
+
+
+def test_store_evicts_least_recently_used_within_budget(monkeypatch):
+    monkeypatch.setattr(series, "_STORE_BYTES", 100)
+    store = series._Store()
+    built = []
+
+    def get(key, cost):
+        return store(key, cost, lambda: built.append(key) or key.upper())
+
+    assert [get("a", 40), get("b", 40), get("a", 40)] == ["A", "B", "A"]
+    get("c", 40)  # b is the least recently used
+    assert list(store) == ["a", "c"] and store.held == 80
+    get("b", 30)
+    assert list(store) == ["c", "b"] and store.held == 70
+    assert get("d", 101) == "D" and get("d", 101) == "D"  # over the budget
+    get("e", 100)
+    assert list(store) == ["e"] and store.held == 100
+    assert built == ["a", "b", "c", "b", "d", "d", "e"]
+
+
+def test_store_holds_no_more_than_its_budget(monkeypatch):
+    # a budget of a few entries under rank-4 kernel evaluations: after each
+    # call the held charges stay within it while more than it is charged,
+    # and the values are those of the fresh builds
+    monkeypatch.setattr(series, "_STORE_BYTES", 60_000)
+    _empty_store(monkeypatch)
+    held = []
+    charged = []
+    call = series._Store.__call__
+
+    def watched(self, key, cost, build):
+        charged.append(0 if key in self else cost)
+        value = call(self, key, cost, build)
+        held.append(self.held)
+        assert self.held == sum(c for _, c in self.values())
+        return value
+
+    monkeypatch.setattr(_CountingStore, "__call__", watched)
+    ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.25, 0.05]), (0, 1, 0, 1))
+    kernel = [bessel_kernel(x, ki, "auto", 1e-9) for x in (0.6, 2.0, 0.6)]
+    assert max(held) <= 60_000 < sum(charged)
+    fresh = _built_afresh(monkeypatch, bessel_kernel, 2.0, ki, "auto", 1e-9)
+    assert (kernel[1].value, kernel[1].error) == (fresh.value, fresh.error)
+    assert (kernel[0].value, kernel[0].error) == (kernel[2].value, kernel[2].error)
+
+
+def _build_each_kind():
+    """One stored constant of each kind at ranks 1-6, at 20 to 2000 digits
+    (2000 at ranks 1 and 2 only, to keep the builds short: the mantissas
+    are charged per number at any rank)."""
+    for dps in (20, 300, 2000):
+        with mp.workdps(dps):
+            series._recip_gamma_mp(mp.mpc(0.3, -0.7) + 10**6)  # quick at any digits
+    for n in range(1, 7):
+        si = SpectralIndex([0.1 * k + 0.03j * k * k for k in range(n)])
+        deltas = tuple(k % 2 for k in range(n))
+        for dps in (20, 300, 2000)[: 3 if n <= 2 else 2]:
+            series._coeffs_mp(si.lam, ("kernel", deltas, 1), dps)
+            series._coeffs_mp(si.lam, ("signvec", SignVector(("+-" * 3)[:n])), dps)
+            series._signvec_sets_mp(si.lam, -1, dps)
+        series.kernel_series_grid(np.array([0.5]), -1, si, deltas)  # a table and pairs
+        series.derivatives(0.5, SignVector(("+-" * 3)[:n]), si, 0)  # the index-shift matrix
+
+
+def test_store_charges_bound_entry_sizes(monkeypatch):
+    # each charge is at least what tracemalloc counts for the value and a
+    # copy of its key, built after a first pass has warmed mpmath's own
+    # caches; a first-kind table is measured at its longest (at a shorter
+    # cap, which its charge follows)
+    monkeypatch.setattr(series, "_GRID_M_CAP", 10)
+    sizes = []
+
+    def measured(key, cost, build):
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        if isinstance(value, series._FirstKindTable):
+            value.extend(series._GRID_M_CAP + 1)
+        key_copy = pickle.loads(pickle.dumps(key))
+        gc.collect()
+        sizes.append((key[0], cost, tracemalloc.get_traced_memory()[0] - before))
+        del key_copy
+        return value
+
+    monkeypatch.setattr(series, "_stored", measured)
+    gc.freeze()  # so that the collections scan only what the builds made
+    try:
+        _build_each_kind()
+        sizes.clear()
+        tracemalloc.start()
+        _build_each_kind()
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
+    assert {kind for kind, _, _ in sizes} == {"coeffs", "signvec", "rgamma", "table", "grid", "u"}
+    assert [s for s in sizes if s[2] > s[1]] == []
+    assert min(size for _, _, size in sizes) > 0
