@@ -11,10 +11,11 @@ expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
 (max|lambda|+1)^2.  second_kind takes one point of the universal cover,
 second_kind_sweep many positive reals in 2-D array passes with the same
-arithmetic, and both finish each point by one rule (_finish).  Connection
-constants relate these to the sign-vector functions and to the first-kind
-family (through a Vandermonde matrix in e^{-2 pi i lambda_l} and its
-Lagrange-form inverse).
+arithmetic, and both finish each point by one rule (_finish).  Every route
+reads the B_m of an index and root from one table of M_CAP + 1 terms, kept
+in the series store (b_coeffs).  Connection constants relate these to the
+sign-vector functions and to the first-kind family (through a Vandermonde
+matrix in e^{-2 pi i lambda_l} and its Lagrange-form inverse).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import cached_b_table, elementary_symmetric, falling
+from . import coeffs, series
+from .coeffs import elementary_symmetric, falling
 from .core import (
     OutOfSectorError,
     OverflowEvalError,
@@ -73,8 +75,18 @@ def validity_floor(si: SpectralIndex) -> float:
         ) from None
 
 
-def _truncate(coeffs, t, zinv):
-    """Superasymptotic truncation of sum_m coeffs[m] t z^{-m}, the powers by
+def b_coeffs(si: SpectralIndex, xi: RootOfUnity) -> tuple:
+    """B_m(lambda; xi), m = 0..M_CAP, built once per index and root and kept
+    in the series store; a prefix has the bits of a table built shorter."""
+    return series._stored(
+        ("b", si.lam, xi.order, xi.index),
+        series._charge(M_CAP + 1, 53),
+        lambda: coeffs.build_b_table(si.rank, si, xi, M_CAP).coeffs,
+    )
+
+
+def _truncate(bs, t, zinv):
+    """Superasymptotic truncation of sum_m bs[m] t z^{-m}, the powers by
     repeated multiplication with zinv: keep the terms before the first
     smallest one, and at least the leading term.
 
@@ -82,7 +94,7 @@ def _truncate(coeffs, t, zinv):
     omitted term's magnitude and the magnitudes summed over the kept terms.
     """
     terms = []
-    for b in coeffs:
+    for b in bs:
         terms.append(b * t)
         t *= zinv
     mags = [abs(v) for v in terms]
@@ -130,8 +142,7 @@ def second_kind(
             f"|z| = {z.modulus:.3f} below validity floor {floor:.3f}; "
             "use the series or Mellin-Barnes evaluation"
         )
-    tab = cached_b_table(si, xi, M_CAP)
-    m_star, total, omitted, mass = _truncate(tab.coeffs, 1.0 + 0.0j, z.power(-1))
+    m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, z.power(-1))
     value, err = _finish(1j * n * xi.value, z.log(), n, total, omitted, mass)
     return AsymptoticEval(value, m_star, err, True)
 
@@ -140,7 +151,7 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     """second_kind at the positive reals z (a 1-d array, argument 0).
 
     The truncation runs as 2-D (points x M_CAP+1) array passes over the
-    cached B_m table, with second_kind's arithmetic: the powers z^{-m} by
+    stored B_m table, with second_kind's arithmetic: the powers z^{-m} by
     repeated multiplication (cumprod), the first smallest term, at least
     one (argmin), and the partial sums and term mass left to right
     (cumsum).  Each point is then finished by the same _finish as
@@ -159,7 +170,7 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     floor = validity_floor(si)
     if (z < floor).any():
         raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
-    b = np.array(cached_b_table(si, xi, M_CAP).coeffs, dtype=np.complex128)
+    b = np.array(b_coeffs(si, xi), dtype=np.complex128)
     logs = [math.log(v) for v in z]
     t = np.empty((len(z), len(b)))
     t[:, 0] = 1.0
@@ -206,10 +217,9 @@ def w_function(
     floor = validity_floor(si)
     if z.modulus < floor:
         raise ValidityFloorError(f"|z| = {z.modulus:.3f} below floor {floor:.3f}")
-    tab = cached_b_table(si, xi, M_CAP)
     half = (n - 1) / 2.0
-    coeffs = [b * falling(-(m + half), j) for m, b in enumerate(tab.coeffs)]
-    m_star, total, omitted, mass = _truncate(coeffs, z.power(-half - j), z.power(-1))
+    bs = [b * falling(-(m + half), j) for m, b in enumerate(b_coeffs(si, xi))]
+    m_star, total, omitted, mass = _truncate(bs, z.power(-half - j), z.power(-1))
     return AsymptoticEval(total, m_star, 2.0 * omitted + 4.0 * _EPS * mass, True)
 
 

@@ -66,21 +66,28 @@ def parse_lambda(text: str):
     return [parse_complex(p) for p in text.split(",") if p.strip()]
 
 
+_GRID_FORM = "grid must be log:lo:hi:n or lin:lo:hi:n (n an integer) or a comma list of numbers"
+
+
 def parse_grid(text: str):
-    if ":" in text:
-        kind, lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+    try:
+        if ":" in text:
+            kind, lo, hi, count = text.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+        else:
+            kind, points = None, [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ValueError(_GRID_FORM) from None
+    if kind is not None:
         if kind not in ("log", "lin"):
-            raise ValueError("grid must be log:lo:hi:n, lin:lo:hi:n or a comma list")
+            raise ValueError(_GRID_FORM)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("grid endpoints must be finite")
         if kind == "log" and (lo <= 0 or hi <= 0):
             raise ValueError("log grid needs positive endpoints")
         points = list((np.geomspace if kind == "log" else np.linspace)(lo, hi, max(count, 0)))
-    else:
-        points = [float(p) for p in text.split(",") if p.strip()]
-        if not all(math.isfinite(x) for x in points):
-            raise ValueError("grid points must be finite")
+    elif not all(math.isfinite(x) for x in points):
+        raise ValueError("grid points must be finite")
     if not points:
         raise ValueError("grid has no points")
     return points
@@ -98,15 +105,24 @@ def parse_weight(text: str) -> WeightFunction:
     for part in rest.split(","):
         if not part.strip():
             continue
-        k, v = part.split("=")
+        k, _, v = part.partition("=")
         k = k.strip()
-        if k == "eta":
-            kw["eta"] = int(v)
-        elif k in ("mu", "width", "amplitude"):
-            kw[k] = float(v)
-        else:
+        if k not in ("eta", "mu", "width", "amplitude"):
             raise ValueError(f"unknown weight parameter {k}")
+        try:
+            kw[k] = int(v) if k == "eta" else float(v)
+        except ValueError:
+            raise ValueError(
+                f"weight parameters must be key=value with an integer eta, got {part!r}"
+            ) from None
     return WeightFunction(**kw)
+
+
+def parse_delta(text: str) -> list:
+    parts = [d.strip() for d in text.split(",")]
+    if not all(d in ("0", "1") for d in parts):
+        raise ValueError(f"--delta must be comma-separated 0/1 parities, got {text!r}")
+    return [int(d) for d in parts]
 
 
 def fmt_float(v: float) -> str:
@@ -291,7 +307,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_kernel(args) -> int:
     si = _index_from_args(args)
-    deltas = [int(d) for d in args.delta.split(",")]
+    deltas = parse_delta(args.delta)
     ki = KernelIndex(si, deltas)
     xs = parse_grid(args.x_grid)
     cfg = {
@@ -335,7 +351,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_transform(args) -> int:
     si = _index_from_args(args)
-    deltas = [int(d) for d in args.delta.split(",")]
+    deltas = parse_delta(args.delta)
     ki = KernelIndex(si, deltas)
     weight = parse_weight(args.weight)
     xs = parse_grid(args.x_grid)

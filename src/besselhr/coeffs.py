@@ -21,9 +21,8 @@ double-double pair arithmetic before rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _pair as dd
@@ -364,11 +363,6 @@ class BTable:
     n: int
     xi: RootOfUnity
     coeffs: tuple  # B_m, m = 0..m_terms
-    w: dict = field(repr=False)  # (j, k) -> W_{j,k}(lambda), complex
-
-    @property
-    def m_terms(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _w_table(n: int, eq: BesselEqCoeffs, xi: RootOfUnity) -> dict:
@@ -413,9 +407,8 @@ def build_b_table(
         raise ValueError("index rank mismatch")
     if xi.order != 2 * n:
         raise ValueError("xi must be a 2n-th root of unity")
-    if m_terms < 0:
-        raise ValueError("m_terms must be nonnegative")
-    m_terms = min(m_terms, B_TERMS_CAP)
+    if not 0 <= m_terms <= B_TERMS_CAP:
+        raise ValueError(f"m_terms must lie in [0, {B_TERMS_CAP}], got {m_terms}")
     eq = bessel_eq_coeffs(n, si)
     w = _w_table(n, eq, xi)
 
@@ -445,17 +438,7 @@ def build_b_table(
         denom = dd.cdd_scale(w_dd[(1, 0)], float(m - 1))
         bs.append(dd.cdd_div(rhs, denom))
     coeffs = tuple(dd.cdd_to_complex(b) for b in bs[: m_terms + 1])
-    return BTable(n, xi, coeffs, w)
-
-
-@lru_cache(maxsize=256)
-def b_table_cached(n: int, lam_key: tuple, xi_order: int, xi_index: int, m_terms: int) -> BTable:
-    si = SpectralIndex(lam_key)
-    return build_b_table(n, si, RootOfUnity(xi_order, xi_index), m_terms)
-
-
-def cached_b_table(si: SpectralIndex, xi: RootOfUnity, m_terms: int = 30) -> BTable:
-    return b_table_cached(si.rank, si.lam, xi.order, xi.index, m_terms)
+    return BTable(n, xi, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mellinbarnes as mb
-from .asympt import second_kind_sweep, validity_floor, varsigma_factor
-from .coeffs import cached_b_table
+from .asympt import M_CAP, b_coeffs, second_kind_sweep, validity_floor, varsigma_factor
 from .core import (
     EvalResult,
     RootOfUnity,
@@ -251,17 +250,13 @@ def bessel_kernel(
 def _w_lambda(x: float, si: SpectralIndex, sign: int, m_terms: int):
     """W^{+-}_lambda(x) = sum_m B_m(lambda;+-1) (2 pi)^{-m} x^{-m-(n-1)/2}."""
     n = si.rank
-    xi = RootOfUnity(2 * n, 0 if sign > 0 else n)
-    tab = cached_b_table(si, xi, min(m_terms + 1, 30))
+    bs = b_coeffs(si, RootOfUnity(2 * n, 0 if sign > 0 else n))[: m_terms + 1]
     acc = 0j
     t = x ** (-(n - 1) / 2.0)
-    m = 0
-    while m < m_terms:
-        acc += tab.coeffs[m] * t
+    for b in bs[:-1]:
+        acc += b * t
         t /= 2.0 * math.pi * x
-        m += 1
-    nxt = abs(tab.coeffs[min(m, tab.m_terms)]) * abs(t)
-    return acc, 2.0 * nxt
+    return acc, 2.0 * (abs(bs[-1]) * abs(t))
 
 
 @dataclass(frozen=True)
@@ -290,10 +285,13 @@ def kernel_asymptotics(x: float, ki: KernelIndex, m_terms: int) -> KernelAsympto
 
     For even rank both oscillatory terms sit on the positive side and the
     negative side is purely the exponentially small remainder; for odd rank
-    each side carries one oscillatory term.
+    each side carries one oscillatory term.  Each W sums m_terms terms, at
+    most M_CAP, and its error is twice the next term.
     """
     if x <= 0:
         raise ValueError("x must be positive")
+    if not 0 <= m_terms <= M_CAP:
+        raise ValueError(f"m_terms must lie in [0, {M_CAP}], got {m_terms}")
     si = ki.lam
     n = ki.rank
     if 2.0 * math.pi * x < validity_floor(si):

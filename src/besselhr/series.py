@@ -34,15 +34,16 @@ kept in one LRU store (_stored): the coefficients c_l with their bounds, the
 sign-vector coefficient sets of the kernel's cancellation reference (both
 by index, kind or parity, and digits), the reciprocal gammas of the head
 terms (by exact argument and bits), the grid's first-kind tables and
-coefficient pairs, and the index-shift matrix of derivatives.  A key holds
+coefficient pairs, the index-shift matrix of derivatives, and the
+asymptotic B_m tables of asympt (by index and root).  A key holds
 nothing of z, of a family value or of the tolerance, so every result is the
 same bit for bit with or without the store.  The double pass builds its
 coefficients afresh: they cost little there, and keys of doubles would not
 tell 0.0 from -0.0.  Each entry is charged an upper bound on its bytes from
 how many numbers it holds and their precision (_charge; a first-kind table
-at its longest), and the store evicts the least recently used entries to
-hold at most _STORE_BYTES (4 MB) at every rank and precision; an entry
-charged more is built at each use and not kept.
+for the terms it holds, charged again when a sweep grows it), and the store
+evicts the least recently used entries to hold at most _STORE_BYTES (4 MB)
+at every rank and precision; an entry charged more is not kept.
 """
 
 from __future__ import annotations
@@ -256,16 +257,15 @@ def _charge(numbers: int, bits: int) -> int:
 
 class _Store(OrderedDict):
     """key -> (value, charge), least recently used first.  store(key, cost,
-    build) returns the value under key, or on a miss build(), kept at cost
-    bytes, evicting from the front, unless cost alone is over _STORE_BYTES."""
+    build) returns the value under key, or on a miss build(), and keeps it
+    charged cost bytes, the cost of its latest access, evicting from the
+    front; a value whose cost alone is over _STORE_BYTES is not kept."""
 
     held = 0
 
     def __call__(self, key, cost: int, build):
-        if key in self:
-            self.move_to_end(key)
-            return self[key][0]
-        value = build()
+        value, charged = self.pop(key) if key in self else (build(), 0)
+        self.held -= charged
         if cost <= _STORE_BYTES:
             self[key] = (value, cost)
             self.held += cost
@@ -633,6 +633,11 @@ class _FirstKindTable:
                     self._last[l] = size
 
 
+def _table_charge(n: int, terms: int) -> int:
+    """A _FirstKindTable's charge: terms and n + 4 generator numbers a series."""
+    return _charge(n * (terms + n + 4), dps_to_prec(_GRID_DPS))
+
+
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
     """K_l and, for every sign vector of the kernel sum, E E_l S_l, from
     mpmath at _GRID_DPS digits rounded to complex pairs; and |K_l|."""
@@ -725,9 +730,6 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
-    # charged at its longest: _GRID_M_CAP + 2 terms and n + 4 generator numbers a series
-    table_cost = _charge(n * (_GRID_M_CAP + n + 6), dps_to_prec(_GRID_DPS))
-    table = _stored(("table", si.lam), table_cost, lambda: _FirstKindTable(si.lam))
     kern, sides, kern_abs = _stored(
         ("grid", si.lam, deltas, parity),
         _charge(n * ((1 << (n - 1)) + 2), 106),
@@ -744,8 +746,12 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     value = ((zero, zero), (zero, zero))
     family = []
     err = np.zeros(inner.shape)
-    for l in range(n):
-        deg, mass, wmass, tail = _sum_degrees(table, l, r[0])
+    # charged empty until the degrees have grown it, then for the terms it
+    # holds; nothing else is stored in between
+    table = _stored(("table", si.lam), _table_charge(n, 0), lambda: _FirstKindTable(si.lam))
+    sums = [_sum_degrees(table, l, r[0]) for l in range(n)]
+    _stored(("table", si.lam), _table_charge(n, len(table.coeffs[0])), lambda: table)
+    for l, (deg, mass, wmass, tail) in enumerate(sums):
         ok &= deg >= 0
         acc = ((zero, zero), (zero, zero))
         for m in range(int(deg.max()), -1, -1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from besselhr import _reference as ref
+from besselhr import coeffs, series
 from besselhr.core import (
     OutOfSectorError,
     OverflowEvalError,
@@ -16,6 +17,8 @@ from besselhr.core import (
 )
 from besselhr.asympt import (
     DEFAULT_THETA,
+    M_CAP,
+    b_coeffs,
     h_bessel,
     in_validity_sector,
     inverse_connection,
@@ -26,6 +29,7 @@ from besselhr.asympt import (
     validity_floor,
     w_function,
 )
+from besselhr.kernel import KernelIndex, kernel_asymptotics
 from besselhr.mellinbarnes import mb_eval_est
 from besselhr.series import j_function
 
@@ -295,3 +299,32 @@ def test_validity_floor_overflow_is_typed():
     # |lambda| = 5e299: the floor overflows double range
     with pytest.raises(OverflowEvalError):
         validity_floor(SpectralIndex([1e300, 0.0]))
+
+
+def test_b_table_built_once_per_index_and_root(monkeypatch):
+    # every route reads one table per (index, root), kept in the series store
+    # and built to M_CAP terms: the bits of a fresh build
+    monkeypatch.setattr(series, "_stored", series._Store())
+    built = []
+    build = coeffs.build_b_table
+
+    def counted(n, si, xi, m_terms):
+        built.append((si.lam, xi.index, m_terms))
+        return build(n, si, xi, m_terms)
+
+    monkeypatch.setattr(coeffs, "build_b_table", counted)
+    si = SpectralIndex([0.23, -0.23])
+    plus, minus = RootOfUnity(4, 0), RootOfUnity(4, 2)
+    ki = KernelIndex(si, (0, 1))
+    for x in (12.0, 40.0):
+        second_kind(x, si, plus)
+        second_kind(x, si, minus)
+        second_kind_sweep(np.array([x, 2 * x]), si, plus)
+        w_function(x, si, "+")
+        w_function(x, si, "-", 1)
+        for m in (0, 7, M_CAP):
+            kernel_asymptotics(x, ki, m)
+    assert built == [(si.lam, 0, M_CAP), (si.lam, 2, M_CAP)]
+    for xi in (plus, minus):
+        assert repr(b_coeffs(si, xi)) == repr(build(2, si, xi, M_CAP).coeffs)
+    assert len(built) == 2

@@ -370,6 +370,7 @@ def _usage_error(argv, capsys, flag_text):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag_text in err
+    assert "unpack" not in err and "invalid literal" not in err
 
 
 @pytest.mark.parametrize(
@@ -400,8 +401,15 @@ def test_eval_out_of_domain_exits_2(extra, text, capsys):
         (["--x-grid", "lin:-inf:2:3"], "grid endpoints must be finite"),
         (["--x-grid", "1", "--tol", "-1"], "--tol"),
         (["--x-grid", "1", "--tol", "nan"], "--tol"),
+        (["--x-grid", "log:1:4"], "log:lo:hi:n"),
+        (["--x-grid", "lin:1:4:2.5"], "(n an integer)"),
+        (["--x-grid", "1,a"], "a comma list of numbers"),
+        (["--x-grid", "1", "--delta", "a"], "comma-separated 0/1 parities"),
+        (["--x-grid", "1", "--delta", "2,0"], "comma-separated 0/1 parities"),
     ],
-    ids=["inf-grid", "minus-inf-grid", "empty-grid", "inf-endpoint", "negative-tol", "nan-tol"],
+    ids=["inf-grid", "minus-inf-grid", "empty-grid", "inf-endpoint", "negative-tol", "nan-tol",
+         "short-range", "fractional-count", "non-number", "non-integer-delta",
+         "delta-not-a-parity"],
 )
 def test_kernel_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["kernel", "--delta", "0,0"] + _RANK2 + extra, capsys, text)
@@ -418,9 +426,12 @@ def test_kernel_out_of_domain_exits_2(extra, text, capsys):
         (["--x-grid", "1", "--weight", "gaussian-log:width=nan"], "must be finite"),
         (["--x-grid", "1", "--weight", "gaussian-log:mu=inf"], "must be finite"),
         (["--x-grid", "1", "--weight", "gaussian-log:amplitude=nan"], "must be finite"),
+        (["--x-grid", "1", "--weight", "gaussian-log:width"], "key=value"),
+        (["--x-grid", "1", "--weight", "gaussian-log:eta=1.5"], "key=value"),
+        (["--x-grid", "1", "--delta", "0,x"], "comma-separated 0/1 parities"),
     ],
     ids=["inf-grid", "empty-grid", "zero-tol", "nan-tol", "nan-fe-tol", "nan-width", "inf-mu",
-         "nan-amplitude"],
+         "nan-amplitude", "key-without-value", "non-integer-eta", "non-integer-delta"],
 )
 def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     argv = ["transform", "--delta", "0,0"] + _RANK2 + extra
@@ -441,9 +452,17 @@ def test_oracle_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["oracle", "compare", "--signs", "++"] + _RANK2 + extra, capsys, text)
 
 
-@pytest.mark.parametrize("n", ["0", "-2"])
-def test_coeffs_out_of_domain_exits_2(n, capsys):
-    _usage_error(["coeffs", "--n", n], capsys, "--n must be at least 1")
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--n", "0"], "--n must be at least 1"),
+        (["--n", "-2"], "--n must be at least 1"),
+        (["--n", "2", "--lambda", "0.3,-0.3", "--terms", "100"], "m_terms must lie in [0, 40]"),
+    ],
+    ids=["0", "-2", "terms-past-cap"],
+)
+def test_coeffs_out_of_domain_exits_2(extra, text, capsys):
+    _usage_error(["coeffs"] + extra, capsys, text)
 
 
 def test_eval_index_that_cannot_be_perturbed_exits_2(capsys):

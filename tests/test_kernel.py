@@ -8,7 +8,8 @@ import pytest
 from besselhr import _reference as ref
 from besselhr import series
 from besselhr.asympt import j_varsigma_asymptotic
-from besselhr.core import SpectralIndex, ToleranceNotMetError
+from besselhr.coeffs import build_b_table
+from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
     KernelIndex,
     WeightFunction,
@@ -212,6 +213,43 @@ def test_kernel_asymptotics_leading_w():
     ka = kernel_asymptotics(25.0, ki, 1)
     for _, w, _ in ka.plus_terms + ka.minus_terms:
         assert abs(w - 25.0 ** (-1.0)) < 0.05 * 25.0 ** (-1.0)
+
+
+@pytest.mark.parametrize("m_terms", [-1, 31, 32, 40])
+def test_kernel_asymptotics_terms_outside_the_table_raise(m_terms):
+    # the stored B table holds B_0..B_M_CAP: W sums m_terms terms and is
+    # charged twice B_(m_terms), so m_terms runs over 0..M_CAP
+    ki = KernelIndex(SpectralIndex([0.2, -0.15, -0.05]), (0, 0, 0))
+    with pytest.raises(ValueError, match=r"m_terms must lie in \[0, 30\]"):
+        kernel_asymptotics(10.0, ki, m_terms)
+
+
+def _w_from_table_of_its_length(x, si, sign, m_terms):
+    # W summed over a table built to min(m_terms + 1, 30) terms
+    n = si.rank
+    xi = RootOfUnity(2 * n, 0 if sign > 0 else n)
+    bs = build_b_table(n, si, xi, min(m_terms + 1, 30)).coeffs
+    acc = 0j
+    t = x ** (-(n - 1) / 2.0)
+    for m in range(m_terms):
+        acc += bs[m] * t
+        t /= 2.0 * math.pi * x
+    return acc, 2.0 * (abs(bs[m_terms]) * abs(t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_asymptotics_reads_a_prefix_of_the_stored_table_bits(n):
+    # a prefix of the one table built to M_CAP terms gives the bits of a
+    # table built to each length
+    si = SpectralIndex([0.2, -0.15, -0.05, 0.1j][:n])
+    ki = KernelIndex(si, (1,) + (0,) * (n - 1))
+    for x in (10.0, 37.5):
+        for m in range(31):
+            ka = kernel_asymptotics(x, ki, m)
+            got = [(w, e) for _, w, e in ka.plus_terms + ka.minus_terms]
+            signs = (1, -1)
+            want = [_w_from_table_of_its_length(x, si, s, m) for s in signs]
+            assert repr(got) == repr(want)
 
 
 def test_hankel_transform_rank1_fourier_oracle():

@@ -16,6 +16,7 @@ from besselhr.core import (
     NuIndex,
     OverflowEvalError,
     PoleError,
+    RootOfUnity,
     SignVector,
     SpectralIndex,
     SurfacePoint,
@@ -23,7 +24,7 @@ from besselhr.core import (
     e2pi,
     lambda_of_nu,
 )
-from besselhr import series
+from besselhr import asympt, series
 from besselhr.kernel import KernelIndex, bessel_kernel
 from besselhr.mellinbarnes import mb_eval_est, mb_kernel_est
 from besselhr.series import derivatives, first_kind, j_function, ode_residual
@@ -594,26 +595,32 @@ def _build_each_kind():
             series._signvec_sets_mp(si.lam, -1, dps)
         series.kernel_series_grid(np.array([0.5]), -1, si, deltas)  # a table and pairs
         series.derivatives(0.5, SignVector(("+-" * 3)[:n]), si, 0)  # the index-shift matrix
+        for k in (0, n):
+            asympt.b_coeffs(si, RootOfUnity(2 * n, k))
 
 
 def test_store_charges_bound_entry_sizes(monkeypatch):
     # each charge is at least what tracemalloc counts for the value and a
     # copy of its key, built after a first pass has warmed mpmath's own
-    # caches; a first-kind table is measured at its longest (at a shorter
-    # cap, which its charge follows)
-    monkeypatch.setattr(series, "_GRID_M_CAP", 10)
+    # caches; a first-kind table is measured at every length it is charged
+    # for, as a fresh table grown to that length
     sizes = []
+    table_lengths = set()
 
     def measured(key, cost, build):
+        table = build() if key[0] == "table" else None
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        value = build()
-        if isinstance(value, series._FirstKindTable):
-            value.extend(series._GRID_M_CAP + 1)
+        if table is None:
+            value = made = build()
+        else:
+            value, made = table, series._FirstKindTable(key[1])
+            made.extend(len(table.coeffs[0]) - 1)
+            table_lengths.add((len(key[1]), len(made.coeffs[0])))
         key_copy = pickle.loads(pickle.dumps(key))
         gc.collect()
         sizes.append((key[0], cost, tracemalloc.get_traced_memory()[0] - before))
-        del key_copy
+        del key_copy, made
         return value
 
     monkeypatch.setattr(series, "_stored", measured)
@@ -626,6 +633,40 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
     finally:
         tracemalloc.stop()
         gc.unfreeze()
-    assert {kind for kind, _, _ in sizes} == {"coeffs", "signvec", "rgamma", "table", "grid", "u"}
+    kinds = {"coeffs", "signvec", "rgamma", "table", "grid", "u", "b"}
+    assert {kind for kind, _, _ in sizes} == kinds
     assert [s for s in sizes if s[2] > s[1]] == []
     assert min(size for _, _, size in sizes) > 0
+    # each rank's table is charged empty, then at the length the sweep grew it to
+    assert sorted(r for r, t in table_lengths if t == 0) == list(range(1, 7))
+    assert sorted(r for r, t in table_lengths if 2 < t < series._GRID_M_CAP) == list(range(1, 7))
+
+
+def test_grid_table_is_charged_for_the_terms_it_holds(monkeypatch):
+    # after a sweep the table is charged for its length, not for its cap;
+    # growing it raises the charge, and a table charged again over the
+    # budget is not kept
+    si = SpectralIndex([0.21 + 0.1j, -0.21 - 0.1j])
+    deltas = (0, 1)
+    key = ("table", si.lam)
+    store = _empty_store(monkeypatch)
+    charges = []
+    values = []
+    for inner in (0.3, 3.0):
+        values.append(series.kernel_series_grid(np.array([0.1, inner]), 1, si, deltas))
+        table, charge = store[key]
+        terms = len(table.coeffs[0])
+        assert terms < series._GRID_M_CAP
+        assert charge == series._charge(2 * (terms + 6), series.dps_to_prec(series._GRID_DPS))
+        assert store.held == sum(c for _, c in store.values())
+        charges.append(charge)
+    assert charges[0] < charges[1]
+
+    store = _empty_store(monkeypatch)
+    monkeypatch.setattr(series, "_STORE_BYTES", charges[0])
+    short = series.kernel_series_grid(np.array([0.1, 0.3]), 1, si, deltas)
+    assert [a.tobytes() for a in short] == [v.tobytes() for v in values[0]]
+    assert store[key][1] == charges[0] == store.held
+    again = series.kernel_series_grid(np.array([0.1, 3.0]), 1, si, deltas)
+    assert key not in store and store.held == sum(c for _, c in store.values())
+    assert [a.tobytes() for a in again] == [v.tobytes() for v in values[1]]
