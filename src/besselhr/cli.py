@@ -220,6 +220,10 @@ def cmd_eval(args) -> int:
         raise ValueError("provide --x or --x-grid")
     if args.x is not None and not math.isfinite(args.x):
         raise ValueError("--x must be finite")
+    if not math.isfinite(args.arg):
+        raise ValueError("--arg must be finite")
+    if args.method == "mb" and args.arg:
+        raise ValueError("the Mellin-Barnes route takes positive real x: drop --arg")
     xs = parse_grid(args.x_grid) if args.x_grid else [args.x]
     if min(xs) <= 0:
         raise ValueError("modulus must be positive")

@@ -18,7 +18,13 @@ and the combination must be taken as a limit (done here by averaging over a
 small circle of generic perturbations, the Cauchy mean of an analytic
 function); and for large |z| the combination cancels to exponentially small
 values, so the summation switches to adaptive-precision big floats when the
-reported double-precision error cannot meet the requested tolerance.
+reported double-precision error cannot meet the requested tolerance.  The
+first big-float round takes the digits its noise test needs at an estimate
+of |value|: for a sign-vector function above the asymptotic floor and inside
+the sector of xi(sig), the modulus of the leading asymptotic term
+(_leading_log10) plus _ESTIMATE_GUARD digits; otherwise eps times the double
+pass's term mass (or the e^{n|z|} ridge where the double pass overflows).
+A round that fails escalates, up to a ceiling of digits.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms: in
 double precision for first_kind, in mpmath for the first terms of the
@@ -81,6 +87,9 @@ _CAUCHY_POINTS = 8
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # exact i^n
 # the big-float rounds stop at the digits that resolve a value this small
 _DPS_CEILING_SIZE = 1e-300
+# digits a first round sized from the asymptotic leading term keeps beyond
+# what its noise model needs at that term's modulus
+_ESTIMATE_GUARD = 4
 # past this n|z| the series is not attempted: its first round alone would
 # need some 45 000 digits
 _SERIES_MAX_NZ = 1e5
@@ -405,6 +414,28 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind)
         return value, mass, terms, rel, family
 
 
+def _leading_log10(z: SurfacePoint, si: SpectralIndex, sv: SignVector):
+    """log10 |J(z; sv, si)| from the leading term of its asymptotic
+    expansion, |varsigma_factor| |e^{i n xi z}| |z|^{-(n-1)/2}; None below
+    the validity floor, outside the sector of xi(sv), or where the floor
+    overflows."""
+    from . import asympt  # asympt imports this module
+
+    n = si.rank
+    xi = sv.xi()
+    try:
+        if z.modulus < asympt.validity_floor(si) or not asympt.in_validity_sector(
+            z, xi, n, asympt.DEFAULT_THETA
+        ):
+            return None
+        growth = (1j * n * xi.value * z.to_complex()).real  # log |e^{i n xi z}|
+        front = math.log(abs(asympt.varsigma_factor(sv, si)))
+        log_j = growth - 0.5 * (n - 1) * z.log_modulus + front
+    except (ArithmeticError, ValueError):
+        return None
+    return log_j / math.log(10.0)
+
+
 def _recombine(coeff_sets, family):
     """sum_l c_l J_l for each set of coefficients c, from family values in
     the same arithmetic."""
@@ -421,6 +452,12 @@ def _j_generic(
     """
     overflow = si.rank * z.modulus > 690.0
     eps = np.finfo(float).eps
+
+    def digits(logmass, log_size, guard=19):
+        # the digits at which the noise test below, term mass times
+        # 10^-(dps-5) <= tol |value|, holds at |value| = 10^log_size, plus guard
+        return 5 + guard + int(logmass - log_size) - int(math.log10(tol))
+
     if not overflow:
         est, mass, family = _j_generic_double(z, sign, si, tol, kind)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
@@ -433,9 +470,8 @@ def _j_generic(
         # the value is smaller still
         noise_mass = max(est.tail_bound / (8.0 * eps), mass)
         scale = max(abs(est.value), eps * noise_mass, 1e-280)
-        dps = 24 + int(math.log10(max(noise_mass, scale)) - math.log10(scale)) - int(
-            math.log10(tol)
-        )
+        logmass = math.log10(max(noise_mass, scale))
+        dps = digits(logmass, math.log10(scale))
     else:
         if si.rank * z.modulus > _SERIES_MAX_NZ:
             raise OverflowEvalError(
@@ -445,7 +481,16 @@ def _j_generic(
             )
         # summing past the e^{n|z|} term ridge needs ~0.44 n|z| digits; the
         # escalation loop below buys more if the combination cancels deeper
-        dps = 26 + int(0.45 * si.rank * z.modulus) - int(math.log10(tol))
+        logmass = 0.45 * si.rank * z.modulus
+        dps = 26 + int(logmass) - int(math.log10(tol))
+    log_j = _leading_log10(z, si, kind[1]) if kind[0] == "signvec" else None
+    if log_j is not None:
+        # a sign-vector function in its asymptotic zone: sized for the
+        # leading term's |J|, no higher than the ceiling the rounds stop at
+        dps = min(
+            digits(logmass, log_j, _ESTIMATE_GUARD),
+            digits(logmass, math.log10(_DPS_CEILING_SIZE)),
+        )
     for _ in range(8):
         round_dps = dps
         value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, kind)
@@ -462,11 +507,7 @@ def _j_generic(
         # how the terms were rounded (and may be exactly 0), so the
         # requirement is taken at no less than the noise bound
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
-
-        def digits(size):
-            return 24 + int(logmass - math.log10(size)) - int(math.log10(tol))
-
-        ceiling = digits(_DPS_CEILING_SIZE)
+        ceiling = digits(logmass, math.log10(_DPS_CEILING_SIZE))
         if round_dps >= ceiling:
             raise ToleranceNotMetError(
                 f"series precision ceiling of {ceiling} digits reached at "
@@ -477,7 +518,7 @@ def _j_generic(
                 achieved=ach,
             )
         size = max(abs(v), min(float(noise), 1e300), _DPS_CEILING_SIZE)
-        dps = min(max(int(dps * 1.6) + 8, digits(size)), ceiling)
+        dps = min(max(int(dps * 1.6) + 8, digits(logmass, math.log10(size))), ceiling)
     else:
         raise ToleranceNotMetError(
             f"series not certified after 8 big-float rounds at |z|={z.modulus:.6g} "

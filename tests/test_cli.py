@@ -384,9 +384,16 @@ def _usage_error(argv, capsys, flag_text):
         (["--x-grid", "log:1:nan:3"], "grid endpoints must be finite"),
         (["--x", "1", "--tol", "0"], "--tol"),
         (["--x", "1", "--tol", "nan"], "--tol"),
+        (["--x", "1", "--arg", "nan"], "--arg must be finite"),
+        (["--x", "1", "--arg", "inf"], "--arg must be finite"),
+        (["--x", "1", "--arg=-inf", "--method", "asympt"], "--arg must be finite"),
+        (["--x", "4", "--arg", "0.5", "--method", "mb"],
+         "the Mellin-Barnes route takes positive real x"),
+        (["--x-grid", "1,4", "--arg", "-3.14", "--method", "mb"],
+         "the Mellin-Barnes route takes positive real x"),
     ],
     ids=["negative-x", "inf-x", "nan-x", "inf-grid", "empty-grid", "nan-endpoint", "zero-tol",
-         "nan-tol"],
+         "nan-tol", "nan-arg", "inf-arg", "minus-inf-arg", "mb-off-axis", "mb-grid-off-axis"],
 )
 def test_eval_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["eval", "--signs", "++"] + _RANK2 + extra, capsys, text)

@@ -221,8 +221,10 @@ def test_bigfloat_first_round_from_noise_scale(monkeypatch):
     want, want_err = mb_kernel_est(x, ki.lam, ki.deltas, 1e-13)
     assert abs(r.value - want) <= r.error + want_err
     rounds.clear()
+    # x = 40 is above the asymptotic floor: the round is sized from the
+    # leading term, and the first one certifies
     r = j_function(40.0, SignVector("+-"), SpectralIndex([0.25, -0.25]), 1e-10)
-    assert rounds[0] < 60 and max(rounds) < 100
+    assert len(rounds) == 1 and max(rounds) < 100
     want = 2 * complex(mp.expjpi(-0.25) * mp.besselk(0.5, 80))
     assert abs(r.value - want) <= 1e-10 * abs(want)
 
@@ -230,12 +232,90 @@ def test_bigfloat_first_round_from_noise_scale(monkeypatch):
 def test_bigfloat_precision_ceiling(monkeypatch):
     # J(300; ++-) is far below double range: no number of digits certifies
     # it, so the rounds stop at the precision ceiling instead of escalating
-    # x1.6 per round for minutes
+    # x1.6 per round for minutes.  Its leading asymptotic term is below the
+    # ceiling's size, so the one round runs at the ceiling
     rounds = _record_rounds(monkeypatch)
     with pytest.raises(ToleranceNotMetError, match="asymptotic route") as exc:
         j_function(300.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
     assert exc.value.value is not None and exc.value.achieved is not None
-    assert len(rounds) <= 4 and max(rounds) < 1000
+    assert len(rounds) == 1 and max(rounds) < 1000
+
+
+@pytest.mark.parametrize(
+    "x, signs, lam",
+    [
+        (40.0, "+-", (0.25, -0.25)),
+        (30.0, "++-", (0.3, -0.1, -0.2)),
+        (12.0, "+++", (0.3, -0.1, -0.2)),
+        (16.65, "+-+-", (0.1 + 0.2j, -0.2 - 0.1j, 0.05 - 0.15j, 0.05 + 0.05j)),
+    ],
+)
+def test_leading_log10_matches_the_series(x, signs, lam):
+    # above the floor the leading asymptotic term has the series' modulus
+    si = SpectralIndex(lam)
+    sv = SignVector(signs)
+    got = series._leading_log10(SurfacePoint.from_positive(x), si, sv)
+    want = math.log10(abs(j_function(x, sv, si, 1e-10).value))
+    assert abs(got - want) < 0.05
+
+
+def test_leading_log10_outside_its_zone_is_none():
+    si = SpectralIndex([0.3, -0.1, -0.2])
+    sv = SignVector("++-")
+    assert series._leading_log10(SurfacePoint.from_positive(2.0), si, sv) is None  # floor 5.76
+    # the sector of xi(++-) is |arg z - pi/6| < pi + pi/3 - pi/6
+    assert series._leading_log10(SurfacePoint.from_polar(30.0, -3.5), si, sv) is None
+    assert series._leading_log10(SurfacePoint.from_polar(30.0, 0.5), si, sv) is not None
+    # a floor that overflows double range is no estimate, not an error
+    huge = SpectralIndex([1e200, -1e200])
+    assert series._leading_log10(SurfacePoint.from_positive(30.0), huge, SignVector("+-")) is None
+
+
+@pytest.mark.parametrize("shift", [30, -30], ids=["estimate-too-high", "estimate-too-low"])
+def test_first_round_estimate_misses(monkeypatch, shift):
+    # a leading term 30 digits too large leaves the first round 30 digits
+    # short: it fails and the rounds escalate to a certified value.  One 30
+    # digits too small buys 30 digits more than needed in one round
+    args = (30.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
+    rounds = _record_rounds(monkeypatch)
+    base = j_function(*args)
+    assert len(rounds) == 1
+    sized = rounds.pop()
+    estimate = series._leading_log10
+    monkeypatch.setattr(series, "_leading_log10", lambda *a: estimate(*a) + shift)
+    r = j_function(*args)
+    if shift > 0:
+        assert len(rounds) > 1 and rounds[0] == sized - shift
+    else:
+        assert rounds == [sized - shift]
+    assert r.tail_bound <= 1e-10 * abs(r.value)
+    assert abs(r.value - base.value) <= r.tail_bound
+
+
+def test_first_round_estimate_is_capped_at_the_ceiling(monkeypatch):
+    # an estimate 1000 digits below the value asks for some 1080 digits; the
+    # round runs at the ceiling instead, the digits that resolve 1e-300
+    # against the double pass's term mass (about 360 here), and certifies
+    args = (30.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
+    rounds = _record_rounds(monkeypatch)
+    estimate = series._leading_log10
+    monkeypatch.setattr(series, "_leading_log10", lambda *a: estimate(*a) - 1000)
+    r = j_function(*args)
+    assert len(rounds) == 1 and 300 < rounds[0] < 400
+    assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
+def test_j_function_large_modulus_one_round(monkeypatch):
+    # |J(200; ++-)| ~ 1e-227: one round sized from the leading term
+    # certifies it, where the rounds sized from the double pass took six
+    rounds = _record_rounds(monkeypatch)
+    si = SpectralIndex([0.3, -0.1, -0.2])
+    sv = SignVector("++-")
+    r = j_function(200.0, sv, si, 1e-10)
+    assert len(rounds) == 1
+    ra = asympt.j_varsigma_asymptotic(200.0, sv, si)
+    assert abs(r.value - ra.value) <= r.tail_bound + ra.error_estimate
+    assert r.tail_bound <= 1e-10 * abs(r.value)
 
 
 def test_j_function_beyond_double_range():
@@ -449,22 +529,40 @@ def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
 
 
 def test_cached_cauchy_mean_repeats_bit_for_bit(monkeypatch):
-    # lambda_1 - lambda_2 = 1: the value is the mean over 8 perturbed
-    # indices, each running its own big-float rounds (49 then 86 digits)
+    # lambda_1 - lambda_2 = 3: the value is the mean over 8 perturbed
+    # indices, each running its own big-float rounds.  x = 20 is below the
+    # asymptotic floor (25), so each escalates, 49 then 86 digits
     rounds = _record_rounds(monkeypatch)
-    args = (20.0, SignVector("+-"), SpectralIndex([0.5, -0.5]), 1e-10)
+    args = (20.0, SignVector("+-"), SpectralIndex([1.5, -1.5]), 1e-10)
     runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
     assert rounds == [49, 86] * 24
     assert runs[3]["coeffs"] > 0 and runs[3]["rgamma"] > 0
     assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
+    # above the floor (6.25 at lambda_1 - lambda_2 = 1) each perturbation
+    # certifies in its first round, sized from the leading asymptotic term
+    rounds.clear()
+    args = (20.0, SignVector("+-"), SpectralIndex([0.5, -0.5]), 1e-10)
+    runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
+    assert len(rounds) == 24 and max(rounds) < 100
+    assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
 
 
 def test_cached_escalating_j_function_repeats_bit_for_bit(monkeypatch):
-    # the 49-digit round fails and the 86-digit one certifies
+    # below the asymptotic floor (42.25 at |lambda| = 2.25) the first round
+    # is sized from the double pass: the 49-digit round fails and the
+    # 86-digit one certifies
     rounds = _record_rounds(monkeypatch)
-    args = (20.0, SignVector("+-"), SpectralIndex([0.25, -0.25]), 1e-10)
+    args = (20.0, SignVector("+-"), SpectralIndex([2.25, -2.25]), 1e-10)
     runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
     assert rounds == [49, 86] * 3
+    assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
+    want = 2 * complex(mp.expjpi(-2.25) * mp.besselk(4.5, 40))
+    assert abs(runs[0].value - want) <= 1e-10 * abs(want)
+    # above the floor the first round, sized from the leading term, certifies
+    rounds.clear()
+    args = (20.0, SignVector("+-"), SpectralIndex([0.25, -0.25]), 1e-10)
+    runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
+    assert len(rounds) == 3 and max(rounds) < 100
     assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
     want = 2 * complex(mp.expjpi(-0.25) * mp.besselk(0.5, 40))
     assert abs(runs[0].value - want) <= 1e-10 * abs(want)
