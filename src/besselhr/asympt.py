@@ -11,7 +11,8 @@ expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
 (max|lambda|+1)^2.  second_kind takes one point of the universal cover,
 second_kind_sweep many positive reals in 2-D array passes with the same
-arithmetic, and both finish each point by one rule (_finish).  Every route
+arithmetic, and both finish their points by one numpy rule (_finish, on
+arrays).  Every route
 reads the B_m of an index and root from one table of M_CAP + 1 terms, kept
 in the series store (b_coeffs).  Connection constants relate these to the
 sign-vector functions and to the first-kind family (through a Vandermonde
@@ -46,6 +47,7 @@ INVERSE_THETA = math.pi / 12  # all n rotated roots must sit in-sector on R+
 M_CAP = 30
 FLOOR_FACTOR = 4.0
 _EPS = float(np.finfo(float).eps)
+SUBNORMAL = float(np.finfo(float).smallest_subnormal)  # the least error of a nonzero value
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,25 @@ def _truncate(bs, t, zinv):
     return m_star, sum(terms[:m_star]), mags[min(m_star, len(mags) - 1)], sum(mags[:m_star])
 
 
-def _finish(wc: complex, log_z: complex, n: int, total: complex, omitted: float, mass: float):
-    """One point's value e^w z^{-(n-1)/2} * total, with w = wc z, and its
-    absolute error: twice the first omitted term plus the rounding of the
-    kept terms and of the phase."""
-    w = wc * cmath.exp(log_z)
-    pref = cmath.exp(w) * cmath.exp(complex(-(n - 1) / 2.0) * log_z)
-    # the exp(i n xi z) phase is conditioned like |n z|, which caps the
-    # attainable relative accuracy of the whole evaluation
-    err = abs(pref) * (2.0 * omitted + _EPS * (4.0 * mass + (4.0 + 2.0 * abs(w)) * abs(total)))
-    return pref * total, err
+def _finish(wc, log_z, n: int, total, omitted, mass):
+    """The values e^w z^{-(n-1)/2} * total, w = wc z, at the points of the
+    complex array log_z, and their absolute errors: twice the first omitted
+    term plus the rounding of the kept terms and of the phase, at least the
+    subnormal spacing where the value is nonzero (the error can underflow
+    first).  OverflowEvalError where e^w or the value overflows."""
+    with np.errstate(over="raise"):
+        try:
+            w = wc * np.exp(log_z)
+            pref = np.exp(w - (n - 1) / 2.0 * log_z)
+            value = pref * total
+            # the exp(i n xi z) phase is conditioned like |n z|, which caps
+            # the attainable relative accuracy of the whole evaluation
+            err = np.abs(pref) * (
+                2.0 * omitted + _EPS * (4.0 * mass + (4.0 + 2.0 * np.abs(w)) * np.abs(total))
+            )
+        except FloatingPointError:
+            raise OverflowEvalError("the second-kind expansion overflows double range") from None
+    return value, np.fmax(err, SUBNORMAL * (value != 0))
 
 
 def second_kind(
@@ -143,19 +154,22 @@ def second_kind(
             "use the series or Mellin-Barnes evaluation"
         )
     m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, z.power(-1))
-    value, err = _finish(1j * n * xi.value, z.log(), n, total, omitted, mass)
-    return AsymptoticEval(value, m_star, err, True)
+    value, err = _finish(
+        1j * n * xi.value, np.array([z.log()]), n, np.array([total]), omitted, mass
+    )
+    return AsymptoticEval(complex(value[0]), m_star, float(err[0]), True)
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     """second_kind at the positive reals z (a 1-d array, argument 0).
 
     The truncation runs as 2-D (points x M_CAP+1) array passes over the
-    stored B_m table, with second_kind's arithmetic: the powers z^{-m} by
-    repeated multiplication (cumprod), the first smallest term, at least
-    one (argmin), and the partial sums and term mass left to right
-    (cumsum).  Each point is then finished by the same _finish as
-    second_kind.  Memory is a few float arrays of len(z) x (M_CAP+1)
+    stored B_m table, with second_kind's arithmetic: z^{-1} by the complex
+    exponential of -log z, its powers by repeated multiplication (cumprod),
+    the first smallest term, at least one (argmin), and the partial sums
+    and term mass left to right (cumsum).  The points are then finished
+    together by the same array _finish as second_kind's one point, so each
+    has second_kind's bits.  Memory is a few arrays of len(z) x (M_CAP+1)
     entries, so callers pass blocks of bounded size.  Returns the values
     and the absolute error estimates.
     """
@@ -171,31 +185,23 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     if (z < floor).any():
         raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
     b = np.array(b_coeffs(si, xi), dtype=np.complex128)
-    logs = [math.log(v) for v in z]
+    log_z = np.log(z) + 0j  # argument 0
     t = np.empty((len(z), len(b)))
     t[:, 0] = 1.0
-    t[:, 1:] = np.array([math.exp(-v) for v in logs])[:, None]  # z.power(-1) at argument 0
-    t = np.cumprod(t, axis=1)
-    re = b.real * t
-    im = b.imag * t
-    mag = np.hypot(re, im)
+    t[:, 1:] = np.exp(-log_z).real[:, None]
+    terms = b * t.cumprod(axis=1)
+    mag = np.hypot(terms.real, terms.imag)  # abs() of a complex, bit for bit
     rows = np.arange(len(z))
-    m_star = np.maximum(np.argmin(mag, axis=1), 1)
-    omitted = mag[rows, np.minimum(m_star, len(b) - 1)]
-    zero = np.zeros((len(z), 1))
-
-    def kept(a):
-        # column m of the running sum from 0 holds the terms before m
-        return np.cumsum(np.hstack([zero, a]), axis=1)[rows, m_star].tolist()
-
-    wc = 1j * n * xi.value
-    values = np.empty(len(z), dtype=np.complex128)
-    errors = np.empty(len(z))
-    for i, (lg, t_re, t_im, o, ms) in enumerate(
-        zip(logs, kept(re), kept(im), omitted.tolist(), kept(mag))
-    ):
-        values[i], errors[i] = _finish(wc, complex(lg, 0.0), n, complex(t_re, t_im), o, ms)
-    return values, errors
+    m_star = np.maximum(mag.argmin(axis=1), 1)
+    kept = (rows, m_star - 1)  # entry m - 1 of a running sum holds the terms before m
+    return _finish(
+        1j * n * xi.value,
+        log_z,
+        n,
+        terms.cumsum(axis=1)[kept],
+        mag[rows, np.minimum(m_star, len(b) - 1)],
+        mag.cumsum(axis=1)[kept],
+    )
 
 
 def w_function(

@@ -8,8 +8,10 @@ combination of the same n first-kind series J_l(2 pi |x|^{1/n}; sgn x), so
 the sum collapses onto n kernel connection coefficients (series.kernel_series):
 n series per point, summed at one precision chosen for the kernel's own
 accuracy.  Above the floor the sign-vector functions are summed by the
-asymptotic route, through one array path (_asymptotic_sweep) for one point
-and for many, and the Mellin-Barnes quadrature is available as arbiter.
+asymptotic route, grouped by their floor(n/2) + 1 second-kind roots into
+one array term per root, through one array path (_asymptotic_sweep) for
+one point and for many, and the Mellin-Barnes quadrature is available as
+arbiter.
 The signed sum can cancel catastrophically (holomorphic-parameter kernels
 vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
@@ -21,7 +23,7 @@ x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
 index, so kernel_sweep computes them in array passes: below the asymptotic
 floor one double-double sweep over all nodes (series.kernel_series_grid),
-above it one numpy pass per second-kind root (asympt.second_kind_sweep);
+above it one numpy pass and one grouped term per second-kind root;
 bessel_kernel takes only the nodes these passes cannot certify (it raises
 on those without a correct digit), those near the Mellin-Barnes switch,
 and the nodes of non-generic indices.  The functional-equation check
@@ -42,7 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from . import mellinbarnes as mb
-from .asympt import M_CAP, b_coeffs, second_kind_sweep, validity_floor, varsigma_factor
+from .asympt import M_CAP, SUBNORMAL, b_coeffs, second_kind_sweep, validity_floor
+from .coeffs import elementary_symmetric
 from .core import (
     EvalResult,
     RootOfUnity,
@@ -51,10 +54,12 @@ from .core import (
     e2pi,
     genericity_gap,
 )
-from .series import EPS_GEN, kernel_series, kernel_series_grid, sign_vectors
+from .series import EPS_GEN, kernel_series, kernel_series_grid
 
 CANCEL_SWITCH = 1e6
 _ASYMPT_MIN = 12.0
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # errors below it are underflow
 
 
 @dataclass(frozen=True)
@@ -196,10 +201,11 @@ def bessel_kernel(
     the reported error is relative to the kernel: at most tol * |value| (plus
     final rounding) unless the precision escalation gives up.  In the
     asymptotic zone it is the sum of the 2^{n-1} asymptotic sign-vector
-    functions with their summed error estimates, by kernel_sweep's array
-    pass at this one point.  Where a nonzero error reaches max |J(sig)| no
-    digit is correct (at huge x the rounding of the phase alone does that),
-    and ToleranceNotMetError is raised.  The cancellation is max |J(sig)|
+    functions, one grouped term per second-kind root, with their summed
+    error estimates, by kernel_sweep's array pass at this one point.  Where
+    an error above the underflow range reaches max |J(sig)| no digit is
+    correct (at huge x the rounding of the phase alone does that), and
+    ToleranceNotMetError is raised.  The cancellation is max |J(sig)|
     over those sign vectors divided by |value|; auto mode hands points above
     CANCEL_SWITCH to the Mellin-Barnes kernel integral.
     """
@@ -360,50 +366,53 @@ def _asymptotic_floor(si: SpectralIndex) -> float:
     return max(validity_floor(si), _ASYMPT_MIN)
 
 
+def _root_constants(parity: int, ki: KernelIndex):
+    """Per root xi = e^{i pi k / n}, (-1)^k = parity, of the kernel sum on
+    one side: xi, A_k e_k(y), |A_k| e_k(|y|) and |A_k| times the product of
+    the k largest |y_l| (see _asymptotic_sweep)."""
+    n = ki.rank
+    y = [(-1.0) ** d * e2pi(0.5 * lam) for d, lam in zip(ki.deltas, ki.lam.lam)]
+    mags = [abs(v) for v in y]
+    e_val, e_abs = elementary_symmetric(y), elementary_symmetric(mags)
+    top = sorted(mags, reverse=True)
+    front = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n)
+    for k in range(0 if parity > 0 else 1, n + 1, 2):
+        a = front * e2pi((n - 1) / 8.0 - (n - 1) * k / (4.0 * n))
+        peak = abs(a) * math.prod(top[:k])
+        yield RootOfUnity(2 * n, k), a * e_val[k], abs(a) * e_abs[k].real, peak
+
+
 def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
     """The kernel at the points inner (one sign, at or above the asymptotic
-    floor): the signed sum of the 2^{n-1} asymptotic sign-vector functions.
+    floor): the signed sum of the 2^{n-1} asymptotic sign-vector functions,
+    one array term per root.
 
-    Sign vectors with the same number of minus signs share their root xi
-    and so their second-kind values; asympt.second_kind_sweep computes each
-    of those once for all points, and each point's sum over sign vectors
-    runs in sign-vector order.  Returns the values, the summed errors,
-    max |J(sig)| and the mask of the points with a correct digit: an error
-    of 0 is an exact underflow (a decaying side far out), and any other
-    error that reaches max |J(sig)| leaves none (at huge x the rounding of
-    the phase alone does that).
+    The sign vectors with minus set S, |S| = k, share the root
+    xi = e^{i pi k / n} and so the second-kind values H_k, which
+    asympt.second_kind_sweep computes once for all points.  With
+    y_l = (-1)^{delta_l} e(lambda_l / 2), the signed factor of such a sign
+    vector is A_k prod_S y_l, where A_k = (2 pi)^{(n-1)/2} / sqrt(n)
+    e((n-1)/8 - (n-1) k / (4n)) is the lambda-free part of varsigma_factor.
+    Their sum is A_k e_k(y) H_k, their errors sum to |A_k| e_k(|y|) err_k,
+    and the largest |J(sig)| among them is |A_k| |H_k| times the product of
+    the k largest |y_l|.  Returns the values, the summed errors (at least
+    the subnormal spacing where the value is nonzero), max |J(sig)| and the
+    mask of the points with a correct digit: an error below the normal
+    range is an underflow (a decaying side far out), and any other error
+    that reaches max |J(sig)| leaves none (at huge x the rounding of the
+    phase alone does that).
     """
-    n = ki.rank
-    si = ki.lam
-    base = {}
-    parts = []
-    for sv in sign_vectors(n, parity):
-        if sv.n_minus not in base:
-            vals, errs = second_kind_sweep(inner, si, sv.xi())
-            base[sv.n_minus] = (vals.tolist(), errs.tolist())
-        coef = 1.0
-        for s, d in zip(sv.signs, ki.deltas):
-            if d % 2:
-                coef *= s
-        const = varsigma_factor(sv, si)
-        parts.append((coef, const, abs(const)) + base[sv.n_minus])
-    eps = np.finfo(float).eps
-    values = np.empty(len(inner), dtype=np.complex128)
-    errors = np.empty(len(inner))
-    peaks = np.empty(len(inner))
-    for i in range(len(inner)):
-        total = 0j
-        err = 0.0
-        peak = 0.0
-        for coef, const, const_abs, vals, errs in parts:
-            v = const * vals[i]
-            total += coef * v
-            err += const_abs * errs[i]
-            peak = max(peak, abs(v))
-        values[i] = total
-        errors[i] = err + 4.0 * eps * peak * (n + 1)
-        peaks[i] = peak
-    return values, errors, peaks, (errors == 0.0) | (errors < peaks)
+    values = np.zeros(len(inner), dtype=np.complex128)
+    errors = np.zeros(len(inner))
+    peaks = np.zeros(len(inner))
+    for xi, c_val, c_err, c_peak in _root_constants(parity, ki):
+        h, h_err = second_kind_sweep(inner, ki.lam, xi)
+        values += c_val * h
+        errors += c_err * h_err
+        peaks = np.maximum(peaks, c_peak * np.abs(h))
+    errors += 4.0 * _EPS * peaks * (ki.rank + 1)
+    errors = np.fmax(errors, SUBNORMAL * (values != 0))
+    return values, errors, peaks, errors < np.maximum(peaks, _TINY)
 
 
 _BLOCK = 512  # nodes per array pass

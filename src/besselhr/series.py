@@ -442,6 +442,16 @@ def _recombine(coeff_sets, family):
     return [complex(sum(c * f for c, f in zip(cs, family))) for cs in coeff_sets]
 
 
+def _failed_round(noise, value):
+    """A failed round's achieved error, rounded up to a positive double, and
+    the words that print it and |value| as big floats: either may lie below
+    double range."""
+    ach = noise + 4.0 * float(np.finfo(float).eps) * abs(value)
+    up = float(ach)
+    words = f"achieved {mp.nstr(ach, 3)}, |value| {mp.nstr(abs(value), 3)}"
+    return (up if up >= ach else math.nextafter(up, math.inf)), words
+
+
 def _j_generic(
     z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, signvec_parity=None
 ):
@@ -509,9 +519,10 @@ def _j_generic(
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
         ceiling = digits(logmass, math.log10(_DPS_CEILING_SIZE))
         if round_dps >= ceiling:
+            ach, failed = _failed_round(noise, value)
             raise ToleranceNotMetError(
                 f"series precision ceiling of {ceiling} digits reached at "
-                f"|z|={z.modulus:.6g} (achieved {ach:.2e}, |value| {abs(v):.2e}); "
+                f"|z|={z.modulus:.6g} ({failed}); "
                 "the value is below double range or beyond what the ascending "
                 "series resolves: use the asymptotic route",
                 value=v,
@@ -520,9 +531,10 @@ def _j_generic(
         size = max(abs(v), min(float(noise), 1e300), _DPS_CEILING_SIZE)
         dps = min(max(int(dps * 1.6) + 8, digits(logmass, math.log10(size))), ceiling)
     else:
+        ach, failed = _failed_round(noise, value)
         raise ToleranceNotMetError(
             f"series not certified after 8 big-float rounds at |z|={z.modulus:.6g} "
-            f"(last {round_dps} digits, achieved {ach:.2e}, |value| {abs(v):.2e}); "
+            f"(last {round_dps} digits, {failed}); "
             "use the asymptotic route",
             value=v,
             achieved=ach,

@@ -18,6 +18,7 @@ from besselhr.core import (
 from besselhr.asympt import (
     DEFAULT_THETA,
     M_CAP,
+    SUBNORMAL,
     b_coeffs,
     h_bessel,
     in_validity_sector,
@@ -78,6 +79,31 @@ def test_second_kind_sweep_matches_second_kind_bits(n):
             one = second_kind_sweep(np.array([z]), si, xi)
             assert (v, e) == (one[0][0], one[1][0]), (n, k, z)
             assert (v, e) == (want.value, want.error_estimate), (n, k, z)
+
+
+def test_second_kind_error_never_zero_for_a_nonzero_value():
+    # far out on a decaying ray the truncation error underflows before the
+    # value does: the error is then the subnormal spacing, not 0; a value
+    # that underflows to 0 keeps error 0
+    si = SpectralIndex([0.2, -0.2])
+    xi = RootOfUnity(4, 1)  # e^{-2z}
+    zs = np.array([355.0, 360.0, 365.0, 369.0, 400.0])
+    vals, errs = second_kind_sweep(zs, si, xi)
+    assert (vals[:-1] != 0).all() and (errs[1:-1] == SUBNORMAL).all()
+    assert ((errs > 0) == (vals != 0)).all()
+    assert vals[-1] == 0 and errs[-1] == 0
+    for z, v, e in zip(zs, vals, errs):
+        r = second_kind(float(z), si, xi)
+        assert (r.value, r.error_estimate) == (v, e)
+
+
+def test_second_kind_overflow_is_typed():
+    # a growing exponential beyond double range raises OverflowEvalError
+    si = SpectralIndex([0.2, -0.05, -0.15])
+    xi = RootOfUnity(6, 2)
+    z = SurfacePoint.from_polar(1e3, 0.5 * math.pi - xi.argument + 2.5)
+    with pytest.raises(OverflowEvalError):
+        second_kind(z, si, xi)
 
 
 def test_second_kind_guards():

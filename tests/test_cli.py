@@ -175,7 +175,10 @@ def test_eval_series_precision_ceiling_exits_3(capsys):
     )
     assert rc == 3
     assert time.perf_counter() - t0 < 10.0
-    assert "asymptotic route" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "asymptotic route" in err
+    # the failed round's magnitudes are below double range, printed as big floats
+    assert "achieved 0.00e+00" not in err and "e-34" in err
 
 
 def test_determinism(tmp_path):
@@ -506,6 +509,17 @@ def test_kernel_without_a_correct_digit_exits_3(capsys):
     assert rows[0].endswith(",asymptotic,0.7071067806573058")
     assert rows[1] == "1e+308,nan,nan,inf,failed,0.0"
     assert main(["kernel", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1e12"]) == 0
+
+
+def test_kernel_subnormal_values_report_nonzero_errors(capsys):
+    # far out on the decaying side the values are subnormal and their
+    # truncation errors underflow first: each row still reports an error
+    rc = main(["kernel", "--delta", "0,0"] + _RANK2 + ["--x-grid=-3250,-3300,-3350,-3400"])
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[2:]]
+    assert rc == 0 and len(rows) == 4
+    for _, re, _, err, method, _ in rows:
+        assert 0 < abs(float(re)) < 1e-300 and 0 < float(err) < 1e-300
+        assert method == "asymptotic"
 
 
 def test_oracle_compare_overflowing_contour_warns_nothing():

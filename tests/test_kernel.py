@@ -7,7 +7,7 @@ import pytest
 
 from besselhr import _reference as ref
 from besselhr import series
-from besselhr.asympt import j_varsigma_asymptotic
+from besselhr.asympt import j_varsigma_asymptotic, second_kind_sweep, varsigma_factor
 from besselhr.coeffs import build_b_table
 from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
@@ -17,6 +17,7 @@ from besselhr.kernel import (
     _GKW,
     _KernelGrid,
     _asymptotic_floor,
+    _asymptotic_sweep,
     _fe_grid,
     bessel_kernel,
     functional_equation_check,
@@ -24,10 +25,9 @@ from besselhr.kernel import (
     kernel_asymptotics,
     kernel_sweep,
     mellin_inversion,
-    sign_vectors,
 )
 from besselhr.mellinbarnes import mb_kernel_est
-from besselhr.series import j_function
+from besselhr.series import j_function, sign_vectors
 
 
 def test_kernel_maass_even_plus_side():
@@ -518,10 +518,12 @@ def _signvec_sum_kernel(x, ki):
     return total, err, peak
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_asymptotic_kernel_equals_signvec_sum_bits(n):
-    # bessel_kernel's asymptotic zone runs the grid's sweep at one node; it
-    # keeps the bits of the sum over sign vectors
+@pytest.mark.parametrize("n", range(1, 9))
+def test_asymptotic_kernel_equals_signvec_sum(n):
+    # bessel_kernel's asymptotic zone sums one grouped term per root; it
+    # agrees with the plain sum over sign vectors far inside its error, with
+    # the same error and cancellation up to rounding, and at rank 1 (one
+    # sign vector per side, constants +-1) with the same bits
     for lam in ([0.15 * l for l in range(n)], [0.1 * l + 0.07j * (l % 2) for l in range(n)]):
         si = SpectralIndex(lam)
         x_floor = (_asymptotic_floor(si) / (2.0 * math.pi)) ** n
@@ -531,9 +533,100 @@ def test_asymptotic_kernel_equals_signvec_sum_bits(n):
                 for x in (float(ax), -float(ax)):
                     total, err, peak = _signvec_sum_kernel(x, ki)
                     r = bessel_kernel(x, ki, "asympt")
-                    assert (r.value, r.error) == (total, err), (lam, deltas, x)
-                    assert r.cancellation == peak / max(abs(total), 1e-300)
+                    case = (lam, deltas, x)
                     assert r.method == "asymptotic"
+                    assert abs(r.value - total) <= 0.1 * r.error, case
+                    assert r.error == pytest.approx(err, rel=1e-12, abs=0.0), case
+                    cancel = peak / max(abs(total), 1e-300)
+                    assert r.cancellation == pytest.approx(cancel, rel=1e-12, abs=0.0), case
+                    assert (r.error == 0) == (r.value == 0), case
+                    if n == 1:
+                        assert (r.value, r.error, r.cancellation) == (total, err, cancel), case
+
+
+def _asymptotic_case(n):
+    """A generic rank-n index and nodes u = log x from the asymptotic floor
+    to 1e4 floors in 2 pi |x|^{1/n}, where the negative side underflows."""
+    si = SpectralIndex([0.1 * l + 0.07j * (l % 2) for l in range(n)])
+    u_floor = n * math.log(_asymptotic_floor(si) / (2.0 * math.pi))
+    return si, u_floor + n * math.log(1e4) * np.linspace(0.01, 1.0, 13) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kernel_sweep_is_bessel_kernel_at_asymptotic_nodes_bits(n):
+    # one node and many take the same array path: kernel_sweep returns
+    # bessel_kernel's bits at every asymptotic node, on both sides and for
+    # both parity patterns, also where the kernel underflows
+    si, u = _asymptotic_case(n)
+    for deltas in ((0,) * n, tuple(l % 2 for l in range(n))):
+        ki = KernelIndex(si, deltas)
+        for sgn in (1, -1):
+            values, errors, routes, swept = kernel_sweep(u, sgn, ki, 1e-9)
+            assert swept.all() and set(routes) == {"asymptotic"}
+            for i, ui in enumerate(u):
+                r = bessel_kernel(sgn * math.exp(ui), ki, "auto", 1e-9)
+                assert (values[i], errors[i], routes[i]) == (r.value, r.error, r.method), (
+                    deltas, sgn, ui,
+                )
+
+
+def test_rank10_asymptotic_sweep_agrees_with_signvec_sum():
+    # 512 nodes at rank 10: the grouped sum over 6 roots against the plain
+    # sum over 512 sign vectors of varsigma_factor times the second-kind
+    # sweep, within the two summed errors, with the same errors and peaks
+    n = 10
+    si = SpectralIndex([0.1 * l + 0.07j * (l % 2) for l in range(n)])
+    ki = KernelIndex(si, tuple(l % 2 for l in range(n)))
+    floor = _asymptotic_floor(si)
+    inner = np.geomspace(floor, 1e3 * floor, 512)
+    for parity in (1, -1):
+        values, errors, peaks, ok = _asymptotic_sweep(inner, parity, ki)
+        total = np.zeros(len(inner), dtype=np.complex128)
+        err = np.zeros(len(inner))
+        peak = np.zeros(len(inner))
+        roots = {}
+        for sv in sign_vectors(n, parity):
+            if sv.n_minus not in roots:
+                roots[sv.n_minus] = second_kind_sweep(inner, si, sv.xi())
+            h, h_err = roots[sv.n_minus]
+            const = varsigma_factor(sv, si)
+            coef = math.prod(s for s, d in zip(sv.signs, ki.deltas) if d)
+            total += coef * const * h
+            err += abs(const) * h_err
+            peak = np.maximum(peak, abs(const) * np.abs(h))
+        err += 4.0 * np.finfo(float).eps * peak * (n + 1)
+        assert ok.all()
+        assert (np.abs(values - total) <= errors + err).all()
+        normal = err > np.finfo(float).tiny
+        assert normal.sum() > 100
+        np.testing.assert_allclose(errors[normal], err[normal], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(peaks, peak, rtol=1e-12, atol=0)
+
+
+def test_nonzero_kernel_value_never_reports_error_zero():
+    # far out on the negative side the truncation errors underflow before
+    # the values do: those nodes report at least the subnormal spacing, are
+    # still served by the sweep, and an exact zero keeps error 0
+    ki = KernelIndex(SpectralIndex([0.2, -0.2]), (0, 0))
+    xs = np.array([3250.0, 3300.0, 3350.0, 3400.0, 1e6])
+    values, errors, routes, swept = kernel_sweep(np.log(xs), -1, ki, 1e-9)
+    assert swept.all() and set(routes) == {"asymptotic"}
+    assert (values[:-1] != 0).all() and (np.abs(values[:-1]) < 1e-300).all()
+    assert (errors[:-1] > 0).all() and (errors[:-1] < 1e-300).all()
+    assert values[-1] == 0 and errors[-1] == 0
+    for x, v, e in zip(xs, values, errors):
+        r = bessel_kernel(-x, ki)
+        assert (r.value, r.error) == (v, e)
+    # across the band where the decaying side passes through the subnormals,
+    # every node stays served, some only because an error below the normal
+    # range counts as underflow, not as a lost digit
+    for n, lam in ((2, [0.2, -0.2]), (4, [0.3, 0.1, -0.1, -0.3])):
+        rate = n * math.sin(math.pi / n)
+        inner = np.linspace(700.0 / rate, 760.0 / rate, 1000)
+        ki = KernelIndex(SpectralIndex(lam), (0,) * n)
+        values, errors, peaks, ok = _asymptotic_sweep(inner, -1, ki)
+        assert ok.all() and ((errors == 0) <= (values == 0)).all()
+        assert ((values != 0) & (errors >= peaks)).sum() > 10
 
 
 def test_kernel_sweep_without_a_correct_digit_leaves_the_node():

@@ -126,7 +126,7 @@ def test_kernel_decomposes_into_sign_vector_sum():
     deltas = (0, 1, 1)
     x = 1.7
     inner = 2 * math.pi * x ** (1.0 / 3.0)
-    from besselhr.kernel import sign_vectors
+    from besselhr.series import sign_vectors
 
     for sgn in (1, -1):
         want = 0j

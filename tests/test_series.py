@@ -237,8 +237,21 @@ def test_bigfloat_precision_ceiling(monkeypatch):
     rounds = _record_rounds(monkeypatch)
     with pytest.raises(ToleranceNotMetError, match="asymptotic route") as exc:
         j_function(300.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
-    assert exc.value.value is not None and exc.value.achieved is not None
-    assert len(rounds) == 1 and max(rounds) < 1000
+    assert exc.value.value is not None and len(rounds) == 1 and max(rounds) < 1000
+    # the failed round's noise lies below double range: achieved is rounded
+    # up to a positive double, and the message prints the big-float magnitudes
+    assert exc.value.achieved == 5e-324
+    assert "achieved 1.7e-345, |value| 3.83e-341" in str(exc.value)
+
+
+def test_failed_round_rounds_achieved_up():
+    # a failed round's error below double range reads as the least positive
+    # double, never 0; one in range is rounded up, not to nearest
+    ach, words = series._failed_round(mp.mpf("1.7e-345"), mp.mpc(0))
+    assert ach == 5e-324 and words == "achieved 1.7e-345, |value| 0.0"
+    noise = mp.mpf(1) / 3
+    ach, words = series._failed_round(noise, mp.mpc(0))
+    assert ach >= noise and ach == math.nextafter(1 / 3, math.inf) and "0.333" in words
 
 
 @pytest.mark.parametrize(
