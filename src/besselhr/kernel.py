@@ -15,7 +15,8 @@ arbiter.
 The signed sum can cancel catastrophically (holomorphic-parameter kernels
 vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
-kernel contour integral when it explodes.
+kernel contour integral when it explodes.  On both sides of the floor that
+reference is taken by root, with the factors of series.top_products.
 
 The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
@@ -54,7 +55,7 @@ from .core import (
     e2pi,
     genericity_gap,
 )
-from .series import EPS_GEN, kernel_series, kernel_series_grid
+from .series import EPS_GEN, kernel_series, kernel_series_grid, top_products
 
 CANCEL_SWITCH = 1e6
 _ASYMPT_MIN = 12.0
@@ -369,17 +370,15 @@ def _asymptotic_floor(si: SpectralIndex) -> float:
 def _root_constants(parity: int, ki: KernelIndex):
     """Per root xi = e^{i pi k / n}, (-1)^k = parity, of the kernel sum on
     one side: xi, A_k e_k(y), |A_k| e_k(|y|) and |A_k| times the product of
-    the k largest |y_l| (see _asymptotic_sweep)."""
+    the k largest |y_l| (series.top_products; see _asymptotic_sweep)."""
     n = ki.rank
     y = [(-1.0) ** d * e2pi(0.5 * lam) for d, lam in zip(ki.deltas, ki.lam.lam)]
-    mags = [abs(v) for v in y]
-    e_val, e_abs = elementary_symmetric(y), elementary_symmetric(mags)
-    top = sorted(mags, reverse=True)
+    e_val, e_abs = elementary_symmetric(y), elementary_symmetric([abs(v) for v in y])
     front = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n)
+    top = top_products(ki.lam.lam)
     for k in range(0 if parity > 0 else 1, n + 1, 2):
         a = front * e2pi((n - 1) / 8.0 - (n - 1) * k / (4.0 * n))
-        peak = abs(a) * math.prod(top[:k])
-        yield RootOfUnity(2 * n, k), a * e_val[k], abs(a) * e_abs[k].real, peak
+        yield RootOfUnity(2 * n, k), a * e_val[k], abs(a) * e_abs[k].real, abs(a) * top[k]
 
 
 def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
@@ -434,13 +433,13 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
     """
     n = ki.rank
     si = ki.lam
-    # the argument bessel_kernel computes from x = sgn e^u_i, bit for bit
+    # per node as a generator: the argument bessel_kernel computes from x = sgn e^u_i, bit for bit
     inner = np.fromiter(
         (2.0 * math.pi * math.exp(v) ** (1.0 / n) for v in u), dtype=float, count=len(u)
     )
     values = np.zeros(len(u), dtype=np.complex128)
     errors = np.zeros(len(u))
-    routes = [None] * len(u)
+    routes = np.full(len(u), None, dtype=object)
     swept = np.zeros(len(u), dtype=bool)
     if genericity_gap(si) >= EPS_GEN:
         floor = _asymptotic_floor(si)
@@ -460,15 +459,13 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
                 values[idx] = v[ok]
                 errors[idx] = e[ok]
                 swept[idx] = True
-                for i in idx:
-                    routes[i] = route
-    for i, route in enumerate(routes):
-        if route is None:
-            r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
-            values[i] = r.value
-            errors[i] = r.error
-            routes[i] = r.method
-    return values, errors, routes, swept
+                routes[idx] = route
+    for i in np.flatnonzero(~swept):
+        r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
+        values[i] = r.value
+        errors[i] = r.error
+        routes[i] = r.method
+    return values, errors, routes.tolist(), swept
 
 
 class _KernelGrid:

@@ -12,13 +12,14 @@ sign-vector function is the combination
 with S_l = prod_{k != l} 1/sin(pi(lam_l - lam_k)).  The signed kernel sums
 such combinations over sign vectors that share one first-kind family, so it
 is again a combination sum_l K_l J_l (kernel_series), evaluated by the same
-machinery with the kernel connection coefficients K_l.  Two numerical
-hazards drive the implementation: for non-generic indices the S_l blow up
-and the combination must be taken as a limit (done here by averaging over a
-small circle of generic perturbations, the Cauchy mean of an analytic
-function); and for large |z| the combination cancels to exponentially small
-values, so the summation switches to adaptive-precision big floats when the
-reported double-precision error cannot meet the requested tolerance.  The
+machinery with the kernel connection coefficients K_l, and its cancellation
+reference max |J(sig)| by root (_root_rows).  Two numerical hazards drive
+the implementation: for non-generic indices the S_l blow up and the
+combination must be taken as a limit (done here by averaging over a small
+circle of generic perturbations, the Cauchy mean of an analytic function);
+and for large |z| the combination cancels to exponentially small values, so
+the summation switches to adaptive-precision big floats when the reported
+double-precision error cannot meet the requested tolerance.  The
 first big-float round takes the digits its noise test needs at an estimate
 of |value|: for a sign-vector function above the asymptotic floor and inside
 the sector of xi(sig), the modulus of the leading asymptotic term
@@ -37,13 +38,13 @@ The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
 across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
-sign-vector coefficient sets of the kernel's cancellation reference (both
-by index, kind or parity, and digits), the reciprocal gammas of the head
-terms (by exact argument and bits), the grid's first-kind tables and
-coefficient pairs, the index-shift matrix of derivatives, and the
-asymptotic B_m tables of asympt (by index and root).  A key holds
-nothing of z, of a family value or of the tolerance, so every result is the
-same bit for bit with or without the store.  The double pass builds its
+root rows of the kernel's cancellation reference (both by index, kind or
+parity, and digits), the reciprocal gammas of the head terms (by exact
+argument and bits), the grid's first-kind tables and coefficient pairs, the
+index-shift matrix of derivatives, and the asymptotic B_m tables of asympt
+(by index and root).  A key holds nothing of z, of a family value or of the
+tolerance, so every result is the same bit for bit with or without the
+store.  The double pass builds its
 coefficients afresh: they cost little there, and keys of doubles would not
 tell 0.0 from -0.0.  Each entry is charged an upper bound on its bytes from
 how many numbers it holds and their precision (_charge; a first-kind table
@@ -185,13 +186,9 @@ def _sines(ctx, lam):
     ]
 
 
-def _connection_coeffs(ctx, lam, sines, sv: SignVector):
-    """E * E_l * S_l for each l, and their moduli."""
+def _row(ctx, lam, sines, front, dn):
+    """front * e(dn lam_l / 4) * S_l for each l."""
     n = len(lam)
-    front = ctx.pi ** (n - 1) * ctx.expjpi(
-        -0.5 * sum(s * v for s, v in zip(sv.signs, lam))
-    )
-    dn = sv.n_plus - sv.n_minus
     coeffs = []
     for l in range(n):
         c = front * ctx.expjpi(0.5 * dn * lam[l])
@@ -199,6 +196,14 @@ def _connection_coeffs(ctx, lam, sines, sv: SignVector):
             if k != l:
                 c /= sines[l][k]
         coeffs.append(c)
+    return coeffs
+
+
+def _connection_coeffs(ctx, lam, sines, sv: SignVector):
+    """E * E_l * S_l for each l, and their moduli."""
+    signed = sum(s * v for s, v in zip(sv.signs, lam))
+    front = ctx.pi ** (len(lam) - 1) * ctx.expjpi(-0.5 * signed)
+    coeffs = _row(ctx, lam, sines, front, sv.n_plus - sv.n_minus)
     return coeffs, [abs(c) for c in coeffs]
 
 
@@ -244,13 +249,23 @@ def _coeffs_of(ctx, lam, kind):
     return _kernel_coeffs(ctx, lam, _sines(ctx, lam), kind[1], kind[2])
 
 
-def _signvec_sets(ctx, lam, parity: int):
-    """E E_l S_l of every sign vector of product parity, values only."""
+def _root_rows(ctx, lam, parity: int):
+    """The rows R^(k) = pi^{n-1} e((n - 2k) lam_l / 4) S_l, (-1)^k = parity.
+
+    With sum lam = 0, the sign vector with minus set S, |S| = k, has
+    E E_l S_l = prod_S e(lam_l / 2) R^(k)_l: its function is
+    prod_S e(lam_l / 2) G_k with G_k = sum_l R^(k)_l J_l."""
+    n = len(lam)
     sines = _sines(ctx, lam)
-    return tuple(
-        tuple(_connection_coeffs(ctx, lam, sines, sv)[0])
-        for sv in sign_vectors(len(lam), parity)
-    )
+    ks = range(0 if parity > 0 else 1, n + 1, 2)
+    return tuple(tuple(_row(ctx, lam, sines, ctx.pi ** (n - 1), n - 2 * k)) for k in ks)
+
+
+def top_products(lam):
+    """For k = 0..n the product of the k largest |e(lam_l / 2)|, the largest
+    |prod_S e(lam_l / 2)| over the sets S of k indices."""
+    top = sorted((abs(e2pi(0.5 * v)) for v in lam), reverse=True)
+    return [math.prod(top[:k]) for k in range(len(top) + 1)]
 
 
 _STORE_BYTES = 4 << 20
@@ -297,15 +312,15 @@ def _coeffs_mp(lam: tuple, kind, dps: int):
     return _stored(("coeffs", lam, kind, dps), _charge(2 * len(lam), dps_to_prec(dps)), build)
 
 
-def _signvec_sets_mp(lam: tuple, parity: int, dps: int):
-    """_signvec_sets in mpmath at dps digits: 2^(n-1) sets of n values."""
+def _root_rows_mp(lam: tuple, parity: int, dps: int):
+    """_root_rows in mpmath at dps digits: at most floor(n/2) + 1 rows of n."""
 
     def build():
         with mp.workdps(dps):
-            return _signvec_sets(mp, [mp.mpc(v) for v in lam], parity)
+            return _root_rows(mp, [mp.mpc(v) for v in lam], parity)
 
     n = len(lam)
-    return _stored(("signvec", lam, parity, dps), _charge(n << (n - 1), dps_to_prec(dps)), build)
+    return _stored(("roots", lam, parity, dps), _charge(n * (n // 2 + 1), dps_to_prec(dps)), build)
 
 
 def _recip_gamma_mp(x):
@@ -436,10 +451,10 @@ def _leading_log10(z: SurfacePoint, si: SpectralIndex, sv: SignVector):
     return log_j / math.log(10.0)
 
 
-def _recombine(coeff_sets, family):
-    """sum_l c_l J_l for each set of coefficients c, from family values in
+def _recombine(rows, family):
+    """sum_l c_l J_l for each row of coefficients c, from family values in
     the same arithmetic."""
-    return [complex(sum(c * f for c, f in zip(cs, family))) for cs in coeff_sets]
+    return [complex(sum(c * f for c, f in zip(cs, family))) for cs in rows]
 
 
 def _failed_round(noise, value):
@@ -453,12 +468,12 @@ def _failed_round(noise, value):
 
 
 def _j_generic(
-    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, signvec_parity=None
+    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, root_parity=None
 ):
     """sum_l c_l J_l(z; sign) with error at most tol times its modulus, for
-    the coefficients of kind (see _coeffs_of).  With a signvec_parity, also
-    returns J(z; sig) for every sign vector sig of that product, rebuilt
-    from the family values of the accepted pass.
+    the coefficients of kind (see _coeffs_of).  With a root_parity, also
+    returns the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows for
+    that product, rebuilt from the family values of the accepted pass.
     """
     overflow = si.rank * z.modulus > 690.0
     eps = np.finfo(float).eps
@@ -471,8 +486,8 @@ def _j_generic(
     if not overflow:
         est, mass, family = _j_generic_double(z, sign, si, tol, kind)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
-            sets = _signvec_sets(_DOUBLE, si.lam, signvec_parity) if signvec_parity else ()
-            return est, _recombine(sets, family)
+            rows = _root_rows(_DOUBLE, si.lam, root_parity) if root_parity else ()
+            return est, _recombine(rows, family)
         # the double-pass error aggregates eps * (internal term mass), so it
         # back-solves for the cancellation the big-float pass must absorb.
         # A value inside its own noise only says |value| <~ eps * noise_mass,
@@ -540,8 +555,8 @@ def _j_generic(
             achieved=ach,
         )
     with mp.workdps(round_dps):
-        sets = _signvec_sets_mp(si.lam, signvec_parity, round_dps) if signvec_parity else ()
-        return SeriesEval(v, terms, ach), _recombine(sets, family)
+        rows = _root_rows_mp(si.lam, root_parity, round_dps) if root_parity else ()
+        return SeriesEval(v, terms, ach), _recombine(rows, family)
 
 
 def _degeneracy_direction(n: int):
@@ -551,17 +566,17 @@ def _degeneracy_direction(n: int):
 
 
 def _evaluate(
-    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, signvec_parity=None
+    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, root_parity=None
 ):
     """_j_generic, taken as a limit at non-generic indices (gap below 1e-4):
     the average over 8 generic perturbations on a circle of radius 1e-3,
-    which reproduces the limit value to O(radius^8)."""
+    which reproduces the limit value to O(radius^8), and so each G_k."""
     if genericity_gap(si) >= EPS_GEN:
-        return _j_generic(z, sign, si, tol, kind, signvec_parity)
+        return _j_generic(z, sign, si, tol, kind, root_parity)
     u = _degeneracy_direction(si.rank)
     vals = []
     tails = []
-    side_vals = []
+    root_vals = []
     terms = 0
     for q in range(_CAUCHY_POINTS):
         rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
@@ -574,10 +589,10 @@ def _evaluate(
                 "non-generic index whose components are too large to perturb "
                 f"by {_CAUCHY_RADIUS:g} in double precision"
             )
-        est, parts = _j_generic(z, sign, pert, tol * 0.2, kind, signvec_parity)
+        est, parts = _j_generic(z, sign, pert, tol * 0.2, kind, root_parity)
         vals.append(est.value)
         tails.append(est.tail_bound)
-        side_vals.append(parts)
+        root_vals.append(parts)
         terms += est.terms_used
     value = sum(vals) / len(vals)
     spread = max(abs(v - value) for v in vals)
@@ -586,7 +601,7 @@ def _evaluate(
         + _CAUCHY_RADIUS**_CAUCHY_POINTS * (abs(value) + spread)
         + 4.0 * np.finfo(float).eps * max(abs(v) for v in vals)
     )
-    return SeriesEval(value, terms, tail), [sum(col) / len(col) for col in zip(*side_vals)]
+    return SeriesEval(value, terms, tail), [sum(col) / len(col) for col in zip(*root_vals)]
 
 
 def j_function(
@@ -623,13 +638,15 @@ def kernel_series(
     sum collapses onto the n kernel coefficients K_l of _kernel_coeffs:
     n series per point instead of 2^{n-1} sign-vector functions.  tol is
     relative to the kernel value; the precision is chosen once, for the
-    kernel.  Also returns max |J(z; sig)| over the sign vectors of the sum,
-    rebuilt from the same family values (the cancellation reference).
+    kernel.  Also returns max |J(z; sig)| over the sign vectors of the sum
+    (the cancellation reference) by root: the largest top_k |G_k|, with G_k
+    of _root_rows (a Cauchy mean at a non-generic index), top_products.
     """
     z = _as_point(z)
     kind = ("kernel", tuple(int(d) % 2 for d in deltas), parity)
-    est, signvec_values = _evaluate(z, parity, si, tol, kind, signvec_parity=parity)
-    return est, max(abs(v) for v in signvec_values)
+    est, sums = _evaluate(z, parity, si, tol, kind, root_parity=parity)
+    tops = top_products(si.lam)[0 if parity > 0 else 1 :: 2]
+    return est, max(t * abs(g) for t, g in zip(tops, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +709,16 @@ def _table_charge(n: int, terms: int) -> int:
 
 
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
-    """K_l and, for every sign vector of the kernel sum, E E_l S_l, from
-    mpmath at _GRID_DPS digits rounded to complex pairs; and |K_l|."""
+    """K_l and the rows R^(k) of _root_rows, from mpmath at _GRID_DPS
+    digits rounded to complex pairs; |K_l|; and top_products."""
     kern = _coeffs_mp(lam, ("kernel", deltas, parity), _GRID_DPS)[0]
-    sides = _signvec_sets_mp(lam, parity, _GRID_DPS)
+    rows = _root_rows_mp(lam, parity, _GRID_DPS)
     with mp.workdps(_GRID_DPS):
         return (
             tuple(_mp_pair(c) for c in kern),
-            tuple(tuple(_mp_pair(c) for c in side) for side in sides),
+            tuple(tuple(_mp_pair(c) for c in row) for row in rows),
             tuple(float(abs(c)) for c in kern),
+            top_products(lam)[0 if parity > 0 else 1 :: 2],
         )
 
 
@@ -767,8 +785,8 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     value depends only on (z, index, tol), never on the other points.
 
     Returns the values, their error bounds, max |J(z; sig)| over the sign
-    vectors of the sum (the cancellation reference, also in pairs) and a
-    mask of the certified points: error at most tol * |value|, value
+    vectors of the sum (the cancellation reference by root, G_k in pairs)
+    and a mask of the certified points: error at most tol * |value|, value
     nonzero, n z <= 690.  The error bound is
     sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
     + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|, with M_l and W_l
@@ -783,9 +801,9 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
-    kern, sides, kern_abs = _stored(
+    kern, rows, kern_abs, tops = _stored(
         ("grid", si.lam, deltas, parity),
-        _charge(n * ((1 << (n - 1)) + 2), 106),
+        _charge(n * (n // 2 + 3), 106),
         lambda: _kernel_grid_coeffs(si.lam, deltas, parity),
     )
     logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
@@ -834,11 +852,11 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
             + tail
         )
     peak = zero
-    for side in sides:
-        j = ((zero, zero), (zero, zero))
-        for c, f in zip(side, family):
-            j = cdd_add(j, cdd_mul(c, f))
-        peak = np.maximum(peak, _pair_abs(j))
+    for row, top in zip(rows, tops):
+        g = ((zero, zero), (zero, zero))
+        for c, f in zip(row, family):
+            g = cdd_add(g, cdd_mul(c, f))
+        peak = np.maximum(peak, top * _pair_abs(g))
     size = _pair_abs(value)
     err = err + 4.0 * np.finfo(float).eps * size
     ok &= (err <= tol * size) & (size > 0)

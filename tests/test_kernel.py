@@ -98,7 +98,8 @@ def _generic_index(n, kind):
 
 
 def _signvec_sum(x, ki, tol):
-    """The kernel as the explicit signed sum of sign-vector functions."""
+    """The kernel as the explicit signed sum of sign-vector functions, its
+    error bound and max |J(sig)| over the sign vectors of the sum."""
     n = ki.rank
     inner = 2.0 * math.pi * abs(x) ** (1.0 / n)  # as bessel_kernel rounds it
     total = 0j
@@ -109,7 +110,7 @@ def _signvec_sum(x, ki, tol):
         total += math.prod(s for s, d in zip(sv.signs, ki.deltas) if d) * r.value
         err += r.tail_bound
         peak = max(peak, abs(r.value))
-    return total, err + 4.0 * np.finfo(float).eps * peak * (n + 1)
+    return total, err + 4.0 * np.finfo(float).eps * peak * (n + 1), peak
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -143,10 +144,69 @@ def test_kernel_series_matches_signvec_sum(n, kind):
         ax = (inner / (2 * math.pi)) ** n
         for sgn in (1, -1):
             r = bessel_kernel(sgn * ax, ki, "series", tol)
-            want, want_err = _signvec_sum(sgn * ax, ki, tol)
+            want, want_err, peak = _signvec_sum(sgn * ax, ki, tol)
             assert r.method == "series"
             assert abs(r.value - want) <= r.error + want_err, (n, kind, sgn * ax)
             assert r.error <= (tol + 1e-14) * abs(r.value), (n, kind, sgn * ax)
+            # the cancellation reference by root is the largest |J(sig)|
+            assert r.cancellation == pytest.approx(peak / abs(want), rel=1e-7)
+
+
+@pytest.mark.parametrize("lam, deltas", [
+    ([0.2, 0.2, -0.4], (0, 1, 0)),
+    ([0.25, 0.25, -0.1 + 0.2j, -0.4 - 0.2j], (1, 0, 0, 1)),
+])
+def test_kernel_series_nongeneric_cancellation(lam, deltas):
+    # at a non-generic index the grouped sums are Cauchy means and the
+    # top-k factor is taken at the index itself: the cancellation is the
+    # largest |J(sig)| of the explicit sign-vector functions
+    ki = KernelIndex(SpectralIndex(lam), deltas)
+    n = ki.rank
+    for x in (0.02, 0.7, -0.7, 5.0):
+        r = bessel_kernel(x, ki, "series", 1e-9)
+        inner = 2.0 * math.pi * abs(x) ** (1.0 / n)
+        svs = sign_vectors(n, 1 if x > 0 else -1)
+        peak = max(abs(j_function(inner, sv, ki.lam, 1e-10).value) for sv in svs)
+        assert r.method == "series"
+        assert r.cancellation == pytest.approx(peak / abs(r.value), rel=1e-7), x
+
+
+def _check_root_rows(ctx, lam, rel):
+    """Each sign vector's E E_l S_l against prod_S e(lam_l / 2) times the
+    row of its number k of minus signs, and top_products against the
+    largest |prod_S e(lam_l / 2)| with |S| = k."""
+    n = len(lam)
+    sines = series._sines(ctx, lam)
+    for parity in (1, -1):
+        ks = range(0 if parity > 0 else 1, n + 1, 2)
+        rows = dict(zip(ks, series._root_rows(ctx, lam, parity)))
+        peaks = dict.fromkeys(ks, 0.0)
+        for sv in sign_vectors(n, parity):
+            factor = math.prod(ctx.expjpi(lam[l]) for l in range(n) if sv.signs[l] < 0)
+            want = series._connection_coeffs(ctx, lam, sines, sv)[0]
+            got = [factor * c for c in rows[sv.n_minus]]
+            scale = max(abs(w) for w in want)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= rel * scale, (n, str(sv))
+            peaks[sv.n_minus] = max(peaks[sv.n_minus], float(abs(factor)))
+        tops = series.top_products([complex(v) for v in lam])
+        assert [tops[k] for k in ks] == pytest.approx([peaks[k] for k in ks], rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_root_rows_reproduce_connection_coeffs(n):
+    # J(sig) = prod_S e(lam_l / 2) G_k: the rows of the cancellation
+    # reference carry every sign vector's connection coefficients, in
+    # double at ranks 1-10 and at 50 digits through rank 6
+    rng = np.random.default_rng(n)
+    re, im = rng.uniform(-0.4, 0.4, n), rng.uniform(-0.3, 0.3, n)
+    for values in (re, re + 1j * im):
+        lam = SpectralIndex(list(values)).lam
+        _check_root_rows(series._DOUBLE, lam, 1e-13)
+        if n <= 6:
+            with mp.workdps(50):
+                lam_mp = [mp.mpc(v) for v in lam]
+                mean = sum(lam_mp) / n
+                _check_root_rows(mp, [v - mean for v in lam_mp], mp.mpf(10) ** -45)
 
 
 def test_kernel_series_nongeneric_cauchy_mean():

@@ -532,12 +532,12 @@ def _built_afresh(monkeypatch, fn, *args):
 
 def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
     # a series-zone kernel point whose double pass does not certify: one
-    # big-float round, its coefficients, gammas and sign-vector sets stored
+    # big-float round, its coefficients, gammas and root rows stored
     rounds = _record_rounds(monkeypatch)
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
     runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "auto", 1e-9))
     assert runs[0].method == "series" and rounds == [43] * 3
-    assert min(runs[3][k] for k in ("coeffs", "signvec", "rgamma")) > 0
+    assert min(runs[3][k] for k in ("coeffs", "roots", "rgamma")) > 0
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
@@ -590,12 +590,12 @@ def test_index_caches_keep_precisions_apart(monkeypatch):
     for dps in (30, 60, 30, 60):
         fresh = _built_afresh(monkeypatch, series._coeffs_mp, lam, kind, dps)
         assert series._coeffs_mp(lam, kind, dps) == fresh
-        fresh = _built_afresh(monkeypatch, series._signvec_sets_mp, lam, 1, dps)
-        assert series._signvec_sets_mp(lam, 1, dps) == fresh
+        fresh = _built_afresh(monkeypatch, series._root_rows_mp, lam, 1, dps)
+        assert series._root_rows_mp(lam, 1, dps) == fresh
         with mp.workdps(dps):
             assert series._recip_gamma_mp(x) == mp.rgamma(x)
     assert series._coeffs_mp(lam, kind, 30) != series._coeffs_mp(lam, kind, 60)
-    assert store.hits == {"coeffs": 4, "signvec": 2, "rgamma": 2}
+    assert store.hits == {"coeffs": 4, "roots": 2, "rgamma": 2}
 
 
 def test_index_caches_are_bounded(monkeypatch):
@@ -611,31 +611,36 @@ def test_index_caches_are_bounded(monkeypatch):
     assert len(store) == 3
     assert store.held == sum(cost for _, cost in store.values())
     monkeypatch.setattr(series, "_STORE_BYTES", store.held)
+    # the rank-7 rows at 400 digits (28 numbers) are charged above it
+    assert series._charge(28, series.dps_to_prec(400)) > store.held
     for _ in range(2):
-        assert series._signvec_sets_mp(lam5, 1, 40) == _built_afresh(
-            monkeypatch, series._signvec_sets_mp, lam5, 1, 40
+        assert series._root_rows_mp(lam7, 1, 400) == _built_afresh(
+            monkeypatch, series._root_rows_mp, lam7, 1, 400
         )
-    assert len(store) == 3 and store.hits["signvec"] == 0
+    assert len(store) == 3 and store.hits["roots"] == 0
 
 
 @pytest.mark.parametrize(
-    "n, deltas, x",
-    [(5, (0, 1, 0, 0, 1), 1.0), (6, (0, 1, 0, 0, 1, 0), 0.3)],
-    ids=["rank5", "rank6"],
+    "n, x",
+    [(5, 1.0), (6, 0.3), (12, 0.5)],
+    ids=["rank5", "rank6", "rank12"],
 )
-def test_rank5_and_rank6_signvec_sets_are_kept(monkeypatch, n, deltas, x):
-    # a series-zone kernel point past rank 4 builds its sign-vector sets for
-    # the cancellation reference once, not at every evaluation
+def test_root_rows_are_kept(monkeypatch, n, x):
+    # a series-zone kernel point past rank 4 builds the root rows of its
+    # cancellation reference once, not at every evaluation; at rank 12 too,
+    # where 2^(n-1) sign-vector coefficient sets would be charged above the
+    # budget
     builds = []
-    signvec_sets = series._signvec_sets
+    root_rows = series._root_rows
 
     def counted(ctx, lam, parity):
         builds.append(ctx is mp)
-        return signvec_sets(ctx, lam, parity)
+        return root_rows(ctx, lam, parity)
 
-    monkeypatch.setattr(series, "_signvec_sets", counted)
+    monkeypatch.setattr(series, "_root_rows", counted)
     # an index no other test uses, so that nothing of it is stored before
-    ki = KernelIndex(SpectralIndex([0.31, -0.12, -0.23, 0.14, -0.06, 0.11][:n]), deltas)
+    lam = [0.31, -0.12, -0.23, 0.14, -0.06, 0.11, 0.27, -0.35, 0.02, -0.17, 0.38, -0.29]
+    ki = KernelIndex(SpectralIndex(lam[:n]), [int(k % 3 == 1) for k in range(n)])
     first = bessel_kernel(x, ki, "auto", 1e-9)
     assert first.method == "series" and builds == [True]
     again = bessel_kernel(x, ki, "auto", 1e-9)
@@ -703,7 +708,7 @@ def _build_each_kind():
         for dps in (20, 300, 2000)[: 3 if n <= 2 else 2]:
             series._coeffs_mp(si.lam, ("kernel", deltas, 1), dps)
             series._coeffs_mp(si.lam, ("signvec", SignVector(("+-" * 3)[:n])), dps)
-            series._signvec_sets_mp(si.lam, -1, dps)
+            series._root_rows_mp(si.lam, -1, dps)
         series.kernel_series_grid(np.array([0.5]), -1, si, deltas)  # a table and pairs
         series.derivatives(0.5, SignVector(("+-" * 3)[:n]), si, 0)  # the index-shift matrix
         for k in (0, n):
@@ -744,7 +749,7 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
     finally:
         tracemalloc.stop()
         gc.unfreeze()
-    kinds = {"coeffs", "signvec", "rgamma", "table", "grid", "u", "b"}
+    kinds = {"coeffs", "roots", "rgamma", "table", "grid", "u", "b"}
     assert {kind for kind, _, _ in sizes} == kinds
     assert [s for s in sizes if s[2] > s[1]] == []
     assert min(size for _, _, size in sizes) > 0
