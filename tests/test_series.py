@@ -620,16 +620,7 @@ def test_index_caches_are_bounded(monkeypatch):
     assert len(store) == 3 and store.hits["roots"] == 0
 
 
-@pytest.mark.parametrize(
-    "n, x",
-    [(5, 1.0), (6, 0.3), (12, 0.5)],
-    ids=["rank5", "rank6", "rank12"],
-)
-def test_root_rows_are_kept(monkeypatch, n, x):
-    # a series-zone kernel point past rank 4 builds the root rows of its
-    # cancellation reference once, not at every evaluation; at rank 12 too,
-    # where 2^(n-1) sign-vector coefficient sets would be charged above the
-    # budget
+def _assert_reference_built_once(monkeypatch, n, x):
     builds = []
     root_rows = series._root_rows
 
@@ -648,6 +639,20 @@ def test_root_rows_are_kept(monkeypatch, n, x):
     assert (again.value, again.error, again.cancellation) == (
         first.value, first.error, first.cancellation
     )
+
+
+@pytest.mark.parametrize("n, x", [(5, 1.0), (6, 0.3)], ids=["rank5", "rank6"])
+def test_rank5_and_rank6_signvec_sets_are_kept(monkeypatch, n, x):
+    # a series-zone kernel point past rank 4 builds what its cancellation
+    # reference (the largest sign-vector value) needs once, not at every
+    # evaluation: the root rows that stand for the sign-vector sets
+    _assert_reference_built_once(monkeypatch, n, x)
+
+
+def test_rank12_root_rows_are_kept(monkeypatch):
+    # at rank 12 too, where 2^(n-1) sign-vector coefficient sets would be
+    # charged above the store's budget
+    _assert_reference_built_once(monkeypatch, 12, 0.5)
 
 
 def test_store_evicts_least_recently_used_within_budget(monkeypatch):
