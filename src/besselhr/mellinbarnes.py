@@ -19,15 +19,15 @@ tail cut where an empirical decay-rate bound drops below tol/10.  A piece
 whose Kronrod-Gauss difference is at most 50 eps times its absolute mass is
 at its rounding floor and is never split again, so the loop stops where the
 error estimate stops falling instead of running to its piece cap.  The
-integrand is called on batches of panels: all initial segments at once, both
-halves of each split together, and the four tail probes of each t_max trial
-together; each panel's 15-point sums are the same bits as when it is alone.
+integrand is called on batches of panels: all initial segments at once, the
+halves of every split of a refinement round together, and the four tail
+probes of each t_max trial together; each panel's 15-point sums are the same
+bits as when it is alone.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -170,46 +170,47 @@ def _gk15(f, pieces):
 
 
 def _adaptive(f, segs, tol):
-    """Adaptive bisection over straight pieces; deterministic summation.
+    """Adaptive bisection over straight pieces in refinement rounds;
+    deterministic summation.
 
-    The heap holds (-err, index) for every piece that splitting can still
-    improve, so the worst piece is split first and ties go to the lowest
-    index; the left half keeps the index of the piece it replaces and the
-    right half is appended.  A piece whose Kronrod-Gauss difference is at
-    most _ROUNDING_FLOOR times its absolute mass sits at the rounding level
-    of its own rule (the QUADPACK dqk15 floor), so it never enters the heap:
-    the loop ends when the heap is empty, when the error meets tol, or at
-    _MAX_PIECES.  The initial segments go to the integrand in one call, and
-    the two halves of each split in one more.
+    Each round starts from the fresh total error, walks the splittable
+    pieces from the largest error down (ties to the lowest index) and picks
+    each one above the share tol/(4 * pieces) until the errors left
+    unpicked sum to at most tol/4, so a round whose total is already there
+    picks nothing and the loop ends; the picks are cut to the room left
+    under _MAX_PIECES.  A piece whose Kronrod-Gauss difference is at most
+    _ROUNDING_FLOOR times its absolute mass sits at the rounding level of
+    its own rule (the QUADPACK dqk15 floor) and is never picked, so the
+    loop also ends when no piece is left to pick.  Each pick's left half
+    keeps its index and its right half is appended.  The initial segments
+    go to the integrand in one call, and all the halves of each round in
+    one more.
     """
     pieces = [[a, b, *r] for (a, b), r in zip(segs, _gk15(f, segs))]
-
-    def splittable(err, mass):
-        return err > _ROUNDING_FLOOR * mass
-
-    heap = [(-p[3], i) for i, p in enumerate(pieces) if splittable(p[3], p[4])]
-    heapq.heapify(heap)
-    tot_err = sum(p[3] for p in pieces)
-    while heap and len(pieces) < _MAX_PIECES:
-        if tot_err <= 0.3 * tol:
-            # the running total drifts by rounding; decide on a fresh sum
-            tot_err = sum(p[3] for p in pieces)
-            if tot_err <= 0.25 * tol:
+    while len(pieces) < _MAX_PIECES:
+        unpicked = sum(p[3] for p in pieces)
+        share = 0.25 * tol / len(pieces)
+        ranked = sorted(
+            (-p[3], i) for i, p in enumerate(pieces)
+            if p[3] > share and p[3] > _ROUNDING_FLOOR * p[4]
+        )
+        picks = []
+        for neg_err, i in ranked:
+            if unpicked <= 0.25 * tol:
                 break
-        neg_err, i = heap[0]
-        if -neg_err <= 0.25 * tol / len(pieces):
+            picks.append(i)
+            unpicked += neg_err
+        picks = picks[: _MAX_PIECES - len(pieces)]
+        if not picks:
             break
-        heapq.heappop(heap)
-        a, b = pieces[i][0], pieces[i][1]
-        m = 0.5 * (a + b)
-        (v1, e1, m1), (v2, e2, m2) = _gk15(f, [(a, m), (m, b)])
-        pieces[i] = [a, m, v1, e1, m1]
-        if splittable(e1, m1):
-            heapq.heappush(heap, (-e1, i))
-        if splittable(e2, m2):
-            heapq.heappush(heap, (-e2, len(pieces)))
-        pieces.append([m, b, v2, e2, m2])
-        tot_err += e1 + e2 + neg_err
+        cuts = []
+        for i in picks:
+            a, b = pieces[i][0], pieces[i][1]
+            cuts.append((i, a, 0.5 * (a + b), b))
+        halves = iter(_gk15(f, [h for _, a, m, b in cuts for h in ((a, m), (m, b))]))
+        for i, a, m, b in cuts:
+            pieces[i] = [a, m, *next(halves)]
+            pieces.append([m, b, *next(halves)])
     # deterministic order: sort all pieces by (Im a, Re a)
     allp = sorted(pieces, key=lambda p: (p[0].imag, p[0].real, p[1].imag))
     total = 0j
@@ -284,6 +285,8 @@ def mb_eval_est(
     contour (the oscillatory-cancellation cost that caps the oracle's
     accuracy at large x).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x <= 0.0:
         raise ValueError("defined for positive real x; elsewhere use the "
                          "series/asymptotic continuations")
@@ -335,6 +338,8 @@ def mb_kernel_est(
     Evaluates sum over d in {0,1} of sgn(x)^d/(4 pi i) *
     integral of prod_l G_{delta_l + d}(s - lam_l) |x|^{-s} ds.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"kernel argument must be finite, got {x}")
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
     n = si.rank

@@ -1,15 +1,18 @@
 import cmath
+import heapq
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import _backend
+from besselhr import _backend, mellinbarnes
 from besselhr.core import SignVector, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import KernelIndex, bessel_kernel
 from besselhr.mellinbarnes import (
+    _MAX_PIECES,
     _NODES,
+    _ROUNDING_FLOOR,
     _WG15,
     _WK15,
     Contour,
@@ -252,6 +255,111 @@ def test_vanishing_kernel_stops_at_rounding_floor(monkeypatch):
     assert r.method == "mellin-barnes"
     assert tally["points"] < 10_000
     assert abs(r.value) <= r.error
+
+
+def _adaptive_one_split(f, segs, tol):
+    """The loop that split one piece per integrand call, worst piece first
+    from a heap: the reference the refinement rounds of _adaptive must
+    reproduce piece for piece."""
+    pieces = [[a, b, *r] for (a, b), r in zip(segs, _gk15(f, segs))]
+
+    def splittable(err, mass):
+        return err > _ROUNDING_FLOOR * mass
+
+    heap = [(-p[3], i) for i, p in enumerate(pieces) if splittable(p[3], p[4])]
+    heapq.heapify(heap)
+    tot_err = sum(p[3] for p in pieces)
+    while heap and len(pieces) < _MAX_PIECES:
+        if tot_err <= 0.3 * tol:
+            # the running total drifts by rounding; decide on a fresh sum
+            tot_err = sum(p[3] for p in pieces)
+            if tot_err <= 0.25 * tol:
+                break
+        neg_err, i = heap[0]
+        if -neg_err <= 0.25 * tol / len(pieces):
+            break
+        heapq.heappop(heap)
+        a, b = pieces[i][0], pieces[i][1]
+        m = 0.5 * (a + b)
+        (v1, e1, m1), (v2, e2, m2) = _gk15(f, [(a, m), (m, b)])
+        pieces[i] = [a, m, v1, e1, m1]
+        if splittable(e1, m1):
+            heapq.heappush(heap, (-e1, i))
+        if splittable(e2, m2):
+            heapq.heappush(heap, (-e2, len(pieces)))
+        pieces.append([m, b, v2, e2, m2])
+        tot_err += e1 + e2 + neg_err
+    allp = sorted(pieces, key=lambda p: (p[0].imag, p[0].real, p[1].imag))
+    total = 0j
+    err = 0.0
+    mass = 0.0
+    for p in allp:
+        total += p[2]
+        err += p[3]
+        mass += p[4]
+    return total, err, mass
+
+
+def _bits(result):
+    val, err, mass = result
+    return tuple(float(v).hex() for v in (val.real, val.imag, err, mass))
+
+
+def test_adaptive_rounds_match_one_split_reference(monkeypatch):
+    # the j integrand at ranks 1-5 (prototype index; rank 5, +++++, x = 0.5
+    # is the floor point of test_mb_rank5_floor_agrees_with_series) and both
+    # parities of the vanishing kernel point: the same (value, error, mass)
+    # bits and points as one split per call, in at most half the calls
+    cases = []
+
+    def recording(f, segs, tol):
+        cases.append((f, segs, tol))
+        return _adaptive(f, segs, tol)
+
+    monkeypatch.setattr(mellinbarnes, "_adaptive", recording)
+    for n in range(1, 6):
+        si = SpectralIndex([(n + 1 - 2 * l) / (2 * n) for l in range(1, n + 1)])
+        for signs in ("+" * n, ("-+" * n)[:n]):
+            for x in (0.5, 3.0, 40.0):
+                mb_eval_est(x, SignVector(signs), si, 1e-10)
+    bessel_kernel(-3.0, KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), "auto", 1e-9)
+    assert len(cases) == 5 * 2 * 3 + 2
+    calls = {"rounds": 0, "reference": 0}
+    for f, segs, tol in cases:
+        fr, rounds = _counting(f)
+        fo, reference = _counting(f)
+        assert _bits(_adaptive(fr, segs, tol)) == _bits(_adaptive_one_split(fo, segs, tol))
+        assert rounds["points"] == reference["points"]
+        calls["rounds"] += rounds["calls"]
+        calls["reference"] += reference["calls"]
+    assert 2 * calls["rounds"] <= calls["reference"]
+
+
+def test_adaptive_round_stops_at_piece_cap():
+    # an integrand no piece of the cap resolves: the rounds must end at
+    # exactly _MAX_PIECES pieces, in a few calls (one split per call took 3975)
+    def rough(s):
+        return np.exp(-0.01 * np.abs(s)) * (1.0 + 1e-3 * np.sin(1e4 * s.imag))
+
+    f, tally = _counting(rough)
+    segs = _segments(default_contour(SpectralIndex([0.3, -0.1, -0.2]), 2.0), 3.0)
+    _adaptive(f, segs, 1e-14)
+    assert tally["points"] == 15 * (2 * _MAX_PIECES - len(segs))
+    assert tally["calls"] <= 20
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_raises_before_any_integrand_call(monkeypatch, x):
+    fj, tj = _counting(_backend.mb_j_integrand)
+    fk, tk = _counting(_backend.mb_kernel_integrand)
+    monkeypatch.setattr(_backend, "mb_j_integrand", fj)
+    monkeypatch.setattr(_backend, "mb_kernel_integrand", fk)
+    si = SpectralIndex([0.3, -0.1, -0.2])
+    with pytest.raises(ValueError, match="finite"):
+        mb_eval_est(x, SignVector("++-"), si)
+    with pytest.raises(ValueError, match="finite"):
+        mb_kernel_est(x, si, (0, 1, 1))
+    assert tj["calls"] == tk["calls"] == 0
 
 
 def test_mb_rank5_floor_agrees_with_series():

@@ -398,6 +398,29 @@ def test_ode_residual_small():
             assert ode_residual(x, sv, si, 1e-10) < 1e-8
 
 
+def _rank8_index():
+    """A seeded generic rank-8 index: lambda uniform in [-0.4, 0.4], mean 0."""
+    lam = np.random.default_rng(8).uniform(-0.4, 0.4, 8)
+    return SpectralIndex(lam - lam.mean())
+
+
+@pytest.mark.parametrize("signs", ["++++++++", "+-+-+-+-", "++++----"])
+def test_rank8_series_agrees_with_mb(signs):
+    si = _rank8_index()
+    sv = SignVector(signs)
+    for x in (0.5, 1.5, 3.0):
+        r = j_function(x, sv, si, 1e-10)
+        vm, em = mb_eval_est(x, sv, si, 1e-10)
+        assert abs(r.value - vm) <= r.tail_bound + em
+
+
+def test_rank8_ode_residual():
+    # criterion 7's bound (1e-8) at rank 8, past the registry's n <= 5
+    si = _rank8_index()
+    for signs, x in (("++++++++", 1.0), ("++++----", 3.0)):
+        assert ode_residual(x, SignVector(signs), si, 1e-10) < 1e-8
+
+
 def test_bigfloat_rounds_exhausted(monkeypatch):
     # a term mass that grows with the working precision keeps the precision
     # ceiling ahead of the rounds, so no round certifies and none reaches
