@@ -9,12 +9,14 @@ the non-positive integers come out exact.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes
-the reciprocal gamma, recip_gamma for the double pass (series_sum) or
-mp.rgamma for the kernel grid's coefficient table and the first terms of
-the big-float rounds.  The big-float rounds sum the rest of each series in
-fixed-point Python integers (sum_first_kind_fixed: one complex multiply and
-one division per term, whatever the rank), with the same stop rule; the
-module takes and returns plain integers there and never imports mpmath.
+the head rows, the reciprocal gammas 1/Gamma(d_k + m + 1) of the first
+terms, built with recip_gamma for the double pass (series_sum) or with
+mp.rgamma for the kernel grid's coefficient table and the big-float rounds.
+The big-float rounds take only its head (head_terms) and sum the rest of
+each series in fixed-point Python integers (sum_first_kind_fixed: one complex
+multiply and one division per term, whatever the rank), with the same stop
+rule; the module takes and returns plain integers there and never imports
+mpmath.
 
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
@@ -139,34 +141,55 @@ def log_gdelta(w, delta):
     return out
 
 
-def first_kind_terms(zf, diffs, m_fresh, recip_gamma):
+def zf_powers(zf, count):
+    """zf^m for m < count, each the product of m factors zf taken from
+    1.0 + 0.0j, the powers head_terms multiplies the head rows by."""
+    powers = [1.0 + 0.0j]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * zf)
+    return powers
+
+
+def head_rows(diffs, m_fresh, recip_gamma):
+    """The head rows of head_terms, one at a time: for m = 0 .. m_fresh the
+    reciprocal gammas 1/Gamma(d_k + m + 1) of the differences d_k."""
+    for m in range(m_fresh + 1):
+        yield tuple(recip_gamma(d + m + 1.0) for d in diffs)
+
+
+def head_terms(head, powers):
+    """The terms zf^m / prod_k Gamma(d_k + m + 1) for m = 0 .. M: powers[m]
+    (zf_powers) times the reciprocal gammas of row m of head (head_rows),
+    so integer pole crossings give exact zero terms."""
+    for m, row in enumerate(head):
+        t = powers[m]
+        for g in row:
+            t = t * g
+        yield t
+
+
+def first_kind_terms(zf, diffs, head, powers):
     """The terms t_m = zf^m / prod_k Gamma(diffs_k + m + 1), m = 0, 1, ...
 
-    Through m = m_fresh each term is rebuilt from reciprocal-gamma products,
-    so integer pole crossings give exact zero terms; after that the term
-    ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is that of
-    zf, diffs and recip_gamma: python and numpy scalars with this module's
-    recip_gamma, or mpmath numbers with mp.rgamma at the working precision.
+    Through m = M, the last row of head, they are the head_terms; past it
+    the term ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is
+    that of zf, diffs and the rows: python and numpy scalars with this
+    module's recip_gamma, or mpmath numbers with mp.rgamma at the working
+    precision.
     """
-    diffs = tuple(diffs)  # a tuple iterates faster than a numpy array
-    m = 0
-    while True:
-        if m <= m_fresh:
-            t = 1.0 + 0.0j
-            for _ in range(m):
-                t = t * zf
-            for d in diffs:
-                t = t * recip_gamma(d + m + 1.0)
-        else:
-            r = zf
-            for d in diffs:
-                r = r / (d + m)
-            t = t * r
+    for m, t in enumerate(head_terms(head, powers)):
         yield t
+    diffs = tuple(diffs)  # a tuple iterates faster than a numpy array
+    while True:
         m += 1
+        r = zf
+        for d in diffs:
+            r = r / (d + m)
+        t = t * r
+        yield t
 
 
-def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, m_fresh, recip_gamma):
+def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, head):
     """Sum of first_kind_terms: past m_min it stops after three consecutive
     terms below tol * |partial sum| + floor, or after the term m_cap.
 
@@ -176,7 +199,8 @@ def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, m_fresh, recip_gamma):
     total = 0.0 + 0.0j
     abs_total = 0.0
     small = 0
-    for m, t in enumerate(first_kind_terms(zf, diffs, m_fresh, recip_gamma)):
+    terms = first_kind_terms(zf, diffs, head, zf_powers(zf, len(head)))
+    for m, t in enumerate(terms):
         total = total + t
         t_abs = abs(t)
         abs_total = abs_total + t_abs
@@ -225,8 +249,8 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     with |t_M| near 2^wp; past it t_m = t_(m-1) zf / P(m) with
     P(m) = prod_k (d_k + m).  zf and the d_k are (re, im) integers with wp
     fraction bits, and every Re(d_k + m) > 0 for m > M.  The stop rule is
-    that of sum_first_kind on integer magnitudes: tol and floor carry wp
-    fraction bits, floor in units of 2^E.
+    that of sum_first_kind on integer magnitudes: tol >= 0 and floor carry
+    wp fraction bits, floor in units of 2^E.
 
     Each term costs one complex multiply by W(m) = zf conj(P(m)) and one
     floor division by R(m) = |P(m)|^2.  W and R are polynomials in m with
@@ -261,6 +285,8 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     w_steps = range(n)
     r_steps = range(2 * n)
     shift = (n - 1) * wp
+    tol2 = 2 * tol
+    isqrt = math.isqrt
     sr = si = 0
     abs_sum = 0
     small = 0
@@ -283,10 +309,24 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
                 rr[j] += rr[j + 1]
         sr += tr
         si += ti
-        t_abs = _abs_ub(tr, ti)
+        ar = abs(tr)  # t_abs = _abs_ub(tr, ti), inline
+        ai = abs(ti)
+        k = max(ar.bit_length(), ai.bit_length()) - 60
+        if k <= 0:
+            t_abs = isqrt(ar * ar + ai * ai) + 1
+        else:
+            ar = (ar >> k) + 1
+            ai = (ai >> k) + 1
+            t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
         abs_sum += t_abs
         if m >= m_min:
-            if (t_abs << wp) <= tol * _abs_ub(sr, si) + floor:
+            # t_abs 2^wp <= tol _abs_ub(sr, si) + floor, settled on the
+            # bounds max <= _abs_ub < 2 max + 2 where they decide it
+            over = (t_abs << wp) - floor
+            low = tol * max(abs(sr), abs(si))
+            if over <= low or (
+                over <= (low << 1) + tol2 and over <= tol * _abs_ub(sr, si)
+            ):
                 small += 1
                 if small >= 3:
                     break
@@ -303,9 +343,10 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     return sr, si, abs_sum + slack, terms
 
 
-def series_sum(zf, diffs, tol, m_min, m_cap, m_fresh):
-    """sum_first_kind in double precision, the pass first_kind makes."""
-    return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, m_fresh, recip_gamma)
+def series_sum(zf, diffs, tol, m_min, m_cap, head):
+    """sum_first_kind in double precision, the pass first_kind makes; head
+    holds rows of recip_gamma (head_rows)."""
+    return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, head)
 
 
 # ---------------------------------------------------------------------------

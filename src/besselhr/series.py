@@ -27,30 +27,35 @@ the sector of xi(sig), the modulus of the leading asymptotic term
 pass's term mass (or the e^{n|z|} ridge where the double pass overflows).
 A round that fails escalates, up to a ceiling of digits.
 
-The terms of J_l come from one recurrence, _backend.first_kind_terms: in
-double precision for first_kind, in mpmath for the first terms of the
-big-float rounds (_first_kind_mp, which sums the rest in fixed-point
-integers), and at zf = 1 in 50-digit mpmath for the coefficient table of
-kernel_series_grid (_FirstKindTable), which sums them by Horner in
-double-double arithmetic.
+The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
+the head rows 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh, where
+the integer pole crossings lie): in double precision for first_kind, in
+mpmath for the first terms of the big-float rounds (_first_kind_mp, which
+sums the rest in fixed-point integers), and at zf = 1 in 50-digit mpmath for
+the coefficient table of kernel_series_grid (_FirstKindTable), which sums
+them by Horner in double-double arithmetic.  A big-float round builds what
+its n series share once (_Round): its bits, log z, zf and the powers zf^m of
+the heads, and the fixed-point forms of zf and of the tolerance.
 
 The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
 across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
 root rows of the kernel's cancellation reference (both by index, kind or
-parity, and digits), the reciprocal gammas of the head terms (by exact
-argument and bits), the grid's first-kind tables and coefficient pairs, the
-index-shift matrix of derivatives, and the asymptotic B_m tables of asympt
-(by index and root).  A key holds nothing of z, of a family value or of the
-tolerance, so every result is the same bit for bit with or without the
-store.  The double pass builds its
-coefficients afresh: they cost little there, and keys of doubles would not
-tell 0.0 from -0.0.  Each entry is charged an upper bound on its bytes from
-how many numbers it holds and their precision (_charge; a first-kind table
-for the terms it holds, charged again when a sweep grows it), and the store
-evicts the least recently used entries to hold at most _STORE_BYTES (4 MB)
-at every rank and precision; an entry charged more is not kept.
+parity, and digits), the head rows of each series with its differences d_k
+(by index, l and bits), the grid's first-kind tables and coefficient pairs,
+the index-shift matrix of derivatives, and the asymptotic B_m tables of
+asympt (by index and root).  A key holds nothing of z, of a family value or
+of the tolerance, so every result is the same bit for bit with or without
+the store.  The double pass builds its connection coefficients afresh: they
+cost little there, and keys of doubles would not tell 0.0 from -0.0.  Its
+head rows of _backend.recip_gamma are stored by index and l all the same
+(_lanczos_head): their arguments d_k + m + 1.0 come out the same for either
+sign of a zero in d_k.  Each entry is charged an upper bound on its bytes
+from how many numbers it holds and their precision (_charge; a first-kind
+table for the terms it holds, charged again when a sweep grows it), and the
+store evicts the least recently used entries to hold at most _STORE_BYTES
+(4 MB) at every rank and precision; an entry charged more is not kept.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Union
 
 import mpmath as mp
@@ -146,7 +151,7 @@ def first_kind(
     m_min = int(math.e * z.modulus) + 4
     m_cap = m_min + 220
     total, abs_total, terms, q, t_abs = _backend.series_sum(
-        zf, diffs, tol, m_min, m_cap, _m_fresh(diffs)
+        zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
     )
     pref = z.power(-n * lam_l)
     if q < 0.75:
@@ -323,10 +328,38 @@ def _root_rows_mp(lam: tuple, parity: int, dps: int):
     return _stored(("roots", lam, parity, dps), _charge(n * (n // 2 + 1), dps_to_prec(dps)), build)
 
 
-def _recip_gamma_mp(x):
-    """mp.rgamma of the mpmath complex x at the working precision."""
-    prec = mp.mp.prec
-    return _stored(("rgamma", x._mpc_, prec), _charge(1, prec), lambda: mp.rgamma(x))
+def _lanczos_head(lam: tuple, l: int, diffs):
+    """The head rows of the l-th series for the double pass: head_rows with
+    _backend.recip_gamma for m <= _m_fresh, from the double differences
+    diffs of lam.  Keyed by lam although its doubles do not tell 0.0 from
+    -0.0: a row's arguments d_k + m + 1.0 come out the same for either sign
+    of a zero in d_k."""
+    fresh = _m_fresh(diffs)
+    return _stored(
+        ("lanczos", lam, l),
+        _charge(len(lam) * (fresh + 1), 53),
+        lambda: tuple(_backend.head_rows(diffs, fresh, _backend.recip_gamma)),
+    )
+
+
+def _head_mp(lam: tuple, l: int, wp: int):
+    """The head of the l-th series in wp-bit arithmetic: the rows
+    1/Gamma(d_k + m + 1) for m <= _m_fresh (head_rows with mp.rgamma) of the
+    differences d_k = lam_k - lam_l, and the d_k as fixed-point pairs of wp
+    fraction bits.  Charged for its rows: a number's charge covers a pair as
+    well."""
+
+    def build():
+        with mp.workprec(wp):
+            lam_mp = [mp.mpc(v) for v in lam]
+            diffs = [lk - lam_mp[l - 1] for lk in lam_mp]
+            fresh = _m_fresh([complex(d) for d in diffs])
+            rows = tuple(_backend.head_rows(diffs, fresh, mp.rgamma))
+            return rows, [_to_fixed(d, wp) for d in diffs]
+
+    n = len(lam)
+    fresh = _m_fresh([lk - lam[l - 1] for lk in lam])
+    return _stored(("head", lam, l, wp), _charge(n * (fresh + 1), wp), build)
 
 
 def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind):
@@ -348,17 +381,43 @@ def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float,
     return SeriesEval(value, terms, err), mass, family
 
 
-def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_tol):
-    """first_kind at the current mpmath working precision dps: the same
-    series and stop rule, with the floor 10^(-dps-30) and at most
-    m_min + 50 000 terms.
+class _Round:
+    """What the n series of one big-float round share, at the current
+    mpmath precision dps: the bits wp, m_min and m_cap, log z and
+    zf = sign i^n z^n, their fixed-point forms and that of rel_tol, the
+    floor 10^(-dps-30), the heads of the index (_head_mp) and the powers
+    zf^m through the largest head.  zf, the powers and the fixed-point forms
+    are made in mp.workprec(wp), the precision the series run at."""
+
+    def __init__(self, z: SurfacePoint, sign: int, si: SpectralIndex, rel_tol):
+        n = si.rank
+        self.si = si
+        self.m_min = int(math.e * z.modulus) + 4
+        self.m_cap = self.m_min + 50000
+        dps = mp.mp.dps
+        wp = math.ceil(dps * math.log2(10)) + 2 * self.m_cap.bit_length() + 8
+        wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))  # |zf| < 1
+        self.wp = wp
+        self.floor = mp.mpf(10) ** (-dps - 30)
+        with mp.workprec(wp):
+            self.logz = mp.mpc(z.log_modulus, z.argument)
+            self.zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * self.logz)
+            self.zf_fixed = _to_fixed(self.zf, wp)
+            self.tol = to_fixed(mp.mpf(rel_tol)._mpf_, wp)
+            self.heads = [_head_mp(si.lam, l, wp) for l in range(1, n + 1)]
+            self.powers = _backend.zf_powers(self.zf, max(len(rows) for rows, _ in self.heads))
+
+
+def _first_kind_mp(rnd: _Round, l: int):
+    """first_kind at the precision of the round rnd: the same series and
+    stop rule, with the floor 10^(-dps-30) and at most m_min + 50 000 terms.
 
     Every step runs with wp = dps log2(10) + 2 bitlen(m_cap) + 8 bits, and
     with the bits |zf| < 1 costs zf.  The terms through _m_fresh come from
-    _backend.first_kind_terms with mp.rgamma, so pole crossings stay exact.
-    The rest of the series runs in fixed-point integers
-    (_backend.sum_first_kind_fixed), in units of 2^E with |t_(m_fresh)|
-    just below 2^wp.
+    _backend.head_terms with the stored head rows of mp.rgamma, so pole
+    crossings stay exact.  The rest of the series runs in fixed-point
+    integers (_backend.sum_first_kind_fixed), in units of 2^E with
+    |t_(m_fresh)| just below 2^wp.
 
     Returns (value, terms, abs_scale) where abs_scale is the summed term
     magnitude times |prefactor| - the quantity arithmetic noise scales with.
@@ -367,35 +426,24 @@ def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_to
     is then within 10^-dps abs_scale of the same terms summed exactly, far
     inside the noise model 10^-(dps-5) abs_scale of _j_generic.
     """
-    n = si.rank
-    m_min = int(math.e * z.modulus) + 4
-    m_cap = m_min + 50000
-    dps = mp.mp.dps
-    wp = math.ceil(dps * math.log2(10)) + 2 * m_cap.bit_length() + 8
-    wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))  # |zf| < 1
-    floor = mp.mpf(10) ** (-dps - 30)
+    n = rnd.si.rank
+    wp = rnd.wp
+    rows, fixed_diffs = rnd.heads[l - 1]
     with mp.workprec(wp):
-        logz = mp.mpc(z.log_modulus, z.argument)
-        lam = [mp.mpc(v) for v in si.lam]
-        lam_l = lam[l - 1]
-        diffs = [lk - lam_l for lk in lam]
-        zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
-        m_fresh = _m_fresh([complex(d) for d in diffs])
-        gen = _backend.first_kind_terms(zf, diffs, m_fresh, _recip_gamma_mp)
-        head = list(islice(gen, min(m_fresh, m_cap) + 1))
+        head = list(_backend.head_terms(rows[: rnd.m_cap + 1], rnd.powers))
         e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
         sr, si_, abs_sum, terms = _backend.sum_first_kind_fixed(
             [_to_fixed(t, -e) for t in head],
-            _to_fixed(zf, wp),
-            [_to_fixed(d, wp) for d in diffs],
+            rnd.zf_fixed,
+            fixed_diffs,
             wp,
-            to_fixed(mp.mpf(rel_tol)._mpf_, wp),
-            to_fixed(floor._mpf_, wp - e),
-            m_min,
-            m_cap,
+            rnd.tol,
+            to_fixed(rnd.floor._mpf_, wp - e),
+            rnd.m_min,
+            rnd.m_cap,
         )
         total = mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e)))
-        pref = mp.exp(-n * lam_l * logz)
+        pref = mp.exp(-n * mp.mpc(rnd.si.lam[l - 1]) * rnd.logz)
         value = pref * total
         scale = abs(pref) * mp.mpf((abs_sum, e))
     return +value, terms, +scale
@@ -403,8 +451,8 @@ def _first_kind_mp(z: SurfacePoint, sign: int, si: SpectralIndex, l: int, rel_to
 
 def _to_fixed(x, bits):
     """An mpmath complex as integers (re, im) with bits fraction bits."""
-    x = mp.mpc(x)
-    return to_fixed(x.real._mpf_, bits), to_fixed(x.imag._mpf_, bits)
+    re, im = mp.mpc(x)._mpc_
+    return to_fixed(re, bits), to_fixed(im, bits)
 
 
 def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind):
@@ -414,12 +462,13 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind)
     with mp.workdps(dps):
         cs, mags = _coeffs_mp(si.lam, kind, dps)
         rel = mp.mpf(10) ** (-(dps - 4))
+        rnd = _Round(z, sign, si, rel)
         value = mp.mpc(0)
         mass = mp.mpf(0)
         terms = 0
         family = []
         for l in range(n):
-            comp, t_used, comp_scale = _first_kind_mp(z, sign, si, l + 1, rel)
+            comp, t_used, comp_scale = _first_kind_mp(rnd, l + 1)
             value += cs[l] * comp
             # noise scales with the summed term magnitudes inside each
             # component, not with the (already cancelled) component value
@@ -683,10 +732,17 @@ class _FirstKindTable:
         self._last = [1 for _ in lam]  # |c_(m-1)| for the next entry m
         with mp.workdps(_GRID_DPS):
             lam_mp = [mp.mpc(v) for v in lam]
-            self._terms = [
-                _backend.first_kind_terms(1, [lk - lam_l for lk in lam_mp], fresh, mp.rgamma)
-                for lam_l, fresh in zip(lam_mp, self.m_fresh)
-            ]
+            diffs = [[lk - lam_l for lk in lam_mp] for lam_l in lam_mp]
+        # the head rows are pulled as the table grows, at _GRID_DPS digits
+        self._terms = [
+            _backend.first_kind_terms(
+                1,
+                d,
+                _backend.head_rows(d, fresh, mp.rgamma),
+                _backend.zf_powers(1, fresh + 1),
+            )
+            for d, fresh in zip(diffs, self.m_fresh)
+        ]
 
     def extend(self, m_top: int):
         if len(self.coeffs[0]) > m_top:

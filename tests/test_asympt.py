@@ -307,7 +307,7 @@ def test_inverse_connection_rank2_pattern():
 
 def test_inverse_connection_vs_series_rank3():
     import mpmath as mpm
-    from besselhr.series import _first_kind_mp
+    from besselhr.series import _Round, _first_kind_mp
     from besselhr.core import SurfacePoint
 
     si = SpectralIndex([0.3, -0.1, -0.2])
@@ -316,7 +316,7 @@ def test_inverse_connection_vs_series_rank3():
     z = SurfacePoint.from_positive(x)
     with mpm.workdps(120):
         for l in range(1, 4):
-            want, _, _ = _first_kind_mp(z, 1, si, l, mpm.mpf(10) ** -100)
+            want, _, _ = _first_kind_mp(_Round(z, 1, si, mpm.mpf(10) ** -100), l)
             wantc = complex(want)
             assert abs(recon[l - 1] - wantc) < 1e-6 * abs(wantc)
 

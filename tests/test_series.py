@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import pickle
+import random
 import tracemalloc
 
 import mpmath as mp
@@ -58,14 +59,15 @@ def test_first_kind_rank2_classical():
                 (1, 1, mp.besselj(-nu, w2)),
                 (-1, 2, mp.besseli(nu, w2)),
             ):
-                got, _, _ = series._first_kind_mp(z, sign, si, l, mp.mpf(10) ** -56)
+                got, _, _ = series._first_kind_mp(series._Round(z, sign, si, mp.mpf(10) ** -56), l)
                 assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want)
 
 
 def test_series_sum_count_at_cap():
     # sum 3^m / m! stopped by the cap after m = 4: five terms, and the tail
     # ratio is that of the first omitted term, 3/5
-    total, _, terms, q, _ = _backend.series_sum(3 + 0j, np.array([0j]), 0.0, 0, 4, 2)
+    head = tuple(_backend.head_rows(np.array([0j]), 2, _backend.recip_gamma))
+    total, _, terms, q, _ = _backend.series_sum(3 + 0j, np.array([0j]), 0.0, 0, 4, head)
     assert terms == 5 and q == 0.6
     assert abs(total - 16.375) < 1e-13
 
@@ -475,7 +477,7 @@ def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
     z = SurfacePoint.from_positive(x)
     with mp.workdps(dps):
         tol = mp.mpf(10) ** -dps
-        got, terms, scale = series._first_kind_mp(z, sign, si, l, tol)
+        got, terms, scale = series._first_kind_mp(series._Round(z, sign, si, tol), l)
     with mp.workdps(dps + 40):
         n = si.rank
         logz = mp.mpc(z.log_modulus, z.argument)
@@ -483,14 +485,275 @@ def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
         diffs = [lk - lam[l - 1] for lk in lam]
         zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
         m_min = int(math.e * x) + 4
+        fresh = series._m_fresh([complex(d) for d in diffs])
+        head = tuple(_backend.head_rows(diffs, fresh, mp.rgamma))
         total, abs_total, ref_terms, _, _ = _backend.sum_first_kind(
-            zf, diffs, tol, mp.mpf(10) ** (-dps - 30), m_min, m_min + 50000,
-            series._m_fresh([complex(d) for d in diffs]), mp.rgamma,
+            zf, diffs, tol, mp.mpf(10) ** (-dps - 30), m_min, m_min + 50000, head
         )
         pref = mp.exp(-n * lam[l - 1] * logz)
         assert terms == ref_terms
         assert abs(got - pref * total) <= scale * mp.mpf(10) ** -dps
         assert scale >= abs(pref) * abs_total
+
+
+# ---------------------------------------------------------------------------
+# the big-float round against a per-series reference
+# ---------------------------------------------------------------------------
+
+
+def _abs_ub_ref(re, im, seen, what):
+    # _backend._abs_ub, noting which branch ran
+    ar = abs(re)
+    ai = abs(im)
+    k = max(ar.bit_length(), ai.bit_length()) - 60
+    if k <= 0:
+        seen.add(what + " exact")
+        return math.isqrt(ar * ar + ai * ai) + 1
+    seen.add(what + " top bits")
+    ar = (ar >> k) + 1
+    ai = (ai >> k) + 1
+    return (math.isqrt(ar * ar + ai * ai) + 1) << k
+
+
+def _sum_first_kind_fixed_ref(head, zf, diffs, wp, tol, floor, m_min, m_cap, seen):
+    """The integer loop with one exact _abs_ub of the partial sum per stop
+    test, the form the lean loop of _backend must match; seen collects the
+    _abs_ub branches and the stop tests between max and 2 max + 2."""
+    n = len(diffs)
+    M = len(head) - 1
+    one = 1 << wp
+    zr, zi = zf
+
+    def w_and_r(m):
+        pr, pi = 1, 0
+        for dr, di in diffs:
+            ar = dr + m * one
+            pr, pi = pr * ar - pi * di, pr * di + pi * ar
+        return zr * pr + zi * pi, zi * pr - zr * pi, pr * pr + pi * pi
+
+    samples = [w_and_r(M + 1 + j) for j in range(2 * n + 1)]
+    wr = _backend._difference_table([s[0] for s in samples[: n + 1]])
+    wi = _backend._difference_table([s[1] for s in samples[: n + 1]])
+    rr = _backend._difference_table([s[2] for s in samples])
+    shift = (n - 1) * wp
+    sr = si = 0
+    abs_sum = 0
+    small = 0
+    m = 0
+    while True:
+        if m <= M:
+            tr, ti = head[m]
+        else:
+            tr, ti = (
+                ((tr * wr[0] - ti * wi[0]) << shift) // rr[0],
+                ((tr * wi[0] + ti * wr[0]) << shift) // rr[0],
+            )
+            for j in range(n):
+                wr[j] += wr[j + 1]
+                wi[j] += wi[j + 1]
+            for j in range(2 * n):
+                rr[j] += rr[j + 1]
+        sr += tr
+        si += ti
+        t_abs = _abs_ub_ref(tr, ti, seen, "term")
+        abs_sum += t_abs
+        if m >= m_min:
+            bound = tol * _abs_ub_ref(sr, si, seen, "sum") + floor
+            low = tol * max(abs(sr), abs(si))
+            if low < (t_abs << wp) - floor <= 2 * low + 2 * tol:
+                seen.add("between, " + ("small" if (t_abs << wp) <= bound else "not small"))
+            if (t_abs << wp) <= bound:
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+        if m >= m_cap:
+            break
+        m += 1
+    terms = m + 1
+    t_low = max(abs(c) for c in head[M]) or 1
+    slack = 2 * terms * (terms + 2 * (2 * abs_sum // t_low + 1)) + 2 * (n + 1) * terms * (
+        (2 * abs_sum >> wp) + 1
+    )
+    return sr, si, abs_sum + slack, terms
+
+
+def _first_kind_mp_per_series(z, sign, si, l, rel_tol, seen):
+    """One series of a big-float round set up on its own: zf, log z and the
+    fixed-point forms rebuilt, zf^m rebuilt by m products and one mp.rgamma
+    per factor of each head term."""
+    n = si.rank
+    m_min = int(math.e * z.modulus) + 4
+    m_cap = m_min + 50000
+    dps = mp.mp.dps
+    wp = math.ceil(dps * math.log2(10)) + 2 * m_cap.bit_length() + 8
+    wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))
+    floor = mp.mpf(10) ** (-dps - 30)
+    with mp.workprec(wp):
+        logz = mp.mpc(z.log_modulus, z.argument)
+        lam = [mp.mpc(v) for v in si.lam]
+        lam_l = lam[l - 1]
+        diffs = [lk - lam_l for lk in lam]
+        zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
+        head = []
+        for m in range(min(series._m_fresh([complex(d) for d in diffs]), m_cap) + 1):
+            t = 1.0 + 0.0j
+            for _ in range(m):
+                t = t * zf
+            for d in diffs:
+                t = t * mp.rgamma(d + m + 1.0)
+            head.append(t)
+        e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
+        sr, si_, abs_sum, terms = _sum_first_kind_fixed_ref(
+            [series._to_fixed(t, -e) for t in head],
+            series._to_fixed(zf, wp),
+            [series._to_fixed(d, wp) for d in diffs],
+            wp,
+            series.to_fixed(mp.mpf(rel_tol)._mpf_, wp),
+            series.to_fixed(floor._mpf_, wp - e),
+            m_min,
+            m_cap,
+            seen,
+        )
+        total = mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e)))
+        pref = mp.exp(-n * lam_l * logz)
+        value = pref * total
+        scale = abs(pref) * mp.mpf((abs_sum, e))
+    return +value, terms, +scale
+
+
+def _j_generic_mp_per_series(z, sign, si, dps, kind, seen):
+    with mp.workdps(dps):
+        cs, mags = series._coeffs_mp(si.lam, kind, dps)
+        rel = mp.mpf(10) ** (-(dps - 4))
+        value = mp.mpc(0)
+        mass = mp.mpf(0)
+        terms = 0
+        family = []
+        for l in range(si.rank):
+            comp, t_used, comp_scale = _first_kind_mp_per_series(z, sign, si, l + 1, rel, seen)
+            value += cs[l] * comp
+            mass += mags[l] * comp_scale
+            terms += t_used
+            family.append(comp)
+        return value, mass, terms, rel, family
+
+
+def _round_cases():
+    """Derandomized big-float rounds: ranks 1-6 with generic, integer-gap and
+    Cauchy indices, x = 0.3 or 0.7 (|zf| < 1) or up to 60, 30-120 digits."""
+    rng = random.Random(19)
+    for i in range(24):
+        n = 1 + i % 6
+        kind = ("generic", "integer", "cauchy", "generic")[i // 6] if n > 1 else "generic"
+        lam = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        if kind != "generic":
+            lam[1] = lam[0] + rng.choice([-2, -1, 1, 2])
+        if kind == "cauchy":
+            lam[1] += 1e-3 * e2pi(rng.random())
+        x = rng.choice([0.3, 0.7]) if i % 4 == 0 else rng.uniform(1.0, 60.0)
+        yield SpectralIndex(lam), x, rng.choice([1, -1]), rng.randint(30, 120), i, kind
+
+
+def _raw(result):
+    value, mass, terms, rel, family = result
+    return value._mpc_, mass._mpf_, terms, rel._mpf_, [f._mpc_ for f in family]
+
+
+def test_bigfloat_round_matches_per_series_path(monkeypatch):
+    # the round's shared constants and stored head rows give the same bits
+    # as each series set up on its own, and the lean integer loop the same
+    # integers as one exact _abs_ub per stop test: over ranks 1-6, generic,
+    # integer-gap and Cauchy indices, |zf| < 1, both _abs_ub branches and
+    # stop tests that the bounds max and 2 max + 2 leave open
+    seen = set()
+    fixed = _backend.sum_first_kind_fixed
+    calls = []
+
+    def both(*args):
+        got = fixed(*args)
+        assert got == _sum_first_kind_fixed_ref(*args, seen)
+        calls.append(args)
+        return got
+
+    monkeypatch.setattr(_backend, "sum_first_kind_fixed", both)
+    for si, x, sign, dps, i, label in _round_cases():
+        z = SurfacePoint.from_positive(x)
+        n = si.rank
+        if label == "integer":
+            # no connection coefficients at an integer gap: series by series
+            with mp.workdps(dps):
+                rel = mp.mpf(10) ** -dps
+                for l in range(1, n + 1):
+                    want = _first_kind_mp_per_series(z, sign, si, l, rel, seen)
+                    for _ in range(2):
+                        got = series._first_kind_mp(series._Round(z, sign, si, rel), l)
+                        assert (got[0]._mpc_, got[1], got[2]._mpf_) == (
+                            want[0]._mpc_, want[1], want[2]._mpf_
+                        )
+            continue
+        if i % 2:
+            kind = ("kernel", tuple(k % 2 for k in range(n)), sign)
+        else:
+            kind = ("signvec", SignVector([1] * (n - 1) + [sign]))
+        want = _raw(_j_generic_mp_per_series(z, sign, si, dps, kind, seen))
+        for _ in range(2):  # the head rows built, then from the store
+            assert _raw(series._j_generic_mp(z, sign, si, dps, kind)) == want
+    assert len(calls) == 2 * sum(si.rank for si, *_ in _round_cases())
+    # at 24 and 40 bits every magnitude, the partial sums' too, is below 2^60
+    for wp in (24, 40):
+        one = 1 << wp
+        args = (
+            [(one, 0), (one // 3, -one // 5)],
+            (7 * one // 10, one // 9),
+            [(0, 0), (one // 4, -one // 7)],
+            wp,
+            one >> 12,
+            1,
+            3,
+            400,
+        )
+        assert fixed(*args) == _sum_first_kind_fixed_ref(*args, seen)
+    # terms of 1.2 and 1.6 2^-10 |Re s| after a sum s = S(1 + i): both
+    # between the bounds, small by the exact |s| ~ 1.41 |Re s| only at 1.2
+    s_re = 1 << 80
+    for a in (12 * s_re // 10 >> 10, 16 * s_re // 10 >> 10):
+        args = ([(s_re, s_re)] + [(a, 0)] * 3, (1 << 63, 0), [(0, 0)], 64, 1 << 54, 0, 1, 400)
+        assert fixed(*args) == _sum_first_kind_fixed_ref(*args, seen)
+    assert seen == {
+        "term exact", "term top bits", "sum exact", "sum top bits",
+        "between, small", "between, not small",
+    }
+
+
+def test_double_head_rows_ignore_the_sign_of_zero(monkeypatch):
+    # the double pass's head rows are stored by lam, whose doubles do not
+    # tell 0.0 from -0.0 as keys; either index gets the same bits whichever
+    # filled the store first, and cold, warm and fresh
+    minus = SpectralIndex([complex(0.3, -0.0), complex(-0.3, 0.0)])
+    plus = SpectralIndex([complex(0.3, 0.0), complex(-0.3, 0.0)])
+    assert minus.lam == plus.lam
+    # the differences lam_k - lam_2 of the double pass differ in a zero's sign
+    diffs = [np.array([v - lam[1] for v in lam]) for lam in (minus.lam, plus.lam)]
+    assert (diffs[0] == diffs[1]).all()
+    assert np.signbit(diffs[0].imag[0]) != np.signbit(diffs[1].imag[0])
+
+    def bits(si):
+        out = [first_kind(x, s, si, l) for x in (0.7, 4.0) for s in (1, -1) for l in (1, 2)]
+        out += [j_function(x, SignVector(sv), si) for x in (1.5, 20.0) for sv in ("++", "+-")]
+        return [
+            (r.value.real.hex(), r.value.imag.hex(), r.tail_bound.hex(), r.terms_used) for r in out
+        ]
+
+    fresh = {}
+    for name, si in (("minus", minus), ("plus", plus)):
+        fresh[name] = _built_afresh(monkeypatch, bits, si)
+    for order in (("minus", "plus"), ("plus", "minus")):
+        store = _empty_store(monkeypatch)
+        for name in order + order:  # cold, then warm
+            assert bits(minus if name == "minus" else plus) == fresh[name]
+        assert store.hits["lanczos"] > 0
 
 
 def test_non_generic_index_too_large_to_perturb_raises():
@@ -555,12 +818,12 @@ def _built_afresh(monkeypatch, fn, *args):
 
 def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
     # a series-zone kernel point whose double pass does not certify: one
-    # big-float round, its coefficients, gammas and root rows stored
+    # big-float round, its coefficients, head rows and root rows stored
     rounds = _record_rounds(monkeypatch)
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
     runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "auto", 1e-9))
     assert runs[0].method == "series" and rounds == [43] * 3
-    assert min(runs[3][k] for k in ("coeffs", "roots", "rgamma")) > 0
+    assert min(runs[3][k] for k in ("coeffs", "roots", "head", "lanczos")) > 0
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
@@ -572,7 +835,7 @@ def test_cached_cauchy_mean_repeats_bit_for_bit(monkeypatch):
     args = (20.0, SignVector("+-"), SpectralIndex([1.5, -1.5]), 1e-10)
     runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
     assert rounds == [49, 86] * 24
-    assert runs[3]["coeffs"] > 0 and runs[3]["rgamma"] > 0
+    assert runs[3]["coeffs"] > 0 and runs[3]["head"] > 0
     assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
     # above the floor (6.25 at lambda_1 - lambda_2 = 1) each perturbation
     # certifies in its first round, sized from the leading asymptotic term
@@ -609,16 +872,17 @@ def test_index_caches_keep_precisions_apart(monkeypatch):
     store = _empty_store(monkeypatch)
     lam = SpectralIndex([0.3, -0.1, -0.2]).lam
     kind = ("kernel", (0, 1, 0), 1)
-    x = mp.mpc(0.3, -1.7) + 2
     for dps in (30, 60, 30, 60):
         fresh = _built_afresh(monkeypatch, series._coeffs_mp, lam, kind, dps)
         assert series._coeffs_mp(lam, kind, dps) == fresh
         fresh = _built_afresh(monkeypatch, series._root_rows_mp, lam, 1, dps)
         assert series._root_rows_mp(lam, 1, dps) == fresh
-        with mp.workdps(dps):
-            assert series._recip_gamma_mp(x) == mp.rgamma(x)
+        bits = series.dps_to_prec(dps)
+        fresh = _built_afresh(monkeypatch, series._head_mp, lam, 2, bits)
+        assert series._head_mp(lam, 2, bits) == fresh
     assert series._coeffs_mp(lam, kind, 30) != series._coeffs_mp(lam, kind, 60)
-    assert store.hits == {"coeffs": 4, "roots": 2, "rgamma": 2}
+    assert series._head_mp(lam, 2, 100) != series._head_mp(lam, 2, 200)
+    assert store.hits == {"coeffs": 4, "roots": 2, "head": 2}
 
 
 def test_index_caches_are_bounded(monkeypatch):
@@ -629,8 +893,7 @@ def test_index_caches_are_bounded(monkeypatch):
     lam7 = SpectralIndex([0.1 * k for k in range(7)]).lam
     series._coeffs_mp(lam7, ("kernel", (0,) * 7, 1), 40)
     series._coeffs_mp(lam5, ("kernel", (0,) * 5, 1), 400)
-    with mp.workprec(2000):
-        series._recip_gamma_mp(mp.mpc(0.5, 0.5))
+    series._head_mp(SpectralIndex([0.0]).lam, 1, 2000)
     assert len(store) == 3
     assert store.held == sum(cost for _, cost in store.values())
     monkeypatch.setattr(series, "_STORE_BYTES", store.held)
@@ -726,10 +989,9 @@ def test_store_holds_no_more_than_its_budget(monkeypatch):
 def _build_each_kind():
     """One stored constant of each kind at ranks 1-6, at 20 to 2000 digits
     (2000 at ranks 1 and 2 only, to keep the builds short: the mantissas
-    are charged per number at any rank)."""
-    for dps in (20, 300, 2000):
-        with mp.workdps(dps):
-            series._recip_gamma_mp(mp.mpc(0.3, -0.7) + 10**6)  # quick at any digits
+    are charged per number at any rank; a complex head at 2000 digits takes
+    seconds, so the one there is rank 1's, 1/Gamma(m + 1))."""
+    series._head_mp((0j,), 1, series.dps_to_prec(2000))
     for n in range(1, 7):
         si = SpectralIndex([0.1 * k + 0.03j * k * k for k in range(n)])
         deltas = tuple(k % 2 for k in range(n))
@@ -737,6 +999,9 @@ def _build_each_kind():
             series._coeffs_mp(si.lam, ("kernel", deltas, 1), dps)
             series._coeffs_mp(si.lam, ("signvec", SignVector(("+-" * 3)[:n])), dps)
             series._root_rows_mp(si.lam, -1, dps)
+            if dps < 2000:
+                series._head_mp(si.lam, n, series.dps_to_prec(dps))
+        series.first_kind(0.5, 1, si, n)  # the double pass's head rows
         series.kernel_series_grid(np.array([0.5]), -1, si, deltas)  # a table and pairs
         series.derivatives(0.5, SignVector(("+-" * 3)[:n]), si, 0)  # the index-shift matrix
         for k in (0, n):
@@ -777,7 +1042,7 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
     finally:
         tracemalloc.stop()
         gc.unfreeze()
-    kinds = {"coeffs", "roots", "rgamma", "table", "grid", "u", "b"}
+    kinds = {"coeffs", "roots", "head", "lanczos", "table", "grid", "u", "b"}
     assert {kind for kind, _, _ in sizes} == kinds
     assert [s for s in sizes if s[2] > s[1]] == []
     assert min(size for _, _, size in sizes) > 0
