@@ -22,17 +22,19 @@ The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
 x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
-index, so kernel_sweep computes them in array passes: below the asymptotic
-floor one double-double sweep over all nodes (series.kernel_series_grid),
-above it one numpy pass and one grouped term per second-kind root;
-bessel_kernel takes only the nodes these passes cannot certify (it raises
-on those without a correct digit), those near the Mellin-Barnes switch,
-and the nodes of non-generic indices.  The functional-equation check
-integrates each of its transform nodes only over the panels its weight
-window reaches, and takes the negative side from the parity of the weight
-instead of a second pass.  The grid keeps its samples with the quadrature
-weights folded in, so a transform node costs one weight evaluation and a few
-real products.
+index, so kernel_sweep computes them in array passes, for both kernel signs
+in one call: below the asymptotic floor one double-double sweep over all
+nodes serves both signs (series.kernel_series_grid sums each first-kind
+series once, as even and odd Horner halves, since the signs differ only in
+the sign of zf), above it one numpy pass per sign and one grouped term per
+second-kind root; bessel_kernel takes only the nodes these passes cannot
+certify (it raises on those without a correct digit), those near the
+Mellin-Barnes switch, and the nodes of non-generic indices.  The grid keeps
+its samples with the quadrature weights folded in, so a transform node costs
+one weight evaluation and a few real products; the functional-equation check
+asks for the values alone (_KernelGrid.values), integrates each of its
+transform nodes only over the panels its weight window reaches, and takes
+the negative side from the parity of the weight instead of a second pass.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ CANCEL_SWITCH = 1e6
 _ASYMPT_MIN = 12.0
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # errors below it are underflow
+_LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal range
 
 
 @dataclass(frozen=True)
@@ -417,19 +420,21 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
 _BLOCK = 512  # nodes per array pass
 
 
-def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
-    """bessel_kernel(sgn e^u_i, ki, "auto", tol) at every node u_i, in array
-    passes over blocks of at most _BLOCK nodes.
+def kernel_sweep(u, ki: KernelIndex, tol: float):
+    """bessel_kernel(sgn e^u_i, ki, "auto", tol) at every node u_i, for the
+    kernel signs sgn = +1 and -1, in array passes over blocks of at most
+    _BLOCK nodes.
 
-    Below the asymptotic floor a node is summed by series.kernel_series_grid
-    (double-double), above it by _asymptotic_sweep.  bessel_kernel itself
-    takes every node those passes leave: the series nodes they do not
-    certify, the nodes whose cancellation comes within a factor 2 of
-    CANCEL_SWITCH (so that bessel_kernel decides the Mellin-Barnes switch),
-    and every node of a non-generic index.  Each node's value depends only
-    on (u_i, sgn, ki, tol).  Returns the values, the errors, the route of
-    each node (the method names of EvalResult) and the mask of the nodes
-    the array passes served.
+    The argument and the zone of a node are the same on both signs.  Below
+    the asymptotic floor one series.kernel_series_grid pass sums the nodes
+    of both signs (double-double); above it _asymptotic_sweep runs once per
+    sign.  bessel_kernel itself takes every node those passes leave: the
+    series nodes they do not certify, the nodes whose cancellation comes
+    within a factor 2 of CANCEL_SWITCH (so that bessel_kernel decides the
+    Mellin-Barnes switch), and every node of a non-generic index.  Each
+    node's value depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1
+    and then -1, the values, the errors, the route of each node (the method
+    names of EvalResult) and the mask of the nodes the array passes served.
     """
     n = ki.rank
     si = ki.lam
@@ -437,10 +442,15 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
     inner = np.fromiter(
         (2.0 * math.pi * math.exp(v) ** (1.0 / n) for v in u), dtype=float, count=len(u)
     )
-    values = np.zeros(len(u), dtype=np.complex128)
-    errors = np.zeros(len(u))
-    routes = np.full(len(u), None, dtype=object)
-    swept = np.zeros(len(u), dtype=bool)
+    per_sign = [
+        (
+            np.zeros(len(u), dtype=np.complex128),
+            np.zeros(len(u)),
+            np.full(len(u), None, dtype=object),
+            np.zeros(len(u), dtype=bool),
+        )
+        for _ in (1, -1)
+    ]
     if genericity_gap(si) >= EPS_GEN:
         floor = _asymptotic_floor(si)
         for lo in range(0, len(u), _BLOCK):
@@ -450,40 +460,43 @@ def kernel_sweep(u, sgn: int, ki: KernelIndex, tol: float):
                 if not zone.any():
                     continue
                 if route == "series":
-                    v, e, peak, ok = kernel_series_grid(z[zone], sgn, si, ki.deltas, tol)
+                    passes = kernel_series_grid(z[zone], si, ki.deltas, tol)
                 else:
-                    v, e, peak, ok = _asymptotic_sweep(z[zone], sgn, ki)
-                size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-                ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
-                idx = lo + np.flatnonzero(zone)[ok]
-                values[idx] = v[ok]
-                errors[idx] = e[ok]
-                swept[idx] = True
-                routes[idx] = route
-    for i in np.flatnonzero(~swept):
-        r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
-        values[i] = r.value
-        errors[i] = r.error
-        routes[i] = r.method
-    return values, errors, routes.tolist(), swept
+                    passes = [_asymptotic_sweep(z[zone], sgn, ki) for sgn in (1, -1)]
+                for (values, errors, routes, swept), (v, e, peak, ok) in zip(per_sign, passes):
+                    size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
+                    ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
+                    idx = lo + np.flatnonzero(zone)[ok]
+                    values[idx] = v[ok]
+                    errors[idx] = e[ok]
+                    swept[idx] = True
+                    routes[idx] = route
+    for sgn, (values, errors, routes, swept) in zip((1, -1), per_sign):
+        for i in np.flatnonzero(~swept):
+            r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
+            values[i] = r.value
+            errors[i] = r.error
+            routes[i] = r.method
+    return tuple((v, e, routes.tolist(), swept) for v, e, routes, swept in per_sign)
 
 
 class _KernelGrid:
     """Kernel samples (K, err) on Gauss-Kronrod nodes of a paneled log|w|
-    grid, by kernel_sweep, kept with the quadrature folded in: with h the
-    panel half-width, the value weights K h w_K as float pairs (vw, nodes x
-    4), the Kronrod-Gauss difference weights K h (w_K - w_G) (dw, panels x
-    15 x 4) and the kernel-error weights err h w_K (ew, nodes x 2), each
-    with the kernel signs + and - side by side.  Counts the nodes the array
-    passes served (swept), the nodes left to bessel_kernel (fallback) and
-    those of them it sent to the Mellin-Barnes route (mb)."""
+    grid, by one kernel_sweep call for both signs, kept with the quadrature
+    folded in: with h the panel half-width, the value weights K h w_K as
+    float pairs (vw, nodes x 4), the Kronrod-Gauss difference weights
+    K h (w_K - w_G) (dw, panels x 15 x 4) and the kernel-error weights
+    err h w_K (ew, nodes x 2), each with the kernel signs + and - side by
+    side.  Counts the nodes the array passes served (swept), the nodes left
+    to bessel_kernel (fallback) and those of them it sent to the
+    Mellin-Barnes route (mb)."""
 
     def __init__(self, ki: KernelIndex, lo: float, hi: float, tol: float):
         self.edges = _panel_grid(lo, hi, ki.rank)
         mids = 0.5 * (self.edges[1:] + self.edges[:-1])
         halfs = 0.5 * (self.edges[1:] - self.edges[:-1])
         self.u = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
-        (kp, ep, rp, sp), (km, em, rm, sm) = (kernel_sweep(self.u, s, ki, tol) for s in (1, -1))
+        (kp, ep, rp, sp), (km, em, rm, sm) = kernel_sweep(self.u, ki, tol)
         self.swept = int(sp.sum() + sm.sum())
         self.fallback = 2 * len(self.u) - self.swept
         self.mb = (rp + rm).count("mellin-barnes")
@@ -496,36 +509,55 @@ class _KernelGrid:
         self.ew = np.stack([ep, em], axis=1)
         self.ew *= hw
 
-    def transform(self, xs, weight: WeightFunction, window=None):
-        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid at each
-        x of xs, with the Kronrod-Gauss panel differences plus the kernel
-        errors as error: arrays of values and errors.
+    def _factors(self, xs, weight: WeightFunction, window):
+        """Per x of the array xs: its panels a:b, the weight factor g on
+        them and the value at |x|, the real product of g with vw.
 
-        window = (ylo, yhi) integrates only the whole panels that overlap
+        window = (ylo, yhi) keeps only the whole panels that overlap
         [log|x| + ylo, log|x| + yhi], the reach of a weight cut at log|y| in
-        [ylo, yhi]; the windows of all x are looked up at once.  Each x takes
-        the weight factor g = e^t v(e^t), t = u - log|x|, once (on kernel
-        sign s the weight is read at s sgn(x) e^t, for odd eta an exact sign
-        flip): its value is the real product of g with vw, its error the
-        panels' |g . dw| plus |g| . ew.  Each (value, error) depends only on
-        (x, grid, weight, window).
+        [ylo, yhi]; the windows of all x are looked up at once.  g = e^t
+        v(e^t), t = u - log|x|, is taken once for both kernel signs (on sign
+        s the weight is read at s sgn(x) e^t, for odd eta an exact sign
+        flip, which the callers apply to the values at x < 0).
         """
-        xs = np.asarray(xs, dtype=float)
         ls = np.log(np.abs(xs))
         p0, p1 = np.zeros(len(xs), dtype=int), np.full(len(xs), len(self.dw))
         if window is not None:
             p0 = np.maximum(np.searchsorted(self.edges, ls + window[0], side="right") - 1, 0)
             p1 = np.minimum(np.searchsorted(self.edges, ls + window[1], side="left"), p1)
         flip = -1.0 if weight.eta % 2 else 1.0
-        values, errors = np.empty(len(xs), dtype=np.complex128), np.empty(len(xs))
-        for i, (L, a, b) in enumerate(zip(ls.tolist(), p0.tolist(), p1.tolist())):
+        for L, a, b in zip(ls.tolist(), p0.tolist(), p1.tolist()):
             t = self.u[15 * a : 15 * b] - L
             g = np.exp(t) * weight.log_values(t)
             v = g @ self.vw[15 * a : 15 * b]
-            values[i] = complex(v[0] + flip * v[2], v[1] + flip * v[3])
+            yield a, b, g, complex(v[0] + flip * v[2], v[1] + flip * v[3])
+
+    def values(self, xs, weight: WeightFunction, window=None):
+        """The values of transform(xs, weight, window), bit for bit, without
+        their errors."""
+        xs = np.asarray(xs, dtype=float)
+        values = [v for _, _, _, v in self._factors(xs, weight, window)]
+        values = np.array(values, dtype=np.complex128)
+        values[xs < 0] *= -1.0 if weight.eta % 2 else 1.0
+        return values
+
+    def transform(self, xs, weight: WeightFunction, window=None):
+        """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid at each
+        x of xs, with the Kronrod-Gauss panel differences plus the kernel
+        errors as error: arrays of values and errors.
+
+        window restricts each x to the panels its weight reaches (_factors).
+        Each x takes the weight factor g once: its value is the real product
+        of g with vw, its error the panels' |g . dw| plus |g| . ew.  Each
+        (value, error) depends only on (x, grid, weight, window).
+        """
+        xs = np.asarray(xs, dtype=float)
+        values, errors = np.empty(len(xs), dtype=np.complex128), np.empty(len(xs))
+        for i, (a, b, g, v) in enumerate(self._factors(xs, weight, window)):
+            values[i] = v
             d = (g.reshape(-1, 1, 15) @ self.dw[a:b]).reshape(-1, 4).view(np.complex128)
             errors[i] = np.abs(d).sum() + (np.abs(g) @ self.ew[15 * a : 15 * b]).sum()
-        values[xs < 0] *= flip
+        values[xs < 0] *= -1.0 if weight.eta % 2 else 1.0
         return values, errors
 
 
@@ -549,14 +581,25 @@ def hankel_transform(
     permuting the grid, or adding points whose |x| lies between those two,
     never changes a value.  Extending that range does: the panel edges
     start at the table's lower end, so they all move, and every value
-    changes within its error estimate.
+    changes within its error estimate.  Raises ValueError for grid points
+    that are not finite or zero, and for an |x| so small that the table
+    would reach nodes w whose |w| = e^u is below the normal double range.
     """
     xs = [float(x) for x in x_grid]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("grid points must be finite")
     if any(x == 0.0 for x in xs):
         raise ValueError("grid points must be nonzero")
     ylo, yhi = weight.log_support(tol * 1e-3)
     lmin = min(math.log(abs(x)) for x in xs)
     lmax = max(math.log(abs(x)) for x in xs)
+    if lmin + ylo < _LOG_TINY:
+        least = _LOG_TINY - ylo
+        least = f"{math.exp(least):.3g}" if least < 709.0 else f"e^{least:.6g}"
+        raise ValueError(
+            f"grid points need |x| >= {least} for this weight and tolerance: below "
+            "it the kernel table reaches nodes that underflow double range"
+        )
     grid = _KernelGrid(ki, lmin + ylo, lmax + yhi, tol * 1e-2)
     vals, errs = grid.transform(xs, weight)
     return HankelResult(tuple(xs), tuple(vals.tolist()), tuple(errs.tolist()))
@@ -637,15 +680,17 @@ def functional_equation_check(
     Mellin transform of the weight.  Only parities d with d + eta even
     contribute (the other signed transform vanishes identically).
 
-    The transform nodes are one windowed grid.transform call over the panels
+    The transform nodes are one windowed grid.values call over the panels
     that the weight, cut at log_support(mellin_tol * 1e-3) as at the grid's
-    ends, reaches; the negative side is Upsilon(-x) = (-1)^eta Upsilon(x),
-    which grid.transform at -x reproduces bit for bit.
+    ends, reaches: the values of grid.transform, bit for bit, without the
+    error estimates, which the check does not use.  The negative side is
+    Upsilon(-x) = (-1)^eta Upsilon(x), which the grid at -x reproduces bit
+    for bit.
     """
     si = ki.lam
     n = ki.rank
     grid, ux, halfs, window = _fe_grid(ki, weight, mellin_tol)
-    up = grid.transform(np.exp(ux), weight, window)[0]
+    up = grid.values(np.exp(ux), weight, window)
     # upsilon(-y) = (-1)^eta upsilon(y), so Upsilon(-x) = (-1)^eta Upsilon(x)
     um = -up if weight.eta % 2 else up
 

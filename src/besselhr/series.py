@@ -274,13 +274,20 @@ def top_products(lam):
 
 
 _STORE_BYTES = 4 << 20
-_NUMBER_BYTES = 576  # a stored complex number less its mantissas (tracemalloc, CPython 3.11)
+_NUMBER_BYTES = 576  # a stored mpmath complex less its mantissas (tracemalloc, CPython 3.11)
+_DOUBLE_BYTES = 64  # a stored Python complex, its tuple slot and a share of its row's tuple
+_DOUBLE_KEY = 8  # numbers' worth of a double entry's key and outer tuple
 
 
 def _charge(numbers: int, bits: int) -> int:
     """Bytes charged for numbers complex values of bits-bit mantissas and a
-    key (one number more): CPython stores an int in 4-byte digits of 30 bits,
-    so two mantissas take at most bits / 3.75 + 8 bytes."""
+    key.  Values of 53 bits are Python complex numbers, _DOUBLE_BYTES each
+    and _DOUBLE_KEY more for the key (tracemalloc counts 0.58-0.92 of that at
+    ranks 1-6).  Wider values are mpmath numbers, with the key charged as
+    one number more: CPython stores an int in 4-byte digits of 30 bits, so
+    two mantissas take at most bits / 3.75 + 8 bytes."""
+    if bits <= 53:
+        return (numbers + _DOUBLE_KEY) * _DOUBLE_BYTES
     return (numbers + 1) * (_NUMBER_BYTES + bits // 3)
 
 
@@ -828,51 +835,74 @@ def _sum_degrees(table: _FirstKindTable, l: int, zabs):
     return deg, out_mass, out_wmass, tail
 
 
-def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float = 1e-9):
+def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     """The signed kernel sum_l K_l J_l(z; parity) at the points z of the
-    array inner, for one generic index, in double-double arithmetic.
+    array inner, for one generic index and both parities, in double-double
+    arithmetic.
 
     kernel_series at one point, as one array pass: each J_l is z^{-n lam_l}
     times a power series in zf = parity i^n z^n whose coefficients c_m^(l)
-    come from mpmath (_FirstKindTable), summed by Horner over m in pair
-    arithmetic.  As in the big-float rounds of kernel_series, z is taken as
-    exp(L) with L = log z in double, so zf and the prefactors are exp of
-    exact pairs.  Each point has its own degree (_sum_degrees), so its
-    value depends only on (z, index, tol), never on the other points.
+    come from mpmath (_FirstKindTable).  The parities differ only in the sign
+    of zf, so with r = |zf| each series is summed once, as two Horner halves
+    in r^2 over the rotated coefficients c_m i^{nm}: E over the even m and
+    O over the odd m, and J_l(+) = E + r O, J_l(-) = E - r O.  As in the
+    big-float rounds of kernel_series, z is taken as exp(L) with L = log z
+    in double, so zf and the prefactors are exp of exact pairs; the logs,
+    exp(nL), the degrees and the prefactors serve both parities.  Each point
+    has its own degree (_sum_degrees), so its values depend only on (z,
+    index, tol), never on the other points.
 
-    Returns the values, their error bounds, max |J(z; sig)| over the sign
-    vectors of the sum (the cancellation reference by root, G_k in pairs)
-    and a mask of the certified points: error at most tol * |value|, value
-    nonzero, n z <= 690.  The error bound is
-    sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
+    Returns, for parity +1 and then -1, the values, their error bounds,
+    max |J(z; sig)| over the sign vectors of the sum (the cancellation
+    reference by root, G_k in pairs) and a mask of the certified points:
+    error at most tol * |value|, value nonzero, n z <= 690.  The error bound
+    is sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
     + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|, with M_l and W_l
-    the term mass and weighted mass of _sum_degrees: the rounding of the
-    coefficients and of Horner, of exp(nL) raised to the m-th power, and of
-    the prefactor.
+    = sum (m+1) a_m the term mass and weighted mass of _sum_degrees: the
+    rounding of the coefficients and of Horner, of exp(nL) raised to the
+    m-th power, and of the prefactor.  It is the bound of a plain Horner in
+    r, which it covers: a pair product or sum rounds by at most 8 2^-106 of
+    the magnitudes it combines, and the plain Horner takes term m through m
+    products by r and m + 1 sums, 16 (m + 1) in W_l with its relative error
+    m |d r / r| in (16 + 4|nL|) W_l.  The split takes term m through
+    floor(m/2) products by r^2, each rounding as a product and carrying the
+    rounding of r^2 = r r once more, and for odd m one product by r: m
+    products, and the relative error m |d r / r| again.  Its sums number
+    floor(m/2) + 2 (the Horner half's and the final E +- r O), at most
+    m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of W_l
+    since that term takes no product.
     """
     if genericity_gap(si) < EPS_GEN:
         raise ValueError("the grid sweep needs a generic index")
     n = si.rank
-    parity = _norm_sign(parity)
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
-    kern, rows, kern_abs, tops = _stored(
-        ("grid", si.lam, deltas, parity),
-        _charge(n * (n // 2 + 3), 106),
-        lambda: _kernel_grid_coeffs(si.lam, deltas, parity),
-    )
+    consts = [
+        _stored(
+            ("grid", si.lam, deltas, parity),
+            _charge(n * (n // 2 + 3), 106),
+            lambda parity=parity: _kernel_grid_coeffs(si.lam, deltas, parity),
+        )
+        for parity in (1, -1)
+    ]
+    kern, rows, kern_abs, tops = zip(*consts)
+    # per l, K_l of both parities as one complex pair of (2, 1) columns
+    kern = [
+        tuple(tuple(np.array([[k[part][h]] for k in both]) for h in (0, 1)) for part in (0, 1))
+        for both in zip(*kern)
+    ]
+    kern_abs = np.array(kern_abs)
     logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
     nl = two_prod(float(n), logs)  # n L as an exact pair
     r = dd_exp(nl)  # |zf|
     shift = np.frexp(r[0])[1]
     r_scaled = (np.ldexp(r[0], -shift), np.ldexp(r[1], -shift))
-    # zf^m = (parity i^n)^m |zf|^m: the unit goes into the coefficients
-    quarter = n % 4 + (0 if parity > 0 else 2)
+    r2 = dd_mul(r_scaled, r_scaled)
     zero = np.zeros(inner.shape)
     value = ((zero, zero), (zero, zero))
     family = []
-    err = np.zeros(inner.shape)
+    err = np.zeros((2,) + inner.shape)
     # charged empty until the degrees have grown it, then for the terms it
     # holds; nothing else is stored in between
     table = _stored(("table", si.lam), _table_charge(n, 0), lambda: _FirstKindTable(si.lam))
@@ -880,25 +910,31 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
     _stored(("table", si.lam), _table_charge(n, len(table.coeffs[0])), lambda: table)
     for l, (deg, mass, wmass, tail) in enumerate(sums):
         ok &= deg >= 0
-        acc = ((zero, zero), (zero, zero))
-        for m in range(int(deg.max()), -1, -1):
-            mant, e = table.coeffs[l][m]
-            scale = np.where(deg >= m, e + shift * m, -2000)  # ldexp to 0 past the degree
-            c = tuple(
-                (np.ldexp(part[0], scale), np.ldexp(part[1], scale))
-                for part in _rotate(mant, quarter * m)
-            )
-            acc = (
-                dd_add(dd_mul(acc[0], r_scaled), c[0]),
-                dd_add(dd_mul(acc[1], r_scaled), c[1]),
-            )
+        d_top = int(deg.max())
+        # the mantissas of c_m i^{nm}, m <= d_top + 1, as (re, im) rows of
+        # their hi and lo parts, and the exponents
+        head = table.coeffs[l][: d_top + 2]
+        rotated = [_rotate(mant, n * m) for m, (mant, _) in enumerate(head)]
+        parts = [np.array([[re[h], im[h]] for re, im in rotated]).T for h in (0, 1)]
+        exps = np.array([e for _, e in head], dtype=np.int64)
+        # axis 0 re/im, axis 1 the even and the odd half
+        acc = (np.zeros((2, 2) + inner.shape), np.zeros((2, 2) + inner.shape))
+        for j in range(d_top // 2, -1, -1):
+            ms = np.arange(2 * j, 2 * j + 2)[:, None]
+            # ldexp to 0 past the degree
+            scale = np.where(deg >= ms, exps[2 * j : 2 * j + 2, None] + shift * ms, -2000)
+            c = tuple(np.ldexp(part[:, 2 * j : 2 * j + 2, None], scale) for part in parts)
+            acc = dd_add(dd_mul(acc, r2), c)
+        ro = dd_mul((acc[0][:, 1], acc[1][:, 1]), r_scaled)
+        # axis 0 re/im, axis 1 the parity
+        j_pm = dd_add((acc[0][:, :1], acc[1][:, :1]), tuple(np.stack([x, -x], axis=1) for x in ro))
         lam_l = si.lam[l]
         w = (dd_mul(nl, (-lam_l.real, 0.0)), dd_mul(nl, (-lam_l.imag, 0.0)))
         pref = cdd_exp(w)
-        family.append(cdd_mul(pref, acc))
+        family.append(cdd_mul(pref, ((j_pm[0][0], j_pm[1][0]), (j_pm[0][1], j_pm[1][1]))))
         value = cdd_add(value, cdd_mul(kern[l], family[-1]))
         wsize = np.hypot(w[0][0], w[1][0])
-        err += kern_abs[l] * _pair_abs(pref) * (
+        err += kern_abs[:, l : l + 1] * _pair_abs(pref) * (
             _U2
             * (
                 16.0 * (mass + wmass)
@@ -907,19 +943,21 @@ def kernel_series_grid(inner, parity: int, si: SpectralIndex, deltas, tol: float
             )
             + tail
         )
-    peak = zero
-    for row, top in zip(rows, tops):
-        g = ((zero, zero), (zero, zero))
-        for c, f in zip(row, family):
-            g = cdd_add(g, cdd_mul(c, f))
-        peak = np.maximum(peak, top * _pair_abs(g))
     size = _pair_abs(value)
     err = err + 4.0 * np.finfo(float).eps * size
-    ok &= (err <= tol * size) & (size > 0)
-    out = np.empty(inner.shape, dtype=np.complex128)
-    out.real = value[0][0] + value[0][1]
-    out.imag = value[1][0] + value[1][1]
-    return out, err, peak, ok
+    out = []
+    for p in range(2):
+        peak = zero
+        for row, top in zip(rows[p], tops[p]):
+            g = ((zero, zero), (zero, zero))
+            for c, f in zip(row, family):
+                g = cdd_add(g, cdd_mul(c, tuple((hi[p], lo[p]) for hi, lo in f)))
+            peak = np.maximum(peak, top * _pair_abs(g))
+        vals = np.empty(inner.shape, dtype=np.complex128)
+        vals.real = value[0][0][p] + value[0][1][p]
+        vals.imag = value[1][0][p] + value[1][1][p]
+        out.append((vals, err[p], peak, ok & (err[p] <= tol * size[p]) & (size[p] > 0)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

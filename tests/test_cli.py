@@ -448,6 +448,14 @@ def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, text)
 
 
+def test_transform_underflowing_grid_point_exits_2(capsys, tmp_path):
+    # x = 5e-324 would take the kernel table to nodes e^u that underflow:
+    # exit 2 naming the |x| the transform can serve, not a math domain error
+    argv = ["transform", "--delta", "0,0"] + _RANK2 + ["--x-grid", "5e-324,1"]
+    _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, "|x| >= 2.7e-306")
+    assert not (tmp_path / "fe.json").exists()
+
+
 @pytest.mark.parametrize(
     "extra, text",
     [

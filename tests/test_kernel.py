@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besselhr import _reference as ref
+from besselhr import kernel as kernel_module
 from besselhr import series
 from besselhr.asympt import j_varsigma_asymptotic, second_kind_sweep, varsigma_factor
 from besselhr.coeffs import build_b_table
@@ -426,8 +427,7 @@ def test_kernel_sweep_matches_bessel_kernel(case):
     # summed reported errors
     ki, u = _SWEEP_CASES[case]
     tol = 1e-9
-    for sgn in (1, -1):
-        values, errors, routes, swept = kernel_sweep(u, sgn, ki, tol)
+    for sgn, (values, errors, routes, swept) in zip((1, -1), kernel_sweep(u, ki, tol)):
         for i, ui in enumerate(u):
             r = bessel_kernel(sgn * math.exp(ui), ki, "auto", tol)
             assert routes[i] == r.method, (case, sgn, ui)
@@ -443,16 +443,22 @@ def test_kernel_sweep_matches_bessel_kernel(case):
 
 def test_kernel_sweep_sub_batch_bits():
     # each node's value depends on the node alone: a sub-batch (spanning
-    # other blocks, in reverse order) returns the same bits as the full batch
+    # other blocks, in reverse order) returns the same bits as the full
+    # batch, on both kernel signs of one call; and the two signs share
+    # neither values nor routes
     ki = _SWEEP_CASES["rank3"][0]
     u = np.linspace(-20.0, 9.0, 700)
     sub = np.arange(3, 700, 7)[::-1]
-    for sgn in (1, -1):
-        full = kernel_sweep(u, sgn, ki, 1e-9)
-        part = kernel_sweep(u[sub], sgn, ki, 1e-9)
+    fulls = kernel_sweep(u, ki, 1e-9)
+    parts = kernel_sweep(u[sub], ki, 1e-9)
+    assert len(fulls) == len(parts) == 2
+    for full, part in zip(fulls, parts):
         assert full[0][sub].tobytes() == part[0].tobytes()
         assert full[1][sub].tobytes() == part[1].tobytes()
         assert [full[2][i] for i in sub] == part[2]
+        assert full[3][sub].tobytes() == part[3].tobytes()
+    assert (fulls[0][0] != fulls[1][0]).all()
+    assert {"series", "asymptotic"} <= set(fulls[0][2]) & set(fulls[1][2])
 
 
 def test_kernel_grid_counts():
@@ -513,6 +519,33 @@ def test_hankel_transform_uses_full_grid():
     for x, v, e in zip(xs, res.values, res.errors):
         (gv,), (ge,) = grid.transform([x], w)
         assert (v, e) == (gv, ge)
+
+
+@pytest.mark.parametrize("xs", [[1.0, math.nan], [math.inf], [-math.inf, 2.0]])
+def test_hankel_transform_rejects_non_finite_points(xs, monkeypatch):
+    # before any kernel grid is built
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(kernel_module, "_KernelGrid", no_grid)
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        hankel_transform(WeightFunction(eta=0), ki, xs)
+
+
+def test_hankel_transform_rejects_underflowing_points():
+    # the table of the smallest |x| starts at log|x| + ylo; below the normal
+    # range of e^u the transform raises and names the |x| it can serve
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    w = WeightFunction(eta=0)
+    tol = 1e-7
+    least = math.exp(kernel_module._LOG_TINY - w.log_support(tol * 1e-3)[0])
+    assert f"{least:.3g}" == "2.7e-306"
+    for xs in ([5e-324, 1.0], [-least * (1.0 - 1e-9)]):
+        with pytest.raises(ValueError, match=r"grid points need \|x\| >= 2.7e-306"):
+            hankel_transform(w, ki, xs, tol)
+    res = hankel_transform(w, ki, [least * (1.0 + 1e-9)], tol)
+    assert math.isfinite(abs(res.values[0])) and 0 < res.errors[0] < 1e-6
 
 
 def test_functional_equation_rank2_odd_weight():
@@ -620,8 +653,7 @@ def test_kernel_sweep_is_bessel_kernel_at_asymptotic_nodes_bits(n):
     si, u = _asymptotic_case(n)
     for deltas in ((0,) * n, tuple(l % 2 for l in range(n))):
         ki = KernelIndex(si, deltas)
-        for sgn in (1, -1):
-            values, errors, routes, swept = kernel_sweep(u, sgn, ki, 1e-9)
+        for sgn, (values, errors, routes, swept) in zip((1, -1), kernel_sweep(u, ki, 1e-9)):
             assert swept.all() and set(routes) == {"asymptotic"}
             for i, ui in enumerate(u):
                 r = bessel_kernel(sgn * math.exp(ui), ki, "auto", 1e-9)
@@ -669,7 +701,7 @@ def test_nonzero_kernel_value_never_reports_error_zero():
     # still served by the sweep, and an exact zero keeps error 0
     ki = KernelIndex(SpectralIndex([0.2, -0.2]), (0, 0))
     xs = np.array([3250.0, 3300.0, 3350.0, 3400.0, 1e6])
-    values, errors, routes, swept = kernel_sweep(np.log(xs), -1, ki, 1e-9)
+    values, errors, routes, swept = kernel_sweep(np.log(xs), ki, 1e-9)[1]
     assert swept.all() and set(routes) == {"asymptotic"}
     assert (values[:-1] != 0).all() and (np.abs(values[:-1]) < 1e-300).all()
     assert (errors[:-1] > 0).all() and (errors[:-1] < 1e-300).all()
@@ -695,7 +727,7 @@ def test_kernel_sweep_without_a_correct_digit_leaves_the_node():
     ki = KernelIndex(SpectralIndex([0.2, -0.2]), (0, 0))
     for x in (1e100, 1e308):
         with pytest.raises(ToleranceNotMetError, match="no digit"):
-            kernel_sweep(np.array([math.log(x)]), 1, ki, 1e-9)
+            kernel_sweep(np.array([math.log(x)]), ki, 1e-9)
 
 
 def _panel_transform(grid, kvals, kerr, x, weight, window):
@@ -735,9 +767,9 @@ def test_weighted_table_matches_panel_sums(case, eta):
     w = WeightFunction(eta=eta)
     mellin_tol = 1e-8
     grid, ux, _, window = _fe_grid(ki, w, mellin_tol)
-    kvals, kerr = {}, {}
-    for s in (1, -1):
-        kvals[s], kerr[s], _, _ = kernel_sweep(grid.u, s, ki, mellin_tol * 1e-1)
+    sweeps = dict(zip((1, -1), kernel_sweep(grid.u, ki, mellin_tol * 1e-1)))
+    kvals = {s: sweep[0] for s, sweep in sweeps.items()}
+    kerr = {s: sweep[1] for s, sweep in sweeps.items()}
     xs = np.exp(ux[::3])
     xs = np.concatenate([xs, -xs[::5]])
     values, errors = grid.transform(xs, w, window)
@@ -754,7 +786,8 @@ def test_weighted_table_matches_panel_sums(case, eta):
 def test_fe_transform_order_bits(eta):
     # each node's (value, error) depends on the node alone: the FE nodes in
     # order, reversed and one at a time give the same bits, with and
-    # without the window
+    # without the window; the values-only path gives the bits of the values
+    # in each of these orders
     ki = _SWEEP_CASES["rank3"][0]
     w = WeightFunction(eta=eta)
     grid, ux, _, window = _fe_grid(ki, w, 1e-8)
@@ -764,7 +797,11 @@ def test_fe_transform_order_bits(eta):
         v, e = grid.transform(xs, w, win)
         rv, re_ = grid.transform(xs[::-1], w, win)
         assert v.tobytes() == rv[::-1].tobytes() and e.tobytes() == re_[::-1].tobytes()
+        assert grid.values(xs, w, win).tobytes() == v.tobytes()
+        assert grid.values(xs[::-1], w, win).tobytes() == rv.tobytes()
         for i in range(0, len(xs), 7):
             one = grid.transform(xs[i : i + 1], w, win)
             assert one[0].tobytes() == v[i : i + 1].tobytes()
             assert one[1].tobytes() == e[i : i + 1].tobytes()
+            assert grid.values(xs[i : i + 1], w, win).tobytes() == one[0].tobytes()
+    assert grid.values([], w).shape == (0,)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselhr import _backend
+from besselhr import _backend, _pair
 from besselhr import _reference as ref
 from besselhr.core import (
     NuIndex,
@@ -1002,7 +1002,7 @@ def _build_each_kind():
             if dps < 2000:
                 series._head_mp(si.lam, n, series.dps_to_prec(dps))
         series.first_kind(0.5, 1, si, n)  # the double pass's head rows
-        series.kernel_series_grid(np.array([0.5]), -1, si, deltas)  # a table and pairs
+        series.kernel_series_grid(np.array([0.5]), si, deltas)  # a table and pairs
         series.derivatives(0.5, SignVector(("+-" * 3)[:n]), si, 0)  # the index-shift matrix
         for k in (0, n):
             asympt.b_coeffs(si, RootOfUnity(2 * n, k))
@@ -1062,7 +1062,7 @@ def test_grid_table_is_charged_for_the_terms_it_holds(monkeypatch):
     charges = []
     values = []
     for inner in (0.3, 3.0):
-        values.append(series.kernel_series_grid(np.array([0.1, inner]), 1, si, deltas))
+        values.append(series.kernel_series_grid(np.array([0.1, inner]), si, deltas))
         table, charge = store[key]
         terms = len(table.coeffs[0])
         assert terms < series._GRID_M_CAP
@@ -1073,9 +1073,109 @@ def test_grid_table_is_charged_for_the_terms_it_holds(monkeypatch):
 
     store = _empty_store(monkeypatch)
     monkeypatch.setattr(series, "_STORE_BYTES", charges[0])
-    short = series.kernel_series_grid(np.array([0.1, 0.3]), 1, si, deltas)
-    assert [a.tobytes() for a in short] == [v.tobytes() for v in values[0]]
+    short = series.kernel_series_grid(np.array([0.1, 0.3]), si, deltas)
+    assert [a.tobytes() for side in short for a in side] == [
+        v.tobytes() for side in values[0] for v in side
+    ]
     assert store[key][1] == charges[0] == store.held
-    again = series.kernel_series_grid(np.array([0.1, 3.0]), 1, si, deltas)
+    again = series.kernel_series_grid(np.array([0.1, 3.0]), si, deltas)
     assert key not in store and store.held == sum(c for _, c in store.values())
-    assert [a.tobytes() for a in again] == [v.tobytes() for v in values[1]]
+    assert [a.tobytes() for side in again for a in side] == [
+        v.tobytes() for side in values[1] for v in side
+    ]
+
+
+def _per_parity_grid(inner, parity, si, deltas, tol=1e-9):
+    """kernel_series_grid at one parity by a plain Horner in r = |zf| over
+    the coefficients rotated by (parity i^n)^m: the sweep as it was before
+    the parities shared one pass, kept as the reference of the split."""
+    n = si.rank
+    deltas = tuple(int(d) % 2 for d in deltas)
+    inner = np.asarray(inner, dtype=float)
+    ok = n * inner <= 690.0
+    kern, rows, kern_abs, tops = series._kernel_grid_coeffs(si.lam, deltas, parity)
+    logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
+    nl = _pair.two_prod(float(n), logs)
+    r = _pair.dd_exp(nl)
+    shift = np.frexp(r[0])[1]
+    r_scaled = (np.ldexp(r[0], -shift), np.ldexp(r[1], -shift))
+    quarter = n % 4 + (0 if parity > 0 else 2)
+    zero = np.zeros(inner.shape)
+    value = ((zero, zero), (zero, zero))
+    family = []
+    err = np.zeros(inner.shape)
+    table = series._FirstKindTable(si.lam)
+    for l in range(n):
+        deg, mass, wmass, tail = series._sum_degrees(table, l, r[0])
+        ok &= deg >= 0
+        acc = ((zero, zero), (zero, zero))
+        for m in range(int(deg.max()), -1, -1):
+            mant, e = table.coeffs[l][m]
+            scale = np.where(deg >= m, e + shift * m, -2000)
+            c = tuple(
+                (np.ldexp(part[0], scale), np.ldexp(part[1], scale))
+                for part in series._rotate(mant, quarter * m)
+            )
+            acc = (
+                _pair.dd_add(_pair.dd_mul(acc[0], r_scaled), c[0]),
+                _pair.dd_add(_pair.dd_mul(acc[1], r_scaled), c[1]),
+            )
+        lam_l = si.lam[l]
+        w = (_pair.dd_mul(nl, (-lam_l.real, 0.0)), _pair.dd_mul(nl, (-lam_l.imag, 0.0)))
+        pref = _pair.cdd_exp(w)
+        family.append(_pair.cdd_mul(pref, acc))
+        value = _pair.cdd_add(value, _pair.cdd_mul(kern[l], family[-1]))
+        wsize = np.hypot(w[0][0], w[1][0])
+        err += kern_abs[l] * series._pair_abs(pref) * (
+            series._U2
+            * (
+                16.0 * (mass + wmass)
+                + (16.0 + 4.0 * np.abs(nl[0])) * wmass
+                + (16.0 + 4.0 * wsize) * mass
+            )
+            + tail
+        )
+    peak = zero
+    for row, top in zip(rows, tops):
+        g = ((zero, zero), (zero, zero))
+        for c, f in zip(row, family):
+            g = _pair.cdd_add(g, _pair.cdd_mul(c, f))
+        peak = np.maximum(peak, top * series._pair_abs(g))
+    size = series._pair_abs(value)
+    err = err + 4.0 * np.finfo(float).eps * size
+    ok &= (err <= tol * size) & (size > 0)
+    out = np.empty(inner.shape, dtype=np.complex128)
+    out.real = value[0][0] + value[0][1]
+    out.imag = value[1][0] + value[1][1]
+    return out, err, peak, ok
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_split_horner_grid_matches_per_parity_horner(n):
+    # one pass for both parities (even and odd Horner halves in r^2) against
+    # the per-parity Horner in r: the same certified nodes, values within
+    # 0.05 of their errors, and the same error bounds, bit for bit where the
+    # values are: the formula is kept, and only its 4 eps |value| term sees
+    # the value, so where that moved in its last bits the sum may round one
+    # unit either way.  On the certified nodes the cancellation reference
+    # moves by rounding only (elsewhere it can be noise on both sides).
+    # Seeded generic indices, real and complex, both parity patterns,
+    # series-zone nodes from 0.01 to the asymptotic floor
+    rng = random.Random(20 + n)
+    for kind in ("real", "complex"):
+        lam = [rng.uniform(-0.3, 0.3) + (1j * rng.uniform(-0.3, 0.3) if kind == "complex" else 0.0)
+               for _ in range(n)]
+        si = SpectralIndex([v - sum(lam) / n for v in lam])
+        floor = max(asympt.validity_floor(si), 12.0)
+        inner = np.geomspace(0.01, floor, 80, endpoint=False)
+        for deltas in ((0,) * n, tuple(k % 2 for k in range(n))):
+            both = series.kernel_series_grid(inner, si, deltas)
+            for parity, (v, e, peak, ok) in zip((1, -1), both):
+                rv, re_, rpeak, rok = _per_parity_grid(inner, parity, si, deltas)
+                case = (n, kind, deltas, parity)
+                assert ok.tobytes() == rok.tobytes(), case
+                assert ok.sum() > 40, case
+                assert (np.abs(v - rv) <= 0.05 * re_).all(), case
+                assert (e[v == rv] == re_[v == rv]).all(), case
+                assert (e >= re_ * (1.0 - 2.0**-52)).all(), case
+                np.testing.assert_allclose(peak[ok], rpeak[ok], rtol=1e-9, err_msg=str(case))
