@@ -9,12 +9,12 @@ rank-one irregular singularity are evaluated by superasymptotic truncation
 with the absolute error estimated as twice the first omitted term.  The
 expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
-(max|lambda|+1)^2.  second_kind takes one point of the universal cover,
-second_kind_sweep many positive reals in 2-D array passes with the same
-arithmetic, and both finish their points by one numpy rule (_finish, on
-arrays).  Every route
-reads the B_m of an index and root from one table of M_CAP + 1 terms, kept
-in the series store (b_coeffs).  Connection constants relate these to the
+(max|lambda|+1)^2.  Every truncation is one routine of 2-D (points x
+terms) array passes (_truncate): second_kind and w_function run it at
+their one point of the universal cover, second_kind_sweep at many positive
+reals, and the second-kind points are finished by one numpy rule
+(_finish).  Every route reads the B_m of an index and root from one table
+of M_CAP + 1 terms, kept in the series store (b_coeffs).  Connection constants relate these to the
 sign-vector functions and to the first-kind family (through a Vandermonde
 matrix in e^{-2 pi i lambda_l} and its Lagrange-form inverse).
 """
@@ -87,21 +87,34 @@ def b_coeffs(si: SpectralIndex, xi: RootOfUnity) -> tuple:
     )
 
 
-def _truncate(bs, t, zinv):
-    """Superasymptotic truncation of sum_m bs[m] t z^{-m}, the powers by
-    repeated multiplication with zinv: keep the terms before the first
-    smallest one, and at least the leading term.
+def _truncate(b, t0, zinv):
+    """Superasymptotic truncation of sum_m b[m] t0 z^{-m} at the points of
+    the 1-d array zinv = z^{-1} (t0 a number of zinv's kind, or one per
+    point), in 2-D (points x len(b)) array passes: the powers by repeated
+    multiplication with zinv (cumprod), the first smallest term, at least
+    the leading one (argmin), and the partial sums and term mass left to
+    right (cumsum).
 
-    Returns the truncation m*, the partial sum left to right, the first
-    omitted term's magnitude and the magnitudes summed over the kept terms.
+    A real zinv takes real powers.  A complex one takes Python's complex
+    products (object arrays): numpy's complex product may fuse a multiply
+    and an add into one rounding, Python's never does, so a point off the
+    real axis keeps the bits of Python's arithmetic.  Returns per point the
+    truncation m*, the partial sum, the first omitted term's magnitude and
+    the magnitudes summed over the kept terms.
     """
-    terms = []
-    for b in bs:
-        terms.append(b * t)
-        t *= zinv
-    mags = [abs(v) for v in terms]
-    m_star = max(1, int(np.argmin(mags)))
-    return m_star, sum(terms[:m_star]), mags[min(m_star, len(mags) - 1)], sum(mags[:m_star])
+    cplx = zinv.dtype.kind == "c"
+    t = np.empty((len(zinv), len(b)), dtype=object if cplx else float)
+    t[:, 0] = t0
+    t[:, 1:] = zinv[:, None]
+    b = np.array(b, dtype=object if cplx else np.complex128)  # a sequence of Python complex
+    # + 0.0: the running sums start from +0, as Python's sum does
+    terms = np.asarray(b * t.cumprod(axis=1), dtype=np.complex128) + 0.0
+    mag = np.hypot(terms.real, terms.imag)  # abs() of a complex, bit for bit
+    rows = np.arange(len(zinv))
+    m_star = np.maximum(mag.argmin(axis=1), 1)
+    kept = (rows, m_star - 1)  # entry m - 1 of a running sum holds the terms before m
+    omitted = mag[rows, np.minimum(m_star, len(b) - 1)]
+    return m_star, terms.cumsum(axis=1)[kept], omitted, mag.cumsum(axis=1)[kept]
 
 
 def _finish(wc, log_z, n: int, total, omitted, mass):
@@ -153,25 +166,19 @@ def second_kind(
             f"|z| = {z.modulus:.3f} below validity floor {floor:.3f}; "
             "use the series or Mellin-Barnes evaluation"
         )
-    m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, z.power(-1))
-    value, err = _finish(
-        1j * n * xi.value, np.array([z.log()]), n, np.array([total]), omitted, mass
-    )
-    return AsymptoticEval(complex(value[0]), m_star, float(err[0]), True)
+    m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, np.array([z.power(-1)]))
+    value, err = _finish(1j * n * xi.value, np.array([z.log()]), n, total, omitted, mass)
+    return AsymptoticEval(complex(value[0]), int(m_star[0]), float(err[0]), True)
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     """second_kind at the positive reals z (a 1-d array, argument 0).
 
-    The truncation runs as 2-D (points x M_CAP+1) array passes over the
-    stored B_m table, with second_kind's arithmetic: z^{-1} by the complex
-    exponential of -log z, its powers by repeated multiplication (cumprod),
-    the first smallest term, at least one (argmin), and the partial sums
-    and term mass left to right (cumsum).  The points are then finished
-    together by the same array _finish as second_kind's one point, so each
-    has second_kind's bits.  Memory is a few arrays of len(z) x (M_CAP+1)
-    entries, so callers pass blocks of bounded size.  Returns the values
-    and the absolute error estimates.
+    One _truncate over all points, with z^{-1} by the complex exponential
+    of -log z, real here, and one _finish, so each point has second_kind's
+    bits.  Memory is a few arrays of len(z) x (M_CAP+1) entries, so callers
+    pass blocks of bounded size.  Returns the values and the absolute error
+    estimates.
     """
     n = si.rank
     if xi.order != 2 * n:
@@ -184,24 +191,9 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     floor = validity_floor(si)
     if (z < floor).any():
         raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
-    b = np.array(b_coeffs(si, xi), dtype=np.complex128)
     log_z = np.log(z) + 0j  # argument 0
-    t = np.empty((len(z), len(b)))
-    t[:, 0] = 1.0
-    t[:, 1:] = np.exp(-log_z).real[:, None]
-    terms = b * t.cumprod(axis=1)
-    mag = np.hypot(terms.real, terms.imag)  # abs() of a complex, bit for bit
-    rows = np.arange(len(z))
-    m_star = np.maximum(mag.argmin(axis=1), 1)
-    kept = (rows, m_star - 1)  # entry m - 1 of a running sum holds the terms before m
-    return _finish(
-        1j * n * xi.value,
-        log_z,
-        n,
-        terms.cumsum(axis=1)[kept],
-        mag[rows, np.minimum(m_star, len(b) - 1)],
-        mag.cumsum(axis=1)[kept],
-    )
+    _, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0, np.exp(-log_z).real)
+    return _finish(1j * n * xi.value, log_z, n, total, omitted, mass)
 
 
 def w_function(
@@ -225,8 +217,9 @@ def w_function(
         raise ValidityFloorError(f"|z| = {z.modulus:.3f} below floor {floor:.3f}")
     half = (n - 1) / 2.0
     bs = [b * falling(-(m + half), j) for m, b in enumerate(b_coeffs(si, xi))]
-    m_star, total, omitted, mass = _truncate(bs, z.power(-half - j), z.power(-1))
-    return AsymptoticEval(total, m_star, 2.0 * omitted + 4.0 * _EPS * mass, True)
+    m_star, total, omitted, mass = _truncate(bs, z.power(-half - j), np.array([z.power(-1)]))
+    err = 2.0 * float(omitted[0]) + 4.0 * _EPS * float(mass[0])
+    return AsymptoticEval(complex(total[0]), int(m_star[0]), err, True)
 
 
 def _scaled(const: complex, base: AsymptoticEval) -> AsymptoticEval:
@@ -262,13 +255,11 @@ def varsigma_factor(sv: SignVector, si: SpectralIndex) -> complex:
     return (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * c
 
 
-def j_varsigma_asymptotic(
-    z: Pointlike, sv: SignVector, si: SpectralIndex, theta: float = DEFAULT_THETA
-) -> AsymptoticEval:
+def j_varsigma_asymptotic(z: Pointlike, sv: SignVector, si: SpectralIndex) -> AsymptoticEval:
     """Sign-vector function through its distinguished second-kind solution."""
     if sv.n != si.rank:
         raise ValueError("sign vector length must match rank")
-    return _scaled(varsigma_factor(sv, si), second_kind(z, si, sv.xi(), theta))
+    return _scaled(varsigma_factor(sv, si), second_kind(z, si, sv.xi()))
 
 
 def rotate_second_kind(
@@ -305,12 +296,7 @@ def _sym_funcs_omitting(values: Sequence[complex]) -> list:
     ]
 
 
-def inverse_connection(
-    z: Pointlike,
-    si: SpectralIndex,
-    a: int,
-    theta: float = INVERSE_THETA,
-) -> list:
+def inverse_connection(z: Pointlike, si: SpectralIndex, a: int) -> list:
     """First-kind values J_l(z; (-1)^a, lam) rebuilt from second-kind ones.
 
     Uses the n roots xi_j = e^{i pi (2j + a - 2)/n} and the exact
@@ -336,7 +322,7 @@ def inverse_connection(
     evals = []
     for j in range(1, n + 1):
         xi = RootOfUnity(2 * n, 2 * j + a - 2)
-        evals.append(rotate_second_kind(z, si, xi, theta))
+        evals.append(rotate_second_kind(z, si, xi, INVERSE_THETA))
     front = cmath.exp(0.75j * math.pi * (n - 1)) / (
         math.sqrt(n) * (2 * math.pi) ** ((n - 1) / 2.0)
     )

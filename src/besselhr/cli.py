@@ -45,6 +45,7 @@ from .kernel import (
     KernelIndex,
     WeightFunction,
     bessel_kernel,
+    check_s_points,
     functional_equation_check,
     hankel_transform,
 )
@@ -67,6 +68,7 @@ def parse_lambda(text: str):
 
 
 _GRID_FORM = "grid must be log:lo:hi:n or lin:lo:hi:n (n an integer) or a comma list of numbers"
+MAX_GRID_POINTS = 1_000_000  # a log: or lin: grid of more points is refused before it is built
 
 
 def parse_grid(text: str):
@@ -85,6 +87,8 @@ def parse_grid(text: str):
             raise ValueError("grid endpoints must be finite")
         if kind == "log" and (lo <= 0 or hi <= 0):
             raise ValueError("log grid needs positive endpoints")
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
         points = list((np.geomspace if kind == "log" else np.linspace)(lo, hi, max(count, 0)))
     elif not all(math.isfinite(x) for x in points):
         raise ValueError("grid points must be finite")
@@ -359,6 +363,8 @@ def cmd_transform(args) -> int:
     ki = KernelIndex(si, deltas)
     weight = parse_weight(args.weight)
     xs = parse_grid(args.x_grid)
+    if args.fe_report:  # checked before the table is written
+        spts = check_s_points(parse_complex(p) for p in args.s_points.split(","))
     cfg = {
         "command": "transform",
         "n": si.rank,
@@ -378,7 +384,6 @@ def cmd_transform(args) -> int:
         config_header(cfg), ["x", "re", "im", "err"], rows, args.format, args.out
     )
     if args.fe_report:
-        spts = [parse_complex(p) for p in args.s_points.split(",")]
         rep = functional_equation_check(ki, weight, spts, rel_tol=args.fe_tol)
         payload = {
             "meta": config_header(cfg),

@@ -29,12 +29,14 @@ series once, as even and odd Horner halves, since the signs differ only in
 the sign of zf), above it one numpy pass per sign and one grouped term per
 second-kind root; bessel_kernel takes only the nodes these passes cannot
 certify (it raises on those without a correct digit), those near the
-Mellin-Barnes switch, and the nodes of non-generic indices.  The grid keeps
-its samples with the quadrature weights folded in, so a transform node costs
-one weight evaluation and a few real products; the functional-equation check
-asks for the values alone (_KernelGrid.values), integrates each of its
-transform nodes only over the panels its weight window reaches, and takes
-the negative side from the parity of the weight instead of a second pass.
+Mellin-Barnes switch, and the series-zone nodes of non-generic indices.
+The grid keeps its samples with the quadrature weights folded in, so a
+transform node costs one weight evaluation (log_values, which also gives a
+weight's value at one y) and a few real products; the functional-equation
+check asks for the values alone (_KernelGrid.values), places its transform
+nodes by the weight's centre, integrates each only over the panels its
+weight window reaches, and takes the negative side from the parity of the
+weight instead of a second pass.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ _ASYMPT_MIN = 12.0
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # errors below it are underflow
 _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal range
+_DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
+FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
 
 
 @dataclass(frozen=True)
@@ -83,30 +87,27 @@ class KernelIndex:
         return self.lam.rank
 
 
+class _Weight:
+    """A weight read at y through its log_values at log|y| and sgn y; 0 at y = 0."""
+
+    def __call__(self, y: float) -> float:
+        if y == 0.0:
+            return 0.0
+        return float(self.log_values(math.log(abs(y)), 1 if y > 0 else -1))
+
+
 @dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Weight):
     """Rapidly decaying weight on R^x; gaussian bump in log|y|."""
 
     eta: int = 0
     mu: float = 0.0
     width: float = 1.0
     amplitude: float = 1.0
-    kind: str = "gaussian-log"
 
     def __post_init__(self):
-        if self.kind != "gaussian-log":
-            raise ValueError("only the gaussian-log weight is built in")
         if not all(map(math.isfinite, (self.mu, self.amplitude))) or not 0 < self.width < math.inf:
             raise ValueError("mu and amplitude must be finite, width positive and finite")
-
-    def __call__(self, y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        u = (math.log(abs(y)) - self.mu) / self.width
-        v = self.amplitude * math.exp(-u * u)
-        if self.eta % 2 and y < 0:
-            return -v
-        return v
 
     def log_values(self, u, sign: int = 1):
         """Vectorized values at y = sign * exp(u)."""
@@ -140,17 +141,15 @@ class WeightFunction:
         return cls(eta=eta, mu=mu, width=width, amplitude=amp)
 
 
-class SampledWeightFunction:
+class SampledWeightFunction(_Weight):
     """Weight given by user samples on a log grid, linearly interpolated.
 
     Same duck interface as WeightFunction; rapid decay is checked at the
-    grid ends (values there must be negligible against the peak).  The
+    grid ends (values there must be at most _DECAY_TOL times the peak).  The
     signed Mellin transform is trapezoid quadrature over the grid.
     """
 
-    kind = "samples"
-
-    def __init__(self, log_grid, values, eta: int = 0, decay_tol: float = 1e-8):
+    def __init__(self, log_grid, values, eta: int = 0):
         u = np.asarray(log_grid, dtype=float)
         v = np.asarray(values, dtype=float)
         if u.ndim != 1 or u.shape != v.shape or u.size < 4:
@@ -160,7 +159,7 @@ class SampledWeightFunction:
         peak = np.abs(v).max()
         if peak == 0.0:
             raise ValueError("all samples vanish")
-        if max(abs(v[0]), abs(v[-1])) > decay_tol * peak:
+        if max(abs(v[0]), abs(v[-1])) > _DECAY_TOL * peak:
             raise ValueError(
                 "samples do not decay at the grid ends; the transform tail "
                 "would be uncontrolled"
@@ -169,14 +168,6 @@ class SampledWeightFunction:
         self.v = v
         self.eta = int(eta) % 2
         self.mu = float(u[np.argmax(np.abs(v))])
-
-    def __call__(self, y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        val = float(np.interp(math.log(abs(y)), self.u, self.v, left=0.0, right=0.0))
-        if self.eta and y < 0:
-            return -val
-        return val
 
     def log_values(self, u, sign: int = 1):
         out = np.interp(np.asarray(u), self.u, self.v, left=0.0, right=0.0)
@@ -428,10 +419,11 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     The argument and the zone of a node are the same on both signs.  Below
     the asymptotic floor one series.kernel_series_grid pass sums the nodes
     of both signs (double-double); above it _asymptotic_sweep runs once per
-    sign.  bessel_kernel itself takes every node those passes leave: the
-    series nodes they do not certify, the nodes whose cancellation comes
-    within a factor 2 of CANCEL_SWITCH (so that bessel_kernel decides the
-    Mellin-Barnes switch), and every node of a non-generic index.  Each
+    sign, at every index.  bessel_kernel itself takes every node those
+    passes leave: the series nodes they do not certify, the nodes whose
+    cancellation comes within a factor 2 of CANCEL_SWITCH (so that
+    bessel_kernel decides the Mellin-Barnes switch), and the series-zone
+    nodes of a non-generic index, which the pair grid cannot sum.  Each
     node's value depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1
     and then -1, the values, the errors, the route of each node (the method
     names of EvalResult) and the mask of the nodes the array passes served.
@@ -451,26 +443,26 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
         )
         for _ in (1, -1)
     ]
-    if genericity_gap(si) >= EPS_GEN:
-        floor = _asymptotic_floor(si)
-        for lo in range(0, len(u), _BLOCK):
-            z = inner[lo : lo + _BLOCK]
-            above = z >= floor
-            for zone, route in ((~above, "series"), (above, "asymptotic")):
-                if not zone.any():
-                    continue
-                if route == "series":
-                    passes = kernel_series_grid(z[zone], si, ki.deltas, tol)
-                else:
-                    passes = [_asymptotic_sweep(z[zone], sgn, ki) for sgn in (1, -1)]
-                for (values, errors, routes, swept), (v, e, peak, ok) in zip(per_sign, passes):
-                    size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-                    ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
-                    idx = lo + np.flatnonzero(zone)[ok]
-                    values[idx] = v[ok]
-                    errors[idx] = e[ok]
-                    swept[idx] = True
-                    routes[idx] = route
+    generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
+    floor = _asymptotic_floor(si)
+    for lo in range(0, len(u), _BLOCK):
+        z = inner[lo : lo + _BLOCK]
+        above = z >= floor
+        for zone, route in ((~above & generic, "series"), (above, "asymptotic")):
+            if not zone.any():
+                continue
+            if route == "series":
+                passes = kernel_series_grid(z[zone], si, ki.deltas, tol)
+            else:
+                passes = [_asymptotic_sweep(z[zone], sgn, ki) for sgn in (1, -1)]
+            for (values, errors, routes, swept), (v, e, peak, ok) in zip(per_sign, passes):
+                size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
+                ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
+                idx = lo + np.flatnonzero(zone)[ok]
+                values[idx] = v[ok]
+                errors[idx] = e[ok]
+                swept[idx] = True
+                routes[idx] = route
     for sgn, (values, errors, routes, swept) in zip((1, -1), per_sign):
         for i in np.flatnonzero(~swept):
             r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
@@ -646,20 +638,33 @@ class FunctionalEquationReport:
     passed: bool
 
 
-def _fe_grid(ki: KernelIndex, weight: WeightFunction, mellin_tol: float):
+def check_s_points(s_points) -> list:
+    """The points as complex numbers; ValueError names the first that is not
+    finite or lies off Re s = 1/2, the line _fe_grid's lower end is sized for."""
+    points = [complex(s) for s in s_points]
+    for s in points:
+        if not (cmath.isfinite(s) and s.real == 0.5):
+            raise ValueError(f"the functional-equation check takes finite s on Re s = 1/2, not {s}")
+    return points
+
+
+def _fe_grid(ki: KernelIndex, weight: WeightFunction):
     """The functional-equation check's kernel grid, its transform nodes
-    ux = log x with their panel half-widths, and its weight window."""
+    ux = log x with their panel half-widths, and its weight window.
+
+    Upsilon_mu(x) = e^mu Upsilon_0(x e^mu) for a weight centred at mu, so
+    the nodes are those of mu = 0 moved by -mu; the kernel grid, at
+    log x + log y, does not move.
+    """
     beta = 0.5 - max(v.real for v in ki.lam.lam)
     if beta <= 0.05:
         raise ValueError("Re lambda too large for the Re s = 1/2 check")
-    ux_lo = math.log(mellin_tol) / beta - 2.0
+    ux_lo = math.log(FE_MELLIN_TOL) / beta - 2.0
     ux_hi = 6.5
-    window = weight.log_support(mellin_tol * 1e-3)
-    grid = _KernelGrid(ki, ux_lo + window[0], ux_hi + window[1], mellin_tol * 1e-1)
-
-    # the transform oscillates at the kernel rate shifted by the bump center
-    edges = _panel_grid(ux_lo + weight.mu, ux_hi + weight.mu, ki.rank, rad=0.7)
-    edges = edges - weight.mu
+    window = weight.log_support(FE_MELLIN_TOL * 1e-3)
+    lo, hi = ux_lo - weight.mu, ux_hi - weight.mu
+    grid = _KernelGrid(ki, lo + window[0], hi + window[1], FE_MELLIN_TOL * 1e-1)
+    edges = _panel_grid(ux_lo, ux_hi, ki.rank, rad=0.7) - weight.mu
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     ux = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
@@ -671,7 +676,6 @@ def functional_equation_check(
     weight: WeightFunction,
     s_points: Sequence[complex],
     rel_tol: float = 1e-6,
-    mellin_tol: float = 1e-8,
 ) -> FunctionalEquationReport:
     """Verify M_d Upsilon(s) = prod_l G_{delta_l+d}(s - lam_l) M_d upsilon(1-s).
 
@@ -681,15 +685,16 @@ def functional_equation_check(
     contribute (the other signed transform vanishes identically).
 
     The transform nodes are one windowed grid.values call over the panels
-    that the weight, cut at log_support(mellin_tol * 1e-3) as at the grid's
-    ends, reaches: the values of grid.transform, bit for bit, without the
-    error estimates, which the check does not use.  The negative side is
+    that the weight, cut at log_support(FE_MELLIN_TOL * 1e-3) as at the
+    grid's ends, reaches: the values of grid.transform, bit for bit, without
+    the error estimates, which the check does not use.  The negative side is
     Upsilon(-x) = (-1)^eta Upsilon(x), which the grid at -x reproduces bit
-    for bit.
+    for bit.  The s points must pass check_s_points.
     """
+    s_points = check_s_points(s_points)
     si = ki.lam
     n = ki.rank
-    grid, ux, halfs, window = _fe_grid(ki, weight, mellin_tol)
+    grid, ux, halfs, window = _fe_grid(ki, weight)
     up = grid.values(np.exp(ux), weight, window)
     # upsilon(-y) = (-1)^eta upsilon(y), so Upsilon(-x) = (-1)^eta Upsilon(x)
     um = -up if weight.eta % 2 else up
@@ -700,7 +705,6 @@ def functional_equation_check(
         if (d + weight.eta) % 2 != 0:
             continue
         for s in s_points:
-            s = complex(s)
             lhs = signed_mellin_grid(ux, halfs, up, um, d, s)
             rhs = weight.mellin(d, 1.0 - s)
             for l in range(n):
@@ -709,7 +713,7 @@ def functional_equation_check(
             rels.append((d, s, rel))
             worst = rel if math.isnan(rel) else max(worst, rel)
     return FunctionalEquationReport(
-        tuple(complex(s) for s in s_points),
+        tuple(s_points),
         tuple(rels),
         worst,
         worst < rel_tol,

@@ -86,6 +86,7 @@ _WG15[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss points are odd-inde
 # by 50 eps times the mass); splitting it cannot lower the estimate.
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 _MAX_PIECES = 4000  # adaptive pieces per contour integral
+_POLE_MARGIN = 0.5  # the contour's base passes this far right of max Re lambda
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,10 @@ def _ray_dir(c: Contour, up: bool) -> complex:
     return d if up else d.conjugate()
 
 
-def default_contour(si: SpectralIndex, x: float, pole_margin: float = 0.5) -> Contour:
+def default_contour(si: SpectralIndex, x: float) -> Contour:
     max_re = max(v.real for v in si.lam)
     max_im = max(abs(v.imag) for v in si.lam)
-    base = max(0.6, max_re + pole_margin)
+    base = max(0.6, max_re + _POLE_MARGIN)
     height = max(2.0, max_im + 1.5)
     n = si.rank
     chi = min(0.5 * math.pi / n, 4.0 / (1.0 + x))

@@ -25,7 +25,8 @@ of |value|: for a sign-vector function above the asymptotic floor and inside
 the sector of xi(sig), the modulus of the leading asymptotic term
 (_leading_log10) plus _ESTIMATE_GUARD digits; otherwise eps times the double
 pass's term mass (or the e^{n|z|} ridge where the double pass overflows).
-A round that fails escalates, up to a ceiling of digits.
+A round that fails escalates, up to a ceiling of digits; an estimate below
+what the ceiling resolves raises before any round.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
 the head rows 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh, where
@@ -565,13 +566,15 @@ def _j_generic(
         logmass = 0.45 * si.rank * z.modulus
         dps = 26 + int(logmass) - int(math.log10(tol))
     log_j = _leading_log10(z, si, kind[1]) if kind[0] == "signvec" else None
+    if log_j is not None and log_j + _ESTIMATE_GUARD < math.log10(_DPS_CEILING_SIZE):
+        raise ToleranceNotMetError(
+            f"the leading asymptotic term puts |J| near {mp.nstr(mp.mpf(10) ** log_j, 3)} at "
+            f"|z|={z.modulus:.6g}, below the {_DPS_CEILING_SIZE:.0e} the big-float rounds "
+            "resolve, so none was run; use the asymptotic route", achieved=math.inf)
     if log_j is not None:
         # a sign-vector function in its asymptotic zone: sized for the
-        # leading term's |J|, no higher than the ceiling the rounds stop at
-        dps = min(
-            digits(logmass, log_j, _ESTIMATE_GUARD),
-            digits(logmass, math.log10(_DPS_CEILING_SIZE)),
-        )
+        # leading term's |J| (below the ceiling the rounds stop at)
+        dps = digits(logmass, log_j, _ESTIMATE_GUARD)
     for _ in range(8):
         round_dps = dps
         value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, kind)
@@ -669,9 +672,11 @@ def j_function(
     back in tail_bound.  Non-generic indices (gap below 1e-4) are evaluated
     as the average over 8 generic perturbations on a circle of radius 1e-3,
     which reproduces the limit value to O(radius^8).  Raises
-    ToleranceNotMetError when the big-float rounds reach their precision
-    ceiling, which happens for values below double range, or end their 8
-    rounds without certifying the value (use the asymptotic route there).
+    ToleranceNotMetError when the leading asymptotic term puts the value
+    below what the big-float rounds resolve, when the rounds reach their
+    precision ceiling, which happens for values below double range, or when
+    they end their 8 rounds without certifying the value (use the
+    asymptotic route there).
     """
     z = _as_point(z)
     if sv.n != si.rank:

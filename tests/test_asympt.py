@@ -81,6 +81,59 @@ def test_second_kind_sweep_matches_second_kind_bits(n):
             assert (v, e) == (want.value, want.error_estimate), (n, k, z)
 
 
+def _scalar_truncate(bs, t, zinv):
+    """A scalar superasymptotic truncation in Python's complex arithmetic:
+    terms b t z^{-m} by repeated multiplication, cut before the first
+    smallest (at least one kept); returns m*, the partial sum, the first
+    omitted term's magnitude and the kept terms' summed magnitudes."""
+    terms = []
+    for b in bs:
+        terms.append(b * t)
+        t *= zinv
+    mags = [abs(v) for v in terms]
+    m_star = max(1, int(np.argmin(mags)))
+    return m_star, sum(terms[:m_star]), mags[min(m_star, len(mags) - 1)], sum(mags[:m_star])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_truncation_matches_a_scalar_loop_off_the_axis(n):
+    # second_kind and w_function truncate by the sweep's array passes, with
+    # Python's unfused complex products off the real axis: the bits of a
+    # scalar loop in Python arithmetic, on and off the axis, for every root
+    # in sector and for derivatives of W
+    from besselhr.asympt import _finish
+    from besselhr.coeffs import falling
+
+    si = SpectralIndex([0.1 * l + 0.05j * (l % 2) for l in range(n)])
+    floor = validity_floor(si)
+    half = (n - 1) / 2.0
+    for arg in (0.0, 0.3, -0.7, 1.9):
+        for mod in (1.01 * floor, 1.7 * floor, 1e3, 1e5):
+            z = SurfacePoint.from_polar(mod, arg)
+            for k in range(2 * n):
+                xi = RootOfUnity(2 * n, k)
+                if not in_validity_sector(z, xi, n, DEFAULT_THETA):
+                    continue
+                m, total, omitted, mass = _scalar_truncate(b_coeffs(si, xi), 1.0 + 0.0j, z.power(-1))
+                try:
+                    v, e = _finish(1j * n * xi.value, np.array([z.log()]), n, np.array([total]),
+                                   omitted, mass)
+                except OverflowEvalError:  # a growing exponential far out
+                    with pytest.raises(OverflowEvalError):
+                        second_kind(z, si, xi)
+                    continue
+                r = second_kind(z, si, xi)
+                want = (complex(v[0]), float(e[0]), m)
+                assert repr((r.value, r.error_estimate, r.truncation_m)) == repr(want), (k, z)
+            for sign, j in ((1, 0), (-1, 1), (1, 3)):
+                xi = RootOfUnity(2 * n, 0 if sign > 0 else n)
+                bs = [b * falling(-(m + half), j) for m, b in enumerate(b_coeffs(si, xi))]
+                m, total, omitted, mass = _scalar_truncate(bs, z.power(-half - j), z.power(-1))
+                r = w_function(z, si, sign, j)
+                want = (total, 2.0 * omitted + 4.0 * float(np.finfo(float).eps) * mass, m)
+                assert repr((r.value, r.error_estimate, r.truncation_m)) == repr(want), (j, z)
+
+
 def test_second_kind_error_never_zero_for_a_nonzero_value():
     # far out on a decaying ray the truncation error underflows before the
     # value does: the error is then the subnormal spacing, not 0; a value

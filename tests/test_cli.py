@@ -164,8 +164,9 @@ def test_eval_numeric_failure_exits_3(tmp_path):
 
 
 def test_eval_series_precision_ceiling_exits_3(capsys):
-    # the value is far below double range: the big-float rounds stop at
-    # their precision ceiling and point to the asymptotic route
+    # the value is far below double range, past what the big-float rounds
+    # resolve at their precision ceiling: the series points to the
+    # asymptotic route
     import time
 
     t0 = time.perf_counter()
@@ -177,7 +178,7 @@ def test_eval_series_precision_ceiling_exits_3(capsys):
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err
     assert "asymptotic route" in err
-    # the failed round's magnitudes are below double range, printed as big floats
+    # the estimated magnitude is below double range, printed as a big float
     assert "achieved 0.00e+00" not in err and "e-34" in err
 
 
@@ -446,6 +447,43 @@ def test_kernel_out_of_domain_exits_2(extra, text, capsys):
 def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     argv = ["transform", "--delta", "0,0"] + _RANK2 + extra
     _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, text)
+
+
+@pytest.mark.parametrize(
+    "points, text",
+    [("1e300", "not (1e+300+0j)"), ("0.5,nan", "not (nan+0j)"), ("0.5,3", "not (3+0j)"),
+     ("0.5+1i,-3", "not (-3+0j)")],
+    ids=["huge", "nan", "right-of-line", "left-of-line"],
+)
+def test_transform_s_points_off_the_line_exit_2(points, text, capsys, tmp_path):
+    # the FE check takes finite s on Re s = 1/2, the line its grid is sized
+    # for: any other point is a usage error, raised before the table is written
+    out = tmp_path / "t.csv"
+    argv = ["transform", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1", "--out", str(out)]
+    _usage_error(argv + ["--s-points", points, "--fe-report", str(tmp_path / "fe.json")],
+                 capsys, text)
+    assert not out.exists() and not (tmp_path / "fe.json").exists()
+
+
+def test_transform_fe_report_follows_the_weight_centre(tmp_path):
+    # the FE check's nodes move with the weight's centre mu, so mu = 5 passes
+    rep = tmp_path / "fe.json"
+    rc = main(
+        ["transform", "--n", "2", "--lambda", "0.25i,-0.25i", "--delta", "0,0",
+         "--weight", "gaussian-log:mu=5", "--x-grid", "1", "--out", str(tmp_path / "t.csv"),
+         "--fe-report", str(rep)]
+    )
+    assert rc == 0
+    assert json.loads(rep.read_text())["functional_equation"]["max_rel_error"] < 1e-6
+
+
+def test_grid_too_many_points_exits_2(capsys):
+    # a count past the fixed limit is refused before the grid is built
+    _usage_error(
+        ["eval", "--signs", "++"] + _RANK2 + ["--x-grid", "log:1:2:100000000000"],
+        capsys,
+        "exceeds the limit of 1000000",
+    )
 
 
 def test_transform_underflowing_grid_point_exits_2(capsys, tmp_path):

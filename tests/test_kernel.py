@@ -12,6 +12,7 @@ from besselhr.asympt import j_varsigma_asymptotic, second_kind_sweep, varsigma_f
 from besselhr.coeffs import build_b_table
 from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
+    FE_MELLIN_TOL,
     KernelIndex,
     WeightFunction,
     _GGW,
@@ -389,6 +390,38 @@ def test_mellin_inversion_round_trip():
         assert abs(mellin_inversion(w1, x) - w1(x)) < 1e-7
 
 
+@pytest.mark.parametrize("case", ["rank2", "rank3"])
+@pytest.mark.parametrize("mu", [-10.0, -5.0, 5.0, 10.0])
+def test_functional_equation_follows_the_weight_centre(case, mu):
+    # Upsilon_mu(x) = e^mu Upsilon_0(x e^mu): the check's nodes move by -mu,
+    # so a bump centred away from 0 passes as one centred at 0 does
+    ki = _SWEEP_CASES[case][0]
+    rep = functional_equation_check(ki, WeightFunction(eta=0, mu=mu), [0.5, 0.5 + 1j, 0.5 + 2j])
+    assert rep.passed and rep.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("s", [1e300, complex("nan"), 3.0, -3.0, 0.5 + 1j * math.inf])
+def test_functional_equation_s_points_on_the_line(s, monkeypatch):
+    # finite points on Re s = 1/2 only, refused before any kernel work
+    ki = _SWEEP_CASES["rank2"][0]
+    monkeypatch.setattr(kernel_module, "_KernelGrid", None)
+    with pytest.raises(ValueError, match="Re s = 1/2"):
+        functional_equation_check(ki, WeightFunction(eta=0), [0.5, s])
+
+
+def test_weight_values_at_signed_points():
+    # one evaluation for both weight classes: log_values at log|y| and sgn y
+    from besselhr.kernel import SampledWeightFunction
+
+    w = WeightFunction(eta=1, mu=0.2, width=0.7)
+    u = np.linspace(-5.5, 5.9, 1600)
+    ws = SampledWeightFunction(u, w.log_values(u), eta=1)
+    for f in (w, ws):
+        assert f(0.0) == 0.0
+        for y in (0.4, 1.3, 3.0):
+            assert f(y) == f.log_values(math.log(y)) == -f(-y)
+
+
 def test_functional_equation_rank2():
     ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
     w = WeightFunction(eta=0)
@@ -434,11 +467,27 @@ def test_kernel_sweep_matches_bessel_kernel(case):
             assert abs(values[i] - r.value) <= errors[i] + r.error, (case, sgn, ui)
         assert set(routes) == {"series", "asymptotic"}
         if case == "nongeneric":
-            assert not swept.any()
+            # the pair grid has no coefficients at a non-generic index: its
+            # series-zone nodes go to bessel_kernel, its asymptotic ones are swept
+            inner = 2.0 * math.pi * np.exp(u / ki.rank)
+            above = inner >= _asymptotic_floor(ki.lam)
+            assert (swept == above).all() and above.any() and not above.all()
         else:
             assert swept.sum() > len(u) // 2
         if case == "rank2" and sgn < 0:
             assert not swept.all()
+
+
+def test_kernel_sweep_nongeneric_asymptotic_nodes_bits():
+    # at a non-generic index the asymptotic-zone nodes are swept with the
+    # bits bessel_kernel gives them, one node at a time
+    ki, _ = _SWEEP_CASES["nongeneric"]
+    u = np.linspace(1.5, 9.0, 25)
+    for sgn, (values, errors, routes, swept) in zip((1, -1), kernel_sweep(u, ki, 1e-9)):
+        assert swept.all()
+        for i, ui in enumerate(u):
+            r = bessel_kernel(sgn * math.exp(ui), ki, "auto", 1e-9)
+            assert (routes[i], values[i], errors[i]) == (r.method, r.value, r.error), (sgn, ui)
 
 
 def test_kernel_sweep_sub_batch_bits():
@@ -501,7 +550,7 @@ def test_windowed_transform_on_fe_grid(case):
     # cutoff, does not reach
     ki = _SWEEP_CASES[case][0]
     w = WeightFunction(eta=0)
-    grid, ux, _, window = _fe_grid(ki, w, 1e-8)
+    grid, ux, _, window = _fe_grid(ki, w)
     xs = np.exp(ux[::5])
     win = grid.transform(xs, w, window)[0]
     full = grid.transform(xs, w)[0]
@@ -765,9 +814,8 @@ def test_weighted_table_matches_panel_sums(case, eta):
     # times the value, so its rounding is bounded against the errors only
     ki = _SWEEP_CASES[case][0]
     w = WeightFunction(eta=eta)
-    mellin_tol = 1e-8
-    grid, ux, _, window = _fe_grid(ki, w, mellin_tol)
-    sweeps = dict(zip((1, -1), kernel_sweep(grid.u, ki, mellin_tol * 1e-1)))
+    grid, ux, _, window = _fe_grid(ki, w)
+    sweeps = dict(zip((1, -1), kernel_sweep(grid.u, ki, FE_MELLIN_TOL * 1e-1)))
     kvals = {s: sweep[0] for s, sweep in sweeps.items()}
     kerr = {s: sweep[1] for s, sweep in sweeps.items()}
     xs = np.exp(ux[::3])
@@ -790,7 +838,7 @@ def test_fe_transform_order_bits(eta):
     # in each of these orders
     ki = _SWEEP_CASES["rank3"][0]
     w = WeightFunction(eta=eta)
-    grid, ux, _, window = _fe_grid(ki, w, 1e-8)
+    grid, ux, _, window = _fe_grid(ki, w)
     xs = np.exp(ux[::4])
     xs = np.concatenate([xs, -xs[::3]])
     for win in (window, None):

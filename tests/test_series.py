@@ -234,16 +234,38 @@ def test_bigfloat_first_round_from_noise_scale(monkeypatch):
 def test_bigfloat_precision_ceiling(monkeypatch):
     # J(300; ++-) is far below double range: no number of digits certifies
     # it, so the rounds stop at the precision ceiling instead of escalating
-    # x1.6 per round for minutes.  Its leading asymptotic term is below the
-    # ceiling's size, so the one round runs at the ceiling
+    # x1.6 per round for minutes.  Without the leading-term estimate (which
+    # raises before any round, see below) the rounds climb to the ceiling
     rounds = _record_rounds(monkeypatch)
+    monkeypatch.setattr(series, "_leading_log10", lambda *a: None)
     with pytest.raises(ToleranceNotMetError, match="asymptotic route") as exc:
         j_function(300.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
-    assert exc.value.value is not None and len(rounds) == 1 and max(rounds) < 1000
+    assert exc.value.value is not None and len(rounds) == 3 and max(rounds) < 1000
+    assert "precision ceiling" in str(exc.value)
     # the failed round's noise lies below double range: achieved is rounded
     # up to a positive double, and the message prints the big-float magnitudes
     assert exc.value.achieved == 5e-324
-    assert "achieved 1.7e-345, |value| 3.83e-341" in str(exc.value)
+    assert "achieved 1.7e-329, |value| 3.83e-341" in str(exc.value)
+
+
+def test_estimate_below_the_ceiling_raises_before_any_round(monkeypatch):
+    # a leading asymptotic term more than _ESTIMATE_GUARD digits below the
+    # 1e-300 the rounds resolve: no round can certify the value, so none runs
+    import time
+
+    rounds = _record_rounds(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(ToleranceNotMetError, match="none was run; use the asymptotic route") as exc:
+        j_function(300.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
+    assert time.perf_counter() - t0 < 0.3
+    assert rounds == [] and exc.value.achieved == math.inf
+    assert "3.83e-341" in str(exc.value)
+    # an estimate 1000 digits below the value at x = 30 raises the same way
+    estimate = series._leading_log10
+    monkeypatch.setattr(series, "_leading_log10", lambda *a: estimate(*a) - 1000)
+    with pytest.raises(ToleranceNotMetError, match="none was run"):
+        j_function(30.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
+    assert rounds == []
 
 
 def test_failed_round_rounds_achieved_up():
@@ -305,19 +327,6 @@ def test_first_round_estimate_misses(monkeypatch, shift):
         assert rounds == [sized - shift]
     assert r.tail_bound <= 1e-10 * abs(r.value)
     assert abs(r.value - base.value) <= r.tail_bound
-
-
-def test_first_round_estimate_is_capped_at_the_ceiling(monkeypatch):
-    # an estimate 1000 digits below the value asks for some 1080 digits; the
-    # round runs at the ceiling instead, the digits that resolve 1e-300
-    # against the double pass's term mass (about 360 here), and certifies
-    args = (30.0, SignVector("++-"), SpectralIndex([0.3, -0.1, -0.2]), 1e-10)
-    rounds = _record_rounds(monkeypatch)
-    estimate = series._leading_log10
-    monkeypatch.setattr(series, "_leading_log10", lambda *a: estimate(*a) - 1000)
-    r = j_function(*args)
-    assert len(rounds) == 1 and 300 < rounds[0] < 400
-    assert r.tail_bound <= 1e-10 * abs(r.value)
 
 
 def test_j_function_large_modulus_one_round(monkeypatch):
