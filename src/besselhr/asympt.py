@@ -14,9 +14,10 @@ terms) array passes (_truncate): second_kind and w_function run it at
 their one point of the universal cover, second_kind_sweep at many positive
 reals, and the second-kind points are finished by one numpy rule
 (_finish).  Every route reads the B_m of an index and root from one table
-of M_CAP + 1 terms, kept in the series store (b_coeffs).  Connection constants relate these to the
-sign-vector functions and to the first-kind family (through a Vandermonde
-matrix in e^{-2 pi i lambda_l} and its Lagrange-form inverse).
+of M_CAP + 1 terms, kept in the series store (b_coeffs).  Connection
+constants relate these to the sign-vector functions and to the first-kind
+family (through a Vandermonde matrix in e^{-2 pi i lambda_l} and its
+Lagrange-form inverse).
 """
 
 from __future__ import annotations
