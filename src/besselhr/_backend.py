@@ -124,7 +124,7 @@ def loggamma(z):
 
 
 def recip_gamma(z):
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+    if is_nonpositive_int(z):
         return 0.0 + 0.0j
     if z.real >= 0.5:
         return cmath.exp(-_loggamma_right(z))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import mpmath as mp
 
 
-def _ascending(nu, x, signfac, dps=None):
+def _ascending(nu, x, signfac):
     # sum_m signfac^m (x/2)^{nu+2m} / (m! Gamma(nu+m+1)); signfac=-1 gives J,
     # +1 gives I.  Truncates relative to the *working* precision so that
     # downstream connection-formula cancellation stays covered.
@@ -47,41 +47,41 @@ def _wdps(x, dps):
 
 def besselj(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        return complex(_ascending(nu, x, -1, dps))
+        return complex(_ascending(nu, x, -1))
 
 
 def besseli(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        return complex(_ascending(nu, x, 1, dps))
+        return complex(_ascending(nu, x, 1))
 
 
 def hankel1(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        jp = _ascending(nu, x, -1, dps)
-        jm = _ascending(-mp.mpc(nu), x, -1, dps)
+        jp = _ascending(nu, x, -1)
+        jm = _ascending(-mp.mpc(nu), x, -1)
         nu = mp.mpc(nu)
         return complex((jm - mp.expjpi(-nu) * jp) / (1j * mp.sinpi(nu)))
 
 
 def hankel2(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        jp = _ascending(nu, x, -1, dps)
-        jm = _ascending(-mp.mpc(nu), x, -1, dps)
+        jp = _ascending(nu, x, -1)
+        jm = _ascending(-mp.mpc(nu), x, -1)
         nu = mp.mpc(nu)
         return complex((mp.expjpi(nu) * jp - jm) / (1j * mp.sinpi(nu)))
 
 
 def bessely(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        jp = _ascending(nu, x, -1, dps)
-        jm = _ascending(-mp.mpc(nu), x, -1, dps)
+        jp = _ascending(nu, x, -1)
+        jm = _ascending(-mp.mpc(nu), x, -1)
         nu = mp.mpc(nu)
         return complex((jp * mp.cospi(nu) - jm) / mp.sinpi(nu))
 
 
 def besselk(nu, x, dps=40) -> complex:
     with mp.workdps(_wdps(x, dps)):
-        ip = _ascending(nu, x, 1, dps)
-        im = _ascending(-mp.mpc(nu), x, 1, dps)
+        ip = _ascending(nu, x, 1)
+        im = _ascending(-mp.mpc(nu), x, 1)
         nu = mp.mpc(nu)
         return complex(mp.pi * (im - ip) / (2 * mp.sinpi(nu)))

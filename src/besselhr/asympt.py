@@ -56,7 +56,6 @@ class AsymptoticEval:
     value: complex
     truncation_m: int
     error_estimate: float  # absolute: 2 * |first omitted term|
-    in_sector: bool
 
 
 def sector_center(xi: RootOfUnity) -> float:
@@ -169,7 +168,7 @@ def second_kind(
         )
     m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, np.array([z.power(-1)]))
     value, err = _finish(1j * n * xi.value, np.array([z.log()]), n, total, omitted, mass)
-    return AsymptoticEval(complex(value[0]), int(m_star[0]), float(err[0]), True)
+    return AsymptoticEval(complex(value[0]), int(m_star[0]), float(err[0]))
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
@@ -220,14 +219,12 @@ def w_function(
     bs = [b * falling(-(m + half), j) for m, b in enumerate(b_coeffs(si, xi))]
     m_star, total, omitted, mass = _truncate(bs, z.power(-half - j), np.array([z.power(-1)]))
     err = 2.0 * float(omitted[0]) + 4.0 * _EPS * float(mass[0])
-    return AsymptoticEval(complex(total[0]), int(m_star[0]), err, True)
+    return AsymptoticEval(complex(total[0]), int(m_star[0]), err)
 
 
 def _scaled(const: complex, base: AsymptoticEval) -> AsymptoticEval:
     """const times a second-kind evaluation, with its error scaled by |const|."""
-    return AsymptoticEval(
-        const * base.value, base.truncation_m, abs(const) * base.error_estimate, True
-    )
+    return AsymptoticEval(const * base.value, base.truncation_m, abs(const) * base.error_estimate)
 
 
 def h_bessel(z: Pointlike, si: SpectralIndex, sign) -> AsymptoticEval:
@@ -320,18 +317,15 @@ def inverse_connection(z: Pointlike, si: SpectralIndex, a: int) -> list:
         )
     xs = [e2pi(-v) for v in si.lam]
     sig_rows = _sym_funcs_omitting(xs)
-    evals = []
-    for j in range(1, n + 1):
-        xi = RootOfUnity(2 * n, 2 * j + a - 2)
-        evals.append(rotate_second_kind(z, si, xi, INVERSE_THETA))
+    roots = [RootOfUnity(2 * n, 2 * j + a - 2) for j in range(1, n + 1)]
+    evals = [rotate_second_kind(z, si, xi, INVERSE_THETA) for xi in roots]
     front = cmath.exp(0.75j * math.pi * (n - 1)) / (
         math.sqrt(n) * (2 * math.pi) ** ((n - 1) / 2.0)
     )
     out = []
     for l in range(n):
         acc = 0j
-        for j in range(1, n + 1):
-            xi = RootOfUnity(2 * n, 2 * j + a - 2)
+        for j, xi in enumerate(roots, 1):
             acc += (
                 (-1.0) ** (n - j)
                 * cmath.exp(-1j * ((n - 1) / 2.0) * xi.argument)

@@ -164,6 +164,11 @@ def emit_rows(header: dict, columns, rows, fmt: str, out_path):
                 )
             )
         text = "\n".join(lines) + "\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path):
+    """text to the file out_path (--out), or to stdout when it is not given."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -281,24 +286,9 @@ def cmd_coeffs(args) -> int:
         uv = build_uv_tables(n, si)
         for k in range(n + 1):
             for jj in range(k + 1):
-                rows.append(
-                    [
-                        "U",
-                        k,
-                        jj,
-                        fmt_float(uv.u_num[k][jj].real),
-                        fmt_float(uv.u_num[k][jj].imag),
-                    ]
-                )
-                rows.append(
-                    [
-                        "V",
-                        k,
-                        jj,
-                        fmt_float(uv.v_num[k][jj].real),
-                        fmt_float(uv.v_num[k][jj].imag),
-                    ]
-                )
+                for table, num in (("U", uv.u_num), ("V", uv.v_num)):
+                    c = num[k][jj]
+                    rows.append([table, k, jj, fmt_float(c.real), fmt_float(c.imag)])
         xi = RootOfUnity(2 * n, args.xi)
         bt = build_b_table(n, si, xi, args.terms)
         for m, c in enumerate(bt.coeffs):
@@ -364,7 +354,7 @@ def cmd_transform(args) -> int:
     weight = parse_weight(args.weight)
     xs = parse_grid(args.x_grid)
     if args.fe_report:  # checked before the table is written
-        spts = check_s_points(parse_complex(p) for p in args.s_points.split(","))
+        spts = check_s_points((parse_complex(p) for p in args.s_points.split(",")), weight)
     cfg = {
         "command": "transform",
         "n": si.rank,
@@ -475,12 +465,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "passed": all(c["status"] == "pass" for c in checks),
     }
-    text = json.dumps(report, indent=1, default=str) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=1, default=str) + "\n", args.out)
     return 0 if report["passed"] else 1
 
 
@@ -491,11 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, need_lambda=True):
+    def common(sp):
         sp.add_argument("--n", type=int, default=None)
-        if need_lambda:
-            sp.add_argument("--lambda", dest="lam", required=True,
-                            help="comma-separated complex components, e.g. 0.3,-0.1,-0.2")
+        sp.add_argument("--lambda", dest="lam", required=True,
+                        help="comma-separated complex components, e.g. 0.3,-0.1,-0.2")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
 

@@ -104,12 +104,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def eval(self, values: Sequence[complex]) -> complex:
         out = 0j
         for e, c in self.terms.items():
@@ -119,9 +113,6 @@ class IntPoly:
                     t *= values[i]
             out += t
         return out
-
-    def __repr__(self):
-        return f"IntPoly({self.nvars}, {len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +176,6 @@ class UVTables:
     n: int
     u_sym: dict  # (k, j) -> IntPoly in Lambda_0..Lambda_d, 0 <= j <= k <= n
     v_sym: dict
-    sigma_sym: dict  # (k, m) -> IntPoly
-    lambda_args: Optional[tuple] = None  # Lambda_m = n lambda_{d-m+1}
     u_num: Optional[tuple] = None
     v_num: Optional[tuple] = None
 
@@ -284,7 +273,6 @@ def build_uv_tables(n: int, si: Optional[SpectralIndex] = None) -> UVTables:
                     tot = tot + sigma[(k - 1, m)].scale(a)
             v[(k, j)] = tot
 
-    args = None
     u_num = v_num = None
     if si is not None:
         if si.rank != n:
@@ -298,7 +286,7 @@ def build_uv_tables(n: int, si: Optional[SpectralIndex] = None) -> UVTables:
             tuple(v[(k, j)].eval(args) if j <= k else 0j for j in range(n + 1))
             for k in range(n + 1)
         )
-    return UVTables(n, u, v, sigma, args, u_num, v_num)
+    return UVTables(n, u, v, u_num, v_num)
 
 
 # ---------------------------------------------------------------------------

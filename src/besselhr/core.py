@@ -83,9 +83,6 @@ class SpectralIndex:
     def imag_bound(self) -> float:
         return max(abs(v.imag) for v in self.lam)
 
-    def genericity_gap(self) -> float:
-        return genericity_gap(self)
-
 
 @dataclass(frozen=True)
 class NuIndex:
@@ -95,10 +92,6 @@ class NuIndex:
 
     def __init__(self, values: Sequence):
         object.__setattr__(self, "nu", _as_complex_tuple(values))
-
-    @property
-    def d(self) -> int:
-        return len(self.nu)
 
 
 def lambda_of_nu(nu: NuIndex) -> SpectralIndex:

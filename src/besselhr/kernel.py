@@ -28,8 +28,9 @@ nodes serves both signs (series.kernel_series_grid sums each first-kind
 series once, as even and odd Horner halves, since the signs differ only in
 the sign of zf), above it one numpy pass per sign and one grouped term per
 second-kind root; bessel_kernel takes only the nodes these passes cannot
-certify (it raises on those without a correct digit), those near the
-Mellin-Barnes switch, and the series-zone nodes of non-generic indices.
+certify (it raises on those without a correct digit), the pair-grid nodes
+near the Mellin-Barnes switch, the asymptotic nodes past it, and the
+series-zone nodes of non-generic indices.
 The grid keeps its samples with the quadrature weights folded in, so a
 transform node costs one weight evaluation (log_values, which also gives a
 weight's value at one y) and a few real products; the functional-equation
@@ -356,6 +357,14 @@ def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9):
     return np.array(edges)
 
 
+def _gk_nodes(edges):
+    """The half-widths of the panels between the edges and their
+    Gauss-Kronrod nodes, 15 per panel in ascending order."""
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    return halfs, (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
+
+
 def _asymptotic_floor(si: SpectralIndex) -> float:
     """Where the kernel's asymptotic zone starts, in 2 pi |x|^{1/n}."""
     return max(validity_floor(si), _ASYMPT_MIN)
@@ -420,10 +429,13 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     the asymptotic floor one series.kernel_series_grid pass sums the nodes
     of both signs (double-double); above it _asymptotic_sweep runs once per
     sign, at every index.  bessel_kernel itself takes every node those
-    passes leave: the series nodes they do not certify, the nodes whose
-    cancellation comes within a factor 2 of CANCEL_SWITCH (so that
-    bessel_kernel decides the Mellin-Barnes switch), and the series-zone
-    nodes of a non-generic index, which the pair grid cannot sum.  Each
+    passes leave: the series nodes they do not certify, the pair-grid nodes
+    whose cancellation comes within a factor 2 of CANCEL_SWITCH (the pair
+    grid's sums are not bessel_kernel's, so bessel_kernel decides the
+    Mellin-Barnes switch there), the asymptotic nodes that bessel_kernel's
+    own test, peak / max(|value|, 1e-300) > CANCEL_SWITCH on the same bits,
+    sends to Mellin-Barnes, and the series-zone nodes of a non-generic
+    index, which the pair grid cannot sum.  Each
     node's value depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1
     and then -1, the values, the errors, the route of each node (the method
     names of EvalResult) and the mask of the nodes the array passes served.
@@ -457,7 +469,10 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
                 passes = [_asymptotic_sweep(z[zone], sgn, ki) for sgn in (1, -1)]
             for (values, errors, routes, swept), (v, e, peak, ok) in zip(per_sign, passes):
                 size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-                ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
+                if route == "series":  # not bessel_kernel's bits: stay a factor 2 off the switch
+                    ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
+                else:  # bessel_kernel's own switch test on the bits it computes
+                    ok = ok & (peak / size <= CANCEL_SWITCH)
                 idx = lo + np.flatnonzero(zone)[ok]
                 values[idx] = v[ok]
                 errors[idx] = e[ok]
@@ -485,9 +500,7 @@ class _KernelGrid:
 
     def __init__(self, ki: KernelIndex, lo: float, hi: float, tol: float):
         self.edges = _panel_grid(lo, hi, ki.rank)
-        mids = 0.5 * (self.edges[1:] + self.edges[:-1])
-        halfs = 0.5 * (self.edges[1:] - self.edges[:-1])
-        self.u = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
+        halfs, self.u = _gk_nodes(self.edges)
         (kp, ep, rp, sp), (km, em, rm, sm) = kernel_sweep(self.u, ki, tol)
         self.swept = int(sp.sum() + sm.sum())
         self.fallback = 2 * len(self.u) - self.swept
@@ -611,16 +624,15 @@ def signed_mellin_grid(u: np.ndarray, half: np.ndarray, fplus, fminus, delta: in
     return complex(np.sum(half[:, None] * comb * w * _GKW[None, :]))
 
 
-def mellin_inversion(weight: WeightFunction, x: float, sigma: float = 1.0,
-                     height: float = 40.0, npts: int = 4001) -> complex:
+def mellin_inversion(weight: WeightFunction, x: float) -> complex:
     """Reconstruct the weight from its closed-form signed Mellin transforms.
 
-    upsilon(x) = sum_d sgn(x)^d/(4 pi i) int_(sigma) M_d upsilon(s) |x|^{-s} ds,
-    evaluated with a plain trapezoid on the vertical line (the integrand is a
-    gaussian in Im s).
+    upsilon(x) = sum_d sgn(x)^d/(4 pi i) int_(1) M_d upsilon(s) |x|^{-s} ds,
+    evaluated with a plain trapezoid at 4001 points of Re s = 1, |Im s| <= 40
+    (the integrand is a gaussian in Im s).
     """
-    t = np.linspace(-height, height, npts)
-    s = sigma + 1j * t
+    t = np.linspace(-40.0, 40.0, 4001)
+    s = 1.0 + 1j * t
     total = 0j
     for d in (0, 1):
         ms = np.array([weight.mellin(d, sv) for sv in s])
@@ -638,13 +650,27 @@ class FunctionalEquationReport:
     passed: bool
 
 
-def check_s_points(s_points) -> list:
+def check_s_points(s_points, weight: WeightFunction) -> list:
     """The points as complex numbers; ValueError names the first that is not
-    finite or lies off Re s = 1/2, the line _fe_grid's lower end is sized for."""
+    finite, lies off Re s = 1/2, the line _fe_grid's lower end is sized for,
+    or lies so far up that line that the check cannot resolve it: where the
+    weight's closed form |M_d upsilon(1 - s)|, at the parity d the check
+    uses, is below a quarter of its value at s = 1/2.  The check's relative
+    error grows as that closed form decays, for the gaussian-log bump like
+    e^{t^2 w^2 / 4} at Im s = t and width w, so there the bound is
+    w |Im s| <= 2 sqrt(ln 4) ~ 2.35 whatever mu is (at rank 3 and width 2
+    the error reaches 1e-6 near w |Im s| = 2.5)."""
     points = [complex(s) for s in s_points]
+    d = weight.eta % 2
+    least = 0.25 * abs(weight.mellin(d, 0.5))
     for s in points:
         if not (cmath.isfinite(s) and s.real == 0.5):
             raise ValueError(f"the functional-equation check takes finite s on Re s = 1/2, not {s}")
+        if abs(weight.mellin(d, 1.0 - s)) < least:
+            raise ValueError(
+                f"the functional-equation check cannot resolve s = {s}: the weight's Mellin "
+                "transform at 1 - s is below a quarter of its value at s = 1/2"
+            )
     return points
 
 
@@ -664,10 +690,7 @@ def _fe_grid(ki: KernelIndex, weight: WeightFunction):
     window = weight.log_support(FE_MELLIN_TOL * 1e-3)
     lo, hi = ux_lo - weight.mu, ux_hi - weight.mu
     grid = _KernelGrid(ki, lo + window[0], hi + window[1], FE_MELLIN_TOL * 1e-1)
-    edges = _panel_grid(ux_lo, ux_hi, ki.rank, rad=0.7) - weight.mu
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    ux = (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
+    halfs, ux = _gk_nodes(_panel_grid(ux_lo, ux_hi, ki.rank, rad=0.7) - weight.mu)
     return grid, ux, halfs, window
 
 
@@ -691,7 +714,7 @@ def functional_equation_check(
     Upsilon(-x) = (-1)^eta Upsilon(x), which the grid at -x reproduces bit
     for bit.  The s points must pass check_s_points.
     """
-    s_points = check_s_points(s_points)
+    s_points = check_s_points(s_points, weight)
     si = ki.lam
     n = ki.rank
     grid, ux, halfs, window = _fe_grid(ki, weight)

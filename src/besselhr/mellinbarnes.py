@@ -224,10 +224,10 @@ def _adaptive(f, segs, tol):
     return total, err, mass
 
 
-def _tail_rates(f, rays, h: float = 2.0):
+def _tail_rates(f, rays):
     """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
-    ray end, from one integrand call at two points per ray."""
-    pts = np.array([p for end, d in rays for p in (end - h * d, end)])
+    ray end, from one integrand call at two points 2 apart per ray."""
+    pts = np.array([p for end, d in rays for p in (end - 2.0 * d, end)])
     fv = f(pts)
     out = []
     for k in range(len(rays)):
@@ -236,7 +236,7 @@ def _tail_rates(f, rays, h: float = 2.0):
         if f0 == 0.0:
             out.append((math.inf, 0.0))
         else:
-            out.append(((math.log(f1) - math.log(f0)) / h, f0))
+            out.append(((math.log(f1) - math.log(f0)) / 2.0, f0))
     return out
 
 
@@ -269,7 +269,7 @@ def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
         raise ToleranceNotMetError(
             "the contour integral overflows double range: its value, error or mass is not finite"
         )
-    return val, err + tail, mass, cc
+    return val, err + tail, mass
 
 
 def mb_eval_est(
@@ -302,11 +302,22 @@ def mb_eval_est(
     def f(s):
         return _backend.mb_j_integrand(s, lam, sig, n, lnx)
 
-    val, err, mass, _ = _integrate_contour(f, c, n * lnx, tol)
+    val, err, mass = _integrate_contour(f, c, n * lnx, tol)
     scale = 1.0 / (2.0 * math.pi)
     value = val * scale / 1j
     achieved = (err + 4.0 * np.finfo(float).eps * mass) * scale
     return value, achieved
+
+
+def _certified(value, achieved: float, tol: float, x: float):
+    """value, or ToleranceNotMetError carrying it when achieved > tol."""
+    if achieved > tol:
+        raise ToleranceNotMetError(
+            f"achieved {achieved:.2e} > tol {tol:.2e} at x={x}",
+            value=value,
+            achieved=achieved,
+        )
+    return value
 
 
 def mb_eval(
@@ -317,23 +328,10 @@ def mb_eval(
     contour: Optional[Contour] = None,
 ) -> complex:
     """Mellin-Barnes evaluation certified to absolute accuracy tol."""
-    value, achieved = mb_eval_est(x, sv, si, tol, contour)
-    if achieved > tol:
-        raise ToleranceNotMetError(
-            f"achieved {achieved:.2e} > tol {tol:.2e} at x={x}",
-            value=value,
-            achieved=achieved,
-        )
-    return value
+    return _certified(*mb_eval_est(x, sv, si, tol, contour), tol, x)
 
 
-def mb_kernel_est(
-    x: float,
-    si: SpectralIndex,
-    deltas,
-    tol: float = 1e-9,
-    contour: Optional[Contour] = None,
-):
+def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
     """Signed-kernel value at x != 0 with achieved-error estimate.
 
     Evaluates sum over d in {0,1} of sgn(x)^d/(4 pi i) *
@@ -351,37 +349,22 @@ def mb_kernel_est(
     ax = abs(x)
     lnx = math.log(ax)
     sgn = 1.0 if x > 0 else -1.0
-    c = contour if contour is not None else default_contour(
-        si, 2.0 * math.pi * ax ** (1.0 / n)
-    )
+    c = default_contour(si, 2.0 * math.pi * ax ** (1.0 / n))
     total = 0j
     achieved = 0.0
     for d in (0, 1):
         def f(s, _d=d):
             return _backend.mb_kernel_integrand(s, lam, dl, _d, lnx)
 
-        val, err, mass, _ = _integrate_contour(f, c, lnx, tol)
+        val, err, mass = _integrate_contour(f, c, lnx, tol)
         scale = 1.0 / (4.0 * math.pi)
         total += (sgn**d) * val * scale / 1j
         achieved += (err + 4.0 * np.finfo(float).eps * mass) * scale
     return total, achieved
 
 
-def mb_kernel(
-    x: float,
-    si: SpectralIndex,
-    deltas,
-    tol: float = 1e-9,
-    contour: Optional[Contour] = None,
-) -> complex:
-    value, achieved = mb_kernel_est(x, si, deltas, tol, contour)
-    if achieved > tol:
-        raise ToleranceNotMetError(
-            f"achieved {achieved:.2e} > tol {tol:.2e} at x={x}",
-            value=value,
-            achieved=achieved,
-        )
-    return value
+def mb_kernel(x: float, si: SpectralIndex, deltas, tol: float = 1e-9) -> complex:
+    return _certified(*mb_kernel_est(x, si, deltas, tol), tol, x)
 
 
 def g_delta(s, delta: int, form: str = "ratio") -> complex:

@@ -407,3 +407,21 @@ def test_b_table_built_once_per_index_and_root(monkeypatch):
     for xi in (plus, minus):
         assert repr(b_coeffs(si, xi)) == repr(build(2, si, xi, M_CAP).coeffs)
     assert len(built) == 2
+
+
+def test_rotate_second_kind_takes_the_second_rotation():
+    # xi z leaves the sector of the +1 expansion, so -xi z serves the value,
+    # within the two summed error estimates of the direct expansion at xi
+    si = SpectralIndex([0.2, -0.1, -0.1])
+    z = SurfacePoint.from_polar(40.0, -math.pi / 3)
+    xi = RootOfUnity(6, -1)
+    with pytest.raises(OutOfSectorError):
+        second_kind(z.times_root(xi), si, RootOfUnity(6, 0))
+    got, want = rotate_second_kind(z, si, xi), second_kind(z, si, xi)
+    assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate
+
+
+def test_rotate_second_kind_outside_both_sectors_raises():
+    si = SpectralIndex([0.2, -0.1, -0.1])
+    with pytest.raises(OutOfSectorError):
+        rotate_second_kind(SurfacePoint.from_polar(40.0, -3 * math.pi), si, RootOfUnity(6, -6))

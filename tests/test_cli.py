@@ -465,6 +465,16 @@ def test_transform_s_points_off_the_line_exit_2(points, text, capsys, tmp_path):
     assert not out.exists() and not (tmp_path / "fe.json").exists()
 
 
+def test_transform_fe_report_refuses_unresolvable_s_points(capsys, tmp_path):
+    # width 2 at the default s points: 0.5+2i is past what the check can
+    # resolve, a usage error raised before the table is written
+    out = tmp_path / "t.csv"
+    argv = ["transform", "--delta", "0,0"] + _RANK2 + [
+        "--weight", "gaussian-log:width=2", "--x-grid", "1", "--out", str(out)]
+    _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, "cannot resolve s = (0.5+2j)")
+    assert not out.exists() and not (tmp_path / "fe.json").exists()
+
+
 def test_transform_fe_report_follows_the_weight_centre(tmp_path):
     # the FE check's nodes move with the weight's centre mu, so mu = 5 passes
     rep = tmp_path / "fe.json"

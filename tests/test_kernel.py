@@ -12,6 +12,7 @@ from besselhr.asympt import j_varsigma_asymptotic, second_kind_sweep, varsigma_f
 from besselhr.coeffs import build_b_table
 from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
+    CANCEL_SWITCH,
     FE_MELLIN_TOL,
     KernelIndex,
     WeightFunction,
@@ -409,6 +410,26 @@ def test_functional_equation_s_points_on_the_line(s, monkeypatch):
         functional_equation_check(ki, WeightFunction(eta=0), [0.5, s])
 
 
+def test_functional_equation_refuses_s_it_cannot_resolve(monkeypatch):
+    # at width 2 the weight's closed form at 1 - s falls below a quarter of
+    # its value at s = 1/2 past |Im s| = sqrt(ln 4) ~ 1.18: the default point
+    # 0.5+2i is named, before any kernel work
+    ki = _SWEEP_CASES["rank2"][0]
+    monkeypatch.setattr(kernel_module, "_KernelGrid", None)
+    with pytest.raises(ValueError, match=r"cannot resolve s = \(0.5\+2j\)"):
+        functional_equation_check(ki, WeightFunction(eta=0, width=2.0), [0.5, 0.5 + 1j, 0.5 + 2j])
+    with pytest.raises(ValueError, match=r"cannot resolve s = \(0.5-2.4j\)"):
+        functional_equation_check(ki, WeightFunction(eta=1, mu=5.0), [0.5 - 2.4j])
+
+
+@pytest.mark.parametrize("case", ["rank2", "rank3"])
+def test_functional_equation_passes_up_to_the_resolution_bound(case):
+    # width 1: the bound is |Im s| <= 2 sqrt(ln 4) ~ 2.35, and 0.5+2.3i passes
+    ki = _SWEEP_CASES[case][0]
+    rep = functional_equation_check(ki, WeightFunction(eta=0), [0.5 + 2.3j])
+    assert rep.passed and rep.max_rel_error < 1e-6
+
+
 def test_weight_values_at_signed_points():
     # one evaluation for both weight classes: log_values at log|y| and sgn y
     from besselhr.kernel import SampledWeightFunction
@@ -488,6 +509,32 @@ def test_kernel_sweep_nongeneric_asymptotic_nodes_bits():
         for i, ui in enumerate(u):
             r = bessel_kernel(sgn * math.exp(ui), ki, "auto", 1e-9)
             assert (routes[i], values[i], errors[i]) == (r.method, r.value, r.error), (sgn, ui)
+
+
+def test_kernel_sweep_serves_asymptotic_nodes_below_the_switch():
+    # an asymptotic-zone node whose cancellation, 6.37e5, lies between
+    # CANCEL_SWITCH/2 and CANCEL_SWITCH: bessel_kernel keeps the asymptotic
+    # value, and the sweep serves the node in its array pass with those bits
+    ki = KernelIndex(SpectralIndex([1 + 2.5e-7, -1 - 2.5e-7]), (1, 0))
+    assert 2.0 * math.pi * math.sqrt(30.0) >= _asymptotic_floor(ki.lam)
+    r = bessel_kernel(-30.0, ki, "auto", 1e-9)
+    assert r.method == "asymptotic" and CANCEL_SWITCH / 2 < r.cancellation < CANCEL_SWITCH
+    values, errors, routes, swept = kernel_sweep(np.log([30.0]), ki, 1e-9)[1]
+    assert swept[0]
+    assert (routes[0], values[0], errors[0]) == (r.method, r.value, r.error)
+
+
+def test_kernel_sweep_past_the_switch_takes_the_mellin_barnes_bits():
+    # negative-side asymptotic nodes with cancellation ~4e15 go to
+    # bessel_kernel, which takes the Mellin-Barnes route
+    ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
+    xs = [10.0, 30.0, 100.0]
+    values, errors, routes, swept = kernel_sweep(np.log(xs), ki, 1e-9)[1]
+    assert not swept.any()
+    for i, x in enumerate(xs):
+        r = bessel_kernel(-x, ki, "auto", 1e-9)
+        assert r.method == "mellin-barnes" and r.cancellation > 1e15
+        assert (routes[i], values[i], errors[i]) == (r.method, r.value, r.error), x
 
 
 def test_kernel_sweep_sub_batch_bits():

@@ -7,9 +7,10 @@ Usage:
 
 Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
-under perfbench/ is changed) and the README's eval, coeffs, kernel,
-transform --fe-report and oracle compare commands through cli.main.  Each
-output becomes one line: the item or command, the route, the value and
+under perfbench/ is changed), kernel.kernel_sweep on the fixed node sets
+of SWEEP_CASES, and the README's eval, coeffs, kernel, transform
+--fe-report and oracle compare commands through cli.main.  Each output
+becomes one line: the item, node or command, the route, the value and
 error as float.hex (exact), and for the sign-vector and kernel items the
 digits of every big-float round the item ran.  CLI outputs are printed
 line by line as written (repr floats round-trip, so equal text is equal
@@ -26,6 +27,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -48,6 +51,22 @@ README_COMMANDS = {
 }
 
 
+# kernel_sweep node sets, nodes u = log|x|: the indices of the sweep tests
+# (README rank 2, the rank-3 FE index, the rank-4 prototype, a non-generic
+# index), an asymptotic node whose cancellation lies between CANCEL_SWITCH/2
+# and CANCEL_SWITCH, and negative-side nodes far past the switch
+SWEEP_CASES = {
+    "rank2": ([0.25j, -0.25j], (0, 0),
+              np.concatenate([np.linspace(-8.0, 5.0, 40), np.linspace(1.2, 1.285, 6)])),
+    "rank3": ([0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j], (0, 1, 0), np.linspace(-20.0, 9.0, 40)),
+    "rank4": ([0.375, 0.125, -0.125, -0.375], (0, 1, 0, 1), np.linspace(-6.0, 8.0, 30)),
+    "nongeneric": ([0.5, -0.5], (1, 0), np.linspace(-3.0, 4.0, 6)),
+    "near-switch": ([1 + 2.5e-7, -1 - 2.5e-7], (1, 0), np.log([30.0])),
+    "past-switch": ([1.0, -1.0], (1, 0), np.log([10.0, 30.0, 100.0])),
+}
+SWEEP_TOL = 1e-9
+
+
 def _hex(v) -> str:
     if isinstance(v, complex):
         return f"{v.real.hex()},{v.imag.hex()}"
@@ -68,6 +87,7 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from besselhr import cli, kernel, series
+    from besselhr.core import SpectralIndex
 
     digits = []
     mp_round = series._j_generic_mp
@@ -100,6 +120,14 @@ def main(argv) -> int:
 
         run(item.key, "kernel", by_kernel)
         print(f"{item.key} route {route[0] if route else '-'}")
+
+    for name, (lam, deltas, u) in SWEEP_CASES.items():
+        ki = kernel.KernelIndex(SpectralIndex(lam), deltas)
+        # the mask of swept nodes is left out: which nodes the array passes
+        # serve may change while every value, error and route stays
+        for sgn, (values, errors, routes, _) in zip("+-", kernel.kernel_sweep(u, ki, SWEEP_TOL)):
+            for ui, v, e, r in zip(u, values, errors, routes):
+                print(f"sweep/{name}/{sgn}/u={ui.hex()} {r} {_hex(complex(v))} {_hex(e)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
