@@ -9,7 +9,9 @@ rank-one irregular singularity are evaluated by superasymptotic truncation
 with the absolute error estimated as twice the first omitted term.  The
 expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
-(max|lambda|+1)^2.  Every truncation is one routine of 2-D (points x
+(max|lambda|+1)^2; the kernel's sweep (second_kind_sweep) reaches down to
+max(6, a quarter of it) (sweep_start), and below max(floor, 12) the
+kernel checks each point.  Every truncation is one routine of 2-D (points x
 terms) array passes (_truncate): second_kind and w_function run it at
 their one point of the universal cover, second_kind_sweep at many positive
 reals, and the second-kind points are finished by one numpy rule
@@ -47,6 +49,7 @@ DEFAULT_THETA = math.pi / 6
 INVERSE_THETA = math.pi / 12  # all n rotated roots must sit in-sector on R+
 M_CAP = 30
 FLOOR_FACTOR = 4.0
+SWEEP_MIN = 6.0  # the least argument at which the kernel tries the expansion
 _EPS = float(np.finfo(float).eps)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)  # the least error of a nonzero value
 
@@ -75,6 +78,14 @@ def validity_floor(si: SpectralIndex) -> float:
             f"the asymptotic validity floor overflows double range for |lambda| "
             f"{si.magnitude_bound:.3g}"
         ) from None
+
+
+def sweep_start(si: SpectralIndex) -> float:
+    """Where the kernel's asymptotic zone starts, and second_kind_sweep's
+    floor: max(SWEEP_MIN, (max|lambda|+1)^2), validity_floor / FLOOR_FACTOR.
+    Below max(validity_floor, 12) the kernel keeps a swept value only where
+    the expansion certifies it (kernel._asymptotic_zone)."""
+    return max(SWEEP_MIN, validity_floor(si) / FLOOR_FACTOR)
 
 
 def b_coeffs(si: SpectralIndex, xi: RootOfUnity) -> tuple:
@@ -172,7 +183,10 @@ def second_kind(
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
-    """second_kind at the positive reals z (a 1-d array, argument 0).
+    """second_kind at the positive reals z (a 1-d array, argument 0), down
+    to sweep_start instead of validity_floor: the kernel's asymptotic zone
+    is this routine's one caller, and it checks each point below
+    max(validity_floor, 12).
 
     One _truncate over all points, with z^{-1} by the complex exponential
     of -log z, real here, and one _finish, so each point has second_kind's
@@ -188,9 +202,9 @@ def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
             f"the positive reals lie outside the sector around {sector_center(xi):.4f}"
         )
     z = np.asarray(z, dtype=float)
-    floor = validity_floor(si)
-    if (z < floor).any():
-        raise ValidityFloorError(f"a point lies below the validity floor {floor:.3f}")
+    start = sweep_start(si)
+    if (z < start).any():
+        raise ValidityFloorError(f"a point lies below the kernel's asymptotic start {start:.3f}")
     log_z = np.log(z) + 0j  # argument 0
     _, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0, np.exp(-log_z).real)
     return _finish(1j * n * xi.value, log_z, n, total, omitted, mass)

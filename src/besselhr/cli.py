@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__, _backend, invariants
-from .asympt import DEFAULT_THETA, M_CAP, j_varsigma_asymptotic, validity_floor
+from .asympt import DEFAULT_THETA, M_CAP, j_varsigma_asymptotic, sweep_start, validity_floor
 from .coeffs import build_a_table, build_b_table, build_uv_tables
 from .core import (
     OutOfSectorError,
@@ -194,7 +194,15 @@ def _contour_meta(si, x):
 
 
 def _asympt_policy(si):
-    return {"m_cap": M_CAP, "theta": DEFAULT_THETA, "validity_floor": validity_floor(si)}
+    """The asymptotic route's constants; kernel_start is where the kernel's
+    asymptotic zone starts (up to max(validity_floor, 12) it certifies each
+    point)."""
+    return {
+        "m_cap": M_CAP,
+        "theta": DEFAULT_THETA,
+        "validity_floor": validity_floor(si),
+        "kernel_start": sweep_start(si),
+    }
 
 
 # a route that does not reach a point: below its floor, outside its sector

@@ -2,20 +2,24 @@
 rank-n Hankel transform with its functional-equation verification.
 
 The kernel at signed argument x is the sum over the 2^{n-1} sign vectors
-whose product matches sgn x of (prod_l sig_l^{delta_l}) J(2 pi |x|^{1/n}).
-Below the asymptotic floor every one of those sign-vector functions is a
-combination of the same n first-kind series J_l(2 pi |x|^{1/n}; sgn x), so
-the sum collapses onto n kernel connection coefficients (series.kernel_series):
-n series per point, summed at one precision chosen for the kernel's own
-accuracy.  Above the floor the sign-vector functions are summed by the
-asymptotic route, grouped by their floor(n/2) + 1 second-kind roots into
-one array term per root, through one array path (_asymptotic_sweep) for
-one point and for many, and the Mellin-Barnes quadrature is available as
-arbiter.
+whose product matches sgn x of (prod_l sig_l^{delta_l}) J(z), z = 2 pi
+|x|^{1/n}.  Each of those sign-vector functions is a combination of the
+same n first-kind series J_l(z; sgn x), so on the series route the sum
+collapses onto n kernel connection coefficients (series.kernel_series): n
+series per point, summed at one precision chosen for the kernel's own
+accuracy.  On the asymptotic route the sign-vector functions are summed
+grouped by their floor(n/2) + 1 second-kind roots into one array term per
+root, through one array path (_asymptotic_sweep) for one point and for
+many, and the Mellin-Barnes quadrature is available as arbiter.  One rule
+(_asymptotic_zone) picks the route per point: the expansion is tried from
+asympt.sweep_start, max(6, (max|lambda|+1)^2), up; from max(validity_floor,
+12) up it is taken, and in the band below a point keeps it only where it
+certifies itself, the series taking the rest.
 The signed sum can cancel catastrophically (holomorphic-parameter kernels
 vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
-kernel contour integral when it explodes.  On both sides of the floor that
+kernel contour integral when it explodes, unless that integral has no
+correct digit where the first route has one.  On both routes that
 reference is taken by root, with the factors of series.top_products.
 
 The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
@@ -23,14 +27,16 @@ shared log grid: substituting w = xy makes the kernel samples independent of
 x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
 index, so kernel_sweep computes them in array passes, for both kernel signs
-in one call: below the asymptotic floor one double-double sweep over all
-nodes serves both signs (series.kernel_series_grid sums each first-kind
-series once, as even and odd Horner halves, since the signs differ only in
-the sign of zf), above it one numpy pass per sign and one grouped term per
-second-kind root; bessel_kernel takes only the nodes these passes cannot
-certify (it raises on those without a correct digit), the pair-grid nodes
-near the Mellin-Barnes switch, the asymptotic nodes past it, and the
-series-zone nodes of non-generic indices.
+in one call: from the asymptotic start up one numpy pass per sign and one
+grouped term per second-kind root, under the same per-node rule; one
+double-double sweep serves both signs at the nodes left to the series
+(series.kernel_series_grid sums each first-kind series once, as even and
+odd Horner halves, since the signs differ only in the sign of zf), so its
+degree is set by the largest of those nodes alone; bessel_kernel takes
+only the nodes these passes cannot certify (it raises on those without a
+correct digit), the pair-grid nodes near the Mellin-Barnes switch, the
+asymptotic nodes past it, and the series-route nodes of non-generic
+indices.
 The grid keeps its samples with the quadrature weights folded in, so a
 transform node costs one weight evaluation (log_values, which also gives a
 weight's value at one y) and a few real products; the functional-equation
@@ -50,7 +56,14 @@ from typing import Sequence
 import numpy as np
 
 from . import mellinbarnes as mb
-from .asympt import M_CAP, SUBNORMAL, b_coeffs, second_kind_sweep, validity_floor
+from .asympt import (
+    M_CAP,
+    SUBNORMAL,
+    b_coeffs,
+    second_kind_sweep,
+    sweep_start,
+    validity_floor,
+)
 from .coeffs import elementary_symmetric
 from .core import (
     EvalResult,
@@ -63,7 +76,7 @@ from .core import (
 from .series import EPS_GEN, kernel_series, kernel_series_grid, top_products
 
 CANCEL_SWITCH = 1e6
-_ASYMPT_MIN = 12.0
+_BAND_TOP = 12.0  # below max(validity_floor, _BAND_TOP) a swept value must certify itself
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # errors below it are underflow
 _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal range
@@ -193,17 +206,26 @@ def bessel_kernel(
 ) -> EvalResult:
     """Signed kernel J_(lambda,delta)(x), x != 0.
 
-    In the series zone the value is sum_l K_l J_l(2 pi |x|^{1/n}; sgn x) and
-    the reported error is relative to the kernel: at most tol * |value| (plus
-    final rounding) unless the precision escalation gives up.  In the
-    asymptotic zone it is the sum of the 2^{n-1} asymptotic sign-vector
-    functions, one grouped term per second-kind root, with their summed
-    error estimates, by kernel_sweep's array pass at this one point.  Where
-    an error above the underflow range reaches max |J(sig)| no digit is
+    The route is _asymptotic_zone's, the rule kernel_sweep follows at each
+    node: with z = 2 pi |x|^{1/n}, the expansion from max(validity_floor,
+    12) up, and in the band from asympt.sweep_start to there only where it
+    certifies itself (a correct digit, error at most tol |value|,
+    cancellation at most CANCEL_SWITCH); the series elsewhere.  On the
+    series route the value is sum_l K_l J_l(z; sgn x) and the reported
+    error is relative to the kernel: at most tol * |value| (plus final
+    rounding) unless the precision escalation gives up.  On the asymptotic
+    route it is the sum of the 2^{n-1} asymptotic sign-vector functions,
+    one grouped term per second-kind root, with their summed error
+    estimates, by kernel_sweep's array pass at this one point.  Where an
+    error above the underflow range reaches max |J(sig)| no digit is
     correct (at huge x the rounding of the phase alone does that), and
-    ToleranceNotMetError is raised.  The cancellation is max |J(sig)|
-    over those sign vectors divided by |value|; auto mode hands points above
-    CANCEL_SWITCH to the Mellin-Barnes kernel integral.
+    ToleranceNotMetError is raised.  The cancellation is max |J(sig)| over
+    those sign vectors divided by |value|; auto mode hands points above
+    CANCEL_SWITCH to the Mellin-Barnes kernel integral, and keeps the first
+    value if that integral has no correct digit (error >= |value|) while
+    the first value has one.  method "series" and "asympt" force a route;
+    "asympt" takes the expansion unchecked and raises ValueError below
+    sweep_start.
     """
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
@@ -218,14 +240,19 @@ def bessel_kernel(
     if method not in ("auto", "series", "asympt"):
         raise ValueError("method must be auto|series|mb|asympt")
 
-    use_asympt = inner >= _asymptotic_floor(si)
-    if method == "series":
-        use_asympt = False
-    if method == "asympt" and not use_asympt:
-        raise ValueError("argument below the asymptotic validity floor")
+    use_asympt = False
+    if method != "series":
+        tried, (values, errors, peaks, ok), keep = _asymptotic_zone(
+            np.array([inner]), parity, ki, tol
+        )
+        if method == "asympt" and not len(tried):
+            raise ValueError(
+                f"2 pi |x|^(1/n) = {inner:.6g} lies below the kernel's asymptotic start "
+                f"{sweep_start(si):.6g}"
+            )
+        use_asympt = len(tried) > 0 and (method == "asympt" or bool(keep[0]))
 
     if use_asympt:
-        values, errors, peaks, ok = _asymptotic_sweep(np.array([inner]), parity, ki)
         total, err, peak = complex(values[0]), float(errors[0]), float(peaks[0])
         if not ok[0]:
             raise ToleranceNotMetError(
@@ -241,7 +268,11 @@ def bessel_kernel(
     cancel = peak / max(abs(total), 1e-300)
     if method == "auto" and cancel > CANCEL_SWITCH:
         value, merr = mb.mb_kernel_est(x, si, ki.deltas, max(tol * peak, 1e-13 * peak))
-        return EvalResult(value, merr, "mellin-barnes", cancel)
+        # a Mellin-Barnes value with no correct digit does not replace one with
+        # some; a first value within the double rounding of its sign-vector
+        # terms (the asymptotic error's 4 eps (n + 1) peak) has none either
+        if merr < abs(value) or max(err, 4.0 * _EPS * (n + 1) * peak) >= abs(total):
+            return EvalResult(value, merr, "mellin-barnes", cancel)
     return EvalResult(total, err, tag, cancel)
 
 
@@ -365,11 +396,6 @@ def _gk_nodes(edges):
     return halfs, (mids[:, None] + halfs[:, None] * _GKN[None, :]).ravel()
 
 
-def _asymptotic_floor(si: SpectralIndex) -> float:
-    """Where the kernel's asymptotic zone starts, in 2 pi |x|^{1/n}."""
-    return max(validity_floor(si), _ASYMPT_MIN)
-
-
 def _root_constants(parity: int, ki: KernelIndex):
     """Per root xi = e^{i pi k / n}, (-1)^k = parity, of the kernel sum on
     one side: xi, A_k e_k(y), |A_k| e_k(|y|) and |A_k| times the product of
@@ -385,9 +411,9 @@ def _root_constants(parity: int, ki: KernelIndex):
 
 
 def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
-    """The kernel at the points inner (one sign, at or above the asymptotic
-    floor): the signed sum of the 2^{n-1} asymptotic sign-vector functions,
-    one array term per root.
+    """The kernel at the points inner (one sign, at or above
+    asympt.sweep_start): the signed sum of the 2^{n-1} asymptotic
+    sign-vector functions, one array term per root.
 
     The sign vectors with minus set S, |S| = k, share the root
     xi = e^{i pi k / n} and so the second-kind values H_k, which
@@ -407,7 +433,8 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
     values = np.zeros(len(inner), dtype=np.complex128)
     errors = np.zeros(len(inner))
     peaks = np.zeros(len(inner))
-    for xi, c_val, c_err, c_peak in _root_constants(parity, ki):
+    # no point, no second-kind work: every series-route point asks here first
+    for xi, c_val, c_err, c_peak in _root_constants(parity, ki) if len(inner) else ():
         h, h_err = second_kind_sweep(inner, ki.lam, xi)
         values += c_val * h
         errors += c_err * h_err
@@ -415,6 +442,29 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
     errors += 4.0 * _EPS * peaks * (ki.rank + 1)
     errors = np.fmax(errors, SUBNORMAL * (values != 0))
     return values, errors, peaks, errors < np.maximum(peaks, _TINY)
+
+
+def _asymptotic_zone(inner, parity, ki: KernelIndex, tol: float):
+    """The kernel's asymptotic zone at the points inner = 2 pi |x|^{1/n}
+    (one sign): the per-node rule of bessel_kernel and kernel_sweep.
+
+    _asymptotic_sweep runs at every point at or above asympt.sweep_start.
+    A point at or above max(validity_floor, _BAND_TOP) keeps its result
+    whatever it is: the caller raises where no digit is correct and hands
+    a cancellation past CANCEL_SWITCH to Mellin-Barnes.  A point of the band
+    below it keeps its result only where the expansion certifies it: a
+    correct digit (ok), error at most tol |value| and cancellation at most
+    CANCEL_SWITCH (bessel_kernel's switch test on the same bits); the series
+    route takes the others.  Returns the indices of the points tried,
+    _asymptotic_sweep's four arrays there and the mask of those kept.
+    """
+    si = ki.lam
+    tried = np.flatnonzero(inner >= sweep_start(si))
+    z = inner[tried]
+    values, errors, peaks, ok = swept = _asymptotic_sweep(z, parity, ki)
+    size = np.hypot(values.real, values.imag)  # abs() of a complex, bit for bit
+    certified = ok & (errors <= tol * size) & (peaks / np.maximum(size, 1e-300) <= CANCEL_SWITCH)
+    return tried, swept, (z >= max(validity_floor(si), _BAND_TOP)) | certified
 
 
 _BLOCK = 512  # nodes per array pass
@@ -425,20 +475,23 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     kernel signs sgn = +1 and -1, in array passes over blocks of at most
     _BLOCK nodes.
 
-    The argument and the zone of a node are the same on both signs.  Below
-    the asymptotic floor one series.kernel_series_grid pass sums the nodes
-    of both signs (double-double); above it _asymptotic_sweep runs once per
-    sign, at every index.  bessel_kernel itself takes every node those
-    passes leave: the series nodes they do not certify, the pair-grid nodes
-    whose cancellation comes within a factor 2 of CANCEL_SWITCH (the pair
-    grid's sums are not bessel_kernel's, so bessel_kernel decides the
-    Mellin-Barnes switch there), the asymptotic nodes that bessel_kernel's
-    own test, peak / max(|value|, 1e-300) > CANCEL_SWITCH on the same bits,
-    sends to Mellin-Barnes, and the series-zone nodes of a non-generic
-    index, which the pair grid cannot sum.  Each
-    node's value depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1
-    and then -1, the values, the errors, the route of each node (the method
-    names of EvalResult) and the mask of the nodes the array passes served.
+    The argument of a node is the same on both signs; its route is
+    _asymptotic_zone's per sign, as in bessel_kernel.  _asymptotic_sweep
+    runs once per sign, at every index, over the nodes from
+    asympt.sweep_start up, and one series.kernel_series_grid pass
+    (double-double) sums both signs at the nodes left to the series on
+    either: those below the start and the band nodes that do not certify.
+    bessel_kernel itself takes every node those passes leave: the series
+    nodes they do not certify, the pair-grid nodes whose cancellation comes
+    within a factor 2 of CANCEL_SWITCH (the pair grid's sums are not
+    bessel_kernel's, so bessel_kernel decides the Mellin-Barnes switch
+    there), the asymptotic nodes that bessel_kernel's own test, peak /
+    max(|value|, 1e-300) > CANCEL_SWITCH on the same bits, sends to
+    Mellin-Barnes, and the series-route nodes of a non-generic index, which
+    the pair grid cannot sum.  Each node's value depends only on (u_i, sgn,
+    ki, tol).  Returns, for sgn = +1 and then -1, the values, the errors,
+    the route of each node (the method names of EvalResult) and the mask of
+    the nodes the array passes served.
     """
     n = ki.rank
     si = ki.lam
@@ -456,28 +509,26 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
         for _ in (1, -1)
     ]
     generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
-    floor = _asymptotic_floor(si)
     for lo in range(0, len(u), _BLOCK):
         z = inner[lo : lo + _BLOCK]
-        above = z >= floor
-        for zone, route in ((~above & generic, "series"), (above, "asymptotic")):
-            if not zone.any():
-                continue
-            if route == "series":
-                passes = kernel_series_grid(z[zone], si, ki.deltas, tol)
-            else:
-                passes = [_asymptotic_sweep(z[zone], sgn, ki) for sgn in (1, -1)]
-            for (values, errors, routes, swept), (v, e, peak, ok) in zip(per_sign, passes):
-                size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-                if route == "series":  # not bessel_kernel's bits: stay a factor 2 off the switch
-                    ok = ok & (peak <= 0.5 * CANCEL_SWITCH * size)
-                else:  # bessel_kernel's own switch test on the bits it computes
-                    ok = ok & (peak / size <= CANCEL_SWITCH)
-                idx = lo + np.flatnonzero(zone)[ok]
-                values[idx] = v[ok]
-                errors[idx] = e[ok]
-                swept[idx] = True
-                routes[idx] = route
+        zones = [_asymptotic_zone(z, sgn, ki, tol) for sgn in (1, -1)]
+        rest = np.ones((2, len(z)), dtype=bool)  # per sign, the nodes left to the series
+        for left, (tried, _, keep) in zip(rest, zones):
+            left[tried[keep]] = False
+        grid = (rest[0] | rest[1]) & generic
+        passes = kernel_series_grid(z[grid], si, ki.deltas, tol) if grid.any() else ()
+        for (values, errors, routes, swept), left, (v, e, peak, ok) in zip(per_sign, rest, passes):
+            # not bessel_kernel's bits: stay a factor 2 off the switch
+            size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
+            ok &= left[grid] & (peak <= 0.5 * CANCEL_SWITCH * size)
+            idx = lo + np.flatnonzero(grid)[ok]
+            values[idx], errors[idx], routes[idx], swept[idx] = v[ok], e[ok], "series", True
+        for (values, errors, routes, swept), (tried, sweep, keep) in zip(per_sign, zones):
+            v, e, peak, ok = sweep
+            # bessel_kernel's own switch test on the bits it computes
+            ok &= keep & (peak / np.maximum(np.hypot(v.real, v.imag), 1e-300) <= CANCEL_SWITCH)
+            idx = lo + tried[ok]
+            values[idx], errors[idx], routes[idx], swept[idx] = v[ok], e[ok], "asymptotic", True
     for sgn, (values, errors, routes, swept) in zip((1, -1), per_sign):
         for i in np.flatnonzero(~swept):
             r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)

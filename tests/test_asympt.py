@@ -27,6 +27,7 @@ from besselhr.asympt import (
     rotate_second_kind,
     second_kind,
     second_kind_sweep,
+    sweep_start,
     validity_floor,
     w_function,
 )
@@ -61,9 +62,9 @@ def test_second_kind_leading_term():
 def test_second_kind_sweep_matches_second_kind_bits(n):
     # the sweep's 2-D truncation passes keep second_kind's arithmetic: the
     # same value and error at every node, alone and in a batch, also where
-    # the powers z^-m underflow
+    # the powers z^-m underflow (from where both routes reach)
     si = SpectralIndex([0.1 * l + 0.05j * (l % 2) for l in range(n)])
-    floor = 1.0001 * validity_floor(si)
+    floor = 1.0001 * max(validity_floor(si), sweep_start(si))
     for k in range(2 * n):
         xi = RootOfUnity(2 * n, k)
         if not in_validity_sector(SurfacePoint(0.0, 0.0), xi, n, DEFAULT_THETA):

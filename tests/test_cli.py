@@ -557,6 +557,21 @@ def test_eval_huge_finite_x_exits_3(tmp_path):
     assert "asymptotic route" in out.read_text().splitlines()[2]
 
 
+def test_kernel_reports_its_asymptotic_start(capsys):
+    # the config names where the kernel's asymptotic zone starts,
+    # max(6, (max|lambda|+1)^2), and a forced asymptotic route below it
+    # exits 2 naming that start
+    args = ["kernel", "--n", "3", "--lambda", "1.8,-0.6,-1.2", "--delta", "0,0,0"]
+    assert main(args + ["--x-grid", "3"]) == 0
+    header = json.loads(capsys.readouterr().out.splitlines()[0][2:])
+    policy = header["config"]["asympt_policy"]
+    assert policy["kernel_start"] == pytest.approx(7.84)
+    assert policy["validity_floor"] == 4 * policy["kernel_start"]
+    assert main(args + ["--x-grid", "1", "--method", "asympt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "asymptotic start 7.84" in err and err.count("\n") == 1
+
+
 def test_kernel_without_a_correct_digit_exits_3(capsys):
     # the asymptotic error at x = 1e308 exceeds the value by 140 orders
     rc = main(["kernel", "--delta", "0,0"] + _RANK2 + ["--x-grid", "1e12,1e308"])

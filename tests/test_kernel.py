@@ -1,14 +1,22 @@
 import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from besselhr import _reference as ref
+from besselhr import asympt
 from besselhr import kernel as kernel_module
 from besselhr import series
-from besselhr.asympt import j_varsigma_asymptotic, second_kind_sweep, varsigma_factor
+from besselhr.asympt import (
+    j_varsigma_asymptotic,
+    second_kind_sweep,
+    sweep_start,
+    validity_floor,
+    varsigma_factor,
+)
 from besselhr.coeffs import build_b_table
 from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import (
@@ -18,9 +26,10 @@ from besselhr.kernel import (
     WeightFunction,
     _GGW,
     _GKW,
+    _BAND_TOP,
     _KernelGrid,
-    _asymptotic_floor,
     _asymptotic_sweep,
+    _asymptotic_zone,
     _fe_grid,
     bessel_kernel,
     functional_equation_check,
@@ -31,6 +40,12 @@ from besselhr.kernel import (
 )
 from besselhr.mellinbarnes import mb_kernel_est
 from besselhr.series import j_function, sign_vectors
+
+
+def _band_top(si):
+    """Where the kernel's asymptotic band ends: every node at or above it
+    takes the expansion unchecked."""
+    return max(validity_floor(si), _BAND_TOP)
 
 
 def test_kernel_maass_even_plus_side():
@@ -472,6 +487,19 @@ _SWEEP_CASES = {
         KernelIndex(SpectralIndex([0.5, -0.5]), (1, 0)),
         np.linspace(-3.0, 4.0, 6),
     ),
+    # the asymptotic band, 6 <= 2 pi |x|^{1/n} < 12 here, and one node next
+    # to a zero of the + side, where the expansion's error exceeds
+    # tol |value| and the node takes the series route
+    "band": (
+        KernelIndex(SpectralIndex([0.3j, -0.3j]), (0, 0)),
+        np.append(2.0 * np.log(np.linspace(5.5, 12.5, 15) / (2.0 * math.pi)), 0.1246522895686179),
+    ),
+    # a large index: the band runs from (max|lambda|+1)^2 = 7.84 to the
+    # validity floor 31.36
+    "band-large": (
+        KernelIndex(SpectralIndex([1.8, -0.6, -1.2]), (0, 1, 0)),
+        3.0 * np.log(np.geomspace(4.5, 40.0, 12) / (2.0 * math.pi)),
+    ),
 }
 
 
@@ -489,14 +517,109 @@ def test_kernel_sweep_matches_bessel_kernel(case):
         assert set(routes) == {"series", "asymptotic"}
         if case == "nongeneric":
             # the pair grid has no coefficients at a non-generic index: its
-            # series-zone nodes go to bessel_kernel, its asymptotic ones are swept
-            inner = 2.0 * math.pi * np.exp(u / ki.rank)
-            above = inner >= _asymptotic_floor(ki.lam)
-            assert (swept == above).all() and above.any() and not above.all()
+            # series-route nodes go to bessel_kernel, its asymptotic ones are swept
+            asymptotic = np.array(routes) == "asymptotic"
+            assert (swept == asymptotic).all() and asymptotic.any() and not asymptotic.all()
         else:
             assert swept.sum() > len(u) // 2
+        if case.startswith("band"):
+            # the array pass serves every node from the start up with the
+            # expansion, but for the one next to a zero
+            inner = 2.0 * math.pi * np.exp(u / ki.rank)
+            above = inner >= sweep_start(ki.lam)
+            assert (above & (inner < _band_top(ki.lam))).sum() >= 5
+            taken = (np.array(routes) == "asymptotic") & swept
+            at_zero = case == "band" and sgn > 0
+            assert (taken == above).sum() == len(u) - at_zero
+            assert routes[-1] == ("series" if at_zero else "asymptotic")
         if case == "rank2" and sgn < 0:
-            assert not swept.all()
+            # the band's K-type nodes, which the pair grid cannot serve,
+            # take the certified expansion in the array pass
+            assert swept[-6:].all() and set(routes[-6:]) == {"asymptotic"}
+
+
+def _scan_index(n, kind):
+    """The seeded generic rank-n index of the band scan: uniform real (and
+    imaginary) parts, mean 0, max |lambda| at most 0.5."""
+    rng = random.Random(1000 + 10 * n + (kind == "complex"))
+    lam = [rng.uniform(-0.5, 0.5) + (1j * rng.uniform(-0.5, 0.5) if kind == "complex" else 0)
+           for _ in range(n)]
+    lam = [v - sum(lam) / n for v in lam]
+    return [v * min(1.0, 0.5 / max(map(abs, lam))) for v in lam]
+
+
+@pytest.mark.parametrize(
+    "lam, zs",
+    [(_scan_index(n, "complex" if n % 2 else "real"), (6.0, 7.0, 9.0, 11.0)) for n in range(2, 9)]
+    + [([1.8, -0.6, -1.2], (7.84 * (1 + 1e-12), 12.0, 20.0, 30.0))],
+    ids=[f"rank{n}" for n in range(2, 9)] + ["large"],
+)
+def test_asymptotic_band_is_honest(lam, zs):
+    # across the band, from the kernel's asymptotic start to the validity
+    # floor (or 12), the expansion's reported error covers its gap to the
+    # series at tol 1e-13, on both signs, at the same x and so at the same z
+    # (a subset of the scan that fixed the start)
+    si = SpectralIndex(lam)
+    n = si.rank
+    ki = KernelIndex(si, tuple(l % 2 for l in range(n)))
+    for z in zs:
+        assert sweep_start(si) <= z < _band_top(si)
+        for x in (z / (2.0 * math.pi)) ** n * np.array([1.0, -1.0]):
+            r = bessel_kernel(x, ki, "asympt")
+            want = bessel_kernel(x, ki, "series", 1e-13)
+            assert abs(r.value - want.value) <= r.error, (z, x)
+
+
+def test_expansion_under_covers_below_the_start(monkeypatch):
+    # why the start is not 5: there the rank-7 scan index's expansion misses
+    # the series at tol 1e-13 by more than both reported errors, on both
+    # signs (2.1 and 1.4 times the expansion's); the sweep's floor is
+    # lifted to see it
+    si = SpectralIndex(_scan_index(7, "complex"))
+    ki = KernelIndex(si, tuple(l % 2 for l in range(7)))
+    assert sweep_start(si) == 6.0
+    monkeypatch.setattr(asympt, "sweep_start", lambda si: 0.0)
+    for parity in (1, -1):
+        values, errors, _, _ = _asymptotic_sweep(np.array([5.0]), parity, ki)
+        est, _ = series.kernel_series(5.0, parity, si, ki.deltas, 1e-13)
+        assert abs(values[0] - est.value) > errors[0] + est.tail_bound, parity
+
+
+def test_band_node_past_the_switch_is_left_to_the_series():
+    # a band node next to a zero of the kernel: at tol 1e-4 its expansion
+    # has a correct digit and error 1.2e-5 |value|, but cancellation 2.5e6,
+    # past CANCEL_SWITCH, so the rule does not keep it (bessel_kernel's
+    # switch test, applied before the series route is asked)
+    ki = KernelIndex(SpectralIndex([0.3j, -0.3j]), (0, 0))
+    tried, (values, errors, peaks, ok), keep = _asymptotic_zone(
+        np.array([6.687252228925185 + 1e-7]), 1, ki, 1e-4
+    )
+    assert ok[0] and errors[0] <= 1e-4 * abs(values[0])
+    assert peaks[0] > CANCEL_SWITCH * abs(values[0]) and not keep[0]
+
+
+def test_mellin_barnes_fallback_without_a_digit_keeps_the_first_route():
+    # a node of the width-1.5 FE check's grid next to a zero of the kernel:
+    # the expansion has cancellation 2.0e6, past CANCEL_SWITCH, and error
+    # 2.2e-13 against a value 1.26e-8; the Mellin-Barnes value there has no
+    # correct digit, so auto mode keeps the expansion, and the check passes
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    x = math.exp(13.274679888244686)
+    r = bessel_kernel(x, ki, "auto", 1e-9)
+    assert r.method == "asymptotic" and r.cancellation > CANCEL_SWITCH
+    assert r.error < 1e-4 * abs(r.value)
+    value, err = mb_kernel_est(x, ki.lam, ki.deltas, 1e-9 * r.cancellation * abs(r.value))
+    assert err >= abs(value)
+    rep = functional_equation_check(ki, WeightFunction(width=1.5), [0.5, 0.5 + 1j])
+    assert rep.passed and rep.max_rel_error < 1e-6
+
+
+def test_asympt_method_below_the_kernel_start_names_it():
+    ki = KernelIndex(SpectralIndex([1.8, -0.6, -1.2]), (0, 0, 0))
+    x = (7.0 / (2.0 * math.pi)) ** 3  # below the start 7.84
+    with pytest.raises(ValueError, match="asymptotic start 7.84"):
+        bessel_kernel(x, ki, "asympt")
+    assert bessel_kernel(x, ki).method == "series"
 
 
 def test_kernel_sweep_nongeneric_asymptotic_nodes_bits():
@@ -516,7 +639,7 @@ def test_kernel_sweep_serves_asymptotic_nodes_below_the_switch():
     # CANCEL_SWITCH/2 and CANCEL_SWITCH: bessel_kernel keeps the asymptotic
     # value, and the sweep serves the node in its array pass with those bits
     ki = KernelIndex(SpectralIndex([1 + 2.5e-7, -1 - 2.5e-7]), (1, 0))
-    assert 2.0 * math.pi * math.sqrt(30.0) >= _asymptotic_floor(ki.lam)
+    assert 2.0 * math.pi * math.sqrt(30.0) >= _band_top(ki.lam)
     r = bessel_kernel(-30.0, ki, "auto", 1e-9)
     assert r.method == "asymptotic" and CANCEL_SWITCH / 2 < r.cancellation < CANCEL_SWITCH
     values, errors, routes, swept = kernel_sweep(np.log([30.0]), ki, 1e-9)[1]
@@ -558,10 +681,16 @@ def test_kernel_sweep_sub_batch_bits():
 
 
 def test_kernel_grid_counts():
+    # the README index: the asymptotic band serves the nodes the pair grid
+    # leaves, so none falls back; a non-generic index leaves its
+    # series-route nodes to bessel_kernel
     ki = _SWEEP_CASES["rank2"][0]
     grid = _KernelGrid(ki, -3.0, 3.0, 1e-9)
+    assert (grid.swept, grid.fallback, grid.mb) == (2 * grid.u.size, 0, 0)
+    ki = _SWEEP_CASES["nongeneric"][0]
+    grid = _KernelGrid(ki, -3.0, 3.0, 1e-9)
     assert grid.swept + grid.fallback == 2 * grid.u.size
-    assert 0 < grid.fallback < 20
+    assert 0 < grid.fallback < grid.swept
     assert grid.mb == 0
 
 
@@ -715,7 +844,7 @@ def test_asymptotic_kernel_equals_signvec_sum(n):
     # sign vector per side, constants +-1) with the same bits
     for lam in ([0.15 * l for l in range(n)], [0.1 * l + 0.07j * (l % 2) for l in range(n)]):
         si = SpectralIndex(lam)
-        x_floor = (_asymptotic_floor(si) / (2.0 * math.pi)) ** n
+        x_floor = (_band_top(si) / (2.0 * math.pi)) ** n
         for deltas in ((0,) * n, tuple(l % 2 for l in range(n))):
             ki = KernelIndex(si, deltas)
             for ax in np.geomspace(x_floor * (1 + 1e-12), max(1e6, 2 * x_floor), 7):
@@ -734,10 +863,11 @@ def test_asymptotic_kernel_equals_signvec_sum(n):
 
 
 def _asymptotic_case(n):
-    """A generic rank-n index and nodes u = log x from the asymptotic floor
-    to 1e4 floors in 2 pi |x|^{1/n}, where the negative side underflows."""
+    """A generic rank-n index and nodes u = log x from the top of the
+    asymptotic band to 1e4 times it in 2 pi |x|^{1/n}, where the negative
+    side underflows."""
     si = SpectralIndex([0.1 * l + 0.07j * (l % 2) for l in range(n)])
-    u_floor = n * math.log(_asymptotic_floor(si) / (2.0 * math.pi))
+    u_floor = n * math.log(_band_top(si) / (2.0 * math.pi))
     return si, u_floor + n * math.log(1e4) * np.linspace(0.01, 1.0, 13) ** 2
 
 
@@ -765,7 +895,7 @@ def test_rank10_asymptotic_sweep_agrees_with_signvec_sum():
     n = 10
     si = SpectralIndex([0.1 * l + 0.07j * (l % 2) for l in range(n)])
     ki = KernelIndex(si, tuple(l % 2 for l in range(n)))
-    floor = _asymptotic_floor(si)
+    floor = _band_top(si)
     inner = np.geomspace(floor, 1e3 * floor, 512)
     for parity in (1, -1):
         values, errors, peaks, ok = _asymptotic_sweep(inner, parity, ki)

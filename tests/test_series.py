@@ -214,10 +214,12 @@ def test_bigfloat_first_round_from_noise_scale(monkeypatch):
     # a double value inside its own noise (here exactly 0, or K_{1/2}(80)
     # underflowing) only bounds |value| by eps times the term mass; the first
     # round used to start near 320-350 digits from a 1e-280 scale
+    # (x lies in the kernel's asymptotic band, where auto mode takes the
+    # certified expansion: the series route is asked for by name)
     rounds = _record_rounds(monkeypatch)
     ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
     x = -2.3983292130691796
-    r = bessel_kernel(x, ki, "auto", 1e-9)
+    r = bessel_kernel(x, ki, "series", 1e-9)
     assert r.method == "series"
     assert 0 < max(rounds) < 100
     want, want_err = mb_kernel_est(x, ki.lam, ki.deltas, 1e-13)
@@ -826,11 +828,12 @@ def _built_afresh(monkeypatch, fn, *args):
 
 
 def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
-    # a series-zone kernel point whose double pass does not certify: one
-    # big-float round, its coefficients, head rows and root rows stored
+    # a series-route kernel point whose double pass does not certify: one
+    # big-float round, its coefficients, head rows and root rows stored (the
+    # point lies in the asymptotic band, so the route is asked for by name)
     rounds = _record_rounds(monkeypatch)
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
-    runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "auto", 1e-9))
+    runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "series", 1e-9))
     assert runs[0].method == "series" and rounds == [43] * 3
     assert min(runs[3][k] for k in ("coeffs", "roots", "head", "lanczos")) > 0
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
@@ -924,12 +927,13 @@ def _assert_reference_built_once(monkeypatch, n, x):
         return root_rows(ctx, lam, parity)
 
     monkeypatch.setattr(series, "_root_rows", counted)
-    # an index no other test uses, so that nothing of it is stored before
+    # an index no other test uses, so that nothing of it is stored before;
+    # the series route by name (rank 5 at x = 1 lies in the asymptotic band)
     lam = [0.31, -0.12, -0.23, 0.14, -0.06, 0.11, 0.27, -0.35, 0.02, -0.17, 0.38, -0.29]
     ki = KernelIndex(SpectralIndex(lam[:n]), [int(k % 3 == 1) for k in range(n)])
-    first = bessel_kernel(x, ki, "auto", 1e-9)
+    first = bessel_kernel(x, ki, "series", 1e-9)
     assert first.method == "series" and builds == [True]
-    again = bessel_kernel(x, ki, "auto", 1e-9)
+    again = bessel_kernel(x, ki, "series", 1e-9)
     assert builds == [True]
     assert (again.value, again.error, again.cancellation) == (
         first.value, first.error, first.cancellation
@@ -987,10 +991,11 @@ def test_store_holds_no_more_than_its_budget(monkeypatch):
         return value
 
     monkeypatch.setattr(_CountingStore, "__call__", watched)
+    # (x = 2 lies in the asymptotic band: the series route is asked for by name)
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.25, 0.05]), (0, 1, 0, 1))
-    kernel = [bessel_kernel(x, ki, "auto", 1e-9) for x in (0.6, 2.0, 0.6)]
+    kernel = [bessel_kernel(x, ki, "series", 1e-9) for x in (0.6, 2.0, 0.6)]
     assert max(held) <= 60_000 < sum(charged)
-    fresh = _built_afresh(monkeypatch, bessel_kernel, 2.0, ki, "auto", 1e-9)
+    fresh = _built_afresh(monkeypatch, bessel_kernel, 2.0, ki, "series", 1e-9)
     assert (kernel[1].value, kernel[1].error) == (fresh.value, fresh.error)
     assert (kernel[0].value, kernel[0].error) == (kernel[2].value, kernel[2].error)
 

@@ -4,6 +4,7 @@
 Usage:
 
     python3 tools/output_digest.py <checkout> > digest.txt
+    python3 tools/output_digest.py <checkout A> <checkout B>
 
 Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
@@ -19,11 +20,24 @@ bits).  Two checkouts give the same bits exactly when
     diff <(python3 tools/output_digest.py A) <(python3 tools/output_digest.py B)
 
 is empty.  A run takes a few seconds on a 2-core host.
+
+With two checkouts the script digests each in its own process and prints
+every line whose bits differ, pairing the lines in order within each run
+of changed lines that has as many lines on both sides: for a value
+with an error (a kernel, sign-vector or sweep line, or a CLI table row
+with re, im and err columns) the route change and |value_A - value_B| /
+(err_A + err_B), the largest over a row's value columns; for any other
+line both texts.  It exits 1 if a ratio exceeds 1 or a value became an
+exception, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import cmath
+import difflib
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,7 +67,8 @@ README_COMMANDS = {
 
 # kernel_sweep node sets, nodes u = log|x|: the indices of the sweep tests
 # (README rank 2, the rank-3 FE index, the rank-4 prototype, a non-generic
-# index), an asymptotic node whose cancellation lies between CANCEL_SWITCH/2
+# index, the asymptotic band with a node next to a zero, a large index's
+# band), an asymptotic node whose cancellation lies between CANCEL_SWITCH/2
 # and CANCEL_SWITCH, and negative-side nodes far past the switch
 SWEEP_CASES = {
     "rank2": ([0.25j, -0.25j], (0, 0),
@@ -61,6 +76,10 @@ SWEEP_CASES = {
     "rank3": ([0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j], (0, 1, 0), np.linspace(-20.0, 9.0, 40)),
     "rank4": ([0.375, 0.125, -0.125, -0.375], (0, 1, 0, 1), np.linspace(-6.0, 8.0, 30)),
     "nongeneric": ([0.5, -0.5], (1, 0), np.linspace(-3.0, 4.0, 6)),
+    "band": ([0.3j, -0.3j], (0, 0), np.append(
+        2.0 * np.log(np.linspace(5.5, 12.5, 15) / (2.0 * np.pi)), 0.1246522895686179)),
+    "band-large": ([1.8, -0.6, -1.2], (0, 1, 0),
+                   3.0 * np.log(np.geomspace(4.5, 40.0, 12) / (2.0 * np.pi))),
     "near-switch": ([1 + 2.5e-7, -1 - 2.5e-7], (1, 0), np.log([30.0])),
     "past-switch": ([1.0, -1.0], (1, 0), np.log([10.0, 30.0, 100.0])),
 }
@@ -99,12 +118,14 @@ def main(argv) -> int:
     series._j_generic_mp = recorded
 
     def run(label, route, op):
+        """One line: label, route (a callable is asked after op ran), output."""
         digits.clear()
         try:
             out = op()
         except Exception as exc:
             out = exc
         dps = f" dps={','.join(map(str, digits))}" if digits else ""
+        route = route() if callable(route) else route
         print(f"{label} {route} {_output(out)}{dps}")
 
     for item in workloads.build_signvec_routes():
@@ -118,8 +139,7 @@ def main(argv) -> int:
             route.append(r.method)
             return r.value, r.error
 
-        run(item.key, "kernel", by_kernel)
-        print(f"{item.key} route {route[0] if route else '-'}")
+        run(item.key, lambda route=route: f"kernel/{route[0] if route else '-'}", by_kernel)
 
     for name, (lam, deltas, u) in SWEEP_CASES.items():
         ki = kernel.KernelIndex(SpectralIndex(lam), deltas)
@@ -150,5 +170,92 @@ def main(argv) -> int:
     return 0
 
 
+def _pairs(line, header=None):
+    """(route, [(value, err)]) of a digest line: one pair for a kernel,
+    sign-vector or sweep line, one per column prefix p with p + re, p + im
+    and p + err for a CLI table row under the column names header; None
+    for a line without them."""
+    _, route, rest = (line.split(" ", 2) + ["", ""])[:3]
+    try:
+        if header is None:
+            value, err = rest.split(" ")[:2]
+            re_, im = map(float.fromhex, value.split(","))
+            return route, [(complex(re_, im), float.fromhex(err))]
+        cells = dict(zip(header, rest.split(",")))
+        pairs = [
+            (complex(float(cells[p + "re"]), float(cells[p + "im"])), float(cells[p + "err"]))
+            for p in (name[:-2] for name in header if name.endswith("re"))
+            if {p + "im", p + "err"} <= cells.keys()
+        ]
+        return cells.get("method", "-"), pairs
+    except ValueError:
+        return None
+
+
+def _ratio(a, b) -> float:
+    """The largest |value_A - value_B| / (err_A + err_B) over the pairs that
+    differ; inf where one value is nan or both errors are 0."""
+    worst = 0.0
+    for (va, ea), (vb, eb) in zip(a, b):
+        if va != vb and not (cmath.isnan(va) and cmath.isnan(vb)):
+            ratio = abs(va - vb) / (ea + eb) if ea + eb > 0 else math.inf
+            worst = max(worst, math.inf if math.isnan(ratio) else ratio)
+    return worst
+
+
+def _table_headers(lines):
+    """Per (command, table file), the column names of its table: the first
+    line of the file that is not a comment."""
+    headers = {}
+    for line in lines:
+        label, source, rest = (line.split(" ", 2) + ["", ""])[:3]
+        if source == "out" and not rest.startswith("#"):
+            headers.setdefault((label, source), rest.split(","))
+    return headers
+
+
+def compare(root_a, root_b) -> int:
+    """Print the lines of the digests of two checkouts that differ, paired
+    in order within each run of changed lines of equal length (difflib);
+    1 if a ratio exceeds 1 or a value became an exception."""
+    a_lines, b_lines = (
+        subprocess.run([sys.executable, __file__, str(root)], capture_output=True, text=True,
+                       check=True).stdout.splitlines()
+        for root in (root_a, root_b)
+    )
+    headers = _table_headers(a_lines)
+    failed, moved = False, 0
+    matcher = difflib.SequenceMatcher(None, a_lines, b_lines, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        moved += max(i2 - i1, j2 - j1)
+        if i2 - i1 != j2 - j1:  # lines without a partner
+            for line in a_lines[i1:i2]:
+                print(f"- {line}")
+            for line in b_lines[j1:j2]:
+                failed |= " raises " in line
+                print(f"+ {line}")
+            continue
+        for a, b in zip(a_lines[i1:i2], b_lines[j1:j2]):
+            label, source, rest = (a.split(" ", 2) + ["", ""])[:3]
+            header = headers.get((label, source))
+            if header is not None and (rest.startswith("#") or rest.split(",") == header):
+                header = None  # a comment or the column names: no value
+            parsed = _pairs(a, header), _pairs(b, header)
+            if None in parsed or not parsed[0][1]:
+                failed |= " raises " in b and " raises " not in a
+                print(f"{a}\n  -> {b}")
+                continue
+            (route_a, pairs_a), (route_b, pairs_b) = parsed
+            ratio = _ratio(pairs_a, pairs_b)
+            failed |= not ratio <= 1.0
+            print(f"{label} {route_a} -> {route_b} ratio {ratio:.3g}")
+    print(f"{moved} of {len(a_lines)} lines differ")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        sys.exit(compare(*sys.argv[1:]))
     sys.exit(main(sys.argv))
