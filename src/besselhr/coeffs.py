@@ -48,7 +48,7 @@ def rising(x, k: int):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate integer polynomials (exponent tuple -> coefficient)
+# sparse multivariate polynomials (exponent tuple -> int or Fraction coefficient)
 # ---------------------------------------------------------------------------
 
 class IntPoly:
@@ -430,35 +430,6 @@ def build_b_table(
 # the rank-two cross-check identity from the stationary-phase coefficients
 # ---------------------------------------------------------------------------
 
-def _qpoly_rising(shift: Fraction, sign: int, k: int) -> list:
-    """(shift + sign*nu)(shift + sign*nu + 1)...  as Fraction coefficients."""
-    poly = [Fraction(1)]
-    for i in range(k):
-        # multiply by (shift + i + sign*nu)
-        c0 = shift + i
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for p, c in enumerate(poly):
-            nxt[p] += c * c0
-            nxt[p + 1] += c * sign
-        poly = nxt
-    return poly
-
-
-def _qpoly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _qpoly_axpy(y: list, alpha: Fraction, x: list) -> list:
-    out = list(y) + [Fraction(0)] * max(0, len(x) - len(y))
-    for i, c in enumerate(x):
-        out[i] += alpha * c
-    return out
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     m_max: int
@@ -478,44 +449,43 @@ def check_combinatorial_identity(m_max: int) -> IdentityReport:
           + sum_{r=1}^{2m} (-1)^r (2m+2r)! / (4^r (m+r)! r!)
             * sum_{a=0}^{2m-r} C(2m-a-1, r-1) (1 - nu)_a / a!.
 
-    Both sides are expanded as rational-coefficient polynomials in nu and
-    compared coefficientwise; a failure reports the first differing one.
+    Both sides are expanded as one-variable IntPoly in nu with Fraction
+    coefficients and compared coefficientwise; a failure reports the first
+    differing one.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
+    nu = IntPoly.var(1, 0)
+
+    def poch(shift: Fraction, sign: int, k: int) -> IntPoly:
+        # (shift + sign nu)_k
+        out = IntPoly.const(1, Fraction(1))
+        for i in range(k):
+            out = out * (IntPoly.const(1, shift + i) + nu.scale(sign))
+        return out
+
     results = []
     for m in range(m_max + 1):
-        lhs = _qpoly_mul(
-            _qpoly_rising(Fraction(1, 2), -1, m), _qpoly_rising(Fraction(1, 2), 1, m)
+        lhs = (poch(Fraction(1, 2), -1, m) * poch(Fraction(1, 2), 1, m)).scale(
+            Fraction((-1) ** m, math.factorial(m))
         )
-        lhs = [c * Fraction((-1) ** m, math.factorial(m)) for c in lhs]
-
-        rhs = [
-            c / math.factorial(m) for c in _qpoly_rising(Fraction(1), -1, 2 * m)
-        ]
+        rhs = poch(Fraction(1), -1, 2 * m).scale(Fraction(1, math.factorial(m)))
         for r in range(1, 2 * m + 1):
             alpha = Fraction(
                 (-1) ** r * math.factorial(2 * m + 2 * r),
                 4**r * math.factorial(m + r) * math.factorial(r),
             )
-            inner = [Fraction(0)]
+            inner = IntPoly(1)
             for a in range(0, 2 * m - r + 1):
                 binom = math.comb(2 * m - a - 1, r - 1) if 2 * m - a - 1 >= r - 1 else 0
                 if binom:
-                    inner = _qpoly_axpy(
-                        inner,
-                        Fraction(binom, math.factorial(a)),
-                        _qpoly_rising(Fraction(1), -1, a),
-                    )
-            rhs = _qpoly_axpy(rhs, alpha, inner)
+                    inner = inner + poch(Fraction(1), -1, a).scale(Fraction(binom, math.factorial(a)))
+            rhs = rhs + inner.scale(alpha)
 
-        deg = max(len(lhs), len(rhs))
-        lhs += [Fraction(0)] * (deg - len(lhs))
-        rhs += [Fraction(0)] * (deg - len(rhs))
+        diff = lhs - rhs
         mismatch = None
-        for p in range(deg):
-            if lhs[p] != rhs[p]:
-                mismatch = (p, lhs[p], rhs[p])
-                break
+        if not diff.is_zero():
+            p = min(diff.terms)
+            mismatch = (p[0], Fraction(lhs.terms.get(p, 0)), Fraction(rhs.terms.get(p, 0)))
         results.append((mismatch is None, mismatch))
     return IdentityReport(m_max, tuple(results))

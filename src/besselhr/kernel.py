@@ -42,8 +42,8 @@ transform node costs one weight evaluation (log_values, which also gives a
 weight's value at one y) and a few real products; the functional-equation
 check asks for the values alone (_KernelGrid.values), places its transform
 nodes by the weight's centre, integrates each only over the panels its
-weight window reaches, and takes the negative side from the parity of the
-weight instead of a second pass.
+weight window reaches, and integrates at the weight's one parity, where
+the signed Mellin transform is twice the integral over x > 0.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def bessel_kernel(
 
     use_asympt = False
     if method != "series":
-        tried, (values, errors, peaks, ok), keep = _asymptotic_zone(
+        tried, (values, errors, peaks, ok), keep, _ = _asymptotic_zone(
             np.array([inner]), parity, ki, tol
         )
         if method == "asympt" and not len(tried):
@@ -445,26 +445,30 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
 
 
 def _asymptotic_zone(inner, parity, ki: KernelIndex, tol: float):
-    """The kernel's asymptotic zone at the points inner = 2 pi |x|^{1/n}
-    (one sign): the per-node rule of bessel_kernel and kernel_sweep.
+    """The kernel's route rule at the points inner = 2 pi |x|^{1/n} of one
+    sign, the one rule of bessel_kernel and kernel_sweep.
 
-    _asymptotic_sweep runs at every point at or above asympt.sweep_start.
-    A point at or above max(validity_floor, _BAND_TOP) keeps its result
-    whatever it is: the caller raises where no digit is correct and hands
-    a cancellation past CANCEL_SWITCH to Mellin-Barnes.  A point of the band
-    below it keeps its result only where the expansion certifies it: a
-    correct digit (ok), error at most tol |value| and cancellation at most
-    CANCEL_SWITCH (bessel_kernel's switch test on the same bits); the series
-    route takes the others.  Returns the indices of the points tried,
-    _asymptotic_sweep's four arrays there and the mask of those kept.
+    _asymptotic_sweep runs at every point at or above asympt.sweep_start,
+    max(6, (max|lambda|+1)^2).  A point at or above max(validity_floor,
+    _BAND_TOP) keeps its result whatever it is: bessel_kernel raises where
+    no digit is correct and hands a cancellation past CANCEL_SWITCH to
+    Mellin-Barnes.  A point of the band below it keeps its result only
+    where the expansion certifies it: a correct digit (ok), error at most
+    tol |value| and cancellation at most CANCEL_SWITCH.  The series route
+    takes the others.  Returns the indices of the points tried,
+    _asymptotic_sweep's four arrays there, the mask of those kept and the
+    mask of those whose expansion stands as the value: kept, with a correct
+    digit and a cancellation at most CANCEL_SWITCH (bessel_kernel's switch
+    test on the same bits).
     """
     si = ki.lam
     tried = np.flatnonzero(inner >= sweep_start(si))
     z = inner[tried]
     values, errors, peaks, ok = swept = _asymptotic_sweep(z, parity, ki)
     size = np.hypot(values.real, values.imag)  # abs() of a complex, bit for bit
-    certified = ok & (errors <= tol * size) & (peaks / np.maximum(size, 1e-300) <= CANCEL_SWITCH)
-    return tried, swept, (z >= max(validity_floor(si), _BAND_TOP)) | certified
+    calm = peaks / np.maximum(size, 1e-300) <= CANCEL_SWITCH
+    keep = (z >= max(validity_floor(si), _BAND_TOP)) | (ok & (errors <= tol * size) & calm)
+    return tried, swept, keep, keep & ok & calm
 
 
 _BLOCK = 512  # nodes per array pass
@@ -476,22 +480,18 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     _BLOCK nodes.
 
     The argument of a node is the same on both signs; its route is
-    _asymptotic_zone's per sign, as in bessel_kernel.  _asymptotic_sweep
-    runs once per sign, at every index, over the nodes from
-    asympt.sweep_start up, and one series.kernel_series_grid pass
-    (double-double) sums both signs at the nodes left to the series on
-    either: those below the start and the band nodes that do not certify.
-    bessel_kernel itself takes every node those passes leave: the series
-    nodes they do not certify, the pair-grid nodes whose cancellation comes
-    within a factor 2 of CANCEL_SWITCH (the pair grid's sums are not
-    bessel_kernel's, so bessel_kernel decides the Mellin-Barnes switch
-    there), the asymptotic nodes that bessel_kernel's own test, peak /
-    max(|value|, 1e-300) > CANCEL_SWITCH on the same bits, sends to
-    Mellin-Barnes, and the series-route nodes of a non-generic index, which
-    the pair grid cannot sum.  Each node's value depends only on (u_i, sgn,
-    ki, tol).  Returns, for sgn = +1 and then -1, the values, the errors,
-    the route of each node (the method names of EvalResult) and the mask of
-    the nodes the array passes served.
+    _asymptotic_zone's per sign.  The nodes whose expansion stands take it;
+    one series.kernel_series_grid pass (double-double) sums both signs at
+    the nodes left to the series on either.  bessel_kernel itself takes
+    every node those passes leave: the series nodes they do not certify,
+    the pair-grid nodes whose cancellation comes within a factor 2 of
+    CANCEL_SWITCH (the pair grid's sums are not bessel_kernel's, so
+    bessel_kernel decides the Mellin-Barnes switch there), the kept
+    asymptotic nodes that do not stand, and the series-route nodes of a
+    non-generic index, which the pair grid cannot sum.  Each node's value
+    depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1 and then
+    -1, the values, the errors, the route of each node (the method names of
+    EvalResult) and the mask of the nodes the array passes served.
     """
     n = ki.rank
     si = ki.lam
@@ -499,43 +499,36 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     inner = np.fromiter(
         (2.0 * math.pi * math.exp(v) ** (1.0 / n) for v in u), dtype=float, count=len(u)
     )
-    per_sign = [
-        (
-            np.zeros(len(u), dtype=np.complex128),
-            np.zeros(len(u)),
-            np.full(len(u), None, dtype=object),
-            np.zeros(len(u), dtype=bool),
-        )
-        for _ in (1, -1)
-    ]
+    # axis 0 the kernel sign, + then -
+    values = np.zeros((2, len(u)), dtype=np.complex128)
+    errors = np.zeros((2, len(u)))
+    routes = np.full((2, len(u)), None, dtype=object)
+    swept = np.zeros((2, len(u)), dtype=bool)
     generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
     for lo in range(0, len(u), _BLOCK):
         z = inner[lo : lo + _BLOCK]
-        zones = [_asymptotic_zone(z, sgn, ki, tol) for sgn in (1, -1)]
-        rest = np.ones((2, len(z)), dtype=bool)  # per sign, the nodes left to the series
-        for left, (tried, _, keep) in zip(rest, zones):
-            left[tried[keep]] = False
-        grid = (rest[0] | rest[1]) & generic
-        passes = kernel_series_grid(z[grid], si, ki.deltas, tol) if grid.any() else ()
-        for (values, errors, routes, swept), left, (v, e, peak, ok) in zip(per_sign, rest, passes):
+        rest = np.ones((2, len(z)), dtype=bool)  # the nodes left to the series
+        for side, sgn in enumerate((1, -1)):
+            tried, (v, e, _, _), keep, stands = _asymptotic_zone(z, sgn, ki, tol)
+            rest[side, tried[keep]] = False
+            idx = lo + tried[stands]
+            values[side, idx], errors[side, idx], routes[side, idx] = v[stands], e[stands], "asymptotic"
+            swept[side, idx] = True
+        grid = rest.any(axis=0) & generic
+        if grid.any():
+            v, e, peak, ok = kernel_series_grid(z[grid], si, ki.deltas, tol)
             # not bessel_kernel's bits: stay a factor 2 off the switch
             size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-            ok &= left[grid] & (peak <= 0.5 * CANCEL_SWITCH * size)
-            idx = lo + np.flatnonzero(grid)[ok]
-            values[idx], errors[idx], routes[idx], swept[idx] = v[ok], e[ok], "series", True
-        for (values, errors, routes, swept), (tried, sweep, keep) in zip(per_sign, zones):
-            v, e, peak, ok = sweep
-            # bessel_kernel's own switch test on the bits it computes
-            ok &= keep & (peak / np.maximum(np.hypot(v.real, v.imag), 1e-300) <= CANCEL_SWITCH)
-            idx = lo + tried[ok]
-            values[idx], errors[idx], routes[idx], swept[idx] = v[ok], e[ok], "asymptotic", True
-    for sgn, (values, errors, routes, swept) in zip((1, -1), per_sign):
-        for i in np.flatnonzero(~swept):
+            ok &= rest[:, grid] & (peak <= 0.5 * CANCEL_SWITCH * size)
+            side, idx = np.nonzero(ok)
+            idx = lo + np.flatnonzero(grid)[idx]
+            values[side, idx], errors[side, idx], routes[side, idx] = v[ok], e[ok], "series"
+            swept[side, idx] = True
+    for side, sgn in enumerate((1, -1)):
+        for i in np.flatnonzero(~swept[side]):
             r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
-            values[i] = r.value
-            errors[i] = r.error
-            routes[i] = r.method
-    return tuple((v, e, routes.tolist(), swept) for v, e, routes, swept in per_sign)
+            values[side, i], errors[side, i], routes[side, i] = r.value, r.error, r.method
+    return tuple(zip(values, errors, routes.tolist(), swept))
 
 
 class _KernelGrid:
@@ -567,14 +560,14 @@ class _KernelGrid:
 
     def _factors(self, xs, weight: WeightFunction, window):
         """Per x of the array xs: its panels a:b, the weight factor g on
-        them and the value at |x|, the real product of g with vw.
+        them and the value at x, from the real product of g with vw.
 
         window = (ylo, yhi) keeps only the whole panels that overlap
         [log|x| + ylo, log|x| + yhi], the reach of a weight cut at log|y| in
         [ylo, yhi]; the windows of all x are looked up at once.  g = e^t
-        v(e^t), t = u - log|x|, is taken once for both kernel signs (on sign
+        v(e^t), t = u - log|x|, is taken once for both kernel signs: on sign
         s the weight is read at s sgn(x) e^t, for odd eta an exact sign
-        flip, which the callers apply to the values at x < 0).
+        flip, so the value at x < 0 is (-1)^eta times the value at |x|.
         """
         ls = np.log(np.abs(xs))
         p0, p1 = np.zeros(len(xs), dtype=int), np.full(len(xs), len(self.dw))
@@ -582,20 +575,19 @@ class _KernelGrid:
             p0 = np.maximum(np.searchsorted(self.edges, ls + window[0], side="right") - 1, 0)
             p1 = np.minimum(np.searchsorted(self.edges, ls + window[1], side="left"), p1)
         flip = -1.0 if weight.eta % 2 else 1.0
-        for L, a, b in zip(ls.tolist(), p0.tolist(), p1.tolist()):
+        for x, L, a, b in zip(xs.tolist(), ls.tolist(), p0.tolist(), p1.tolist()):
             t = self.u[15 * a : 15 * b] - L
             g = np.exp(t) * weight.log_values(t)
             v = g @ self.vw[15 * a : 15 * b]
-            yield a, b, g, complex(v[0] + flip * v[2], v[1] + flip * v[3])
+            v = np.complex128(complex(v[0] + flip * v[2], v[1] + flip * v[3]))
+            # numpy's complex product by flip, which sets the signs of zeros
+            yield a, b, g, v * flip if x < 0 else v
 
     def values(self, xs, weight: WeightFunction, window=None):
         """The values of transform(xs, weight, window), bit for bit, without
         their errors."""
         xs = np.asarray(xs, dtype=float)
-        values = [v for _, _, _, v in self._factors(xs, weight, window)]
-        values = np.array(values, dtype=np.complex128)
-        values[xs < 0] *= -1.0 if weight.eta % 2 else 1.0
-        return values
+        return np.array([v for *_, v in self._factors(xs, weight, window)], dtype=np.complex128)
 
     def transform(self, xs, weight: WeightFunction, window=None):
         """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid at each
@@ -613,7 +605,6 @@ class _KernelGrid:
             values[i] = v
             d = (g.reshape(-1, 1, 15) @ self.dw[a:b]).reshape(-1, 4).view(np.complex128)
             errors[i] = np.abs(d).sum() + (np.abs(g) @ self.ew[15 * a : 15 * b]).sum()
-        values[xs < 0] *= -1.0 if weight.eta % 2 else 1.0
         return values, errors
 
 
@@ -665,32 +656,31 @@ def hankel_transform(
 # signed Mellin transforms and the functional equation
 # ---------------------------------------------------------------------------
 
-def signed_mellin_grid(u: np.ndarray, half: np.ndarray, fplus, fminus, delta: int, s):
-    """Mellin transform of grid samples: int [f(x)+(-1)^d f(-x)] x^{s-1} dx."""
+def signed_mellin_grid(u: np.ndarray, half: np.ndarray, f, s):
+    """Signed Mellin transform int f(x) sgn(x)^d |x|^{s-1} dx of grid samples
+    of f at x = e^u > 0, at the parity d of f (f(-x) = (-1)^d f(x)): twice
+    the integral over x > 0."""
     s = complex(s)
     w = np.exp(s * u.reshape(len(half), 15))
-    fp = fplus.reshape(len(half), 15)
-    fm = fminus.reshape(len(half), 15)
-    comb = fp + ((-1) ** (delta % 2)) * fm
-    return complex(np.sum(half[:, None] * comb * w * _GKW[None, :]))
+    f2 = 2.0 * f.reshape(len(half), 15)
+    return complex(np.sum(half[:, None] * f2 * w * _GKW[None, :]))
 
 
 def mellin_inversion(weight: WeightFunction, x: float) -> complex:
     """Reconstruct the weight from its closed-form signed Mellin transforms.
 
     upsilon(x) = sum_d sgn(x)^d/(4 pi i) int_(1) M_d upsilon(s) |x|^{-s} ds,
-    evaluated with a plain trapezoid at 4001 points of Re s = 1, |Im s| <= 40
-    (the integrand is a gaussian in Im s).
+    where only the parity d = eta does not vanish, evaluated with a plain
+    trapezoid at 4001 points of Re s = 1, |Im s| <= 40 (the integrand is a
+    gaussian in Im s).
     """
     t = np.linspace(-40.0, 40.0, 4001)
     s = 1.0 + 1j * t
-    total = 0j
-    for d in (0, 1):
-        ms = np.array([weight.mellin(d, sv) for sv in s])
-        integrand = ms * np.exp(-s * math.log(abs(x)))
-        val = np.trapezoid(integrand, t) * 1j  # ds = i dt
-        total += (1.0 if x > 0 or d % 2 == 0 else -1.0) * val / (4j * math.pi)
-    return complex(total)
+    d = weight.eta % 2
+    ms = np.array([weight.mellin(d, sv) for sv in s])
+    integrand = ms * np.exp(-s * math.log(abs(x)))
+    val = np.trapezoid(integrand, t) * 1j  # ds = i dt
+    return complex((-1.0 if x < 0 and d else 1.0) * val / (4j * math.pi))
 
 
 @dataclass(frozen=True)
@@ -755,37 +745,32 @@ def functional_equation_check(
 
     The left side is quadrature over transform values computed by the shared
     kernel grid; the right side is gamma factors times the closed-form
-    Mellin transform of the weight.  Only parities d with d + eta even
-    contribute (the other signed transform vanishes identically).
+    Mellin transform of the weight.  Only the parity d = eta contributes
+    (the other signed transform vanishes identically).
 
     The transform nodes are one windowed grid.values call over the panels
     that the weight, cut at log_support(FE_MELLIN_TOL * 1e-3) as at the
     grid's ends, reaches: the values of grid.transform, bit for bit, without
-    the error estimates, which the check does not use.  The negative side is
-    Upsilon(-x) = (-1)^eta Upsilon(x), which the grid at -x reproduces bit
-    for bit.  The s points must pass check_s_points.
+    the error estimates, which the check does not use.  Upsilon(-x) =
+    (-1)^eta Upsilon(x), so the signed transform is twice the integral over
+    x > 0.  The s points must pass check_s_points.
     """
     s_points = check_s_points(s_points, weight)
     si = ki.lam
-    n = ki.rank
+    d = weight.eta % 2
     grid, ux, halfs, window = _fe_grid(ki, weight)
     up = grid.values(np.exp(ux), weight, window)
-    # upsilon(-y) = (-1)^eta upsilon(y), so Upsilon(-x) = (-1)^eta Upsilon(x)
-    um = -up if weight.eta % 2 else up
 
     rels = []
     worst = 0.0
-    for d in (0, 1):
-        if (d + weight.eta) % 2 != 0:
-            continue
-        for s in s_points:
-            lhs = signed_mellin_grid(ux, halfs, up, um, d, s)
-            rhs = weight.mellin(d, 1.0 - s)
-            for l in range(n):
-                rhs *= mb.g_delta(s - si.lam[l], ki.deltas[l] + d)
-            rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            rels.append((d, s, rel))
-            worst = rel if math.isnan(rel) else max(worst, rel)
+    for s in s_points:
+        lhs = signed_mellin_grid(ux, halfs, up, s)
+        rhs = weight.mellin(d, 1.0 - s)
+        for lam, delta in zip(si.lam, ki.deltas):
+            rhs *= mb.g_delta(s - lam, delta + d)
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        rels.append((d, s, rel))
+        worst = rel if math.isnan(rel) else max(worst, rel)
     return FunctionalEquationReport(
         tuple(s_points),
         tuple(rels),

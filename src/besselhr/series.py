@@ -524,14 +524,14 @@ def _failed_round(noise, value):
     return (up if up >= ach else math.nextafter(up, math.inf)), words
 
 
-def _j_generic(
-    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, root_parity=None
-):
+def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     """sum_l c_l J_l(z; sign) with error at most tol times its modulus, for
-    the coefficients of kind (see _coeffs_of).  With a root_parity, also
-    returns the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows for
-    that product, rebuilt from the family values of the accepted pass.
+    the coefficients of kind (see _coeffs_of) and its sign: the product of a
+    sign vector's signs, or the kernel's parity.  For a kernel, also returns
+    the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows at its parity,
+    rebuilt from the family values of the accepted pass; () otherwise.
     """
+    sign, parity = (kind[1].product_sign, None) if kind[0] == "signvec" else (kind[2], kind[2])
     overflow = si.rank * z.modulus > 690.0
     eps = np.finfo(float).eps
 
@@ -543,7 +543,7 @@ def _j_generic(
     if not overflow:
         est, mass, family = _j_generic_double(z, sign, si, tol, kind)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
-            rows = _root_rows(_DOUBLE, si.lam, root_parity) if root_parity else ()
+            rows = _root_rows(_DOUBLE, si.lam, parity) if parity else ()
             return est, _recombine(rows, family)
         # the double-pass error aggregates eps * (internal term mass), so it
         # back-solves for the cancellation the big-float pass must absorb.
@@ -614,7 +614,7 @@ def _j_generic(
             achieved=ach,
         )
     with mp.workdps(round_dps):
-        rows = _root_rows_mp(si.lam, root_parity, round_dps) if root_parity else ()
+        rows = _root_rows_mp(si.lam, parity, round_dps) if parity else ()
         return SeriesEval(v, terms, ach), _recombine(rows, family)
 
 
@@ -624,14 +624,12 @@ def _degeneracy_direction(n: int):
     return [x / scale for x in u]
 
 
-def _evaluate(
-    z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind, root_parity=None
-):
+def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     """_j_generic, taken as a limit at non-generic indices (gap below 1e-4):
     the average over 8 generic perturbations on a circle of radius 1e-3,
     which reproduces the limit value to O(radius^8), and so each G_k."""
     if genericity_gap(si) >= EPS_GEN:
-        return _j_generic(z, sign, si, tol, kind, root_parity)
+        return _j_generic(z, si, tol, kind)
     u = _degeneracy_direction(si.rank)
     vals = []
     tails = []
@@ -648,7 +646,7 @@ def _evaluate(
                 "non-generic index whose components are too large to perturb "
                 f"by {_CAUCHY_RADIUS:g} in double precision"
             )
-        est, parts = _j_generic(z, sign, pert, tol * 0.2, kind, root_parity)
+        est, parts = _j_generic(z, pert, tol * 0.2, kind)
         vals.append(est.value)
         tails.append(est.tail_bound)
         root_vals.append(parts)
@@ -681,7 +679,7 @@ def j_function(
     z = _as_point(z)
     if sv.n != si.rank:
         raise ValueError("sign vector length must match the rank")
-    return _evaluate(z, sv.product_sign, si, tol, ("signvec", sv))[0]
+    return _evaluate(z, si, tol, ("signvec", sv))[0]
 
 
 def sign_vectors(n: int, parity: int):
@@ -705,7 +703,7 @@ def kernel_series(
     """
     z = _as_point(z)
     kind = ("kernel", tuple(int(d) % 2 for d in deltas), parity)
-    est, sums = _evaluate(z, parity, si, tol, kind, root_parity=parity)
+    est, sums = _evaluate(z, si, tol, kind)
     tops = top_products(si.lam)[0 if parity > 0 else 1 :: 2]
     return est, max(t * abs(g) for t, g in zip(tops, sums))
 
@@ -857,25 +855,25 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     has its own degree (_sum_degrees), so its values depend only on (z,
     index, tol), never on the other points.
 
-    Returns, for parity +1 and then -1, the values, their error bounds,
-    max |J(z; sig)| over the sign vectors of the sum (the cancellation
-    reference by root, G_k in pairs) and a mask of the certified points:
-    error at most tol * |value|, value nonzero, n z <= 690.  The error bound
-    is sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
-    + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|, with M_l and W_l
-    = sum (m+1) a_m the term mass and weighted mass of _sum_degrees: the
-    rounding of the coefficients and of Horner, of exp(nL) raised to the
-    m-th power, and of the prefactor.  It is the bound of a plain Horner in
-    r, which it covers: a pair product or sum rounds by at most 8 2^-106 of
-    the magnitudes it combines, and the plain Horner takes term m through m
-    products by r and m + 1 sums, 16 (m + 1) in W_l with its relative error
-    m |d r / r| in (16 + 4|nL|) W_l.  The split takes term m through
-    floor(m/2) products by r^2, each rounding as a product and carrying the
-    rounding of r^2 = r r once more, and for odd m one product by r: m
-    products, and the relative error m |d r / r| again.  Its sums number
-    floor(m/2) + 2 (the Horner half's and the final E +- r O), at most
-    m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of W_l
-    since that term takes no product.
+    Returns arrays of axis 0 the parity, +1 then -1: the values, their error
+    bounds, max |J(z; sig)| over the sign vectors of the sum (the
+    cancellation reference by root, G_k in pairs) and a mask of the
+    certified points: error at most tol * |value|, value nonzero, n z <=
+    690.  The error bound is sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l)
+    + (16 + 4|nL|) W_l + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|,
+    with M_l and W_l = sum (m+1) a_m the term mass and weighted mass of
+    _sum_degrees: the rounding of the coefficients and of Horner, of exp(nL)
+    raised to the m-th power, and of the prefactor.  It is the bound of a
+    plain Horner in r, which it covers: a pair product or sum rounds by at
+    most 8 2^-106 of the magnitudes it combines, and the plain Horner takes
+    term m through m products by r and m + 1 sums, 16 (m + 1) in W_l with
+    its relative error m |d r / r| in (16 + 4|nL|) W_l.  The split takes term
+    m through floor(m/2) products by r^2, each rounding as a product and
+    carrying the rounding of r^2 = r r once more, and for odd m one product
+    by r: m products, and the relative error m |d r / r| again.  Its sums
+    number floor(m/2) + 2 (the Horner half's and the final E +- r O), at
+    most m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of
+    W_l since that term takes no product.
     """
     if genericity_gap(si) < EPS_GEN:
         raise ValueError("the grid sweep needs a generic index")
@@ -950,19 +948,17 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
         )
     size = _pair_abs(value)
     err = err + 4.0 * np.finfo(float).eps * size
-    out = []
+    peak = np.zeros(err.shape)
     for p in range(2):
-        peak = zero
         for row, top in zip(rows[p], tops[p]):
             g = ((zero, zero), (zero, zero))
             for c, f in zip(row, family):
                 g = cdd_add(g, cdd_mul(c, tuple((hi[p], lo[p]) for hi, lo in f)))
-            peak = np.maximum(peak, top * _pair_abs(g))
-        vals = np.empty(inner.shape, dtype=np.complex128)
-        vals.real = value[0][0][p] + value[0][1][p]
-        vals.imag = value[1][0][p] + value[1][1][p]
-        out.append((vals, err[p], peak, ok & (err[p] <= tol * size[p]) & (size[p] > 0)))
-    return tuple(out)
+            peak[p] = np.maximum(peak[p], top * _pair_abs(g))
+    vals = np.empty(err.shape, dtype=np.complex128)
+    vals.real = value[0][0] + value[0][1]
+    vals.imag = value[1][0] + value[1][1]
+    return vals, err, peak, ok & (err <= tol * size) & (size > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 
 from besselhr.coeffs import (
     ATable,
+    IntPoly,
     build_a_table,
     build_b_table,
     build_uv_tables,
@@ -235,10 +236,9 @@ def test_identity_up_to_8():
 
 
 def test_identity_lhs_value():
-    # m = 1: -(1/2 - nu)(1/2 + nu) = nu^2 - 1/4, checked coefficientwise in
-    # the report structure by construction; spot-check numerically here
-    from besselhr.coeffs import _qpoly_mul, _qpoly_rising
-
-    lhs = _qpoly_mul(_qpoly_rising(Fraction(1, 2), -1, 1), _qpoly_rising(Fraction(1, 2), 1, 1))
-    lhs = [-c for c in lhs]
-    assert lhs == [Fraction(-1, 4), Fraction(0), Fraction(1)]
+    # m = 1: -(1/2 - nu)(1/2 + nu) = nu^2 - 1/4, in the one-variable IntPoly
+    # with Fraction coefficients that the identity check expands both sides in
+    nu = IntPoly.var(1, 0)
+    half = IntPoly.const(1, Fraction(1, 2))
+    lhs = ((half - nu) * (half + nu)).scale(-1)
+    assert lhs.terms == {(0,): Fraction(-1, 4), (2,): Fraction(1)}

@@ -1184,7 +1184,7 @@ def test_split_horner_grid_matches_per_parity_horner(n):
         inner = np.geomspace(0.01, floor, 80, endpoint=False)
         for deltas in ((0,) * n, tuple(k % 2 for k in range(n))):
             both = series.kernel_series_grid(inner, si, deltas)
-            for parity, (v, e, peak, ok) in zip((1, -1), both):
+            for parity, v, e, peak, ok in zip((1, -1), *both):
                 rv, re_, rpeak, rok = _per_parity_grid(inner, parity, si, deltas)
                 case = (n, kind, deltas, parity)
                 assert ok.tobytes() == rok.tobytes(), case
