@@ -10,16 +10,15 @@ with the absolute error estimated as twice the first omitted term.  The
 expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
 (max|lambda|+1)^2; the kernel's sweep (second_kind_sweep) reaches down to
-max(6, a quarter of it) (sweep_start), and below max(floor, 12) the
-kernel checks each point.  Every truncation is one routine of 2-D (points x
-terms) array passes (_truncate): second_kind and w_function run it at
-their one point of the universal cover, second_kind_sweep at many positive
-reals, and the second-kind points are finished by one numpy rule
-(_finish).  Every route reads the B_m of an index and root from one table
-of M_CAP + 1 terms, kept in the series store (b_coeffs).  Connection
-constants relate these to the sign-vector functions and to the first-kind
-family (through a Vandermonde matrix in e^{-2 pi i lambda_l} and its
-Lagrange-form inverse).
+sweep_start under the kernel's route rule (kernel._asymptotic_zone).
+Every truncation is one routine of 2-D (points x terms) array passes
+(_truncate): second_kind and w_function run it at their one point of the
+universal cover, second_kind_sweep at many positive reals, and the
+second-kind points are finished by one numpy rule (_finish).  Every route
+reads the B_m of an index and root from one table of M_CAP + 1 terms, kept
+in the series store (b_coeffs).  Connection constants relate these to the
+sign-vector functions and to the first-kind family (through a Vandermonde
+matrix in e^{-2 pi i lambda_l} and its Lagrange-form inverse).
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def validity_floor(si: SpectralIndex) -> float:
 def sweep_start(si: SpectralIndex) -> float:
     """Where the kernel's asymptotic zone starts, and second_kind_sweep's
     floor: max(SWEEP_MIN, (max|lambda|+1)^2), validity_floor / FLOOR_FACTOR.
-    Below max(validity_floor, 12) the kernel keeps a swept value only where
-    the expansion certifies it (kernel._asymptotic_zone)."""
+    The rule above it is kernel._asymptotic_zone's."""
     return max(SWEEP_MIN, validity_floor(si) / FLOOR_FACTOR)
 
 
@@ -184,9 +182,8 @@ def second_kind(
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
     """second_kind at the positive reals z (a 1-d array, argument 0), down
-    to sweep_start instead of validity_floor: the kernel's asymptotic zone
-    is this routine's one caller, and it checks each point below
-    max(validity_floor, 12).
+    to sweep_start instead of validity_floor, for its one caller, the
+    kernel's route rule (kernel._asymptotic_zone).
 
     One _truncate over all points, with z^{-1} by the complex exponential
     of -log z, real here, and one _finish, so each point has second_kind's

@@ -195,8 +195,7 @@ def _contour_meta(si, x):
 
 def _asympt_policy(si):
     """The asymptotic route's constants; kernel_start is where the kernel's
-    asymptotic zone starts (up to max(validity_floor, 12) it certifies each
-    point)."""
+    route rule (kernel._asymptotic_zone) starts to try the expansion."""
     return {
         "m_cap": M_CAP,
         "theta": DEFAULT_THETA,

@@ -479,7 +479,8 @@ def check_combinatorial_identity(m_max: int) -> IdentityReport:
             for a in range(0, 2 * m - r + 1):
                 binom = math.comb(2 * m - a - 1, r - 1) if 2 * m - a - 1 >= r - 1 else 0
                 if binom:
-                    inner = inner + poch(Fraction(1), -1, a).scale(Fraction(binom, math.factorial(a)))
+                    term = poch(Fraction(1), -1, a)
+                    inner = inner + term.scale(Fraction(binom, math.factorial(a)))
             rhs = rhs + inner.scale(alpha)
 
         diff = lhs - rhs

@@ -10,11 +10,8 @@ series per point, summed at one precision chosen for the kernel's own
 accuracy.  On the asymptotic route the sign-vector functions are summed
 grouped by their floor(n/2) + 1 second-kind roots into one array term per
 root, through one array path (_asymptotic_sweep) for one point and for
-many, and the Mellin-Barnes quadrature is available as arbiter.  One rule
-(_asymptotic_zone) picks the route per point: the expansion is tried from
-asympt.sweep_start, max(6, (max|lambda|+1)^2), up; from max(validity_floor,
-12) up it is taken, and in the band below a point keeps it only where it
-certifies itself, the series taking the rest.
+many, and the Mellin-Barnes quadrature is available as arbiter.  The
+route of each point is one rule, _asymptotic_zone's.
 The signed sum can cancel catastrophically (holomorphic-parameter kernels
 vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
@@ -26,17 +23,8 @@ The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
 x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
-index, so kernel_sweep computes them in array passes, for both kernel signs
-in one call: from the asymptotic start up one numpy pass per sign and one
-grouped term per second-kind root, under the same per-node rule; one
-double-double sweep serves both signs at the nodes left to the series
-(series.kernel_series_grid sums each first-kind series once, as even and
-odd Horner halves, since the signs differ only in the sign of zf), so its
-degree is set by the largest of those nodes alone; bessel_kernel takes
-only the nodes these passes cannot certify (it raises on those without a
-correct digit), the pair-grid nodes near the Mellin-Barnes switch, the
-asymptotic nodes past it, and the series-route nodes of non-generic
-indices.
+index, so kernel_sweep computes them in array passes, both kernel signs
+in one call.
 The grid keeps its samples with the quadrature weights folded in, so a
 transform node costs one weight evaluation (log_values, which also gives a
 weight's value at one y) and a few real products; the functional-equation
@@ -82,6 +70,7 @@ _TINY = float(np.finfo(float).tiny)  # errors below it are underflow
 _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal range
 _DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
 FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
+_FE_MAX_WIDTH = 2.0  # the widest gaussian-log weight the functional-equation check resolves
 
 
 @dataclass(frozen=True)
@@ -206,26 +195,22 @@ def bessel_kernel(
 ) -> EvalResult:
     """Signed kernel J_(lambda,delta)(x), x != 0.
 
-    The route is _asymptotic_zone's, the rule kernel_sweep follows at each
-    node: with z = 2 pi |x|^{1/n}, the expansion from max(validity_floor,
-    12) up, and in the band from asympt.sweep_start to there only where it
-    certifies itself (a correct digit, error at most tol |value|,
-    cancellation at most CANCEL_SWITCH); the series elsewhere.  On the
-    series route the value is sum_l K_l J_l(z; sgn x) and the reported
-    error is relative to the kernel: at most tol * |value| (plus final
-    rounding) unless the precision escalation gives up.  On the asymptotic
-    route it is the sum of the 2^{n-1} asymptotic sign-vector functions,
-    one grouped term per second-kind root, with their summed error
-    estimates, by kernel_sweep's array pass at this one point.  Where an
-    error above the underflow range reaches max |J(sig)| no digit is
-    correct (at huge x the rounding of the phase alone does that), and
-    ToleranceNotMetError is raised.  The cancellation is max |J(sig)| over
-    those sign vectors divided by |value|; auto mode hands points above
-    CANCEL_SWITCH to the Mellin-Barnes kernel integral, and keeps the first
-    value if that integral has no correct digit (error >= |value|) while
-    the first value has one.  method "series" and "asympt" force a route;
-    "asympt" takes the expansion unchecked and raises ValueError below
-    sweep_start.
+    The route is _asymptotic_zone's rule.  On the series route the value
+    is sum_l K_l J_l(z; sgn x), z = 2 pi |x|^{1/n}, and the reported error
+    is relative to the kernel: at most tol * |value| (plus final rounding)
+    unless the precision escalation gives up.  On the asymptotic route it
+    is the sum of the 2^{n-1} asymptotic sign-vector functions, one grouped
+    term per second-kind root, with their summed error estimates, by
+    kernel_sweep's array pass at this one point.  Where an error above the
+    underflow range reaches max |J(sig)| no digit is correct (at huge x the
+    rounding of the phase alone does that), and ToleranceNotMetError is
+    raised.  The cancellation is max |J(sig)| over those sign vectors
+    divided by |value|; auto mode hands points above CANCEL_SWITCH to the
+    Mellin-Barnes kernel integral, and keeps the first value if that
+    integral has no correct digit (error >= |value|) while the first value
+    has one.  method "series" and "asympt" force a route; "asympt" takes
+    the expansion unchecked and raises ValueError below sweep_start.
+    "mb" takes the Mellin-Barnes integral alone.
     """
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
@@ -268,10 +253,8 @@ def bessel_kernel(
     cancel = peak / max(abs(total), 1e-300)
     if method == "auto" and cancel > CANCEL_SWITCH:
         value, merr = mb.mb_kernel_est(x, si, ki.deltas, max(tol * peak, 1e-13 * peak))
-        # a Mellin-Barnes value with no correct digit does not replace one with
-        # some; a first value within the double rounding of its sign-vector
-        # terms (the asymptotic error's 4 eps (n + 1) peak) has none either
-        if merr < abs(value) or max(err, 4.0 * _EPS * (n + 1) * peak) >= abs(total):
+        # a Mellin-Barnes value with no correct digit does not replace one with some
+        if merr < abs(value) or err >= abs(total):
             return EvalResult(value, merr, "mellin-barnes", cancel)
     return EvalResult(total, err, tag, cancel)
 
@@ -512,8 +495,8 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
             tried, (v, e, _, _), keep, stands = _asymptotic_zone(z, sgn, ki, tol)
             rest[side, tried[keep]] = False
             idx = lo + tried[stands]
-            values[side, idx], errors[side, idx], routes[side, idx] = v[stands], e[stands], "asymptotic"
-            swept[side, idx] = True
+            values[side, idx], errors[side, idx] = v[stands], e[stands]
+            routes[side, idx], swept[side, idx] = "asymptotic", True
         grid = rest.any(axis=0) & generic
         if grid.any():
             v, e, peak, ok = kernel_series_grid(z[grid], si, ki.deltas, tol)
@@ -522,8 +505,8 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
             ok &= rest[:, grid] & (peak <= 0.5 * CANCEL_SWITCH * size)
             side, idx = np.nonzero(ok)
             idx = lo + np.flatnonzero(grid)[idx]
-            values[side, idx], errors[side, idx], routes[side, idx] = v[ok], e[ok], "series"
-            swept[side, idx] = True
+            values[side, idx], errors[side, idx] = v[ok], e[ok]
+            routes[side, idx], swept[side, idx] = "series", True
     for side, sgn in enumerate((1, -1)):
         for i in np.flatnonzero(~swept[side]):
             r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
@@ -692,15 +675,22 @@ class FunctionalEquationReport:
 
 
 def check_s_points(s_points, weight: WeightFunction) -> list:
-    """The points as complex numbers; ValueError names the first that is not
-    finite, lies off Re s = 1/2, the line _fe_grid's lower end is sized for,
-    or lies so far up that line that the check cannot resolve it: where the
-    weight's closed form |M_d upsilon(1 - s)|, at the parity d the check
-    uses, is below a quarter of its value at s = 1/2.  The check's relative
-    error grows as that closed form decays, for the gaussian-log bump like
+    """The points as complex numbers; ValueError names a gaussian-log weight
+    wider than _FE_MAX_WIDTH, and the first point that is not finite, lies
+    off Re s = 1/2, the line _fe_grid's lower end is sized for, or lies so
+    far up that line that the check cannot resolve it: where the weight's
+    closed form |M_d upsilon(1 - s)|, at the parity d the check uses, is
+    below a quarter of its value at s = 1/2.  The check's relative error
+    grows as that closed form decays, for the gaussian-log bump like
     e^{t^2 w^2 / 4} at Im s = t and width w, so there the bound is
-    w |Im s| <= 2 sqrt(ln 4) ~ 2.35 whatever mu is (at rank 3 and width 2
-    the error reaches 1e-6 near w |Im s| = 2.5)."""
+    w |Im s| <= 2 sqrt(ln 4) ~ 2.35 whatever mu is.  That bound does not
+    hold past width 2: at rank 3 and width 2.5 the error reaches 1.45e-6 at
+    s = 0.5+0.94i, inside it."""
+    if isinstance(weight, WeightFunction) and weight.width > _FE_MAX_WIDTH:
+        raise ValueError(
+            f"the functional-equation check resolves gaussian-log weights of width at most "
+            f"{_FE_MAX_WIDTH:g}, not {weight.width:g}"
+        )
     points = [complex(s) for s in s_points]
     d = weight.eta % 2
     least = 0.25 * abs(weight.mellin(d, 0.5))

@@ -635,13 +635,14 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     tails = []
     root_vals = []
     terms = 0
+    lost = 0.0  # the largest distance of a rounded circle point from the circle
     for q in range(_CAUCHY_POINTS):
         rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
         pert = SpectralIndex([v + rot * ul for v, ul in zip(si.lam, u)])
         # components so large that a step of the radius is lost to rounding
         # leave the index on its degeneracy, where the sines vanish
-        lost = (abs(p - v - rot * ul) for p, v, ul in zip(pert.lam, si.lam, u))
-        if max(lost) > 1e-6 * _CAUCHY_RADIUS:
+        lost = max(lost, *(abs(p - v - rot * ul) for p, v, ul in zip(pert.lam, si.lam, u)))
+        if lost > 1e-6 * _CAUCHY_RADIUS:
             raise PoleError(
                 "non-generic index whose components are too large to perturb "
                 f"by {_CAUCHY_RADIUS:g} in double precision"
@@ -653,9 +654,12 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         terms += est.terms_used
     value = sum(vals) / len(vals)
     spread = max(abs(v - value) for v in vals)
+    # the mean moves with the rounding of the circle points, at a slope of
+    # about spread / radius: where the kernel vanishes that is all it holds
     tail = (
         sum(tails) / len(tails)
         + _CAUCHY_RADIUS**_CAUCHY_POINTS * (abs(value) + spread)
+        + spread / _CAUCHY_RADIUS * lost
         + 4.0 * np.finfo(float).eps * max(abs(v) for v in vals)
     )
     return SeriesEval(value, terms, tail), [sum(col) / len(col) for col in zip(*root_vals)]

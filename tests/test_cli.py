@@ -475,6 +475,17 @@ def test_transform_fe_report_refuses_unresolvable_s_points(capsys, tmp_path):
     assert not out.exists() and not (tmp_path / "fe.json").exists()
 
 
+def test_transform_fe_report_refuses_a_weight_wider_than_it_resolves(capsys, tmp_path):
+    # width 2.5 at 0.5+0.94i lies inside the quarter bound, but the check
+    # resolves widths up to 2: a usage error raised before the table is written
+    out = tmp_path / "t.csv"
+    argv = ["transform", "--delta", "0,0"] + _RANK2 + [
+        "--weight", "gaussian-log:width=2.5", "--x-grid", "1", "--out", str(out),
+        "--s-points", "0.5+0.94i"]
+    _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, "not 2.5")
+    assert not out.exists() and not (tmp_path / "fe.json").exists()
+
+
 def test_transform_fe_report_follows_the_weight_centre(tmp_path):
     # the FE check's nodes move with the weight's centre mu, so mu = 5 passes
     rep = tmp_path / "fe.json"

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -18,11 +19,20 @@ from besselhr.asympt import (
     varsigma_factor,
 )
 from besselhr.coeffs import build_b_table
-from besselhr.core import RootOfUnity, SpectralIndex, ToleranceNotMetError
+from besselhr.core import (
+    OutOfSectorError,
+    RootOfUnity,
+    SignVector,
+    SpectralIndex,
+    SurfacePoint,
+    ToleranceNotMetError,
+    ValidityFloorError,
+)
 from besselhr.kernel import (
     CANCEL_SWITCH,
     FE_MELLIN_TOL,
     KernelIndex,
+    SampledWeightFunction,
     WeightFunction,
     _GGW,
     _GKW,
@@ -38,7 +48,7 @@ from besselhr.kernel import (
     kernel_sweep,
     mellin_inversion,
 )
-from besselhr.mellinbarnes import mb_kernel_est
+from besselhr.mellinbarnes import g_delta, mb_eval_est, mb_kernel_est
 from besselhr.series import j_function, sign_vectors
 
 
@@ -253,6 +263,25 @@ def test_kernel_cancellation_switch():
     assert abs(r.value) < 1e-9
 
 
+def test_series_error_covers_a_vanishing_kernel():
+    # the kernel above vanishes identically at x = -2; the non-generic
+    # index's Cauchy mean counts the rounding of its circle points, which is
+    # what it holds there, so the series route claims no correct digit
+    ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
+    r = bessel_kernel(-2.0, ki, "series")
+    assert r.method == "series" and r.error >= abs(r.value)
+
+
+def test_mb_method_is_the_mellin_barnes_kernel_bits():
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    for x in (0.7, -2.0):
+        r = bessel_kernel(x, ki, "mb", 1e-9)
+        value, err = mb_kernel_est(x, ki.lam, ki.deltas, 1e-9)
+        assert (r.method, r.cancellation) == ("mellin-barnes", 1.0)
+        assert np.array([r.value]).tobytes() == np.array([value]).tobytes()
+        assert float(r.error).hex() == float(err).hex()
+
+
 def test_kernel_parity_decay_even_rank():
     # for even rank the minus side is exponentially small; rate >= 0.9 * 4 pi
     ki = KernelIndex(SpectralIndex([0.3j, -0.3j]), (0, 0))
@@ -435,6 +464,18 @@ def test_functional_equation_refuses_s_it_cannot_resolve(monkeypatch):
         functional_equation_check(ki, WeightFunction(eta=0, width=2.0), [0.5, 0.5 + 1j, 0.5 + 2j])
     with pytest.raises(ValueError, match=r"cannot resolve s = \(0.5-2.4j\)"):
         functional_equation_check(ki, WeightFunction(eta=1, mu=5.0), [0.5 - 2.4j])
+
+
+def test_functional_equation_refuses_weights_wider_than_it_resolves(monkeypatch):
+    # criterion 11's rank-3 index: width 2 at 0.5+1.1i passes at 7.9e-7;
+    # width 2.5 at 0.5+0.94i, which the quarter bound admits, would miss at
+    # 1.45e-6, so the width is named before any kernel work
+    ki = _SWEEP_CASES["rank3"][0]
+    rep = functional_equation_check(ki, WeightFunction(width=2.0), [0.5 + 1.1j])
+    assert rep.passed and rep.max_rel_error < 1e-6
+    monkeypatch.setattr(kernel_module, "_KernelGrid", None)
+    with pytest.raises(ValueError, match="width at most 2, not 2.5"):
+        functional_equation_check(ki, WeightFunction(width=2.5), [0.5 + 0.94j])
 
 
 @pytest.mark.parametrize("case", ["rank2", "rank3"])
@@ -1030,3 +1071,53 @@ def test_fe_transform_order_bits(eta):
             assert one[1].tobytes() == e[i : i + 1].tobytes()
             assert grid.values(xs[i : i + 1], w, win).tobytes() == one[0].tobytes()
     assert grid.values([], w).shape == (0,)
+
+
+_SI2 = SpectralIndex([0.25j, -0.25j])
+_KI2 = KernelIndex(_SI2, (0, 0))
+_TYPED_ERRORS = {
+    "sweep-below-start": (
+        lambda: second_kind_sweep(np.array([5.0, 7.0]), _SI2, RootOfUnity(4, 0)),
+        ValidityFloorError, "below the kernel's asymptotic start 6.000"),
+    "w-below-floor": (lambda: asympt.w_function(1.0, _SI2, 1), ValidityFloorError,
+                      "below floor 6.250"),
+    "h-outside-half-plane": (
+        lambda: asympt.h_bessel(SurfacePoint.from_polar(8.0, -1.0), _SI2, 1),
+        OutOfSectorError, "outside the half-plane"),
+    "asymptotics-nonpositive-x": (lambda: kernel_asymptotics(0.0, _KI2, 4), ValueError,
+                                  "x must be positive"),
+    "asymptotics-below-floor": (lambda: kernel_asymptotics(0.1, _KI2, 4), ValueError,
+                                "below the asymptotic validity floor"),
+    "kernel-at-zero": (lambda: bessel_kernel(0.0, _KI2), ValueError, "must be nonzero"),
+    "kernel-unknown-method": (lambda: bessel_kernel(1.0, _KI2, "trapezoid"), ValueError,
+                              "method must be auto|series|mb|asympt"),
+    "transform-zero-point": (lambda: hankel_transform(WeightFunction(), _KI2, [1.0, 0.0]),
+                             ValueError, "grid points must be nonzero"),
+    "fe-large-re-lambda": (
+        lambda: functional_equation_check(
+            KernelIndex(SpectralIndex([0.45, -0.45]), (0, 0)), WeightFunction(), [0.5]),
+        ValueError, "Re lambda too large"),
+    "sampled-three-samples": (lambda: SampledWeightFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+                              ValueError, ">= 4 samples"),
+    "sampled-unordered": (lambda: SampledWeightFunction([0.0, 2.0, 1.0, 3.0], [0, 1, 1, 0]),
+                          ValueError, "strictly increasing"),
+    "sampled-all-zero": (lambda: SampledWeightFunction([0.0, 1.0, 2.0, 3.0], [0, 0, 0, 0]),
+                         ValueError, "all samples vanish"),
+    "mb-eval-nonpositive-x": (lambda: mb_eval_est(-1.0, SignVector((1, -1)), _SI2), ValueError,
+                              "positive real x"),
+    "mb-eval-rank-mismatch": (lambda: mb_eval_est(1.0, SignVector((1, -1, -1)), _SI2),
+                              ValueError, "sign vector length must match the rank"),
+    "mb-kernel-at-zero": (lambda: mb_kernel_est(0.0, _SI2, (0, 0)), ValueError,
+                          "kernel argument must be nonzero"),
+    "mb-kernel-rank-mismatch": (lambda: mb_kernel_est(1.0, _SI2, (0, 0, 0)), ValueError,
+                                "parity vector length must match the rank"),
+    "g-delta-unknown-form": (lambda: g_delta(0.5, 0, "sine"), ValueError,
+                             "form must be 'ratio' or 'trig'"),
+}
+
+
+@pytest.mark.parametrize("call, error, text", _TYPED_ERRORS.values(), ids=_TYPED_ERRORS.keys())
+def test_typed_errors(call, error, text):
+    # each input check raises its own type and names what it refused
+    with pytest.raises(error, match=re.escape(text)):
+        call()

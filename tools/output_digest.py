@@ -27,8 +27,10 @@ of changed lines that has as many lines on both sides: for a value
 with an error (a kernel, sign-vector or sweep line, or a CLI table row
 with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
-line both texts.  It exits 1 if a ratio exceeds 1 or a value became an
-exception, and 0 otherwise.
+line both texts.  After that summary it prints the line count (wc -l) of
+each src/besselhr module in both checkouts and the total change.  It
+exits 1 if a ratio exceeds 1 or a value became an exception, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -214,10 +216,16 @@ def _table_headers(lines):
     return headers
 
 
+def _line_counts(root) -> dict:
+    """wc -l of each module of root's src/besselhr, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in Path(root, "src", "besselhr").glob("*.py")}
+
+
 def compare(root_a, root_b) -> int:
     """Print the lines of the digests of two checkouts that differ, paired
-    in order within each run of changed lines of equal length (difflib);
-    1 if a ratio exceeds 1 or a value became an exception."""
+    in order within each run of changed lines of equal length (difflib),
+    then the line counts of their modules; 1 if a ratio exceeds 1 or a
+    value became an exception."""
     a_lines, b_lines = (
         subprocess.run([sys.executable, __file__, str(root)], capture_output=True, text=True,
                        check=True).stdout.splitlines()
@@ -252,6 +260,11 @@ def compare(root_a, root_b) -> int:
             failed |= not ratio <= 1.0
             print(f"{label} {route_a} -> {route_b} ratio {ratio:.3g}")
     print(f"{moved} of {len(a_lines)} lines differ")
+    counts_a, counts_b = _line_counts(root_a), _line_counts(root_b)
+    for name in sorted(counts_a.keys() | counts_b.keys()):
+        print(f"wc -l {name} {counts_a.get(name, 0)} -> {counts_b.get(name, 0)}")
+    total_a, total_b = sum(counts_a.values()), sum(counts_b.values())
+    print(f"wc -l total {total_a} -> {total_b} ({total_b - total_a:+d})")
     return 1 if failed else 0
 
 
