@@ -859,25 +859,25 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     has its own degree (_sum_degrees), so its values depend only on (z,
     index, tol), never on the other points.
 
-    Returns arrays of axis 0 the parity, +1 then -1: the values, their error
-    bounds, max |J(z; sig)| over the sign vectors of the sum (the
-    cancellation reference by root, G_k in pairs) and a mask of the
-    certified points: error at most tol * |value|, value nonzero, n z <=
-    690.  The error bound is sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l)
-    + (16 + 4|nL|) W_l + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|,
-    with M_l and W_l = sum (m+1) a_m the term mass and weighted mass of
-    _sum_degrees: the rounding of the coefficients and of Horner, of exp(nL)
-    raised to the m-th power, and of the prefactor.  It is the bound of a
-    plain Horner in r, which it covers: a pair product or sum rounds by at
-    most 8 2^-106 of the magnitudes it combines, and the plain Horner takes
-    term m through m products by r and m + 1 sums, 16 (m + 1) in W_l with
-    its relative error m |d r / r| in (16 + 4|nL|) W_l.  The split takes term
-    m through floor(m/2) products by r^2, each rounding as a product and
-    carrying the rounding of r^2 = r r once more, and for odd m one product
-    by r: m products, and the relative error m |d r / r| again.  Its sums
-    number floor(m/2) + 2 (the Horner half's and the final E +- r O), at
-    most m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of
-    W_l since that term takes no product.
+    Returns, as rows for parity +1 and -1, the values, their error bounds,
+    max |J(z; sig)| over the sign vectors of the sum (the cancellation
+    reference by root, G_k in pairs) and a mask of the certified points:
+    error at most tol * |value|, value nonzero, n z <= 690.  The error bound
+    is sum_l |K_l z^{-n lam_l}| (2^-106 [16 (M_l + W_l) + (16 + 4|nL|) W_l
+    + (16 + 4|n lam_l L|) M_l] + tail_l) + 4 eps |value|, with M_l and W_l
+    = sum (m+1) a_m the term mass and weighted mass of _sum_degrees: the
+    rounding of the coefficients and of Horner, of exp(nL) raised to the
+    m-th power, and of the prefactor.  It is the bound of a plain Horner in
+    r, which it covers: a pair product or sum rounds by at most 8 2^-106 of
+    the magnitudes it combines, and the plain Horner takes term m through m
+    products by r and m + 1 sums, 16 (m + 1) in W_l with its relative error
+    m |d r / r| in (16 + 4|nL|) W_l.  The split takes term m through
+    floor(m/2) products by r^2, each rounding as a product and carrying the
+    rounding of r^2 = r r once more, and for odd m one product by r: m
+    products, and the relative error m |d r / r| again.  Its sums number
+    floor(m/2) + 2 (the Horner half's and the final E +- r O), at most
+    m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of W_l
+    since that term takes no product.
     """
     if genericity_gap(si) < EPS_GEN:
         raise ValueError("the grid sweep needs a generic index")
