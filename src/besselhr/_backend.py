@@ -286,7 +286,6 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     r_steps = range(2 * n)
     shift = (n - 1) * wp
     tol2 = 2 * tol
-    isqrt = math.isqrt
     sr = si = 0
     abs_sum = 0
     small = 0
@@ -309,15 +308,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
                 rr[j] += rr[j + 1]
         sr += tr
         si += ti
-        ar = abs(tr)  # t_abs = _abs_ub(tr, ti), inline
-        ai = abs(ti)
-        k = max(ar.bit_length(), ai.bit_length()) - 60
-        if k <= 0:
-            t_abs = isqrt(ar * ar + ai * ai) + 1
-        else:
-            ar = (ar >> k) + 1
-            ai = (ai >> k) + 1
-            t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
+        t_abs = _abs_ub(tr, ti)
         abs_sum += t_abs
         if m >= m_min:
             # t_abs 2^wp <= tol _abs_ub(sr, si) + floor, settled on the

@@ -295,10 +295,7 @@ def log_gamma(s) -> complex:
 
 
 def gamma(s) -> complex:
-    s = complex(s)
-    if _backend.is_nonpositive_int(s):
-        raise PoleError(f"gamma pole at {s}")
-    return cmath.exp(complex(_backend.loggamma(s)))
+    return cmath.exp(log_gamma(s))
 
 
 def sinpi(s) -> complex:

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import mpmath as mp
 import numpy as np
 
 from .asympt import (
@@ -126,19 +127,19 @@ def _rank1_oracle():
 @_entry("rank2-closed-forms", "rank2",
         "rank-2: all four sign vectors vs classical-series refs < 1e-9", 4)
 def _rank2_closed_forms():
-    from . import _reference as ref  # mpmath references, loaded only here
-
     worst = 0.0
     for lam in (0.3, 0.5j, 0.2 + 0.1j):
         si = SpectralIndex([lam, -lam])
         for x in (0.5, 2.0, 7.0, 20.0):
+            with mp.workdps(40):
+                h1, h2, k = (
+                    complex(f(2 * lam, 2 * x)) for f in (mp.hankel1, mp.hankel2, mp.besselk)
+                )
             forms = {
-                "++": 1j * math.pi * cmath.exp(1j * math.pi * lam)
-                * ref.hankel1(2 * lam, 2 * x),
-                "--": -1j * math.pi * cmath.exp(-1j * math.pi * lam)
-                * ref.hankel2(2 * lam, 2 * x),
-                "+-": 2 * cmath.exp(-1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
-                "-+": 2 * cmath.exp(1j * math.pi * lam) * ref.besselk(2 * lam, 2 * x),
+                "++": 1j * math.pi * cmath.exp(1j * math.pi * lam) * h1,
+                "--": -1j * math.pi * cmath.exp(-1j * math.pi * lam) * h2,
+                "+-": 2 * cmath.exp(-1j * math.pi * lam) * k,
+                "-+": 2 * cmath.exp(1j * math.pi * lam) * k,
             }
             for s, want in forms.items():
                 got = j_function(x, SignVector(s), si, 1e-11).value

@@ -124,10 +124,9 @@ class WeightFunction(_Weight):
         half = self.width * math.sqrt(max(1.0, -math.log(tiny / max(self.amplitude, 1e-300))))
         return self.mu - half, self.mu + half
 
-    def mellin(self, delta: int, s: complex) -> complex:
-        """Signed Mellin transform, closed form for the gaussian-log bump."""
-        if (delta + self.eta) % 2 != 0:
-            return 0j
+    def mellin(self, s: complex) -> complex:
+        """Signed Mellin transform at the weight's parity eta (the other
+        parity's vanishes), closed form for the gaussian-log bump."""
         s = complex(s)
         return (
             2.0
@@ -181,10 +180,8 @@ class SampledWeightFunction(_Weight):
     def log_support(self, tiny: float = 1e-16):
         return float(self.u[0]), float(self.u[-1])
 
-    def mellin(self, delta: int, s: complex) -> complex:
-        """int v(x) sgn(x)^delta |x|^s dx/|x| over both half-lines."""
-        if (delta + self.eta) % 2 != 0:
-            return 0j
+    def mellin(self, s: complex) -> complex:
+        """int v(x) sgn(x)^eta |x|^s dx/|x| over both half-lines."""
         s = complex(s)
         integrand = self.v * np.exp(s * self.u)
         return 2.0 * complex(np.trapezoid(integrand, self.u))
@@ -660,7 +657,7 @@ def mellin_inversion(weight: WeightFunction, x: float) -> complex:
     t = np.linspace(-40.0, 40.0, 4001)
     s = 1.0 + 1j * t
     d = weight.eta % 2
-    ms = np.array([weight.mellin(d, sv) for sv in s])
+    ms = np.array([weight.mellin(sv) for sv in s])
     integrand = ms * np.exp(-s * math.log(abs(x)))
     val = np.trapezoid(integrand, t) * 1j  # ds = i dt
     return complex((-1.0 if x < 0 and d else 1.0) * val / (4j * math.pi))
@@ -692,12 +689,11 @@ def check_s_points(s_points, weight: WeightFunction) -> list:
             f"{_FE_MAX_WIDTH:g}, not {weight.width:g}"
         )
     points = [complex(s) for s in s_points]
-    d = weight.eta % 2
-    least = 0.25 * abs(weight.mellin(d, 0.5))
+    least = 0.25 * abs(weight.mellin(0.5))
     for s in points:
         if not (cmath.isfinite(s) and s.real == 0.5):
             raise ValueError(f"the functional-equation check takes finite s on Re s = 1/2, not {s}")
-        if abs(weight.mellin(d, 1.0 - s)) < least:
+        if abs(weight.mellin(1.0 - s)) < least:
             raise ValueError(
                 f"the functional-equation check cannot resolve s = {s}: the weight's Mellin "
                 "transform at 1 - s is below a quarter of its value at s = 1/2"
@@ -755,7 +751,7 @@ def functional_equation_check(
     worst = 0.0
     for s in s_points:
         lhs = signed_mellin_grid(ux, halfs, up, s)
-        rhs = weight.mellin(d, 1.0 - s)
+        rhs = weight.mellin(1.0 - s)
         for lam, delta in zip(si.lam, ki.deltas):
             rhs *= mb.g_delta(s - lam, delta + d)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)

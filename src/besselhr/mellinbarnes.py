@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -272,13 +271,7 @@ def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
     return val, err + tail, mass
 
 
-def mb_eval_est(
-    x: float,
-    sv: SignVector,
-    si: SpectralIndex,
-    tol: float = 1e-10,
-    contour: Optional[Contour] = None,
-):
+def mb_eval_est(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10):
     """Value and achieved absolute-error estimate (never raises on accuracy).
 
     The estimate combines the quadrature error, the tail bound and a
@@ -297,20 +290,20 @@ def mb_eval_est(
     lam = np.array(si.lam, dtype=np.complex128)
     sig = np.array(sv.signs, dtype=np.float64)
     lnx = math.log(x)
-    c = contour if contour is not None else default_contour(si, x)
 
     def f(s):
         return _backend.mb_j_integrand(s, lam, sig, n, lnx)
 
-    val, err, mass = _integrate_contour(f, c, n * lnx, tol)
+    val, err, mass = _integrate_contour(f, default_contour(si, x), n * lnx, tol)
     scale = 1.0 / (2.0 * math.pi)
     value = val * scale / 1j
     achieved = (err + 4.0 * np.finfo(float).eps * mass) * scale
     return value, achieved
 
 
-def _certified(value, achieved: float, tol: float, x: float):
-    """value, or ToleranceNotMetError carrying it when achieved > tol."""
+def mb_eval(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10) -> complex:
+    """Mellin-Barnes evaluation certified to absolute accuracy tol."""
+    value, achieved = mb_eval_est(x, sv, si, tol)
     if achieved > tol:
         raise ToleranceNotMetError(
             f"achieved {achieved:.2e} > tol {tol:.2e} at x={x}",
@@ -318,17 +311,6 @@ def _certified(value, achieved: float, tol: float, x: float):
             achieved=achieved,
         )
     return value
-
-
-def mb_eval(
-    x: float,
-    sv: SignVector,
-    si: SpectralIndex,
-    tol: float = 1e-10,
-    contour: Optional[Contour] = None,
-) -> complex:
-    """Mellin-Barnes evaluation certified to absolute accuracy tol."""
-    return _certified(*mb_eval_est(x, sv, si, tol, contour), tol, x)
 
 
 def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
@@ -361,10 +343,6 @@ def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
         total += (sgn**d) * val * scale / 1j
         achieved += (err + 4.0 * np.finfo(float).eps * mass) * scale
     return total, achieved
-
-
-def mb_kernel(x: float, si: SpectralIndex, deltas, tol: float = 1e-9) -> complex:
-    return _certified(*mb_kernel_est(x, si, deltas, tol), tol, x)
 
 
 def g_delta(s, delta: int, form: str = "ratio") -> complex:

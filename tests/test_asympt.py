@@ -1,10 +1,10 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import _reference as ref
 from besselhr import coeffs, series
 from besselhr.core import (
     OutOfSectorError,
@@ -42,7 +42,8 @@ def test_second_kind_rank2_k():
     si = SpectralIndex([lam, -lam])
     for x in (8.0, 15.0, 40.0):
         r = second_kind(x, si, RootOfUnity(4, 1))
-        want = 2 / math.sqrt(math.pi) * ref.besselk(2 * lam, 2 * x, dps=50)
+        with mp.workdps(50):
+            want = 2 / math.sqrt(math.pi) * complex(mp.besselk(2 * lam, 2 * x))
         assert abs(r.value - want) <= max(3 * r.error_estimate, 1e-13 * abs(want))
 
 
@@ -174,10 +175,12 @@ def test_h_bessel_rank2_hankel1():
     si = SpectralIndex([lam, -lam])
     x = 30.0
     r = h_bessel(x, si, "+")
-    want = 1j * math.pi * cmath.exp(1j * math.pi * lam) * ref.hankel1(2 * lam, 2 * x, dps=50)
+    with mp.workdps(50):
+        h1, h2 = complex(mp.hankel1(2 * lam, 2 * x)), complex(mp.hankel2(2 * lam, 2 * x))
+    want = 1j * math.pi * cmath.exp(1j * math.pi * lam) * h1
     assert abs(r.value - want) < 1e-9 * abs(want)
     r = h_bessel(x, si, "-")
-    want = -1j * math.pi * cmath.exp(-1j * math.pi * lam) * ref.hankel2(2 * lam, 2 * x, dps=50)
+    want = -1j * math.pi * cmath.exp(-1j * math.pi * lam) * h2
     assert abs(r.value - want) < 1e-9 * abs(want)
 
 
@@ -353,8 +356,9 @@ def test_inverse_connection_rank2_pattern():
     si = SpectralIndex([lam, -lam])
     x = 30.0
     vals = inverse_connection(x, si, a=0)
-    want2 = ref.besselj(2 * lam, 2 * x, dps=60)
-    want1 = ref.besselj(-2 * lam, 2 * x, dps=60)
+    with mp.workdps(60):
+        want2 = complex(mp.besselj(2 * lam, 2 * x))
+        want1 = complex(mp.besselj(-2 * lam, 2 * x))
     assert abs(vals[1] - want2) < 1e-8 * abs(want2)
     assert abs(vals[0] - want1) < 1e-8 * abs(want1)
 
