@@ -221,7 +221,7 @@ def w_function(
     """
     z = _as_point(z)
     n = si.rank
-    sgn = 1 if sign in (1, "+") else -1
+    sgn = series._norm_sign(sign)
     xi = RootOfUnity(2 * n, 0 if sgn > 0 else n)
     floor = validity_floor(si)
     if z.modulus < floor:
@@ -245,7 +245,7 @@ def h_bessel(z: Pointlike, si: SpectralIndex, sign) -> AsymptoticEval:
     """
     z = _as_point(z)
     n = si.rank
-    sgn = 1 if sign in (1, "+") else -1
+    sgn = series._norm_sign(sign)
     if not (-1e-12 <= sgn * z.argument <= math.pi + 1e-12):
         raise OutOfSectorError("argument outside the half-plane of analyticity")
     xi = RootOfUnity(2 * n, 0 if sgn > 0 else n)

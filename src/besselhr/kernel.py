@@ -70,7 +70,7 @@ _TINY = float(np.finfo(float).tiny)  # errors below it are underflow
 _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal range
 _DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
 FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
-_FE_MAX_WIDTH = 2.0  # the widest gaussian-log weight the functional-equation check resolves
+_FE_MAX_WIDTH = 2.0  # the widest weight the functional-equation check resolves
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,9 @@ class SampledWeightFunction(_Weight):
 
     Same duck interface as WeightFunction; rapid decay is checked at the
     grid ends (values there must be at most _DECAY_TOL times the peak).  The
-    signed Mellin transform is trapezoid quadrature over the grid.
+    signed Mellin transform is that of the interpolant, integrated exactly
+    per segment.  The width is sqrt(2) times the standard deviation in u of
+    |v|, the width of a sampled gaussian-log bump.
     """
 
     def __init__(self, log_grid, values, eta: int = 0):
@@ -170,6 +172,9 @@ class SampledWeightFunction(_Weight):
         self.v = v
         self.eta = int(eta) % 2
         self.mu = float(u[np.argmax(np.abs(v))])
+        mass = np.abs(v) / np.trapezoid(np.abs(v), u)
+        mean = np.trapezoid(u * mass, u)
+        self.width = math.sqrt(2.0 * np.trapezoid((u - mean) ** 2 * mass, u))
 
     def log_values(self, u, sign: int = 1):
         out = np.interp(np.asarray(u), self.u, self.v, left=0.0, right=0.0)
@@ -178,13 +183,32 @@ class SampledWeightFunction(_Weight):
         return out
 
     def log_support(self, tiny: float = 1e-16):
-        return float(self.u[0]), float(self.u[-1])
+        """The samples where |v| >= tiny max |v|, one sample wider each side."""
+        kept = np.flatnonzero(np.abs(self.v) >= tiny * np.abs(self.v).max())
+        lo, hi = max(kept[0] - 1, 0), min(kept[-1] + 1, self.u.size - 1)
+        return float(self.u[lo]), float(self.u[hi])
 
     def mellin(self, s: complex) -> complex:
-        """int v(x) sgn(x)^eta |x|^s dx/|x| over both half-lines."""
+        """int v(x) sgn(x)^eta |x|^s dx/|x| over both half-lines, v the
+        interpolant: on a segment of length h from a, h e^{sa} (v_a A(sh) +
+        v_b B(sh)) with A(z) = (e^z - 1 - z)/z^2 and B(z) = ((z - 1) e^z +
+        1)/z^2, by their Taylor series sum_k z^k (1, k + 1)/(k + 2)! where
+        |z| < 1 (the closed forms cancel there)."""
         s = complex(s)
-        integrand = self.v * np.exp(s * self.u)
-        return 2.0 * complex(np.trapezoid(integrand, self.u))
+        h = np.diff(self.u)
+        z = s * h
+        small = np.abs(z) < 1.0
+        zc = np.where(small, 1.0, z)
+        ez = np.exp(zc)
+        ca, cb = (ez - 1.0 - zc) / (zc * zc), ((zc - 1.0) * ez + 1.0) / (zc * zc)
+        zt = np.where(small, z, 0.0)
+        ta = tb = 0.0
+        for k in range(17, -1, -1):  # 18 terms: the rest is below 1/20! < eps/500
+            f = 1.0 / math.factorial(k + 2)
+            ta, tb = ta * zt + f, tb * zt + (k + 1) * f
+        ca, cb = np.where(small, ta, ca), np.where(small, tb, cb)
+        seg = h * np.exp(s * self.u[:-1]) * (self.v[:-1] * ca + self.v[1:] * cb)
+        return 2.0 * complex(np.sum(seg))
 
 
 def bessel_kernel(
@@ -611,6 +635,13 @@ def hankel_transform(
     changes within its error estimate.  Raises ValueError for grid points
     that are not finite or zero, and for an |x| so small that the table
     would reach nodes w whose |w| = e^u is below the normal double range.
+
+    The reported error (Kronrod-Gauss panel differences plus kernel errors)
+    leaves out the cut of the weight at log_support(tol * 1e-3) (open item
+    1 of ROADMAP.md).  At criterion 11's rank-3 index and x = 2.5, against
+    the tol-1e-10 value, tol 1e-4 is 3.56e-9 off with 3.84e-11 reported
+    (93x) and tol 1e-6 2.3x; tol 1e-8, and the README grid at tol 1e-7
+    (worst ratio 0.14), are covered.
     """
     xs = [float(x) for x in x_grid]
     if not all(map(math.isfinite, xs)):
@@ -672,8 +703,9 @@ class FunctionalEquationReport:
 
 
 def check_s_points(s_points, weight: WeightFunction) -> list:
-    """The points as complex numbers; ValueError names a gaussian-log weight
-    wider than _FE_MAX_WIDTH, and the first point that is not finite, lies
+    """The points as complex numbers; ValueError names a weight wider than
+    _FE_MAX_WIDTH (for a sampled one, sqrt(2) times the standard deviation
+    in log|y| of |v|), and the first point that is not finite, lies
     off Re s = 1/2, the line _fe_grid's lower end is sized for, or lies so
     far up that line that the check cannot resolve it: where the weight's
     closed form |M_d upsilon(1 - s)|, at the parity d the check uses, is
@@ -683,9 +715,9 @@ def check_s_points(s_points, weight: WeightFunction) -> list:
     w |Im s| <= 2 sqrt(ln 4) ~ 2.35 whatever mu is.  That bound does not
     hold past width 2: at rank 3 and width 2.5 the error reaches 1.45e-6 at
     s = 0.5+0.94i, inside it."""
-    if isinstance(weight, WeightFunction) and weight.width > _FE_MAX_WIDTH:
+    if weight.width > _FE_MAX_WIDTH:
         raise ValueError(
-            f"the functional-equation check resolves gaussian-log weights of width at most "
+            f"the functional-equation check resolves weights of width at most "
             f"{_FE_MAX_WIDTH:g}, not {weight.width:g}"
         )
     points = [complex(s) for s in s_points]

@@ -395,9 +395,12 @@ def _usage_error(argv, capsys, flag_text):
          "the Mellin-Barnes route takes positive real x"),
         (["--x-grid", "1,4", "--arg", "-3.14", "--method", "mb"],
          "the Mellin-Barnes route takes positive real x"),
+        (["--x", "1", "--n", "3"], "--lambda has 2 entries but --n 3"),
+        (["--x", "1", "--signs", "+++"], "--signs length must match the rank"),
     ],
     ids=["negative-x", "inf-x", "nan-x", "inf-grid", "empty-grid", "nan-endpoint", "zero-tol",
-         "nan-tol", "nan-arg", "inf-arg", "minus-inf-arg", "mb-off-axis", "mb-grid-off-axis"],
+         "nan-tol", "nan-arg", "inf-arg", "minus-inf-arg", "mb-off-axis", "mb-grid-off-axis",
+         "lambda-count", "signs-count"],
 )
 def test_eval_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["eval", "--signs", "++"] + _RANK2 + extra, capsys, text)
@@ -417,10 +420,12 @@ def test_eval_out_of_domain_exits_2(extra, text, capsys):
         (["--x-grid", "1,a"], "a comma list of numbers"),
         (["--x-grid", "1", "--delta", "a"], "comma-separated 0/1 parities"),
         (["--x-grid", "1", "--delta", "2,0"], "comma-separated 0/1 parities"),
+        (["--x-grid", "foo:1:2:3"], "grid must be log:lo:hi:n or lin:lo:hi:n"),
+        (["--x-grid", "log:0:1:5"], "log grid needs positive endpoints"),
     ],
     ids=["inf-grid", "minus-inf-grid", "empty-grid", "inf-endpoint", "negative-tol", "nan-tol",
          "short-range", "fractional-count", "non-number", "non-integer-delta",
-         "delta-not-a-parity"],
+         "delta-not-a-parity", "unknown-grid-kind", "log-grid-at-zero"],
 )
 def test_kernel_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["kernel", "--delta", "0,0"] + _RANK2 + extra, capsys, text)
@@ -440,9 +445,12 @@ def test_kernel_out_of_domain_exits_2(extra, text, capsys):
         (["--x-grid", "1", "--weight", "gaussian-log:width"], "key=value"),
         (["--x-grid", "1", "--weight", "gaussian-log:eta=1.5"], "key=value"),
         (["--x-grid", "1", "--delta", "0,x"], "comma-separated 0/1 parities"),
+        (["--x-grid", "1", "--weight", "box:eta=0"], "only the gaussian-log weight is supported"),
+        (["--x-grid", "1", "--weight", "gaussian-log:sigma=1"], "unknown weight parameter sigma"),
     ],
     ids=["inf-grid", "empty-grid", "zero-tol", "nan-tol", "nan-fe-tol", "nan-width", "inf-mu",
-         "nan-amplitude", "key-without-value", "non-integer-eta", "non-integer-delta"],
+         "nan-amplitude", "key-without-value", "non-integer-eta", "non-integer-delta",
+         "unknown-weight", "unknown-weight-parameter"],
 )
 def test_transform_out_of_domain_exits_2(extra, text, capsys, tmp_path):
     argv = ["transform", "--delta", "0,0"] + _RANK2 + extra
@@ -484,6 +492,18 @@ def test_transform_fe_report_refuses_a_weight_wider_than_it_resolves(capsys, tmp
         "--s-points", "0.5+0.94i"]
     _usage_error(argv + ["--fe-report", str(tmp_path / "fe.json")], capsys, "not 2.5")
     assert not out.exists() and not (tmp_path / "fe.json").exists()
+
+
+def test_transform_fe_report_failing_check_exits_1(tmp_path):
+    # a check that misses --fe-tol exits 1 after writing the table and a
+    # report that says it failed
+    out, rep = tmp_path / "t.csv", tmp_path / "fe.json"
+    rc = main(["transform", "--delta", "0,0"] + _RANK2 + [
+        "--x-grid", "1,2", "--out", str(out), "--fe-report", str(rep), "--fe-tol", "1e-12"])
+    assert rc == 1
+    assert len([r for r in out.read_text().splitlines() if not r.startswith("#")]) == 3
+    fe = json.loads(rep.read_text())["functional_equation"]
+    assert fe["passed"] is False and fe["max_rel_error"] >= 1e-12
 
 
 def test_transform_fe_report_follows_the_weight_centre(tmp_path):

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import asympt
+from besselhr import asympt, coeffs, core
 from besselhr import kernel as kernel_module
 from besselhr import series
 from besselhr.asympt import (
@@ -20,6 +20,7 @@ from besselhr.asympt import (
 from besselhr.coeffs import build_b_table
 from besselhr.core import (
     OutOfSectorError,
+    PoleError,
     RootOfUnity,
     SignVector,
     SpectralIndex,
@@ -415,6 +416,33 @@ def test_sampled_weight_matches_closed_form():
     assert abs(ra.values[0] - rb.values[0]) < 1e-4 * max(1.0, abs(ra.values[0]))
 
 
+def test_sampled_weight_mellin_is_the_interpolants():
+    # exact per segment on both sides of |s h| = 1, where the segment
+    # integrals switch from their closed forms to their Taylor series;
+    # to rounding of the mass M(Re s) the oscillating sum moves
+    u = np.linspace(-3.0, 3.0, 9)
+    v = np.exp(-u * u) * np.array([1e-9, 1, 2, 3, 4, 3, 2, 1, 1e-9])
+    ws = SampledWeightFunction(u, v)
+    for s in (1e-9j, 0.5, 0.5 + 0.94j, 1.0 + 0.5j, 3 + 2j, 0.5 + 40j):
+        with mp.workdps(30):
+            want = 2 * sum(
+                mp.quad(lambda t: (v[i] + (v[i + 1] - v[i]) * (t - u[i]) / (u[i + 1] - u[i]))
+                        * mp.exp(s * t), [u[i], u[i + 1]])
+                for i in range(len(u) - 1)
+            )
+        assert abs(ws.mellin(s) - complex(want)) < 1e-15 * abs(ws.mellin(s.real))
+
+
+def test_sampled_weight_support_is_cut_at_tiny():
+    # the samples where |v| >= tiny max |v|, one sample wider on each side:
+    # the interpolant falls to the cut only at the next sample
+    u = np.arange(8.0)
+    ws = SampledWeightFunction(u, [1e-9, 1e-6, -1e-3, 2.0, 1.0, 1e-3, 1e-6, 1e-9])
+    assert ws.log_support(1e-4) == (1.0, 6.0)
+    assert ws.log_support(1e-7) == (0.0, 7.0)
+    assert ws.log_support(0.9) == (2.0, 4.0)
+
+
 def test_sampled_weight_rejects_bad_decay():
     from besselhr.kernel import SampledWeightFunction
 
@@ -473,6 +501,28 @@ def test_functional_equation_refuses_weights_wider_than_it_resolves(monkeypatch)
     monkeypatch.setattr(kernel_module, "_KernelGrid", None)
     with pytest.raises(ValueError, match="width at most 2, not 2.5"):
         functional_equation_check(ki, WeightFunction(width=2.5), [0.5 + 0.94j])
+    # a sampled bump's width is sqrt(2) times the spread of its samples in u
+    with pytest.raises(ValueError, match="width at most 2, not 2.5"):
+        functional_equation_check(ki, _sampled_bump(2.5), [0.5 + 0.94j])
+
+
+def _sampled_bump(width):
+    u = np.linspace(-16.0, 16.0, 6401)
+    return SampledWeightFunction(u, WeightFunction(width=width).log_values(u))
+
+
+@pytest.mark.parametrize("case", ["rank2", "rank3"])
+@pytest.mark.parametrize("width", [1.0, 2.0])
+def test_functional_equation_passes_sampled_weights(case, width):
+    # the right side takes the Mellin transform of the interpolant the
+    # transform integrates (a trapezoid sum of the samples is h^2 |s|^2 / 12
+    # off it: 2.5e-6 at rank 3), and the kernel grid spans only the samples
+    # above the cut (the whole sample range overran the grid's panel budget
+    # at rank 2)
+    ws = _sampled_bump(width)
+    assert ws.width == pytest.approx(width, rel=1e-9)
+    rep = functional_equation_check(_SWEEP_CASES[case][0], ws, [0.5, 0.5 + 0.94j])
+    assert rep.passed and rep.max_rel_error < 1e-6
 
 
 @pytest.mark.parametrize("case", ["rank2", "rank3"])
@@ -1110,6 +1160,64 @@ _TYPED_ERRORS = {
                                 "parity vector length must match the rank"),
     "g-delta-unknown-form": (lambda: g_delta(0.5, 0, "sine"), ValueError,
                              "form must be 'ratio' or 'trig'"),
+    "index-empty": (lambda: SpectralIndex([]), ValueError, "need at least one component"),
+    "index-not-finite": (lambda: SpectralIndex([0.5, math.nan]), ValueError,
+                         "components must be finite"),
+    "signs-letter": (lambda: SignVector("+x"), ValueError, "signs must be +1/-1 or '+'/'-'"),
+    "signs-zero": (lambda: SignVector([0]), ValueError, "signs must be +1/-1 or '+'/'-'"),
+    "signs-empty": (lambda: SignVector([]), ValueError, "need at least one sign"),
+    "root-order-zero": (lambda: RootOfUnity(0, 1), ValueError, "order must be positive"),
+    "root-odd-equation-sign": (lambda: RootOfUnity(3, 1).equation_sign(), ValueError,
+                               "even order only"),
+    "point-from-positive-zero": (lambda: SurfacePoint.from_positive(0), ValueError,
+                                 "modulus must be positive"),
+    "point-from-polar-negative": (lambda: SurfacePoint.from_polar(-1, 0), ValueError,
+                                  "modulus must be positive"),
+    "gamma-pole": (lambda: core.gamma(-2), PoleError, "gamma pole at"),
+    "a-table-negative": (lambda: coeffs.build_a_table(-1, 0), ValueError,
+                         "table bounds must be nonnegative"),
+    "uv-tables-rank-zero": (lambda: coeffs.build_uv_tables(0), ValueError, "rank must be >= 1"),
+    "uv-tables-rank-mismatch": (lambda: coeffs.build_uv_tables(3, _SI2), ValueError,
+                                "index rank mismatch"),
+    "eq-coeffs-rank-mismatch": (lambda: coeffs.bessel_eq_coeffs(3, _SI2), ValueError,
+                                "index rank mismatch"),
+    "b-table-rank-mismatch": (lambda: build_b_table(3, _SI2, RootOfUnity(6, 0), 4),
+                              ValueError, "index rank mismatch"),
+    "b-table-root-order": (lambda: build_b_table(2, _SI2, RootOfUnity(6, 0), 4), ValueError,
+                           "xi must be a 2n-th root of unity"),
+    "identity-negative": (lambda: coeffs.check_combinatorial_identity(-1), ValueError,
+                          "m_max must be nonnegative"),
+    "first-kind-l": (lambda: series.first_kind(1.0, 1, _SI2, 3), ValueError, "l out of range"),
+    "j-function-rank-mismatch": (lambda: j_function(1.0, SignVector("+++"), _SI2), ValueError,
+                                 "sign vector length must match the rank"),
+    "series-grid-nongeneric": (
+        lambda: series.kernel_series_grid(np.array([1.0]), SpectralIndex([1.0, -1.0]), (0, 0)),
+        ValueError, "the grid sweep needs a generic index"),
+    "derivatives-k-max": (lambda: series.derivatives(1.0, SignVector("++"), _SI2, 3),
+                          ValueError, "k_max must lie in [0, n]"),
+    "second-kind-root-order": (
+        lambda: asympt.second_kind(10.0, _SI2, RootOfUnity(6, 0)),
+        ValueError, "xi must be a 2n-th root of unity for rank n"),
+    "sweep-root-order": (
+        lambda: second_kind_sweep(np.array([10.0]), _SI2, RootOfUnity(6, 0)),
+        ValueError, "xi must be a 2n-th root of unity for rank n"),
+    "rotate-root-order": (lambda: asympt.rotate_second_kind(10.0, _SI2, RootOfUnity(6, 0)),
+                          ValueError, "xi must be a 2n-th root of unity"),
+    "j-asymptotic-rank-mismatch": (
+        lambda: j_varsigma_asymptotic(10.0, SignVector("+++"), _SI2),
+        ValueError, "sign vector length must match rank"),
+    "inverse-connection-nongeneric": (
+        lambda: asympt.inverse_connection(30.0, SpectralIndex([1.0, -1.0]), 0),
+        ValueError, "index too close to non-generic"),
+    "kernel-index-rank-mismatch": (lambda: KernelIndex(_SI2, (0, 0, 0)), ValueError,
+                                   "parity vector length must match rank"),
+    # every sign but +1, "+", -1 and "-" is refused, as by series.first_kind
+    **{
+        f"{f.__name__}-sign-{sign!r}": (
+            lambda f=f, sign=sign: f(10.0, _SI2, sign), ValueError, "sign must be +1 or -1")
+        for f in (asympt.w_function, asympt.h_bessel)
+        for sign in (0, 2, "x", "+-")
+    },
 }
 
 
