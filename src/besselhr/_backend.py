@@ -16,7 +16,10 @@ The big-float rounds take only its head (head_terms) and sum the rest of
 each series in fixed-point Python integers (sum_first_kind_fixed: one complex
 multiply and one division per term, whatever the rank), with the same stop
 rule; the module takes and returns plain integers there and never imports
-mpmath.
+mpmath.  The differences d_k arrive with wp fraction bits but are short
+dyadic numbers (differences of doubles), so the loop strips the trailing
+zero bits they share and steps its polynomials W and R at wp + n fb and
+2n fb fraction bits, fb the bits left, in place of (n+1) wp and 2n wp.
 
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
@@ -253,9 +256,16 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     wp fraction bits, floor in units of 2^E.
 
     Each term costs one complex multiply by W(m) = zf conj(P(m)) and one
-    floor division by R(m) = |P(m)|^2.  W and R are polynomials in m with
-    integer coefficients (scaled by 2^((n+1) wp) and 2^(2n wp)), stepped by
-    forward differences: additions only, and exact.
+    floor division by R(m) = |P(m)|^2.  The d_k enter at their own fraction
+    bits fb <= wp, the wp less the trailing zero bits all their parts share
+    (fb = 0 where every d_k is an integer; the differences of doubles are
+    short dyadic numbers).  W and R are then polynomials in m with integer
+    coefficients scaled by 2^(wp + n fb) and 2^(2n fb), not 2^((n+1) wp)
+    and 2^(2n wp), stepped by forward differences: additions only, and
+    exact.  The scale 2^(n fb - wp) that t W / R lacks is a left shift of
+    each product where n fb >= wp, and is folded once into R's table where
+    n fb < wp, so every term is the floor of the same rational it is at
+    fb = wp: the integers do not depend on fb.
 
     Returns (sum_re, sum_im, abs_sum, terms_used) in units of 2^E.  abs_sum
     is sum_m |t_m| in integer upper bounds (_abs_ub) plus the bound on the
@@ -268,7 +278,13 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     """
     n = len(diffs)
     M = len(head) - 1
-    one = 1 << wp
+    common = 0
+    for dr, di in diffs:
+        common |= dr | di
+    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
+    fb = wp - strip
+    diffs = [(dr >> strip, di >> strip) for dr, di in diffs]
+    one = 1 << fb
     zr, zi = zf
 
     def w_and_r(m):
@@ -284,7 +300,12 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     rr = _difference_table([s[2] for s in samples])
     w_steps = range(n)
     r_steps = range(2 * n)
-    shift = (n - 1) * wp
+    # t W / R is t zf / P(m) times 2^(wp - n fb): shift each term left by
+    # n fb - wp, or, where that is negative, scale R once by 2^(wp - n fb)
+    shift = n * fb - wp
+    if shift < 0:
+        rr = [c << -shift for c in rr]
+        shift = 0
     tol2 = 2 * tol
     sr = si = 0
     abs_sum = 0
