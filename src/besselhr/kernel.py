@@ -121,7 +121,8 @@ class WeightFunction(_Weight):
         return v
 
     def log_support(self, tiny: float = 1e-16):
-        half = self.width * math.sqrt(max(1.0, -math.log(tiny / max(self.amplitude, 1e-300))))
+        """The u where |v| >= tiny |amplitude|, at least one width each side."""
+        half = self.width * math.sqrt(max(1.0, -math.log(tiny)))
         return self.mu - half, self.mu + half
 
     def mellin(self, s: complex) -> complex:

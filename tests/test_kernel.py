@@ -397,6 +397,18 @@ def test_hankel_delta_sequence():
     assert errs[2] < 0.1 * abs(want)
 
 
+def test_hankel_transform_is_linear_in_the_amplitude():
+    # the weight is cut relative to its peak, so a small or negative
+    # amplitude scales the transform within the reported errors
+    ki = KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0))
+    xs = [0.5, 1.0, 2.0]
+    ref = hankel_transform(WeightFunction(), ki, xs)
+    for a in (1e-8, 1e-20, -1.0):
+        res = hankel_transform(WeightFunction(amplitude=a), ki, xs)
+        for v, e, v1, e1 in zip(res.values, res.errors, ref.values, ref.errors):
+            assert abs(v / a - v1) <= e / abs(a) + e1
+
+
 def test_sampled_weight_matches_closed_form():
     from besselhr.kernel import SampledWeightFunction
 

@@ -672,6 +672,24 @@ def _round_cases():
             lam[1] += 1e-3 * e2pi(rng.random())
         x = rng.choice([0.3, 0.7]) if i % 4 == 0 else rng.uniform(1.0, 60.0)
         yield SpectralIndex(lam), x, rng.choice([1, -1]), rng.randint(30, 120), i, kind
+    # short dyadic differences: the README's index, and a rank-3 index
+    # whose equal entries make an integer (zero) gap
+    yield SpectralIndex([0.25j, -0.25j]), 2.0, 1, 40, 24, "generic"
+    yield SpectralIndex([0.5, -0.25, -0.25]), 5.0, -1, 60, 25, "integer"
+
+
+def _scaling_case(diffs, wp):
+    # the branch of _backend.sum_first_kind_fixed that fb, the fraction
+    # bits left in the differences, selects
+    common = 0
+    for dr, di in diffs:
+        common |= dr | di
+    fb = wp - min(wp, (common & -common).bit_length() - 1) if common else 0
+    if fb == wp:
+        return "nothing stripped"
+    if fb == 0:
+        return "fb = 0"
+    return "n fb >= wp" if len(diffs) * fb >= wp else "n fb < wp"
 
 
 def _raw(result):
@@ -683,8 +701,9 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     # the round's shared constants and stored head rows give the same bits
     # as each series set up on its own, and the lean integer loop the same
     # integers as one exact _abs_ub per stop test: over ranks 1-6, generic,
-    # integer-gap and Cauchy indices, |zf| < 1, both _abs_ub branches and
-    # stop tests that the bounds max and 2 max + 2 leave open
+    # integer-gap and Cauchy indices, |zf| < 1, both _abs_ub branches,
+    # stop tests that the bounds max and 2 max + 2 leave open, and each
+    # scaling of the differences' fraction bits fb (_scaling_case)
     seen = set()
     fixed = _backend.sum_first_kind_fixed
     calls = []
@@ -692,9 +711,17 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     def both(*args):
         got = fixed(*args)
         assert got == _sum_first_kind_fixed_ref(*args, seen)
+        seen.add(_scaling_case(args[2], args[3]))
         calls.append(args)
         return got
 
+    # tol 0 and floor 0 settle no stop test: the loop ends after term m_cap
+    # (first, as a loop that mis-scales its terms runs long before that)
+    one = 1 << 40
+    args = ([(one, 0)], (one // 3, one // 5), [(0, 0), (one // 4, 0)], 40, 0, 0, 1, 8)
+    got = fixed(*args)
+    assert got == _sum_first_kind_fixed_ref(*args, seen)
+    assert got[3] == 9
     monkeypatch.setattr(_backend, "sum_first_kind_fixed", both)
     for si, x, sign, dps, i, label in _round_cases():
         z = SurfacePoint.from_positive(x)
@@ -719,20 +746,23 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
         for _ in range(2):  # the head rows built, then from the store
             assert _raw(series._j_generic_mp(z, sign, si, dps, kind)) == want
     assert len(calls) == 2 * sum(si.rank for si, *_ in _round_cases())
-    # at 24 and 40 bits every magnitude, the partial sums' too, is below 2^60
+    # at 24 and 40 bits every magnitude, the partial sums' too, is below 2^60;
+    # the second difference strips one bit, or none with its odd part
     for wp in (24, 40):
         one = 1 << wp
-        args = (
-            [(one, 0), (one // 3, -one // 5)],
-            (7 * one // 10, one // 9),
-            [(0, 0), (one // 4, -one // 7)],
-            wp,
-            one >> 12,
-            1,
-            3,
-            400,
-        )
-        assert fixed(*args) == _sum_first_kind_fixed_ref(*args, seen)
+        for d in ((one // 4, -one // 7), (one // 4 + 1, -one // 7)):
+            args = (
+                [(one, 0), (one // 3, -one // 5)],
+                (7 * one // 10, one // 9),
+                [(0, 0), d],
+                wp,
+                one >> 12,
+                1,
+                3,
+                400,
+            )
+            assert fixed(*args) == _sum_first_kind_fixed_ref(*args, seen)
+            seen.add(_scaling_case(args[2], wp))
     # terms of 1.2 and 1.6 2^-10 |Re s| after a sum s = S(1 + i): both
     # between the bounds, small by the exact |s| ~ 1.41 |Re s| only at 1.2
     s_re = 1 << 80
@@ -742,6 +772,7 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     assert seen == {
         "term exact", "term top bits", "sum exact", "sum top bits",
         "between, small", "between, not small",
+        "nothing stripped", "fb = 0", "n fb >= wp", "n fb < wp",
     }
 
 
