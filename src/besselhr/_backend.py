@@ -257,7 +257,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
 
     Each term costs one complex multiply by W(m) = zf conj(P(m)) and one
     floor division by R(m) = |P(m)|^2.  The d_k enter at their own fraction
-    bits fb <= wp, the wp less the trailing zero bits all their parts share
+    bits fb: wp less the trailing zero bits that all their parts share
     (fb = 0 where every d_k is an integer; the differences of doubles are
     short dyadic numbers).  W and R are then polynomials in m with integer
     coefficients scaled by 2^(wp + n fb) and 2^(2n fb), not 2^((n+1) wp)
