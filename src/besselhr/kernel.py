@@ -71,6 +71,7 @@ _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal
 _DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
 FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
 _FE_MAX_WIDTH = 2.0  # the widest weight the functional-equation check resolves
+_FE_UX_HI = 6.5  # the check's upper cut in log x, sized for a gaussian-log weight of width 2
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,21 @@ class WeightFunction(_Weight):
         """The u where |v| >= tiny |amplitude|, at least one width each side."""
         half = self.width * math.sqrt(max(1.0, -math.log(tiny)))
         return self.mu - half, self.mu + half
+
+    def transform_cut(self, rank: int) -> float:
+        """The log x above which the functional-equation check leaves out
+        Upsilon, the rank-n transform, for the bump centred at mu = 0 (the
+        check moves it by -mu).  Upsilon(e^u) e^{u/2} falls on two counts:
+        the weight's tail at y ~ 1/x, where the kernel does not oscillate,
+        like e^{-u^2/w^2}, which needs u >= 2.5 + 2 w; and the rest, where
+        the kernel's phase 2 pi n (xy)^{1/n} averages the bump out, like
+        e^{-(pi w)^2 e^{2u/n}}, which needs u >= n (1 - ln w).  The
+        constants are fixed by tools/fe_cut_scan.py: past the cut the
+        relative tail is at its rounding floor, at most 5e-12, at ranks 1
+        to 6 and widths 0.5 to 2.  Never above _FE_UX_HI, the cut of width
+        2 (where the rank term asks for more, at rank 6 and width 0.5, the
+        tail past _FE_UX_HI is 2.6e-10)."""
+        return min(_FE_UX_HI, max(2.5 + 2.0 * self.width, rank * (1.0 - math.log(self.width))))
 
     def mellin(self, s: complex) -> complex:
         """Signed Mellin transform at the weight's parity eta (the other
@@ -188,6 +204,13 @@ class SampledWeightFunction(_Weight):
         kept = np.flatnonzero(np.abs(self.v) >= tiny * np.abs(self.v).max())
         lo, hi = max(kept[0] - 1, 0), min(kept[-1] + 1, self.u.size - 1)
         return float(self.u[lo]), float(self.u[hi])
+
+    def transform_cut(self, rank: int) -> float:
+        """_FE_UX_HI at every rank: the transform of a linear interpolant
+        decays only like a power of x, so a cut below it moves the check
+        (at width 1, a cut at 4.5 moves its rel_errors by up to 8.8e-8 at
+        criterion 11's rank-3 index)."""
+        return _FE_UX_HI
 
     def mellin(self, s: complex) -> complex:
         """int v(x) sgn(x)^eta |x|^s dx/|x| over both half-lines, v the
@@ -372,6 +395,10 @@ _GGW = mb._WG15
 _MAX_PANELS = 20000  # panels of one transform grid
 
 
+class _PanelBudgetError(ValueError):
+    """A grid would need more than _MAX_PANELS panels."""
+
+
 def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9):
     """Panel edges in u = log|w| sized to the kernel oscillation.
 
@@ -386,7 +413,7 @@ def _panel_grid(lo: float, hi: float, n: int, rad: float = 0.9):
         u = min(hi, u + h)
         edges.append(u)
         if len(edges) > _MAX_PANELS:
-            raise ValueError(
+            raise _PanelBudgetError(
                 f"the |x| range needs more than the {_MAX_PANELS}-panel budget "
                 "of the transform grid; narrow the x grid"
             )
@@ -740,16 +767,29 @@ def _fe_grid(ki: KernelIndex, weight: WeightFunction):
 
     Upsilon_mu(x) = e^mu Upsilon_0(x e^mu) for a weight centred at mu, so
     the nodes are those of mu = 0 moved by -mu; the kernel grid, at
-    log x + log y, does not move.
+    log x + log y, does not move.  At mu = 0 the nodes run from ux_lo =
+    ln(FE_MELLIN_TOL) / beta - 2, beta = 1/2 - max Re lambda_l, where
+    Upsilon(x) x^{-1/2} ~ x^beta leaves a tail near FE_MELLIN_TOL, up to
+    the weight's transform_cut(rank), where Upsilon has fallen to its
+    rounding floor.  The kernel grid reaches the weight window beyond both
+    ends.  ValueError names the check's grid, the rank and the width where
+    that grid would overrun the panel budget (rank 1 at width 1.5 or more).
     """
     beta = 0.5 - max(v.real for v in ki.lam.lam)
     if beta <= 0.05:
         raise ValueError("Re lambda too large for the Re s = 1/2 check")
     ux_lo = math.log(FE_MELLIN_TOL) / beta - 2.0
-    ux_hi = 6.5
+    ux_hi = weight.transform_cut(ki.rank)
     window = weight.log_support(FE_MELLIN_TOL * 1e-3)
     lo, hi = ux_lo - weight.mu, ux_hi - weight.mu
-    grid = _KernelGrid(ki, lo + window[0], hi + window[1], FE_MELLIN_TOL * 1e-1)
+    try:
+        grid = _KernelGrid(ki, lo + window[0], hi + window[1], FE_MELLIN_TOL * 1e-1)
+    except _PanelBudgetError:
+        raise ValueError(
+            f"the functional-equation check's kernel grid (x nodes up to log x = {hi:.3g}, "
+            f"weight width {weight.width:g}) needs more than the {_MAX_PANELS}-panel budget "
+            f"at rank {ki.rank}"
+        ) from None
     halfs, ux = _gk_nodes(_panel_grid(ux_lo, ux_hi, ki.rank, rad=0.7) - weight.mu)
     return grid, ux, halfs, window
 
@@ -772,7 +812,11 @@ def functional_equation_check(
     grid's ends, reaches: the values of grid.transform, bit for bit, without
     the error estimates, which the check does not use.  Upsilon(-x) =
     (-1)^eta Upsilon(x), so the signed transform is twice the integral over
-    x > 0.  The s points must pass check_s_points.
+    x > 0.  That integral runs over log x in [ux_lo, transform_cut(rank)]
+    moved by -mu (_fe_grid): the lower end is set by the index, where the
+    x^beta fall of Upsilon x^{-1/2} leaves a tail near FE_MELLIN_TOL; the
+    upper end by the weight, where Upsilon has fallen to its rounding
+    floor.  The s points must pass check_s_points.
     """
     s_points = check_s_points(s_points, weight)
     si = ki.lam

@@ -364,6 +364,22 @@ def test_transform_panel_budget_exits_2(capsys):
     assert "panel budget" in err and len(err.strip().splitlines()) == 1
 
 
+def test_transform_fe_report_budget_names_the_checks_grid(capsys, tmp_path):
+    # rank 1 at width 2: the table fits its budget, the FE check's own grid
+    # does not, and the error names that grid, the rank and the width, not
+    # the x grid
+    rc = main(
+        ["transform", "--n", "1", "--lambda", "0", "--delta", "0", "--weight",
+         "gaussian-log:eta=0,width=2", "--x-grid", "1.0", "--tol", "1e-2", "--s-points", "0.5",
+         "--out", str(tmp_path / "t.csv"), "--fe-report", str(tmp_path / "fe.json")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "functional-equation check's kernel grid" in err and "x grid" not in err
+    assert "weight width 2" in err and "at rank 1" in err
+    assert not (tmp_path / "fe.json").exists()
+
+
 _RANK2 = ["--n", "2", "--lambda", "0.2,-0.2"]
 
 

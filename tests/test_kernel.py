@@ -545,6 +545,68 @@ def test_functional_equation_passes_up_to_the_resolution_bound(case):
     assert rep.passed and rep.max_rel_error < 1e-6
 
 
+# (case, width, eta, mu): ranks 2-4 at each width, each rank through all
+# four (eta, mu) pairs
+_CUT_CASES = [
+    (case, width, *pair)
+    for r, case in enumerate(("rank2", "rank3", "rank4"))
+    for k, width in enumerate((0.5, 1.0, 1.5, 2.0))
+    for pair in [[(0, 0.0), (1, 0.3), (0, 0.3), (1, 0.0)][(k + r) % 4]]
+]
+
+
+def test_fe_cut_leaves_out_only_the_rounding_floor(monkeypatch):
+    # the weight's transform_cut moves each rel_error by at most 1e-11 from
+    # the check cut at 6.5 (tools/fe_cut_scan.py puts the tail past it near
+    # 1e-12); where the cut is 6.5 the check is the same and is not rerun
+    s_points = [0.5, 0.5 + 0.6j, 0.5 - 1.1j]
+    runs = {}
+    for case, width, eta, mu in _CUT_CASES:
+        w = WeightFunction(eta=eta, mu=mu, width=width)
+        ki = _SWEEP_CASES[case][0]
+        assert w.transform_cut(ki.rank) <= 6.5
+        if w.transform_cut(ki.rank) < 6.5:
+            runs[case, width, eta, mu] = [r for *_, r in functional_equation_check(ki, w, s_points).rel_errors]
+    assert len(runs) == 8
+    monkeypatch.setattr(WeightFunction, "transform_cut", lambda self, rank: 6.5)
+    for (case, width, eta, mu), rels in runs.items():
+        w = WeightFunction(eta=eta, mu=mu, width=width)
+        full = functional_equation_check(_SWEEP_CASES[case][0], w, s_points)
+        for a, (*_, b) in zip(rels, full.rel_errors):
+            assert abs(a - b) <= 1e-11, (case, width, eta, mu, a, b)
+
+
+def test_fe_cut_of_sampled_weights_stays_at_6_5(monkeypatch):
+    # the transform of a linear interpolant decays like a power of x: a
+    # sampled weight keeps the cut at 6.5 at every rank, and its check its bits
+    ws = _sampled_bump(1.0)
+    assert {ws.transform_cut(n) for n in range(1, 7)} == {6.5}
+    ki = _SWEEP_CASES["rank3"][0]
+    rep = functional_equation_check(ki, ws, [0.5, 0.5 + 0.94j])
+    monkeypatch.setattr(SampledWeightFunction, "transform_cut", lambda self, rank: 6.5)
+    assert functional_equation_check(ki, ws, [0.5, 0.5 + 0.94j]) == rep
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_functional_equation_passes_at_rank_one(delta):
+    # at width 1 the check's grid ends at log x = 4.5, inside the panel
+    # budget that the old cut at 6.5 overran at rank 1
+    ki = KernelIndex(SpectralIndex([0.0]), (delta,))
+    rep = functional_equation_check(ki, WeightFunction(eta=0), [0.5, 0.5 + 1j, 0.5 + 2j])
+    assert rep.passed and rep.max_rel_error < 1e-6
+
+
+def test_functional_equation_names_its_own_grid_past_the_budget():
+    # rank 1 at width 2 keeps the cut at 6.5 and overruns the budget: the
+    # error names the check's grid, the rank and the width, before any
+    # kernel is summed
+    ki = KernelIndex(SpectralIndex([0.0]), (0,))
+    with pytest.raises(ValueError, match=r"functional-equation check's kernel grid \(x nodes up "
+                       r"to log x = 6.5, weight width 2\) needs more than the 20000-panel "
+                       r"budget at rank 1"):
+        functional_equation_check(ki, WeightFunction(eta=0, width=2.0), [0.5])
+
+
 def test_weight_values_at_signed_points():
     # one evaluation for both weight classes: log_values at log|y| and sgn y
     from besselhr.kernel import SampledWeightFunction
