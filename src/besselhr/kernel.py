@@ -71,7 +71,7 @@ _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal
 _DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
 FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
 _FE_MAX_WIDTH = 2.0  # the widest weight the functional-equation check resolves
-_FE_UX_HI = 6.5  # the check's upper cut in log x, sized for a gaussian-log weight of width 2
+_FE_UX_HI = 6.5  # the check's highest upper cut in log x: a width-2 gaussian-log weight's
 
 
 @dataclass(frozen=True)
@@ -768,10 +768,10 @@ def _fe_grid(ki: KernelIndex, weight: WeightFunction):
     Upsilon_mu(x) = e^mu Upsilon_0(x e^mu) for a weight centred at mu, so
     the nodes are those of mu = 0 moved by -mu; the kernel grid, at
     log x + log y, does not move.  At mu = 0 the nodes run from ux_lo =
-    ln(FE_MELLIN_TOL) / beta - 2, beta = 1/2 - max Re lambda_l, where
-    Upsilon(x) x^{-1/2} ~ x^beta leaves a tail near FE_MELLIN_TOL, up to
-    the weight's transform_cut(rank), where Upsilon has fallen to its
-    rounding floor.  The kernel grid reaches the weight window beyond both
+    ln(FE_MELLIN_TOL) / beta - 2, beta = 1/2 - max Re lambda_l, where the
+    part of int |Upsilon| x^{-1/2} dx below x, which falls like x^beta,
+    is near FE_MELLIN_TOL, up to the weight's transform_cut(rank), where
+    Upsilon has fallen to its rounding floor.  The kernel grid reaches the weight window beyond both
     ends.  ValueError names the check's grid, the rank and the width where
     that grid would overrun the panel budget (rank 1 at width 1.5 or more).
     """
@@ -813,9 +813,9 @@ def functional_equation_check(
     the error estimates, which the check does not use.  Upsilon(-x) =
     (-1)^eta Upsilon(x), so the signed transform is twice the integral over
     x > 0.  That integral runs over log x in [ux_lo, transform_cut(rank)]
-    moved by -mu (_fe_grid): the lower end is set by the index, where the
-    x^beta fall of Upsilon x^{-1/2} leaves a tail near FE_MELLIN_TOL; the
-    upper end by the weight, where Upsilon has fallen to its rounding
+    moved by -mu (_fe_grid): the lower end by the index, where the part
+    of the integral below x, falling like x^beta, is near FE_MELLIN_TOL;
+    the upper end by the weight, where Upsilon has fallen to its rounding
     floor.  The s points must pass check_s_points.
     """
     s_points = check_s_points(s_points, weight)

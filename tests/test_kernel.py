@@ -547,11 +547,11 @@ def test_functional_equation_passes_up_to_the_resolution_bound(case):
 
 # (case, width, eta, mu): ranks 2-4 at each width, each rank through all
 # four (eta, mu) pairs
+_ETA_MU = [(0, 0.0), (1, 0.3), (0, 0.3), (1, 0.0)]
 _CUT_CASES = [
-    (case, width, *pair)
+    (case, width, *_ETA_MU[(k + r) % 4])
     for r, case in enumerate(("rank2", "rank3", "rank4"))
     for k, width in enumerate((0.5, 1.0, 1.5, 2.0))
-    for pair in [[(0, 0.0), (1, 0.3), (0, 0.3), (1, 0.0)][(k + r) % 4]]
 ]
 
 
@@ -566,7 +566,8 @@ def test_fe_cut_leaves_out_only_the_rounding_floor(monkeypatch):
         ki = _SWEEP_CASES[case][0]
         assert w.transform_cut(ki.rank) <= 6.5
         if w.transform_cut(ki.rank) < 6.5:
-            runs[case, width, eta, mu] = [r for *_, r in functional_equation_check(ki, w, s_points).rel_errors]
+            rep = functional_equation_check(ki, w, s_points)
+            runs[case, width, eta, mu] = [r for *_, r in rep.rel_errors]
     assert len(runs) == 8
     monkeypatch.setattr(WeightFunction, "transform_cut", lambda self, rank: 6.5)
     for (case, width, eta, mu), rels in runs.items():
@@ -590,7 +591,7 @@ def test_fe_cut_of_sampled_weights_stays_at_6_5(monkeypatch):
 @pytest.mark.parametrize("delta", [0, 1])
 def test_functional_equation_passes_at_rank_one(delta):
     # at width 1 the check's grid ends at log x = 4.5, inside the panel
-    # budget that the old cut at 6.5 overran at rank 1
+    # budget (a cut at 6.5 overruns it at rank 1)
     ki = KernelIndex(SpectralIndex([0.0]), (delta,))
     rep = functional_equation_check(ki, WeightFunction(eta=0), [0.5, 0.5 + 1j, 0.5 + 2j])
     assert rep.passed and rep.max_rel_error < 1e-6

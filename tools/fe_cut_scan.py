@@ -76,7 +76,8 @@ def main(argv) -> int:
         ki = kernel.KernelIndex(SpectralIndex(lam), deltas)
         for width in WIDTHS:
             for eta in (0, 1):
-                cases.append((ki, kernel.WeightFunction(eta=eta, width=width), f"gaussian-log w={width:g} eta={eta}"))
+                weight = kernel.WeightFunction(eta=eta, width=width)
+                cases.append((ki, weight, f"gaussian-log w={width:g} eta={eta}"))
     u = np.arange(-16.0, 16.0 + 1e-9, 0.005)
     for n, width in SAMPLED:
         ki = kernel.KernelIndex(SpectralIndex(INDICES[n - 1][1]), INDICES[n - 1][2])
