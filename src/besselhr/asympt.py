@@ -255,13 +255,17 @@ def h_bessel(z: Pointlike, si: SpectralIndex, sign) -> AsymptoticEval:
     return _scaled(const, second_kind(z, si, xi))
 
 
+def root_front(n: int, k: int) -> complex:
+    """A_k, the lambda-free part of varsigma_factor at k minus signs."""
+    phase = (n - 1) / 8.0 - (n - 1) * k / (4.0 * n)
+    return (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * e2pi(phase)
+
+
 def varsigma_factor(sv: SignVector, si: SpectralIndex) -> complex:
-    """(2 pi)^{(n-1)/2} c(sig, lam) / sqrt(n), the factor that takes the
-    second-kind solution J(z; lam; xi(sig)) to J(z; sig, lam)."""
-    n = sv.n
-    lam_minus = sum(si.lam[l - 1] for l in sv.minus_positions)
-    c = e2pi((n - 1) / 8.0 - (n - 1) * sv.n_minus / (4.0 * n) + 0.5 * lam_minus)
-    return (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n) * c
+    """(2 pi)^{(n-1)/2} c(sig, lam) / sqrt(n) = A_k prod_S e(lam_l / 2), S the
+    minus set of sig, k = |S|: it takes J(z; lam; xi(sig)) to J(z; sig, lam)."""
+    y = series.root_factors(si.lam, (0,) * sv.n)[0]
+    return root_front(sv.n, sv.n_minus) * math.prod(y[l - 1] for l in sv.minus_positions)
 
 
 def j_varsigma_asymptotic(z: Pointlike, sv: SignVector, si: SpectralIndex) -> AsymptoticEval:

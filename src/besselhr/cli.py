@@ -40,6 +40,7 @@ from .core import (
     SurfacePoint,
     ToleranceNotMetError,
     ValidityFloorError,
+    check_tolerance,
 )
 from .kernel import (
     KernelIndex,
@@ -551,9 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_tolerances(args):
     for name in ("tol", "fe_tol"):
-        tol = getattr(args, name, None)
-        if tol is not None and not 0 < tol < math.inf:
-            raise ValueError(f"--{name.replace('_', '-')} must be a positive number")
+        if hasattr(args, name):
+            check_tolerance(getattr(args, name), f"--{name.replace('_', '-')}")
 
 
 def main(argv=None) -> int:

@@ -44,6 +44,12 @@ class ToleranceNotMetError(RuntimeError):
         self.achieved = achieved
 
 
+def check_tolerance(tol, name: str = "tol") -> None:
+    """ValueError naming the argument unless 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be a positive number")
+
+
 def e2pi(x) -> complex:
     """exp(2 pi i x), the additive character written e(x) in analytic usage."""
     return cmath.exp(2j * math.pi * x)

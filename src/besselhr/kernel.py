@@ -4,14 +4,15 @@ rank-n Hankel transform with its functional-equation verification.
 The kernel at signed argument x is the sum over the 2^{n-1} sign vectors
 whose product matches sgn x of (prod_l sig_l^{delta_l}) J(z), z = 2 pi
 |x|^{1/n}.  Each of those sign-vector functions is a combination of the
-same n first-kind series J_l(z; sgn x), so on the series route the sum
-collapses onto n kernel connection coefficients (series.kernel_series): n
-series per point, summed at one precision chosen for the kernel's own
-accuracy.  On the asymptotic route the sign-vector functions are summed
-grouped by their floor(n/2) + 1 second-kind roots into one array term per
-root, through one array path (_asymptotic_sweep) for one point and for
-many, and the Mellin-Barnes quadrature is available as arbiter.  The
-route of each point is one rule, _asymptotic_zone's.
+same n first-kind series J_l(z; sgn x).  Both routes group the sum by the
+floor(n/2) + 1 roots, with the weights e_k(y) of series.root_factors.  On
+the series route it collapses onto the n kernel coefficients K_l =
+sum_k e_k(y) R^(k)_l, one stored K per index, delta and parity
+(series.kernel_series): n series per point, summed at one precision chosen
+for the kernel's own accuracy.  On the asymptotic route it is one array
+term A_k e_k(y) H_k per root, through one array path (_asymptotic_sweep)
+for one point and for many, and the Mellin-Barnes quadrature is available
+as arbiter.  The route of each point is one rule, _asymptotic_zone's.
 The signed sum can cancel catastrophically (holomorphic-parameter kernels
 vanish identically on one side), so results carry a cancellation
 indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
@@ -48,20 +49,21 @@ from .asympt import (
     M_CAP,
     SUBNORMAL,
     b_coeffs,
+    root_front,
     second_kind_sweep,
     sweep_start,
     validity_floor,
 )
-from .coeffs import elementary_symmetric
 from .core import (
     EvalResult,
     RootOfUnity,
     SpectralIndex,
     ToleranceNotMetError,
+    check_tolerance,
     e2pi,
     genericity_gap,
 )
-from .series import EPS_GEN, kernel_series, kernel_series_grid, top_products
+from .series import EPS_GEN, kernel_series, kernel_series_grid, root_factors, top_products
 
 CANCEL_SWITCH = 1e6
 _BAND_TOP = 12.0  # below max(validity_floor, _BAND_TOP) a swept value must certify itself
@@ -71,7 +73,7 @@ _LOG_TINY = math.log(_TINY)  # kernel nodes u below it have e^u below the normal
 _DECAY_TOL = 1e-8  # a sampled weight's largest end sample, relative to its peak
 FE_MELLIN_TOL = 1e-8  # the functional-equation check's quadrature tolerance
 _FE_MAX_WIDTH = 2.0  # the widest weight the functional-equation check resolves
-_FE_UX_HI = 6.5  # the check's highest upper cut in log x: a width-2 gaussian-log weight's
+_FE_UX_HI = 6.5  # the highest cut in log x: transform_cut at width 2, through rank 21
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,10 @@ class SampledWeightFunction(_Weight):
         v = np.asarray(values, dtype=float)
         if u.ndim != 1 or u.shape != v.shape or u.size < 4:
             raise ValueError("need matching 1-d arrays with >= 4 samples")
+        bad = [f"{name}[{i}] = {a[i]}" for name, a in (("log_grid", u), ("values", v))
+               for i in np.flatnonzero(~np.isfinite(a))]
+        if bad:
+            raise ValueError(f"samples must be finite: {', '.join(bad)}")
         if not np.all(np.diff(u) > 0):
             raise ValueError("log grid must be strictly increasing")
         peak = np.abs(v).max()
@@ -257,6 +263,7 @@ def bessel_kernel(
     the expansion unchecked and raises ValueError below sweep_start.
     "mb" takes the Mellin-Barnes integral alone.
     """
+    check_tolerance(tol)
     if x == 0.0:
         raise ValueError("kernel argument must be nonzero")
     n = ki.rank
@@ -433,12 +440,10 @@ def _root_constants(parity: int, ki: KernelIndex):
     one side: xi, A_k e_k(y), |A_k| e_k(|y|) and |A_k| times the product of
     the k largest |y_l| (series.top_products; see _asymptotic_sweep)."""
     n = ki.rank
-    y = [(-1.0) ** d * e2pi(0.5 * lam) for d, lam in zip(ki.deltas, ki.lam.lam)]
-    e_val, e_abs = elementary_symmetric(y), elementary_symmetric([abs(v) for v in y])
-    front = (2 * math.pi) ** ((n - 1) / 2.0) / math.sqrt(n)
+    _, e_val, e_abs = root_factors(ki.lam.lam, ki.deltas)
     top = top_products(ki.lam.lam)
     for k in range(0 if parity > 0 else 1, n + 1, 2):
-        a = front * e2pi((n - 1) / 8.0 - (n - 1) * k / (4.0 * n))
+        a = root_front(n, k)
         yield RootOfUnity(2 * n, k), a * e_val[k], abs(a) * e_abs[k].real, abs(a) * top[k]
 
 
@@ -449,18 +454,16 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
 
     The sign vectors with minus set S, |S| = k, share the root
     xi = e^{i pi k / n} and so the second-kind values H_k, which
-    asympt.second_kind_sweep computes once for all points.  With
-    y_l = (-1)^{delta_l} e(lambda_l / 2), the signed factor of such a sign
-    vector is A_k prod_S y_l, where A_k = (2 pi)^{(n-1)/2} / sqrt(n)
-    e((n-1)/8 - (n-1) k / (4n)) is the lambda-free part of varsigma_factor.
-    Their sum is A_k e_k(y) H_k, their errors sum to |A_k| e_k(|y|) err_k,
-    and the largest |J(sig)| among them is |A_k| |H_k| times the product of
-    the k largest |y_l|.  Returns the values, the summed errors (at least
-    the subnormal spacing where the value is nonzero), max |J(sig)| and the
-    mask of the points with a correct digit: an error below the normal
-    range is an underflow (a decaying side far out), and any other error
-    that reaches max |J(sig)| leaves none (at huge x the rounding of the
-    phase alone does that).
+    asympt.second_kind_sweep computes once for all points.  The signed
+    factor of such a sign vector is A_k prod_S y_l (asympt.root_front,
+    series.root_factors).  Their sum is A_k e_k(y) H_k, their errors sum to
+    |A_k| e_k(|y|) err_k, and the largest |J(sig)| among them is |A_k| |H_k|
+    times the product of the k largest |y_l|.  Returns the values, the
+    summed errors (at least the subnormal spacing where the value is
+    nonzero), max |J(sig)| and the mask of the points with a correct digit:
+    an error below the normal range is an underflow (a decaying side far
+    out), and any other error that reaches max |J(sig)| leaves none (at
+    huge x the rounding of the phase alone does that).
     """
     values = np.zeros(len(inner), dtype=np.complex128)
     errors = np.zeros(len(inner))
@@ -671,6 +674,7 @@ def hankel_transform(
     (93x) and tol 1e-6 2.3x; tol 1e-8, and the README grid at tol 1e-7
     (worst ratio 0.14), are covered.
     """
+    check_tolerance(tol)
     xs = [float(x) for x in x_grid]
     if not all(map(math.isfinite, xs)):
         raise ValueError("grid points must be finite")
@@ -818,6 +822,7 @@ def functional_equation_check(
     the upper end by the weight, where Upsilon has fallen to its rounding
     floor.  The s points must pass check_s_points.
     """
+    check_tolerance(rel_tol, "rel_tol")
     s_points = check_s_points(s_points, weight)
     si = ki.lam
     d = weight.eta % 2

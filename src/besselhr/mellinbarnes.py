@@ -34,11 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _backend
-from .core import (
-    SignVector,
-    SpectralIndex,
-    ToleranceNotMetError,
-)
+from .core import SignVector, SpectralIndex, ToleranceNotMetError, check_tolerance
 
 # Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule
 # (QUADPACK dqk15 constants).
@@ -279,6 +275,7 @@ def mb_eval_est(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10)
     contour (the oscillatory-cancellation cost that caps the oracle's
     accuracy at large x).
     """
+    check_tolerance(tol)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if x <= 0.0:
@@ -319,6 +316,7 @@ def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
     Evaluates sum over d in {0,1} of sgn(x)^d/(4 pi i) *
     integral of prod_l G_{delta_l + d}(s - lam_l) |x|^{-s} ds.
     """
+    check_tolerance(tol)
     if not math.isfinite(x):
         raise ValueError(f"kernel argument must be finite, got {x}")
     if x == 0.0:

@@ -12,8 +12,9 @@ sign-vector function is the combination
 with S_l = prod_{k != l} 1/sin(pi(lam_l - lam_k)).  The signed kernel sums
 such combinations over sign vectors that share one first-kind family, so it
 is again a combination sum_l K_l J_l (kernel_series), evaluated by the same
-machinery with the kernel connection coefficients K_l, and its cancellation
-reference max |J(sig)| by root (_root_rows).  Two numerical hazards drive
+machinery with the kernel coefficients K_l = sum_k e_k(y) R^(k)_l
+(_kernel_coeffs), and its cancellation reference max |J(sig)| by root, both
+from the rows R^(k) of _root_rows.  Two numerical hazards drive
 the implementation: for non-generic indices the S_l blow up and the
 combination must be taken as a limit (done here by averaging over a small
 circle of generic perturbations, the Cauchy mean of an analytic function);
@@ -42,14 +43,15 @@ The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
 across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
-root rows of the kernel's cancellation reference (both by index, kind or
+root rows of the kernel's K_l and cancellation reference (both by index, kind or
 parity, and digits), the head rows of each series with its differences d_k
 (by index, l and bits), the grid's first-kind tables and coefficient pairs,
 the index-shift matrix of derivatives, and the asymptotic B_m tables of
 asympt (by index and root).  A key holds nothing of z, of a family value or
 of the tolerance, so every result is the same bit for bit with or without
-the store.  The double pass builds its connection coefficients afresh: they
-cost little there, and keys of doubles would not tell 0.0 from -0.0.  Its
+the store.  The double pass builds a sign vector's connection coefficients
+afresh (they cost little there, and keys of doubles would not tell 0.0 from
+-0.0) and rounds a kernel's from the grid's entry.  Its
 head rows of _backend.recip_gamma are stored by index and l all the same
 (_lanczos_head): their arguments d_k + m + 1.0 come out the same for either
 sign of a zero in d_k.  Each entry is charged an upper bound on its bytes
@@ -65,6 +67,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 from typing import Union
 
 import mpmath as mp
@@ -81,12 +84,13 @@ from .core import (
     SpectralIndex,
     SurfacePoint,
     ToleranceNotMetError,
+    check_tolerance,
     e2pi,
     genericity_gap,
     lambda_of_nu,
     nu_of_lambda,
 )
-from .coeffs import bessel_eq_coeffs, build_uv_tables
+from .coeffs import bessel_eq_coeffs, build_uv_tables, elementary_symmetric
 
 EPS_GEN = 1e-4  # below this gap the connection switches to the limit form
 _CAUCHY_RADIUS = 1e-3
@@ -164,23 +168,11 @@ def first_kind(
     return SeriesEval(pref * complex(total), int(terms), float(tail))
 
 
-class _DoubleContext:
-    """Double-precision stand-ins for the mpmath functions the connection
-    coefficients use, so one formula serves the double pass and the big-float
-    rounds (where the context is mpmath itself, at the working precision)."""
-
-    pi = math.pi
-
-    @staticmethod
-    def expjpi(x):
-        return e2pi(0.5 * x)
-
-    @staticmethod
-    def sinpi(x):
-        return complex(_backend.sinpi(complex(x)))
-
-
-_DOUBLE = _DoubleContext()
+# double stand-ins for the mpmath functions of the connection coefficients:
+# one formula serves the double pass and the big-float rounds (mpmath itself)
+_DOUBLE = SimpleNamespace(
+    pi=math.pi, expjpi=lambda x: e2pi(0.5 * x), sinpi=lambda x: complex(_backend.sinpi(complex(x)))
+)
 
 
 def _sines(ctx, lam):
@@ -213,48 +205,6 @@ def _connection_coeffs(ctx, lam, sines, sv: SignVector):
     return coeffs, [abs(c) for c in coeffs]
 
 
-def _kernel_coeffs(ctx, lam, sines, deltas, parity: int):
-    """K_l = sum over sign vectors sig with prod sig = parity of
-    (prod_k sig_k^delta_k) E E_l S_l, in closed form.
-
-    With a_k = lam_l - lam_k each E E_l is pi^{n-1} prod_k e(sig_k a_k/4),
-    so the signed sum over half the sign vectors is
-    pi^{n-1} S_l [prod_k (e(a_k/4) + (-1)^delta_k e(-a_k/4))
-                  + parity prod_k (e(a_k/4) - (-1)^delta_k e(-a_k/4))] / 2.
-    The moduli returned are |pi^{n-1} S_l| (|first product| + |second|) / 2,
-    which bound the rounding of K_l when the two products cancel.
-    """
-    n = len(lam)
-    front = ctx.pi ** (n - 1) / 2
-    coeffs = []
-    mags = []
-    for l in range(n):
-        even = odd = 1
-        for k in range(n):
-            p = ctx.expjpi(0.5 * (lam[l] - lam[k]))
-            q = ctx.expjpi(-0.5 * (lam[l] - lam[k]))
-            if deltas[k]:
-                q = -q
-            even *= p + q
-            odd *= p - q
-        half = front
-        for k in range(n):
-            if k != l:
-                half /= sines[l][k]
-        coeffs.append(half * (even + parity * odd))
-        mags.append(abs(half) * (abs(even) + abs(odd)))
-    return coeffs, mags
-
-
-def _coeffs_of(ctx, lam, kind):
-    """The c_l of a combination sum_l c_l J_l and bounds on their moduli:
-    kind is ("signvec", sv) for E E_l S_l, or ("kernel", deltas, parity)
-    for the kernel coefficients K_l."""
-    if kind[0] == "signvec":
-        return _connection_coeffs(ctx, lam, _sines(ctx, lam), kind[1])
-    return _kernel_coeffs(ctx, lam, _sines(ctx, lam), kind[1], kind[2])
-
-
 def _root_rows(ctx, lam, parity: int):
     """The rows R^(k) = pi^{n-1} e((n - 2k) lam_l / 4) S_l, (-1)^k = parity.
 
@@ -267,10 +217,18 @@ def _root_rows(ctx, lam, parity: int):
     return tuple(tuple(_row(ctx, lam, sines, ctx.pi ** (n - 1), n - 2 * k)) for k in ks)
 
 
+def root_factors(lam, deltas, ctx=_DOUBLE):
+    """y_l = (-1)^delta_l e(lam_l / 2) and, k = 0..n, e_k(y) and e_k(|y|): a
+    kernel is sum_k e_k(y) times the term of the sign vectors with k minus
+    signs (G_k of _root_rows, or A_k H_k with asympt.root_front)."""
+    y = [-ctx.expjpi(v) if d else ctx.expjpi(v) for d, v in zip(deltas, lam)]
+    return y, elementary_symmetric(y), elementary_symmetric([abs(v) for v in y])
+
+
 def top_products(lam):
     """For k = 0..n the product of the k largest |e(lam_l / 2)|, the largest
     |prod_S e(lam_l / 2)| over the sets S of k indices."""
-    top = sorted((abs(e2pi(0.5 * v)) for v in lam), reverse=True)
+    top = sorted(map(abs, root_factors(lam, (0,) * len(lam))[0]), reverse=True)
     return [math.prod(top[:k]) for k in range(len(top) + 1)]
 
 
@@ -315,14 +273,24 @@ _stored = _Store()
 
 
 def _coeffs_mp(lam: tuple, kind, dps: int):
-    """_coeffs_of in mpmath at dps digits, as tuples: n values, n bounds."""
+    """The c_l of kind (("signvec", sv): E E_l S_l; ("kernel", deltas, parity):
+    _kernel_coeffs) and bounds on their moduli at dps digits, as tuples."""
 
     def build():
+        if kind[0] == "kernel":
+            return _kernel_coeffs(lam, kind[1], kind[2], dps)
         with mp.workdps(dps):
-            cs, mags = _coeffs_of(mp, [mp.mpc(v) for v in lam], kind)
-        return tuple(cs), tuple(mags)
+            lam_mp = [mp.mpc(v) for v in lam]
+            return tuple(map(tuple, _connection_coeffs(mp, lam_mp, _sines(mp, lam_mp), kind[1])))
 
     return _stored(("coeffs", lam, kind, dps), _charge(2 * len(lam), dps_to_prec(dps)), build)
+
+
+def _mp_index(lam):
+    """lam in mpmath less its mean, the rounding left in a SpectralIndex."""
+    lam_mp = [mp.mpc(v) for v in lam]
+    mean = sum(lam_mp) / len(lam_mp)
+    return [v - mean for v in lam_mp]
 
 
 def _root_rows_mp(lam: tuple, parity: int, dps: int):
@@ -330,10 +298,25 @@ def _root_rows_mp(lam: tuple, parity: int, dps: int):
 
     def build():
         with mp.workdps(dps):
-            return _root_rows(mp, [mp.mpc(v) for v in lam], parity)
+            return _root_rows(mp, _mp_index(lam), parity)
 
     n = len(lam)
     return _stored(("roots", lam, parity, dps), _charge(n * (n // 2 + 1), dps_to_prec(dps)), build)
+
+
+def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int):
+    """K_l = sum_k e_k(y) R^(k)_l at dps digits from the stored rows of
+    _root_rows_mp, and bounds on |K_l| for the big-float rounds' noise model:
+    near a non-generic index the sum cancels (by up to 10^5 at rank 6 and
+    gaps of 1e-3), so a bound is at least 10^-3 of its terms' mass
+    sum_k e_k(|y|) |R^(k)_l|, which the model's 10^5 then covers."""
+    rows = _root_rows_mp(lam, parity, dps)
+    ks, ls = slice(0 if parity > 0 else 1, None, 2), range(len(lam))
+    with mp.workdps(dps):
+        _, e, e_abs = root_factors(_mp_index(lam), deltas, mp)
+        coeffs = tuple(sum(c * row[l] for c, row in zip(e[ks], rows)) for l in ls)
+        mass = [sum(c.real * abs(row[l]) for c, row in zip(e_abs[ks], rows)) for l in ls]
+        return coeffs, tuple(max(abs(c), m / 1000) for c, m in zip(coeffs, mass))
 
 
 def _lanczos_head(lam: tuple, l: int, diffs):
@@ -370,8 +353,17 @@ def _head_mp(lam: tuple, l: int, wp: int):
     return _stored(("head", lam, l, wp), _charge(n * (fresh + 1), wp), build)
 
 
-def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, kind):
-    cs, mags = _coeffs_of(_DOUBLE, si.lam, kind)
+def _coeffs_double(lam: tuple, kind):
+    """The c_l of kind, bounds on their moduli and a kernel's rows in double:
+    E E_l S_l afresh, or _kernel_grid_coeffs rounded once, |K_l| as bound."""
+    if kind[0] == "signvec":
+        return (*_connection_coeffs(_DOUBLE, lam, _sines(_DOUBLE, lam), kind[1]), ())
+    kern, rows, kern_abs, _ = _kernel_grid_coeffs(lam, kind[1], kind[2])
+    kern, *rows = ([complex(re[0], im[0]) for re, im in row] for row in (kern, *rows))
+    return kern, kern_abs, rows
+
+
+def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float, cs, mags):
     value = 0j
     mass = 0.0
     err = 0.0
@@ -526,7 +518,7 @@ def _failed_round(noise, value):
 
 def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     """sum_l c_l J_l(z; sign) with error at most tol times its modulus, for
-    the coefficients of kind (see _coeffs_of) and its sign: the product of a
+    the coefficients of kind (see _coeffs_mp) and its sign: the product of a
     sign vector's signs, or the kernel's parity.  For a kernel, also returns
     the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows at its parity,
     rebuilt from the family values of the accepted pass; () otherwise.
@@ -541,9 +533,9 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         return 5 + guard + int(logmass - log_size) - int(math.log10(tol))
 
     if not overflow:
-        est, mass, family = _j_generic_double(z, sign, si, tol, kind)
+        cs, mags, rows = _coeffs_double(si.lam, kind)
+        est, mass, family = _j_generic_double(z, sign, si, tol, cs, mags)
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
-            rows = _root_rows(_DOUBLE, si.lam, parity) if parity else ()
             return est, _recombine(rows, family)
         # the double-pass error aggregates eps * (internal term mass), so it
         # back-solves for the cancellation the big-float pass must absorb.
@@ -681,6 +673,7 @@ def j_function(
     asymptotic route there).
     """
     z = _as_point(z)
+    check_tolerance(tol)
     if sv.n != si.rank:
         raise ValueError("sign vector length must match the rank")
     return _evaluate(z, si, tol, ("signvec", sv))[0]
@@ -721,15 +714,9 @@ _GRID_M_CAP = 600  # a point whose series needs more terms is left uncertified
 _U2 = 2.0**-106  # unit roundoff of the pair arithmetic
 
 
-def _split(x):
-    """An mpmath real as a pair (hi, lo) of floats."""
-    hi = float(x)
-    return (hi, float(x - hi))
-
-
 def _mp_pair(z):
     """An mpmath complex as a complex pair ((re_hi, re_lo), (im_hi, im_lo))."""
-    return (_split(z.real), _split(z.imag))
+    return tuple((float(x), float(x - float(x))) for x in (z.real, z.imag))
 
 
 class _FirstKindTable:
@@ -779,17 +766,23 @@ def _table_charge(n: int, terms: int) -> int:
 
 
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
-    """K_l and the rows R^(k) of _root_rows, from mpmath at _GRID_DPS
-    digits rounded to complex pairs; |K_l|; and top_products."""
-    kern = _coeffs_mp(lam, ("kernel", deltas, parity), _GRID_DPS)[0]
-    rows = _root_rows_mp(lam, parity, _GRID_DPS)
-    with mp.workdps(_GRID_DPS):
-        return (
-            tuple(_mp_pair(c) for c in kern),
-            tuple(tuple(_mp_pair(c) for c in row) for row in rows),
-            tuple(float(abs(c)) for c in kern),
-            top_products(lam)[0 if parity > 0 else 1 :: 2],
-        )
+    """K_l of _kernel_coeffs and the rows R^(k) of _root_rows_mp at
+    _GRID_DPS digits rounded to complex pairs; |K_l|; and top_products: one
+    stored entry per index, deltas and parity, for both series routes."""
+
+    def build():
+        kern = _kernel_coeffs(lam, deltas, parity, _GRID_DPS)[0]
+        rows = _root_rows_mp(lam, parity, _GRID_DPS)
+        with mp.workdps(_GRID_DPS):
+            return (
+                tuple(_mp_pair(c) for c in kern),
+                tuple(tuple(_mp_pair(c) for c in row) for row in rows),
+                tuple(float(abs(c)) for c in kern),
+                top_products(lam)[0 if parity > 0 else 1 :: 2],
+            )
+
+    n = len(lam)
+    return _stored(("grid", lam, deltas, parity), _charge(n * (n // 2 + 3), 106), build)
 
 
 def _rotate(c, k: int):
@@ -885,15 +878,7 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
-    consts = [
-        _stored(
-            ("grid", si.lam, deltas, parity),
-            _charge(n * (n // 2 + 3), 106),
-            lambda parity=parity: _kernel_grid_coeffs(si.lam, deltas, parity),
-        )
-        for parity in (1, -1)
-    ]
-    kern, rows, kern_abs, tops = zip(*consts)
+    kern, rows, kern_abs, tops = zip(*(_kernel_grid_coeffs(si.lam, deltas, p) for p in (1, -1)))
     # per l, K_l of both parities as one complex pair of (2, 1) columns
     kern = [
         tuple(tuple(np.array([[k[part][h]] for k in both]) for h in (0, 1)) for part in (0, 1))

@@ -141,22 +141,30 @@ def _signvec_sum(x, ki, tol):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kernel_coeffs_closed_form(n):
-    # K_l in closed form equals the 2^(n-1)-term signed sum of the
-    # sign-vector connection coefficients
+    # K_l = sum_k e_k(y) R^(k)_l from the stored root rows equals the
+    # 2^(n-1)-term signed sum of the sign-vector connection coefficients
+    # (at 40 digits): at 30 digits within its bounds, and rounded once, with
+    # |K_l| as bound, in the double pass
     for kind in ("real", "complex"):
         lam = _generic_index(n, kind).lam
-        sines = series._sines(series._DOUBLE, lam)
         for deltas in ((0,) * n, (1,) + (0,) * (n - 1), tuple(l % 2 for l in range(1, n + 1))):
             for parity in (1, -1):
-                want = [0j] * n
-                for sv in sign_vectors(n, parity):
-                    coef = math.prod(s for s, d in zip(sv.signs, deltas) if d)
-                    cs, _ = series._connection_coeffs(series._DOUBLE, lam, sines, sv)
-                    want = [w + coef * c for w, c in zip(want, cs)]
-                got, mags = series._kernel_coeffs(series._DOUBLE, lam, sines, deltas, parity)
+                with mp.workdps(40):
+                    lam_mp = [mp.mpc(v) for v in lam]
+                    sines = series._sines(mp, lam_mp)
+                    want = [0] * n
+                    for sv in sign_vectors(n, parity):
+                        coef = math.prod(s for s, d in zip(sv.signs, deltas) if d)
+                        cs, _ = series._connection_coeffs(mp, lam_mp, sines, sv)
+                        want = [w + coef * c for w, c in zip(want, cs)]
+                got, bounds = series._kernel_coeffs(lam, deltas, parity, 30)
                 scale = max(abs(w) for w in want)
-                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * scale
-                assert all(abs(g) <= m * (1 + 1e-12) for g, m in zip(got, mags))
+                assert max(abs(g - w) for g, w in zip(got, want)) <= mp.mpf(10) ** -28 * scale
+                with mp.workdps(30):
+                    assert all(abs(g) <= b for g, b in zip(got, bounds))
+                double, mags, _ = series._coeffs_double(lam, ("kernel", deltas, parity))
+                assert all(abs(g - complex(w)) <= 2.0**-52 * abs(w) for g, w in zip(double, want))
+                assert mags == pytest.approx([float(abs(w)) for w in want], rel=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -1225,6 +1233,36 @@ _TYPED_ERRORS = {
                           ValueError, "strictly increasing"),
     "sampled-all-zero": (lambda: SampledWeightFunction([0.0, 1.0, 2.0, 3.0], [0, 0, 0, 0]),
                          ValueError, "all samples vanish"),
+    "sampled-nan-value": (
+        lambda: SampledWeightFunction([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 1.0, 0.0]),
+        ValueError, "samples must be finite: values[1] = nan"),
+    "sampled-inf-value": (
+        lambda: SampledWeightFunction([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -math.inf, 0.0]),
+        ValueError, "samples must be finite: values[2] = -inf"),
+    "sampled-inf-grid": (
+        lambda: SampledWeightFunction([0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 1.0, 0.0]),
+        ValueError, "samples must be finite: log_grid[3] = inf"),
+    # one tolerance rule, 0 < tol < inf, at every public entry point
+    "j-function-nan-tol": (lambda: j_function(1.0, SignVector("++"), _SI2, math.nan),
+                           ValueError, "tol must be a positive number"),
+    "kernel-zero-tol": (lambda: bessel_kernel(1.0, _KI2, "auto", 0.0), ValueError,
+                        "tol must be a positive number"),
+    "kernel-negative-tol": (lambda: bessel_kernel(1.0, _KI2, "series", -1e-9), ValueError,
+                            "tol must be a positive number"),
+    "transform-nan-tol": (lambda: hankel_transform(WeightFunction(), _KI2, [1.0], math.nan),
+                          ValueError, "tol must be a positive number"),
+    "transform-inf-tol": (lambda: hankel_transform(WeightFunction(), _KI2, [1.0], math.inf),
+                          ValueError, "tol must be a positive number"),
+    "mb-eval-zero-tol": (lambda: mb_eval_est(1.0, SignVector((1, -1)), _SI2, 0.0), ValueError,
+                         "tol must be a positive number"),
+    "mb-kernel-nan-tol": (lambda: mb_kernel_est(1.0, _SI2, (0, 0), math.nan), ValueError,
+                          "tol must be a positive number"),
+    "fe-nan-rel-tol": (
+        lambda: functional_equation_check(_KI2, WeightFunction(), [0.5], rel_tol=math.nan),
+        ValueError, "rel_tol must be a positive number"),
+    "fe-negative-rel-tol": (
+        lambda: functional_equation_check(_KI2, WeightFunction(), [0.5], rel_tol=-1.0),
+        ValueError, "rel_tol must be a positive number"),
     "mb-eval-nonpositive-x": (lambda: mb_eval_est(-1.0, SignVector((1, -1)), _SI2), ValueError,
                               "positive real x"),
     "mb-eval-rank-mismatch": (lambda: mb_eval_est(1.0, SignVector((1, -1, -1)), _SI2),

@@ -932,7 +932,9 @@ def test_index_caches_keep_precisions_apart(monkeypatch):
         assert series._head_mp(lam, 2, bits) == fresh
     assert series._coeffs_mp(lam, kind, 30) != series._coeffs_mp(lam, kind, 60)
     assert series._head_mp(lam, 2, 100) != series._head_mp(lam, 2, 200)
-    assert store.hits == {"coeffs": 4, "roots": 2, "head": 2}
+    # the kernel coefficients are built from the root rows at their own
+    # digits, so the rows asked for after them are found at each precision
+    assert store.hits == {"coeffs": 4, "roots": 4, "head": 2}
 
 
 def test_index_caches_are_bounded(monkeypatch):
@@ -941,19 +943,21 @@ def test_index_caches_are_bounded(monkeypatch):
     store = _empty_store(monkeypatch)
     lam5 = SpectralIndex([0.3, -0.1, -0.2, 0.15, -0.05]).lam
     lam7 = SpectralIndex([0.1 * k for k in range(7)]).lam
+    lam12 = SpectralIndex([0.1 * k + 0.03j * k * k for k in range(12)]).lam
+    # each kernel coefficient set keeps the root rows it is built from
     series._coeffs_mp(lam7, ("kernel", (0,) * 7, 1), 40)
     series._coeffs_mp(lam5, ("kernel", (0,) * 5, 1), 400)
     series._head_mp(SpectralIndex([0.0]).lam, 1, 2000)
-    assert len(store) == 3
+    assert len(store) == 5
     assert store.held == sum(cost for _, cost in store.values())
     monkeypatch.setattr(series, "_STORE_BYTES", store.held)
-    # the rank-7 rows at 400 digits (28 numbers) are charged above it
-    assert series._charge(28, series.dps_to_prec(400)) > store.held
+    # the rank-12 rows at 400 digits (84 numbers) are charged above it
+    assert series._charge(84, series.dps_to_prec(400)) > store.held
     for _ in range(2):
-        assert series._root_rows_mp(lam7, 1, 400) == _built_afresh(
-            monkeypatch, series._root_rows_mp, lam7, 1, 400
+        assert series._root_rows_mp(lam12, 1, 400) == _built_afresh(
+            monkeypatch, series._root_rows_mp, lam12, 1, 400
         )
-    assert len(store) == 3 and store.hits["roots"] == 0
+    assert len(store) == 5 and store.hits["roots"] == 0
 
 
 def _assert_reference_built_once(monkeypatch, n, x):
@@ -961,7 +965,7 @@ def _assert_reference_built_once(monkeypatch, n, x):
     root_rows = series._root_rows
 
     def counted(ctx, lam, parity):
-        builds.append(ctx is mp)
+        builds.append(mp.mp.dps if ctx is mp else None)
         return root_rows(ctx, lam, parity)
 
     monkeypatch.setattr(series, "_root_rows", counted)
@@ -969,10 +973,14 @@ def _assert_reference_built_once(monkeypatch, n, x):
     # the series route by name (rank 5 at x = 1 lies in the asymptotic band)
     lam = [0.31, -0.12, -0.23, 0.14, -0.06, 0.11, 0.27, -0.35, 0.02, -0.17, 0.38, -0.29]
     ki = KernelIndex(SpectralIndex(lam[:n]), [int(k % 3 == 1) for k in range(n)])
+    # in mpmath only, twice: at the pair grid's digits for the double pass's
+    # K_l, and at the digits of the big-float round that certifies
     first = bessel_kernel(x, ki, "series", 1e-9)
-    assert first.method == "series" and builds == [True]
+    assert first.method == "series" and len(builds) == 2
+    assert builds[0] == series._GRID_DPS and None not in builds
+    built = list(builds)
     again = bessel_kernel(x, ki, "series", 1e-9)
-    assert builds == [True]
+    assert builds == built
     assert (again.value, again.error, again.cancellation) == (
         first.value, first.error, first.cancellation
     )
@@ -990,6 +998,44 @@ def test_rank12_root_rows_are_kept(monkeypatch):
     # at rank 12 too, where 2^(n-1) sign-vector coefficient sets would be
     # charged above the store's budget
     _assert_reference_built_once(monkeypatch, 12, 0.5)
+
+
+def test_double_pass_reads_the_rounded_grid_coefficients():
+    # the double pass's K_l, its bounds |K_l| and the rows of its
+    # cancellation reference are the pair grid's 50-digit values rounded once
+    for n in (1, 2, 3, 5):
+        lam = SpectralIndex([0.31, -0.12 + 0.2j, -0.23, 0.14 - 0.1j, -0.06][:n]).lam
+        deltas = tuple(k % 2 for k in range(n))
+        for parity in (1, -1):
+            kern, bounds, rows = series._coeffs_double(lam, ("kernel", deltas, parity))
+            want = series._kernel_coeffs(lam, deltas, parity, series._GRID_DPS)[0]
+            want_rows = series._root_rows_mp(lam, parity, series._GRID_DPS)
+            with mp.workdps(series._GRID_DPS):
+                assert kern == [complex(c) for c in want]
+                assert list(bounds) == [float(abs(c)) for c in want]
+                assert rows == [[complex(c) for c in row] for row in want_rows]
+
+
+def test_series_kernel_and_grid_share_one_coefficient_entry(monkeypatch):
+    # bessel_kernel's double pass and kernel_series_grid read one stored
+    # entry per index, deltas and parity: K_l is built once at 50 digits
+    _empty_store(monkeypatch)
+    built = []
+    kernel_coeffs = series._kernel_coeffs
+
+    def counted(lam, deltas, parity, dps):
+        built.append((parity, dps))
+        return kernel_coeffs(lam, deltas, parity, dps)
+
+    monkeypatch.setattr(series, "_kernel_coeffs", counted)
+    ki = KernelIndex(SpectralIndex([0.27, -0.08 + 0.1j, -0.19]), (0, 1, 1))
+    first = [bessel_kernel(x, ki, "series", 1e-9) for x in (0.4, -0.4)]
+    series.kernel_series_grid(np.array([0.5, 2.0, 4.0]), ki.lam, ki.deltas)
+    again = [bessel_kernel(x, ki, "series", 1e-9) for x in (0.4, -0.4)]
+    # (the big-float rounds of the points build their own, at their digits)
+    grid = [b for b in built if b[1] == series._GRID_DPS]
+    assert grid == [(1, series._GRID_DPS), (-1, series._GRID_DPS)]
+    assert [(r.value, r.error) for r in first] == [(r.value, r.error) for r in again]
 
 
 def test_store_evicts_least_recently_used_within_budget(monkeypatch):

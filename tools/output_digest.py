@@ -27,8 +27,11 @@ of changed lines that has as many lines on both sides: for a value
 with an error (a kernel, sign-vector or sweep line, or a CLI table row
 with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
-line both texts.  After that summary it prints the line count (wc -l) of
-each src/besselhr module in both checkouts and the total change.  It
+line both texts.  After that summary it prints, per workload (the
+benchmark's signvec-routes and kernel-grid items, then sweep, hankel-fe and
+readme by the first part of their labels), how many lines differ and the
+largest ratio, and the line count (wc -l) of each src/besselhr module in
+both checkouts and the total change.  It
 exits 1 if a ratio exceeds 1 or a value became an exception, and 0
 otherwise.
 """
@@ -216,6 +219,17 @@ def _table_headers(lines):
     return headers
 
 
+def _workload(line) -> str:
+    """The workload a digest line belongs to: a benchmark item's (its label
+    starts with n<rank>/; a kernel-grid item has a kernel/ route), or the
+    first part of the label."""
+    label, route = (line.split(" ", 2) + [""])[:2]
+    head = label.split("/", 1)[0]
+    if not head[1:].isdigit():
+        return head
+    return "kernel-grid" if route.startswith("kernel/") else "signvec-routes"
+
+
 def _line_counts(root) -> dict:
     """wc -l of each module of root's src/besselhr, by file name."""
     return {p.name: p.read_bytes().count(b"\n") for p in Path(root, "src", "besselhr").glob("*.py")}
@@ -233,12 +247,20 @@ def compare(root_a, root_b) -> int:
     )
     headers = _table_headers(a_lines)
     failed, moved = False, 0
+    by_workload = {}  # workload -> [lines that differ, largest ratio]
+
+    def count(line, ratio=0.0):
+        entry = by_workload.setdefault(_workload(line), [0, 0.0])
+        entry[0] += 1
+        entry[1] = max(entry[1], ratio)
     matcher = difflib.SequenceMatcher(None, a_lines, b_lines, autojunk=False)
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
         if tag == "equal":
             continue
         moved += max(i2 - i1, j2 - j1)
         if i2 - i1 != j2 - j1:  # lines without a partner
+            for line in a_lines[i1:i2] if i2 - i1 >= j2 - j1 else b_lines[j1:j2]:
+                count(line)
             for line in a_lines[i1:i2]:
                 print(f"- {line}")
             for line in b_lines[j1:j2]:
@@ -253,13 +275,17 @@ def compare(root_a, root_b) -> int:
             parsed = _pairs(a, header), _pairs(b, header)
             if None in parsed or not parsed[0][1]:
                 failed |= " raises " in b and " raises " not in a
+                count(a)
                 print(f"{a}\n  -> {b}")
                 continue
             (route_a, pairs_a), (route_b, pairs_b) = parsed
             ratio = _ratio(pairs_a, pairs_b)
+            count(a, ratio)
             failed |= not ratio <= 1.0
             print(f"{label} {route_a} -> {route_b} ratio {ratio:.3g}")
     print(f"{moved} of {len(a_lines)} lines differ")
+    for name, (lines, ratio) in by_workload.items():
+        print(f"{name}: {lines} lines differ, largest ratio {ratio:.3g}")
     counts_a, counts_b = _line_counts(root_a), _line_counts(root_b)
     for name in sorted(counts_a.keys() | counts_b.keys()):
         print(f"wc -l {name} {counts_a.get(name, 0)} -> {counts_b.get(name, 0)}")
