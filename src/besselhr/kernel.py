@@ -454,16 +454,17 @@ def _asymptotic_sweep(inner, parity: int, ki: KernelIndex):
 
     The sign vectors with minus set S, |S| = k, share the root
     xi = e^{i pi k / n} and so the second-kind values H_k, which
-    asympt.second_kind_sweep computes once for all points.  The signed
-    factor of such a sign vector is A_k prod_S y_l (asympt.root_front,
-    series.root_factors).  Their sum is A_k e_k(y) H_k, their errors sum to
-    |A_k| e_k(|y|) err_k, and the largest |J(sig)| among them is |A_k| |H_k|
-    times the product of the k largest |y_l|.  Returns the values, the
-    summed errors (at least the subnormal spacing where the value is
-    nonzero), max |J(sig)| and the mask of the points with a correct digit:
-    an error below the normal range is an underflow (a decaying side far
-    out), and any other error that reaches max |J(sig)| leaves none (at
-    huge x the rounding of the phase alone does that).
+    asympt.second_kind_sweep computes once for all points.  With
+    y_l = (-1)^{delta_l} e(lambda_l / 2), the signed factor of such a sign
+    vector is A_k prod_S y_l (series.root_factors, asympt.root_front).
+    Their sum is A_k e_k(y) H_k, their errors sum to |A_k| e_k(|y|) err_k,
+    and the largest |J(sig)| among them is |A_k| |H_k| times the product of
+    the k largest |y_l|.  Returns the values, the summed errors (at least
+    the subnormal spacing where the value is nonzero), max |J(sig)| and the
+    mask of the points with a correct digit: an error below the normal
+    range is an underflow (a decaying side far out), and any other error
+    that reaches max |J(sig)| leaves none (at huge x the rounding of the
+    phase alone does that).
     """
     values = np.zeros(len(inner), dtype=np.complex128)
     errors = np.zeros(len(inner))
