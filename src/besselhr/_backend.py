@@ -21,6 +21,16 @@ dyadic numbers (differences of doubles), so the loop strips the trailing
 zero bits they share and steps its polynomials W and R at wp + n fb and
 2n fb fraction bits, fb the bits left, in place of (n+1) wp and 2n wp.
 
+The contour integrands of mellinbarnes take every gamma factor from one
+numpy pass, _gamma_np, as a pair (a, b) with Gamma = e^a b: a holds the
+Lanczos exponent (z + 1/2) log t - t and, on the reflected points with
+|Im z| >= 18, the sine's dominant exponential; b is the Lanczos sum's
+factor, reflected through the sine.  An integrand adds the exponents and
+the real logs log|b|, multiplies only the unit phases b / |b|, and takes one
+exp per point (_exp_factors); G_delta is the ratio of two such factors.
+Every step is elementwise and every sum over factors runs in a fixed
+order, so a point gets the same bits alone or in any batch.
+
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
 them in place.  ``series_sum`` is the double pass only: the big-float
@@ -307,6 +317,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
         rr = [c << -shift for c in rr]
         shift = 0
     tol2 = 2 * tol
+    isqrt = math.isqrt
     sr = si = 0
     abs_sum = 0
     small = 0
@@ -318,10 +329,13 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
             w_re = wr[0]
             w_im = wi[0]
             r = rr[0]
-            tr, ti = (
-                ((tr * w_re - ti * w_im) << shift) // r,
-                ((tr * w_im + ti * w_re) << shift) // r,
-            )
+            if shift:
+                tr, ti = (
+                    ((tr * w_re - ti * w_im) << shift) // r,
+                    ((tr * w_im + ti * w_re) << shift) // r,
+                )
+            else:
+                tr, ti = (tr * w_re - ti * w_im) // r, (tr * w_im + ti * w_re) // r
             for j in w_steps:
                 wr[j] += wr[j + 1]
                 wi[j] += wi[j + 1]
@@ -329,13 +343,24 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
                 rr[j] += rr[j + 1]
         sr += tr
         si += ti
-        t_abs = _abs_ub(tr, ti)
+        # _abs_ub(tr, ti), inline
+        ar = -tr if tr < 0 else tr
+        ai = -ti if ti < 0 else ti
+        k = (ar if ar > ai else ai).bit_length() - 60
+        if k <= 0:
+            t_abs = isqrt(ar * ar + ai * ai) + 1
+        else:
+            ar = (ar >> k) + 1
+            ai = (ai >> k) + 1
+            t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
         abs_sum += t_abs
         if m >= m_min:
             # t_abs 2^wp <= tol _abs_ub(sr, si) + floor, settled on the
             # bounds max <= _abs_ub < 2 max + 2 where they decide it
             over = (t_abs << wp) - floor
-            low = tol * max(abs(sr), abs(si))
+            ar = -sr if sr < 0 else sr
+            ai = -si if si < 0 else si
+            low = tol * (ar if ar > ai else ai)
             if over <= low or (
                 over <= (low << 1) + tol2 and over <= tol * _abs_ub(sr, si)
             ):
@@ -365,15 +390,47 @@ def series_sum(zf, diffs, tol, m_min, m_cap, head):
 # numpy vectorized kernels
 # ---------------------------------------------------------------------------
 
-def _loggamma_right_np(z):
-    t = z + _LG_SHIFT
-    t = (z + 0.5) * np.log(t) - t
-    ser = np.full(z.shape, _LG_C0, dtype=np.complex128)
-    y = z
-    for j in range(14):
-        y = y + 1.0
-        ser = ser + _LG_COEF[j] / y
-    return t + np.log(_SQRT_2PI * ser / z)
+def _gamma_np(z):
+    """Gamma(z) = e^a * b elementwise, any shape, as the pair (a, b).
+
+    On Re z >= 1/2, a = (z + 1/2) log t - t with t = z + g + 1/2, and
+    b = sqrt(2 pi) ser / z with ser the Lanczos sum.  Left of it the
+    reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) gives a = -a(1 - z)
+    and b = pi / (b(1 - z) S) with S = sin(pi z), reduced at the integers;
+    where |Im z| >= 18, with u = sgn(Im z) z, the sine's dominant factor
+    (sgn i/2) e^(-i pi u) goes into a and S = 1 - e^(2 pi i u).  The growth
+    is all in a and b is finite off the poles, so a caller takes log|b| as
+    a real log.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    t = w + _LG_SHIFT
+    a = (w + 0.5) * np.log(t)
+    a -= t
+    b = np.full(z.shape, _LG_C0, dtype=np.complex128)
+    y = w.copy()
+    for c in _LG_COEF:
+        y += 1.0
+        np.divide(c, y, out=t)
+        b += t
+    b *= _SQRT_2PI
+    b /= w
+    if left.any():
+        zl = z[left]
+        sgn = np.sign(zl.imag)
+        big = sgn * zl.imag >= 18.0
+        s = np.empty(zl.shape, dtype=np.complex128)
+        lin = np.zeros(zl.shape, dtype=np.complex128)
+        s[~big] = _sinpi_np(zl[~big])
+        # sin(pi z) = (sgn i / 2) e^(-i pi u) (1 - e^(2 pi i u)), u = sgn z
+        sgn = sgn[big]
+        u = zl[big] * sgn
+        s[big] = 1.0 - np.exp(2j * _PI * u)
+        lin[big] = 1j * _PI * (u - 0.5 * sgn) + _LN_2
+        a[left] = lin - a[left]
+        b[left] = _PI / (b[left] * s)
+    return a, b
 
 
 def _sinpi_np(z):
@@ -382,39 +439,22 @@ def _sinpi_np(z):
     return np.where(np.mod(k, 2.0) != 0.0, -s, s)
 
 
-def _logsinpi_np(z):
-    # each branch of _logsinpi at its own points only
-    y = z.imag
-    big_up = y >= 18.0
-    big_dn = y <= -18.0
-    mid = ~(big_up | big_dn)
-    out = np.empty(z.shape, dtype=np.complex128)
-    out[mid] = np.log(_sinpi_np(z[mid]))
-    zu = z[big_up]
-    out[big_up] = complex(-_LN_2, 0.5 * _PI) - 1j * _PI * zu + np.log1p(-np.exp(2j * _PI * zu))
-    zd = z[big_dn]
-    out[big_dn] = complex(-_LN_2, -0.5 * _PI) + 1j * _PI * zd + np.log1p(-np.exp(-2j * _PI * zd))
-    return out
-
-
-def _loggamma_np(z):
-    # elementwise, any shape; the reflection only at the points with Re z < 1/2
-    z = np.asarray(z, dtype=np.complex128)
-    left = z.real < 0.5
-    lg = _loggamma_right_np(np.where(left, 1.0 - z, z))
-    if left.any():
-        lg[left] = _LN_PI - _logsinpi_np(z[left]) - lg[left]
-    return lg
-
-
-def _log_gdelta_np(w, delta):
-    # elementwise; delta (integers) broadcasts against w, and both gamma
-    # arguments go through one _loggamma_np call
-    delta = np.asarray(delta)
-    lg = _loggamma_np(np.stack([0.5 * (w + delta), 0.5 * (1.0 - w + delta)]))
-    out = (0.5 - w) * _LN_PI + lg[0] - lg[1]
-    out[np.broadcast_to(delta % 2 != 0, out.shape)] += complex(0.0, 0.5 * _PI)
-    return out
+def _exp_factors(acc, a, b):
+    """exp(acc + sum_l a_l) * prod_l b_l over the rows l of a and b, one
+    exp per point: log|b_l| joins the exponent as a real log and only the
+    unit phases b_l / |b_l| are multiplied, so the product cannot overflow
+    where the exponent does not.  Both run over l = 0, 1, ... in order; acc,
+    a and b are overwritten."""
+    mag = np.abs(b)
+    a.real += np.log(mag)
+    np.divide(b.real, mag, out=b.real)
+    np.divide(b.imag, mag, out=b.imag)
+    acc += a[0]
+    phase = b[0]
+    for l in range(1, a.shape[0]):
+        acc += a[l]
+        phase *= b[l]
+    return np.exp(acc) * phase
 
 
 def _shifts(s, lam):
@@ -423,21 +463,19 @@ def _shifts(s, lam):
 
 
 def mb_j_integrand(s, lam, sig, n, lnx):
-    # one log-gamma pass over all factors; acc still sums them in order
+    # prod_l Gamma(w_l) e(sig_l w_l / 4) x^(-n s) with w_l = s - lam_l
     w = _shifts(s, lam)
-    lg = _loggamma_np(w)
-    acc = -n * lnx * s
-    for l in range(lam.shape[0]):
-        acc = acc + lg[l] + complex(0.0, 0.5 * _PI * sig[l]) * w[l]
-    return np.exp(acc)
+    a, b = _gamma_np(w)
+    a += (0.5j * _PI * sig).reshape((-1,) + (1,) * np.ndim(s)) * w
+    return _exp_factors(-n * lnx * s, a, b)
 
 
 def mb_kernel_integrand(s, lam, dl, delta, lnx):
+    # prod_l G_d(w_l) |x|^(-s), d = dl_l + delta mod 2, each G_d the ratio
+    # i^d pi^(1/2 - w) Gamma((w + d)/2) / Gamma((1 - w + d)/2) of two
+    # factors from one _gamma_np call
     w = _shifts(s, lam)
-    gd = _log_gdelta_np(w, ((dl + delta) % 2).reshape((-1,) + (1,) * np.ndim(s)))
-    acc = -lnx * s
-    for l in range(lam.shape[0]):
-        acc = acc + gd[l]
-    return np.exp(acc)
-
-
+    d = ((dl + delta) % 2).reshape((-1,) + (1,) * np.ndim(s))
+    a, b = _gamma_np(np.stack([0.5 * (w + d), 0.5 * (1.0 - w + d)]))
+    g = (0.5 - w) * _LN_PI + a[0] - a[1] + (0.5j * _PI) * d
+    return _exp_factors(-lnx * s, g, b[0] / b[1])

@@ -85,10 +85,6 @@ class SpectralIndex:
         """max |lambda_l| + 1 (enters asymptotic validity floors)."""
         return max(abs(v) for v in self.lam) + 1.0
 
-    @property
-    def imag_bound(self) -> float:
-        return max(abs(v.imag) for v in self.lam)
-
 
 @dataclass(frozen=True)
 class NuIndex:

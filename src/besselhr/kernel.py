@@ -337,7 +337,6 @@ class KernelAsymptotics:
     plus_terms: tuple  # (oscillatory coefficient, W value, W error)
     minus_terms: tuple
     e_decay_rate: float  # remainder decays like exp(-rate * x)
-    e_prefactor_log: float  # pi*floor(n/2)*max|Im lam| enters the bound
 
     def side_value(self, positive: bool) -> complex:
         terms = self.plus_terms if positive else self.minus_terms
@@ -379,15 +378,7 @@ def kernel_asymptotics(x: float, ki: KernelIndex, m_terms: int) -> KernelAsympto
         else:
             minus.append(entry)
     rate = 2.0 * math.pi * n * math.sin(math.pi / n) if n > 1 else 2.0 * math.pi
-    return KernelAsymptotics(
-        n,
-        x,
-        m_terms,
-        tuple(plus),
-        tuple(minus),
-        rate,
-        math.pi * (n // 2) * si.imag_bound,
-    )
+    return KernelAsymptotics(n, x, m_terms, tuple(plus), tuple(minus), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +682,15 @@ def hankel_transform(
             f"grid points need |x| >= {least} for this weight and tolerance: below "
             "it the kernel table reaches nodes that underflow double range"
         )
-    grid = _KernelGrid(ki, lmin + ylo, lmax + yhi, tol * 1e-2)
+    try:
+        grid = _KernelGrid(ki, lmin + ylo, lmax + yhi, tol * 1e-2)
+    except _PanelBudgetError:
+        raise ValueError(
+            f"the transform's kernel table (log|x y| from {lmin + ylo:.3g} to {lmax + yhi:.3g}: "
+            f"the x grid's log|x| in [{lmin:.3g}, {lmax:.3g}] widened by the weight window "
+            f"log|y| in [{ylo:.3g}, {yhi:.3g}] at tol {tol:g}) needs more than the "
+            f"{_MAX_PANELS}-panel budget at rank {ki.rank}"
+        ) from None
     vals, errs = grid.transform(xs, weight)
     return HankelResult(tuple(xs), tuple(vals.tolist()), tuple(errs.tolist()))
 

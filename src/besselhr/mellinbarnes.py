@@ -19,10 +19,13 @@ tail cut where an empirical decay-rate bound drops below tol/10.  A piece
 whose Kronrod-Gauss difference is at most 50 eps times its absolute mass is
 at its rounding floor and is never split again, so the loop stops where the
 error estimate stops falling instead of running to its piece cap.  The
-integrand is called on batches of panels: all initial segments at once, the
-halves of every split of a refinement round together, and the four tail
-probes of each t_max trial together; each panel's 15-point sums are the same
-bits as when it is alone.
+integrand is called on batches of points: each t_max trial sends the
+segments no earlier trial evaluated together with its four tail probes, so
+the first call holds all the initial segments and a second one comes only
+when t_max grows; each refinement round sends the halves of all its splits
+together.  The integrands are elementwise and the GK15 sums run over the
+columns of all panels at once in a fixed order, so a panel's sums, and a
+probe's value, are the same bits alone or in a batch.
 """
 
 from __future__ import annotations
@@ -145,27 +148,45 @@ def _segments(c: Contour, osc_rate: float):
     return segs
 
 
-def _gk15(f, pieces):
-    """GK15 on each straight piece (a, b), all nodes in one integrand call.
-
-    Returns (Kronrod value, |Kronrod - Gauss|, absolute mass) per piece.  The
-    15-point sums stay one np.dot per piece, so a piece gets the same bits
-    alone or in a batch.
-    """
-    ends = np.array(pieces, dtype=np.complex128)
+def _panel_nodes(pieces):
+    """The 15 GK15 nodes of each straight piece (a, b), piece after piece in
+    one flat array, and the half-lengths (b - a)/2."""
+    ends = np.array(pieces, dtype=np.complex128).reshape(-1, 2)
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
     half = 0.5 * (ends[:, 1] - ends[:, 0])
-    fv = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+
+
+def _column_sum(rows, weights, centre, w_centre):
+    """w_centre * centre + sum_j weights[j] * rows[:, j], the columns added
+    in order j = 0, 1, ...: the same bits for a row alone or in a batch."""
+    total = centre * w_centre
+    for col in (rows * weights).T:
+        total += col
+    return total
+
+
+def _gk15_sums(fv, half):
+    """(Kronrod value, |Kronrod - Gauss|, absolute mass) per piece from the
+    rows of fv, the 15 integrand values of each piece at _NODES, and the
+    half-lengths.  The symmetric node pairs are added first, as in QUADPACK
+    dqk15, and every sum runs over the columns for all pieces at once."""
+    pairs = fv[:, :7] + fv[:, :7:-1]  # f(-x_j) + f(x_j), x_j from outermost in
     av = np.abs(fv)
-    out = []
-    for h, row, arow in zip(half, fv, av):
-        ik = h * np.dot(_WK15, row)
-        ig = h * np.dot(_WG15, row)
-        out.append((ik, abs(ik - ig), abs(h) * float(np.dot(_WK15, arow))))
-    return out
+    ik = half * _column_sum(pairs, _WGK[:7], fv[:, 7], _WGK[7])
+    ig = half * _column_sum(pairs[:, 1::2], _WG[:3], fv[:, 7], _WG[3])
+    mass = np.abs(half) * _column_sum(av[:, :7] + av[:, :7:-1], _WGK[:7], av[:, 7], _WGK[7])
+    return list(zip(ik.tolist(), np.abs(ik - ig).tolist(), mass.tolist()))
 
 
-def _adaptive(f, segs, tol):
+def _gk15(f, pieces):
+    """GK15 on each straight piece (a, b), all nodes in one integrand call:
+    (Kronrod value, |Kronrod - Gauss|, absolute mass) per piece."""
+    points, half = _panel_nodes(pieces)
+    return _gk15_sums(f(points).reshape(-1, 15), half)
+
+
+def _adaptive(f, segs, tol, first):
     """Adaptive bisection over straight pieces in refinement rounds;
     deterministic summation.
 
@@ -178,11 +199,11 @@ def _adaptive(f, segs, tol):
     _ROUNDING_FLOOR times its absolute mass sits at the rounding level of
     its own rule (the QUADPACK dqk15 floor) and is never picked, so the
     loop also ends when no piece is left to pick.  Each pick's left half
-    keeps its index and its right half is appended.  The initial segments
-    go to the integrand in one call, and all the halves of each round in
-    one more.
+    keeps its index and its right half is appended.  first holds the
+    _gk15 results of the initial segments; all the halves of each round go
+    to the integrand in one call.
     """
-    pieces = [[a, b, *r] for (a, b), r in zip(segs, _gk15(f, segs))]
+    pieces = [[a, b, *r] for (a, b), r in zip(segs, first)]
     while len(pieces) < _MAX_PIECES:
         unpicked = sum(p[3] for p in pieces)
         share = 0.25 * tol / len(pieces)
@@ -219,15 +240,14 @@ def _adaptive(f, segs, tol):
     return total, err, mass
 
 
-def _tail_rates(f, rays):
+def _tail_rates(fv):
     """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
-    ray end, from one integrand call at two points 2 apart per ray."""
-    pts = np.array([p for end, d in rays for p in (end - 2.0 * d, end)])
-    fv = f(pts)
+    ray end, from the values at two points 2 apart per ray, the inner one
+    first."""
     out = []
-    for k in range(len(rays)):
-        f1 = abs(fv[2 * k])
-        f0 = abs(fv[2 * k + 1])
+    for k in range(0, len(fv), 2):
+        f1 = abs(fv[k])
+        f0 = abs(fv[k + 1])
         if f0 == 0.0:
             out.append((math.inf, 0.0))
         else:
@@ -238,20 +258,34 @@ def _tail_rates(f, rays):
 def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
     """Integrate f along the contour, growing t_max until the tail is safe.
 
-    At x near the top of double range the log-gamma sums overflow to inf
+    Each t_max trial makes one integrand call: the GK15 nodes of the
+    contour's segments not evaluated by an earlier trial, then the four
+    tail probes, two points 2 apart at the end of each ray.  Only the
+    segment each ray's end cuts short changes when t_max grows, so a trial
+    that fails wastes just those; the adaptive loop starts from the
+    segments of the trial that passed.
+
+    At x near the top of double range the exponent sums overflow to inf
     and nan, on the tail probes or on the panels; numpy's warnings are off
     for the whole call, and a tail that does not come under control or a
     value, error or mass that is not finite raises ToleranceNotMetError.
     """
     with np.errstate(all="ignore"):
         cc = c
+        known = {}
         for _ in range(10):
+            segs = _segments(cc, osc_rate)
+            new = [seg for seg in segs if seg not in known]
             up, dn = _ray_dir(cc, True), _ray_dir(cc, False)
-            rays = (
+            ends = (
                 (complex(cc.base_real, cc.bend_height) + cc.t_max * up, up),
                 (complex(cc.base_real, -cc.bend_height) + cc.t_max * dn, dn),
             )
-            rates = _tail_rates(f, rays)
+            points, half = _panel_nodes(new)
+            probes = np.array([p for end, d in ends for p in (end - 2.0 * d, end)])
+            fv = f(np.concatenate([points, probes]))
+            known.update(zip(new, _gk15_sums(fv[: points.size].reshape(-1, 15), half)))
+            rates = _tail_rates(fv[points.size :])
             if all(rate > 0.05 and math.isfinite(f0) for rate, f0 in rates):
                 tail = sum(4.0 * f0 / rate for rate, f0 in rates)
                 if tail < 0.1 * tol:
@@ -259,7 +293,7 @@ def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
             cc = replace(cc, t_max=cc.t_max * 1.7)
         else:
             raise ToleranceNotMetError("contour tail does not come under control")
-        val, err, mass = _adaptive(f, _segments(cc, osc_rate), tol)
+        val, err, mass = _adaptive(f, segs, tol, [known[seg] for seg in segs])
     if not (cmath.isfinite(val) and math.isfinite(err) and math.isfinite(mass)):
         raise ToleranceNotMetError(
             "the contour integral overflows double range: its value, error or mass is not finite"

@@ -364,6 +364,21 @@ def test_transform_panel_budget_exits_2(capsys):
     assert "panel budget" in err and len(err.strip().splitlines()) == 1
 
 
+def test_transform_tiny_tol_names_the_weight_window(capsys):
+    # a one-point grid at --tol 1e-200: the weight window, cut at tol * 1e-3,
+    # takes the kernel table past its panel budget, and the one error line
+    # names that window and the tolerance
+    rc = main(
+        ["transform", "--n", "2", "--lambda", "0.25i,-0.25i", "--delta", "0,0",
+         "--weight", "gaussian-log:eta=0", "--x-grid", "1", "--tol", "1e-200"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "weight window log|y| in [-21.6, 21.6] at tol 1e-200" in err
+    assert "20000-panel budget" in err
+
+
 def test_transform_fe_report_budget_names_the_checks_grid(capsys, tmp_path):
     # rank 1 at width 2: the table fits its budget, the FE check's own grid
     # does not, and the error names that grid, the rank and the width, not

@@ -1203,6 +1203,21 @@ def test_fe_transform_order_bits(eta):
     assert grid.values([], w).shape == (0,)
 
 
+def test_transform_tiny_tol_names_the_weight_window():
+    # at tol 1e-200 the weight window log_support(tol * 1e-3) is what widens
+    # a one-point grid's kernel table past the panel budget: a plain
+    # ValueError names the tolerance and the window, as the FE check's does
+    with pytest.raises(ValueError) as exc:
+        hankel_transform(WeightFunction(), KernelIndex(SpectralIndex([0.25j, -0.25j]), (0, 0)),
+                         [1.0], 1e-200)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        "the transform's kernel table (log|x y| from -21.6 to 21.6: the x grid's log|x| in "
+        "[0, 0] widened by the weight window log|y| in [-21.6, 21.6] at tol 1e-200) needs "
+        "more than the 20000-panel budget at rank 2"
+    )
+
+
 _SI2 = SpectralIndex([0.25j, -0.25j])
 _KI2 = KernelIndex(_SI2, (0, 0))
 _TYPED_ERRORS = {

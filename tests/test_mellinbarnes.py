@@ -13,12 +13,14 @@ from besselhr.mellinbarnes import (
     _MAX_PIECES,
     _NODES,
     _ROUNDING_FLOOR,
-    _WG15,
-    _WK15,
+    _WG,
+    _WGK,
     Contour,
     _adaptive,
     _gk15,
+    _panel_nodes,
     _segments,
+    _tail_rates,
     default_contour,
     g_delta,
     mb_eval,
@@ -208,7 +210,7 @@ def test_adaptive_stops_at_rounding_floor():
     f, tally = _counting(poly)
     segs = _segments(default_contour(SpectralIndex([0.3, -0.1, -0.2]), 2.0), 3.0)
     segs = [(0.1 * a, 0.1 * b) for a, b in segs]  # keep |s|^13 moderate
-    val, err, mass = _adaptive(f, segs, 1e-300)
+    val, err, mass = _adaptive(f, segs, 1e-300, _gk15(f, segs))
     assert tally == {"calls": 1, "points": 15 * len(segs)}
     anti = poly.integ()
     want = sum(complex(anti(b) - anti(a)) for a, b in segs)
@@ -217,13 +219,28 @@ def test_adaptive_stops_at_rounding_floor():
 
 
 def _gk15_alone(f, a, b):
-    """One GK15 panel in its own integrand call: the per-piece formula."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = f(mid + half * _NODES)
-    ik = half * np.dot(_WK15, fv)
-    ig = half * np.dot(_WG15, fv)
-    return ik, abs(ik - ig), abs(half) * float(np.dot(_WK15, np.abs(fv)))
+    """One GK15 panel in its own integrand call, its sums node by node: the
+    symmetric pairs of dqk15 added first, then the weighted pairs in order
+    from the outermost in, after the centre.  Every step is a one-element
+    array, so the products round as in the batched arrays (numpy's complex
+    product is fused, Python's is not)."""
+    half = np.array([0.5 * (b - a)])
+    fv = f(0.5 * (a + b) + half[0] * _NODES)
+    av = np.abs(fv)
+
+    def node(v, j):
+        return v[j : j + 1]
+
+    def weighted(v, nodes, weights, w_centre):
+        total = node(v, 7) * w_centre
+        for j, w in zip(nodes, weights):
+            total = total + (node(v, j) + node(v, 14 - j)) * w
+        return total
+
+    ik = half * weighted(fv, range(7), _WGK[:7], _WGK[7])
+    ig = half * weighted(fv, (1, 3, 5), _WG[:3], _WG[3])
+    mass = np.abs(half) * weighted(av, range(7), _WGK[:7], _WGK[7])
+    return complex(ik[0]), float(np.abs(ik - ig)[0]), float(mass[0])
 
 
 def test_gk15_batch_bit_identical():
@@ -313,12 +330,14 @@ def test_adaptive_rounds_match_one_split_reference(monkeypatch):
     # the j integrand at ranks 1-5 (prototype index; rank 5, +++++, x = 0.5
     # is the floor point of test_mb_rank5_floor_agrees_with_series) and both
     # parities of the vanishing kernel point: the same (value, error, mass)
-    # bits and points as one split per call, in at most half the calls
+    # bits and points as one split per call, in at most half the calls.  The
+    # initial panels come from the contour's tail-probe calls, with the bits
+    # of the panels alone
     cases = []
 
-    def recording(f, segs, tol):
-        cases.append((f, segs, tol))
-        return _adaptive(f, segs, tol)
+    def recording(f, segs, tol, first):
+        cases.append((f, segs, tol, first))
+        return _adaptive(f, segs, tol, first)
 
     monkeypatch.setattr(mellinbarnes, "_adaptive", recording)
     for n in range(1, 6):
@@ -329,14 +348,64 @@ def test_adaptive_rounds_match_one_split_reference(monkeypatch):
     bessel_kernel(-3.0, KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), "auto", 1e-9)
     assert len(cases) == 5 * 2 * 3 + 2
     calls = {"rounds": 0, "reference": 0}
-    for f, segs, tol in cases:
+    for f, segs, tol, first in cases:
+        assert first == _gk15(f, segs)
         fr, rounds = _counting(f)
         fo, reference = _counting(f)
-        assert _bits(_adaptive(fr, segs, tol)) == _bits(_adaptive_one_split(fo, segs, tol))
-        assert rounds["points"] == reference["points"]
+        assert _bits(_adaptive(fr, segs, tol, first)) == _bits(_adaptive_one_split(fo, segs, tol))
+        assert rounds["points"] + 15 * len(segs) == reference["points"]
         calls["rounds"] += rounds["calls"]
         calls["reference"] += reference["calls"]
     assert 2 * calls["rounds"] <= calls["reference"]
+
+
+def _probe_points(c):
+    """The four tail probes of contour c: two points 2 apart at the end of
+    each ray, the inner one first, the upper ray first."""
+    out = []
+    for up, sign in ((True, 1.0), (False, -1.0)):
+        d = mellinbarnes._ray_dir(c, up)
+        end = complex(c.base_real, sign * c.bend_height) + c.t_max * d
+        out += [end - 2.0 * d, end]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("x, trials", [(2.0, 1), (12.0, 2)])
+def test_tail_probes_ride_the_panel_calls(monkeypatch, x, trials):
+    # each t_max trial is one integrand call: the GK15 nodes of the segments
+    # no earlier trial evaluated, then the four tail probes.  At rank 1,
+    # x = 12, t_max grows once, and the second call holds only the segments
+    # the longer rays add or cut differently.  A probe's value in that call
+    # has the bits of the probe alone, and so has its decay rate
+    si = SpectralIndex([0.0])
+    sv = SignVector("+")
+    lam = np.array(si.lam, dtype=np.complex128)
+    integrand = _backend.mb_j_integrand
+    seen = []
+
+    def f(s, *args):
+        seen.append(s.copy())
+        return integrand(s, *args)
+
+    monkeypatch.setattr(_backend, "mb_j_integrand", f)
+    mb_eval_est(x, sv, si, 1e-10)
+    c = default_contour(si, x)
+    known = set()
+    for k in range(trials):
+        segs = _segments(c, math.log(x))
+        new = [seg for seg in segs if seg not in known]
+        known.update(new)
+        probes = _probe_points(c)
+        assert np.array_equal(seen[k], np.concatenate([_panel_nodes(new)[0], probes]))
+        together = integrand(seen[k], lam, np.ones(1), 1, math.log(x))[-4:]
+        alone = np.array([integrand(p[None], lam, np.ones(1), 1, math.log(x))[0] for p in probes])
+        assert together.tobytes() == alone.tobytes()
+        assert _tail_rates(together) == _tail_rates(alone)
+        c = Contour(c.base_real, c.bend_height, c.bend_angle, c.t_max * 1.7)
+    # the trial after the last is the adaptive loop's first split round
+    assert seen[trials].size % 15 == 0
+    if trials > 1:
+        assert len(new) < len(segs) // 4
 
 
 def test_adaptive_round_stops_at_piece_cap():
@@ -347,7 +416,7 @@ def test_adaptive_round_stops_at_piece_cap():
 
     f, tally = _counting(rough)
     segs = _segments(default_contour(SpectralIndex([0.3, -0.1, -0.2]), 2.0), 3.0)
-    _adaptive(f, segs, 1e-14)
+    _adaptive(f, segs, 1e-14, _gk15(f, segs))
     assert tally["points"] == 15 * (2 * _MAX_PIECES - len(segs))
     assert tally["calls"] <= 20
 
@@ -378,63 +447,67 @@ def test_mb_rank5_floor_agrees_with_series():
     assert abs(v - r.value) <= e + r.tail_bound
 
 
-def _loggamma_all_points(z):
-    """The log-gamma with the reflection and each log-sine branch taken at
+def _gamma_all_points(z):
+    """_backend._gamma_np with the reflection and each sine branch taken at
     every point and selected by np.where afterwards."""
     left = z.real < 0.5
-    lg = _backend._loggamma_right_np(np.where(left, 1.0 - z, z))
+    a, b = _backend._gamma_np(np.where(left, 1.0 - z, z))
     zl = np.where(left, z, 0.25)
-    y = zl.imag
-    zm = np.where(np.abs(y) < 18.0, zl, 0.25)
-    zu = np.where(y >= 18.0, zl, 18j)
-    zd = np.where(y <= -18.0, zl, -18j)
-    ls = np.log(_backend._sinpi_np(zm))
-    up = complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * zu + np.log1p(
-        -np.exp(2j * math.pi * zu)
-    )
-    dn = complex(-math.log(2.0), -0.5 * math.pi) + 1j * math.pi * zd + np.log1p(
-        -np.exp(-2j * math.pi * zd)
-    )
-    ls = np.where(y >= 18.0, up, np.where(y <= -18.0, dn, ls))
-    return np.where(left, math.log(math.pi) - ls - lg, lg)
+    sgn = np.sign(zl.imag)
+    big = sgn * zl.imag >= 18.0
+    u = np.where(big, zl * sgn, 18j)
+    sgn = np.where(big, sgn, 1.0)
+    s = np.where(big, 1.0 - np.exp(2j * math.pi * u), _backend._sinpi_np(np.where(big, 0.25, zl)))
+    lin = np.where(big, 1j * math.pi * (u - 0.5 * sgn) + math.log(2.0), 0.0)
+    return np.where(left, lin - a, a), np.where(left, math.pi / (b * s), b)
 
 
 def _mb_integrands_per_factor(s, lam, sig, dl, delta, lnx):
-    """The two contour integrands with one log-gamma call per factor."""
+    """The two contour integrands with one _gamma_np call per gamma factor,
+    each factor's exponent and unit phase added and multiplied in order."""
     n = lam.shape[0]
     acc_j = -n * lnx * s
     acc_k = -lnx * s
+    phase_j = phase_k = None
     for l in range(n):
         w = s - lam[l]
-        acc_j = acc_j + _backend._loggamma_np(w) + complex(0.0, 0.5 * math.pi * sig[l]) * w
+        a, b = _backend._gamma_np(w)
+        a = a + complex(0.0, 0.5 * math.pi * sig[l]) * w
+        acc_j = acc_j + (a + np.log(np.abs(b)))
+        u = (b.real / np.abs(b)) + 1j * (b.imag / np.abs(b))
+        phase_j = u if phase_j is None else phase_j * u
         d = int((dl[l] + delta) % 2)
-        gd = (0.5 - w) * math.log(math.pi) + _backend._loggamma_np(
-            0.5 * (w + d)
-        ) - _backend._loggamma_np(0.5 * (1.0 - w + d))
-        if d:
-            gd = gd + complex(0.0, 0.5 * math.pi)
-        acc_k = acc_k + gd
-    return np.exp(acc_j), np.exp(acc_k)
+        a1, b1 = _backend._gamma_np(0.5 * (w + d))
+        a2, b2 = _backend._gamma_np(0.5 * (1.0 - w + d))
+        g = (0.5 - w) * math.log(math.pi) + a1 - a2 + 0.5j * math.pi * d
+        r = b1 / b2
+        acc_k = acc_k + (g + np.log(np.abs(r)))
+        u = (r.real / np.abs(r)) + 1j * (r.imag / np.abs(r))
+        phase_k = u if phase_k is None else phase_k * u
+    return np.exp(acc_j) * phase_j, np.exp(acc_k) * phase_k
 
 
-def test_loggamma_np_branches_and_rows():
-    # the reflection and each log-sine branch at their own points only give
-    # the bits of taking them everywhere; a 2-d array equals its rows
+def test_gamma_np_branches_and_rows():
+    # the reflection and each sine branch at their own points only give the
+    # bits of taking them everywhere; a 2-d array equals its rows
     rng = np.random.default_rng(11)
     z = rng.uniform(-30.0, 30.0, (6, 400)) + 1j * rng.uniform(-45.0, 45.0, (6, 400))
     z[0, :40] = -np.arange(40) + 0.5
     z[1, :40] = rng.uniform(-5.0, 0.5, 40) + 1j * np.repeat([18.0, -18.0], 20)
-    lg = _backend._loggamma_np(z)
-    assert lg.tobytes() == _loggamma_all_points(z).tobytes()
-    for row, ref in zip(z, lg):
-        assert _backend._loggamma_np(row).tobytes() == ref.tobytes()
+    a, b = _backend._gamma_np(z)
+    ref_a, ref_b = _gamma_all_points(z)
+    assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+    for row, row_a, row_b in zip(z, a, b):
+        got_a, got_b = _backend._gamma_np(row)
+        assert got_a.tobytes() == row_a.tobytes() and got_b.tobytes() == row_b.tobytes()
     right = z[:, 0] + 40.0
-    assert _backend._loggamma_np(right).tobytes() == _loggamma_all_points(right).tobytes()
+    for got, ref in zip(_backend._gamma_np(right), _gamma_all_points(right)):
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mb_integrands_stacked_bits(n):
-    # one log-gamma pass over all factors leaves the bits of one call per factor
+    # one gamma pass over all factors leaves the bits of one call per factor
     rng = np.random.default_rng(n)
     for _ in range(4):
         lam = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
@@ -447,3 +520,54 @@ def test_mb_integrands_stacked_bits(n):
             assert _backend.mb_j_integrand(s, lam, sig, n, lnx).tobytes() == ref_j.tobytes()
             got = _backend.mb_kernel_integrand(s, lam, dl, delta, lnx)
             assert got.tobytes() == ref_k.tobytes()
+
+
+def _integrand_mp(s, lam, lnx, factor):
+    """|x|^(-n s) prod_l factor(w_l, l) in mpmath at the working precision,
+    w_l = s - lam_l, the inputs taken as the doubles they are."""
+    s = mp.mpc(complex(s))
+    out = mp.exp(-lnx * s)
+    for l, lam_l in enumerate(lam):
+        out *= factor(s - mp.mpc(complex(lam_l)), l)
+    return out
+
+
+def test_mb_integrands_match_mpmath_gammas():
+    # both integrands at ranks 1-6 against 30-digit gamma products, within
+    # 8 eps n (1 + |s| log(2 + |s|)) relative: the exponent's size sets the
+    # rounding of the one exp.  The points cover the right half-plane, the
+    # reflection with every |Im| of a factor below 18 and with |Im| >= 18
+    # (above 36 for the kernel's halved arguments), out to |Im s| = 120;
+    # values outside double range are skipped
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    checked = {"j": 0, "k": 0}
+    with mp.workdps(30):
+        for n in range(1, 7):
+            lam = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+            dl = rng.integers(0, 2, n)
+            lnx = float(rng.uniform(-2.0, 2.0))
+            s = np.concatenate([
+                rng.uniform(1.0, 8.0, 6) + 1j * rng.uniform(-120.0, 120.0, 6),
+                rng.uniform(-6.0, 0.0, 6) + 1j * rng.uniform(-15.0, 15.0, 6),
+                rng.uniform(-12.0, 0.0, 6)
+                + 1j * rng.choice([-1.0, 1.0], 6) * rng.uniform(40.0, 120.0, 6),
+            ])
+            cases = []
+            for sig in (1.0, -1.0):
+                got = _backend.mb_j_integrand(s, lam, np.full(n, sig), n, lnx)
+                cases.append(("j", got, n * lnx, lambda w, l, sig=sig: mp.gamma(w) * mp.expjpi(
+                    sig * w / 2)))
+            for delta in (0, 1):
+                got = _backend.mb_kernel_integrand(s, lam, dl, delta, lnx)
+                d = (dl + delta) % 2
+                cases.append(("k", got, lnx, lambda w, l, d=d: (1j) ** d[l] * mp.pi ** (
+                    0.5 - w) * mp.gamma((w + d[l]) / 2) / mp.gamma((1 - w + d[l]) / 2)))
+            for name, got, ln_scale, factor in cases:
+                for si, value in zip(s, got):
+                    ref = _integrand_mp(si, lam, ln_scale, factor)
+                    if 1e-290 < abs(ref) < 1e290:
+                        bound = 8 * eps * n * (1.0 + abs(si) * math.log(2.0 + abs(si)))
+                        assert abs(value - ref) <= bound * abs(ref), (name, n, si)
+                        checked[name] += 1
+    assert checked["j"] >= 150 and checked["k"] >= 200

@@ -29,8 +29,12 @@ with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
 benchmark's signvec-routes and kernel-grid items, then sweep, hankel-fe and
-readme by the first part of their labels), how many lines differ and the
-largest ratio, and the line count (wc -l) of each src/besselhr module in
+readme by the first part of their labels) and per route (series, mb or
+asympt: the line's route, the kernel's method or a table's column prefix;
+"-" for a line without one), how many lines differ and the largest ratio,
+so a change local to one route shows where its moved lines are.  A table
+row whose values moved on two routes counts once under each.  Then the line
+count (wc -l) of each src/besselhr module in
 both checkouts and the total change.  It
 exits 1 if a ratio exceeds 1 or a value became an exception, and 0
 otherwise.
@@ -175,36 +179,49 @@ def main(argv) -> int:
     return 0
 
 
+_ROUTES = {"series": "series", "mb": "mb", "mellin-barnes": "mb", "asympt": "asympt",
+           "asymptotic": "asympt"}
+
+
+def _route(name) -> str:
+    """The route (series, mb or asympt) a route label, a kernel route
+    (kernel/<method>) or a column prefix (mb_) names; "-" for none."""
+    return _ROUTES.get(name.rsplit("/", 1)[-1].rstrip("_"), "-")
+
+
 def _pairs(line, header=None):
-    """(route, [(value, err)]) of a digest line: one pair for a kernel,
-    sign-vector or sweep line, one per column prefix p with p + re, p + im
-    and p + err for a CLI table row under the column names header; None
-    for a line without them."""
+    """(route, [(route of the pair, value, err)]) of a digest line: one pair
+    for a kernel, sign-vector or sweep line, one per column prefix p with
+    p + re, p + im and p + err for a CLI table row under the column names
+    header (the pair's route is p's, or the row's method where p is empty);
+    None for a line without them."""
     _, route, rest = (line.split(" ", 2) + ["", ""])[:3]
     try:
         if header is None:
             value, err = rest.split(" ")[:2]
             re_, im = map(float.fromhex, value.split(","))
-            return route, [(complex(re_, im), float.fromhex(err))]
+            return route, [(_route(route), complex(re_, im), float.fromhex(err))]
         cells = dict(zip(header, rest.split(",")))
+        method = cells.get("method", "-")
         pairs = [
-            (complex(float(cells[p + "re"]), float(cells[p + "im"])), float(cells[p + "err"]))
+            (_route(p or method), complex(float(cells[p + "re"]), float(cells[p + "im"])),
+             float(cells[p + "err"]))
             for p in (name[:-2] for name in header if name.endswith("re"))
             if {p + "im", p + "err"} <= cells.keys()
         ]
-        return cells.get("method", "-"), pairs
+        return method, pairs
     except ValueError:
         return None
 
 
-def _ratio(a, b) -> float:
-    """The largest |value_A - value_B| / (err_A + err_B) over the pairs that
-    differ; inf where one value is nan or both errors are 0."""
-    worst = 0.0
-    for (va, ea), (vb, eb) in zip(a, b):
+def _ratios(a, b) -> dict:
+    """Per route, the largest |value_A - value_B| / (err_A + err_B) over the
+    pairs that differ; inf where one value is nan or both errors are 0."""
+    worst = {}
+    for (route, va, ea), (_, vb, eb) in zip(a, b):
         if va != vb and not (cmath.isnan(va) and cmath.isnan(vb)):
             ratio = abs(va - vb) / (ea + eb) if ea + eb > 0 else math.inf
-            worst = max(worst, math.inf if math.isnan(ratio) else ratio)
+            worst[route] = max(worst.get(route, 0.0), math.inf if math.isnan(ratio) else ratio)
     return worst
 
 
@@ -247,12 +264,19 @@ def compare(root_a, root_b) -> int:
     )
     headers = _table_headers(a_lines)
     failed, moved = False, 0
-    by_workload = {}  # workload -> [lines that differ, largest ratio]
+    by_workload = {}  # (workload, route) -> [lines that differ, largest ratio]
 
-    def count(line, ratio=0.0):
-        entry = by_workload.setdefault(_workload(line), [0, 0.0])
-        entry[0] += 1
-        entry[1] = max(entry[1], ratio)
+    def count(line, ratios):
+        """Tally a differing line under its workload and each route in
+        ratios (route -> largest ratio of its moved values)."""
+        for route, ratio in ratios.items():
+            entry = by_workload.setdefault((_workload(line), route), [0, 0.0])
+            entry[0] += 1
+            entry[1] = max(entry[1], ratio)
+
+    def line_route(line):
+        return _route((line.split(" ", 2) + [""])[1])
+
     matcher = difflib.SequenceMatcher(None, a_lines, b_lines, autojunk=False)
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
         if tag == "equal":
@@ -260,7 +284,7 @@ def compare(root_a, root_b) -> int:
         moved += max(i2 - i1, j2 - j1)
         if i2 - i1 != j2 - j1:  # lines without a partner
             for line in a_lines[i1:i2] if i2 - i1 >= j2 - j1 else b_lines[j1:j2]:
-                count(line)
+                count(line, {line_route(line): 0.0})
             for line in a_lines[i1:i2]:
                 print(f"- {line}")
             for line in b_lines[j1:j2]:
@@ -275,17 +299,18 @@ def compare(root_a, root_b) -> int:
             parsed = _pairs(a, header), _pairs(b, header)
             if None in parsed or not parsed[0][1]:
                 failed |= " raises " in b and " raises " not in a
-                count(a)
+                count(a, {line_route(a): 0.0})
                 print(f"{a}\n  -> {b}")
                 continue
             (route_a, pairs_a), (route_b, pairs_b) = parsed
-            ratio = _ratio(pairs_a, pairs_b)
-            count(a, ratio)
+            ratios = _ratios(pairs_a, pairs_b)
+            ratio = max(ratios.values(), default=0.0)
+            count(a, ratios or {_route(route_a): 0.0})
             failed |= not ratio <= 1.0
             print(f"{label} {route_a} -> {route_b} ratio {ratio:.3g}")
     print(f"{moved} of {len(a_lines)} lines differ")
-    for name, (lines, ratio) in by_workload.items():
-        print(f"{name}: {lines} lines differ, largest ratio {ratio:.3g}")
+    for (name, route), (lines, ratio) in by_workload.items():
+        print(f"{name}/{route}: {lines} lines differ, largest ratio {ratio:.3g}")
     counts_a, counts_b = _line_counts(root_a), _line_counts(root_b)
     for name in sorted(counts_a.keys() | counts_b.keys()):
         print(f"wc -l {name} {counts_a.get(name, 0)} -> {counts_b.get(name, 0)}")
