@@ -1,16 +1,20 @@
 """Numeric hot kernels: python scalars and numpy vectorized forms.
 
-The complex log-gamma is a Lanczos approximation with Godfrey's g = 607/128
-coefficient set (the same 14-term series Numerical Recipes uses for
-``gammln``), valid on Re z >= 0.5 and extended left by Euler's reflection
-formula.  The reciprocal gamma is computed through
-sin(pi z) * Gamma(1 - z) / pi on the left half plane so that its zeros at
-the non-positive integers come out exact.
+Every double-precision gamma value comes from one numpy pass, _gamma_np: a
+Lanczos approximation with Godfrey's g = 607/128 coefficient set (the same
+14-term series Numerical Recipes uses for ``gammln``), valid on Re z >= 0.5
+and extended left by Euler's reflection formula, returned as a pair (a, b)
+with Gamma = e^a b: a holds the Lanczos exponent (z + 1/2) log t - t and,
+on the reflected points with |Im z| >= 18, the sine's dominant exponential;
+b is the Lanczos sum's factor, reflected through the sine.  The reciprocal
+gamma recip_gamma_np is e^(-a) / b over an array, with exact zeros at the
+non-positive integers, which are masked before the pass.  The scalar sinpi
+and cospi are argument-reduced, with exact zeros at the integers.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes
 the head rows, the reciprocal gammas 1/Gamma(d_k + m + 1) of the first
-terms, built with recip_gamma for the double pass (series_sum) or with
+terms, built with recip_gamma_np for the double pass (series_sum) or with
 mp.rgamma for the kernel grid's coefficient table and the big-float rounds.
 The big-float rounds take only its head (head_terms) and sum the rest of
 each series in fixed-point Python integers (sum_first_kind_fixed: one complex
@@ -21,15 +25,11 @@ dyadic numbers (differences of doubles), so the loop strips the trailing
 zero bits they share and steps its polynomials W and R at wp + n fb and
 2n fb fraction bits, fb the bits left, in place of (n+1) wp and 2n wp.
 
-The contour integrands of mellinbarnes take every gamma factor from one
-numpy pass, _gamma_np, as a pair (a, b) with Gamma = e^a b: a holds the
-Lanczos exponent (z + 1/2) log t - t and, on the reflected points with
-|Im z| >= 18, the sine's dominant exponential; b is the Lanczos sum's
-factor, reflected through the sine.  An integrand adds the exponents and
-the real logs log|b|, multiplies only the unit phases b / |b|, and takes one
-exp per point (_exp_factors); G_delta is the ratio of two such factors.
-Every step is elementwise and every sum over factors runs in a fixed
-order, so a point gets the same bits alone or in any batch.
+The contour integrands of mellinbarnes add the exponents a and the real
+logs log|b| of their gamma factors, multiply only the unit phases b / |b|,
+and take one exp per point (_exp_factors); G_delta is the ratio of two
+such factors.  Every step is elementwise and every sum over factors runs in
+a fixed order, so a point gets the same bits alone or in any batch.
 
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
@@ -73,27 +73,13 @@ _SQRT_2PI = 2.5066282746310005
 
 
 def is_nonpositive_int(z):
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+    """Whether z is a pole of Gamma, elementwise for an array."""
+    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
 
 
 # ---------------------------------------------------------------------------
 # scalar kernels
 # ---------------------------------------------------------------------------
-
-def _loggamma_right(z):
-    # Lanczos series; Re z >= 0.5 only.  The main term is arranged as
-    # (z + 1/2)(log t - 1) - g so the two large contributions are combined
-    # in a single rounding, which matters near |z| ~ 100.
-    t = z + _LG_SHIFT
-    w = z + 0.5
-    t = w * (cmath.log(t) - 1.0) - (_LG_SHIFT - 0.5)
-    ser = _LG_C0
-    y = z
-    for j in range(14):
-        y = y + 1.0
-        ser = ser + _LG_COEF[j] / y
-    return t + cmath.log(_SQRT_2PI * ser / z)
-
 
 def sinpi(z):
     # argument reduction: exact zeros at the integers
@@ -112,48 +98,6 @@ def cospi(z):
     return c
 
 
-def _logsinpi(z):
-    # stable for large |Im z|: peel off the dominant exponential
-    y = z.imag
-    if abs(y) < 18.0:
-        return cmath.log(sinpi(z))
-    if y > 0.0:
-        # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 pi i z})
-        return complex(-_LN_2, 0.5 * _PI) - 1j * _PI * z + cmath.log(
-            1.0 - cmath.exp(2j * _PI * z)
-        )
-    return complex(-_LN_2, -0.5 * _PI) + 1j * _PI * z + cmath.log(
-        1.0 - cmath.exp(-2j * _PI * z)
-    )
-
-
-def loggamma(z):
-    # principal branch on the right half plane, reflection on the left;
-    # exp(loggamma) is accurate everywhere off the poles, the imaginary
-    # part on the left may differ from the continuous branch by 2 pi k
-    if z.real >= 0.5:
-        return _loggamma_right(z)
-    return _LN_PI - _logsinpi(z) - _loggamma_right(1.0 - z)
-
-
-def recip_gamma(z):
-    if is_nonpositive_int(z):
-        return 0.0 + 0.0j
-    if z.real >= 0.5:
-        return cmath.exp(-_loggamma_right(z))
-    return cmath.exp(_loggamma_right(1.0 - z) + _logsinpi(z) - _LN_PI)
-
-
-def log_gdelta(w, delta):
-    # gamma factor i^d pi^(1/2-w) Gamma((w+d)/2) / Gamma((1-w+d)/2), as a log
-    out = (0.5 - w) * _LN_PI + loggamma(0.5 * (w + delta)) - loggamma(
-        0.5 * (1.0 - w + delta)
-    )
-    if delta % 2 != 0:
-        out = out + complex(0.0, 0.5 * _PI)
-    return out
-
-
 def zf_powers(zf, count):
     """zf^m for m < count, each the product of m factors zf taken from
     1.0 + 0.0j, the powers head_terms multiplies the head rows by."""
@@ -163,11 +107,12 @@ def zf_powers(zf, count):
     return powers
 
 
-def head_rows(diffs, m_fresh, recip_gamma):
+def head_rows(diffs, m_fresh, rgamma):
     """The head rows of head_terms, one at a time: for m = 0 .. m_fresh the
-    reciprocal gammas 1/Gamma(d_k + m + 1) of the differences d_k."""
+    reciprocal gammas rgamma(d_k + m + 1) of the differences d_k (mpmath;
+    the double pass builds its rows in one recip_gamma_np call)."""
     for m in range(m_fresh + 1):
-        yield tuple(recip_gamma(d + m + 1.0) for d in diffs)
+        yield tuple(rgamma(d + m + 1.0) for d in diffs)
 
 
 def head_terms(head, powers):
@@ -186,9 +131,9 @@ def first_kind_terms(zf, diffs, head, powers):
 
     Through m = M, the last row of head, they are the head_terms; past it
     the term ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is
-    that of zf, diffs and the rows: python and numpy scalars with this
-    module's recip_gamma, or mpmath numbers with mp.rgamma at the working
-    precision.
+    that of zf, diffs and the rows: python and numpy scalars with rows of
+    this module's recip_gamma_np, or mpmath numbers with mp.rgamma at the
+    working precision.
     """
     for m, t in enumerate(head_terms(head, powers)):
         yield t
@@ -382,7 +327,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
 
 def series_sum(zf, diffs, tol, m_min, m_cap, head):
     """sum_first_kind in double precision, the pass first_kind makes; head
-    holds rows of recip_gamma (head_rows)."""
+    holds rows of recip_gamma_np."""
     return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, head)
 
 
@@ -391,7 +336,8 @@ def series_sum(zf, diffs, tol, m_min, m_cap, head):
 # ---------------------------------------------------------------------------
 
 def _gamma_np(z):
-    """Gamma(z) = e^a * b elementwise, any shape, as the pair (a, b).
+    """Gamma(z) = e^a * b elementwise over an array of one or more
+    dimensions (the in-place steps need an array), as the pair (a, b).
 
     On Re z >= 1/2, a = (z + 1/2) log t - t with t = z + g + 1/2, and
     b = sqrt(2 pi) ser / z with ser the Lanczos sum.  Left of it the
@@ -431,6 +377,16 @@ def _gamma_np(z):
         a[left] = lin - a[left]
         b[left] = _PI / (b[left] * s)
     return a, b
+
+
+def recip_gamma_np(z):
+    """1/Gamma(z) = e^(-a) / b of _gamma_np elementwise over an array of one
+    or more dimensions; exact zeros at the non-positive integers, where the
+    pass runs at z = 1."""
+    z = np.asarray(z, dtype=np.complex128)
+    pole = is_nonpositive_int(z)
+    a, b = _gamma_np(np.where(pole, 1.0, z))
+    return np.where(pole, 0.0, np.exp(-a) / b)
 
 
 def _sinpi_np(z):

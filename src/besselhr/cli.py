@@ -46,7 +46,6 @@ from .kernel import (
     KernelIndex,
     WeightFunction,
     bessel_kernel,
-    check_s_points,
     functional_equation_check,
     hankel_transform,
 )
@@ -361,8 +360,6 @@ def cmd_transform(args) -> int:
     ki = KernelIndex(si, deltas)
     weight = parse_weight(args.weight)
     xs = parse_grid(args.x_grid)
-    if args.fe_report:  # checked before the table is written
-        spts = check_s_points((parse_complex(p) for p in args.s_points.split(",")), weight)
     cfg = {
         "command": "transform",
         "n": si.rank,
@@ -373,6 +370,9 @@ def cmd_transform(args) -> int:
         "tol": args.tol,
         "asympt_policy": _asympt_policy(si),
     }
+    if args.fe_report:  # first: it refuses bad s points before any kernel work
+        spts = [parse_complex(p) for p in args.s_points.split(",")]
+        rep = functional_equation_check(ki, weight, spts, rel_tol=args.fe_tol)
     res = hankel_transform(weight, ki, xs, args.tol)
     rows = [
         [float(x), float(v.real), float(v.imag), float(e)]
@@ -382,7 +382,6 @@ def cmd_transform(args) -> int:
         config_header(cfg), ["x", "re", "im", "err"], rows, args.format, args.out
     )
     if args.fe_report:
-        rep = functional_equation_check(ki, weight, spts, rel_tol=args.fe_tol)
         payload = {
             "meta": config_header(cfg),
             "functional_equation": {

@@ -280,12 +280,14 @@ class EvalResult:
 
 
 def recip_gamma(s) -> complex:
-    """Entire 1/Gamma(s); exact zeros at s = 0, -1, -2, ..."""
-    return complex(_backend.recip_gamma(complex(s)))
+    """Entire 1/Gamma(s) = e^(-a) / b from _backend._gamma_np's pair (a, b);
+    exact zeros at s = 0, -1, -2, ..."""
+    return complex(_backend.recip_gamma_np([complex(s)])[0])
 
 
 def log_gamma(s) -> complex:
-    """log Gamma(s): principal branch for Re s > 0, reflection elsewhere.
+    """log Gamma(s) = a + log b from _backend._gamma_np's pair (a, b): the
+    principal branch for Re s >= 1/2, reflection elsewhere.
 
     The imaginary part on the left half plane may differ from the
     continuous branch by a multiple of 2 pi i; exp(log_gamma) is accurate.
@@ -293,10 +295,12 @@ def log_gamma(s) -> complex:
     s = complex(s)
     if _backend.is_nonpositive_int(s):
         raise PoleError(f"gamma pole at {s}")
-    return complex(_backend.loggamma(s))
+    a, b = _backend._gamma_np([s])
+    return complex(a[0]) + cmath.log(b[0])
 
 
 def gamma(s) -> complex:
+    """Gamma(s) = exp(log_gamma(s)); PoleError at s = 0, -1, -2, ..."""
     return cmath.exp(log_gamma(s))
 
 

@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _backend
 from . import mellinbarnes as mb
 from .asympt import (
     M_CAP,
@@ -829,13 +830,15 @@ def functional_equation_check(
     grid, ux, halfs, window = _fe_grid(ki, weight)
     up = grid.values(np.exp(ux), weight, window)
 
+    # prod_l G_(delta_l + d)(s - lam_l) at every s: the kernel integrand at x = 1
+    gammas = _backend.mb_kernel_integrand(
+        np.array(s_points, dtype=np.complex128), np.array(si.lam), np.array(ki.deltas), d, 0.0
+    )
     rels = []
     worst = 0.0
-    for s in s_points:
+    for s, g in zip(s_points, gammas):
         lhs = signed_mellin_grid(ux, halfs, up, s)
-        rhs = weight.mellin(1.0 - s)
-        for lam, delta in zip(si.lam, ki.deltas):
-            rhs *= mb.g_delta(s - lam, delta + d)
+        rhs = weight.mellin(1.0 - s) * complex(g)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rels.append((d, s, rel))
         worst = rel if math.isnan(rel) else max(worst, rel)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _backend
-from .core import SignVector, SpectralIndex, ToleranceNotMetError, check_tolerance
+from .core import SignVector, SpectralIndex, ToleranceNotMetError, check_tolerance, gamma
 
 # Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule
 # (QUADPACK dqk15 constants).
@@ -380,16 +380,18 @@ def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
 def g_delta(s, delta: int, form: str = "ratio") -> complex:
     """The gamma factor, two computable ways.
 
-    ratio: i^delta pi^{1/2-s} Gamma((s+delta)/2) / Gamma((1-s+delta)/2)
+    ratio: i^delta pi^{1/2-s} Gamma((s+delta)/2) / Gamma((1-s+delta)/2),
+           the kernel integrand at rank 1, lam = 0 and x = 1
     trig:  2 (2 pi)^{-s} Gamma(s) cos(pi s/2)        (delta even)
            2 i (2 pi)^{-s} Gamma(s) sin(pi s/2)      (delta odd)
     """
     s = complex(s)
     delta = int(delta) % 2
     if form == "ratio":
-        return cmath.exp(_backend.log_gdelta(s, delta))
+        g = _backend.mb_kernel_integrand(np.array([s]), np.zeros(1), np.array([delta]), 0, 0.0)
+        return complex(g[0])
     if form == "trig":
-        g = cmath.exp(_backend.loggamma(s)) * 2.0 * (2.0 * math.pi) ** (-s)
+        g = gamma(s) * 2.0 * (2.0 * math.pi) ** (-s)
         if delta == 0:
             return g * _backend.cospi(0.5 * s)
         return 1j * g * _backend.sinpi(0.5 * s)

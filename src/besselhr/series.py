@@ -51,14 +51,15 @@ asympt (by index and root).  A key holds nothing of z, of a family value or
 of the tolerance, so every result is the same bit for bit with or without
 the store.  The double pass builds a sign vector's connection coefficients
 afresh (they cost little there, and keys of doubles would not tell 0.0 from
--0.0) and rounds a kernel's from the grid's entry.  Its
-head rows of _backend.recip_gamma are stored by index and l all the same
-(_lanczos_head): their arguments d_k + m + 1.0 come out the same for either
-sign of a zero in d_k.  Each entry is charged an upper bound on its bytes
-from how many numbers it holds and their precision (_charge; a first-kind
-table for the terms it holds, charged again when a sweep grows it), and the
-store evicts the least recently used entries to hold at most _STORE_BYTES
-(4 MB) at every rank and precision; an entry charged more is not kept.
+-0.0) and rounds a kernel's from the grid's entry.  Its head rows, from
+the vectorised reciprocal gamma of _backend, are stored by index and l all
+the same (_lanczos_head): their arguments d_k + m + 1.0 come out the same
+for either sign of a zero in d_k.  Each entry is charged an upper bound on
+its bytes from how many numbers it holds and their precision (_charge; a
+first-kind table for the terms it holds, charged again when a sweep grows
+it), and the store evicts the least recently used entries to hold at most
+_STORE_BYTES (4 MB) at every rank and precision; an entry charged more is
+not kept.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _coeffs_mp(lam: tuple, kind, dps: int):
 
     def build():
         if kind[0] == "kernel":
-            return _kernel_coeffs(lam, kind[1], kind[2], dps)
+            return _kernel_coeffs(lam, kind[1], kind[2], dps, _root_rows_mp(lam, kind[2], dps))
         with mp.workdps(dps):
             lam_mp = [mp.mpc(v) for v in lam]
             return tuple(map(tuple, _connection_coeffs(mp, lam_mp, _sines(mp, lam_mp), kind[1])))
@@ -304,13 +305,12 @@ def _root_rows_mp(lam: tuple, parity: int, dps: int):
     return _stored(("roots", lam, parity, dps), _charge(n * (n // 2 + 1), dps_to_prec(dps)), build)
 
 
-def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int):
-    """K_l = sum_k e_k(y) R^(k)_l at dps digits from the stored rows of
-    _root_rows_mp, and bounds on |K_l| for the big-float rounds' noise model:
-    near a non-generic index the sum cancels (by up to 10^5 at rank 6 and
-    gaps of 1e-3), so a bound is at least 10^-3 of its terms' mass
-    sum_k e_k(|y|) |R^(k)_l|, which the model's 10^5 then covers."""
-    rows = _root_rows_mp(lam, parity, dps)
+def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
+    """K_l = sum_k e_k(y) R^(k)_l at dps digits from the rows R^(k) of
+    _root_rows at dps digits, and bounds on |K_l| for the big-float rounds'
+    noise model: near a non-generic index the sum cancels (by up to 10^5 at
+    rank 6 and gaps of 1e-3), so a bound is at least 10^-3 of its terms'
+    mass sum_k e_k(|y|) |R^(k)_l|, which the model's 10^5 then covers."""
     ks, ls = slice(0 if parity > 0 else 1, None, 2), range(len(lam))
     with mp.workdps(dps):
         _, e, e_abs = root_factors(_mp_index(lam), deltas, mp)
@@ -320,17 +320,19 @@ def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int):
 
 
 def _lanczos_head(lam: tuple, l: int, diffs):
-    """The head rows of the l-th series for the double pass: head_rows with
-    _backend.recip_gamma for m <= _m_fresh, from the double differences
-    diffs of lam.  Keyed by lam although its doubles do not tell 0.0 from
-    -0.0: a row's arguments d_k + m + 1.0 come out the same for either sign
-    of a zero in d_k."""
+    """The head rows of the l-th series for the double pass: the reciprocal
+    gammas 1/Gamma(d_k + m + 1) for m <= _m_fresh of the double differences
+    diffs of lam, from one _backend.recip_gamma_np call over the arguments
+    (d_k + m) + 1.0, as tuples of Python complex.  Keyed by lam although its
+    doubles do not tell 0.0 from -0.0: a row's arguments come out the same
+    for either sign of a zero in d_k."""
     fresh = _m_fresh(diffs)
-    return _stored(
-        ("lanczos", lam, l),
-        _charge(len(lam) * (fresh + 1), 53),
-        lambda: tuple(_backend.head_rows(diffs, fresh, _backend.recip_gamma)),
-    )
+
+    def build():
+        m = np.arange(fresh + 1.0).reshape(-1, 1)
+        return tuple(map(tuple, _backend.recip_gamma_np((diffs + m) + 1.0).tolist()))
+
+    return _stored(("lanczos", lam, l), _charge(len(lam) * (fresh + 1), 53), build)
 
 
 def _head_mp(lam: tuple, l: int, wp: int):
@@ -766,14 +768,15 @@ def _table_charge(n: int, terms: int) -> int:
 
 
 def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
-    """K_l of _kernel_coeffs and the rows R^(k) of _root_rows_mp at
+    """K_l of _kernel_coeffs and the rows R^(k) of _root_rows at
     _GRID_DPS digits rounded to complex pairs; |K_l|; and top_products: one
-    stored entry per index, deltas and parity, for both series routes."""
+    stored entry per index, deltas and parity, for both series routes.  The
+    50-digit rows are built for it alone, not stored."""
 
     def build():
-        kern = _kernel_coeffs(lam, deltas, parity, _GRID_DPS)[0]
-        rows = _root_rows_mp(lam, parity, _GRID_DPS)
         with mp.workdps(_GRID_DPS):
+            rows = _root_rows(mp, _mp_index(lam), parity)
+            kern = _kernel_coeffs(lam, deltas, parity, _GRID_DPS, rows)[0]
             return (
                 tuple(_mp_pair(c) for c in kern),
                 tuple(tuple(_mp_pair(c) for c in row) for row in rows),

@@ -393,6 +393,7 @@ def test_transform_fe_report_budget_names_the_checks_grid(capsys, tmp_path):
     assert "functional-equation check's kernel grid" in err and "x grid" not in err
     assert "weight width 2" in err and "at rank 1" in err
     assert not (tmp_path / "fe.json").exists()
+    assert not (tmp_path / "t.csv").exists()
 
 
 _RANK2 = ["--n", "2", "--lambda", "0.2,-0.2"]

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import asympt, coeffs, core
+from besselhr import _backend, asympt, coeffs, core
 from besselhr import kernel as kernel_module
 from besselhr import series
 from besselhr.asympt import (
@@ -157,7 +157,8 @@ def test_kernel_coeffs_closed_form(n):
                         coef = math.prod(s for s, d in zip(sv.signs, deltas) if d)
                         cs, _ = series._connection_coeffs(mp, lam_mp, sines, sv)
                         want = [w + coef * c for w, c in zip(want, cs)]
-                got, bounds = series._kernel_coeffs(lam, deltas, parity, 30)
+                rows = series._root_rows_mp(lam, parity, 30)
+                got, bounds = series._kernel_coeffs(lam, deltas, parity, 30, rows)
                 scale = max(abs(w) for w in want)
                 assert max(abs(g - w) for g, w in zip(got, want)) <= mp.mpf(10) ** -28 * scale
                 with mp.workdps(30):
@@ -627,6 +628,39 @@ def test_weight_values_at_signed_points():
         assert f(0.0) == 0.0
         for y in (0.4, 1.3, 3.0):
             assert f(y) == f.log_values(math.log(y)) == -f(-y)
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+def test_functional_equation_right_side_matches_mpmath_gammas(monkeypatch, eta):
+    # the check takes prod_l G_(delta_l + eta)(s - lam_l) at all its s points
+    # from one kernel integrand call at x = 1; each value is the 30-digit
+    # product within the bound of test_mb_integrands_match_mpmath_gammas,
+    # 8 eps n (1 + |s| log(2 + |s|))
+    ki = _SWEEP_CASES["rank3"][0]
+    s_points = [0.5, 0.5 + 1j, 0.5 - 2j]
+    calls = []
+    integrand = _backend.mb_kernel_integrand
+
+    def recorded(s, lam, dl, delta, lnx):
+        out = integrand(s, lam, dl, delta, lnx)
+        calls.append((list(s), delta, lnx, out))
+        return out
+
+    monkeypatch.setattr(_backend, "mb_kernel_integrand", recorded)
+    assert functional_equation_check(ki, WeightFunction(eta=eta), s_points).passed
+    [(s, delta, lnx, got)] = calls
+    assert s == s_points and delta == eta and lnx == 0.0
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for si, value in zip(s_points, got):
+            ref = mp.mpf(1)
+            for lam, dl in zip(ki.lam.lam, ki.deltas):
+                d = (dl + eta) % 2
+                w = mp.mpc(si) - mp.mpc(lam)
+                ref *= (1j) ** d * mp.pi ** (0.5 - w) * mp.gamma((w + d) / 2) / mp.gamma(
+                    (1 - w + d) / 2)
+            bound = 8 * eps * ki.rank * (1.0 + abs(si) * math.log(2.0 + abs(si)))
+            assert abs(value - ref) <= bound * abs(ref)
 
 
 def test_functional_equation_rank2():

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import _backend, mellinbarnes
+from besselhr import _backend, core, mellinbarnes
 from besselhr.core import SignVector, SpectralIndex, ToleranceNotMetError
 from besselhr.kernel import KernelIndex, bessel_kernel
 from besselhr.mellinbarnes import (
@@ -102,6 +102,18 @@ def test_gamma_factor_identity():
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-290)
 
 
+def test_g_delta_is_the_rank_one_kernel_integrand():
+    # the ratio form is mb_kernel_integrand at rank 1, lam = 0 and x = 1, bit
+    # for bit: each point alone equals its value in one batch of 40
+    rng = np.random.default_rng(30)
+    s = rng.uniform(-6, 6, 40) + 1j * rng.uniform(-60, 60, 40)
+    for d in (0, 1):
+        batch = _backend.mb_kernel_integrand(s, np.zeros(1), np.array([d]), 0, 0.0)
+        for si, want in zip(s, batch):
+            got = g_delta(si, d)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_kernel_holomorphic_vanishing_side():
     # weight-3 parameters: lam = (1, -1), delta = (1, 0):
     # plus side 2 pi i^3 J_2(4 pi sqrt x), minus side identically zero
@@ -181,7 +193,7 @@ def test_residue_series_partial_sums():
             for m in range(k_terms):
                 t = (sign * (1j**n)) ** m * x ** (n * m)
                 for kk in range(n):
-                    t *= complex(_backend.recip_gamma(lam[kk] - lam[l] + m + 1))
+                    t *= core.recip_gamma(lam[kk] - lam[l] + m + 1)
                 s_part += t
             tot += c * complex(x ** (-n * lam[l])) * s_part
         resid.append(abs(tot - v))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselhr import _backend, _pair
+from besselhr import _backend, _pair, core
 from besselhr.core import (
     NuIndex,
     OverflowEvalError,
@@ -70,7 +70,7 @@ def test_first_kind_rank2_classical():
 def test_series_sum_count_at_cap():
     # sum 3^m / m! stopped by the cap after m = 4: five terms, and the tail
     # ratio is that of the first omitted term, 3/5
-    head = tuple(_backend.head_rows(np.array([0j]), 2, _backend.recip_gamma))
+    head = tuple(_backend.head_rows(np.array([0j]), 2, core.recip_gamma))
     total, _, terms, q, _ = _backend.series_sum(3 + 0j, np.array([0j]), 0.0, 0, 4, head)
     assert terms == 5 and q == 0.6
     assert abs(total - 16.375) < 1e-13
@@ -805,6 +805,33 @@ def test_double_head_rows_ignore_the_sign_of_zero(monkeypatch):
         assert store.hits["lanczos"] > 0
 
 
+def _bits(rows):
+    return [[(v.real.hex(), v.imag.hex()) for v in row] for row in rows]
+
+
+def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
+    # the double pass's head rows, from one recip_gamma_np call over every
+    # (m, k), equal the one-point core.recip_gamma bit for bit; at lam =
+    # (1, -1) the arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1,
+    # and the rows vanish there exactly
+    indices = [
+        (1.0, -1.0),
+        (0.31, -0.12 + 0.2j, -0.23, 0.14 - 0.1j, -0.06),
+        (2.5, -1.25 + 0.5j, -1.2),
+    ]
+    heads = {}
+    for lam in indices:
+        si = SpectralIndex(lam)
+        for l in range(1, si.rank + 1):
+            diffs = np.array([lk - si.lam[l - 1] for lk in si.lam], dtype=np.complex128)
+            heads[lam, l] = _built_afresh(monkeypatch, series._lanczos_head, si.lam, l, diffs)
+            want = _backend.head_rows(diffs, series._m_fresh(diffs), core.recip_gamma)
+            assert _bits(heads[lam, l]) == _bits(want)
+    rows = heads[(1.0, -1.0), 1]
+    assert _bits([[row[1] for row in rows[:2]]]) == _bits([[0j, 0j]])
+    assert len(rows) == 5 and all(row[1] != 0 for row in rows[2:])
+
+
 def test_non_generic_index_too_large_to_perturb_raises():
     # lambda_1 - lambda_2 = 1e17 is an integer and a Cauchy step of 1e-3 is
     # lost to rounding, so every perturbed index would keep sin = 0
@@ -1008,8 +1035,8 @@ def test_double_pass_reads_the_rounded_grid_coefficients():
         deltas = tuple(k % 2 for k in range(n))
         for parity in (1, -1):
             kern, bounds, rows = series._coeffs_double(lam, ("kernel", deltas, parity))
-            want = series._kernel_coeffs(lam, deltas, parity, series._GRID_DPS)[0]
             want_rows = series._root_rows_mp(lam, parity, series._GRID_DPS)
+            want = series._kernel_coeffs(lam, deltas, parity, series._GRID_DPS, want_rows)[0]
             with mp.workdps(series._GRID_DPS):
                 assert kern == [complex(c) for c in want]
                 assert list(bounds) == [float(abs(c)) for c in want]
@@ -1023,9 +1050,9 @@ def test_series_kernel_and_grid_share_one_coefficient_entry(monkeypatch):
     built = []
     kernel_coeffs = series._kernel_coeffs
 
-    def counted(lam, deltas, parity, dps):
+    def counted(lam, deltas, parity, dps, rows):
         built.append((parity, dps))
-        return kernel_coeffs(lam, deltas, parity, dps)
+        return kernel_coeffs(lam, deltas, parity, dps, rows)
 
     monkeypatch.setattr(series, "_kernel_coeffs", counted)
     ki = KernelIndex(SpectralIndex([0.27, -0.08 + 0.1j, -0.19]), (0, 1, 1))
@@ -1116,6 +1143,10 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
 
     def measured(key, cost, build):
         table = build() if key[0] == "table" else None
+        # numpy keeps up to 7 freed shape buffers per array rank and reuses
+        # them; filling that cache first keeps the buffers of a build's
+        # temporary arrays from being counted as the entry's
+        [np.empty((0,) * nd) for nd in (1, 2, 3) for _ in range(8)]
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         if table is None:

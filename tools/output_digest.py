@@ -33,7 +33,10 @@ readme by the first part of their labels) and per route (series, mb or
 asympt: the line's route, the kernel's method or a table's column prefix;
 "-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
-row whose values moved on two routes counts once under each.  Then the line
+row whose values moved on two routes counts once under each.  Then, per
+workload whose lines record big-float rounds, how many lines changed the
+digits of their rounds (the dps= field; a line without a partner counts
+when it has rounds), so "no round changed its digits" reads 0.  Then the line
 count (wc -l) of each src/besselhr module in
 both checkouts and the total change.  It
 exits 1 if a ratio exceeds 1 or a value became an exception, and 0
@@ -247,6 +250,13 @@ def _workload(line) -> str:
     return "kernel-grid" if route.startswith("kernel/") else "signvec-routes"
 
 
+def _dps(line):
+    """The dps= field of a digest line (the digits of its big-float rounds),
+    or None for a line without rounds."""
+    last = line.rsplit(" ", 1)[-1]
+    return last if last.startswith("dps=") else None
+
+
 def _line_counts(root) -> dict:
     """wc -l of each module of root's src/besselhr, by file name."""
     return {p.name: p.read_bytes().count(b"\n") for p in Path(root, "src", "besselhr").glob("*.py")}
@@ -265,6 +275,9 @@ def compare(root_a, root_b) -> int:
     headers = _table_headers(a_lines)
     failed, moved = False, 0
     by_workload = {}  # (workload, route) -> [lines that differ, largest ratio]
+    # workload -> lines whose big-float round digits changed, for every
+    # workload with rounds in either digest
+    rounds = {_workload(line): 0 for line in a_lines + b_lines if _dps(line)}
 
     def count(line, ratios):
         """Tally a differing line under its workload and each route in
@@ -285,6 +298,9 @@ def compare(root_a, root_b) -> int:
         if i2 - i1 != j2 - j1:  # lines without a partner
             for line in a_lines[i1:i2] if i2 - i1 >= j2 - j1 else b_lines[j1:j2]:
                 count(line, {line_route(line): 0.0})
+            for line in a_lines[i1:i2] + b_lines[j1:j2]:
+                if _dps(line):
+                    rounds[_workload(line)] += 1
             for line in a_lines[i1:i2]:
                 print(f"- {line}")
             for line in b_lines[j1:j2]:
@@ -292,6 +308,8 @@ def compare(root_a, root_b) -> int:
                 print(f"+ {line}")
             continue
         for a, b in zip(a_lines[i1:i2], b_lines[j1:j2]):
+            if _dps(a) != _dps(b):
+                rounds[_workload(a)] += 1
             label, source, rest = (a.split(" ", 2) + ["", ""])[:3]
             header = headers.get((label, source))
             if header is not None and (rest.startswith("#") or rest.split(",") == header):
@@ -311,6 +329,8 @@ def compare(root_a, root_b) -> int:
     print(f"{moved} of {len(a_lines)} lines differ")
     for (name, route), (lines, ratio) in by_workload.items():
         print(f"{name}/{route}: {lines} lines differ, largest ratio {ratio:.3g}")
+    for name, lines in rounds.items():
+        print(f"{name}: {lines} lines changed their big-float round digits")
     counts_a, counts_b = _line_counts(root_a), _line_counts(root_b)
     for name in sorted(counts_a.keys() | counts_b.keys()):
         print(f"wc -l {name} {counts_a.get(name, 0)} -> {counts_b.get(name, 0)}")
