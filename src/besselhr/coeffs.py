@@ -14,8 +14,9 @@ Three interlocking double sequences drive everything:
 
 U, V are kept as exact integer polynomials first (floating-point
 cancellation destroys the inverse pair by k ~ 8) and instantiated at
-Lambda_m = n lambda_{d-m+1} second.  The B recurrence runs in
-double-double pair arithmetic before rounding.
+Lambda_m = n lambda_{d-m+1} second.  The B recurrence runs in mpmath at
+B_DPS digits, each step's sums as one exactly summed mp.fdot, before
+rounding to complex doubles.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _pair as dd
+from mpmath import mp
+
 from .core import RootOfUnity, SpectralIndex
 
-B_TERMS_CAP = 40  # past this the pair arithmetic no longer bounds cancellation
+B_DPS = 34  # working digits of the B recurrence
+# at 40 terms and |lambda| <= 6 the recurrence's cancellation costs about 15
+# of the B_DPS digits
+B_TERMS_CAP = 40
 
 
 def falling(x, k: int):
@@ -386,7 +391,7 @@ def build_b_table(
       (m-1) W_{1,0} B_{m-1} = sum_{k=2}^{min(n,m)} W_{0,k} B_{m-k}
         + sum_{j>=1, 2<=j+k<=min(n,m)} W_{j,k} [j+k-m]_j B_{m-j-k},
 
-    with W_{1,0} = n (i n xi)^{n-1}.  The sums run in pair arithmetic.
+    with W_{1,0} = n (i n xi)^{n-1}.  The sums run in mpmath at B_DPS digits.
     """
     if si.rank != n:
         raise ValueError("index rank mismatch")
@@ -405,25 +410,21 @@ def build_b_table(
     if abs(w10 - expected_w10) > 1e-9 * abs(expected_w10):
         raise AssertionError("W_{1,0} mismatch")
 
-    w_dd = {jk: dd.cdd(val) for jk, val in w.items()}
-    bs = [dd.cdd(1.0)]
-    for m in range(2, m_terms + 2):
-        rhs = dd.cdd(0.0)
-        for k in range(2, min(n, m) + 1):
-            rhs = dd.cdd_add(rhs, dd.cdd_mul(w_dd[(0, k)], bs[m - k]))
-        for j in range(1, min(n, m) + 1):
-            for k in range(0, min(n - j, m - j) + 1):
-                if j + k < 2:
-                    continue
-                fall = falling(float(j + k - m), j)
-                if fall == 0.0:
-                    continue
-                term = dd.cdd_mul(w_dd[(j, k)], bs[m - j - k])
-                rhs = dd.cdd_add(rhs, dd.cdd_scale(term, fall))
-        denom = dd.cdd_scale(w_dd[(1, 0)], float(m - 1))
-        bs.append(dd.cdd_div(rhs, denom))
-    coeffs = tuple(dd.cdd_to_complex(b) for b in bs[: m_terms + 1])
-    return BTable(n, xi, coeffs)
+    # the factor [j+k-m]_j of W_{j,k} B_{m-j-k} is [-i]_j at i = m-j-k, so
+    # each B_i is scaled once for every j (rows[i][j]); the W are exact, as
+    # are fdot's products, so a step rounds in the rows, fdot's sum and the
+    # division
+    with mp.workdps(B_DPS):
+        wm = {jk: mp.mpc(val) for jk, val in w.items() if sum(jk) >= 2}
+        w10 = mp.mpc(w10)
+        bs = [mp.mpc(1)]
+        rows = []
+        for m in range(2, m_terms + 2):
+            b = bs[m - 2]
+            rows.append([b] + [falling(2 - m, j) * b for j in range(1, n + 1)])
+            pairs = [(wjk, rows[m - j - k][j]) for (j, k), wjk in wm.items() if j + k <= m]
+            bs.append(mp.fdot(pairs) / ((m - 1) * w10))
+    return BTable(n, xi, tuple(complex(b) for b in bs))
 
 
 # ---------------------------------------------------------------------------

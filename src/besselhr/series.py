@@ -64,6 +64,7 @@ not kept.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -156,9 +157,10 @@ def first_kind(
     zf = sign * _I_POW[n % 4] * z.power(n)
     m_min = int(math.e * z.modulus) + 4
     m_cap = m_min + 220
-    total, abs_total, terms, q, t_abs = _backend.series_sum(
-        zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        total, abs_total, terms, q, t_abs = _backend.series_sum(
+            zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
+        )
     pref = z.power(-n * lam_l)
     if q < 0.75:
         geom = t_abs * q / (1.0 - q)
@@ -166,7 +168,13 @@ def first_kind(
         geom = abs_total
     eps = np.finfo(float).eps
     tail = abs(pref) * (geom + 8.0 * eps * abs_total)
-    return SeriesEval(pref * complex(total), int(terms), float(tail))
+    value = pref * complex(total)
+    if not (cmath.isfinite(value) and math.isfinite(tail)):
+        raise OverflowEvalError(
+            "series terms overflow double range at this index and modulus; use "
+            "the big-float series (j_function) or the asymptotic route"
+        )
+    return SeriesEval(value, int(terms), float(tail))
 
 
 # double stand-ins for the mpmath functions of the connection coefficients:
@@ -536,7 +544,11 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
 
     if not overflow:
         cs, mags, rows = _coeffs_double(si.lam, kind)
-        est, mass, family = _j_generic_double(z, sign, si, tol, cs, mags)
+        try:
+            est, mass, family = _j_generic_double(z, sign, si, tol, cs, mags)
+        except OverflowEvalError:  # at large |lambda| the terms overflow below n|z| = 690 too
+            overflow = True
+    if not overflow:
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
             return est, _recombine(rows, family)
         # the double-pass error aggregates eps * (internal term mass), so it

@@ -703,3 +703,14 @@ def test_mellin_barnes_overflow_exits_3_without_nan_rows():
     assert proc.stdout == ""
     assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
     assert "not finite" in proc.stderr
+
+
+def test_eval_where_the_double_pass_overflows_exits_0(capsys):
+    # n|z| = 605 at |lambda| = 10: the double pass overflows and the first
+    # big-float round is sized from the e^{n|z|} ridge, not from a nan bound
+    rc = main(["eval", "--method", "series", "--n", "5", "--signs", "+++++", "--lambda="
+               "5.692829635933802,2.1664743919927028,-1.404513404879658,-10,3.545209376953153",
+               "--x", "121"])
+    assert rc == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert all(math.isfinite(float(v)) for v in row[1:4]) and row[-1] == "ok"

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
 from besselhr.coeffs import (
     ATable,
@@ -14,6 +15,7 @@ from besselhr.coeffs import (
     falling,
     lambda_arguments,
     rising,
+    _w_table,
 )
 from besselhr.core import RootOfUnity, SignVector, SpectralIndex
 
@@ -210,6 +212,37 @@ def test_b_table_rotation_law():
                 want = rot.power(-m) * base.coeffs[m]
                 got = tab.coeffs[m]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _b_reference(n, si, xi, m_terms, dps=50):
+    # the recurrence of build_b_table term by term at dps digits, from the
+    # same double W table
+    w = _w_table(n, bessel_eq_coeffs(n, si), xi)
+    with mp.workdps(dps):
+        bs = [mp.mpc(1)]
+        for m in range(2, m_terms + 2):
+            rhs = mp.mpc(0)
+            for (j, k), wjk in w.items():
+                if 2 <= j + k <= m:
+                    rhs += mp.mpc(wjk) * falling(j + k - m, j) * bs[m - j - k]
+            bs.append(rhs / ((m - 1) * mp.mpc(w[(1, 0)])))
+    return bs
+
+
+def test_b_table_arithmetic_against_50_digits():
+    # beyond the rounding of each component to double, the table is within
+    # 1e-24 |B_m| of the recurrence run at 50 digits
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for lam in (rng.uniform(-3, 3, n), rng.uniform(-3, 3, n) + 1j * rng.uniform(-1.5, 1.5, n)):
+            si = SpectralIndex(lam)
+            for idx in range(2 * n):
+                xi = RootOfUnity(2 * n, idx)
+                got = build_b_table(n, si, xi, 30).coeffs
+                with mp.workdps(50):
+                    for b, r in zip(got, _b_reference(n, si, xi, 30)):
+                        for bc, rc in ((b.real, r.real), (b.imag, r.imag)):
+                            assert abs(bc - rc) <= 2.0**-53 * abs(rc) + 1e-24 * abs(r)
 
 
 def test_b_table_sign_vector_consistency():

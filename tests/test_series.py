@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -105,6 +106,36 @@ def test_first_kind_overflow_error():
     si = SpectralIndex([0.0])
     with pytest.raises(OverflowEvalError):
         first_kind(1000.0, +1, si, 1)
+
+
+# large |lambda| indices whose double pass overflows below n|z| = 690
+_LARGE_REAL = SpectralIndex(
+    [5.692829635933802, 2.1664743919927028, -1.404513404879658, -10.0, 3.545209376953153]
+)
+_LARGE_COMPLEX = SpectralIndex(
+    [-0.927803 + 2.96853j, 1.80483 + 3.64361j, -3.61068, 4.36293, 5.17394]
+)
+
+
+def test_first_kind_overflow_below_690_raises():
+    # the terms leave double range although n|z| < 690: a typed error, not
+    # a nan sum whose bound reaches int(log10(nan))
+    for si, x, l in ((_LARGE_REAL, 121.0, 1), (_LARGE_COMPLEX, 127.662, 5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy warns of nothing
+            with pytest.raises(OverflowEvalError):
+                first_kind(x, +1, si, l)
+
+
+def test_double_pass_overflow_sizes_the_first_round_from_the_ridge():
+    sv = SignVector.from_string("+++++")
+    r = j_function(121.0, sv, _LARGE_REAL, 1e-10)
+    v, e = mb_eval_est(121.0, sv, _LARGE_REAL, 1e-13)
+    assert r.tail_bound <= 1e-10 * abs(r.value)
+    assert abs(r.value - v) <= r.tail_bound + e
+    # the kernel at x = (z / 2 pi)^5 takes the same path
+    k = bessel_kernel(2648667.909549572, KernelIndex(_LARGE_REAL, (1, 0, 1, 0, 1)), "series", 1e-13)
+    assert k.method == "series" and abs(k.value - v) <= k.error + e
 
 
 def test_first_kind_nongeneric_pole_terms():
