@@ -13,10 +13,12 @@ and cospi are argument-reduced, with exact zeros at the integers.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes
-the head rows, the reciprocal gammas 1/Gamma(d_k + m + 1) of the first
-terms, built with recip_gamma_np for the double pass (series_sum) or with
+the head, the coefficients c_m = prod_k 1/Gamma(d_k + m + 1) of the first
+terms (head_coeffs: one product of n reciprocal gammas at the top of the
+head, multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an
+exact 0), from recip_gamma_np for the double pass (series_sum) or from
 mp.rgamma for the kernel grid's coefficient table and the big-float rounds.
-The big-float rounds take only its head (head_terms) and sum the rest of
+The big-float rounds take only its head terms and sum the rest of
 each series in fixed-point Python integers (sum_first_kind_fixed: one complex
 multiply and one division per term, whatever the rank), with the same stop
 rule; the module takes and returns plain integers there and never imports
@@ -100,42 +102,40 @@ def cospi(z):
 
 def zf_powers(zf, count):
     """zf^m for m < count, each the product of m factors zf taken from
-    1.0 + 0.0j, the powers head_terms multiplies the head rows by."""
+    1.0 + 0.0j, the powers the head coefficients are multiplied by."""
     powers = [1.0 + 0.0j]
     for _ in range(count - 1):
         powers.append(powers[-1] * zf)
     return powers
 
 
-def head_rows(diffs, m_fresh, rgamma):
-    """The head rows of head_terms, one at a time: for m = 0 .. m_fresh the
-    reciprocal gammas rgamma(d_k + m + 1) of the differences d_k (mpmath;
-    the double pass builds its rows in one recip_gamma_np call)."""
-    for m in range(m_fresh + 1):
-        yield tuple(rgamma(d + m + 1.0) for d in diffs)
-
-
-def head_terms(head, powers):
-    """The terms zf^m / prod_k Gamma(d_k + m + 1) for m = 0 .. M: powers[m]
-    (zf_powers) times the reciprocal gammas of row m of head (head_rows),
-    so integer pole crossings give exact zero terms."""
-    for m, row in enumerate(head):
-        t = powers[m]
-        for g in row:
-            t = t * g
-        yield t
+def head_coeffs(diffs, m_fresh, rgamma):
+    """The head c_m = prod_k 1/Gamma(d_k + m + 1), m = 0 .. M = m_fresh, as
+    a list: c_M is the product of the n values rgamma returns for the list
+    of arguments d_k + M + 1 (all right of Re 2 at series._m_fresh, so none
+    reflects), and c_m = c_(m+1) prod_k (d_k + m + 1) below it, so an
+    integer pole crossing multiplies by an exact 0."""
+    c = math.prod(rgamma([d + (m_fresh + 1) for d in diffs]))
+    head = [c]
+    for m in range(m_fresh, 0, -1):
+        for d in diffs:
+            c = c * (d + m)
+        head.append(c)
+    return head[::-1]
 
 
 def first_kind_terms(zf, diffs, head, powers):
     """The terms t_m = zf^m / prod_k Gamma(diffs_k + m + 1), m = 0, 1, ...
 
-    Through m = M, the last row of head, they are the head_terms; past it
-    the term ratio zf / prod_k (diffs_k + m) is applied.  The arithmetic is
-    that of zf, diffs and the rows: python and numpy scalars with rows of
-    this module's recip_gamma_np, or mpmath numbers with mp.rgamma at the
-    working precision.
+    Through m = M, the index of head's last coefficient c_m (head_coeffs;
+    head may be an iterator), they are powers[m] c_m (zf_powers), so integer
+    pole crossings give exact zero terms; past it the term ratio
+    zf / prod_k (diffs_k + m) is applied.  The arithmetic is that of zf,
+    diffs and head: python scalars with a head from this module's
+    recip_gamma_np, or mpmath numbers with mp.rgamma at the working precision.
     """
-    for m, t in enumerate(head_terms(head, powers)):
+    for m, (c, p) in enumerate(zip(head, powers)):
+        t = p * c
         yield t
     diffs = tuple(diffs)  # a tuple iterates faster than a numpy array
     while True:
@@ -148,8 +148,10 @@ def first_kind_terms(zf, diffs, head, powers):
 
 
 def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, head):
-    """Sum of first_kind_terms: past m_min it stops after three consecutive
-    terms below tol * |partial sum| + floor, or after the term m_cap.
+    """Sum of first_kind_terms: past m_min and past the first nonzero term
+    (the exact zeros before it, at integer pole crossings, are no tail) it
+    stops after three consecutive terms below tol * |partial sum| + floor,
+    or after the term m_cap.
 
     Returns (sum, abs_sum, terms_used, next_ratio, last_abs_term), where
     next_ratio is |t_(m+1) / t_m| for the last term summed, t_m.
@@ -162,7 +164,7 @@ def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, head):
         total = total + t
         t_abs = abs(t)
         abs_total = abs_total + t_abs
-        if m >= m_min:
+        if m >= m_min and abs_total > 0.0:
             if t_abs <= tol * abs(total) + floor:
                 small += 1
                 if small >= 3:
@@ -327,7 +329,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
 
 def series_sum(zf, diffs, tol, m_min, m_cap, head):
     """sum_first_kind in double precision, the pass first_kind makes; head
-    holds rows of recip_gamma_np."""
+    holds the coefficients of head_coeffs over recip_gamma_np."""
     return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, head)
 
 

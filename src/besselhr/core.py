@@ -135,7 +135,7 @@ class SignVector:
         vals = []
         for s in signs:
             if isinstance(s, str):
-                if s not in "+-":
+                if s not in ("+", "-"):
                     raise ValueError("signs must be +1/-1 or '+'/'-'")
                 vals.append(1 if s == "+" else -1)
             else:

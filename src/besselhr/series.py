@@ -30,36 +30,38 @@ A round that fails escalates, up to a ceiling of digits; an estimate below
 what the ceiling resolves raises before any round.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
-the head rows 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh, where
-the integer pole crossings lie): in double precision for first_kind, in
-mpmath for the first terms of the big-float rounds (_first_kind_mp, which
-sums the rest in fixed-point integers), and at zf = 1 in 50-digit mpmath for
-the coefficient table of kernel_series_grid (_FirstKindTable), which sums
-them by Horner in double-double arithmetic.  A big-float round builds what
-its n series share once (_Round): its bits, log z, zf and the powers zf^m of
-the heads, and the fixed-point forms of zf and of the tolerance.
+the head coefficients prod_k 1/Gamma(d_k + m + 1) of its first terms
+(m <= _m_fresh, where the integer pole crossings lie), each head from one
+product of n reciprocal gammas (_backend.head_coeffs): in double precision
+for first_kind, in mpmath for the first terms of the big-float rounds
+(_first_kind_mp, which sums the rest in fixed-point integers), and at zf = 1
+in 50-digit mpmath for the coefficient table of kernel_series_grid
+(_FirstKindTable), which sums them by Horner in double-double arithmetic.  A
+big-float round builds what its n series share once (_Round): its bits,
+log z, zf and the powers zf^m of the heads, and the fixed-point forms of zf
+and of the tolerance.
 
 The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
 across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
-root rows of the kernel's K_l and cancellation reference (both by index, kind or
-parity, and digits), the head rows of each series with its differences d_k
-(by index, l and bits), the grid's first-kind tables and coefficient pairs,
-the index-shift matrix of derivatives, and the asymptotic B_m tables of
-asympt (by index and root).  A key holds nothing of z, of a family value or
-of the tolerance, so every result is the same bit for bit with or without
-the store.  The double pass builds a sign vector's connection coefficients
-afresh (they cost little there, and keys of doubles would not tell 0.0 from
--0.0) and rounds a kernel's from the grid's entry.  Its head rows, from
-the vectorised reciprocal gamma of _backend, are stored by index and l all
-the same (_lanczos_head): their arguments d_k + m + 1.0 come out the same
-for either sign of a zero in d_k.  Each entry is charged an upper bound on
-its bytes from how many numbers it holds and their precision (_charge; a
-first-kind table for the terms it holds, charged again when a sweep grows
-it), and the store evicts the least recently used entries to hold at most
-_STORE_BYTES (4 MB) at every rank and precision; an entry charged more is
-not kept.
+root rows of the kernel's K_l and cancellation reference (both by index,
+kind or parity, and digits), the head coefficients of each series with its
+differences d_k (by index, l and bits), the grid's first-kind tables and
+coefficient pairs, the index-shift matrix of derivatives, and the asymptotic
+B_m tables of asympt (by index and root).  A key holds nothing of z, of a
+family value or of the tolerance, so every result is the same bit for bit
+with or without the store.  The double pass builds a sign vector's
+connection coefficients afresh (they cost little there, and keys of doubles
+would not tell 0.0 from -0.0) and rounds a kernel's from the grid's entry.
+Its head coefficients, from the vectorised reciprocal gamma of _backend, are
+stored by index and l all the same (_lanczos_head): the sums d_k + m they
+are made from come out the same for either sign of a zero in d_k.  Each
+entry is charged an upper bound on its bytes from how many numbers it holds
+and their precision (_charge; a first-kind table for the terms it holds,
+charged again when a sweep grows it), and the store evicts the least
+recently used entries to hold at most _STORE_BYTES (4 MB) at every rank and
+precision; an entry charged more is not kept.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def _norm_sign(sign) -> int:
 
 
 def _m_fresh(diffs) -> int:
-    # through this index the term coefficients are rebuilt from reciprocal
-    # gammas, so integer pole crossings give exact zero terms
+    # through this index the term coefficients are the head of
+    # _backend.head_coeffs, multiplied down from one product of reciprocal
+    # gammas at it, so integer pole crossings give exact zero terms
     worst = max((-d.real for d in diffs), default=0.0)
     return int(max(0.0, worst)) + 2
 
@@ -328,39 +331,38 @@ def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
 
 
 def _lanczos_head(lam: tuple, l: int, diffs):
-    """The head rows of the l-th series for the double pass: the reciprocal
-    gammas 1/Gamma(d_k + m + 1) for m <= _m_fresh of the double differences
-    diffs of lam, from one _backend.recip_gamma_np call over the arguments
-    (d_k + m) + 1.0, as tuples of Python complex.  Keyed by lam although its
-    doubles do not tell 0.0 from -0.0: a row's arguments come out the same
-    for either sign of a zero in d_k."""
+    """The head of the l-th series for the double pass: the coefficients
+    prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh of the double differences
+    diffs of lam (_backend.head_coeffs, one _backend.recip_gamma_np call), as
+    a tuple of Python complex.  Keyed by lam although its doubles do not tell
+    0.0 from -0.0: the sums d_k + m it is made from come out the same for
+    either sign of a zero in d_k."""
     fresh = _m_fresh(diffs)
 
     def build():
-        m = np.arange(fresh + 1.0).reshape(-1, 1)
-        return tuple(map(tuple, _backend.recip_gamma_np((diffs + m) + 1.0).tolist()))
+        rgamma = _backend.recip_gamma_np
+        return tuple(_backend.head_coeffs(diffs.tolist(), fresh, lambda a: rgamma(a).tolist()))
 
-    return _stored(("lanczos", lam, l), _charge(len(lam) * (fresh + 1), 53), build)
+    return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
 
 
 def _head_mp(lam: tuple, l: int, wp: int):
-    """The head of the l-th series in wp-bit arithmetic: the rows
-    1/Gamma(d_k + m + 1) for m <= _m_fresh (head_rows with mp.rgamma) of the
-    differences d_k = lam_k - lam_l, and the d_k as fixed-point pairs of wp
-    fraction bits.  Charged for its rows: a number's charge covers a pair as
-    well."""
+    """The head of the l-th series in wp-bit arithmetic: the coefficients
+    prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh (_backend.head_coeffs with
+    mp.rgamma) of the differences d_k = lam_k - lam_l, and the d_k as
+    fixed-point pairs of wp fraction bits.  Charged a number for each
+    coefficient and each pair."""
 
     def build():
         with mp.workprec(wp):
             lam_mp = [mp.mpc(v) for v in lam]
             diffs = [lk - lam_mp[l - 1] for lk in lam_mp]
             fresh = _m_fresh([complex(d) for d in diffs])
-            rows = tuple(_backend.head_rows(diffs, fresh, mp.rgamma))
-            return rows, [_to_fixed(d, wp) for d in diffs]
+            head = _backend.head_coeffs(diffs, fresh, lambda args: map(mp.rgamma, args))
+            return tuple(head), [_to_fixed(d, wp) for d in diffs]
 
-    n = len(lam)
     fresh = _m_fresh([lk - lam[l - 1] for lk in lam])
-    return _stored(("head", lam, l, wp), _charge(n * (fresh + 1), wp), build)
+    return _stored(("head", lam, l, wp), _charge(fresh + 1 + len(lam), wp), build)
 
 
 def _coeffs_double(lam: tuple, kind):
@@ -415,7 +417,7 @@ class _Round:
             self.zf_fixed = _to_fixed(self.zf, wp)
             self.tol = to_fixed(mp.mpf(rel_tol)._mpf_, wp)
             self.heads = [_head_mp(si.lam, l, wp) for l in range(1, n + 1)]
-            self.powers = _backend.zf_powers(self.zf, max(len(rows) for rows, _ in self.heads))
+            self.powers = _backend.zf_powers(self.zf, max(len(head) for head, _ in self.heads))
 
 
 def _first_kind_mp(rnd: _Round, l: int):
@@ -424,7 +426,7 @@ def _first_kind_mp(rnd: _Round, l: int):
 
     Every step runs with wp = dps log2(10) + 2 bitlen(m_cap) + 8 bits, and
     with the bits |zf| < 1 costs zf.  The terms through _m_fresh come from
-    _backend.head_terms with the stored head rows of mp.rgamma, so pole
+    the stored head coefficients of mp.rgamma times the powers zf^m, so pole
     crossings stay exact.  The rest of the series runs in fixed-point
     integers (_backend.sum_first_kind_fixed), in units of 2^E with
     |t_(m_fresh)| just below 2^wp.
@@ -438,9 +440,9 @@ def _first_kind_mp(rnd: _Round, l: int):
     """
     n = rnd.si.rank
     wp = rnd.wp
-    rows, fixed_diffs = rnd.heads[l - 1]
+    coeffs, fixed_diffs = rnd.heads[l - 1]
     with mp.workprec(wp):
-        head = list(_backend.head_terms(rows[: rnd.m_cap + 1], rnd.powers))
+        head = [p * c for p, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
         e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
         sr, si_, abs_sum, terms = _backend.sum_first_kind_fixed(
             [_to_fixed(t, -e) for t in head],
@@ -738,26 +740,22 @@ class _FirstKindTable:
     terms of _backend.first_kind_terms at zf = 1 in mpmath at _GRID_DPS
     digits, pulled as the table grows, each stored as a complex pair
     mantissa with a power-of-two exponent, so no entry over- or underflows.
-    Entry m is the same whatever length the table has reached."""
+    The heads (_backend.head_coeffs) are built at once, at _GRID_DPS digits,
+    and handed over as iterators, which let go of them once pulled.  Entry
+    m is the same whatever length the table has reached."""
 
     def __init__(self, lam):
         self.m_fresh = [_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam]
         self.coeffs = [[] for _ in lam]  # (mantissa pair, exponent)
         self.ratios = [[] for _ in lam]  # |c_0|, then |c_m / c_{m-1}|
         self._last = [1 for _ in lam]  # |c_(m-1)| for the next entry m
+        self._terms = []
         with mp.workdps(_GRID_DPS):
             lam_mp = [mp.mpc(v) for v in lam]
-            diffs = [[lk - lam_l for lk in lam_mp] for lam_l in lam_mp]
-        # the head rows are pulled as the table grows, at _GRID_DPS digits
-        self._terms = [
-            _backend.first_kind_terms(
-                1,
-                d,
-                _backend.head_rows(d, fresh, mp.rgamma),
-                _backend.zf_powers(1, fresh + 1),
-            )
-            for d, fresh in zip(diffs, self.m_fresh)
-        ]
+            for lam_l, fresh in zip(lam_mp, self.m_fresh):
+                d = [lk - lam_l for lk in lam_mp]
+                head = _backend.head_coeffs(d, fresh, lambda args: map(mp.rgamma, args))
+                self._terms.append(_backend.first_kind_terms(1, d, iter(head), [1] * (fresh + 1)))
 
     def extend(self, m_top: int):
         if len(self.coeffs[0]) > m_top:

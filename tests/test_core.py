@@ -87,6 +87,15 @@ def test_sign_vector_basics():
     assert abs(xi.argument - (math.pi - sv.n_plus * math.pi / sv.n)) < 1e-15
 
 
+def test_sign_vector_refuses_strings_other_than_one_sign():
+    # each string element is one sign: "+-" and "" are not members of
+    # ("+", "-"), though both are substrings of "+-"
+    assert SignVector(["+", "-"]).signs == (1, -1)
+    for signs in (["+-"], ["", "+"], ["-", "++"]):
+        with pytest.raises(ValueError):
+            SignVector(signs)
+
+
 def test_root_of_unity():
     xi = RootOfUnity(order=8, index=2)  # i for n = 4
     assert xi.value == 1j

@@ -70,8 +70,8 @@ def test_first_kind_rank2_classical():
 
 def test_series_sum_count_at_cap():
     # sum 3^m / m! stopped by the cap after m = 4: five terms, and the tail
-    # ratio is that of the first omitted term, 3/5
-    head = tuple(_backend.head_rows(np.array([0j]), 2, core.recip_gamma))
+    # ratio is that of the first omitted term, 3/5; the head 1/m! for m <= 2
+    head = tuple(core.recip_gamma(m + 1.0) for m in range(3))
     total, _, terms, q, _ = _backend.series_sum(3 + 0j, np.array([0j]), 0.0, 0, 4, head)
     assert terms == 5 and q == 0.6
     assert abs(total - 16.375) < 1e-13
@@ -535,7 +535,7 @@ def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
         zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
         m_min = int(math.e * x) + 4
         fresh = series._m_fresh([complex(d) for d in diffs])
-        head = tuple(_backend.head_rows(diffs, fresh, mp.rgamma))
+        head = tuple(_rgamma_product(diffs, m) for m in range(fresh + 1))
         total, abs_total, ref_terms, _, _ = _backend.sum_first_kind(
             zf, diffs, tol, mp.mpf(10) ** (-dps - 30), m_min, m_min + 50000, head
         )
@@ -840,11 +840,18 @@ def _bits(rows):
     return [[(v.real.hex(), v.imag.hex()) for v in row] for row in rows]
 
 
+def _rgamma_product(diffs, m, rgamma=mp.rgamma):
+    """prod_k 1/Gamma(d_k + m + 1), one reciprocal gamma per entry."""
+    return math.prod(rgamma(d + (m + 1)) for d in diffs)
+
+
 def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
-    # the double pass's head rows, from one recip_gamma_np call over every
-    # (m, k), equal the one-point core.recip_gamma bit for bit; at lam =
-    # (1, -1) the arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1,
-    # and the rows vanish there exactly
+    # the double pass's head coefficients, from one recip_gamma_np call at
+    # the top of the head, against products of the one-point
+    # core.recip_gamma: the top one bit for bit (a batch gives the bits of
+    # single points), every one within 1e-13 relative; at lam = (1, -1) the
+    # arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1, and the head
+    # vanishes there exactly
     indices = [
         (1.0, -1.0),
         (0.31, -0.12 + 0.2j, -0.23, 0.14 - 0.1j, -0.06),
@@ -855,12 +862,87 @@ def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
         si = SpectralIndex(lam)
         for l in range(1, si.rank + 1):
             diffs = np.array([lk - si.lam[l - 1] for lk in si.lam], dtype=np.complex128)
-            heads[lam, l] = _built_afresh(monkeypatch, series._lanczos_head, si.lam, l, diffs)
-            want = _backend.head_rows(diffs, series._m_fresh(diffs), core.recip_gamma)
-            assert _bits(heads[lam, l]) == _bits(want)
-    rows = heads[(1.0, -1.0), 1]
-    assert _bits([[row[1] for row in rows[:2]]]) == _bits([[0j, 0j]])
-    assert len(rows) == 5 and all(row[1] != 0 for row in rows[2:])
+            head = _built_afresh(monkeypatch, series._lanczos_head, si.lam, l, diffs)
+            heads[lam, l] = head
+            want = [_rgamma_product(diffs.tolist(), m, core.recip_gamma) for m in range(len(head))]
+            assert len(head) == series._m_fresh(diffs) + 1
+            assert _bits([head[-1:]]) == _bits([want[-1:]])
+            for got, ref in zip(head, want):
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+    head = heads[(1.0, -1.0), 1]
+    assert head[0] == head[1] == 0
+    assert len(head) == 5 and all(c != 0 for c in head[2:])
+
+
+def test_head_coeffs_agree_with_rgamma_products():
+    # one product of n reciprocal gammas at the top of the head, multiplied
+    # down, against a product of n reciprocal gammas per entry 10 digits
+    # higher, at ranks 1-6 and complex generic indices
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(2):
+            lam = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(n)]
+            for lam_l in lam:
+                d = [lk - lam_l for lk in lam]
+                fresh = series._m_fresh(d)
+                with mp.workdps(50):
+                    head = _backend.head_coeffs(
+                        [mp.mpc(v) for v in d], fresh, lambda args: map(mp.rgamma, args)
+                    )
+                with mp.workdps(60):
+                    for m, c in enumerate(head):
+                        ref = _rgamma_product([mp.mpc(v) for v in d], m)
+                        assert abs(c - ref) <= mp.mpf(10) ** -47 * abs(ref)
+
+
+def test_head_coeffs_vanish_before_an_integer_crossing(monkeypatch):
+    # d = (0, -p) for l = 1 at lam = (p/2, -p/2): 1/Gamma(m + 1 - p) = 0 for
+    # m < p, exactly, in double and in mpmath; nonzero from m = p on
+    for p in (1, 10):
+        si = SpectralIndex([p / 2, -p / 2])
+        diffs = np.array([lk - si.lam[0] for lk in si.lam], dtype=np.complex128)
+        double = _built_afresh(monkeypatch, series._lanczos_head, si.lam, 1, diffs)
+        big, _ = _built_afresh(monkeypatch, series._head_mp, si.lam, 1, 200)
+        for head in (double, big):
+            assert len(head) == p + 3
+            assert all(c == 0 for c in head[:p]) and all(c != 0 for c in head[p:])
+        with mp.workdps(60):
+            for m in range(p, p + 3):
+                ref = _rgamma_product([mp.mpc(v) for v in diffs.tolist()], m)
+                assert abs(double[m] - ref) <= 1e-14 * abs(ref)
+                assert abs(big[m] - ref) <= mp.mpf(2) ** -190 * abs(ref)
+
+
+def test_first_kind_table_is_built_at_its_digits():
+    # the grid's coefficient table against per-entry reciprocal gamma
+    # products at 60 digits: the 50-digit terms it rounds within 1e-45
+    # relative, and the stored pair mantissas within 2^-104
+    si = SpectralIndex([1.3 + 0.2j, -0.4 - 0.1j, -0.9 - 0.1j])
+    table = series._FirstKindTable(si.lam)
+    terms = series._FirstKindTable(si.lam)._terms
+    table.extend(24)
+    for l, lam_l in enumerate(si.lam):
+        d = [mp.mpc(lk) - mp.mpc(lam_l) for lk in si.lam]  # exact at 60 digits
+        for m in range(25):
+            with mp.workdps(series._GRID_DPS):
+                t = next(terms[l])
+            with mp.workdps(60):
+                ref = _rgamma_product(d, m)
+                assert abs(t - ref) <= mp.mpf(10) ** -45 * abs(ref)
+                (re, im), e = table.coeffs[l][m]
+                got = mp.mpc(*(mp.ldexp(mp.mpf(x[0]) + x[1], e) for x in (re, im)))
+                assert abs(got - ref) <= mp.mpf(2) ** -104 * abs(ref)
+
+
+def test_first_kind_is_not_cut_short_by_exact_zeros():
+    # at lam = (p/2, -p/2) the terms of J_1 vanish for m < p; they are no
+    # tail, so J_1 = (-1)^p J_2 within the two tail bounds, not 0 +- 0
+    for p in (10, 16):
+        si = SpectralIndex([p / 2, -p / 2])
+        for x in (0.3, 1.0, 2.0):
+            j1, j2 = (first_kind(x, 1, si, l) for l in (1, 2))
+            assert j1.value != 0
+            assert abs(j1.value - (-1) ** p * j2.value) <= j1.tail_bound + j2.tail_bound
 
 
 def test_non_generic_index_too_large_to_perturb_raises():

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Cold and warm rounds of the perfbench workloads, one process each.
+
+Usage:
+
+    python3 tools/cold_rounds.py <checkout> [--warm N] [--workload NAME]...
+
+For each perfbench workload of <checkout> (its src/ and perfbench/ are
+imported; nothing under them is changed), a fresh process builds the items
+and evaluates every item once in build order, the cold round, which builds
+every stored constant it needs, then N more times, the warm rounds (N = 3
+by default).  It prints, per workload:
+
+- the time of each round (time.perf_counter, no speed calibration) and how
+  many of its operations raised (perfbench counts some as known faults)
+- the calls of mpmath.rgamma in each round, counted by wrapping the module
+  attribute the package calls (mpmath's own internal calls go through its
+  context and are not counted)
+- the store's entries and held bytes (the charges of series._stored) by
+  kind of constant, after the cold round, and after the last warm round
+  where they differ
+
+No benchmark metric times a cold round, and every CLI command is one; this
+script measures it without changing the benchmark.  Times depend on the
+host, so compare two checkouts on one host, in alternating runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+WORKLOADS = ("signvec-routes", "kernel-grid", "hankel-fe")
+
+
+def _store_by_kind(store):
+    """{kind: [entries, bytes held]} of the store, and its total held."""
+    kinds = {}
+    for key, (_, charge) in store.items():
+        entry = kinds.setdefault(key[0], [0, 0])
+        entry[0] += 1
+        entry[1] += charge
+    return kinds, store.held
+
+
+def _print_store(when, kinds, held):
+    entries = sum(e for e, _ in kinds.values())
+    print(f"  store after the {when}: {entries} entries, {held / 2**20:.2f} MiB held")
+    for kind, (count, charge) in sorted(kinds.items()):
+        print(f"    {kind:8s} {count:5d} entries {charge / 2**20:8.3f} MiB")
+
+
+def one_workload(root: Path, name: str, warm: int) -> None:
+    """Cold and warm rounds of one workload in this process."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import mpmath
+    import workloads
+    from besselhr import series
+
+    calls = [0]
+    rgamma = mpmath.rgamma
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return rgamma(*args, **kwargs)
+
+    mpmath.rgamma = counted
+    make_items, _ = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as workdir:
+        items = make_items(Path(workdir))
+        times, counts, failed = [], [], []
+        for r in range(warm + 1):
+            calls[0] = 0
+            failed.append(0)
+            t0 = time.perf_counter()
+            for item in items:
+                for op in item.ops.values():
+                    try:
+                        op()
+                    except Exception:  # counted; the route's work is in the time
+                        failed[-1] += 1
+            times.append(time.perf_counter() - t0)
+            counts.append(calls[0])
+            if r == 0:
+                cold_store = _store_by_kind(series._stored)
+    print(f"{name}: {len(items)} items, operations raising per round: {failed}")
+    print(f"  round s: cold {times[0]:.3f}, warm " + " ".join(f"{t:.3f}" for t in times[1:]))
+    print(f"  mpmath.rgamma calls: cold {counts[0]}, warm " + " ".join(map(str, counts[1:])))
+    _print_store("cold round", *cold_store)
+    if _store_by_kind(series._stored) != cold_store:
+        _print_store("last warm round", *_store_by_kind(series._stored))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkout", type=Path)
+    p.add_argument("--warm", type=int, default=3, help="warm rounds after the cold one")
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="a workload to run (repeatable; default all three)")
+    p.add_argument("--in-process", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    root = args.checkout.resolve()
+    names = args.workload or list(WORKLOADS)
+    if args.in_process:
+        one_workload(root, names[0], args.warm)
+        return 0
+    code = 0
+    for name in names:
+        # a process per workload, so each cold round starts from nothing
+        run = subprocess.run(
+            [sys.executable, __file__, str(root), "--warm", str(args.warm),
+             "--workload", name, "--in-process"],
+            capture_output=True, text=True,
+        )
+        sys.stdout.write(run.stdout)
+        if run.returncode:
+            sys.stderr.write(run.stderr)
+            code = 1
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
