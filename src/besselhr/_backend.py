@@ -12,20 +12,20 @@ non-positive integers, which are masked before the pass.  The scalar sinpi
 and cospi are argument-reduced, with exact zeros at the integers.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
-(sum_first_kind) are written once for any number type: the caller passes
-the head, the coefficients c_m = prod_k 1/Gamma(d_k + m + 1) of the first
-terms (head_coeffs: one product of n reciprocal gammas at the top of the
-head, multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an
-exact 0), from recip_gamma_np for the double pass (series_sum) or from
-mp.rgamma for the kernel grid's coefficient table and the big-float rounds.
-The big-float rounds take only its head terms and sum the rest of
-each series in fixed-point Python integers (sum_first_kind_fixed: one complex
-multiply and one division per term, whatever the rank), with the same stop
-rule; the module takes and returns plain integers there and never imports
-mpmath.  The differences d_k arrive with wp fraction bits but are short
-dyadic numbers (differences of doubles), so the loop strips the trailing
-zero bits they share and steps its polynomials W and R at wp + n fb and
-2n fb fraction bits, fb the bits left, in place of (n+1) wp and 2n wp.
+(sum_first_kind) are written once for any number type: the caller passes the
+head, the coefficients c_m = prod_k 1/Gamma(d_k + m + 1) of the first terms
+(head_coeffs: one product of n reciprocal gammas at the top of the head,
+multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an exact 0),
+from recip_gamma_np for the double pass (series_sum; mp.rgamma where a
+coefficient underflows, series._lanczos_head) or from mp.rgamma for the kernel
+grid's coefficient table and the big-float rounds.  The rounds sum all but the
+head terms in fixed-point integers (sum_first_kind_fixed: one complex multiply
+and one division per term, whatever the rank), with the same stop rule; the
+module takes and returns plain integers there and never imports mpmath.  The
+differences d_k arrive with wp fraction bits but are short dyadic numbers
+(differences of doubles), so the loop strips the trailing zero bits they share
+and steps its polynomials W and R at wp + n fb and 2n fb fraction bits, fb the
+bits left, in place of (n+1) wp and 2n wp.
 
 The contour integrands of mellinbarnes add the exponents a and the real
 logs log|b| of their gamma factors, multiply only the unit phases b / |b|,

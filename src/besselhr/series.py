@@ -30,16 +30,13 @@ A round that fails escalates, up to a ceiling of digits; an estimate below
 what the ceiling resolves raises before any round.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
-the head coefficients prod_k 1/Gamma(d_k + m + 1) of its first terms
-(m <= _m_fresh, where the integer pole crossings lie), each head from one
-product of n reciprocal gammas (_backend.head_coeffs): in double precision
-for first_kind, in mpmath for the first terms of the big-float rounds
-(_first_kind_mp, which sums the rest in fixed-point integers), and at zf = 1
-in 50-digit mpmath for the coefficient table of kernel_series_grid
-(_FirstKindTable), which sums them by Horner in double-double arithmetic.  A
-big-float round builds what its n series share once (_Round): its bits,
-log z, zf and the powers zf^m of the heads, and the fixed-point forms of zf
-and of the tolerance.
+the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
+where the integer pole crossings lie), from one product of n reciprocal
+gammas (_backend.head_coeffs): in double precision for first_kind, in mpmath
+for the big-float rounds (_first_kind_mp, which sums the rest in fixed-point
+integers), and at zf = 1 in 50-digit mpmath for kernel_series_grid's table
+(_FirstKindTable), summed by Horner in double-double arithmetic.  A big-float
+round builds what its n series share once (_Round).
 
 The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
@@ -54,12 +51,10 @@ family value or of the tolerance, so every result is the same bit for bit
 with or without the store.  The double pass builds a sign vector's
 connection coefficients afresh (they cost little there, and keys of doubles
 would not tell 0.0 from -0.0) and rounds a kernel's from the grid's entry.
-Its head coefficients, from the vectorised reciprocal gamma of _backend, are
-stored by index and l all the same (_lanczos_head): the sums d_k + m they
-are made from come out the same for either sign of a zero in d_k.  Each
-entry is charged an upper bound on its bytes from how many numbers it holds
-and their precision (_charge; a first-kind table for the terms it holds,
-charged again when a sweep grows it), and the store evicts the least
+Its heads are stored by index and l all the same (_lanczos_head says why).
+Each entry is charged an upper bound on its bytes from how many numbers it
+holds and their precision (_charge; a first-kind table for the terms it
+holds, charged again when a sweep grows it), and the store evicts the least
 recently used entries to hold at most _STORE_BYTES (4 MB) at every rank and
 precision; an entry charged more is not kept.
 """
@@ -134,9 +129,8 @@ def _norm_sign(sign) -> int:
 
 
 def _m_fresh(diffs) -> int:
-    # through this index the term coefficients are the head of
-    # _backend.head_coeffs, multiplied down from one product of reciprocal
-    # gammas at it, so integer pole crossings give exact zero terms
+    # through this index the terms take the head of _backend.head_coeffs,
+    # multiplied down to exact zeros at the integer pole crossings
     worst = max((-d.real for d in diffs), default=0.0)
     return int(max(0.0, worst)) + 2
 
@@ -160,10 +154,13 @@ def first_kind(
     zf = sign * _I_POW[n % 4] * z.power(n)
     m_min = int(math.e * z.modulus) + 4
     m_cap = m_min + 220
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        total, abs_total, terms, q, t_abs = _backend.series_sum(
-            zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
-        )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            total, abs_total, terms, q, t_abs = _backend.series_sum(
+                zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
+            )
+    except OverflowError:  # the modulus of a term with finite parts
+        total, abs_total, terms, q, t_abs = math.inf, math.inf, 0, 1.0, 0.0
     pref = z.power(-n * lam_l)
     if q < 0.75:
         geom = t_abs * q / (1.0 - q)
@@ -333,15 +330,21 @@ def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
 def _lanczos_head(lam: tuple, l: int, diffs):
     """The head of the l-th series for the double pass: the coefficients
     prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh of the double differences
-    diffs of lam (_backend.head_coeffs, one _backend.recip_gamma_np call), as
-    a tuple of Python complex.  Keyed by lam although its doubles do not tell
-    0.0 from -0.0: the sums d_k + m it is made from come out the same for
-    either sign of a zero in d_k."""
+    diffs of lam (_backend.head_coeffs over _backend.recip_gamma_np), as a
+    tuple of Python complex; from 64-bit mpmath, rounded once, where one of
+    them underflows (the top, at large |lambda|) and would pass its lost bits
+    down.  Keyed by lam although its doubles do not tell 0.0 from -0.0: the
+    sums d_k + m it is made from come out the same for either sign of a zero."""
     fresh = _m_fresh(diffs)
 
     def build():
-        rgamma = _backend.recip_gamma_np
-        return tuple(_backend.head_coeffs(diffs.tolist(), fresh, lambda a: rgamma(a).tolist()))
+        d = diffs.tolist()
+        head = _backend.head_coeffs(d, fresh, lambda a: _backend.recip_gamma_np(a).tolist())
+        if not head[-1] or any(0 < abs(c) < np.finfo(float).tiny for c in head):
+            with mp.workprec(64):
+                d = [mp.mpc(v) for v in d]
+                head = _backend.head_coeffs(d, fresh, lambda a: map(mp.rgamma, a))
+        return tuple(map(complex, head))
 
     return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
 
@@ -588,6 +591,8 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         value, mass, terms, rel, family = _j_generic_mp(z, sign, si, dps, kind)
         v = complex(value)
         noise = mass * rel * 10
+        if not cmath.isfinite(v) and abs(value) - noise > np.finfo(float).max:
+            raise OverflowEvalError(f"|J| exceeds double range at |z|={z.modulus:.6g}")
         ach = float(noise) + 4.0 * eps * abs(v)  # incl. final rounding
         if abs(v) > 0 and mp.mpf(abs(v)) > noise and ach <= tol * abs(v) + 8.0 * eps * abs(v):
             break
@@ -740,9 +745,8 @@ class _FirstKindTable:
     terms of _backend.first_kind_terms at zf = 1 in mpmath at _GRID_DPS
     digits, pulled as the table grows, each stored as a complex pair
     mantissa with a power-of-two exponent, so no entry over- or underflows.
-    The heads (_backend.head_coeffs) are built at once, at _GRID_DPS digits,
-    and handed over as iterators, which let go of them once pulled.  Entry
-    m is the same whatever length the table has reached."""
+    The heads (_backend.head_coeffs) are built at once, at _GRID_DPS digits.
+    Entry m is the same whatever length the table has reached."""
 
     def __init__(self, lam):
         self.m_fresh = [_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam]

@@ -846,12 +846,15 @@ def _rgamma_product(diffs, m, rgamma=mp.rgamma):
 
 
 def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
-    # the double pass's head coefficients, from one recip_gamma_np call at
-    # the top of the head, against products of the one-point
-    # core.recip_gamma: the top one bit for bit (a batch gives the bits of
-    # single points), every one within 1e-13 relative; at lam = (1, -1) the
-    # arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1, and the head
-    # vanishes there exactly
+    # the double pass's head coefficients: the top, from one recip_gamma_np
+    # call, is the product of the one-point core.recip_gamma bit for bit (a
+    # batch gives the bits of single points); each c_m below it is the exact
+    # multiply-down of that top within its roundings, at most 2 eps per
+    # factor d_k + m + 1 (u = eps/2 in the sum, sqrt(5) u in the complex
+    # product), so within (2 n (M - m) + 1) eps relative; at lam = (1, -1)
+    # the arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1, and the
+    # head vanishes there exactly
+    eps = np.finfo(float).eps
     indices = [
         (1.0, -1.0),
         (0.31, -0.12 + 0.2j, -0.23, 0.14 - 0.1j, -0.06),
@@ -864,14 +867,69 @@ def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
             diffs = np.array([lk - si.lam[l - 1] for lk in si.lam], dtype=np.complex128)
             head = _built_afresh(monkeypatch, series._lanczos_head, si.lam, l, diffs)
             heads[lam, l] = head
-            want = [_rgamma_product(diffs.tolist(), m, core.recip_gamma) for m in range(len(head))]
-            assert len(head) == series._m_fresh(diffs) + 1
-            assert _bits([head[-1:]]) == _bits([want[-1:]])
-            for got, ref in zip(head, want):
-                assert abs(got - ref) <= 1e-13 * abs(ref)
+            top = len(head) - 1
+            assert top == series._m_fresh(diffs)
+            want = _rgamma_product(diffs.tolist(), top, core.recip_gamma)
+            assert _bits([head[-1:]]) == _bits([[want]])
+            with mp.workdps(40):
+                d = [mp.mpc(v) for v in diffs.tolist()]
+                exact = _backend.head_coeffs(d, top, lambda args: [mp.mpc(head[-1])])
+                for m, (got, ref) in enumerate(zip(head, exact)):
+                    assert abs(got - ref) <= (2 * si.rank * (top - m) + 1) * eps * abs(ref)
     head = heads[(1.0, -1.0), 1]
     assert head[0] == head[1] == 0
     assert len(head) == 5 and all(c != 0 for c in head[2:])
+
+
+def _first_kind_ref(si, l, x, terms=60):
+    """J_l(x) at sign +1 as a 40-digit sum of its first terms, each with one
+    reciprocal gamma per factor."""
+    n = si.rank
+    with mp.workdps(40):
+        lam = [mp.mpc(v) for v in si.lam]
+        d = [lk - lam[l - 1] for lk in lam]
+        zf = series._I_POW[n % 4] * mp.mpf(x) ** n
+        total = mp.fsum(zf**m * _rgamma_product(d, m) for m in range(terms))
+        return complex(total * mp.mpf(x) ** (-n * lam[l - 1]))
+
+
+def test_double_head_is_not_multiplied_down_from_an_underflowed_top():
+    # at large |lambda| the top of a head, prod_k 1/Gamma(d_k + M + 1),
+    # underflows where the coefficients below it are ordinary doubles: at
+    # lam = (85.25, -85.25), l = 1, 1/Gamma(173) is subnormal, and at rank 6
+    # the five factors near 1/Gamma(50) of l = 6 multiply to one.  J_l agrees
+    # with a 40-digit sum within its tail bound, not 1e-11 relative off
+    cases = [((85.25, -85.25), 1), ((7.5, 7.625, 7.75, 7.875, 8.25, -39.0), 6)]
+    for lam, l in cases:
+        si = SpectralIndex(lam)
+        got = first_kind(1.0, 1, si, l)
+        ref = _first_kind_ref(si, l, 1.0)
+        assert got.value != 0 and abs(got.value - ref) <= got.tail_bound
+    # at lam = (88.25, -88.25) the top underflows to 0 and c_0 =
+    # 1/Gamma(-175.5) overflows: the double pass raises, it does not return
+    # 0 +- 0, and the sign-vector function goes to the big-float rounds
+    si = SpectralIndex([88.25, -88.25])
+    with pytest.raises(OverflowEvalError):
+        first_kind(2.0, 1, si, 1)
+    value = j_function(2.0, SignVector("+-"), si)
+    assert value.value != 0 and value.tail_bound <= 1e-10 * abs(value.value)
+    # at x = 1 the certified |J| is beyond double range: a typed error, not
+    # inf +- inf
+    with pytest.raises(OverflowEvalError):
+        j_function(1.0, SignVector("+-"), si)
+
+
+def test_first_kind_term_modulus_overflow_is_typed():
+    # a term whose real and imaginary parts are finite doubles but whose
+    # modulus is not: OverflowEvalError (which sends _j_generic to the
+    # big-float rounds), not Python's OverflowError from abs()
+    cases = [
+        ((88.25 + 0.25j, -88.25 - 0.25j), 1.0),
+        ((89.25, -89.25), SurfacePoint(math.log(4.0), 0.75)),
+    ]
+    for lam, z in cases:
+        with pytest.raises(OverflowEvalError):
+            first_kind(z, 1, SpectralIndex(lam), 1)
 
 
 def test_head_coeffs_agree_with_rgamma_products():
