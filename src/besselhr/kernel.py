@@ -25,7 +25,7 @@ shared log grid: substituting w = xy makes the kernel samples independent of
 x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
 index, so kernel_sweep computes them in array passes, both kernel signs
-in one call.
+in one call: asymptotic passes by block, and one series pass per table.
 The grid keeps its samples with the quadrature weights folded in, so a
 transform node costs one weight evaluation (log_values, which also gives a
 weight's value at one y) and a few real products; the functional-equation
@@ -499,26 +499,29 @@ def _asymptotic_zone(inner, parity, ki: KernelIndex, tol: float):
     return tried, swept, keep, keep & ok & calm
 
 
-_BLOCK = 512  # nodes per array pass
+_BLOCK = 512  # nodes per asymptotic array pass
+_SERIES_ROWS = 8192  # (series l, node) rows per series array pass
 
 
 def kernel_sweep(u, ki: KernelIndex, tol: float):
     """bessel_kernel(sgn e^u_i, ki, "auto", tol) at every node u_i, for the
-    kernel signs sgn = +1 and -1, in array passes over blocks of at most
-    _BLOCK nodes.
+    kernel signs sgn = +1 and -1, in array passes: asymptotic ones over
+    blocks of at most _BLOCK nodes, then one series pass over the nodes they
+    leave (more only where those reach _SERIES_ROWS rows, n per node).
 
     The argument of a node is the same on both signs; its route is
     _asymptotic_zone's per sign.  The nodes whose expansion stands take it;
-    one series.kernel_series_grid pass (double-double) sums both signs at
-    the nodes left to the series on either.  bessel_kernel itself takes
-    every node those passes leave: the series nodes they do not certify,
-    the pair-grid nodes whose cancellation comes within a factor 2 of
-    CANCEL_SWITCH (the pair grid's sums are not bessel_kernel's, so
-    bessel_kernel decides the Mellin-Barnes switch there), the kept
-    asymptotic nodes that do not stand, and the series-route nodes of a
-    non-generic index, which the pair grid cannot sum.  Each node's value
-    depends only on (u_i, sgn, ki, tol).  Returns, for sgn = +1 and then
-    -1, the values, the errors, the route of each node (the method names of
+    series.kernel_series_grid (double-double) sums both signs at the nodes
+    left to the series on either, with the n series on one array axis.
+    bessel_kernel itself takes every node those passes leave: the series
+    nodes they do not certify, the pair-grid nodes whose cancellation comes
+    within a factor 2 of CANCEL_SWITCH (the pair grid's sums are not
+    bessel_kernel's, so bessel_kernel decides the Mellin-Barnes switch
+    there), the kept asymptotic nodes that do not stand, and the
+    series-route nodes of a non-generic index, which the pair grid cannot
+    sum.  Each node's value depends only on (u_i, sgn, ki, tol), whatever
+    block or pass it falls in.  Returns, for sgn = +1 and then -1, the
+    values, the errors, the route of each node (the method names of
     EvalResult) and the mask of the nodes the array passes served.
     """
     n = ki.rank
@@ -532,26 +535,28 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     errors = np.zeros((2, len(u)))
     routes = np.full((2, len(u)), None, dtype=object)
     swept = np.zeros((2, len(u)), dtype=bool)
-    generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
+    rest = np.ones((2, len(u)), dtype=bool)  # the nodes left to the series
     for lo in range(0, len(u), _BLOCK):
         z = inner[lo : lo + _BLOCK]
-        rest = np.ones((2, len(z)), dtype=bool)  # the nodes left to the series
         for side, sgn in enumerate((1, -1)):
             tried, (v, e, _, _), keep, stands = _asymptotic_zone(z, sgn, ki, tol)
-            rest[side, tried[keep]] = False
+            rest[side, lo + tried[keep]] = False
             idx = lo + tried[stands]
             values[side, idx], errors[side, idx] = v[stands], e[stands]
             routes[side, idx], swept[side, idx] = "asymptotic", True
-        grid = rest.any(axis=0) & generic
-        if grid.any():
-            v, e, peak, ok = kernel_series_grid(z[grid], si, ki.deltas, tol)
-            # not bessel_kernel's bits: stay a factor 2 off the switch
-            size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
-            ok &= rest[:, grid] & (peak <= 0.5 * CANCEL_SWITCH * size)
-            side, idx = np.nonzero(ok)
-            idx = lo + np.flatnonzero(grid)[idx]
-            values[side, idx], errors[side, idx] = v[ok], e[ok]
-            routes[side, idx], swept[side, idx] = "series", True
+    generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
+    grid = np.flatnonzero(rest.any(axis=0) & generic)
+    step = _SERIES_ROWS // n
+    for lo in range(0, len(grid), step):
+        at = grid[lo : lo + step]
+        v, e, peak, ok = kernel_series_grid(inner[at], si, ki.deltas, tol)
+        # not bessel_kernel's bits: stay a factor 2 off the switch
+        size = np.maximum(np.hypot(v.real, v.imag), 1e-300)
+        ok &= rest[:, at] & (peak <= 0.5 * CANCEL_SWITCH * size)
+        side, idx = np.nonzero(ok)
+        idx = at[idx]
+        values[side, idx], errors[side, idx] = v[ok], e[ok]
+        routes[side, idx], swept[side, idx] = "series", True
     for side, sgn in enumerate((1, -1)):
         for i in np.flatnonzero(~swept[side]):
             r = bessel_kernel(sgn * math.exp(u[i]), ki, "auto", tol)
@@ -656,9 +661,10 @@ def hankel_transform(
     permuting the grid, or adding points whose |x| lies between those two,
     never changes a value.  Extending that range does: the panel edges
     start at the table's lower end, so they all move, and every value
-    changes within its error estimate.  Raises ValueError for grid points
-    that are not finite or zero, and for an |x| so small that the table
-    would reach nodes w whose |w| = e^u is below the normal double range.
+    changes within its error estimate.  Raises ValueError for an empty
+    grid, for grid points that are not finite or zero, and for an |x| so
+    small that the table would reach nodes w whose |w| = e^u is below the
+    normal double range.
 
     The reported error (Kronrod-Gauss panel differences plus kernel errors)
     leaves out the cut of the weight at log_support(tol * 1e-3) (open item
@@ -669,6 +675,8 @@ def hankel_transform(
     """
     check_tolerance(tol)
     xs = [float(x) for x in x_grid]
+    if not xs:
+        raise ValueError("the x grid has no points")
     if not all(map(math.isfinite, xs)):
         raise ValueError("grid points must be finite")
     if any(x == 0.0 for x in xs):

@@ -814,42 +814,64 @@ def _pair_abs(c):
     return np.hypot(c[0][0], c[1][0])
 
 
-def _sum_degrees(table: _FirstKindTable, l: int, zabs):
-    """Per point, the degree d at which the l-th series is summed, its term
-    mass sum_{m<=d} a_m and weighted mass sum (m+1) a_m, with
-    a_m = |c_m| |zf|^m, and twice the first omitted term.
+def _pair_columns(c):
+    """Nested complex pairs of floats as one complex pair of arrays, with a
+    last axis of length 1 for the points."""
+    a = np.array(c)
+    return tuple(tuple(a[..., part, h, None] for h in (0, 1)) for part in (0, 1))
+
+
+def _entry(c, i):
+    """Entry i along the first axis of a complex pair of arrays."""
+    return tuple(tuple(x[i] for x in part) for part in c)
+
+
+def _sum_degrees(table: _FirstKindTable, zabs):
+    """Per series l (axis 0) and point (axis 1), the degree d at which the
+    l-th series is summed, its term mass sum_{m<=d} a_m and weighted mass
+    sum (m+1) a_m, with a_m = |c_m^(l)| |zf|^m, and twice the first omitted
+    term: the n series side by side, each on its own bits.
 
     d is the first index past _m_fresh - 2 where the next term ratio is at
     most 1/2 and the next term is at most 2^-106 of the mass: from there the
     ratios only fall, so the omitted tail is below twice its first term.
     Points still running at _GRID_M_CAP get degree -1."""
-    fresh = table.m_fresh[l]
+    fresh = np.array(table.m_fresh)[:, None]
     table.extend(2)
-    a = np.full(zabs.shape, table.ratios[l][0])
+
+    def ratios(m):
+        return np.array([row[m] for row in table.ratios])[:, None]
+
+    # the largest |zf| first: the points still running are a prefix of k
+    order = np.argsort(-zabs, kind="stable")
+    z = zabs[order]
+    shape = (len(fresh),) + zabs.shape
+    a = np.broadcast_to(ratios(0), shape).copy()
     mass = a.copy()
     wmass = a.copy()
-    deg = np.full(zabs.shape, -1, dtype=np.int64)
-    out_mass = np.zeros(zabs.shape)
-    out_wmass = np.zeros(zabs.shape)
-    tail = np.zeros(zabs.shape)
+    deg = np.full(shape, -1, dtype=np.int64)
+    out = np.zeros((3,) + shape)  # the mass, the weighted mass and the tail at the degree
+    k = len(z)
     m = 0
     while m < _GRID_M_CAP:
         table.extend(m + 2)
-        ratios = table.ratios[l]
-        nxt = a * zabs * ratios[m + 1]
-        if m + 2 >= fresh:
-            stop = (deg < 0) & (zabs * ratios[m + 2] <= 0.5) & (nxt <= _U2 * mass)
-            deg = np.where(stop, m, deg)
-            out_mass = np.where(stop, mass, out_mass)
-            out_wmass = np.where(stop, wmass, out_wmass)
-            tail = np.where(stop, 2.0 * nxt, tail)
-            if (deg >= 0).all():
+        nxt = a * z * ratios(m + 1)
+        if m + 2 >= fresh.min():
+            stop = (deg[:, :k] < 0) & (m + 2 >= fresh)
+            stop &= (z * ratios(m + 2) <= 0.5) & (nxt <= _U2 * mass)
+            deg[:, :k][stop] = m
+            out[:, :, :k][:, stop] = mass[stop], wmass[stop], 2.0 * nxt[stop]
+            running = np.flatnonzero((deg[:, :k] < 0).any(axis=0))
+            if not running.size:
                 break
+            k = running[-1] + 1
+            a, mass, wmass, nxt, z = a[:, :k], mass[:, :k], wmass[:, :k], nxt[:, :k], z[:k]
         m += 1
         a = nxt
         mass = mass + a
         wmass = wmass + (m + 1) * a
-    return deg, out_mass, out_wmass, tail
+    back = np.argsort(order)
+    return (deg[:, back], *out[:, :, back])
 
 
 def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
@@ -868,6 +890,15 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     exp(nL), the degrees and the prefactors serve both parities.  Each point
     has its own degree (_sum_degrees), so its values depend only on (z,
     index, tol), never on the other points.
+
+    The n series lie on one array axis: their degrees, coefficient columns,
+    Horner steps, prefactors (one cdd_exp), products with K_l and the rows
+    of the cancellation reference are one array operation each, and only
+    the sums over l run as a loop, in the order of l.  The Horner runs over
+    the points sorted by their largest degree: step j takes only the prefix
+    whose degree reaches 2j, since on the others it would add exact zeros
+    to an accumulator that is still +0.  An empty inner gives empty (2, 0)
+    arrays.
 
     Returns, as rows for parity +1 and -1, the values, their error bounds,
     max |J(z; sig)| over the sign vectors of the sum (the cancellation
@@ -894,73 +925,94 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     n = si.rank
     deltas = tuple(int(d) % 2 for d in deltas)
     inner = np.asarray(inner, dtype=float)
+    if not inner.size:
+        return tuple(np.zeros((2, 0), dtype=t) for t in (np.complex128, float, float, bool))
     ok = n * inner <= 690.0  # past this the terms overflow; the point stays uncertified
     kern, rows, kern_abs, tops = zip(*(_kernel_grid_coeffs(si.lam, deltas, p) for p in (1, -1)))
-    # per l, K_l of both parities as one complex pair of (2, 1) columns
-    kern = [
-        tuple(tuple(np.array([[k[part][h]] for k in both]) for h in (0, 1)) for part in (0, 1))
-        for both in zip(*kern)
-    ]
-    kern_abs = np.array(kern_abs)
+    kern = _pair_columns(list(zip(*kern)))  # axis 0 the series, axis 1 the parity
     logs = np.array([math.log(z) for z in np.where(ok, inner, 1.0)])
     nl = two_prod(float(n), logs)  # n L as an exact pair
     r = dd_exp(nl)  # |zf|
     shift = np.frexp(r[0])[1]
     r_scaled = (np.ldexp(r[0], -shift), np.ldexp(r[1], -shift))
     r2 = dd_mul(r_scaled, r_scaled)
-    zero = np.zeros(inner.shape)
-    value = ((zero, zero), (zero, zero))
-    family = []
-    err = np.zeros((2,) + inner.shape)
     # charged empty until the degrees have grown it, then for the terms it
     # holds; nothing else is stored in between
     table = _stored(("table", si.lam), _table_charge(n, 0), lambda: _FirstKindTable(si.lam))
-    sums = [_sum_degrees(table, l, r[0]) for l in range(n)]
+    deg, mass, wmass, tail = _sum_degrees(table, r[0])
     _stored(("table", si.lam), _table_charge(n, len(table.coeffs[0])), lambda: table)
-    for l, (deg, mass, wmass, tail) in enumerate(sums):
-        ok &= deg >= 0
-        d_top = int(deg.max())
-        # the mantissas of c_m i^{nm}, m <= d_top + 1, as (re, im) rows of
-        # their hi and lo parts, and the exponents
-        head = table.coeffs[l][: d_top + 2]
-        rotated = [_rotate(mant, n * m) for m, (mant, _) in enumerate(head)]
-        parts = [np.array([[re[h], im[h]] for re, im in rotated]).T for h in (0, 1)]
-        exps = np.array([e for _, e in head], dtype=np.int64)
-        # axis 0 re/im, axis 1 the even and the odd half
-        acc = (np.zeros((2, 2) + inner.shape), np.zeros((2, 2) + inner.shape))
-        for j in range(d_top // 2, -1, -1):
-            ms = np.arange(2 * j, 2 * j + 2)[:, None]
-            # ldexp to 0 past the degree
-            scale = np.where(deg >= ms, exps[2 * j : 2 * j + 2, None] + shift * ms, -2000)
-            c = tuple(np.ldexp(part[:, 2 * j : 2 * j + 2, None], scale) for part in parts)
-            acc = dd_add(dd_mul(acc, r2), c)
-        ro = dd_mul((acc[0][:, 1], acc[1][:, 1]), r_scaled)
-        # axis 0 re/im, axis 1 the parity
-        j_pm = dd_add((acc[0][:, :1], acc[1][:, :1]), tuple(np.stack([x, -x], axis=1) for x in ro))
-        lam_l = si.lam[l]
-        w = (dd_mul(nl, (-lam_l.real, 0.0)), dd_mul(nl, (-lam_l.imag, 0.0)))
-        pref = cdd_exp(w)
-        family.append(cdd_mul(pref, ((j_pm[0][0], j_pm[1][0]), (j_pm[0][1], j_pm[1][1]))))
-        value = cdd_add(value, cdd_mul(kern[l], family[-1]))
-        wsize = np.hypot(w[0][0], w[1][0])
-        err += kern_abs[:, l : l + 1] * _pair_abs(pref) * (
-            _U2
-            * (
-                16.0 * (mass + wmass)
-                + (16.0 + 4.0 * np.abs(nl[0])) * wmass
-                + (16.0 + 4.0 * wsize) * mass
-            )
-            + tail
+    ok &= (deg >= 0).all(axis=0)
+    d_top = int(deg.max())
+    # the mantissas of c_m^(l) i^{nm}, m <= d_top + 1, as (re/im, l, m)
+    # arrays of their hi and lo parts, and the exponents
+    heads = [table.coeffs[l][: d_top + 2] for l in range(n)]
+    rotated = np.array([[_rotate(mant, n * m) for m, (mant, _) in enumerate(h)] for h in heads])
+    parts = [rotated[..., h].transpose(2, 0, 1) for h in (0, 1)]
+    exps = np.array([[e for _, e in h] for h in heads], dtype=np.int64)
+    # the points by their largest degree, highest first: step j of the
+    # Horner runs on the prefix whose degree reaches 2j, the rest hold +0
+    top = deg.max(axis=0)
+    order = np.argsort(-top, kind="stable")
+    top, deg_s, shift_s = top[order], deg[:, order], shift[order]
+    r2_s = (r2[0][order], r2[1][order])
+    # axis 0 re/im, axis 1 the series, axis 2 the even and the odd half
+    acc = (np.zeros((2, n, 2) + inner.shape), np.zeros((2, n, 2) + inner.shape))
+    for j in range(d_top // 2, -1, -1):
+        k = int(np.count_nonzero(top >= 2 * j))
+        ms = np.arange(2 * j, 2 * j + 2)[:, None]
+        # ldexp to 0 past the degree
+        scale = np.where(
+            deg_s[:, None, :k] >= ms, exps[:, 2 * j : 2 * j + 2, None] + shift_s[:k] * ms, -2000
         )
+        c = tuple(np.ldexp(part[:, :, 2 * j : 2 * j + 2, None], scale) for part in parts)
+        live = (acc[0][..., :k], acc[1][..., :k])
+        acc[0][..., :k], acc[1][..., :k] = dd_add(dd_mul(live, (r2_s[0][:k], r2_s[1][:k])), c)
+    back = np.argsort(order)
+    acc = (acc[0][..., back], acc[1][..., back])
+    ro = dd_mul((acc[0][:, :, 1], acc[1][:, :, 1]), r_scaled)
+    # axis 0 re/im, axis 1 the series, axis 2 the parity
+    j_pm = dd_add((acc[0][:, :, :1], acc[1][:, :, :1]), tuple(np.stack([x, -x], 2) for x in ro))
+    del acc, ro  # each array pass below frees what it has read, to hold the peak down
+    lam = np.array(si.lam)[:, None]
+    w = (dd_mul(nl, (-lam.real, 0.0)), dd_mul(nl, (-lam.imag, 0.0)))
+    pref = cdd_exp(w)
+    wsize = np.hypot(w[0][0], w[1][0])
+    errs = np.array(kern_abs).T[:, :, None] * _pair_abs(pref)[:, None] * (
+        _U2
+        * (
+            16.0 * (mass + wmass)
+            + (16.0 + 4.0 * np.abs(nl[0])) * wmass
+            + (16.0 + 4.0 * wsize) * mass
+        )
+        + tail
+    )[:, None]
+    del w, wsize, mass, wmass, tail
+    # per l and parity: J_l times its prefactor, and times K_l
+    family = cdd_mul(
+        tuple(tuple(x[:, None] for x in part) for part in pref),
+        ((j_pm[0][0], j_pm[1][0]), (j_pm[0][1], j_pm[1][1])),
+    )
+    del pref, j_pm
+    terms = cdd_mul(kern, family)
+    zero = np.zeros(inner.shape)
+    value = ((zero, zero), (zero, zero))
+    err = np.zeros((2,) + inner.shape)
+    for l in range(n):  # in the order of l, as kernel_series adds them
+        value = cdd_add(value, _entry(terms, l))
+        err += errs[l]
+    del terms, errs
     size = _pair_abs(value)
     err = err + 4.0 * np.finfo(float).eps * size
     peak = np.zeros(err.shape)
     for p in range(2):
-        for row, top in zip(rows[p], tops[p]):
-            g = ((zero, zero), (zero, zero))
-            for c, f in zip(row, family):
-                g = cdd_add(g, cdd_mul(c, tuple((hi[p], lo[p]) for hi, lo in f)))
-            peak[p] = np.maximum(peak[p], top * _pair_abs(g))
+        # rows x family: axis 0 the series, axis 1 the root
+        row = _pair_columns(list(zip(*rows[p])))
+        prods = cdd_mul(row, tuple(tuple(x[:, p, None] for x in part) for part in family))
+        g = ((zero, zero), (zero, zero))
+        for l in range(n):
+            g = cdd_add(g, _entry(prods, l))
+        for top_k, size_k in zip(tops[p], _pair_abs(g)):
+            peak[p] = np.maximum(peak[p], top_k * size_k)
     vals = np.empty(err.shape, dtype=np.complex128)
     vals.real = value[0][0] + value[0][1]
     vals.imag = value[1][0] + value[1][1]

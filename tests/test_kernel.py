@@ -865,15 +865,23 @@ def test_kernel_sweep_past_the_switch_takes_the_mellin_barnes_bits():
         assert (routes[i], values[i], errors[i]) == (r.method, r.value, r.error), x
 
 
-def test_kernel_sweep_sub_batch_bits():
+def test_kernel_sweep_sub_batch_bits(monkeypatch):
     # each node's value depends on the node alone: a sub-batch (spanning
     # other blocks, in reverse order) returns the same bits as the full
     # batch, on both kernel signs of one call; and the two signs share
-    # neither values nor routes
+    # neither values nor routes.  The series nodes span two _BLOCK blocks
+    # of asymptotic passes and take one series pass, and sweeping each
+    # block alone, or the whole under a row bound that splits the series
+    # nodes into passes of 64, gives the same bits again
     ki = _SWEEP_CASES["rank3"][0]
-    u = np.linspace(-20.0, 9.0, 700)
-    sub = np.arange(3, 700, 7)[::-1]
+    u = np.linspace(-20.0, 9.0, 1200)
+    sub = np.arange(3, 1200, 7)[::-1]
+    grid = series.kernel_series_grid
+    passes = []
+    monkeypatch.setattr(kernel_module, "kernel_series_grid",
+                        lambda inner, *args: passes.append(len(inner)) or grid(inner, *args))
     fulls = kernel_sweep(u, ki, 1e-9)
+    assert len(passes) == 1 and passes[0] > kernel_module._BLOCK
     parts = kernel_sweep(u[sub], ki, 1e-9)
     assert len(fulls) == len(parts) == 2
     for full, part in zip(fulls, parts):
@@ -883,6 +891,19 @@ def test_kernel_sweep_sub_batch_bits():
         assert full[3][sub].tobytes() == part[3].tobytes()
     assert (fulls[0][0] != fulls[1][0]).all()
     assert {"series", "asymptotic"} <= set(fulls[0][2]) & set(fulls[1][2])
+    blocks = [kernel_sweep(u[lo : lo + kernel_module._BLOCK], ki, 1e-9)
+              for lo in range(0, len(u), kernel_module._BLOCK)]
+    assert ["series" in block[0][2] for block in blocks] == [True, True, False]
+    passes.clear()
+    monkeypatch.setattr(kernel_module, "_SERIES_ROWS", 64 * ki.rank)
+    rowed = kernel_sweep(u, ki, 1e-9)
+    assert len(passes) > 2 and max(passes) == 64
+    for side, full in enumerate(fulls):
+        joined = [np.concatenate([b[side][k] for b in blocks]) for k in (0, 1, 3)]
+        assert [a.tobytes() for a in joined] == [full[k].tobytes() for k in (0, 1, 3)]
+        assert sum((b[side][2] for b in blocks), []) == full[2]
+        assert [rowed[side][k].tobytes() for k in (0, 1, 3)] == [a.tobytes() for a in joined]
+        assert rowed[side][2] == full[2]
 
 
 def test_kernel_grid_counts():
@@ -1272,6 +1293,8 @@ _TYPED_ERRORS = {
                               "method must be auto|series|mb|asympt"),
     "transform-zero-point": (lambda: hankel_transform(WeightFunction(), _KI2, [1.0, 0.0]),
                              ValueError, "grid points must be nonzero"),
+    "transform-empty-grid": (lambda: hankel_transform(WeightFunction(), _KI2, []),
+                             ValueError, "the x grid has no points"),
     "fe-large-re-lambda": (
         lambda: functional_equation_check(
             KernelIndex(SpectralIndex([0.45, -0.45]), (0, 0)), WeightFunction(), [0.5]),

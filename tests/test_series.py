@@ -1405,8 +1405,9 @@ def _per_parity_grid(inner, parity, si, deltas, tol=1e-9):
     family = []
     err = np.zeros(inner.shape)
     table = series._FirstKindTable(si.lam)
+    sums = series._sum_degrees(table, r[0])
     for l in range(n):
-        deg, mass, wmass, tail = series._sum_degrees(table, l, r[0])
+        deg, mass, wmass, tail = (s[l] for s in sums)
         ok &= deg >= 0
         acc = ((zero, zero), (zero, zero))
         for m in range(int(deg.max()), -1, -1):
@@ -1479,3 +1480,33 @@ def test_split_horner_grid_matches_per_parity_horner(n):
                 assert (e[v == rv] == re_[v == rv]).all(), case
                 assert (e >= re_ * (1.0 - 2.0**-52)).all(), case
                 np.testing.assert_allclose(peak[ok], rpeak[ok], rtol=1e-9, err_msg=str(case))
+
+
+@pytest.mark.parametrize(
+    "lam, deltas",
+    [([0.25j, -0.25j], (0, 0)), ([1.6 + 0.1j, -0.7 - 0.3j, -0.9 + 0.2j], (0, 1, 0))],
+    ids=["rank2", "rank3"],
+)
+def test_grid_sorted_stacked_pass_is_per_node(lam, deltas):
+    # the n series on one axis, their Horner over the nodes sorted by degree:
+    # shuffled nodes give the shuffled bits of the sorted call, and each
+    # node the bits of a one-node call, from z = 1e-6 (degree <= 4) to the
+    # asymptotic start (degree >= 30)
+    si = SpectralIndex(lam)
+    inner = np.geomspace(1e-6, asympt.sweep_start(si), 48)
+    deg = series._sum_degrees(series._FirstKindTable(si.lam), inner ** si.rank)[0].max(axis=0)
+    assert deg.min() <= 4 and deg.max() >= 30
+    whole = series.kernel_series_grid(inner, si, deltas)
+    perm = np.random.default_rng(si.rank).permutation(len(inner))
+    shuffled = series.kernel_series_grid(inner[perm], si, deltas)
+    assert [a[:, perm].tobytes() for a in whole] == [a.tobytes() for a in shuffled]
+    for i in range(len(inner)):
+        one = series.kernel_series_grid(inner[i : i + 1], si, deltas)
+        assert [a[:, i : i + 1].tobytes() for a in whole] == [a.tobytes() for a in one], i
+
+
+def test_grid_of_no_points_is_empty():
+    out = series.kernel_series_grid(np.array([]), SpectralIndex([0.25j, -0.25j]), (0, 0))
+    assert [(a.shape, a.dtype) for a in out] == [
+        ((2, 0), np.dtype(t)) for t in (np.complex128, float, float, bool)
+    ]
