@@ -11,10 +11,12 @@ expansion is used only inside the sector |arg z - arg(i conj(xi))| <
 pi + pi/n - theta and above a validity floor proportional to
 (max|lambda|+1)^2; the kernel's sweep (second_kind_sweep) reaches down to
 sweep_start under the kernel's route rule (kernel._asymptotic_zone).
-Every truncation is one routine of 2-D (points x terms) array passes
-(_truncate): second_kind and w_function run it at their one point of the
-universal cover, second_kind_sweep at many positive reals, and the
-second-kind points are finished by one numpy rule (_finish).  Every route
+Every truncation follows one rule, which forms each point's terms only
+down to rounding: second_kind and w_function run it at their one point of
+the universal cover in Python's arithmetic (_truncate_point),
+second_kind_sweep at many positive reals in 2-D (terms x points) array
+passes with the same bits (_truncate), and the second-kind points are
+finished by one numpy rule (_finish).  Every route
 reads the B_m of an index and root from one table of M_CAP + 1 terms, kept
 in the series store (b_coeffs).  Connection constants relate these to the
 sign-vector functions and to the first-kind family (through a Vandermonde
@@ -51,6 +53,8 @@ FLOOR_FACTOR = 4.0
 SWEEP_MIN = 6.0  # the least argument at which the kernel tries the expansion
 _EPS = float(np.finfo(float).eps)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)  # the least error of a nonzero value
+_ROW_LOOP = 256  # _running loops over rows at least this long
+_CUT = 2.0**-60  # a truncation forms no term whose estimate is below _CUT times the largest
 
 
 @dataclass(frozen=True)
@@ -96,34 +100,82 @@ def b_coeffs(si: SpectralIndex, xi: RootOfUnity) -> tuple:
     )
 
 
-def _truncate(b, t0, zinv):
-    """Superasymptotic truncation of sum_m b[m] t0 z^{-m} at the points of
-    the 1-d array zinv = z^{-1} (t0 a number of zinv's kind, or one per
-    point), in 2-D (points x len(b)) array passes: the powers by repeated
-    multiplication with zinv (cumprod), the first smallest term, at least
-    the leading one (argmin), and the partial sums and term mass left to
-    right (cumsum).
+def _running(op, a):
+    """The running op (a ufunc: np.add, np.multiply) down axis 0 of a, in
+    place, row by row from the first.  numpy's accumulate down axis 0 runs
+    column by column, slower than a loop over the rows once the rows reach
+    about _ROW_LOOP points (31 rows, measured on one core); both give the
+    same bits."""
+    if a.shape[1] < _ROW_LOOP:
+        op.accumulate(a, axis=0, out=a)
+    else:
+        for m in range(1, len(a)):
+            op(a[m - 1], a[m], out=a[m])
 
-    A real zinv takes real powers.  A complex one takes Python's complex
-    products (object arrays): numpy's complex product may fuse a multiply
-    and an add into one rounding, Python's never does, so a point off the
-    real axis keeps the bits of Python's arithmetic.  Returns per point the
-    truncation m*, the partial sum, the first omitted term's magnitude and
-    the magnitudes summed over the kept terms.
+
+def _truncate_point(b, t0, zinv):
+    """Superasymptotic truncation of sum_m b[m] t0 z^{-m} at one point, in
+    Python's arithmetic (t0 and zinv = z^{-1} Python numbers).
+
+    The powers t0 z^{-m} come by repeated multiplication with zinv.  The
+    point forms its terms only down to rounding: through the last m whose
+    estimate |b_m| |t0 z^{-m}| exceeds _CUT times the largest estimate (the
+    largest, not the leading one: w_function's b_0 can be 0), and one term
+    more, for the omitted one; the band near sweep_start keeps all len(b).
+    Among those it cuts before the first smallest term, at least the
+    leading one, and sums the kept terms and their magnitudes left to
+    right.  Off the real axis the powers are complex, and Python's complex
+    product never fuses a multiply and an add into one rounding, as
+    numpy's may.  Returns the truncation m*, the partial sum, the first
+    omitted term's magnitude and the magnitudes summed over the kept terms.
     """
-    cplx = zinv.dtype.kind == "c"
-    t = np.empty((len(zinv), len(b)), dtype=object if cplx else float)
-    t[:, 0] = t0
-    t[:, 1:] = zinv[:, None]
-    b = np.array(b, dtype=object if cplx else np.complex128)  # a sequence of Python complex
-    # + 0.0: the running sums start from +0, as Python's sum does
-    terms = np.asarray(b * t.cumprod(axis=1), dtype=np.complex128) + 0.0
-    mag = np.hypot(terms.real, terms.imag)  # abs() of a complex, bit for bit
-    rows = np.arange(len(zinv))
-    m_star = np.maximum(mag.argmin(axis=1), 1)
-    kept = (rows, m_star - 1)  # entry m - 1 of a running sum holds the terms before m
-    omitted = mag[rows, np.minimum(m_star, len(b) - 1)]
-    return m_star, terms.cumsum(axis=1)[kept], omitted, mag.cumsum(axis=1)[kept]
+    powers = [t0]
+    for _ in b[1:]:
+        powers.append(powers[-1] * zinv)
+    est = [abs(p) * abs(c) for p, c in zip(powers, b)]
+    cut = _CUT * max(est)
+    own = next((min(m + 2, len(b)) for m in reversed(range(len(b))) if est[m] > cut), len(b))
+    # + 0.0: the sums start from +0, as Python's sum does
+    terms = [c * p + 0.0 for c, p in zip(b[:own], powers)]
+    mags = [abs(v) for v in terms]
+    m_star = max(mags.index(min(mags)), 1)
+    total, mass = terms[0], mags[0]
+    for v, size in zip(terms[1:m_star], mags[1:m_star]):
+        total += v
+        mass += size
+    return m_star, total, mags[min(m_star, own - 1)], mass
+
+
+def _truncate(b, t0, zinv):
+    """_truncate_point at the positive reals of the 1-d array zinv (t0 a
+    real number), with its bits, in 2-D (terms x points) array passes: the
+    powers, the estimates, each point's own rows (a pass forms as many
+    rows as its widest point needs), the first smallest term among them
+    (argmin) and the running sums, with numpy's real products, which are
+    Python's.  One point takes _truncate_point itself, a shorter way to the
+    same bits.  Returns the four per-point arrays.
+    """
+    if len(zinv) == 1:
+        return tuple(np.array([v]) for v in _truncate_point(b, t0, float(zinv[0])))
+    t = np.empty((len(b), len(zinv)))
+    t[0] = t0
+    t[1:] = zinv
+    _running(np.multiply, t)
+    b = np.array(b, dtype=np.complex128)
+    est = np.abs(t) * np.hypot(b.real, b.imag)[:, None]  # abs() of a complex, bit for bit
+    over = est > _CUT * est.max(axis=0)
+    own = np.minimum(len(b) + 1 - over[::-1].argmax(axis=0), len(b))  # last over, + 2
+    width = int(own.max(initial=1))
+    terms = b[:width, None] * t[:width] + 0.0
+    mag = np.hypot(terms.real, terms.imag)
+    mine = np.where(np.arange(width)[:, None] < own, mag, np.inf)  # each point's own rows
+    m_star = np.maximum(mine.argmin(axis=0), 1)
+    points = np.arange(len(zinv))
+    omitted = mag[np.minimum(m_star, own - 1), points]
+    _running(np.add, terms)
+    _running(np.add, mag)
+    # row m - 1 of a running sum holds the terms before m
+    return m_star, terms[m_star - 1, points], omitted, mag[m_star - 1, points]
 
 
 def _finish(wc, log_z, n: int, total, omitted, mass):
@@ -175,9 +227,9 @@ def second_kind(
             f"|z| = {z.modulus:.3f} below validity floor {floor:.3f}; "
             "use the series or Mellin-Barnes evaluation"
         )
-    m_star, total, omitted, mass = _truncate(b_coeffs(si, xi), 1.0 + 0.0j, np.array([z.power(-1)]))
-    value, err = _finish(1j * n * xi.value, np.array([z.log()]), n, total, omitted, mass)
-    return AsymptoticEval(complex(value[0]), int(m_star[0]), float(err[0]))
+    m_star, total, omitted, mass = _truncate_point(b_coeffs(si, xi), 1.0 + 0.0j, z.power(-1))
+    value, err = _finish(1j * n * xi.value, np.array([z.log()]), n, np.array([total]), omitted, mass)
+    return AsymptoticEval(complex(value[0]), m_star, float(err[0]))
 
 
 def second_kind_sweep(z, si: SpectralIndex, xi: RootOfUnity):
@@ -228,9 +280,8 @@ def w_function(
         raise ValidityFloorError(f"|z| = {z.modulus:.3f} below floor {floor:.3f}")
     half = (n - 1) / 2.0
     bs = [b * falling(-(m + half), j) for m, b in enumerate(b_coeffs(si, xi))]
-    m_star, total, omitted, mass = _truncate(bs, z.power(-half - j), np.array([z.power(-1)]))
-    err = 2.0 * float(omitted[0]) + 4.0 * _EPS * float(mass[0])
-    return AsymptoticEval(complex(total[0]), int(m_star[0]), err)
+    m_star, total, omitted, mass = _truncate_point(bs, z.power(-half - j), z.power(-1))
+    return AsymptoticEval(total, m_star, 2.0 * omitted + 4.0 * _EPS * mass)
 
 
 def _scaled(const: complex, base: AsymptoticEval) -> AsymptoticEval:

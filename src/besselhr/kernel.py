@@ -26,13 +26,15 @@ x, so one paneled Gauss-Kronrod grid in log|w| serves every requested x with
 only the smooth weight factor re-evaluated.  The grid's nodes share one
 index, so kernel_sweep computes them in array passes, both kernel signs
 in one call: asymptotic passes by block, and one series pass per table.
-The grid keeps its samples with the quadrature weights folded in, so a
-transform node costs one weight evaluation (log_values, which also gives a
-weight's value at one y) and a few real products; the functional-equation
-check asks for the values alone (_KernelGrid.values), places its transform
-nodes by the weight's centre, integrates each only over the panels its
-weight window reaches, and integrates at the weight's one parity, where
-the signed Mellin transform is twice the integral over x > 0.
+The grid keeps its samples per panel with the quadrature weights folded
+in, and transforms panel by panel: the x whose weight window reaches a
+panel are one run of the x sorted by log|x|, and one array step takes
+the weight factor (log_factors) and the panel's node sum for the whole
+run.  The functional-equation check asks for the values alone
+(_KernelGrid.values), places its transform nodes by the weight's centre,
+integrates each only over the panels its weight window reaches, and
+integrates at the weight's one parity, where the signed Mellin transform
+is twice the integral over x > 0.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ class _Weight:
             return 0.0
         return float(self.log_values(math.log(abs(y)), 1 if y > 0 else -1))
 
+    def log_factors(self, u):
+        """The transform's weight factor e^u v(e^u) at y = e^u > 0, vectorized."""
+        return np.exp(u) * self.log_values(u)
+
 
 @dataclass(frozen=True)
 class WeightFunction(_Weight):
@@ -123,6 +129,11 @@ class WeightFunction(_Weight):
         if self.eta % 2 and sign < 0:
             return -v
         return v
+
+    def log_factors(self, u):
+        """e^u v(e^u) = amplitude e^{u - ((u - mu)/width)^2}, one exponential."""
+        t = (u - self.mu) / self.width
+        return self.amplitude * np.exp(u - t * t)
 
     def log_support(self, tiny: float = 1e-16):
         """The u where |v| >= tiny |amplitude|, at least one width each side."""
@@ -523,9 +534,18 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     block or pass it falls in.  Returns, for sgn = +1 and then -1, the
     values, the errors, the route of each node (the method names of
     EvalResult) and the mask of the nodes the array passes served.
+    ValueError names the first node below _LOG_TINY, where e^u leaves the
+    normal double range, before any pass (hankel_transform's bound).
     """
     n = ki.rank
     si = ki.lam
+    below = np.flatnonzero(np.asarray(u) < _LOG_TINY)
+    if len(below):
+        i = int(below[0])
+        raise ValueError(
+            f"kernel node u[{i}] = {u[i]:.6g} lies below {_LOG_TINY:.6g}, the least u the "
+            "sweep serves: e^u is below the normal double range"
+        )
     # per node as a generator: the argument bessel_kernel computes from x = sgn e^u_i, bit for bit
     inner = np.fromiter(
         (2.0 * math.pi * math.exp(v) ** (1.0 / n) for v in u), dtype=float, count=len(u)
@@ -564,16 +584,46 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     return tuple(zip(values, errors, routes.tolist(), swept))
 
 
+_STEP = 1024  # (panel, x) pairs of one panel-pass step, unless one panel takes more
+
+
+def _steps(los, his):
+    """The array steps of a panel pass over the x sorted by log|x|, where
+    panel p serves the run los[p]:his[p]: (p, q, lo, hi), the panels p:q
+    and a part lo:hi of the run they all serve, at most _STEP (panel, x)
+    pairs or one panel over _STEP x.  Each x meets its panels in
+    increasing order."""
+    bounds = np.flatnonzero(np.diff(los) | np.diff(his)) + 1
+    for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), len(los)]):
+        for lo in range(int(los[a]), int(his[a]), _STEP):
+            hi = min(int(his[a]), lo + _STEP)
+            size = _STEP // (hi - lo)
+            for p in range(a, b, size):
+                yield p, min(b, p + size), lo, hi
+
+
+def _fold15(a):
+    """The sum over axis 1 of 15 rows by one fixed tree, 15 -> 8 -> 4 -> 2
+    -> 1, in place: elementwise adds only, so each column's sum has the
+    same bits whatever columns lie beside it (a matrix product or a numpy
+    sum over a run need not)."""
+    a[:, :7] += a[:, 8:]
+    a[:, :4] += a[:, 4:8]
+    a[:, :2] += a[:, 2:4]
+    a[:, 0] += a[:, 1]
+    return a[:, 0]
+
+
 class _KernelGrid:
     """Kernel samples (K, err) on Gauss-Kronrod nodes of a paneled log|w|
-    grid, by one kernel_sweep call for both signs, kept with the quadrature
-    folded in: with h the panel half-width, the value weights K h w_K as
-    float pairs (vw, nodes x 4), the Kronrod-Gauss difference weights
-    K h (w_K - w_G) (dw, panels x 15 x 4) and the kernel-error weights
-    err h w_K (ew, nodes x 2), each with the kernel signs + and - side by
-    side.  Counts the nodes the array passes served (swept), the nodes left
-    to bessel_kernel (fallback) and those of them it sent to the
-    Mellin-Barnes route (mb)."""
+    grid, by one kernel_sweep call for both signs, kept per panel with the
+    quadrature folded in: with h the panel half-width, the value weights
+    K h w_K as float pairs (kw, panels x 15 x 4) and the Kronrod-Gauss
+    difference weights K h (w_K - w_G) (dw, panels x 15 x 4), each with the
+    kernel signs + and - side by side, and the kernel-error weights
+    (err_+ + err_-) h w_K (ew, panels x 15).  Counts the nodes the array
+    passes served (swept), the nodes left to bessel_kernel (fallback) and
+    those of them it sent to the Mellin-Barnes route (mb)."""
 
     def __init__(self, ki: KernelIndex, lo: float, hi: float, tol: float):
         self.edges = _panel_grid(lo, hi, ki.rank)
@@ -587,58 +637,84 @@ class _KernelGrid:
         hw, hd = (np.outer(halfs, w).reshape(-1, 1) for w in (_GKW, _GKW - _GGW))
         self.dw = (kv * hd).view(float).reshape(len(halfs), 15, 4)
         kv *= hw
-        self.vw = kv.view(float)
-        self.ew = np.stack([ep, em], axis=1)
-        self.ew *= hw
+        self.kw = kv.view(float).reshape(len(halfs), 15, 4)
+        self.ew = ((ep + em) * hw[:, 0]).reshape(len(halfs), 15)
 
-    def _factors(self, xs, weight: WeightFunction, window):
-        """Per x of the array xs: its panels a:b, the weight factor g on
-        them and the value at x, from the real product of g with vw.
+    def _factors(self, xs, weight: WeightFunction, window, errors: bool):
+        """The transform at the x of xs, panel by panel: the values and,
+        if errors, their error estimates (else None).
 
-        window = (ylo, yhi) keeps only the whole panels that overlap
-        [log|x| + ylo, log|x| + yhi], the reach of a weight cut at log|y| in
-        [ylo, yhi]; the windows of all x are looked up at once.  g = e^t
-        v(e^t), t = u - log|x|, is taken once for both kernel signs: on sign
-        s the weight is read at s sgn(x) e^t, for odd eta an exact sign
-        flip, so the value at x < 0 is (-1)^eta times the value at |x|.
+        window = (ylo, yhi) keeps for each x only the whole panels that
+        overlap [log|x| + ylo, log|x| + yhi], the reach of a weight cut at
+        log|y| in [ylo, yhi].  With the x sorted by log|x| (stable), the x
+        that reach panel p are one contiguous run, and a panel takes one
+        array step over its run (_steps: consecutive panels with the same
+        run share a step, and a run is cut into parts of at most _STEP x):
+        t = u_p - log|x| (15 x run), the
+        weight factor g = e^t v(e^t) (weight.log_factors), and the sums over
+        the 15 nodes, by _fold15, of g times the kernel at the weight's
+        parity, K(+) + (-1)^eta K(-): on sign s the weight is read at
+        s sgn(x) e^t, for odd eta an exact sign flip, so the value at x < 0
+        is (-1)^eta times the value at |x|.  The errors add per panel the
+        Kronrod-Gauss differences |g . dw| of each kernel sign and the
+        kernel errors |g| . ew.  Each x adds its panels one by one in
+        increasing order, so its (value, error) depends only on (x, grid,
+        weight, window), whatever other x the call holds.
         """
+        xs = np.asarray(xs, dtype=float)
         ls = np.log(np.abs(xs))
-        p0, p1 = np.zeros(len(xs), dtype=int), np.full(len(xs), len(self.dw))
+        order = np.argsort(ls, kind="stable")
+        ls = ls[order]
+        panels = len(self.ew)
+        p0, p1 = np.zeros(len(xs), dtype=int), np.full(len(xs), panels)
         if window is not None:
             p0 = np.maximum(np.searchsorted(self.edges, ls + window[0], side="right") - 1, 0)
             p1 = np.minimum(np.searchsorted(self.edges, ls + window[1], side="left"), p1)
+        # p0 and p1 rise with log|x|: panel p serves the x with p0 <= p < p1, one run
+        at = np.arange(panels)
+        los, his = np.searchsorted(p1, at, side="right"), np.searchsorted(p0, at, side="right")
         flip = -1.0 if weight.eta % 2 else 1.0
-        for x, L, a, b in zip(xs.tolist(), ls.tolist(), p0.tolist(), p1.tolist()):
-            t = self.u[15 * a : 15 * b] - L
-            g = np.exp(t) * weight.log_values(t)
-            v = g @ self.vw[15 * a : 15 * b]
-            v = np.complex128(complex(v[0] + flip * v[2], v[1] + flip * v[3]))
-            # numpy's complex product by flip, which sets the signs of zeros
-            yield a, b, g, v * flip if x < 0 else v
+        cols = self.kw[..., :2] + flip * self.kw[..., 2:]
+        if errors:
+            cols = np.concatenate([cols, self.dw], axis=2)
+        cols = cols[..., None]
+        nodes = self.u.reshape(panels, 15, 1)
+        ew = self.ew[..., None]
+        sums = np.zeros((3 if errors else 2, len(xs)))
+        for p, q, lo, hi in _steps(los, his):
+            g = weight.log_factors(nodes[p:q] - ls[lo:hi])
+            s = _fold15(g[:, :, None, :] * cols[p:q])
+            if errors:
+                e = _fold15(np.abs(g) * ew[p:q])
+                s[:, 2] = np.hypot(s[:, 2], s[:, 3]) + np.hypot(s[:, 4], s[:, 5]) + e
+            for row in s[:, : len(sums)]:  # re, im (and the error), panel by panel
+                sums[:, lo:hi] += row
+        v = np.empty(len(xs), dtype=np.complex128)
+        v.real, v.imag = sums[0], sums[1]
+        neg = xs[order] < 0
+        v[neg] *= flip  # numpy's complex product by flip, which sets the signs of zeros
+        values = np.empty_like(v)
+        values[order] = v
+        if not errors:
+            return values, None
+        errs = np.empty(len(xs))
+        errs[order] = sums[2]
+        return values, errs
 
     def values(self, xs, weight: WeightFunction, window=None):
         """The values of transform(xs, weight, window), bit for bit, without
         their errors."""
-        xs = np.asarray(xs, dtype=float)
-        return np.array([v for *_, v in self._factors(xs, weight, window)], dtype=np.complex128)
+        return self._factors(xs, weight, window, False)[0]
 
     def transform(self, xs, weight: WeightFunction, window=None):
         """Upsilon(x) = int v(w/x) J_(w) dw / |x| over the cached grid at each
         x of xs, with the Kronrod-Gauss panel differences plus the kernel
-        errors as error: arrays of values and errors.
-
-        window restricts each x to the panels its weight reaches (_factors).
-        Each x takes the weight factor g once: its value is the real product
-        of g with vw, its error the panels' |g . dw| plus |g| . ew.  Each
-        (value, error) depends only on (x, grid, weight, window).
+        errors as error: arrays of values and errors, by one panel pass
+        (_factors), which also gives values its bits.  window restricts each
+        x to the panels its weight reaches.  Each (value, error) depends
+        only on (x, grid, weight, window).
         """
-        xs = np.asarray(xs, dtype=float)
-        values, errors = np.empty(len(xs), dtype=np.complex128), np.empty(len(xs))
-        for i, (a, b, g, v) in enumerate(self._factors(xs, weight, window)):
-            values[i] = v
-            d = (g.reshape(-1, 1, 15) @ self.dw[a:b]).reshape(-1, 4).view(np.complex128)
-            errors[i] = np.abs(d).sum() + (np.abs(g) @ self.ew[15 * a : 15 * b]).sum()
-        return values, errors
+        return self._factors(xs, weight, window, True)
 
 
 @dataclass(frozen=True)
@@ -657,9 +733,10 @@ def hankel_transform(
     """Transform values on the grid, with per-point error estimates.
 
     Deterministic: every point is integrated over one shared kernel table,
-    which depends only on the smallest and largest |x| of the grid, so
-    permuting the grid, or adding points whose |x| lies between those two,
-    never changes a value.  Extending that range does: the panel edges
+    which depends only on the smallest and largest |x| of the grid, by one
+    panel pass (_KernelGrid._factors) in which each point adds its panels
+    in increasing order, so permuting the grid, or adding points whose |x|
+    lies between those two, never changes a value.  Extending that range does: the panel edges
     start at the table's lower end, so they all move, and every value
     changes within its error estimate.  Raises ValueError for an empty
     grid, for grid points that are not finite or zero, and for an |x| so

@@ -19,6 +19,7 @@ from besselhr.asympt import (
     DEFAULT_THETA,
     M_CAP,
     SUBNORMAL,
+    _truncate,
     b_coeffs,
     h_bessel,
     in_validity_sector,
@@ -83,18 +84,56 @@ def test_second_kind_sweep_matches_second_kind_bits(n):
             assert (v, e) == (want.value, want.error_estimate), (n, k, z)
 
 
+def _powers(t, zinv, count):
+    """t z^{-m}, m < count, by repeated multiplication."""
+    powers = []
+    for _ in range(count):
+        powers.append(t)
+        t *= zinv
+    return powers
+
+
+def _own_terms(bs, powers):
+    """How many terms a point forms: through the last whose estimate
+    |b| |t z^{-m}| exceeds 2^-60 times the largest, and one more."""
+    ests = [abs(b) * abs(p) for b, p in zip(bs, powers)]
+    over = [m for m, e in enumerate(ests) if e > 2.0**-60 * max(ests)]
+    return min(over[-1] + 2, len(bs)) if over else len(bs)
+
+
 def _scalar_truncate(bs, t, zinv):
     """A scalar superasymptotic truncation in Python's complex arithmetic:
-    terms b t z^{-m} by repeated multiplication, cut before the first
-    smallest (at least one kept); returns m*, the partial sum, the first
-    omitted term's magnitude and the kept terms' summed magnitudes."""
-    terms = []
-    for b in bs:
-        terms.append(b * t)
-        t *= zinv
+    terms b t z^{-m} by repeated multiplication through the point's own
+    (_own_terms), cut before the first smallest of those (at least one
+    kept); returns m*, the partial sum, the first omitted term's magnitude
+    and the kept terms' summed magnitudes."""
+    powers = _powers(t, zinv, len(bs))
+    terms = [b * p for b, p in zip(bs[: _own_terms(bs, powers)], powers)]
     mags = [abs(v) for v in terms]
     m_star = max(1, int(np.argmin(mags)))
     return m_star, sum(terms[:m_star]), mags[min(m_star, len(mags) - 1)], sum(mags[:m_star])
+
+
+def test_truncation_cut_is_per_point():
+    # a block whose points form from 2 to all M_CAP + 1 terms: each point
+    # has its bits alone, and every term it does not form lies below 2^-60
+    # times its largest kept term
+    si = SpectralIndex([0.3 + 0.1j, -0.3 - 0.1j])
+    xi = RootOfUnity(4, 0)
+    bs = b_coeffs(si, xi)
+    zs = np.array([6.0, 8.0, 12.0, 20.0, 50.0, 300.0, 1e4, 1e8, 1e30, 1e160, 1e300])
+    zinv = 1.0 / zs
+    block = _truncate(bs, 1.0, zinv)
+    owns = []
+    for i, z in enumerate(zs):
+        one = _truncate(bs, 1.0, zinv[i : i + 1])
+        assert [a[i : i + 1].tobytes() for a in block] == [a.tobytes() for a in one], z
+        powers = _powers(1.0, zinv[i], len(bs))
+        own = _own_terms(bs, powers)
+        owns.append(own)
+        kept = max(abs(b * p) for b, p in zip(bs[: block[0][i]], powers))
+        assert all(abs(b * p) < 2.0**-60 * kept for b, p in zip(bs[own:], powers[own:])), z
+    assert owns[0] == M_CAP + 1 and owns[-1] == 2 and len(set(owns)) >= 5, owns
 
 
 @pytest.mark.parametrize("n", range(1, 7))

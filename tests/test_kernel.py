@@ -1233,6 +1233,68 @@ def test_weighted_table_matches_panel_sums(case, eta):
     assert np.all(np.abs(errors / ref_e - 1.0) < 0.01)
 
 
+def _fsum_transform(grid, kvals, x, weight, window):
+    """The transform value at x and its mass sum |g K h w_K|, by math.fsum
+    over the nodes of the panels x's window reaches, node by node: per
+    kernel sign s the weight at y = s sgn(x) e^t, t = u - log|x|, as
+    e^t log_values(t, s sgn(x))."""
+    L = math.log(abs(x))
+    sgn = 1 if x > 0 else -1
+    edges = grid.edges
+    p0, p1 = 0, len(edges) - 1
+    if window is not None:
+        p0 = max(int(np.searchsorted(edges, L + window[0], side="right")) - 1, 0)
+        p1 = min(int(np.searchsorted(edges, L + window[1], side="left")), p1)
+    re_, im, mass = [], [], []
+    for p in range(p0, p1):
+        h = 0.5 * (edges[p + 1] - edges[p])
+        for j in range(15):
+            t = float(grid.u[15 * p + j]) - L
+            for s_w in (1, -1):
+                g = math.exp(t) * float(weight.log_values(t, s_w * sgn))
+                term = g * complex(kvals[s_w][15 * p + j]) * h * float(_GKW[j])
+                re_.append(term.real)
+                im.append(term.imag)
+                mass.append(abs(term))
+    return complex(math.fsum(re_), math.fsum(im)), math.fsum(mass)
+
+
+@pytest.mark.parametrize("case, eta", [("rank2", 0), ("rank2", 1), ("rank3", 0), ("rank3", 1)])
+def test_panel_pass_matches_per_x_fsum(case, eta):
+    # the panel pass sums each x over the panels its window reaches within
+    # 8 eps of its mass of an exact per-x sum, with and without a window,
+    # at x of both signs
+    ki = _SWEEP_CASES[case][0]
+    w = WeightFunction(eta=eta)
+    grid, ux, _, window = _fe_grid(ki, w)
+    sweeps = kernel_sweep(grid.u, ki, FE_MELLIN_TOL * 1e-1)
+    kvals = {1: sweeps[0][0], -1: sweeps[1][0]}
+    xs = np.exp(ux[::97])
+    xs = np.concatenate([xs, -xs[::2]])
+    for win in (window, None):
+        values = grid.values(xs, w, win)
+        for x, v in zip(xs, values):
+            ref, mass = _fsum_transform(grid, kvals, x, w, win)
+            assert abs(v - ref) <= 8.0 * np.finfo(float).eps * mass, (x, win)
+
+
+def test_panel_pass_steps_keep_bits(monkeypatch):
+    # how the pass cuts panels and runs into steps moves no bit: steps of
+    # at most 7 (panel, x) pairs, which cut every run into parts, give the
+    # bits of the default steps, with and without the window
+    ki = _SWEEP_CASES["rank2"][0]
+    w = WeightFunction(eta=1)
+    grid, ux, _, window = _fe_grid(ki, w)
+    xs = np.exp(ux[::9])
+    xs = np.concatenate([xs, -xs[::4]])
+    for win in (window, None):
+        want = grid.transform(xs, w, win)
+        monkeypatch.setattr(kernel_module, "_STEP", 7)
+        got = grid.transform(xs, w, win)
+        monkeypatch.undo()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("eta", [0, 1])
 def test_fe_transform_order_bits(eta):
     # each node's (value, error) depends on the node alone: the FE nodes in
@@ -1295,6 +1357,9 @@ _TYPED_ERRORS = {
                              ValueError, "grid points must be nonzero"),
     "transform-empty-grid": (lambda: hankel_transform(WeightFunction(), _KI2, []),
                              ValueError, "the x grid has no points"),
+    "sweep-underflowing-node": (
+        lambda: kernel_sweep(np.array([-800.0, 0.0]), _KI2, 1e-9), ValueError,
+        "kernel node u[0] = -800 lies below -708.396, the least u the sweep serves"),
     "fe-large-re-lambda": (
         lambda: functional_equation_check(
             KernelIndex(SpectralIndex([0.45, -0.45]), (0, 0)), WeightFunction(), [0.5]),
