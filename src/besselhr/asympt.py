@@ -53,7 +53,6 @@ FLOOR_FACTOR = 4.0
 SWEEP_MIN = 6.0  # the least argument at which the kernel tries the expansion
 _EPS = float(np.finfo(float).eps)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)  # the least error of a nonzero value
-_ROW_LOOP = 256  # _running loops over rows at least this long
 _CUT = 2.0**-60  # a truncation forms no term whose estimate is below _CUT times the largest
 
 
@@ -102,15 +101,9 @@ def b_coeffs(si: SpectralIndex, xi: RootOfUnity) -> tuple:
 
 def _running(op, a):
     """The running op (a ufunc: np.add, np.multiply) down axis 0 of a, in
-    place, row by row from the first.  numpy's accumulate down axis 0 runs
-    column by column, slower than a loop over the rows once the rows reach
-    about _ROW_LOOP points (31 rows, measured on one core); both give the
-    same bits."""
-    if a.shape[1] < _ROW_LOOP:
-        op.accumulate(a, axis=0, out=a)
-    else:
-        for m in range(1, len(a)):
-            op(a[m - 1], a[m], out=a[m])
+    place, row by row from the first."""
+    for m in range(1, len(a)):
+        op(a[m - 1], a[m], out=a[m])
 
 
 def _truncate_point(b, t0, zinv):

@@ -687,8 +687,18 @@ class _KernelGrid:
             if errors:
                 e = _fold15(np.abs(g) * ew[p:q])
                 s[:, 2] = np.hypot(s[:, 2], s[:, 3]) + np.hypot(s[:, 4], s[:, 5]) + e
-            for row in s[:, : len(sums)]:  # re, im (and the error), panel by panel
-                sums[:, lo:hi] += row
+            # re, im (and the error) of each panel, added in increasing order:
+            # several panels fold the running sum into the first and
+            # accumulate (one call, not one per panel); one panel adds its
+            # row, which skips two calls a step (the values passes of a
+            # hankel-fe round take one panel a step, about 480 steps)
+            run = s[:, : len(sums)]
+            if len(run) > 1:
+                run[0] += sums[:, lo:hi]
+                np.add.accumulate(run, axis=0, out=run)
+                sums[:, lo:hi] = run[-1]
+            else:
+                sums[:, lo:hi] += run[0]
         v = np.empty(len(xs), dtype=np.complex128)
         v.real, v.imag = sums[0], sums[1]
         neg = xs[order] < 0

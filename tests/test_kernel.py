@@ -1280,19 +1280,22 @@ def test_panel_pass_matches_per_x_fsum(case, eta):
 
 def test_panel_pass_steps_keep_bits(monkeypatch):
     # how the pass cuts panels and runs into steps moves no bit: steps of
-    # at most 7 (panel, x) pairs, which cut every run into parts, give the
-    # bits of the default steps, with and without the window
+    # at most 7 (panel, x) pairs, which cut every run into parts, and of
+    # one pair, where each panel adds its own row (a few x take steps of
+    # many panels by default), give the bits of the default steps, with and
+    # without the window
     ki = _SWEEP_CASES["rank2"][0]
     w = WeightFunction(eta=1)
     grid, ux, _, window = _fe_grid(ki, w)
     xs = np.exp(ux[::9])
     xs = np.concatenate([xs, -xs[::4]])
-    for win in (window, None):
-        want = grid.transform(xs, w, win)
-        monkeypatch.setattr(kernel_module, "_STEP", 7)
-        got = grid.transform(xs, w, win)
-        monkeypatch.undo()
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for step, some in ((7, xs), (1, xs[::60])):
+        for win in (window, None):
+            want = grid.transform(some, w, win)
+            monkeypatch.setattr(kernel_module, "_STEP", step)
+            got = grid.transform(some, w, win)
+            monkeypatch.undo()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (step, win)
 
 
 @pytest.mark.parametrize("eta", [0, 1])
