@@ -25,7 +25,10 @@ module takes and returns plain integers there and never imports mpmath.  The
 differences d_k arrive with wp fraction bits but are short dyadic numbers
 (differences of doubles), so the loop strips the trailing zero bits they share
 and steps its polynomials W and R at wp + n fb and 2n fb fraction bits, fb the
-bits left, in place of (n+1) wp and 2n wp.
+bits left, in place of (n+1) wp and 2n wp.  At a non-generic index the rounds
+sum the series at the index moved by eps (sum_first_kind_fixed_jet): each term
+a jet of p coefficients in eps, each one multiply and one division of the same
+fixed-point form.
 
 The contour integrands of mellinbarnes add the exponents a and the real
 logs log|b| of their gamma factors, multiply only the unit phases b / |b|,
@@ -325,6 +328,125 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
         (2 * abs_sum >> wp) + 1
     )
     return sr, si, abs_sum + slack, terms
+
+
+def sum_first_kind_fixed_jet(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
+    """sum_first_kind_fixed at the index moved to d_k + eps s_k: each term
+    a jet, the p coefficients of eps^0 .. eps^(p-1), with the integers s_k.
+
+    head holds the terms t_0 .. t_M, each p (re, im) integers in units of
+    2^E; past it t_m = t_(m-1) zf / P(m, eps) with P(m, eps) =
+    prod_k (d_k + m + eps s_k) truncated at eps^(p-1).  The quotient's
+    coefficients follow from q_j P_0 = zf t_j - sum_(i=1..j) P_i q_(j-i):
+    each is one complex multiply by W = zf conj(P_0) and one floor division
+    by |P_0|^2, as in sum_first_kind_fixed, with the correction multiplied
+    by conj(P_0).  The d_k enter at the fraction bits fb of
+    sum_first_kind_fixed, and P(m, eps) at n fb bits is formed afresh per
+    term.  A term is small when every coefficient is at most tol times the
+    term mass of its order plus floor, or at most the loop's own rounding
+    of that order, 2 (1 + sum_k |s_k|)^j units (an order that vanishes
+    identically, as the odd ones of a middle series at a symmetric index,
+    holds only that): the stop rule of sum_first_kind_fixed with the masses
+    in place of the partial sum, which may cancel at the higher orders.
+
+    Returns ([(sum_re, sum_im)], [abs_sum], terms_used), one entry per
+    order, in units of 2^E.  abs_sum_j is sum_m |t_(m,j)| plus the rounding
+    bound of sum_first_kind_fixed on the largest of the masses, times
+    (1 + sum_k |s_k|)^j: |P_i / P_0| <= (sum_k |s_k|)^i where every
+    |d_k + m| >= 1, which bounds how a floor of order j - i reaches order j.
+    """
+    n = len(diffs)
+    p = len(head[0])
+    M = len(head) - 1
+    common = 0
+    for dr, di in diffs:
+        common |= dr | di
+    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
+    fb = wp - strip
+    diffs = [(dr >> strip, di >> strip, s << fb) for (dr, di), s in zip(diffs, slopes)]
+    one = 1 << fb
+    zr, zi = zf
+    shift = n * fb - wp
+    up, down = max(shift, 0), max(-shift, 0)
+    orders = range(p)
+    growth = 1 + sum(abs(s) for s in slopes)
+    noise = [2 * growth**j for j in orders]
+    isqrt = math.isqrt
+    sums = [[0, 0] for _ in orders]
+    masses = [0] * p
+    small = 0
+    m = 0
+    while True:
+        if m <= M:
+            t = head[m]
+        else:
+            pc = [(1, 0)] + [(0, 0)] * (p - 1)
+            for dr, di, s in diffs:
+                ar = dr + m * one
+                nxt = []
+                for j in orders:
+                    pr, pi = pc[j]
+                    re, im = pr * ar - pi * di, pr * di + pi * ar
+                    if j and s:
+                        re += pc[j - 1][0] * s
+                        im += pc[j - 1][1] * s
+                    nxt.append((re, im))
+                pc = nxt
+            p0r, p0i = pc[0]
+            w_re, w_im = zr * p0r + zi * p0i, zi * p0r - zr * p0i
+            r = (p0r * p0r + p0i * p0i) << down
+            q = []
+            for j in orders:
+                tr, ti = t[j]
+                nr, ni = tr * w_re - ti * w_im, tr * w_im + ti * w_re
+                if up:
+                    nr, ni = nr << up, ni << up
+                if j:
+                    cr = ci = 0
+                    for i in range(1, j + 1):
+                        ar, ai = pc[i]
+                        br, bi = q[j - i]
+                        cr += ar * br - ai * bi
+                        ci += ar * bi + ai * br
+                    cr, ci = cr * p0r + ci * p0i, ci * p0r - cr * p0i
+                    nr -= cr << down
+                    ni -= ci << down
+                q.append((nr // r, ni // r))
+            t = q
+        quiet = m >= m_min
+        for j in orders:
+            tr, ti = t[j]
+            sums[j][0] += tr
+            sums[j][1] += ti
+            # _abs_ub(tr, ti), inline
+            ar = -tr if tr < 0 else tr
+            ai = -ti if ti < 0 else ti
+            k = (ar if ar > ai else ai).bit_length() - 60
+            if k <= 0:
+                t_abs = isqrt(ar * ar + ai * ai) + 1
+            else:
+                ar = (ar >> k) + 1
+                ai = (ai >> k) + 1
+                t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
+            masses[j] += t_abs
+            if quiet and t_abs > noise[j] and (t_abs << wp) - floor > tol * masses[j]:
+                quiet = False
+        if quiet and any(masses):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        if m >= m_cap:
+            break
+        m += 1
+    terms = m + 1
+    t_low = max(abs(c) for pair in head[M] for c in pair) or 1
+    top = max(masses)
+    slack = 2 * terms * (terms + 2 * (2 * top // t_low + 1)) + 2 * (n + 1) * terms * (
+        (2 * top >> wp) + 1
+    )
+    return [tuple(s) for s in sums], [a + slack * growth**j for j, a in enumerate(masses)], terms
 
 
 def series_sum(zf, diffs, tol, m_min, m_cap, head):

@@ -476,8 +476,19 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps an option value of exactly "--": argparse
+    drops it as the end-of-options marker, so --signs=-- (rank 2, both
+    signs minus) would reach the program empty.  Subparsers take the class."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="besselhr",
         description="fundamental Bessel functions of arbitrary rank",
     )

@@ -16,16 +16,23 @@ machinery with the kernel coefficients K_l = sum_k e_k(y) R^(k)_l
 (_kernel_coeffs), and its cancellation reference max |J(sig)| by root, both
 from the rows R^(k) of _root_rows.  Two numerical hazards drive
 the implementation: for non-generic indices the S_l blow up and the
-combination must be taken as a limit (done here by averaging over a small
-circle of generic perturbations, the Cauchy mean of an analytic function);
-and for large |z| the combination cancels to exponentially small values, so
-the summation switches to adaptive-precision big floats when the reported
-double-precision error cannot meet the requested tolerance.  The
+combination must be taken as a limit; and for large |z| the combination
+cancels to exponentially small values, so the summation switches to
+adaptive-precision big floats when the reported double-precision error
+cannot meet the requested tolerance.  The limit is taken in the big-float
+rounds, in one pass each: with lam moved to lam + eps u, the connection,
+root-row and kernel coefficients are Laurent jets in eps (the formulas take
+_jet.context beside _DOUBLE and mpmath), each J_l a Taylor jet (_head_mp,
+_backend.sum_first_kind_fixed_jet, and the prefactor z^(-n(lam_l + eps
+u_l)), which brings in the powers of log z), and the value and the grouped
+sums are the eps^0 coefficients.  An index within EPS_GEN of a non-generic
+one skips the double pass too, its rounds run at the index itself.  The
 first big-float round takes the digits its noise test needs at an estimate
 of |value|: for a sign-vector function above the asymptotic floor and inside
 the sector of xi(sig), the modulus of the leading asymptotic term
 (_leading_log10) plus _ESTIMATE_GUARD digits; otherwise eps times the double
-pass's term mass (or the e^{n|z|} ridge where the double pass overflows).
+pass's term mass (or the e^{n|z|} ridge where the double pass overflows
+or is skipped).
 A round that fails escalates, up to a ceiling of digits; an estimate below
 what the ceiling resolves raises before any round.
 
@@ -36,15 +43,17 @@ gammas (_backend.head_coeffs): in double precision for first_kind, in mpmath
 for the big-float rounds (_first_kind_mp, which sums the rest in fixed-point
 integers), and at zf = 1 in 50-digit mpmath for kernel_series_grid's table
 (_FirstKindTable), summed by Horner in double-double arithmetic.  A big-float
-round builds what its n series share once (_Round).
+round builds what its n series share once (_Round), and raises before it
+builds a head longer than its term cap (_check_head).
 
 The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
 across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
 root rows of the kernel's K_l and cancellation reference (both by index,
-kind or parity, and digits), the head coefficients of each series with its
-differences d_k (by index, l and bits), the grid's first-kind tables and
+kind or parity, and digits; jets at a non-generic index), the head
+coefficients of each series with its differences d_k (by index, l, bits
+and jet order), the grid's first-kind tables and
 coefficient pairs, the index-shift matrix of derivatives, and the asymptotic
 B_m tables of asympt (by index and root).  A key holds nothing of z, of a
 family value or of the tolerance, so every result is the same bit for bit
@@ -73,12 +82,11 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from . import _backend
+from . import _backend, _jet
 from ._pair import cdd_add, cdd_exp, cdd_mul, dd_add, dd_exp, dd_mul, dd_neg, two_prod
 from .core import (
     NuIndex,
     OverflowEvalError,
-    PoleError,
     SignVector,
     SpectralIndex,
     SurfacePoint,
@@ -91,9 +99,7 @@ from .core import (
 )
 from .coeffs import bessel_eq_coeffs, build_uv_tables, elementary_symmetric
 
-EPS_GEN = 1e-4  # below this gap the connection switches to the limit form
-_CAUCHY_RADIUS = 1e-3
-_CAUCHY_POINTS = 8
+EPS_GEN = 1e-4  # below this gap the big-float rounds run without the double pass
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # exact i^n
 # the big-float rounds stop at the digits that resolve a value this small
 _DPS_CEILING_SIZE = 1e-300
@@ -103,6 +109,8 @@ _ESTIMATE_GUARD = 4
 # past this n|z| the series is not attempted: its first round alone would
 # need some 45 000 digits
 _SERIES_MAX_NZ = 1e5
+# terms a big-float round sums past m_min at most (m_cap - m_min)
+_ROUND_TERMS = 50000
 
 Pointlike = Union[SurfacePoint, float, int]
 
@@ -135,10 +143,22 @@ def _m_fresh(diffs) -> int:
     return int(max(0.0, worst)) + 2
 
 
+def _check_head(fresh: int, cap: int):
+    """OverflowEvalError, before any head is built, where a head of fresh
+    terms is longer than cap: no big-float round could sum past it."""
+    if fresh > cap:
+        raise OverflowEvalError(
+            f"a first-kind series at this index has {fresh} head terms, past the {cap} a "
+            "big-float round sums: the components differ too much for the series"
+        )
+
+
 def first_kind(
     z: Pointlike, sign, si: SpectralIndex, l: int, tol: float = 1e-12
 ) -> SeriesEval:
-    """First-kind solution J_l (l is 1-based) by the ascending series."""
+    """First-kind solution J_l (l is 1-based) by the ascending series;
+    OverflowEvalError where its terms overflow double range or its head is
+    longer than any round sums (_lanczos_head)."""
     z = _as_point(z)
     n = si.rank
     if not 1 <= l <= n:
@@ -281,48 +301,73 @@ class _Store(OrderedDict):
 _stored = _Store()
 
 
+def _jet_numbers(lam: tuple) -> int:
+    """Numbers charged for one coefficient of lam's connection formulas:
+    1, or at a non-generic index 2 p, a jet's p values and p majorants."""
+    p = _jet.cluster_order(lam)
+    return 1 if p == 1 else 2 * p
+
+
+def _index_mp(lam: tuple, centred: bool):
+    """The index in the current mpmath precision and the context of the
+    connection formulas for it: lam itself with mpmath, or at a non-generic
+    index the jets lam + eps u with _jet.context.  centred takes lam less
+    its mean, the rounding left in a SpectralIndex."""
+    values = [mp.mpc(v) for v in lam]
+    if centred:
+        mean = sum(values) / len(values)
+        values = [v - mean for v in values]
+    p = _jet.cluster_order(lam)
+    if p == 1:
+        return mp, values
+    return _jet.context(lam), _jet.index_jets(values, p)
+
+
 def _coeffs_mp(lam: tuple, kind, dps: int):
     """The c_l of kind (("signvec", sv): E E_l S_l; ("kernel", deltas, parity):
-    _kernel_coeffs) and bounds on their moduli at dps digits, as tuples."""
+    _kernel_coeffs) and bounds on their moduli at dps digits, as tuples; at
+    a non-generic index Laurent jets in eps and their majorants."""
 
     def build():
         if kind[0] == "kernel":
             return _kernel_coeffs(lam, kind[1], kind[2], dps, _root_rows_mp(lam, kind[2], dps))
         with mp.workdps(dps):
-            lam_mp = [mp.mpc(v) for v in lam]
-            return tuple(map(tuple, _connection_coeffs(mp, lam_mp, _sines(mp, lam_mp), kind[1])))
+            ctx, index = _index_mp(lam, centred=False)
+            return tuple(map(tuple, _connection_coeffs(ctx, index, _sines(ctx, index), kind[1])))
 
-    return _stored(("coeffs", lam, kind, dps), _charge(2 * len(lam), dps_to_prec(dps)), build)
-
-
-def _mp_index(lam):
-    """lam in mpmath less its mean, the rounding left in a SpectralIndex."""
-    lam_mp = [mp.mpc(v) for v in lam]
-    mean = sum(lam_mp) / len(lam_mp)
-    return [v - mean for v in lam_mp]
+    numbers = 2 * len(lam) * _jet_numbers(lam)
+    return _stored(("coeffs", lam, kind, dps), _charge(numbers, dps_to_prec(dps)), build)
 
 
 def _root_rows_mp(lam: tuple, parity: int, dps: int):
-    """_root_rows in mpmath at dps digits: at most floor(n/2) + 1 rows of n."""
+    """_root_rows in mpmath at dps digits: at most floor(n/2) + 1 rows of n
+    (of jets at a non-generic index)."""
 
     def build():
         with mp.workdps(dps):
-            return _root_rows(mp, _mp_index(lam), parity)
+            return _root_rows(*_index_mp(lam, centred=True), parity)
 
     n = len(lam)
-    return _stored(("roots", lam, parity, dps), _charge(n * (n // 2 + 1), dps_to_prec(dps)), build)
+    numbers = n * (n // 2 + 1) * _jet_numbers(lam)
+    return _stored(("roots", lam, parity, dps), _charge(numbers, dps_to_prec(dps)), build)
 
 
 def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
     """K_l = sum_k e_k(y) R^(k)_l at dps digits from the rows R^(k) of
     _root_rows at dps digits, and bounds on |K_l| for the big-float rounds'
-    noise model: near a non-generic index the sum cancels (by up to 10^5 at
-    rank 6 and gaps of 1e-3), so a bound is at least 10^-3 of its terms'
-    mass sum_k e_k(|y|) |R^(k)_l|, which the model's 10^5 then covers."""
+    noise model: the sum may cancel (near a non-generic index, by the
+    growth of the rows there), and its rounding is at most a few units of
+    dps digits in its terms' mass sum_k e_k(|y|) |R^(k)_l|, so a bound is at
+    least 10^-3 of that mass, which the model's 10^5 then covers.  At a
+    non-generic index the K_l are Laurent jets and the bounds their
+    majorants."""
     ks, ls = slice(0 if parity > 0 else 1, None, 2), range(len(lam))
     with mp.workdps(dps):
-        _, e, e_abs = root_factors(_mp_index(lam), deltas, mp)
+        ctx, index = _index_mp(lam, centred=True)
+        _, e, e_abs = root_factors(index, deltas, ctx)
         coeffs = tuple(sum(c * row[l] for c, row in zip(e[ks], rows)) for l in ls)
+        if ctx is not mp:
+            return coeffs, tuple(map(abs, coeffs))
         mass = [sum(c.real * abs(row[l]) for c, row in zip(e_abs[ks], rows)) for l in ls]
         return coeffs, tuple(max(abs(c), m / 1000) for c, m in zip(coeffs, mass))
 
@@ -334,8 +379,11 @@ def _lanczos_head(lam: tuple, l: int, diffs):
     tuple of Python complex; from 64-bit mpmath, rounded once, where one of
     them underflows (the top, at large |lambda|) and would pass its lost bits
     down.  Keyed by lam although its doubles do not tell 0.0 from -0.0: the
-    sums d_k + m it is made from come out the same for either sign of a zero."""
+    sums d_k + m it is made from come out the same for either sign of a zero.
+    A head longer than _ROUND_TERMS raises before it is built (_check_head):
+    no round sums it, so the big-float rounds raise as well."""
     fresh = _m_fresh(diffs)
+    _check_head(fresh, _ROUND_TERMS)
 
     def build():
         d = diffs.tolist()
@@ -349,23 +397,32 @@ def _lanczos_head(lam: tuple, l: int, diffs):
     return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
 
 
-def _head_mp(lam: tuple, l: int, wp: int):
+def _head_mp(lam: tuple, l: int, wp: int, p: int = 1):
     """The head of the l-th series in wp-bit arithmetic: the coefficients
     prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh (_backend.head_coeffs with
     mp.rgamma) of the differences d_k = lam_k - lam_l, and the d_k as
-    fixed-point pairs of wp fraction bits.  Charged a number for each
-    coefficient and each pair."""
+    fixed-point pairs of wp fraction bits.  With p > 1, at the index moved
+    to lam + eps u, each coefficient is a jet of p coefficients in eps at
+    d_k + eps (u_k - u_l): _jet.rgamma at the top, multiplied down by the
+    linear jets, so a pole crossing multiplies by a jet whose leading
+    coefficient is 0.  Charged a number for each value, majorant and pair."""
 
     def build():
         with mp.workprec(wp):
             lam_mp = [mp.mpc(v) for v in lam]
             diffs = [lk - lam_mp[l - 1] for lk in lam_mp]
             fresh = _m_fresh([complex(d) for d in diffs])
-            head = _backend.head_coeffs(diffs, fresh, lambda args: map(mp.rgamma, args))
+            args, rgamma = diffs, mp.rgamma
+            if p > 1:
+                u = _jet.direction(len(lam))
+                args = [_jet.linear(d, uk - u[l - 1], p) for d, uk in zip(diffs, u)]
+                rgamma = _jet.rgamma
+            head = _backend.head_coeffs(args, fresh, lambda args: map(rgamma, args))
             return tuple(head), [_to_fixed(d, wp) for d in diffs]
 
     fresh = _m_fresh([lk - lam[l - 1] for lk in lam])
-    return _stored(("head", lam, l, wp), _charge(fresh + 1 + len(lam), wp), build)
+    numbers = (fresh + 1) * (1 if p == 1 else 2 * p) + len(lam)
+    return _stored(("head", lam, l, wp, p), _charge(numbers, wp), build)
 
 
 def _coeffs_double(lam: tuple, kind):
@@ -400,15 +457,21 @@ class _Round:
     """What the n series of one big-float round share, at the current
     mpmath precision dps: the bits wp, m_min and m_cap, log z and
     zf = sign i^n z^n, their fixed-point forms and that of rel_tol, the
-    floor 10^(-dps-30), the heads of the index (_head_mp) and the powers
-    zf^m through the largest head.  zf, the powers and the fixed-point forms
-    are made in mp.workprec(wp), the precision the series run at."""
+    floor 10^(-dps-30), the heads of the index (_head_mp), the powers
+    zf^m through the largest head.  With order p > 1 the heads are jets of
+    p coefficients, and the series sum jets (_first_kind_jet).
+    zf, the powers and the fixed-point forms are made in mp.workprec(wp),
+    the precision the series run at.  A head longer than m_cap raises
+    OverflowEvalError before any is built: its terms alone would pass the
+    round's term cap (_check_head)."""
 
-    def __init__(self, z: SurfacePoint, sign: int, si: SpectralIndex, rel_tol):
+    def __init__(self, z: SurfacePoint, sign: int, si: SpectralIndex, rel_tol, order: int = 1):
         n = si.rank
         self.si = si
         self.m_min = int(math.e * z.modulus) + 4
-        self.m_cap = self.m_min + 50000
+        self.m_cap = self.m_min + _ROUND_TERMS
+        _check_head(max(_m_fresh([lk - lam_l for lk in si.lam]) for lam_l in si.lam), self.m_cap)
+        self.order = order
         dps = mp.mp.dps
         wp = math.ceil(dps * math.log2(10)) + 2 * self.m_cap.bit_length() + 8
         wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))  # |zf| < 1
@@ -419,7 +482,7 @@ class _Round:
             self.zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * self.logz)
             self.zf_fixed = _to_fixed(self.zf, wp)
             self.tol = to_fixed(mp.mpf(rel_tol)._mpf_, wp)
-            self.heads = [_head_mp(si.lam, l, wp) for l in range(1, n + 1)]
+            self.heads = [_head_mp(si.lam, l, wp, order) for l in range(1, n + 1)]
             self.powers = _backend.zf_powers(self.zf, max(len(head) for head, _ in self.heads))
 
 
@@ -439,8 +502,11 @@ def _first_kind_mp(rnd: _Round, l: int):
     abs_scale is an upper bound that includes the integer loop's rounding,
     and that rounding is at most about terms^2 2^-wp abs_scale.  The value
     is then within 10^-dps abs_scale of the same terms summed exactly, far
-    inside the noise model 10^-(dps-5) abs_scale of _j_generic.
+    inside the noise model 10^-(dps-5) abs_scale of _j_generic_mp.  At a
+    non-generic index the round sums jets instead (_first_kind_jet).
     """
+    if rnd.order > 1:
+        return _first_kind_jet(rnd, l)
     n = rnd.si.rank
     wp = rnd.wp
     coeffs, fixed_diffs = rnd.heads[l - 1]
@@ -464,6 +530,41 @@ def _first_kind_mp(rnd: _Round, l: int):
     return +value, terms, +scale
 
 
+def _first_kind_jet(rnd: _Round, l: int):
+    """_first_kind_mp at a non-generic index: J_l at lam + eps u as a jet
+    of rnd.order coefficients, and its majorant jet as abs_scale.  The head
+    jets times zf^m and the tail of _backend.sum_first_kind_fixed_jet give
+    the series, and the prefactor z^(-n (lam_l + eps u_l)) =
+    z^(-n lam_l) exp(-n u_l log z eps) brings in the powers of log z."""
+    n = rnd.si.rank
+    wp = rnd.wp
+    u = _jet.direction(n)
+    coeffs, fixed_diffs = rnd.heads[l - 1]
+    with mp.workprec(wp):
+        head = [p * c for p, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
+        top = next((max(t.a) for t in reversed(head) if any(t.c)), 1)
+        e = mp.mag(top) - wp
+        sums, masses, terms = _backend.sum_first_kind_fixed_jet(
+            [[_to_fixed(c, -e) for c in t.c] for t in head],
+            rnd.zf_fixed,
+            fixed_diffs,
+            [uk - u[l - 1] for uk in u],
+            wp,
+            rnd.tol,
+            to_fixed(rnd.floor._mpf_, wp - e),
+            rnd.m_min,
+            rnd.m_cap,
+        )
+        total = _jet.Jet(
+            [mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e))) for sr, si_ in sums],
+            [mp.mpf((a, e)) for a in masses],
+        )
+        nlogz = n * rnd.logz
+        pref = _jet.exp_linear(-mp.mpc(rnd.si.lam[l - 1]) * nlogz, -u[l - 1] * nlogz, rnd.order)
+        value = pref * total
+    return value, terms, abs(value)
+
+
 def _to_fixed(x, bits):
     """An mpmath complex as integers (re, im) with bits fraction bits."""
     re, im = mp.mpc(x)._mpc_
@@ -472,12 +573,15 @@ def _to_fixed(x, bits):
 
 def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind):
     """The combination in dps-digit arithmetic; returns mp values and the
-    first-kind family values it was summed from."""
+    first-kind family values it was summed from.  At a non-generic index
+    the coefficients and the family are jets in eps, the value and the term
+    mass the eps^0 coefficients of sum_l c_l J_l and of its majorant: the
+    limit and its noise scale in one pass."""
     n = si.rank
     with mp.workdps(dps):
         cs, mags = _coeffs_mp(si.lam, kind, dps)
         rel = mp.mpf(10) ** (-(dps - 4))
-        rnd = _Round(z, sign, si, rel)
+        rnd = _Round(z, sign, si, rel, _jet.cluster_order(si.lam))
         value = mp.mpc(0)
         mass = mp.mpf(0)
         terms = 0
@@ -490,6 +594,8 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind)
             mass += mags[l] * comp_scale
             terms += t_used
             family.append(comp)
+        if rnd.order > 1:
+            value, mass = value.coeff(0), mass.coeff(0)
         return value, mass, terms, rel, family
 
 
@@ -531,15 +637,35 @@ def _failed_round(noise, value):
     return (up if up >= ach else math.nextafter(up, math.inf)), words
 
 
-def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
+def _peak(lam: tuple, parity: int, sums) -> float:
+    """max |J(z; sig)| over the sign vectors of parity, by root: the
+    largest top_k |G_k| of the grouped sums G_k and top_products."""
+    tops = top_products(lam)[0 if parity > 0 else 1 :: 2]
+    return max(t * abs(g) for t, g in zip(tops, sums))
+
+
+def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     """sum_l c_l J_l(z; sign) with error at most tol times its modulus, for
     the coefficients of kind (see _coeffs_mp) and its sign: the product of a
     sign vector's signs, or the kernel's parity.  For a kernel, also returns
     the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows at its parity,
     rebuilt from the family values of the accepted pass; () otherwise.
+
+    A generic index (genericity gap at least EPS_GEN) starts with the
+    double pass.  Below EPS_GEN the big-float rounds run alone, sized as
+    where the double pass overflows: in the band 0 < gap < EPS_GEN at the
+    index itself, whose differences are exact in mpmath while the double
+    pass's 8 eps noise model does not cover their rounding, and the term
+    mass carries the 1/gap growth of the coefficients; at gap 0 the limit,
+    on jets in one pass per round (_j_generic_mp), its value and the G_k
+    the eps^0 coefficients.  There a kernel can vanish identically: a round
+    whose value lies inside its noise while that noise is at most tol times
+    the cancellation reference (_peak) ends the rounds, with the noise as
+    the error, at least |value|, so no digit is claimed.
     """
     sign, parity = (kind[1].product_sign, None) if kind[0] == "signvec" else (kind[2], kind[2])
-    overflow = si.rank * z.modulus > 690.0
+    alone = si.rank * z.modulus > 690.0 or genericity_gap(si) < EPS_GEN
+    limit = _jet.cluster_order(si.lam) > 1
     eps = np.finfo(float).eps
 
     def digits(logmass, log_size, guard=19):
@@ -547,13 +673,13 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         # 10^-(dps-5) <= tol |value|, holds at |value| = 10^log_size, plus guard
         return 5 + guard + int(logmass - log_size) - int(math.log10(tol))
 
-    if not overflow:
+    if not alone:
         cs, mags, rows = _coeffs_double(si.lam, kind)
         try:
             est, mass, family = _j_generic_double(z, sign, si, tol, cs, mags)
         except OverflowEvalError:  # at large |lambda| the terms overflow below n|z| = 690 too
-            overflow = True
-    if not overflow:
+            alone = True
+    if not alone:
         if est.tail_bound <= tol * abs(est.value) and abs(est.value) > 0:
             return est, _recombine(rows, family)
         # the double-pass error aggregates eps * (internal term mass), so it
@@ -594,8 +720,14 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         if not cmath.isfinite(v) and abs(value) - noise > np.finfo(float).max:
             raise OverflowEvalError(f"|J| exceeds double range at |z|={z.modulus:.6g}")
         ach = float(noise) + 4.0 * eps * abs(v)  # incl. final rounding
-        if abs(v) > 0 and mp.mpf(abs(v)) > noise and ach <= tol * abs(v) + 8.0 * eps * abs(v):
+        resolved = abs(v) > 0 and mp.mpf(abs(v)) > noise
+        if resolved and ach <= tol * abs(v) + 8.0 * eps * abs(v):
             break
+        if limit and parity and not resolved:
+            with mp.workdps(round_dps):
+                sums = _recombine(_root_rows_mp(si.lam, parity, round_dps), family)
+            if noise <= tol * _peak(si.lam, parity, sums):
+                break
         # |v| may still be cancellation noise, so escalate geometrically as
         # well as by the apparent requirement, up to the digits that resolve
         # any value of double range (|v| >= 1e-300) against this term mass;
@@ -631,62 +763,16 @@ def _j_generic(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         return SeriesEval(v, terms, ach), _recombine(rows, family)
 
 
-def _degeneracy_direction(n: int):
-    u = [l - (n + 1) / 2.0 for l in range(1, n + 1)]
-    scale = max(abs(x) for x in u)
-    return [x / scale for x in u]
-
-
-def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
-    """_j_generic, taken as a limit at non-generic indices (gap below 1e-4):
-    the average over 8 generic perturbations on a circle of radius 1e-3,
-    which reproduces the limit value to O(radius^8), and so each G_k."""
-    if genericity_gap(si) >= EPS_GEN:
-        return _j_generic(z, si, tol, kind)
-    u = _degeneracy_direction(si.rank)
-    vals = []
-    tails = []
-    root_vals = []
-    terms = 0
-    lost = 0.0  # the largest distance of a rounded circle point from the circle
-    for q in range(_CAUCHY_POINTS):
-        rot = _CAUCHY_RADIUS * e2pi(q / _CAUCHY_POINTS)
-        pert = SpectralIndex([v + rot * ul for v, ul in zip(si.lam, u)])
-        # components so large that a step of the radius is lost to rounding
-        # leave the index on its degeneracy, where the sines vanish
-        lost = max(lost, *(abs(p - v - rot * ul) for p, v, ul in zip(pert.lam, si.lam, u)))
-        if lost > 1e-6 * _CAUCHY_RADIUS:
-            raise PoleError(
-                "non-generic index whose components are too large to perturb "
-                f"by {_CAUCHY_RADIUS:g} in double precision"
-            )
-        est, parts = _j_generic(z, pert, tol * 0.2, kind)
-        vals.append(est.value)
-        tails.append(est.tail_bound)
-        root_vals.append(parts)
-        terms += est.terms_used
-    value = sum(vals) / len(vals)
-    spread = max(abs(v - value) for v in vals)
-    # the mean moves with the rounding of the circle points, at a slope of
-    # about spread / radius: where the kernel vanishes that is all it holds
-    tail = (
-        sum(tails) / len(tails)
-        + _CAUCHY_RADIUS**_CAUCHY_POINTS * (abs(value) + spread)
-        + spread / _CAUCHY_RADIUS * lost
-        + 4.0 * np.finfo(float).eps * max(abs(v) for v in vals)
-    )
-    return SeriesEval(value, terms, tail), [sum(col) / len(col) for col in zip(*root_vals)]
-
-
 def j_function(
     z: Pointlike, sv: SignVector, si: SpectralIndex, tol: float = 1e-10
 ) -> SeriesEval:
     """The sign-vector function via its first-kind expansion.
 
     tol is a relative-accuracy request; the achieved absolute bound comes
-    back in tail_bound.  Non-generic indices (gap below 1e-4) are evaluated
-    as the average over 8 generic perturbations on a circle of radius 1e-3,
-    which reproduces the limit value to O(radius^8).  Raises
+    back in tail_bound.  At a non-generic index (two components differ by
+    an integer) the value is the limit, taken in one pass per big-float
+    round on jets in a perturbation eps of the index (_evaluate): the eps^0
+    coefficient, where the log-bearing solutions appear.  Raises
     ToleranceNotMetError when the leading asymptotic term puts the value
     below what the big-float rounds resolve, when the rounds reach their
     precision ceiling, which happens for values below double range, or when
@@ -717,13 +803,15 @@ def kernel_series(
     relative to the kernel value; the precision is chosen once, for the
     kernel.  Also returns max |J(z; sig)| over the sign vectors of the sum
     (the cancellation reference) by root: the largest top_k |G_k|, with G_k
-    of _root_rows (a Cauchy mean at a non-generic index), top_products.
+    of _root_rows, top_products.  At a non-generic index the K_l and the G_k
+    are limits, the eps^0 coefficients of jets (_evaluate); a kernel that
+    vanishes there identically comes back with an error of at least its
+    |value| once its noise is below tol times the cancellation reference.
     """
     z = _as_point(z)
     kind = ("kernel", tuple(int(d) % 2 for d in deltas), parity)
     est, sums = _evaluate(z, si, tol, kind)
-    tops = top_products(si.lam)[0 if parity > 0 else 1 :: 2]
-    return est, max(t * abs(g) for t, g in zip(tops, sums))
+    return est, _peak(si.lam, parity, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +877,7 @@ def _kernel_grid_coeffs(lam: tuple, deltas: tuple, parity: int):
 
     def build():
         with mp.workdps(_GRID_DPS):
-            rows = _root_rows(mp, _mp_index(lam), parity)
+            rows = _root_rows(mp, _index_mp(lam, centred=True)[1], parity)
             kern = _kernel_coeffs(lam, deltas, parity, _GRID_DPS, rows)[0]
             return (
                 tuple(_mp_pair(c) for c in kern),

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import besselhr
-from besselhr import invariants
+from besselhr import invariants, series
 from besselhr.cli import main, parse_complex, parse_grid, parse_weight
+from besselhr.core import SignVector, SpectralIndex
 
 # the subprocess imports the same besselhr as this process, also when it was
 # found through pytest's pythonpath setting rather than an installed package
@@ -594,14 +595,26 @@ def test_coeffs_out_of_domain_exits_2(extra, text, capsys):
     _usage_error(["coeffs"] + extra, capsys, text)
 
 
-def test_eval_index_that_cannot_be_perturbed_exits_2(capsys):
-    # lambda_1 - lambda_2 = 1e17 is an integer, and a Cauchy step of 1e-3
-    # is lost to rounding at that size: a usage error, not a division by 0
-    _usage_error(
-        ["eval", "--n", "2", "--signs", "++", "--lambda", "1e17,0", "--x", "1"],
-        capsys,
-        "too large to perturb",
-    )
+def test_eval_index_beyond_the_series_head_exits_3(capsys):
+    # lambda_1 - lambda_2 = 1e17 is an integer: the series of J_1 has 1e17
+    # head terms before its pole crossings end, past any round's term cap,
+    # so it fails at once, before any head is built
+    t0 = time.perf_counter()
+    rc = main(["eval", "--n", "2", "--signs", "++", "--lambda", "1e17,0", "--x", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert rc == 3 and "head terms, past the 50006 a big-float round sums" in out
+
+
+def test_eval_signs_of_two_minus(capsys):
+    # argparse reads a value of exactly "--" as the end of the options;
+    # --signs=-- is the rank-2 sign vector with both signs minus
+    assert main(["eval", "--n", "2", "--signs=--", "--lambda", "0.3,-0.3", "--x", "1"]) == 0
+    text = capsys.readouterr().out
+    assert '"signs": "--"' in text
+    row = text.splitlines()[2].split(",")
+    want = series.j_function(1.0, SignVector("--"), SpectralIndex([0.3, -0.3]), 1e-10)
+    assert complex(float(row[1]), float(row[2])) == want.value
 
 
 def test_kernel_validity_floor_overflow_exits_3(capsys):

@@ -192,7 +192,7 @@ def test_kernel_series_matches_signvec_sum(n, kind):
     ([0.25, 0.25, -0.1 + 0.2j, -0.4 - 0.2j], (1, 0, 0, 1)),
 ])
 def test_kernel_series_nongeneric_cancellation(lam, deltas):
-    # at a non-generic index the grouped sums are Cauchy means and the
+    # at a non-generic index the grouped sums are limits on jets and the
     # top-k factor is taken at the index itself: the cancellation is the
     # largest |J(sig)| of the explicit sign-vector functions
     ki = KernelIndex(SpectralIndex(lam), deltas)
@@ -246,7 +246,7 @@ def test_root_rows_reproduce_connection_coeffs(n):
 
 def test_kernel_series_nongeneric_cauchy_mean():
     # lam = (1/2, -1/2) is non-generic, so the collapsed sum is taken as the
-    # Cauchy mean over generic perturbations.  Classical values:
+    # limit, on jets in a perturbation of the index.  Classical values:
     # -2 pi J_1(4 pi sqrt x) for x > 0 (delta = 00), -4i K_1(4 pi sqrt|x|)
     # for x < 0 (delta = 10)
     si = SpectralIndex([0.5, -0.5])

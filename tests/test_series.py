@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import time
 import tracemalloc
 import warnings
 
@@ -209,6 +210,80 @@ def test_j_function_nongeneric_limit():
     want = 2 * cmath.exp(-0.5j * math.pi) * complex(mp.besselk(1, 2 * x))
     assert abs(r.value - want) < 1e-7 * abs(want)
     assert abs(r.value - want) <= 4 * r.tail_bound
+
+
+def _modulus(x):
+    """The modulus of SurfacePoint.from_positive(x), exp of its double log,
+    in mpmath: the point the series sums at."""
+    return mp.exp(mp.mpf(SurfacePoint.from_positive(x).log_modulus))
+
+
+def test_j_function_limit_rank2_closed_forms():
+    # lam = (0, 0): the order-0 forms, with the log-bearing Y_0 and K_0, are
+    # the eps^0 coefficients of the jets in one pass, certified at tol
+    si = SpectralIndex([0.0, 0.0])
+    tol = 1e-10
+    for x in (0.5, 2.885, 40.0):
+        with mp.workdps(40):
+            w = 2 * _modulus(x)
+            cases = {
+                "++": 1j * mp.pi * mp.hankel1(0, w),
+                "--": -1j * mp.pi * mp.hankel2(0, w),
+                "+-": 2 * mp.besselk(0, w),
+                "-+": 2 * mp.besselk(0, w),
+            }
+            cases = {s: complex(v) for s, v in cases.items()}
+        for s, want in cases.items():
+            r = j_function(x, SignVector(s), si, tol)
+            assert abs(r.value - want) <= r.tail_bound <= tol * abs(r.value), (x, s)
+
+
+@pytest.mark.parametrize("lam", [(1.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
+def test_j_function_limit_rank3_against_mb(lam):
+    # three components that differ by integers: poles of order 2 in the
+    # connection coefficients, so the jets carry three coefficients
+    si = SpectralIndex(lam)
+    assert series._jet.cluster_order(si.lam) == 3
+    for s in ("+++", "++-", "-+-"):
+        for x in (0.7, 2.0, 5.0):
+            r = j_function(x, SignVector(s), si, 1e-10)
+            want, err = mb_eval_est(x, SignVector(s), si, 1e-12)
+            assert abs(r.value - want) <= r.tail_bound + err, (s, x)
+            assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
+def test_j_function_near_generic_band_against_cauchy_mean():
+    # lambda_1 - lambda_2 = 2 + 5e-7, inside EPS_GEN of an integer: the
+    # rounds run at the index itself.  Against the mean over 8 generic
+    # points on a circle of radius 1e-3 around it, which reproduces the
+    # value of the analytic function to O(1e-24)
+    lam = (1 + 2.5e-7, -1 - 2.5e-7)
+    si = SpectralIndex(lam)
+    assert 0 < core.genericity_gap(si) < series.EPS_GEN
+    for s in ("++", "+-"):
+        r = j_function(2.0, SignVector(s), si, 1e-10)
+        vals, errs = [], []
+        for q in range(8):
+            step = 1e-3 * e2pi(q / 8)
+            c = j_function(2.0, SignVector(s), SpectralIndex([lam[0] + step, lam[1] - step]), 1e-12)
+            vals.append(c.value)
+            errs.append(c.tail_bound)
+        mean = sum(vals) / 8
+        assert abs(r.value - mean) <= r.tail_bound + max(errs) + 1e-15 * abs(mean), s
+        assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
+@pytest.mark.parametrize("lam, x", [((0.0, 0.0), -3.0), ((1.0, -1.0), -2.0)])
+def test_vanishing_limit_kernel_ends_within_two_rounds(monkeypatch, lam, x):
+    # delta = (1, 0): the kernel vanishes identically for x < 0, so no round
+    # certifies it; its noise lies below tol times the cancellation
+    # reference, so the rounds stop there and claim no digit
+    rounds = _record_rounds(monkeypatch)
+    ki = KernelIndex(SpectralIndex(lam), (1, 0))
+    r = bessel_kernel(x, ki, "series", 1e-9)
+    assert r.method == "series" and r.error >= abs(r.value)
+    assert 1 <= len(rounds) <= 2 and max(rounds) < 100
+    assert r.cancellation > 1e9
 
 
 def test_j_function_high_precision_path():
@@ -503,7 +578,7 @@ def _bigfloat_cases(draw):
     lam = [complex(draw(part), draw(part)) for _ in range(n)]
     if n > 1:
         # exact integer differences cross poles of the reciprocal gammas;
-        # 1e-3 off an integer is where the Cauchy mean evaluates
+        # 1e-3 off an integer is generic, with large connection coefficients
         kind = draw(st.sampled_from(["generic", "integer", "cauchy"]))
         if kind != "generic":
             lam[1] = lam[0] + draw(st.sampled_from([-2, -1, 1, 2]))
@@ -1003,11 +1078,16 @@ def test_first_kind_is_not_cut_short_by_exact_zeros():
             assert abs(j1.value - (-1) ** p * j2.value) <= j1.tail_bound + j2.tail_bound
 
 
-def test_non_generic_index_too_large_to_perturb_raises():
-    # lambda_1 - lambda_2 = 1e17 is an integer and a Cauchy step of 1e-3 is
-    # lost to rounding, so every perturbed index would keep sin = 0
-    with pytest.raises(PoleError):
-        j_function(1.0, SignVector("++"), SpectralIndex([1e17, 0.0]))
+def test_index_whose_head_passes_the_round_cap_raises():
+    # lambda_1 - lambda_2 = 1e17 (an integer: the limit on jets) or 6e4 + 1/2
+    # (generic): a series has some 1e17 or 6e4 head terms through its last
+    # pole crossing, past the 50 000 a big-float round sums beyond m_min, so
+    # the series raises at once, before any head is built
+    for lam, signs in (([1e17, 0.0], "++"), ([3e4 + 0.25, -3e4 - 0.25], "+-")):
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowEvalError, match="head terms, past the 50006"):
+            j_function(1.0, SignVector(signs), SpectralIndex(lam))
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_series_beyond_reach_raises_overflow():
@@ -1075,23 +1155,25 @@ def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
-def test_cached_cauchy_mean_repeats_bit_for_bit(monkeypatch):
-    # lambda_1 - lambda_2 = 3: the value is the mean over 8 perturbed
-    # indices, each running its own big-float rounds.  x = 20 is below the
-    # asymptotic floor (25), so each escalates, 49 then 86 digits
+def test_cached_jet_rounds_repeat_bit_for_bit(monkeypatch):
+    # lambda_1 - lambda_2 = 3: the limit is one big-float round on jets, with
+    # the jet coefficients and heads stored; x = 20 lies below the
+    # asymptotic floor, so the round is sized from the term mass alone
     rounds = _record_rounds(monkeypatch)
     args = (20.0, SignVector("+-"), SpectralIndex([1.5, -1.5]), 1e-10)
     runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
-    assert rounds == [49, 86] * 24
+    assert rounds == [53] * 3
     assert runs[3]["coeffs"] > 0 and runs[3]["head"] > 0
     assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
-    # above the floor (6.25 at lambda_1 - lambda_2 = 1) each perturbation
-    # certifies in its first round, sized from the leading asymptotic term
+    with mp.workdps(40):
+        want = complex(2 * mp.expjpi(-1.5) * mp.besselk(3, 2 * _modulus(20.0)))
+    assert abs(runs[0].value - want) <= runs[0].tail_bound <= 1e-10 * abs(want)
+    # a kernel that vanishes identically: its root rows are jets too
     rounds.clear()
-    args = (20.0, SignVector("+-"), SpectralIndex([0.5, -0.5]), 1e-10)
-    runs = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
-    assert len(rounds) == 24 and max(rounds) < 100
-    assert len({(r.value, r.tail_bound, r.terms_used) for r in runs[:3]}) == 1
+    ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
+    runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(-2.0, ki, "series"))
+    assert len(rounds) == 3 and runs[3]["roots"] > 0
+    assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
 def test_cached_escalating_j_function_repeats_bit_for_bit(monkeypatch):

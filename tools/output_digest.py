@@ -8,7 +8,8 @@ Usage:
 
 Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
-under perfbench/ is changed), kernel.kernel_sweep on the fixed node sets
+under perfbench/ is changed), series.j_function at the sign vectors and
+points of SIGNVEC_CASES, kernel.kernel_sweep on the fixed node sets
 of SWEEP_CASES, and the README's eval, coeffs, kernel, transform
 --fe-report and oracle compare commands through cli.main.  Each output
 becomes one line: the item, node or command, the route, the value and
@@ -97,6 +98,15 @@ SWEEP_CASES = {
 }
 SWEEP_TOL = 1e-9
 
+# sign-vector functions by the series route at non-generic indices the
+# benchmark lacks: lam = (0, 0) with the sign vectors -- and -+ (it holds ++
+# and +-), and the rank-3 indices whose three components differ by integers
+SIGNVEC_CASES = {
+    "nongeneric": ((0.0, 0.0), ("--", "-+"), (0.5, 1.201, 2.885, 6.931, 16.65, 40.0)),
+    "triple": ((1.0, 0.0, -1.0), ("+++", "++-", "+--", "-+-"), (0.5, 2.0, 8.0)),
+    "zero3": ((0.0, 0.0, 0.0), ("+++", "++-"), (0.5, 2.0, 8.0)),
+}
+
 
 def _hex(v) -> str:
     if isinstance(v, complex):
@@ -118,7 +128,7 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from besselhr import cli, kernel, series
-    from besselhr.core import SpectralIndex
+    from besselhr.core import SignVector, SpectralIndex
 
     digits = []
     mp_round = series._j_generic_mp
@@ -152,6 +162,16 @@ def main(argv) -> int:
             return r.value, r.error
 
         run(item.key, lambda route=route: f"kernel/{route[0] if route else '-'}", by_kernel)
+
+    for name, (lam, signs, xs) in SIGNVEC_CASES.items():
+        si = SpectralIndex(lam)
+        for sv in map(SignVector.from_string, signs):
+            for x in xs:
+                def by_series(x=x, sv=sv, si=si):
+                    r = series.j_function(x, sv, si, workloads.SERIES_TOL)
+                    return r.value, r.tail_bound
+
+                run(f"signvec/{name}/{sv}/x={x:.4g}", "series", by_series)
 
     for name, (lam, deltas, u) in SWEEP_CASES.items():
         ki = kernel.KernelIndex(SpectralIndex(lam), deltas)
