@@ -19,16 +19,13 @@ multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an exact 0),
 from recip_gamma_np for the double pass (series_sum; mp.rgamma where a
 coefficient underflows, series._lanczos_head) or from mp.rgamma for the kernel
 grid's coefficient table and the big-float rounds.  The rounds sum all but the
-head terms in fixed-point integers (sum_first_kind_fixed: one complex multiply
-and one division per term, whatever the rank), with the same stop rule; the
-module takes and returns plain integers there and never imports mpmath.  The
-differences d_k arrive with wp fraction bits but are short dyadic numbers
-(differences of doubles), so the loop strips the trailing zero bits they share
-and steps its polynomials W and R at wp + n fb and 2n fb fraction bits, fb the
-bits left, in place of (n+1) wp and 2n wp.  At a non-generic index the rounds
-sum the series at the index moved by eps (sum_first_kind_fixed_jet): each term
-a jet of p coefficients in eps, each one multiply and one division of the same
-fixed-point form.
+head terms in one fixed-point integer loop (sum_first_kind_fixed: one complex
+multiply and one division per term and jet coefficient, whatever the rank),
+with the same stop rule, on plain integers (the module never imports mpmath);
+at a non-generic index each term is a jet of p coefficients in eps, the
+series at the index moved by eps.  The differences d_k are short dyadic
+numbers (differences of doubles), so the loop strips the trailing zero bits
+they share before it steps its polynomials in m.
 
 The contour integrands of mellinbarnes add the exponents a and the real
 logs log|b| of their gamma factors, multiply only the unit phases b / |b|,
@@ -39,8 +36,8 @@ a fixed order, so a point gets the same bits alone or in any batch.
 The module-level names ``series_sum``, ``mb_j_integrand`` and
 ``mb_kernel_integrand`` are looked up at each call, so a tracer can wrap
 them in place.  ``series_sum`` is the double pass only: the big-float
-rounds call first_kind_terms and sum_first_kind_fixed directly, so a
-wrapped series_sum counts no big-float work.
+rounds call head_coeffs and sum_first_kind_fixed directly, so a wrapped
+series_sum counts no big-float work.
 """
 
 from __future__ import annotations
@@ -185,9 +182,9 @@ def sum_first_kind(zf, diffs, tol, floor, m_min, m_cap, head):
 def _abs_ub(re, im):
     """|re + i im| rounded up to an integer, from the top 60 bits of each
     part: an upper bound, at most about 2^-58 relative above."""
-    ar = abs(re)
-    ai = abs(im)
-    k = max(ar.bit_length(), ai.bit_length()) - 60
+    ar = -re if re < 0 else re
+    ai = -im if im < 0 else im
+    k = (ar if ar > ai else ai).bit_length() - 60
     if k <= 0:
         return math.isqrt(ar * ar + ai * ai) + 1
     ar = (ar >> k) + 1
@@ -205,38 +202,48 @@ def _difference_table(values):
     return table
 
 
-def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
-    """sum_first_kind in fixed-point integers, for the big-float rounds.
+def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
+    """sum_first_kind in fixed-point integers, for the big-float rounds, at the
+    index moved to d_k + eps s_k: each term a jet of the coefficients of
+    eps^0 .. eps^(p-1) (p = 1 at a generic index, where the integer slopes
+    s_k do not enter).
 
-    head holds the terms t_0 .. t_M as (re, im) integers in units of 2^E,
-    with |t_M| near 2^wp; past it t_m = t_(m-1) zf / P(m) with
-    P(m) = prod_k (d_k + m).  zf and the d_k are (re, im) integers with wp
-    fraction bits, and every Re(d_k + m) > 0 for m > M.  The stop rule is
-    that of sum_first_kind on integer magnitudes: tol >= 0 and floor carry
-    wp fraction bits, floor in units of 2^E.
-
-    Each term costs one complex multiply by W(m) = zf conj(P(m)) and one
-    floor division by R(m) = |P(m)|^2.  The d_k enter at their own fraction
-    bits fb: wp less the trailing zero bits that all their parts share
-    (fb = 0 where every d_k is an integer; the differences of doubles are
-    short dyadic numbers).  W and R are then polynomials in m with integer
-    coefficients scaled by 2^(wp + n fb) and 2^(2n fb), not 2^((n+1) wp)
-    and 2^(2n wp), stepped by forward differences: additions only, and
+    head holds the terms t_0 .. t_M, each p (re, im) integers in units of
+    2^E, the largest near 2^wp; past it t_m = t_(m-1) zf / P(m, eps) with
+    P(m, eps) = prod_k (d_k + m + eps s_k) truncated at eps^(p-1).  zf and
+    the d_k are (re, im) integers with wp fraction bits, every
+    Re(d_k + m) > 0 for m > M, and tol >= 0 and floor (in units of 2^E)
+    carry wp fraction bits.  Order 0 costs one complex multiply by
+    W(m) = zf conj(P_0(m)) and one floor division by R(m) = |P_0(m)|^2 a
+    term.  The d_k enter at their own fraction bits fb: wp less the
+    trailing zero bits all their parts share (0 for integers).  W and R are
+    then polynomials in m with integer coefficients scaled by 2^(wp + n fb)
+    and 2^(2n fb), stepped by forward differences: additions only, and
     exact.  The scale 2^(n fb - wp) that t W / R lacks is a left shift of
     each product where n fb >= wp, and is folded once into R's table where
     n fb < wp, so every term is the floor of the same rational it is at
-    fb = wp: the integers do not depend on fb.
+    fb = wp: the integers do not depend on fb.  Order j >= 1 follows from
+    q_j P_0 = zf t_j - sum_(i=1..j) P_i q_(j-i): the same multiply and
+    division, less that sum times conj(P_0), with P_0 and each P_i (degree
+    n - i in m) stepped likewise.
 
-    Returns (sum_re, sum_im, abs_sum, terms_used) in units of 2^E.  abs_sum
-    is sum_m |t_m| in integer upper bounds (_abs_ub) plus the bound on the
-    loop's own rounding, so it never undercounts the term mass A of the
-    exact series from t_M: each division floors both parts of a term, an
-    error below sqrt(2) units, and |t_(m+1) / t_m| falls with m past M, so
-    the terms rise to one peak and fall.  With N terms, the floors move the
-    sum and sum |t_m| by at most sqrt(2) N (N + 2 A / |t_M|) units, and the
-    rounding of zf and d_k to wp bits by at most 2 (n + 1) N A 2^-wp.
+    A term is small when order 0 is, by the stop rule of sum_first_kind on
+    integer magnitudes, and each order j >= 1 is at most tol times its own
+    term mass plus floor or at most its rounding, 2 (1 + sum_k |s_k|)^j
+    units (a higher order may cancel, or vanish identically): order 0 sums
+    what p = 1 sums, or more.  Returns ([[sum_re, sum_im]], [abs_sum],
+    terms_used), an entry per order in units of 2^E.  abs_sum_j is
+    sum_m |t_(m,j)| in upper bounds (_abs_ub) plus the loop's rounding, so
+    it never undercounts the term mass from t_M: a division floors both
+    parts of a term (below sqrt(2) units), and past M the terms rise to one
+    peak and fall.  With N terms and A the largest mass, the floors move
+    order 0 by at most sqrt(2) N (N + 2 A / |t_M|) units and the rounding of
+    zf and d_k by at most 2 (n + 1) N A 2^-wp; order j by that times
+    (1 + sum_k |s_k|)^j, as |P_i / P_0| <= (sum_k |s_k|)^i where every
+    |d_k + m| >= 1.
     """
     n = len(diffs)
+    p = len(head[0])
     M = len(head) - 1
     common = 0
     for dr, di in diffs:
@@ -247,38 +254,54 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
     one = 1 << fb
     zr, zi = zf
 
-    def w_and_r(m):
+    def coeffs(m):
+        # P_0(m) .. P_(p-1)(m) as (re, im), scaled by 2^(n fb)
         pr, pi = 1, 0
-        for dr, di in diffs:
+        hi = [(0, 0)] * (p - 1)
+        for (dr, di), s in zip(diffs, slopes):
             ar = dr + m * one
+            if hi:
+                hi = [
+                    (hr * ar - hj * di + (s * lr << fb), hr * di + hj * ar + (s * lj << fb))
+                    for (hr, hj), (lr, lj) in zip(hi, [(pr, pi)] + hi)
+                ]
             pr, pi = pr * ar - pi * di, pr * di + pi * ar
-        return zr * pr + zi * pi, zi * pr - zr * pi, pr * pr + pi * pi
+        return [(pr, pi), *hi]
 
-    samples = [w_and_r(M + 1 + j) for j in range(2 * n + 1)]
-    wr = _difference_table([s[0] for s in samples[: n + 1]])
-    wi = _difference_table([s[1] for s in samples[: n + 1]])
-    rr = _difference_table([s[2] for s in samples])
+    samples = [coeffs(M + 1 + j) for j in range(2 * n + 1)]
+    p0 = [s[0] for s in samples]
+    wr = _difference_table([zr * pr + zi * pi for pr, pi in p0[: n + 1]])
+    wi = _difference_table([zi * pr - zr * pi for pr, pi in p0[: n + 1]])
+    rr = _difference_table([pr * pr + pi * pi for pr, pi in p0])
     w_steps = range(n)
-    r_steps = range(2 * n)
+    r_steps = range(n, 2 * n)
+    higher = range(1, p)
+    # the tables of P_0 .. P_(p-1), for the higher orders only
+    tables = [
+        _difference_table([s[j][part] for s in samples[: n - j + 1]])
+        for j in (range(p) if p > 1 else ())
+        for part in (0, 1)
+    ]
     # t W / R is t zf / P(m) times 2^(wp - n fb): shift each term left by
     # n fb - wp, or, where that is negative, scale R once by 2^(wp - n fb)
     shift = n * fb - wp
-    if shift < 0:
-        rr = [c << -shift for c in rr]
+    down = max(-shift, 0)
+    if down:
+        rr = [c << down for c in rr]
         shift = 0
+    growth = 1 + sum(map(abs, slopes))
+    sums = [[0, 0] for _ in range(p)]
+    masses = [0] * p
     tol2 = 2 * tol
     isqrt = math.isqrt
-    sr = si = 0
-    abs_sum = 0
-    small = 0
-    m = 0
+    sr = si = abs_sum = small = m = 0
+    loud = False
     while True:
         if m <= M:
-            tr, ti = head[m]
+            t = head[m]
+            tr, ti = t[0]
         else:
-            w_re = wr[0]
-            w_im = wi[0]
-            r = rr[0]
+            w_re, w_im, r = wr[0], wi[0], rr[0]
             if shift:
                 tr, ti = (
                     ((tr * w_re - ti * w_im) << shift) // r,
@@ -289,6 +312,7 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
             for j in w_steps:
                 wr[j] += wr[j + 1]
                 wi[j] += wi[j + 1]
+                rr[j] += rr[j + 1]
             for j in r_steps:
                 rr[j] += rr[j + 1]
         sr += tr
@@ -304,6 +328,35 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
             ai = (ai >> k) + 1
             t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
         abs_sum += t_abs
+        if p > 1:
+            if m > M:
+                p0r, p0i = tables[0][0], tables[1][0]
+                q = [(tr, ti)]
+                for j in higher:
+                    ur, ui = t[j]
+                    cr = ci = 0
+                    for i in range(1, j + 1):
+                        ar, ai = tables[2 * i][0], tables[2 * i + 1][0]
+                        br, bi = q[j - i]
+                        cr += ar * br - ai * bi
+                        ci += ar * bi + ai * br
+                    cr, ci = cr * p0r + ci * p0i, ci * p0r - cr * p0i
+                    nr = ((ur * w_re - ui * w_im) << shift) - (cr << down)
+                    ni = ((ur * w_im + ui * w_re) << shift) - (ci << down)
+                    q.append((nr // r, ni // r))
+                t = q
+                for table in tables:
+                    for j in range(len(table) - 1):
+                        table[j] += table[j + 1]
+            loud = False
+            for j in higher:
+                ur, ui = t[j]
+                sums[j][0] += ur
+                sums[j][1] += ui
+                a = _abs_ub(ur, ui)
+                masses[j] += a
+                if a > 2 * growth**j and (a << wp) - floor > tol * masses[j]:
+                    loud = True
         if m >= m_min:
             # t_abs 2^wp <= tol _abs_ub(sr, si) + floor, settled on the
             # bounds max <= _abs_ub < 2 max + 2 where they decide it
@@ -311,8 +364,8 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
             ar = -sr if sr < 0 else sr
             ai = -si if si < 0 else si
             low = tol * (ar if ar > ai else ai)
-            if over <= low or (
-                over <= (low << 1) + tol2 and over <= tol * _abs_ub(sr, si)
+            if not loud and (
+                over <= low or (over <= (low << 1) + tol2 and over <= tol * _abs_ub(sr, si))
             ):
                 small += 1
                 if small >= 3:
@@ -323,130 +376,13 @@ def sum_first_kind_fixed(head, zf, diffs, wp, tol, floor, m_min, m_cap):
             break
         m += 1
     terms = m + 1
-    t_low = max(abs(c) for c in head[M]) or 1
-    slack = 2 * terms * (terms + 2 * (2 * abs_sum // t_low + 1)) + 2 * (n + 1) * terms * (
-        (2 * abs_sum >> wp) + 1
-    )
-    return sr, si, abs_sum + slack, terms
-
-
-def sum_first_kind_fixed_jet(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
-    """sum_first_kind_fixed at the index moved to d_k + eps s_k: each term
-    a jet, the p coefficients of eps^0 .. eps^(p-1), with the integers s_k.
-
-    head holds the terms t_0 .. t_M, each p (re, im) integers in units of
-    2^E; past it t_m = t_(m-1) zf / P(m, eps) with P(m, eps) =
-    prod_k (d_k + m + eps s_k) truncated at eps^(p-1).  The quotient's
-    coefficients follow from q_j P_0 = zf t_j - sum_(i=1..j) P_i q_(j-i):
-    each is one complex multiply by W = zf conj(P_0) and one floor division
-    by |P_0|^2, as in sum_first_kind_fixed, with the correction multiplied
-    by conj(P_0).  The d_k enter at the fraction bits fb of
-    sum_first_kind_fixed, and P(m, eps) at n fb bits is formed afresh per
-    term.  A term is small when every coefficient is at most tol times the
-    term mass of its order plus floor, or at most the loop's own rounding
-    of that order, 2 (1 + sum_k |s_k|)^j units (an order that vanishes
-    identically, as the odd ones of a middle series at a symmetric index,
-    holds only that): the stop rule of sum_first_kind_fixed with the masses
-    in place of the partial sum, which may cancel at the higher orders.
-
-    Returns ([(sum_re, sum_im)], [abs_sum], terms_used), one entry per
-    order, in units of 2^E.  abs_sum_j is sum_m |t_(m,j)| plus the rounding
-    bound of sum_first_kind_fixed on the largest of the masses, times
-    (1 + sum_k |s_k|)^j: |P_i / P_0| <= (sum_k |s_k|)^i where every
-    |d_k + m| >= 1, which bounds how a floor of order j - i reaches order j.
-    """
-    n = len(diffs)
-    p = len(head[0])
-    M = len(head) - 1
-    common = 0
-    for dr, di in diffs:
-        common |= dr | di
-    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
-    fb = wp - strip
-    diffs = [(dr >> strip, di >> strip, s << fb) for (dr, di), s in zip(diffs, slopes)]
-    one = 1 << fb
-    zr, zi = zf
-    shift = n * fb - wp
-    up, down = max(shift, 0), max(-shift, 0)
-    orders = range(p)
-    growth = 1 + sum(abs(s) for s in slopes)
-    noise = [2 * growth**j for j in orders]
-    isqrt = math.isqrt
-    sums = [[0, 0] for _ in orders]
-    masses = [0] * p
-    small = 0
-    m = 0
-    while True:
-        if m <= M:
-            t = head[m]
-        else:
-            pc = [(1, 0)] + [(0, 0)] * (p - 1)
-            for dr, di, s in diffs:
-                ar = dr + m * one
-                nxt = []
-                for j in orders:
-                    pr, pi = pc[j]
-                    re, im = pr * ar - pi * di, pr * di + pi * ar
-                    if j and s:
-                        re += pc[j - 1][0] * s
-                        im += pc[j - 1][1] * s
-                    nxt.append((re, im))
-                pc = nxt
-            p0r, p0i = pc[0]
-            w_re, w_im = zr * p0r + zi * p0i, zi * p0r - zr * p0i
-            r = (p0r * p0r + p0i * p0i) << down
-            q = []
-            for j in orders:
-                tr, ti = t[j]
-                nr, ni = tr * w_re - ti * w_im, tr * w_im + ti * w_re
-                if up:
-                    nr, ni = nr << up, ni << up
-                if j:
-                    cr = ci = 0
-                    for i in range(1, j + 1):
-                        ar, ai = pc[i]
-                        br, bi = q[j - i]
-                        cr += ar * br - ai * bi
-                        ci += ar * bi + ai * br
-                    cr, ci = cr * p0r + ci * p0i, ci * p0r - cr * p0i
-                    nr -= cr << down
-                    ni -= ci << down
-                q.append((nr // r, ni // r))
-            t = q
-        quiet = m >= m_min
-        for j in orders:
-            tr, ti = t[j]
-            sums[j][0] += tr
-            sums[j][1] += ti
-            # _abs_ub(tr, ti), inline
-            ar = -tr if tr < 0 else tr
-            ai = -ti if ti < 0 else ti
-            k = (ar if ar > ai else ai).bit_length() - 60
-            if k <= 0:
-                t_abs = isqrt(ar * ar + ai * ai) + 1
-            else:
-                ar = (ar >> k) + 1
-                ai = (ai >> k) + 1
-                t_abs = (isqrt(ar * ar + ai * ai) + 1) << k
-            masses[j] += t_abs
-            if quiet and t_abs > noise[j] and (t_abs << wp) - floor > tol * masses[j]:
-                quiet = False
-        if quiet and any(masses):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        if m >= m_cap:
-            break
-        m += 1
-    terms = m + 1
+    sums[0], masses[0] = [sr, si], abs_sum
     t_low = max(abs(c) for pair in head[M] for c in pair) or 1
     top = max(masses)
     slack = 2 * terms * (terms + 2 * (2 * top // t_low + 1)) + 2 * (n + 1) * terms * (
         (2 * top >> wp) + 1
     )
-    return [tuple(s) for s in sums], [a + slack * growth**j for j, a in enumerate(masses)], terms
+    return sums, [a + slack * growth**j for j, a in enumerate(masses)], terms
 
 
 def series_sum(zf, diffs, tol, m_min, m_cap, head):

@@ -23,9 +23,9 @@ cannot meet the requested tolerance.  The limit is taken in the big-float
 rounds, in one pass each: with lam moved to lam + eps u, the connection,
 root-row and kernel coefficients are Laurent jets in eps (the formulas take
 _jet.context beside _DOUBLE and mpmath), each J_l a Taylor jet (_head_mp,
-_backend.sum_first_kind_fixed_jet, and the prefactor z^(-n(lam_l + eps
-u_l)), which brings in the powers of log z), and the value and the grouped
-sums are the eps^0 coefficients.  An index within EPS_GEN of a non-generic
+the integer loop of every round, and the prefactor z^(-n(lam_l + eps u_l)),
+which brings in the powers of log z), and the value and the grouped sums
+are the eps^0 coefficients.  An index within EPS_GEN of a non-generic
 one skips the double pass too, its rounds run at the index itself.  The
 first big-float round takes the digits its noise test needs at an estimate
 of |value|: for a sign-vector function above the asymptotic floor and inside
@@ -40,11 +40,11 @@ The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
 the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
 where the integer pole crossings lie), from one product of n reciprocal
 gammas (_backend.head_coeffs): in double precision for first_kind, in mpmath
-for the big-float rounds (_first_kind_mp, which sums the rest in fixed-point
-integers), and at zf = 1 in 50-digit mpmath for kernel_series_grid's table
-(_FirstKindTable), summed by Horner in double-double arithmetic.  A big-float
-round builds what its n series share once (_Round), and raises before it
-builds a head longer than its term cap (_check_head).
+for the big-float rounds (_first_kind_mp, the rest in one integer loop for
+every jet order), and at zf = 1 in 50-digit mpmath for kernel_series_grid's
+table (_FirstKindTable), summed by Horner in double-double arithmetic.  A
+big-float round builds what its n series share once (_Round), and raises
+before it builds a head longer than its term cap (_check_head).
 
 The big-float rounds and the grid sweep need constants that depend on the
 index and the working precision only, never on z, and the same ones recur
@@ -53,8 +53,8 @@ kept in one LRU store (_stored): the coefficients c_l with their bounds, the
 root rows of the kernel's K_l and cancellation reference (both by index,
 kind or parity, and digits; jets at a non-generic index), the head
 coefficients of each series with its differences d_k (by index, l, bits
-and jet order), the grid's first-kind tables and
-coefficient pairs, the index-shift matrix of derivatives, and the asymptotic
+and jet order), the grid's first-kind tables and coefficient pairs, the
+index-shift matrix of derivatives, and the asymptotic
 B_m tables of asympt (by index and root).  A key holds nothing of z, of a
 family value or of the tolerance, so every result is the same bit for bit
 with or without the store.  The double pass builds a sign vector's
@@ -401,11 +401,12 @@ def _head_mp(lam: tuple, l: int, wp: int, p: int = 1):
     """The head of the l-th series in wp-bit arithmetic: the coefficients
     prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh (_backend.head_coeffs with
     mp.rgamma) of the differences d_k = lam_k - lam_l, and the d_k as
-    fixed-point pairs of wp fraction bits.  With p > 1, at the index moved
-    to lam + eps u, each coefficient is a jet of p coefficients in eps at
-    d_k + eps (u_k - u_l): _jet.rgamma at the top, multiplied down by the
-    linear jets, so a pole crossing multiplies by a jet whose leading
-    coefficient is 0.  Charged a number for each value, majorant and pair."""
+    fixed-point pairs of wp fraction bits.  At p = 1 the coefficients are
+    mpmath numbers; with p > 1, at the index moved to lam + eps u, each is a
+    jet of p coefficients in eps at d_k + eps (u_k - u_l): _jet.rgamma at
+    the top, multiplied down by the linear jets, so a pole crossing
+    multiplies by a jet whose leading coefficient is 0.  Charged a number
+    for each value, majorant and pair."""
 
     def build():
         with mp.workprec(wp):
@@ -455,15 +456,13 @@ def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float,
 
 class _Round:
     """What the n series of one big-float round share, at the current
-    mpmath precision dps: the bits wp, m_min and m_cap, log z and
-    zf = sign i^n z^n, their fixed-point forms and that of rel_tol, the
-    floor 10^(-dps-30), the heads of the index (_head_mp), the powers
-    zf^m through the largest head.  With order p > 1 the heads are jets of
-    p coefficients, and the series sum jets (_first_kind_jet).
-    zf, the powers and the fixed-point forms are made in mp.workprec(wp),
-    the precision the series run at.  A head longer than m_cap raises
-    OverflowEvalError before any is built: its terms alone would pass the
-    round's term cap (_check_head)."""
+    mpmath precision dps: the bits wp, m_min and m_cap, the floor
+    10^(-dps-30), and made in mp.workprec(wp), the precision the series run
+    at: log z and zf = sign i^n z^n, their fixed-point forms and that of
+    rel_tol, the heads of the index (_head_mp; jets of p coefficients at
+    order p > 1) and the powers zf^m through the largest.  A head longer
+    than m_cap raises OverflowEvalError before any is built: its terms alone
+    would pass the round's term cap (_check_head)."""
 
     def __init__(self, z: SurfacePoint, sign: int, si: SpectralIndex, rel_tol, order: int = 1):
         n = si.rank
@@ -487,82 +486,47 @@ class _Round:
 
 
 def _first_kind_mp(rnd: _Round, l: int):
-    """first_kind at the precision of the round rnd: the same series and
-    stop rule, with the floor 10^(-dps-30) and at most m_min + 50 000 terms.
+    """first_kind at the precision of the round rnd, the same series and
+    stop rule with the floor 10^(-dps-30) and at most m_min + 50 000 terms;
+    at a non-generic index J_l at lam + eps u, a jet of rnd.order
+    coefficients whose prefactor z^(-n lam_l) exp(-n u_l log z eps) brings
+    in the powers of log z.
 
     Every step runs with wp = dps log2(10) + 2 bitlen(m_cap) + 8 bits, and
-    with the bits |zf| < 1 costs zf.  The terms through _m_fresh come from
-    the stored head coefficients of mp.rgamma times the powers zf^m, so pole
-    crossings stay exact.  The rest of the series runs in fixed-point
-    integers (_backend.sum_first_kind_fixed), in units of 2^E with
-    |t_(m_fresh)| just below 2^wp.
+    with the bits |zf| < 1 costs zf.  The terms through _m_fresh are the
+    stored head (_head_mp) times zf^m, so pole crossings stay exact; the
+    rest run in the integer loop _backend.sum_first_kind_fixed, in units of
+    2^E with the largest coefficient of t_(m_fresh) just below 2^wp.
 
-    Returns (value, terms, abs_scale) where abs_scale is the summed term
-    magnitude times |prefactor| - the quantity arithmetic noise scales with.
-    abs_scale is an upper bound that includes the integer loop's rounding,
-    and that rounding is at most about terms^2 2^-wp abs_scale.  The value
-    is then within 10^-dps abs_scale of the same terms summed exactly, far
-    inside the noise model 10^-(dps-5) abs_scale of _j_generic_mp.  At a
-    non-generic index the round sums jets instead (_first_kind_jet).
+    Returns (value, terms, abs_scale): abs_scale, the summed term magnitude
+    times |prefactor| (a jet's majorants) that arithmetic noise scales with,
+    is an upper bound with the loop's rounding, at most terms^2 2^-wp times
+    it, so the value is within 10^-dps abs_scale of the same terms summed
+    exactly, far inside the noise model 10^-(dps-5) abs_scale of _j_generic_mp.
     """
-    if rnd.order > 1:
-        return _first_kind_jet(rnd, l)
-    n = rnd.si.rank
-    wp = rnd.wp
-    coeffs, fixed_diffs = rnd.heads[l - 1]
-    with mp.workprec(wp):
-        head = [p * c for p, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
-        e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
-        sr, si_, abs_sum, terms = _backend.sum_first_kind_fixed(
-            [_to_fixed(t, -e) for t in head],
-            rnd.zf_fixed,
-            fixed_diffs,
-            wp,
-            rnd.tol,
-            to_fixed(rnd.floor._mpf_, wp - e),
-            rnd.m_min,
-            rnd.m_cap,
-        )
-        total = mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e)))
-        pref = mp.exp(-n * mp.mpc(rnd.si.lam[l - 1]) * rnd.logz)
-        value = pref * total
-        scale = abs(pref) * mp.mpf((abs_sum, e))
-    return +value, terms, +scale
-
-
-def _first_kind_jet(rnd: _Round, l: int):
-    """_first_kind_mp at a non-generic index: J_l at lam + eps u as a jet
-    of rnd.order coefficients, and its majorant jet as abs_scale.  The head
-    jets times zf^m and the tail of _backend.sum_first_kind_fixed_jet give
-    the series, and the prefactor z^(-n (lam_l + eps u_l)) =
-    z^(-n lam_l) exp(-n u_l log z eps) brings in the powers of log z."""
-    n = rnd.si.rank
-    wp = rnd.wp
+    n, wp, p = rnd.si.rank, rnd.wp, rnd.order
     u = _jet.direction(n)
     coeffs, fixed_diffs = rnd.heads[l - 1]
     with mp.workprec(wp):
-        head = [p * c for p, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
-        top = next((max(t.a) for t in reversed(head) if any(t.c)), 1)
-        e = mp.mag(top) - wp
-        sums, masses, terms = _backend.sum_first_kind_fixed_jet(
-            [[_to_fixed(c, -e) for c in t.c] for t in head],
-            rnd.zf_fixed,
-            fixed_diffs,
-            [uk - u[l - 1] for uk in u],
-            wp,
-            rnd.tol,
-            to_fixed(rnd.floor._mpf_, wp - e),
-            rnd.m_min,
-            rnd.m_cap,
+        head = [pw * c for pw, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
+        rows = [t.c for t in head] if p > 1 else [[t] for t in head]
+        e = next((max(map(mp.mag, r)) for r in reversed(rows) if any(r)), 1) - wp
+        sums, masses, terms = _backend.sum_first_kind_fixed(
+            [[_to_fixed(c, -e) for c in r] for r in rows], rnd.zf_fixed, fixed_diffs,
+            [uk - u[l - 1] for uk in u], wp, rnd.tol, to_fixed(rnd.floor._mpf_, wp - e),
+            rnd.m_min, rnd.m_cap,
         )
-        total = _jet.Jet(
-            [mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e))) for sr, si_ in sums],
-            [mp.mpf((a, e)) for a in masses],
-        )
-        nlogz = n * rnd.logz
-        pref = _jet.exp_linear(-mp.mpc(rnd.si.lam[l - 1]) * nlogz, -u[l - 1] * nlogz, rnd.order)
-        value = pref * total
-    return value, terms, abs(value)
+        sums = [mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e))) for sr, si_ in sums]
+        masses = [mp.mpf((a, e)) for a in masses]
+        lead = -n * mp.mpc(rnd.si.lam[l - 1]) * rnd.logz
+        if p > 1:
+            pref = _jet.exp_linear(lead, -u[l - 1] * n * rnd.logz, p)
+            value = pref * _jet.Jet(sums, masses)
+            return value, terms, abs(value)
+        pref = mp.exp(lead)
+        value = pref * sums[0]
+        scale = abs(pref) * masses[0]
+    return +value, terms, +scale
 
 
 def _to_fixed(x, bits):

@@ -576,19 +576,29 @@ def _bigfloat_cases(draw):
     n = draw(st.integers(1, 6))
     part = st.floats(-1.0, 1.0)
     lam = [complex(draw(part), draw(part)) for _ in range(n)]
-    if n > 1:
-        # exact integer differences cross poles of the reciprocal gammas;
-        # 1e-3 off an integer is generic, with large connection coefficients
-        kind = draw(st.sampled_from(["generic", "integer", "cauchy"]))
-        if kind != "generic":
-            lam[1] = lam[0] + draw(st.sampled_from([-2, -1, 1, 2]))
-        if kind == "cauchy":
-            lam[1] += 1e-3 * e2pi(draw(st.floats(0.0, 1.0)))
     # x < 1 gives |zf| = x^n < 1
     x = draw(st.floats(0.3, 60.0))
-    return SpectralIndex(lam), x, draw(st.sampled_from([1, -1])), draw(st.integers(1, n)), draw(
-        st.integers(30, 300)
-    )
+    l = draw(st.integers(1, n))
+    if n > 1:
+        # exact integer differences cross poles of the reciprocal gammas;
+        # 1e-3 off an integer is generic, with large connection coefficients;
+        # a difference of -7 or -8 at x < 0.36 (m_min = 4) gives the second
+        # series exact zero terms past m_min
+        kind = draw(st.sampled_from(["generic", "integer", "cauchy", "zeros"]))
+        if kind != "generic":
+            k = draw(st.sampled_from([7, 8] if kind == "zeros" else [-2, -1, 1, 2]))
+            # short dyadic parts summing to 0, which SpectralIndex keeps exact
+            grid = [complex(round(v.real * 2**20), round(v.imag * 2**20)) / 2**20 for v in lam]
+            lam = [grid[0], grid[0] + k, *grid[2:]]
+            if n == 2:
+                lam = [complex(-k / 2), complex(k / 2)]
+            else:
+                lam[2] -= sum(lam)
+        if kind == "cauchy":
+            lam[1] += 1e-3 * e2pi(draw(st.floats(0.0, 1.0)))
+        if kind == "zeros":
+            x, l = draw(st.floats(0.3, 0.36)), 2
+    return SpectralIndex(lam), x, draw(st.sampled_from([1, -1])), l, draw(st.integers(30, 300))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -596,12 +606,17 @@ def _bigfloat_cases(draw):
 def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
     # the fixed-point loop against the same series and stop rule summed in
     # mpmath 40 digits higher: within the stated bound (its own rounding far
-    # below 10^-dps of the term mass), with a term mass that never undercounts
+    # below 10^-dps of the term mass), with a term mass that never undercounts.
+    # At an integer gap the round sums jets (cluster order p > 1), and their
+    # eps^0 coefficient is the series at lam, summed to the same term or past it
     si, x, sign, l, dps = case
     z = SurfacePoint.from_positive(x)
+    p = series._jet.cluster_order(si.lam)
     with mp.workdps(dps):
         tol = mp.mpf(10) ** -dps
-        got, terms, scale = series._first_kind_mp(series._Round(z, sign, si, tol), l)
+        got, terms, scale = series._first_kind_mp(series._Round(z, sign, si, tol, p), l)
+    if p > 1:
+        got, scale = got.coeff(0), scale.coeff(0)
     with mp.workdps(dps + 40):
         n = si.rank
         logz = mp.mpc(z.log_modulus, z.argument)
@@ -615,7 +630,7 @@ def test_first_kind_mp_integer_loop_against_mpmath_loop(case):
             zf, diffs, tol, mp.mpf(10) ** (-dps - 30), m_min, m_min + 50000, head
         )
         pref = mp.exp(-n * lam[l - 1] * logz)
-        assert terms == ref_terms
+        assert terms == ref_terms if p == 1 else terms >= ref_terms
         assert abs(got - pref * total) <= scale * mp.mpf(10) ** -dps
         assert scale >= abs(pref) * abs_total
 
@@ -701,6 +716,63 @@ def _sum_first_kind_fixed_ref(head, zf, diffs, wp, tol, floor, m_min, m_cap, see
         (2 * abs_sum >> wp) + 1
     )
     return sr, si, abs_sum + slack, terms
+
+
+def _sum_first_kind_fixed_jet_ref(head, zf, diffs, slopes, wp, m_cap):
+    """The integer loop of p orders with P(m, eps) = prod_k (d_k + m +
+    eps s_k) formed afresh for each term at wp fraction bits, no forward
+    differences and no stripped bits, summed through the term m_cap: the
+    loop of _backend at tol 0 and floor 0, where no term is small."""
+    n = len(diffs)
+    p = len(head[0])
+    M = len(head) - 1
+    one = 1 << wp
+    zr, zi = zf
+    shift = (n - 1) * wp
+    sums = [[0, 0] for _ in range(p)]
+    masses = [0] * p
+    for m in range(m_cap + 1):
+        if m <= M:
+            t = head[m]
+        else:
+            pc = [(1, 0)] + [(0, 0)] * (p - 1)
+            for (dr, di), s in zip(diffs, slopes):
+                ar = dr + m * one
+                nxt = []
+                for j in range(p):
+                    pr, pi = pc[j]
+                    re, im = pr * ar - pi * di, pr * di + pi * ar
+                    if j:
+                        re += pc[j - 1][0] * (s << wp)
+                        im += pc[j - 1][1] * (s << wp)
+                    nxt.append((re, im))
+                pc = nxt
+            p0r, p0i = pc[0]
+            w_re, w_im = zr * p0r + zi * p0i, zi * p0r - zr * p0i
+            r = p0r * p0r + p0i * p0i
+            q = []
+            for j in range(p):
+                tr, ti = t[j]
+                nr, ni = (tr * w_re - ti * w_im) << shift, (tr * w_im + ti * w_re) << shift
+                for i in range(1, j + 1):
+                    (ar, ai), (br, bi) = pc[i], q[j - i]
+                    cr, ci = ar * br - ai * bi, ar * bi + ai * br
+                    nr -= cr * p0r + ci * p0i
+                    ni -= ci * p0r - cr * p0i
+                q.append((nr // r, ni // r))
+            t = q
+        for j, (tr, ti) in enumerate(t):
+            sums[j][0] += tr
+            sums[j][1] += ti
+            masses[j] += _backend._abs_ub(tr, ti)
+    terms = m_cap + 1
+    growth = 1 + sum(abs(s) for s in slopes)
+    t_low = max(abs(c) for pair in head[M] for c in pair) or 1
+    top = max(masses)
+    slack = 2 * terms * (terms + 2 * (2 * top // t_low + 1)) + 2 * (n + 1) * terms * (
+        (2 * top >> wp) + 1
+    )
+    return sums, [a + slack * growth**j for j, a in enumerate(masses)], terms
 
 
 def _first_kind_mp_per_series(z, sign, si, l, rel_tol, seen):
@@ -811,15 +883,21 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     # stop tests that the bounds max and 2 max + 2 leave open, and each
     # scaling of the differences' fraction bits fb (_scaling_case)
     seen = set()
-    fixed = _backend.sum_first_kind_fixed
+    loop = _backend.sum_first_kind_fixed
     calls = []
 
-    def both(*args):
+    def fixed(head, zf, diffs, *rest):
+        # the one loop at p = 1 in the reference's arguments and returns
+        (s,), (abs_sum,), terms = loop([[t] for t in head], zf, diffs, [0] * len(diffs), *rest)
+        return (*s, abs_sum, terms)
+
+    def both(head, zf, diffs, slopes, *rest):
+        args = ([t for t, in head], zf, diffs, *rest)
         got = fixed(*args)
         assert got == _sum_first_kind_fixed_ref(*args, seen)
         seen.add(_scaling_case(args[2], args[3]))
         calls.append(args)
-        return got
+        return loop(head, zf, diffs, slopes, *rest)
 
     # tol 0 and floor 0 settle no stop test: the loop ends after term m_cap
     # (first, as a loop that mis-scales its terms runs long before that)
@@ -880,6 +958,48 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
         "between, small", "between, not small",
         "nothing stripped", "fb = 0", "n fb >= wp", "n fb < wp",
     }
+
+
+def _jet_loop_case(rng, n, p, wp, fb, slopes):
+    """Loop arguments for p orders at rank n: a head of 4 terms near 2^wp,
+    zf of modulus about 4^n (the terms peak past the head), and differences
+    with fb fraction bits, at least one odd at that scale (fb = 0: integers
+    from -1 to 2), each with Re(d_k + m) > 0 past the head."""
+    one = 1 << wp
+    unit = 1 << (wp - fb)
+
+    def part():
+        return rng.randrange(-(1 << fb), 1 << fb) * unit
+
+    head = [[(rng.randrange(-one, one), rng.randrange(-one, one)) for _ in range(p)]
+            for _ in range(4)]
+    zf = (4**n * one + rng.randrange(one), rng.randrange(-one, one))
+    diffs = [(part(), part()) if fb else (rng.randrange(-1, 3) * one, 0) for _ in range(n)]
+    diffs[0] = (diffs[0][0] | unit, diffs[0][1])
+    return head, zf, diffs, slopes[:n], wp
+
+
+def test_jet_loop_matches_per_term_reference():
+    # the one integer loop at p = 2, 3 and 4 orders, with its forward
+    # differences of P_0 .. P_(p-1), against the per-term jet step with
+    # P(m, eps) formed afresh and no stripped bits: integer for integer
+    # through a fixed m_cap (tol 0 and floor 0 settle no stop test), with
+    # zero and nonzero slopes and for each scaling of the fraction bits fb
+    rng = random.Random(36)
+    seen = set()
+    wp = 48
+    m_cap = 40
+    for p in (2, 3, 4):
+        for n in sorted({p, 4}):
+            for fb in (wp, 0, -(-wp // n), 1):
+                for slopes in ([0] * 4, [3, -1, 0, -5]):
+                    head, zf, diffs, slopes, wp = _jet_loop_case(rng, n, p, wp, fb, slopes)
+                    got = _backend.sum_first_kind_fixed(head, zf, diffs, slopes, wp, 0, 0, 1, m_cap)
+                    assert got == _sum_first_kind_fixed_jet_ref(head, zf, diffs, slopes, wp, m_cap)
+                    assert got[2] == m_cap + 1
+                    assert all(got[0][-1])  # the top order is carried through m_cap
+                    seen.add(_scaling_case(diffs, wp))
+    assert seen == {"nothing stripped", "fb = 0", "n fb >= wp", "n fb < wp"}
 
 
 def test_double_head_rows_ignore_the_sign_of_zero(monkeypatch):

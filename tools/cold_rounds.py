@@ -16,6 +16,11 @@ by default).  It prints, per workload:
 - the calls of mpmath.rgamma in each round, counted by wrapping the module
   attribute the package calls (mpmath's own internal calls go through its
   context and are not counted)
+- the calls, summed terms and milliseconds of the big-float rounds' integer
+  loop in each round, at p = 1 (the series itself) and at p > 1 (jets of p
+  coefficients at a non-generic index), timed by wrapping the _backend
+  attributes the rounds call: sum_first_kind_fixed, and where a checkout has
+  it, its separate jet loop sum_first_kind_fixed_jet
 - the store's entries and held bytes (the charges of series._stored) by
   kind of constant, after the cold round, and after the last warm round
   where they differ
@@ -58,12 +63,32 @@ def _print_store(when, kinds, held):
         print(f"    {kind:8s} {count:5d} entries {charge / 2**20:8.3f} MiB")
 
 
+def _timed(fn, loop):
+    """fn, adding each call's count, terms and seconds to loop under its p:
+    a head entry of the one loop and of a jet loop is a list of p (re, im)
+    pairs, one of a separate p = 1 loop a single (re, im) pair."""
+
+    def wrapped(head, *args):
+        t0 = time.perf_counter()
+        out = fn(head, *args)
+        seconds = time.perf_counter() - t0
+        first = head[0]
+        p = len(first) if isinstance(first[0], tuple) else 1
+        entry = loop.setdefault("p = 1" if p == 1 else "p > 1", [0, 0, 0.0])
+        entry[0] += 1
+        entry[1] += out[-1]
+        entry[2] += seconds
+        return out
+
+    return wrapped
+
+
 def one_workload(root: Path, name: str, warm: int) -> None:
     """Cold and warm rounds of one workload in this process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import mpmath
     import workloads
-    from besselhr import series
+    from besselhr import _backend, series
 
     calls = [0]
     rgamma = mpmath.rgamma
@@ -73,12 +98,18 @@ def one_workload(root: Path, name: str, warm: int) -> None:
         return rgamma(*args, **kwargs)
 
     mpmath.rgamma = counted
+    # {"p = 1" or "p > 1": [calls, terms, seconds]} of the integer loop
+    loop = {}
+    for attr in ("sum_first_kind_fixed", "sum_first_kind_fixed_jet"):
+        if hasattr(_backend, attr):
+            setattr(_backend, attr, _timed(getattr(_backend, attr), loop))
     make_items, _ = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as workdir:
         items = make_items(Path(workdir))
-        times, counts, failed = [], [], []
+        times, counts, failed, loops = [], [], [], []
         for r in range(warm + 1):
             calls[0] = 0
+            loop.clear()
             failed.append(0)
             t0 = time.perf_counter()
             for item in items:
@@ -89,11 +120,16 @@ def one_workload(root: Path, name: str, warm: int) -> None:
                         failed[-1] += 1
             times.append(time.perf_counter() - t0)
             counts.append(calls[0])
+            loops.append({key: list(v) for key, v in loop.items()})
             if r == 0:
                 cold_store = _store_by_kind(series._stored)
     print(f"{name}: {len(items)} items, operations raising per round: {failed}")
     print(f"  round s: cold {times[0]:.3f}, warm " + " ".join(f"{t:.3f}" for t in times[1:]))
     print(f"  mpmath.rgamma calls: cold {counts[0]}, warm " + " ".join(map(str, counts[1:])))
+    for key in ("p = 1", "p > 1"):
+        per_round = [r.get(key, [0, 0, 0.0]) for r in loops]
+        print(f"  integer loop {key}: calls, terms, ms per round (cold, warm ...): " + "; ".join(
+            f"{c} {t} {1e3 * s:.1f}" for c, t, s in per_round))
     _print_store("cold round", *cold_store)
     if _store_by_kind(series._stored) != cold_store:
         _print_store("last warm round", *_store_by_kind(series._stored))
