@@ -1,27 +1,27 @@
 """Numeric hot kernels: python scalars and numpy vectorized forms.
 
-Every double-precision gamma value comes from one numpy pass, _gamma_np: a
-Lanczos approximation with Godfrey's g = 607/128 coefficient set (the same
-14-term series Numerical Recipes uses for ``gammln``), valid on Re z >= 0.5
-and extended left by Euler's reflection formula, returned as a pair (a, b)
-with Gamma = e^a b: a holds the Lanczos exponent (z + 1/2) log t - t and,
-on the reflected points with |Im z| >= 18, the sine's dominant exponential;
-b is the Lanczos sum's factor, reflected through the sine.  The reciprocal
-gamma recip_gamma_np is e^(-a) / b over an array, with exact zeros at the
-non-positive integers, which are masked before the pass.  The scalar sinpi
-and cospi are argument-reduced, with exact zeros at the integers.
+Every double-precision gamma value (the contour integrands and core's
+one-point functions) comes from one numpy pass, _gamma_np: a Lanczos
+approximation with Godfrey's g = 607/128 coefficient set (the same 14-term
+series Numerical Recipes uses for ``gammln``), valid on Re z >= 0.5 and
+extended left by Euler's reflection formula, returned as a pair (a, b) with
+Gamma = e^a b: a holds the Lanczos exponent (z + 1/2) log t - t and, on the
+reflected points with |Im z| >= 18, the sine's dominant exponential; b is
+the Lanczos sum's factor, reflected through the sine.  The scalar sinpi and
+cospi are argument-reduced, with exact zeros at the integers.
 
 The first-kind series recurrence (first_kind_terms) and its summation loop
 (sum_first_kind) are written once for any number type: the caller passes the
 head, the coefficients c_m = prod_k 1/Gamma(d_k + m + 1) of the first terms
 (head_coeffs: one product of n reciprocal gammas at the top of the head,
 multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an exact 0),
-from recip_gamma_np for the double pass (series_sum; mp.rgamma where a
-coefficient underflows, series._lanczos_head) or from mp.rgamma for the kernel
-grid's coefficient table and the big-float rounds.  The rounds sum all but the
-head terms in one fixed-point integer loop (sum_first_kind_fixed: one complex
-multiply and one division per term and jet coefficient, whatever the rank),
-with the same stop rule, on plain integers (the module never imports mpmath);
+every head from mp.rgamma: rounded once to doubles for the double pass
+(series_sum, series._lanczos_head), at 50 digits for the kernel grid's
+coefficient table, and at the working precision for the big-float rounds.
+The rounds sum all but the head terms in one fixed-point integer loop
+(sum_first_kind_fixed: one complex multiply and one division per term and
+jet coefficient, whatever the rank), with the same stop rule, on plain
+integers (the module never imports mpmath);
 at a non-generic index each term is a jet of p coefficients in eps, the
 series at the index moved by eps.  The differences d_k are short dyadic
 numbers (differences of doubles), so the loop strips the trailing zero bits
@@ -131,8 +131,8 @@ def first_kind_terms(zf, diffs, head, powers):
     head may be an iterator), they are powers[m] c_m (zf_powers), so integer
     pole crossings give exact zero terms; past it the term ratio
     zf / prod_k (diffs_k + m) is applied.  The arithmetic is that of zf,
-    diffs and head: python scalars with a head from this module's
-    recip_gamma_np, or mpmath numbers with mp.rgamma at the working precision.
+    diffs and head: python scalars with a head of mp.rgamma values rounded
+    once, or mpmath numbers with mp.rgamma at the working precision.
     """
     for m, (c, p) in enumerate(zip(head, powers)):
         t = p * c
@@ -387,7 +387,7 @@ def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
 
 def series_sum(zf, diffs, tol, m_min, m_cap, head):
     """sum_first_kind in double precision, the pass first_kind makes; head
-    holds the coefficients of head_coeffs over recip_gamma_np."""
+    holds the coefficients of head_coeffs over mp.rgamma, rounded once."""
     return sum_first_kind(zf, diffs, tol, 1e-300, m_min, m_cap, head)
 
 
@@ -437,16 +437,6 @@ def _gamma_np(z):
         a[left] = lin - a[left]
         b[left] = _PI / (b[left] * s)
     return a, b
-
-
-def recip_gamma_np(z):
-    """1/Gamma(z) = e^(-a) / b of _gamma_np elementwise over an array of one
-    or more dimensions; exact zeros at the non-positive integers, where the
-    pass runs at z = 1."""
-    z = np.asarray(z, dtype=np.complex128)
-    pole = is_nonpositive_int(z)
-    a, b = _gamma_np(np.where(pole, 1.0, z))
-    return np.where(pole, 0.0, np.exp(-a) / b)
 
 
 def _sinpi_np(z):

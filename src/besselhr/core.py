@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import _backend
 
 TWO_PI = 2.0 * math.pi
@@ -280,9 +282,13 @@ class EvalResult:
 
 
 def recip_gamma(s) -> complex:
-    """Entire 1/Gamma(s) = e^(-a) / b from _backend._gamma_np's pair (a, b);
-    exact zeros at s = 0, -1, -2, ..."""
-    return complex(_backend.recip_gamma_np([complex(s)])[0])
+    """Entire 1/Gamma(s) = e^(-a) / b from _backend._gamma_np's pair (a, b)
+    at one point; exact zeros at s = 0, -1, -2, ..., which skip the pass."""
+    s = complex(s)
+    if _backend.is_nonpositive_int(s):
+        return 0j
+    a, b = _backend._gamma_np([s])
+    return complex((np.exp(-a) / b)[0])
 
 
 def log_gamma(s) -> complex:

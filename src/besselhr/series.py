@@ -39,10 +39,11 @@ what the ceiling resolves raises before any round.
 The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
 the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
 where the integer pole crossings lie), from one product of n reciprocal
-gammas (_backend.head_coeffs): in double precision for first_kind, in mpmath
-for the big-float rounds (_first_kind_mp, the rest in one integer loop for
-every jet order), and at zf = 1 in 50-digit mpmath for kernel_series_grid's
-table (_FirstKindTable), summed by Horner in double-double arithmetic.  A
+gammas (_backend.head_coeffs), every one by mp.rgamma: rounded once to
+doubles for first_kind (_lanczos_head), at the working precision for the
+big-float rounds (_first_kind_mp, the rest in one integer loop for every jet
+order), and at zf = 1 at 50 digits for kernel_series_grid's table
+(_FirstKindTable), summed by Horner in double-double arithmetic.  A
 big-float round builds what its n series share once (_Round), and raises
 before it builds a head longer than its term cap (_check_head).
 
@@ -158,7 +159,14 @@ def first_kind(
 ) -> SeriesEval:
     """First-kind solution J_l (l is 1-based) by the ascending series;
     OverflowEvalError where its terms overflow double range or its head is
-    longer than any round sums (_lanczos_head)."""
+    longer than any round sums (_lanczos_head).
+
+    tail_bound is |z^(-n lam_l)| (g + 8 eps sum_m |t_m|) + eps (|n lam_l
+    log z| + 2) |value|: g bounds the terms left out as a geometric series
+    (sum_m |t_m| where the term ratio is not below 3/4); 8 eps of term mass
+    covers the one rounding of each head coefficient (_lanczos_head), the
+    powers of zf, the term ratios and the sum; the last term covers the
+    prefactor exp(-n lam_l log z) in double.  tools/tail_scan.py checks it."""
     z = _as_point(z)
     n = si.rank
     if not 1 <= l <= n:
@@ -187,8 +195,9 @@ def first_kind(
     else:  # did not reach the decaying regime; flag a useless bound
         geom = abs_total
     eps = np.finfo(float).eps
-    tail = abs(pref) * (geom + 8.0 * eps * abs_total)
     value = pref * complex(total)
+    tail = abs(pref) * (geom + 8.0 * eps * abs_total)
+    tail += eps * (abs(n * lam_l * z.log()) + 2.0) * abs(value)
     if not (cmath.isfinite(value) and math.isfinite(tail)):
         raise OverflowEvalError(
             "series terms overflow double range at this index and modulus; use "
@@ -373,26 +382,21 @@ def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
 
 
 def _lanczos_head(lam: tuple, l: int, diffs):
-    """The head of the l-th series for the double pass: the coefficients
-    prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh of the double differences
-    diffs of lam (_backend.head_coeffs over _backend.recip_gamma_np), as a
-    tuple of Python complex; from 64-bit mpmath, rounded once, where one of
-    them underflows (the top, at large |lambda|) and would pass its lost bits
-    down.  Keyed by lam although its doubles do not tell 0.0 from -0.0: the
-    sums d_k + m it is made from come out the same for either sign of a zero.
-    A head longer than _ROUND_TERMS raises before it is built (_check_head):
-    no round sums it, so the big-float rounds raise as well."""
+    """The head of the l-th series for the double pass: prod_k 1/Gamma(d_k +
+    m + 1) for m <= M = _m_fresh(diffs), d_k = lam_k - lam_l formed from lam
+    (_backend.head_coeffs over mp.rgamma) at 64 bits plus the bit length of
+    n (M + 1), where the gammas and the n (M - m) steps of the multiply-down
+    move each coefficient by less than 2^-63, each rounded once to a Python
+    complex.  Keyed by lam, whose doubles do not tell 0.0 from -0.0: mpmath
+    has one zero.  A head longer than _ROUND_TERMS raises before it is built
+    (_check_head): no round sums it, so the big-float rounds raise as well."""
     fresh = _m_fresh(diffs)
     _check_head(fresh, _ROUND_TERMS)
 
     def build():
-        d = diffs.tolist()
-        head = _backend.head_coeffs(d, fresh, lambda a: _backend.recip_gamma_np(a).tolist())
-        if not head[-1] or any(0 < abs(c) < np.finfo(float).tiny for c in head):
-            with mp.workprec(64):
-                d = [mp.mpc(v) for v in d]
-                head = _backend.head_coeffs(d, fresh, lambda a: map(mp.rgamma, a))
-        return tuple(map(complex, head))
+        with mp.workprec(64 + (len(diffs) * (fresh + 1)).bit_length()):
+            d = [mp.mpc(lk) - mp.mpc(lam[l - 1]) for lk in lam]
+            return tuple(map(complex, _backend.head_coeffs(d, fresh, lambda a: map(mp.rgamma, a))))
 
     return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
 
@@ -410,8 +414,7 @@ def _head_mp(lam: tuple, l: int, wp: int, p: int = 1):
 
     def build():
         with mp.workprec(wp):
-            lam_mp = [mp.mpc(v) for v in lam]
-            diffs = [lk - lam_mp[l - 1] for lk in lam_mp]
+            diffs = [mp.mpc(lk) - mp.mpc(lam[l - 1]) for lk in lam]
             fresh = _m_fresh([complex(d) for d in diffs])
             args, rgamma = diffs, mp.rgamma
             if p > 1:

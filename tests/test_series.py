@@ -1041,15 +1041,13 @@ def _rgamma_product(diffs, m, rgamma=mp.rgamma):
 
 
 def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
-    # the double pass's head coefficients: the top, from one recip_gamma_np
-    # call, is the product of the one-point core.recip_gamma bit for bit (a
-    # batch gives the bits of single points); each c_m below it is the exact
-    # multiply-down of that top within its roundings, at most 2 eps per
-    # factor d_k + m + 1 (u = eps/2 in the sum, sqrt(5) u in the complex
-    # product), so within (2 n (M - m) + 1) eps relative; at lam = (1, -1)
-    # the arguments d_2 + m + 1 of l = 1 are -1 and 0 at m = 0, 1, and the
-    # head vanishes there exactly
-    eps = np.finfo(float).eps
+    # the double pass's head coefficients: each is the head of mp.rgamma
+    # values at its build precision, 64 bits plus the bit length of
+    # n (M + 1), with the differences formed there from lam, rounded once to
+    # a double, so each part lies within half an ulp, plus that precision's
+    # rounding, of a 40-digit product of one reciprocal gamma per factor; at
+    # lam = (1, -1) the arguments d_2 + m + 1 of l = 1 are -1 and 0 at
+    # m = 0, 1, and the head vanishes there exactly
     indices = [
         (1.0, -1.0),
         (0.31, -0.12 + 0.2j, -0.23, 0.14 - 0.1j, -0.06),
@@ -1064,26 +1062,32 @@ def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
             heads[lam, l] = head
             top = len(head) - 1
             assert top == series._m_fresh(diffs)
-            want = _rgamma_product(diffs.tolist(), top, core.recip_gamma)
-            assert _bits([head[-1:]]) == _bits([[want]])
+            wp = 64 + (si.rank * (top + 1)).bit_length()
+            with mp.workprec(wp):
+                lam_mp = [mp.mpc(v) for v in si.lam]
+                d = [lk - lam_mp[l - 1] for lk in lam_mp]
+                want = _backend.head_coeffs(d, top, lambda args: map(mp.rgamma, args))
+            assert _bits([head]) == _bits([[complex(c) for c in want]])
             with mp.workdps(40):
-                d = [mp.mpc(v) for v in diffs.tolist()]
-                exact = _backend.head_coeffs(d, top, lambda args: [mp.mpc(head[-1])])
-                for m, (got, ref) in enumerate(zip(head, exact)):
-                    assert abs(got - ref) <= (2 * si.rank * (top - m) + 1) * eps * abs(ref)
+                d = [mp.mpc(lk) - mp.mpc(si.lam[l - 1]) for lk in si.lam]
+                for m, got in enumerate(head):
+                    ref = _rgamma_product(d, m)
+                    for part, ref_part in ((got.real, ref.real), (got.imag, ref.imag)):
+                        gap = abs(part - ref_part)
+                        assert gap <= math.ulp(part) / 2 + abs(ref) * mp.mpf(2) ** (1 - wp)
     head = heads[(1.0, -1.0), 1]
     assert head[0] == head[1] == 0
     assert len(head) == 5 and all(c != 0 for c in head[2:])
 
 
-def _first_kind_ref(si, l, x, terms=60):
-    """J_l(x) at sign +1 as a 40-digit sum of its first terms, each with one
+def _first_kind_ref(si, l, x, terms=60, sign=1):
+    """J_l(x; sign) as a 40-digit sum of its first terms, each with one
     reciprocal gamma per factor."""
     n = si.rank
     with mp.workdps(40):
         lam = [mp.mpc(v) for v in si.lam]
         d = [lk - lam[l - 1] for lk in lam]
-        zf = series._I_POW[n % 4] * mp.mpf(x) ** n
+        zf = sign * series._I_POW[n % 4] * mp.mpf(x) ** n
         total = mp.fsum(zf**m * _rgamma_product(d, m) for m in range(terms))
         return complex(total * mp.mpf(x) ** (-n * lam[l - 1]))
 
@@ -1112,6 +1116,30 @@ def test_double_head_is_not_multiplied_down_from_an_underflowed_top():
     # inf +- inf
     with pytest.raises(OverflowEvalError):
         j_function(1.0, SignVector("+-"), si)
+
+
+def test_first_kind_tail_covers_its_error():
+    # item 20's index, and seeded draws of ranks 2-6 with |Re lam| <= 5,
+    # |Im lam| <= 1 and x in [0.2, 3] (the first draws of
+    # tools/tail_scan.py's first_kind scan) at both signs: each value lies
+    # within its reported tail of a 40-digit sum.  With Lanczos heads from
+    # the double differences and no prefactor rounding in the tail, item
+    # 20's index was 7.9e-22 off with 5.4e-22 reported, and many draws
+    # were past their tails
+    si = SpectralIndex([5, -5])
+    got = first_kind(1.0, +1, si, 1)
+    assert abs(got.value - _first_kind_ref(si, 1, 1.0)) <= got.tail_bound
+    rng = np.random.default_rng(2026)
+    for _ in range(24):
+        n = int(rng.integers(2, 7))
+        si = SpectralIndex(list(rng.uniform(-5, 5, n) + 1j * rng.uniform(-1, 1, n)))
+        x = float(rng.uniform(0.2, 3))
+        l = int(rng.integers(1, n + 1))
+        rng.choice([1, -1])
+        for sign in (1, -1):
+            got = first_kind(x, sign, si, l)
+            ref = _first_kind_ref(si, l, x, sign=sign)
+            assert abs(got.value - ref) <= got.tail_bound, (x, sign, si.lam, l)
 
 
 def test_first_kind_term_modulus_overflow_is_typed():

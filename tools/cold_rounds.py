@@ -21,6 +21,9 @@ by default).  It prints, per workload:
   coefficients at a non-generic index), timed by wrapping the _backend
   attributes the rounds call: sum_first_kind_fixed, and where a checkout has
   it, its separate jet loop sum_first_kind_fixed_jet
+- the builds and milliseconds of the double pass's heads in each round:
+  the calls of series._lanczos_head that miss the store, timed by wrapping
+  the module attribute first_kind calls
 - the store's entries and held bytes (the charges of series._stored) by
   kind of constant, after the cold round, and after the last warm round
   where they differ
@@ -83,6 +86,23 @@ def _timed(fn, loop):
     return wrapped
 
 
+def _timed_head(fn, heads):
+    """fn, adding each call whose entry is not in the store yet to heads,
+    [builds, seconds]."""
+    from besselhr import series
+
+    def wrapped(lam, l, diffs):
+        if ("lanczos", lam, l) in series._stored:
+            return fn(lam, l, diffs)
+        t0 = time.perf_counter()
+        out = fn(lam, l, diffs)
+        heads[0] += 1
+        heads[1] += time.perf_counter() - t0
+        return out
+
+    return wrapped
+
+
 def one_workload(root: Path, name: str, warm: int) -> None:
     """Cold and warm rounds of one workload in this process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -103,12 +123,15 @@ def one_workload(root: Path, name: str, warm: int) -> None:
     for attr in ("sum_first_kind_fixed", "sum_first_kind_fixed_jet"):
         if hasattr(_backend, attr):
             setattr(_backend, attr, _timed(getattr(_backend, attr), loop))
+    heads = [0, 0.0]  # double heads built: count, seconds
+    series._lanczos_head = _timed_head(series._lanczos_head, heads)
     make_items, _ = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as workdir:
         items = make_items(Path(workdir))
-        times, counts, failed, loops = [], [], [], []
+        times, counts, failed, loops, builds = [], [], [], [], []
         for r in range(warm + 1):
             calls[0] = 0
+            heads[:] = [0, 0.0]
             loop.clear()
             failed.append(0)
             t0 = time.perf_counter()
@@ -120,6 +143,7 @@ def one_workload(root: Path, name: str, warm: int) -> None:
                         failed[-1] += 1
             times.append(time.perf_counter() - t0)
             counts.append(calls[0])
+            builds.append(tuple(heads))
             loops.append({key: list(v) for key, v in loop.items()})
             if r == 0:
                 cold_store = _store_by_kind(series._stored)
@@ -130,6 +154,8 @@ def one_workload(root: Path, name: str, warm: int) -> None:
         per_round = [r.get(key, [0, 0, 0.0]) for r in loops]
         print(f"  integer loop {key}: calls, terms, ms per round (cold, warm ...): " + "; ".join(
             f"{c} {t} {1e3 * s:.1f}" for c, t, s in per_round))
+    print("  double heads built, ms per round (cold, warm ...): " + "; ".join(
+        f"{c} {1e3 * s:.1f}" for c, s in builds))
     _print_store("cold round", *cold_store)
     if _store_by_kind(series._stored) != cold_store:
         _print_store("last warm round", *_store_by_kind(series._stored))

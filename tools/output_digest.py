@@ -9,7 +9,8 @@ Usage:
 Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
 under perfbench/ is changed), series.j_function at the sign vectors and
-points of SIGNVEC_CASES, kernel.kernel_sweep on the fixed node sets
+points of SIGNVEC_CASES, series.first_kind at FIRST_KIND_CASES and
+seeded draws, kernel.kernel_sweep on the fixed node sets
 of SWEEP_CASES, and the README's eval, coeffs, kernel, transform
 --fe-report and oracle compare commands through cli.main.  Each output
 becomes one line: the item, node or command, the route, the value and
@@ -25,12 +26,12 @@ is empty.  A run takes a few seconds on a 2-core host.
 With two checkouts the script digests each in its own process and prints
 every line whose bits differ, pairing the lines in order within each run
 of changed lines that has as many lines on both sides: for a value
-with an error (a kernel, sign-vector or sweep line, or a CLI table row
+with an error (a kernel, sign-vector, first_kind or sweep line, or a CLI table row
 with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
-benchmark's signvec-routes and kernel-grid items, then sweep, hankel-fe and
-readme by the first part of their labels) and per route (series, mb or
+benchmark's signvec-routes and kernel-grid items, then signvec, first_kind,
+sweep, hankel-fe and readme by the first part of their labels) and per route (series, mb or
 asympt: the line's route, the kernel's method or a table's column prefix;
 "-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
@@ -107,6 +108,14 @@ SIGNVEC_CASES = {
     "zero3": ((0.0, 0.0, 0.0), ("+++", "++-"), (0.5, 2.0, 8.0)),
 }
 
+# first_kind by the double pass, value and tail, at x = 1 and sign +1 where
+# lam = (5, -5) once lay farther from a 40-digit sum than its tail and where
+# the head's top of lam = (85.25, -85.25) underflows a double; then at
+# FIRST_KIND_DRAWS seeded draws of ranks 2-6 and both signs, the first draws
+# of tools/tail_scan.py's first_kind scan
+FIRST_KIND_CASES = {"5,-5": ((5.0, -5.0), 1), "85.25,-85.25": ((85.25, -85.25), 1)}
+FIRST_KIND_DRAWS = 4
+
 
 def _hex(v) -> str:
     if isinstance(v, complex):
@@ -172,6 +181,21 @@ def main(argv) -> int:
                     return r.value, r.tail_bound
 
                 run(f"signvec/{name}/{sv}/x={x:.4g}", "series", by_series)
+
+    cases = [(name, SpectralIndex(lam), 1.0, l, (1,)) for name, (lam, l) in FIRST_KIND_CASES.items()]
+    rng = np.random.default_rng(2026)
+    for i in range(FIRST_KIND_DRAWS):
+        n = int(rng.integers(2, 7))
+        si = SpectralIndex(list(rng.uniform(-5, 5, n) + 1j * rng.uniform(-1, 1, n)))
+        x, l, _ = float(rng.uniform(0.2, 3)), int(rng.integers(1, n + 1)), rng.choice([1, -1])
+        cases.append((f"draw{i}", si, x, l, (1, -1)))
+    for name, si, x, l, signs in cases:
+        for sign in signs:
+            def by_double_pass(x=x, sign=sign, si=si, l=l):
+                r = series.first_kind(x, sign, si, l)
+                return r.value, r.tail_bound
+
+            run(f"first_kind/{name}/x={x:.4g}/l={l}/{sign:+d}", "series", by_double_pass)
 
     for name, (lam, deltas, u) in SWEEP_CASES.items():
         ki = kernel.KernelIndex(SpectralIndex(lam), deltas)
