@@ -1119,13 +1119,13 @@ def test_double_head_is_not_multiplied_down_from_an_underflowed_top():
 
 
 def test_first_kind_tail_covers_its_error():
-    # item 20's index, and seeded draws of ranks 2-6 with |Re lam| <= 5,
-    # |Im lam| <= 1 and x in [0.2, 3] (the first draws of
+    # J_1 at lam = (5, -5), x = 1, and seeded draws of ranks 2-6 with
+    # |Re lam| <= 5, |Im lam| <= 1 and x in [0.2, 3] (the first draws of
     # tools/tail_scan.py's first_kind scan) at both signs: each value lies
     # within its reported tail of a 40-digit sum.  With Lanczos heads from
-    # the double differences and no prefactor rounding in the tail, item
-    # 20's index was 7.9e-22 off with 5.4e-22 reported, and many draws
-    # were past their tails
+    # the double differences and no prefactor rounding in the tail, the
+    # first was 7.9e-22 off with 5.4e-22 reported, and many draws were past
+    # their tails
     si = SpectralIndex([5, -5])
     got = first_kind(1.0, +1, si, 1)
     assert abs(got.value - _first_kind_ref(si, 1, 1.0)) <= got.tail_bound
