@@ -21,7 +21,8 @@ coefficient table, and at the working precision for the big-float rounds.
 The rounds sum all but the head terms in one fixed-point integer loop
 (sum_first_kind_fixed: one complex multiply and one division per term and
 jet coefficient, whatever the rank), with the same stop rule, on plain
-integers (the module never imports mpmath);
+integers (the module never imports mpmath), from difference tables that
+depend only on the index and the precision (fixed_tables, built once);
 at a non-generic index each term is a jet of p coefficients in eps, the
 series at the index moved by eps.  The differences d_k are short dyadic
 numbers (differences of doubles), so the loop strips the trailing zero bits
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,7 +204,70 @@ def _difference_table(values):
     return table
 
 
-def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
+class FixedTables(NamedTuple):
+    """What sum_first_kind_fixed needs of a series besides zf and its head,
+    all of it fixed by the differences d_k, the slopes s_k, wp and the head
+    length M (fixed_tables): the fraction bits fb the d_k keep, the shifts
+    (shift, down) that scale t W / R to t zf / P, the growth
+    1 + sum_k |s_k| of the higher orders, the forward differences of
+    P_0 .. P_(p-1) from m = M + 1 (re, im per order; P_j of degree n - j),
+    and those of R = |P_0|^2, to be shifted left by down."""
+
+    fb: int
+    shift: int
+    down: int
+    growth: int
+    p_tables: tuple
+    r_table: tuple
+
+
+def fixed_tables(diffs, slopes, wp, M, p):
+    """The FixedTables of the series with differences diffs ((re, im)
+    integers with wp fraction bits), integer slopes, head length M and p
+    jet orders, for sum_first_kind_fixed.  The d_k enter at their own
+    fraction bits fb: wp less the trailing zero bits all their parts share
+    (0 for integers), so P_j(m) is a polynomial in m with integer
+    coefficients scaled by 2^(n fb), sampled at m = M + 1 ... M + 1 + 2n
+    for the difference tables."""
+    n = len(diffs)
+    common = 0
+    for dr, di in diffs:
+        common |= dr | di
+    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
+    fb = wp - strip
+    diffs = [(dr >> strip, di >> strip) for dr, di in diffs]
+    one = 1 << fb
+
+    def coeffs(m):
+        # P_0(m) .. P_(p-1)(m) as (re, im), scaled by 2^(n fb)
+        pr, pi = 1, 0
+        hi = [(0, 0)] * (p - 1)
+        for (dr, di), s in zip(diffs, slopes):
+            ar = dr + m * one
+            if hi:
+                hi = [
+                    (hr * ar - hj * di + (s * lr << fb), hr * di + hj * ar + (s * lj << fb))
+                    for (hr, hj), (lr, lj) in zip(hi, [(pr, pi)] + hi)
+                ]
+            pr, pi = pr * ar - pi * di, pr * di + pi * ar
+        return [(pr, pi), *hi]
+
+    samples = [coeffs(M + 1 + j) for j in range(2 * n + 1)]
+    p_tables = tuple(
+        tuple(_difference_table([s[j][part] for s in samples[: n - j + 1]]))
+        for j in range(p)
+        for part in (0, 1)
+    )
+    r_table = _difference_table([pr * pr + pi * pi for (pr, pi), *_ in samples])
+    # t W / R is t zf / P(m) times 2^(wp - n fb): shift each term left by
+    # n fb - wp, or, where that is negative, scale R by 2^(wp - n fb)
+    shift = n * fb - wp
+    down = max(-shift, 0)
+    growth = 1 + sum(map(abs, slopes))
+    return FixedTables(fb, max(shift, 0), down, growth, p_tables, tuple(r_table))
+
+
+def sum_first_kind_fixed(head, zf, tables, wp, tol, floor, m_min, m_cap):
     """sum_first_kind in fixed-point integers, for the big-float rounds, at the
     index moved to d_k + eps s_k: each term a jet of the coefficients of
     eps^0 .. eps^(p-1) (p = 1 at a generic index, where the integer slopes
@@ -210,19 +275,21 @@ def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
 
     head holds the terms t_0 .. t_M, each p (re, im) integers in units of
     2^E, the largest near 2^wp; past it t_m = t_(m-1) zf / P(m, eps) with
-    P(m, eps) = prod_k (d_k + m + eps s_k) truncated at eps^(p-1).  zf and
-    the d_k are (re, im) integers with wp fraction bits, every
-    Re(d_k + m) > 0 for m > M, and tol >= 0 and floor (in units of 2^E)
-    carry wp fraction bits.  Order 0 costs one complex multiply by
-    W(m) = zf conj(P_0(m)) and one floor division by R(m) = |P_0(m)|^2 a
-    term.  The d_k enter at their own fraction bits fb: wp less the
-    trailing zero bits all their parts share (0 for integers).  W and R are
-    then polynomials in m with integer coefficients scaled by 2^(wp + n fb)
-    and 2^(2n fb), stepped by forward differences: additions only, and
-    exact.  The scale 2^(n fb - wp) that t W / R lacks is a left shift of
-    each product where n fb >= wp, and is folded once into R's table where
-    n fb < wp, so every term is the floor of the same rational it is at
-    fb = wp: the integers do not depend on fb.  Order j >= 1 follows from
+    P(m, eps) = prod_k (d_k + m + eps s_k) truncated at eps^(p-1).  zf is
+    (re, im) integers with wp fraction bits, and tables the series'
+    FixedTables (fixed_tables, built once per index and wp by the caller),
+    from d_k of wp fraction bits with every Re(d_k + m) > 0 for m > M; tol
+    >= 0 and floor (in units of 2^E) carry wp fraction bits.  A call builds
+    only W's table, the n + 1 products zf conj(Delta^i P_0) (W(m) =
+    zf conj(P_0(m)) is linear in P_0), and the copies the loop steps: R's
+    table and, at p > 1, the P_j tables.  Order 0 costs one complex
+    multiply by W(m) and one floor division by R(m) = |P_0(m)|^2 a term,
+    W and R stepped by forward differences: additions only, and exact.
+    The scale 2^(n fb - wp) that t W / R lacks is a left shift of each
+    product where n fb >= wp, and is folded into the copy of R's table
+    (shifted left by down = wp - n fb) where n fb < wp, so every term is
+    the floor of the same rational it is at fb = wp: the integers do not
+    depend on fb.  Order j >= 1 follows from
     q_j P_0 = zf t_j - sum_(i=1..j) P_i q_(j-i): the same multiply and
     division, less that sum times conj(P_0), with P_0 and each P_i (degree
     n - i in m) stepped likewise.
@@ -242,54 +309,20 @@ def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
     (1 + sum_k |s_k|)^j, as |P_i / P_0| <= (sum_k |s_k|)^i where every
     |d_k + m| >= 1.
     """
-    n = len(diffs)
     p = len(head[0])
     M = len(head) - 1
-    common = 0
-    for dr, di in diffs:
-        common |= dr | di
-    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
-    fb = wp - strip
-    diffs = [(dr >> strip, di >> strip) for dr, di in diffs]
-    one = 1 << fb
     zr, zi = zf
-
-    def coeffs(m):
-        # P_0(m) .. P_(p-1)(m) as (re, im), scaled by 2^(n fb)
-        pr, pi = 1, 0
-        hi = [(0, 0)] * (p - 1)
-        for (dr, di), s in zip(diffs, slopes):
-            ar = dr + m * one
-            if hi:
-                hi = [
-                    (hr * ar - hj * di + (s * lr << fb), hr * di + hj * ar + (s * lj << fb))
-                    for (hr, hj), (lr, lj) in zip(hi, [(pr, pi)] + hi)
-                ]
-            pr, pi = pr * ar - pi * di, pr * di + pi * ar
-        return [(pr, pi), *hi]
-
-    samples = [coeffs(M + 1 + j) for j in range(2 * n + 1)]
-    p0 = [s[0] for s in samples]
-    wr = _difference_table([zr * pr + zi * pi for pr, pi in p0[: n + 1]])
-    wi = _difference_table([zi * pr - zr * pi for pr, pi in p0[: n + 1]])
-    rr = _difference_table([pr * pr + pi * pi for pr, pi in p0])
+    p0 = list(zip(*tables.p_tables[:2]))  # the table of P_0, (re, im)
+    n = len(p0) - 1
+    wr = [zr * a + zi * b for a, b in p0]
+    wi = [zi * a - zr * b for a, b in p0]
+    rr = [c << tables.down for c in tables.r_table]
+    shift, down, growth = tables.shift, tables.down, tables.growth
     w_steps = range(n)
     r_steps = range(n, 2 * n)
     higher = range(1, p)
-    # the tables of P_0 .. P_(p-1), for the higher orders only
-    tables = [
-        _difference_table([s[j][part] for s in samples[: n - j + 1]])
-        for j in (range(p) if p > 1 else ())
-        for part in (0, 1)
-    ]
-    # t W / R is t zf / P(m) times 2^(wp - n fb): shift each term left by
-    # n fb - wp, or, where that is negative, scale R once by 2^(wp - n fb)
-    shift = n * fb - wp
-    down = max(-shift, 0)
-    if down:
-        rr = [c << down for c in rr]
-        shift = 0
-    growth = 1 + sum(map(abs, slopes))
+    # the tables of P_0 .. P_(p-1), stepped for the higher orders only
+    p_tables = [list(t) for t in tables.p_tables] if p > 1 else ()
     sums = [[0, 0] for _ in range(p)]
     masses = [0] * p
     tol2 = 2 * tol
@@ -330,13 +363,13 @@ def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
         abs_sum += t_abs
         if p > 1:
             if m > M:
-                p0r, p0i = tables[0][0], tables[1][0]
+                p0r, p0i = p_tables[0][0], p_tables[1][0]
                 q = [(tr, ti)]
                 for j in higher:
                     ur, ui = t[j]
                     cr = ci = 0
                     for i in range(1, j + 1):
-                        ar, ai = tables[2 * i][0], tables[2 * i + 1][0]
+                        ar, ai = p_tables[2 * i][0], p_tables[2 * i + 1][0]
                         br, bi = q[j - i]
                         cr += ar * br - ai * bi
                         ci += ar * bi + ai * br
@@ -345,7 +378,7 @@ def sum_first_kind_fixed(head, zf, diffs, slopes, wp, tol, floor, m_min, m_cap):
                     ni = ((ur * w_im + ui * w_re) << shift) - (ci << down)
                     q.append((nr // r, ni // r))
                 t = q
-                for table in tables:
+                for table in p_tables:
                     for j in range(len(table) - 1):
                         table[j] += table[j + 1]
             loud = False

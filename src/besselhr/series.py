@@ -41,7 +41,8 @@ the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
 where the integer pole crossings lie), from one product of n reciprocal
 gammas (_backend.head_coeffs), every one by mp.rgamma: rounded once to
 doubles for first_kind (_lanczos_head), at the working precision for the
-big-float rounds (_first_kind_mp, the rest in one integer loop for every jet
+big-float rounds (kept as integers, _head_mp; _first_kind_mp forms the
+head terms in integers and sums the rest in one integer loop for every jet
 order), and at zf = 1 at 50 digits for kernel_series_grid's table
 (_FirstKindTable), summed by Horner in double-double arithmetic.  A
 big-float round builds what its n series share once (_Round), and raises
@@ -53,8 +54,8 @@ across points, sign vectors, parities and rounds.  Each is built once and
 kept in one LRU store (_stored): the coefficients c_l with their bounds, the
 root rows of the kernel's K_l and cancellation reference (both by index,
 kind or parity, and digits; jets at a non-generic index), the head
-coefficients of each series with its differences d_k (by index, l, bits
-and jet order), the grid's first-kind tables and coefficient pairs, the
+coefficients of each series with the integer loop's tables (by index, l,
+bits and jet order), the grid's first-kind tables and coefficient pairs, the
 index-shift matrix of derivatives, and the asymptotic
 B_m tables of asympt (by index and root).  A key holds nothing of z, of a
 family value or of the tolerance, so every result is the same bit for bit
@@ -64,7 +65,8 @@ would not tell 0.0 from -0.0) and rounds a kernel's from the grid's entry.
 Its heads are stored by index and l all the same (_lanczos_head says why).
 Each entry is charged an upper bound on its bytes from how many numbers it
 holds and their precision (_charge; a first-kind table for the terms it
-holds, charged again when a sweep grows it), and the store evicts the least
+holds, charged again when a sweep grows it; a head entry for the integers
+it holds, counted once it is built), and the store evicts the least
 recently used entries to hold at most _STORE_BYTES (4 MB) at every rank and
 precision; an entry charged more is not kept.
 """
@@ -73,11 +75,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
-from typing import Union
+from typing import NamedTuple, Union
 
 import mpmath as mp
 import numpy as np
@@ -112,6 +116,8 @@ _ESTIMATE_GUARD = 4
 _SERIES_MAX_NZ = 1e5
 # terms a big-float round sums past m_min at most (m_cap - m_min)
 _ROUND_TERMS = 50000
+# bits a stored head row keeps beyond the working precision (_head_mp)
+_HEAD_GUARD = 4
 
 Pointlike = Union[SurfacePoint, float, int]
 
@@ -142,6 +148,21 @@ def _m_fresh(diffs) -> int:
     # multiplied down to exact zeros at the integer pole crossings
     worst = max((-d.real for d in diffs), default=0.0)
     return int(max(0.0, worst)) + 2
+
+
+@lru_cache(maxsize=256)
+def _head_lengths(lam: tuple) -> tuple:
+    """_m_fresh of the differences lam_k - lam_l of each series l = 1..n."""
+    return tuple(_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam)
+
+
+@lru_cache(maxsize=256)
+def _leads(lam: tuple) -> tuple:
+    """-n lam_l of each series l = 1..n in mpmath, the prefactor's exponent
+    over log z: exact (a double times n < 2^11 at 64 bits), so it serves
+    every precision."""
+    with mp.workprec(64):
+        return tuple(-len(lam) * mp.mpc(lam_l) for lam_l in lam)
 
 
 def _check_head(fresh: int, cap: int):
@@ -178,7 +199,7 @@ def first_kind(
             "a rescaled argument or use the asymptotic route"
         )
     lam_l = si.lam[l - 1]
-    diffs = np.array([lk - lam_l for lk in si.lam], dtype=np.complex128)
+    diffs = [lk - lam_l for lk in si.lam]  # Python complex: numpy scalars step slower
     zf = sign * _I_POW[n % 4] * z.power(n)
     m_min = int(math.e * z.modulus) + 4
     m_cap = m_min + 220
@@ -274,6 +295,7 @@ _STORE_BYTES = 4 << 20
 _NUMBER_BYTES = 576  # a stored mpmath complex less its mantissas (tracemalloc, CPython 3.11)
 _DOUBLE_BYTES = 64  # a stored Python complex, its tuple slot and a share of its row's tuple
 _DOUBLE_KEY = 8  # numbers' worth of a double entry's key and outer tuple
+_SLOT_BYTES = 128  # a store entry's charge and its OrderedDict node (tracemalloc: 117)
 
 
 def _charge(numbers: int, bits: int) -> int:
@@ -292,12 +314,16 @@ class _Store(OrderedDict):
     """key -> (value, charge), least recently used first.  store(key, cost,
     build) returns the value under key, or on a miss build(), and keeps it
     charged cost bytes, the cost of its latest access, evicting from the
-    front; a value whose cost alone is over _STORE_BYTES is not kept."""
+    front; a value whose cost alone is over _STORE_BYTES is not kept.  A
+    callable cost is asked once, of the value it builds; a hit keeps the
+    charge it set."""
 
     held = 0
 
-    def __call__(self, key, cost: int, build):
+    def __call__(self, key, cost, build):
         value, charged = self.pop(key) if key in self else (build(), 0)
+        if callable(cost):
+            cost = charged or cost(value)
         self.held -= charged
         if cost <= _STORE_BYTES:
             self[key] = (value, cost)
@@ -401,32 +427,68 @@ def _lanczos_head(lam: tuple, l: int, diffs):
     return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
 
 
-def _head_mp(lam: tuple, l: int, wp: int, p: int = 1):
-    """The head of the l-th series in wp-bit arithmetic: the coefficients
-    prod_k 1/Gamma(d_k + m + 1) for m <= _m_fresh (_backend.head_coeffs with
-    mp.rgamma) of the differences d_k = lam_k - lam_l, and the d_k as
-    fixed-point pairs of wp fraction bits.  At p = 1 the coefficients are
-    mpmath numbers; with p > 1, at the index moved to lam + eps u, each is a
-    jet of p coefficients in eps at d_k + eps (u_k - u_l): _jet.rgamma at
-    the top, multiplied down by the linear jets, so a pole crossing
-    multiplies by a jet whose leading coefficient is 0.  Charged a number
-    for each value, majorant and pair."""
+class _Head(NamedTuple):
+    """A big-float series' constants (_head_mp): the head coefficients as
+    rows of p (re, im) integers, c_m = row_m 2^(exps_m), and the loop's
+    tables (_backend.fixed_tables)."""
+
+    rows: tuple
+    exps: tuple
+    tables: _backend.FixedTables
+
+
+def _held_bytes(value) -> int:
+    """sys.getsizeof of value and of every tuple and number it holds."""
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(_held_bytes, value))
+    return sys.getsizeof(value)
+
+
+def _fixed_row(values, bits: int):
+    """mpmath numbers (or 0), taken at the current precision, as (re, im)
+    integers of one exponent e, the largest part with bits bits and each
+    part floored to a unit 2^e; an all-zero row is exact with e = 0."""
+    parts = [part for v in values for part in mp.mpc(v)._mpc_]
+    mag = max((exp + bc for _, man, exp, bc in parts if man), default=None)
+    if mag is None:
+        return tuple((0, 0) for _ in values), 0
+    e = mag - bits
+    ints = [to_fixed(part, -e) for part in parts]
+    return tuple(zip(ints[::2], ints[1::2])), e
+
+
+def _head_mp(lam: tuple, l: int, wp: int, p: int = 1) -> _Head:
+    """What the l-th series of lam needs at wp bits besides z, all of it
+    integers.  The coefficients prod_k 1/Gamma(d_k + m + 1) for m <= M =
+    _m_fresh of the differences d_k = lam_k - lam_l (_backend.head_coeffs
+    with mp.rgamma at wp bits) become rows of wp + _HEAD_GUARD bits
+    (_fixed_row), so a coefficient moves by at most 2^-(wp + 3) of its
+    row's largest part and a zero stays exact.  With
+    p > 1, at the index moved to lam + eps u, each is a jet of p
+    coefficients in eps at d_k + eps (u_k - u_l): _jet.rgamma at the top,
+    multiplied down by the linear jets, so a pole crossing multiplies by a
+    jet whose leading coefficient is 0.  The loop's tables come from the
+    d_k as fixed-point pairs of wp fraction bits.  Charged, once built, the
+    bytes of its integers and tuples, of its key and of the store's pair
+    that holds them (_held_bytes), and _SLOT_BYTES."""
 
     def build():
+        u = _jet.direction(len(lam))
+        slopes = [uk - u[l - 1] for uk in u]
+        fresh = _head_lengths(lam)[l - 1]
         with mp.workprec(wp):
             diffs = [mp.mpc(lk) - mp.mpc(lam[l - 1]) for lk in lam]
-            fresh = _m_fresh([complex(d) for d in diffs])
             args, rgamma = diffs, mp.rgamma
             if p > 1:
-                u = _jet.direction(len(lam))
-                args = [_jet.linear(d, uk - u[l - 1], p) for d, uk in zip(diffs, u)]
+                args = [_jet.linear(d, s, p) for d, s in zip(diffs, slopes)]
                 rgamma = _jet.rgamma
             head = _backend.head_coeffs(args, fresh, lambda args: map(rgamma, args))
-            return tuple(head), [_to_fixed(d, wp) for d in diffs]
+            rows, exps = zip(*(_fixed_row(c.c if p > 1 else [c], wp + _HEAD_GUARD) for c in head))
+            fixed = [_to_fixed(d, wp) for d in diffs]
+        return _Head(rows, exps, _backend.fixed_tables(fixed, slopes, wp, fresh, p))
 
-    fresh = _m_fresh([lk - lam[l - 1] for lk in lam])
-    numbers = (fresh + 1) * (1 if p == 1 else 2 * p) + len(lam)
-    return _stored(("head", lam, l, wp, p), _charge(numbers, wp), build)
+    key = ("head", lam, l, wp, p)
+    return _stored(key, lambda entry: _held_bytes((key, entry)) + _SLOT_BYTES, build)
 
 
 def _coeffs_double(lam: tuple, kind):
@@ -462,17 +524,19 @@ class _Round:
     mpmath precision dps: the bits wp, m_min and m_cap, the floor
     10^(-dps-30), and made in mp.workprec(wp), the precision the series run
     at: log z and zf = sign i^n z^n, their fixed-point forms and that of
-    rel_tol, the heads of the index (_head_mp; jets of p coefficients at
-    order p > 1) and the powers zf^m through the largest.  A head longer
-    than m_cap raises OverflowEvalError before any is built: its terms alone
-    would pass the round's term cap (_check_head)."""
+    rel_tol, the series' constants (_head_mp; jets of p coefficients at
+    order p > 1), and the powers zf^m through the longest head as integers
+    of one exponent each (_fixed_powers).  A head longer than m_cap raises
+    OverflowEvalError before any is built: its terms alone would pass the
+    round's term cap (_check_head)."""
 
     def __init__(self, z: SurfacePoint, sign: int, si: SpectralIndex, rel_tol, order: int = 1):
         n = si.rank
         self.si = si
         self.m_min = int(math.e * z.modulus) + 4
         self.m_cap = self.m_min + _ROUND_TERMS
-        _check_head(max(_m_fresh([lk - lam_l for lk in si.lam]) for lam_l in si.lam), self.m_cap)
+        top = max(_head_lengths(si.lam))
+        _check_head(top, self.m_cap)
         self.order = order
         dps = mp.mp.dps
         wp = math.ceil(dps * math.log2(10)) + 2 * self.m_cap.bit_length() + 8
@@ -485,7 +549,26 @@ class _Round:
             self.zf_fixed = _to_fixed(self.zf, wp)
             self.tol = to_fixed(mp.mpf(rel_tol)._mpf_, wp)
             self.heads = [_head_mp(si.lam, l, wp, order) for l in range(1, n + 1)]
-            self.powers = _backend.zf_powers(self.zf, max(len(head) for head, _ in self.heads))
+            self.fixed_powers = _fixed_powers(self.zf, top, wp + top.bit_length() + 3)
+
+
+def _fixed_powers(zf, top: int, bits: int):
+    """zf^m for m = 0 .. top as (re, im, e), zf^m ~ (re + i im) 2^e with
+    the larger part of bits bits: zf as _fixed_row rounds it, then each
+    power the exact product of the one before and zf, floored back to bits
+    bits.  Each step moves a power by at most 2^(1.5 - bits) of its
+    modulus, so zf^m by at most m 2^(3 - bits) of |zf|^m; _Round takes
+    bits = wp + bitlen(top) + 3, where that is at most 2^-wp."""
+    ((zr, zi),), ez = _fixed_row([zf], bits)
+    re, im, e = 1, 0, 0
+    powers = [(re, im, e)]
+    for _ in range(top):
+        re, im, e = re * zr - im * zi, re * zi + im * zr, e + ez
+        k = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+        if k > 0:
+            re, im, e = re >> k, im >> k, e + k
+        powers.append((re, im, e))
+    return powers
 
 
 def _first_kind_mp(rnd: _Round, l: int):
@@ -496,10 +579,16 @@ def _first_kind_mp(rnd: _Round, l: int):
     in the powers of log z.
 
     Every step runs with wp = dps log2(10) + 2 bitlen(m_cap) + 8 bits, and
-    with the bits |zf| < 1 costs zf.  The terms through _m_fresh are the
-    stored head (_head_mp) times zf^m, so pole crossings stay exact; the
-    rest run in the integer loop _backend.sum_first_kind_fixed, in units of
-    2^E with the largest coefficient of t_(m_fresh) just below 2^wp.
+    with the bits |zf| < 1 costs zf.  The terms through M = _m_fresh are the
+    stored head rows (_head_mp) times the round's powers zf^m, exact
+    integer products shifted to units of 2^E, E = wp less the bits of the
+    largest part of t_M, so pole crossings stay exact zeros; the rest run
+    in the integer loop _backend.sum_first_kind_fixed on the stored tables.
+    Each part of a head term t_m lies within 2^E + 2^(1-wp) |zf|^m max |c_m|
+    of c_m zf^m, with c_m the coefficients head_coeffs makes at wp bits
+    and max |c_m| the largest part of their row: the floor to 2^E, the
+    row's rounding (at most 2^-(wp+3) of it) and the powers' (at most
+    2^-wp of |zf|^m).
 
     Returns (value, terms, abs_scale): abs_scale, the summed term magnitude
     times |prefactor| (a jet's majorants) that arithmetic noise scales with,
@@ -508,21 +597,27 @@ def _first_kind_mp(rnd: _Round, l: int):
     exactly, far inside the noise model 10^-(dps-5) abs_scale of _j_generic_mp.
     """
     n, wp, p = rnd.si.rank, rnd.wp, rnd.order
-    u = _jet.direction(n)
-    coeffs, fixed_diffs = rnd.heads[l - 1]
+    entry = rnd.heads[l - 1]
+    products = [
+        ([(cr * zr - ci * zi, cr * zi + ci * zr) for cr, ci in row], ec + ez)
+        for row, ec, (zr, zi, ez) in zip(entry.rows, entry.exps, rnd.fixed_powers)
+    ]
+    last, e = products[-1]
+    e += max(abs(part).bit_length() for pair in last for part in pair) - wp
+    head = []
+    for row, ep in products:
+        s = ep - e
+        head.append([(re << s, im << s) if s >= 0 else (re >> -s, im >> -s) for re, im in row])
+    sums, masses, terms = _backend.sum_first_kind_fixed(
+        head, rnd.zf_fixed, entry.tables, wp, rnd.tol, to_fixed(rnd.floor._mpf_, wp - e),
+        rnd.m_min, rnd.m_cap,
+    )
     with mp.workprec(wp):
-        head = [pw * c for pw, c in zip(rnd.powers, coeffs[: rnd.m_cap + 1])]
-        rows = [t.c for t in head] if p > 1 else [[t] for t in head]
-        e = next((max(map(mp.mag, r)) for r in reversed(rows) if any(r)), 1) - wp
-        sums, masses, terms = _backend.sum_first_kind_fixed(
-            [[_to_fixed(c, -e) for c in r] for r in rows], rnd.zf_fixed, fixed_diffs,
-            [uk - u[l - 1] for uk in u], wp, rnd.tol, to_fixed(rnd.floor._mpf_, wp - e),
-            rnd.m_min, rnd.m_cap,
-        )
         sums = [mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e))) for sr, si_ in sums]
         masses = [mp.mpf((a, e)) for a in masses]
-        lead = -n * mp.mpc(rnd.si.lam[l - 1]) * rnd.logz
+        lead = _leads(rnd.si.lam)[l - 1] * rnd.logz
         if p > 1:
+            u = _jet.direction(n)
             pref = _jet.exp_linear(lead, -u[l - 1] * n * rnd.logz, p)
             value = pref * _jet.Jet(sums, masses)
             return value, terms, abs(value)
@@ -804,7 +899,7 @@ class _FirstKindTable:
     Entry m is the same whatever length the table has reached."""
 
     def __init__(self, lam):
-        self.m_fresh = [_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam]
+        self.m_fresh = list(_head_lengths(lam))
         self.coeffs = [[] for _ in lam]  # (mantissa pair, exponent)
         self.ratios = [[] for _ in lam]  # |c_0|, then |c_m / c_{m-1}|
         self._last = [1 for _ in lam]  # |c_(m-1)| for the next entry m

@@ -775,10 +775,22 @@ def _sum_first_kind_fixed_jet_ref(head, zf, diffs, slopes, wp, m_cap):
     return sums, [a + slack * growth**j for j, a in enumerate(masses)], terms
 
 
+def _fixed_parts(values, bits):
+    # mpmath numbers as (re, im) integers of one exponent e, the largest
+    # part with bits bits, the rest floored to 2^e (zeros exact, e = 0)
+    parts = [part for v in values for part in mp.mpc(v)._mpc_]
+    mags = [exp + bc for _, man, exp, bc in parts if man]
+    e = max(mags) - bits if mags else 0
+    ints = [series.to_fixed(part, -e) for part in parts]
+    return list(zip(ints[::2], ints[1::2])), e
+
+
 def _first_kind_mp_per_series(z, sign, si, l, rel_tol, seen):
     """One series of a big-float round set up on its own: zf, log z and the
-    fixed-point forms rebuilt, zf^m rebuilt by m products and one mp.rgamma
-    per factor of each head term."""
+    fixed-point forms rebuilt, the head coefficients built afresh
+    (_backend.head_coeffs), zf^m rebuilt by m exact integer products each
+    floored back to the round's bits, and the head terms c_m zf^m formed
+    and scaled to units of 2^E here."""
     n = si.rank
     m_min = int(math.e * z.modulus) + 4
     m_cap = m_min + 50000
@@ -786,23 +798,36 @@ def _first_kind_mp_per_series(z, sign, si, l, rel_tol, seen):
     wp = math.ceil(dps * math.log2(10)) + 2 * m_cap.bit_length() + 8
     wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))
     floor = mp.mpf(10) ** (-dps - 30)
+    # the powers carry the bits of the round's longest head
+    top = max(series._m_fresh([lk - lam_l for lk in si.lam]) for lam_l in si.lam)
+    bits = wp + top.bit_length() + 3
     with mp.workprec(wp):
         logz = mp.mpc(z.log_modulus, z.argument)
         lam = [mp.mpc(v) for v in si.lam]
         lam_l = lam[l - 1]
         diffs = [lk - lam_l for lk in lam]
         zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * logz)
-        head = []
-        for m in range(min(series._m_fresh([complex(d) for d in diffs]), m_cap) + 1):
-            t = 1.0 + 0.0j
+        fresh = series._m_fresh([complex(d) for d in diffs])
+        coeffs = _backend.head_coeffs(diffs, fresh, lambda args: map(mp.rgamma, args))
+        [(zr, zi)], ez = _fixed_parts([zf], bits)
+        products = []
+        for m, c in enumerate(coeffs):
+            pr, pi, e = 1, 0, 0
             for _ in range(m):
-                t = t * zf
-            for d in diffs:
-                t = t * mp.rgamma(d + m + 1.0)
-            head.append(t)
-        e = mp.mag(next((t for t in reversed(head) if t), 1)) - wp
+                pr, pi, e = pr * zr - pi * zi, pr * zi + pi * zr, e + ez
+                k = max(abs(pr).bit_length(), abs(pi).bit_length()) - bits
+                if k > 0:
+                    pr, pi, e = pr >> k, pi >> k, e + k
+            [(cr, ci)], ec = _fixed_parts([c], wp + series._HEAD_GUARD)
+            products.append((cr * pr - ci * pi, cr * pi + ci * pr, ec + e))
+        tr, ti, e = products[-1]
+        e += max(abs(tr).bit_length(), abs(ti).bit_length()) - wp
+        head = [
+            (tr << (et - e), ti << (et - e)) if et >= e else (tr >> (e - et), ti >> (e - et))
+            for tr, ti, et in products
+        ]
         sr, si_, abs_sum, terms = _sum_first_kind_fixed_ref(
-            [series._to_fixed(t, -e) for t in head],
+            head,
             series._to_fixed(zf, wp),
             [series._to_fixed(d, wp) for d in diffs],
             wp,
@@ -886,18 +911,30 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     loop = _backend.sum_first_kind_fixed
     calls = []
 
-    def fixed(head, zf, diffs, *rest):
+    def fixed(head, zf, diffs, wp, *rest):
         # the one loop at p = 1 in the reference's arguments and returns
-        (s,), (abs_sum,), terms = loop([[t] for t in head], zf, diffs, [0] * len(diffs), *rest)
+        tables = _backend.fixed_tables(diffs, [0] * len(diffs), wp, len(head) - 1, 1)
+        (s,), (abs_sum,), terms = loop([[t] for t in head], zf, tables, wp, *rest)
         return (*s, abs_sum, terms)
 
-    def both(head, zf, diffs, slopes, *rest):
-        args = ([t for t, in head], zf, diffs, *rest)
+    owners = {}  # id of a series' stored tables -> its index and l
+    head_mp = series._head_mp
+
+    def recorded(lam, l, wp, p=1):
+        entry = head_mp(lam, l, wp, p)
+        owners[id(entry.tables)] = lam, l
+        return entry
+
+    def both(head, zf, tables, wp, *rest):
+        lam, l = owners[id(tables)]
+        with mp.workprec(wp):
+            diffs = [series._to_fixed(mp.mpc(lk) - mp.mpc(lam[l - 1]), wp) for lk in lam]
+        args = ([t for t, in head], zf, diffs, wp, *rest)
         got = fixed(*args)
         assert got == _sum_first_kind_fixed_ref(*args, seen)
         seen.add(_scaling_case(args[2], args[3]))
         calls.append(args)
-        return loop(head, zf, diffs, slopes, *rest)
+        return loop(head, zf, tables, wp, *rest)
 
     # tol 0 and floor 0 settle no stop test: the loop ends after term m_cap
     # (first, as a loop that mis-scales its terms runs long before that)
@@ -907,6 +944,7 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     assert got == _sum_first_kind_fixed_ref(*args, seen)
     assert got[3] == 9
     monkeypatch.setattr(_backend, "sum_first_kind_fixed", both)
+    monkeypatch.setattr(series, "_head_mp", recorded)
     for si, x, sign, dps, i, label in _round_cases():
         z = SurfacePoint.from_positive(x)
         n = si.rank
@@ -994,12 +1032,194 @@ def test_jet_loop_matches_per_term_reference():
             for fb in (wp, 0, -(-wp // n), 1):
                 for slopes in ([0] * 4, [3, -1, 0, -5]):
                     head, zf, diffs, slopes, wp = _jet_loop_case(rng, n, p, wp, fb, slopes)
-                    got = _backend.sum_first_kind_fixed(head, zf, diffs, slopes, wp, 0, 0, 1, m_cap)
+                    tables = _backend.fixed_tables(diffs, slopes, wp, len(head) - 1, p)
+                    got = _backend.sum_first_kind_fixed(head, zf, tables, wp, 0, 0, 1, m_cap)
                     assert got == _sum_first_kind_fixed_jet_ref(head, zf, diffs, slopes, wp, m_cap)
                     assert got[2] == m_cap + 1
                     assert all(got[0][-1])  # the top order is carried through m_cap
                     seen.add(_scaling_case(diffs, wp))
     assert seen == {"nothing stripped", "fb = 0", "n fb >= wp", "n fb < wp"}
+
+
+def _set_up_ref(diffs, slopes, wp, M, p, zf):
+    """The loop's set-up formed afresh, as each call once made it: the
+    differences stripped to their fraction bits fb, P_0 .. P_(p-1) sampled
+    at m = M + 1 ... M + 1 + 2n, W = zf conj(P_0) sampled and differenced,
+    R = |P_0|^2 differenced and scaled by down."""
+    n = len(diffs)
+    common = 0
+    for dr, di in diffs:
+        common |= dr | di
+    strip = min(wp, (common & -common).bit_length() - 1) if common else wp
+    fb = wp - strip
+    diffs = [(dr >> strip, di >> strip) for dr, di in diffs]
+    samples = []
+    for m in range(M + 1, M + 2 + 2 * n):
+        pc = [(1, 0)] + [(0, 0)] * (p - 1)
+        for (dr, di), s in zip(diffs, slopes):
+            ar = dr + (m << fb)
+            pc = [
+                (pr * ar - pi * di + (s * pc[j - 1][0] << fb if j else 0),
+                 pr * di + pi * ar + (s * pc[j - 1][1] << fb if j else 0))
+                for j, (pr, pi) in enumerate(pc)
+            ]
+        samples.append(pc)
+    zr, zi = zf
+    table = _backend._difference_table
+    w = [(zr * pr + zi * pi, zi * pr - zr * pi) for (pr, pi), *_ in samples[: n + 1]]
+    down = max(wp - n * fb, 0)
+    return {
+        "fb": fb, "shift": max(n * fb - wp, 0), "down": down,
+        "w": (table([a for a, _ in w]), table([b for _, b in w])),
+        "r": [c << down for c in table([pr * pr + pi * pi for (pr, pi), *_ in samples])],
+        "p": [table([pc[j][part] for pc in samples[: n - j + 1]])
+              for j in range(p) for part in (0, 1)],
+    }
+
+
+def _loop_calls(monkeypatch):
+    """The arguments of every call of the integer loop, in order."""
+    calls = []
+    loop = _backend.sum_first_kind_fixed
+
+    def recorded(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(_backend, "sum_first_kind_fixed", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lam, x, dps, p, want",
+    [
+        ((0.3, -0.1 + 0.2j, -0.2 - 0.2j), 2.0, 15, 1, {"n fb >= wp", "down = 0"}),
+        ((0.25, -0.25), 3.0, 60, 1, {"n fb < wp", "down > 0"}),
+        ((0.3 + 1e-3j, -0.3 - 1e-3j), 2.0, 5, 1, {"nothing stripped", "n fb >= wp", "down = 0"}),
+        ((0.375, -0.625, 0.25), 2.0, 30, 2, {"n fb < wp", "down > 0"}),
+        ((0.5, -0.5), 2.0, 30, 2, {"fb = 0", "down > 0"}),
+        ((1.125, 0.125, -0.875, -0.375), 1.5, 30, 3, {"n fb < wp", "down > 0"}),
+        ((0.375 + 0.25j, -0.625 + 0.25j, 0.25 - 0.5j), 2.0, 30, 2, {"n fb < wp", "down > 0"}),
+    ],
+)
+def test_stored_loop_tables_match_a_fresh_set_up(monkeypatch, lam, x, dps, p, want):
+    # each series' stored tables, after a round has stepped its loop, equal
+    # the set-up formed afresh, integer for integer, and the loop returns
+    # the same integers on them as on tables built afresh
+    si = SpectralIndex(lam)
+    z = SurfacePoint.from_positive(x)
+    _empty_store(monkeypatch)
+    calls = _loop_calls(monkeypatch)
+    with mp.workdps(dps):
+        rnd = series._Round(z, 1, si, mp.mpf(10) ** -dps, p)
+        for l in range(1, si.rank + 1):
+            series._first_kind_mp(rnd, l)
+    u = series._jet.direction(si.rank)
+    cases = set()
+    calls = list(calls)  # the loop calls below are recorded too
+    for l, (head, zf, tables, wp, *rest) in enumerate(calls, 1):
+        assert tables is series._head_mp(si.lam, l, wp, p).tables
+        with mp.workprec(wp):
+            diffs = [series._to_fixed(mp.mpc(lk) - mp.mpc(si.lam[l - 1]), wp) for lk in si.lam]
+        slopes = [uk - u[l - 1] for uk in u]
+        ref = _set_up_ref(diffs, slopes, wp, len(head) - 1, p, zf)
+        w = ([zf[0] * a + zf[1] * b for a, b in zip(*tables.p_tables[:2])],
+             [zf[1] * a - zf[0] * b for a, b in zip(*tables.p_tables[:2])])
+        assert (tables.fb, tables.shift, tables.down) == (ref["fb"], ref["shift"], ref["down"])
+        assert w == ref["w"] and [c << tables.down for c in tables.r_table] == ref["r"]
+        assert list(map(list, tables.p_tables)) == ref["p"]
+        fresh = _backend.fixed_tables(diffs, slopes, wp, len(head) - 1, p)
+        assert fresh == tables
+        got = _backend.sum_first_kind_fixed(head, zf, tables, wp, *rest)
+        assert got == _backend.sum_first_kind_fixed(head, zf, fresh, wp, *rest)
+        # and on them the loop steps what the per-term reference forms
+        # afresh, through m_cap = 40 at tol 0
+        got = _backend.sum_first_kind_fixed(head, zf, tables, wp, 0, 0, 1, 40)
+        assert got == _sum_first_kind_fixed_jet_ref(head, zf, diffs, slopes, wp, 40)
+        cases.add(_scaling_case(diffs, wp))
+        cases.add("down > 0" if tables.down else "down = 0")
+    assert len(calls) == si.rank and cases == want
+
+
+def _head_term_case(monkeypatch, lam, x, p, dps=30):
+    """For each series of one round: the integer head terms it passed to
+    the loop, wp, and c_m zf^m at 2 wp bits with c_m from head_coeffs at
+    wp bits (jets at p > 1) and zf the round's."""
+    si = SpectralIndex(lam)
+    z = SurfacePoint.from_positive(x)
+    calls = _loop_calls(monkeypatch)
+    with mp.workdps(dps):
+        rnd = series._Round(z, 1, si, mp.mpf(10) ** -dps, p)
+        for l in range(1, si.rank + 1):
+            series._first_kind_mp(rnd, l)
+    wp = rnd.wp
+    u = series._jet.direction(si.rank)
+    out = []
+    for l, (head, *_) in enumerate(calls, 1):
+        with mp.workprec(wp):
+            d = [mp.mpc(lk) - mp.mpc(si.lam[l - 1]) for lk in si.lam]
+            rgamma = mp.rgamma
+            if p > 1:
+                d = [series._jet.linear(dk, uk - u[l - 1], p) for dk, uk in zip(d, u)]
+                rgamma = series._jet.rgamma
+            coeffs = _backend.head_coeffs(d, len(head) - 1, lambda args: map(rgamma, args))
+        with mp.workprec(2 * wp):
+            refs = [[mp.mpc(c) * rnd.zf**m for c in (c.c if p > 1 else [c])]
+                    for m, c in enumerate(coeffs)]
+            tops = [max(max(abs(mp.re(c)), abs(mp.im(c))) for c in (c.c if p > 1 else [c]))
+                    * abs(rnd.zf) ** m for m, c in enumerate(coeffs)]
+        out.append((head, refs, tops))
+    return wp, abs(rnd.zf), out
+
+
+@pytest.mark.parametrize(
+    "lam, x, p",
+    [
+        ((0.3 + 0.1j, -0.3 - 0.1j), 1.0, 1),  # |zf| = 1
+        ((0.3, -0.2, -0.1), 0.9999, 1),  # |zf| just below 1
+        ((0.3 + 0.1j, -0.3 - 0.1j), 2.0**-21, 1),  # |zf| = 2^-42
+        ((2.5, -2.5), 0.8, 1),  # a pole crossing, summed at p = 1
+        ((0.5, -0.5), 2.0**-21, 2),  # a crossing in the jet's eps^0 coefficient
+    ],
+)
+def test_integer_head_terms_within_their_rounding(monkeypatch, lam, x, p):
+    # each part of each head term lies within 2^E + 2^(1-wp) |zf|^m max|c_m|
+    # of c_m zf^m at 2 wp bits (_first_kind_mp), with E read off the last
+    # term; a coefficient that is exactly 0 gives an exactly 0 term
+    _empty_store(monkeypatch)
+    wp, zf_abs, series_terms = _head_term_case(monkeypatch, lam, x, p)
+    zeros = 0
+    with mp.workprec(2 * wp):
+        for head, refs, tops in series_terms:
+            last = max(abs(v) for pair in head[-1] for v in pair)
+            ref_last = max(max(abs(mp.re(c)), abs(mp.im(c))) for c in refs[-1])
+            e = int(mp.nint(mp.log(ref_last / last, 2)))
+            assert last.bit_length() == wp
+            for row, ref, top in zip(head, refs, tops):
+                for (re_, im_), c in zip(row, ref):
+                    if c == 0:
+                        assert (re_, im_) == (0, 0)
+                        zeros += 1
+                        continue
+                    bound = mp.ldexp(1, e) + mp.ldexp(top, 1 - wp)
+                    assert abs(mp.ldexp(re_, e) - mp.re(c)) <= bound
+                    assert abs(mp.ldexp(im_, e) - mp.im(c)) <= bound
+    assert (zeros > 0) == (lam[0] - lam[1] in (5.0, 1.0))
+    if x < 1e-6:
+        assert zf_abs < mp.mpf(2) ** -40
+
+
+@pytest.mark.parametrize("lam, signs, x", [((0.3, -0.1, -0.2), "++-", 20.0),
+                                           ((0.5, -0.5), "+-", 6.0)])
+def test_cold_and_warm_j_function_repeat_bit_for_bit(monkeypatch, lam, signs, x):
+    # one j_function point whose big-float rounds build each series' head
+    # entry on the cold call and read it from the store on the warm one:
+    # the same bits both times, and as with every entry built afresh
+    rounds = _record_rounds(monkeypatch)
+    args = (x, SignVector(signs), SpectralIndex(lam), 1e-10)
+    cold, warm, fresh, hits = _cold_warm_fresh(monkeypatch, lambda: j_function(*args))
+    assert rounds and hits["head"] == len(rounds) // 3 * len(lam)
+    assert len({(r.value, r.tail_bound, r.terms_used) for r in (cold, warm, fresh)}) == 1
 
 
 def test_double_head_rows_ignore_the_sign_of_zero(monkeypatch):
@@ -1176,6 +1396,11 @@ def test_head_coeffs_agree_with_rgamma_products():
                         assert abs(c - ref) <= mp.mpf(10) ** -47 * abs(ref)
 
 
+def _row_values(row, e):
+    # the values of a stored head row, (re, im) integers of exponent e
+    return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im in row]
+
+
 def test_head_coeffs_vanish_before_an_integer_crossing(monkeypatch):
     # d = (0, -p) for l = 1 at lam = (p/2, -p/2): 1/Gamma(m + 1 - p) = 0 for
     # m < p, exactly, in double and in mpmath; nonzero from m = p on
@@ -1183,7 +1408,9 @@ def test_head_coeffs_vanish_before_an_integer_crossing(monkeypatch):
         si = SpectralIndex([p / 2, -p / 2])
         diffs = np.array([lk - si.lam[0] for lk in si.lam], dtype=np.complex128)
         double = _built_afresh(monkeypatch, series._lanczos_head, si.lam, 1, diffs)
-        big, _ = _built_afresh(monkeypatch, series._head_mp, si.lam, 1, 200)
+        entry = _built_afresh(monkeypatch, series._head_mp, si.lam, 1, 200)
+        with mp.workprec(300):
+            big = [_row_values(row, e)[0] for row, e in zip(entry.rows, entry.exps)]
         for head in (double, big):
             assert len(head) == p + 3
             assert all(c == 0 for c in head[:p]) and all(c != 0 for c in head[p:])
@@ -1496,8 +1723,10 @@ def test_store_holds_no_more_than_its_budget(monkeypatch):
     call = series._Store.__call__
 
     def watched(self, key, cost, build):
-        charged.append(0 if key in self else cost)
+        hit = key in self
         value = call(self, key, cost, build)
+        if not hit:  # a head entry's cost is asked of the value it builds
+            charged.append(cost(value) if callable(cost) else cost)
         held.append(self.held)
         assert self.held == sum(c for _, c in self.values())
         return value
@@ -1518,6 +1747,7 @@ def _build_each_kind():
     are charged per number at any rank; a complex head at 2000 digits takes
     seconds, so the one there is rank 1's, 1/Gamma(m + 1))."""
     series._head_mp((0j,), 1, series.dps_to_prec(2000))
+    series._head_mp((0.5 + 0j, -0.5 + 0j), 2, series.dps_to_prec(300), 2)  # jets, p = 2
     for n in range(1, 7):
         si = SpectralIndex([0.1 * k + 0.03j * k * k for k in range(n)])
         deltas = tuple(k % 2 for k in range(n))
@@ -1558,7 +1788,8 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
             table_lengths.add((len(key[1]), len(made.coeffs[0])))
         key_copy = pickle.loads(pickle.dumps(key))
         gc.collect()
-        sizes.append((key[0], cost, tracemalloc.get_traced_memory()[0] - before))
+        size = tracemalloc.get_traced_memory()[0] - before
+        sizes.append((key[0], cost(value) if callable(cost) else cost, size))
         del key_copy, made
         return value
 

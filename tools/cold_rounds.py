@@ -16,11 +16,16 @@ by default).  It prints, per workload:
 - the calls of mpmath.rgamma in each round, counted by wrapping the module
   attribute the package calls (mpmath's own internal calls go through its
   context and are not counted)
+- the calls and milliseconds of the big-float rounds (series._j_generic_mp)
+  in each round, timed by wrapping the module attribute
 - the calls, summed terms and milliseconds of the big-float rounds' integer
   loop in each round, at p = 1 (the series itself) and at p > 1 (jets of p
   coefficients at a non-generic index), timed by wrapping the _backend
   attributes the rounds call: sum_first_kind_fixed, and where a checkout has
   it, its separate jet loop sum_first_kind_fixed_jet
+- the loop's set-up in microseconds per call: the last round's loop calls
+  made again with m_cap = 0 (the last argument), which sums the first head
+  term only, best of 5 passes over them
 - the builds and milliseconds of the double pass's heads in each round:
   the calls of series._lanczos_head that miss the store, timed by wrapping
   the module attribute first_kind calls
@@ -66,15 +71,17 @@ def _print_store(when, kinds, held):
         print(f"    {kind:8s} {count:5d} entries {charge / 2**20:8.3f} MiB")
 
 
-def _timed(fn, loop):
-    """fn, adding each call's count, terms and seconds to loop under its p:
-    a head entry of the one loop and of a jet loop is a list of p (re, im)
-    pairs, one of a separate p = 1 loop a single (re, im) pair."""
+def _timed(fn, loop, captured):
+    """fn, adding each call's count, terms and seconds to loop under its p
+    and its (fn, arguments) to captured: a head entry of the one loop and
+    of a jet loop is a list of p (re, im) pairs, one of a separate p = 1
+    loop a single (re, im) pair."""
 
     def wrapped(head, *args):
         t0 = time.perf_counter()
         out = fn(head, *args)
         seconds = time.perf_counter() - t0
+        captured.append((fn, (head, *args)))
         first = head[0]
         p = len(first) if isinstance(first[0], tuple) else 1
         entry = loop.setdefault("p = 1" if p == 1 else "p > 1", [0, 0, 0.0])
@@ -84,6 +91,31 @@ def _timed(fn, loop):
         return out
 
     return wrapped
+
+
+def _timed_rounds(fn, rounds):
+    """fn, adding each call's count and seconds to rounds, [calls, seconds]."""
+
+    def wrapped(*args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        rounds[0] += 1
+        rounds[1] += time.perf_counter() - t0
+        return out
+
+    return wrapped
+
+
+def _set_up_us(captured, passes=5):
+    """Microseconds per loop call with m_cap = 0 (its last argument), the
+    best of passes over the captured calls."""
+    best = float("inf")
+    for _ in range(passes):
+        t0 = time.perf_counter()
+        for fn, args in captured:
+            fn(*args[:-1], 0)
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / max(len(captured), 1)
 
 
 def _timed_head(fn, heads):
@@ -120,19 +152,24 @@ def one_workload(root: Path, name: str, warm: int) -> None:
     mpmath.rgamma = counted
     # {"p = 1" or "p > 1": [calls, terms, seconds]} of the integer loop
     loop = {}
+    captured = []  # (loop, arguments) of the round's loop calls
     for attr in ("sum_first_kind_fixed", "sum_first_kind_fixed_jet"):
         if hasattr(_backend, attr):
-            setattr(_backend, attr, _timed(getattr(_backend, attr), loop))
+            setattr(_backend, attr, _timed(getattr(_backend, attr), loop, captured))
+    bigfloat = [0, 0.0]  # big-float rounds: calls, seconds
+    series._j_generic_mp = _timed_rounds(series._j_generic_mp, bigfloat)
     heads = [0, 0.0]  # double heads built: count, seconds
     series._lanczos_head = _timed_head(series._lanczos_head, heads)
     make_items, _ = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as workdir:
         items = make_items(Path(workdir))
-        times, counts, failed, loops, builds = [], [], [], [], []
+        times, counts, failed, loops, builds, rounds = [], [], [], [], [], []
         for r in range(warm + 1):
             calls[0] = 0
             heads[:] = [0, 0.0]
+            bigfloat[:] = [0, 0.0]
             loop.clear()
+            captured.clear()
             failed.append(0)
             t0 = time.perf_counter()
             for item in items:
@@ -144,16 +181,22 @@ def one_workload(root: Path, name: str, warm: int) -> None:
             times.append(time.perf_counter() - t0)
             counts.append(calls[0])
             builds.append(tuple(heads))
+            rounds.append(tuple(bigfloat))
             loops.append({key: list(v) for key, v in loop.items()})
             if r == 0:
                 cold_store = _store_by_kind(series._stored)
     print(f"{name}: {len(items)} items, operations raising per round: {failed}")
     print(f"  round s: cold {times[0]:.3f}, warm " + " ".join(f"{t:.3f}" for t in times[1:]))
     print(f"  mpmath.rgamma calls: cold {counts[0]}, warm " + " ".join(map(str, counts[1:])))
+    print("  big-float rounds: calls, ms per round (cold, warm ...): " + "; ".join(
+        f"{c} {1e3 * s:.1f}" for c, s in rounds))
     for key in ("p = 1", "p > 1"):
         per_round = [r.get(key, [0, 0, 0.0]) for r in loops]
         print(f"  integer loop {key}: calls, terms, ms per round (cold, warm ...): " + "; ".join(
             f"{c} {t} {1e3 * s:.1f}" for c, t, s in per_round))
+    if captured:
+        print(f"  integer loop set-up (m_cap = 0), us per call over the last round's "
+              f"{len(captured)} calls: {_set_up_us(captured):.1f}")
     print("  double heads built, ms per round (cold, warm ...): " + "; ".join(
         f"{c} {1e3 * s:.1f}" for c, s in builds))
     _print_store("cold round", *cold_store)

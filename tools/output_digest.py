@@ -11,10 +11,12 @@ workloads of <checkout> (its src/ and perfbench/ are imported; nothing
 under perfbench/ is changed), series.j_function at the sign vectors and
 points of SIGNVEC_CASES, series.first_kind at FIRST_KIND_CASES and
 seeded draws, kernel.kernel_sweep on the fixed node sets
-of SWEEP_CASES, and the README's eval, coeffs, kernel, transform
+of SWEEP_CASES, one big-float round (series._j_generic_mp) at each of
+BIGFLOAT_CASES, and the README's eval, coeffs, kernel, transform
 --fe-report and oracle compare commands through cli.main.  Each output
 becomes one line: the item, node or command, the route, the value and
-error as float.hex (exact), and for the sign-vector and kernel items the
+error as float.hex (exact; a big-float round's line adds its term mass
+and terms summed), and for the sign-vector and kernel items the
 digits of every big-float round the item ran.  CLI outputs are printed
 line by line as written (repr floats round-trip, so equal text is equal
 bits).  Two checkouts give the same bits exactly when
@@ -31,9 +33,9 @@ with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
 benchmark's signvec-routes and kernel-grid items, then signvec, first_kind,
-sweep, hankel-fe and readme by the first part of their labels) and per route (series, mb or
-asympt: the line's route, the kernel's method or a table's column prefix;
-"-" for a line without one), how many lines differ and the largest ratio,
+sweep, bigfloat, hankel-fe and readme by the first part of their labels)
+and per route (series, mb or asympt: the line's route, the kernel's method
+or a table's column prefix; "-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
 row whose values moved on two routes counts once under each.  Then, per
 workload whose lines record big-float rounds, how many lines changed the
@@ -99,6 +101,25 @@ SWEEP_CASES = {
 }
 SWEEP_TOL = 1e-9
 
+# big-float rounds (series._j_generic_mp) at fixed digits, value, noise
+# (10 rel mass, the error the rounds report) and term mass: a sign-vector
+# function and a kernel at ranks 2-5, a point with |zf| = x^2 < 2^-40 and a
+# non-generic index (jets of p = 2 coefficients); (lam, "signvec", signs or
+# "kernel", deltas and parity, x)
+BIGFLOAT_DPS = 40
+BIGFLOAT_CASES = {
+    "r2-signvec": ((0.25j, -0.25j), ("signvec", "+-"), 3.0),
+    "r2-kernel": ((0.3, -0.3), ("kernel", (0, 1), 1), 2.0),
+    "r3-signvec": ((0.3, -0.1, -0.2), ("signvec", "++-"), 2.0),
+    "r3-kernel": ((0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j), ("kernel", (0, 1, 0), -1), 1.5),
+    "r4-signvec": ((0.375, 0.125, -0.125, -0.375), ("signvec", "+-+-"), 1.2),
+    "r4-kernel": ((0.375, 0.125, -0.125, -0.375), ("kernel", (0, 1, 0, 1), 1), 1.2),
+    "r5-signvec": ((0.31, -0.12, -0.23, 0.14, -0.1), ("signvec", "++-+-"), 1.0),
+    "r5-kernel": ((0.31, -0.12, -0.23, 0.14, -0.1), ("kernel", (1, 0, 0, 1, 0), -1), 1.0),
+    "small-zf": ((0.3 + 0.1j, -0.3 - 0.1j), ("signvec", "++"), 1e-7),
+    "jet-p2": ((0.5, -0.5), ("signvec", "+-"), 2.0),
+}
+
 # sign-vector functions by the series route at non-generic indices the
 # benchmark lacks: lam = (0, 0) with the sign vectors -- and -+ (it holds ++
 # and +-), and the rank-3 indices whose three components differ by integers
@@ -120,6 +141,8 @@ FIRST_KIND_DRAWS = 4
 def _hex(v) -> str:
     if isinstance(v, complex):
         return f"{v.real.hex()},{v.imag.hex()}"
+    if isinstance(v, int):
+        return f"terms={v}"
     return float(v).hex()
 
 
@@ -137,7 +160,7 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from besselhr import cli, kernel, series
-    from besselhr.core import SignVector, SpectralIndex
+    from besselhr.core import SignVector, SpectralIndex, SurfacePoint
 
     digits = []
     mp_round = series._j_generic_mp
@@ -204,6 +227,20 @@ def main(argv) -> int:
         for sgn, (values, errors, routes, _) in zip("+-", kernel.kernel_sweep(u, ki, SWEEP_TOL)):
             for ui, v, e, r in zip(u, values, errors, routes):
                 print(f"sweep/{name}/{sgn}/u={ui.hex()} {r} {_hex(complex(v))} {_hex(e)}")
+
+    for name, (lam, kind, x) in BIGFLOAT_CASES.items():
+        def by_round(lam=lam, kind=kind, x=x):
+            z = SurfacePoint.from_positive(x)
+            if kind[0] == "signvec":
+                sv = SignVector.from_string(kind[1])
+                kind, sign = ("signvec", sv), sv.product_sign
+            else:
+                sign = kind[2]
+            value, mass, terms, rel, _ = series._j_generic_mp(
+                z, sign, SpectralIndex(lam), BIGFLOAT_DPS, kind)
+            return complex(value), float(10 * rel * mass), float(mass), terms
+
+        run(f"bigfloat/{name}/x={x:.4g}", "series", by_round)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
