@@ -207,13 +207,12 @@ def _difference_table(values):
 class FixedTables(NamedTuple):
     """What sum_first_kind_fixed needs of a series besides zf and its head,
     all of it fixed by the differences d_k, the slopes s_k, wp and the head
-    length M (fixed_tables): the fraction bits fb the d_k keep, the shifts
-    (shift, down) that scale t W / R to t zf / P, the growth
+    length M (fixed_tables): the shifts (shift, down) that scale t W / R to
+    t zf / P, from the fraction bits fb the d_k keep, the growth
     1 + sum_k |s_k| of the higher orders, the forward differences of
     P_0 .. P_(p-1) from m = M + 1 (re, im per order; P_j of degree n - j),
     and those of R = |P_0|^2, to be shifted left by down."""
 
-    fb: int
     shift: int
     down: int
     growth: int
@@ -264,7 +263,7 @@ def fixed_tables(diffs, slopes, wp, M, p):
     shift = n * fb - wp
     down = max(-shift, 0)
     growth = 1 + sum(map(abs, slopes))
-    return FixedTables(fb, max(shift, 0), down, growth, p_tables, tuple(r_table))
+    return FixedTables(max(shift, 0), down, growth, p_tables, tuple(r_table))
 
 
 def sum_first_kind_fixed(head, zf, tables, wp, tol, floor, m_min, m_cap):

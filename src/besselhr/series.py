@@ -66,7 +66,7 @@ Its heads are stored by index and l all the same (_lanczos_head says why).
 Each entry is charged an upper bound on its bytes from how many numbers it
 holds and their precision (_charge; a first-kind table for the terms it
 holds, charged again when a sweep grows it; a head entry for the integers
-it holds, counted once it is built), and the store evicts the least
+it holds and their bits, _int_charge), and the store evicts the least
 recently used entries to hold at most _STORE_BYTES (4 MB) at every rank and
 precision; an entry charged more is not kept.
 """
@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,15 +153,6 @@ def _m_fresh(diffs) -> int:
 def _head_lengths(lam: tuple) -> tuple:
     """_m_fresh of the differences lam_k - lam_l of each series l = 1..n."""
     return tuple(_m_fresh([lk - lam_l for lk in lam]) for lam_l in lam)
-
-
-@lru_cache(maxsize=256)
-def _leads(lam: tuple) -> tuple:
-    """-n lam_l of each series l = 1..n in mpmath, the prefactor's exponent
-    over log z: exact (a double times n < 2^11 at 64 bits), so it serves
-    every precision."""
-    with mp.workprec(64):
-        return tuple(-len(lam) * mp.mpc(lam_l) for lam_l in lam)
 
 
 def _check_head(fresh: int, cap: int):
@@ -295,7 +285,7 @@ _STORE_BYTES = 4 << 20
 _NUMBER_BYTES = 576  # a stored mpmath complex less its mantissas (tracemalloc, CPython 3.11)
 _DOUBLE_BYTES = 64  # a stored Python complex, its tuple slot and a share of its row's tuple
 _DOUBLE_KEY = 8  # numbers' worth of a double entry's key and outer tuple
-_SLOT_BYTES = 128  # a store entry's charge and its OrderedDict node (tracemalloc: 117)
+_INT_BYTES = 96  # an int with its slot and share of its tuples (tracemalloc: 72 in a head row)
 
 
 def _charge(numbers: int, bits: int) -> int:
@@ -310,20 +300,23 @@ def _charge(numbers: int, bits: int) -> int:
     return (numbers + 1) * (_NUMBER_BYTES + bits // 3)
 
 
+def _int_charge(ints: int, bits: int) -> int:
+    """Bytes charged for ints Python integers of at most bits bits, held in
+    tuples: CPython stores an int in 4-byte digits of 30 bits, so at most
+    bits / 7.5 bytes beyond its header, and _INT_BYTES for the rest."""
+    return ints * (_INT_BYTES + bits // 7)
+
+
 class _Store(OrderedDict):
     """key -> (value, charge), least recently used first.  store(key, cost,
     build) returns the value under key, or on a miss build(), and keeps it
     charged cost bytes, the cost of its latest access, evicting from the
-    front; a value whose cost alone is over _STORE_BYTES is not kept.  A
-    callable cost is asked once, of the value it builds; a hit keeps the
-    charge it set."""
+    front; a value whose cost alone is over _STORE_BYTES is not kept."""
 
     held = 0
 
-    def __call__(self, key, cost, build):
+    def __call__(self, key, cost: int, build):
         value, charged = self.pop(key) if key in self else (build(), 0)
-        if callable(cost):
-            cost = charged or cost(value)
         self.held -= charged
         if cost <= _STORE_BYTES:
             self[key] = (value, cost)
@@ -437,13 +430,6 @@ class _Head(NamedTuple):
     tables: _backend.FixedTables
 
 
-def _held_bytes(value) -> int:
-    """sys.getsizeof of value and of every tuple and number it holds."""
-    if isinstance(value, tuple):
-        return sys.getsizeof(value) + sum(map(_held_bytes, value))
-    return sys.getsizeof(value)
-
-
 def _fixed_row(values, bits: int):
     """mpmath numbers (or 0), taken at the current precision, as (re, im)
     integers of one exponent e, the largest part with bits bits and each
@@ -468,9 +454,13 @@ def _head_mp(lam: tuple, l: int, wp: int, p: int = 1) -> _Head:
     coefficients in eps at d_k + eps (u_k - u_l): _jet.rgamma at the top,
     multiplied down by the linear jets, so a pole crossing multiplies by a
     jet whose leading coefficient is 0.  The loop's tables come from the
-    d_k as fixed-point pairs of wp fraction bits.  Charged, once built, the
-    bytes of its integers and tuples, of its key and of the store's pair
-    that holds them (_held_bytes), and _SLOT_BYTES."""
+    d_k as fixed-point pairs of wp fraction bits.  Charged a number for its
+    key (_charge) and each integer it holds (_int_charge): the rows'
+    (M + 1) p pairs and M + 1 exponents at wp + _HEAD_GUARD bits, and the
+    tables' 2 (n + 1) p integers of P_j and 2n + 1 of R at the bits they
+    can take: at m <= M + 1 + 2n, |P_j(m)| <= prod_k (|d_k| + |s_k| + m + 1)
+    2^(n fb) with |s_k| < 2n and fb <= wp, a forward difference of order i
+    is at most 2^i times the largest sample, and R = |P_0|^2."""
 
     def build():
         u = _jet.direction(len(lam))
@@ -487,8 +477,16 @@ def _head_mp(lam: tuple, l: int, wp: int, p: int = 1) -> _Head:
             fixed = [_to_fixed(d, wp) for d in diffs]
         return _Head(rows, exps, _backend.fixed_tables(fixed, slopes, wp, fresh, p))
 
-    key = ("head", lam, l, wp, p)
-    return _stored(key, lambda entry: _held_bytes((key, entry)) + _SLOT_BYTES, build)
+    n, M = len(lam), _head_lengths(lam)[l - 1]
+    reach = max(abs(lk - lam[l - 1]) for lk in lam) + 4 * n + M + 2
+    bits = n * (wp + math.ceil(reach).bit_length() + 1)  # of the P_j tables' integers
+    cost = (
+        _charge(0, wp)
+        + _int_charge((2 * p + 1) * (M + 1), wp + _HEAD_GUARD)
+        + _int_charge(2 * (n + 1) * p, bits)
+        + _int_charge(2 * n + 1, 2 * bits)
+    )
+    return _stored(("head", lam, l, wp, p), cost, build)
 
 
 def _coeffs_double(lam: tuple, kind):
@@ -615,7 +613,7 @@ def _first_kind_mp(rnd: _Round, l: int):
     with mp.workprec(wp):
         sums = [mp.mpc(mp.mpf((sr, e)), mp.mpf((si_, e))) for sr, si_ in sums]
         masses = [mp.mpf((a, e)) for a in masses]
-        lead = _leads(rnd.si.lam)[l - 1] * rnd.logz
+        lead = -n * mp.mpc(rnd.si.lam[l - 1]) * rnd.logz
         if p > 1:
             u = _jet.direction(n)
             pref = _jet.exp_linear(lead, -u[l - 1] * n * rnd.logz, p)

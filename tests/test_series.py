@@ -906,7 +906,8 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     # integers as one exact _abs_ub per stop test: over ranks 1-6, generic,
     # integer-gap and Cauchy indices, |zf| < 1, both _abs_ub branches,
     # stop tests that the bounds max and 2 max + 2 leave open, and each
-    # scaling of the differences' fraction bits fb (_scaling_case)
+    # scaling of the differences' fraction bits fb (_scaling_case); each
+    # head term within its stated rounding of c_m zf^m (_check_head_terms)
     seen = set()
     loop = _backend.sum_first_kind_fixed
     calls = []
@@ -925,8 +926,17 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
         owners[id(entry.tables)] = lam, l
         return entry
 
+    rounds = []
+    zeros = []
+
+    class Recorded(series._Round):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rounds.append(self)
+
     def both(head, zf, tables, wp, *rest):
         lam, l = owners[id(tables)]
+        zeros.append(_check_head_terms(head, lam, l, wp, rounds[-1].zf))
         with mp.workprec(wp):
             diffs = [series._to_fixed(mp.mpc(lk) - mp.mpc(lam[l - 1]), wp) for lk in lam]
         args = ([t for t, in head], zf, diffs, wp, *rest)
@@ -945,6 +955,7 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
     assert got[3] == 9
     monkeypatch.setattr(_backend, "sum_first_kind_fixed", both)
     monkeypatch.setattr(series, "_head_mp", recorded)
+    monkeypatch.setattr(series, "_Round", Recorded)
     for si, x, sign, dps, i, label in _round_cases():
         z = SurfacePoint.from_positive(x)
         n = si.rank
@@ -968,6 +979,7 @@ def test_bigfloat_round_matches_per_series_path(monkeypatch):
         for _ in range(2):  # the head rows built, then from the store
             assert _raw(series._j_generic_mp(z, sign, si, dps, kind)) == want
     assert len(calls) == 2 * sum(si.rank for si, *_ in _round_cases())
+    assert sum(zeros) > 0  # exact zeros before the integer gaps' pole crossings
     # at 24 and 40 bits every magnitude, the partial sums' too, is below 2^60;
     # the second difference strips one bit, or none with its odd part
     for wp in (24, 40):
@@ -1069,7 +1081,7 @@ def _set_up_ref(diffs, slopes, wp, M, p, zf):
     w = [(zr * pr + zi * pi, zi * pr - zr * pi) for (pr, pi), *_ in samples[: n + 1]]
     down = max(wp - n * fb, 0)
     return {
-        "fb": fb, "shift": max(n * fb - wp, 0), "down": down,
+        "shift": max(n * fb - wp, 0), "down": down,
         "w": (table([a for a, _ in w]), table([b for _, b in w])),
         "r": [c << down for c in table([pr * pr + pi * pi for (pr, pi), *_ in samples])],
         "p": [table([pc[j][part] for pc in samples[: n - j + 1]])
@@ -1125,7 +1137,7 @@ def test_stored_loop_tables_match_a_fresh_set_up(monkeypatch, lam, x, dps, p, wa
         ref = _set_up_ref(diffs, slopes, wp, len(head) - 1, p, zf)
         w = ([zf[0] * a + zf[1] * b for a, b in zip(*tables.p_tables[:2])],
              [zf[1] * a - zf[0] * b for a, b in zip(*tables.p_tables[:2])])
-        assert (tables.fb, tables.shift, tables.down) == (ref["fb"], ref["shift"], ref["down"])
+        assert (tables.shift, tables.down) == (ref["shift"], ref["down"])
         assert w == ref["w"] and [c << tables.down for c in tables.r_table] == ref["r"]
         assert list(map(list, tables.p_tables)) == ref["p"]
         fresh = _backend.fixed_tables(diffs, slopes, wp, len(head) - 1, p)
@@ -1141,35 +1153,41 @@ def test_stored_loop_tables_match_a_fresh_set_up(monkeypatch, lam, x, dps, p, wa
     assert len(calls) == si.rank and cases == want
 
 
-def _head_term_case(monkeypatch, lam, x, p, dps=30):
-    """For each series of one round: the integer head terms it passed to
-    the loop, wp, and c_m zf^m at 2 wp bits with c_m from head_coeffs at
-    wp bits (jets at p > 1) and zf the round's."""
-    si = SpectralIndex(lam)
-    z = SurfacePoint.from_positive(x)
-    calls = _loop_calls(monkeypatch)
-    with mp.workdps(dps):
-        rnd = series._Round(z, 1, si, mp.mpf(10) ** -dps, p)
-        for l in range(1, si.rank + 1):
-            series._first_kind_mp(rnd, l)
-    wp = rnd.wp
-    u = series._jet.direction(si.rank)
-    out = []
-    for l, (head, *_) in enumerate(calls, 1):
-        with mp.workprec(wp):
-            d = [mp.mpc(lk) - mp.mpc(si.lam[l - 1]) for lk in si.lam]
-            rgamma = mp.rgamma
-            if p > 1:
-                d = [series._jet.linear(dk, uk - u[l - 1], p) for dk, uk in zip(d, u)]
-                rgamma = series._jet.rgamma
-            coeffs = _backend.head_coeffs(d, len(head) - 1, lambda args: map(rgamma, args))
-        with mp.workprec(2 * wp):
-            refs = [[mp.mpc(c) * rnd.zf**m for c in (c.c if p > 1 else [c])]
-                    for m, c in enumerate(coeffs)]
-            tops = [max(max(abs(mp.re(c)), abs(mp.im(c))) for c in (c.c if p > 1 else [c]))
-                    * abs(rnd.zf) ** m for m, c in enumerate(coeffs)]
-        out.append((head, refs, tops))
-    return wp, abs(rnd.zf), out
+def _check_head_terms(head, lam, l, wp, zf, p=1):
+    """Assert that each part of each integer head term of the l-th series
+    of lam (rows of p (re, im) pairs, as the round passes them to the
+    loop) lies within 2^E + 2^(1-wp) |zf|^m max|c_m| of c_m zf^m formed in
+    mpmath at 2 wp bits (_first_kind_mp), with c_m from head_coeffs at wp
+    bits (jets at p > 1), zf the round's and E read off the last term, and
+    that a coefficient that is exactly 0 gives an exactly 0 term.  Returns
+    the number of such zeros."""
+    u = series._jet.direction(len(lam))
+    with mp.workprec(wp):
+        d = [mp.mpc(lk) - mp.mpc(lam[l - 1]) for lk in lam]
+        rgamma = mp.rgamma
+        if p > 1:
+            d = [series._jet.linear(dk, uk - u[l - 1], p) for dk, uk in zip(d, u)]
+            rgamma = series._jet.rgamma
+        coeffs = _backend.head_coeffs(d, len(head) - 1, lambda args: map(rgamma, args))
+    zeros = 0
+    with mp.workprec(2 * wp):
+        values = [c.c if p > 1 else [c] for c in coeffs]
+        refs = [[mp.mpc(v) * zf**m for v in row] for m, row in enumerate(values)]
+        last = max(abs(v) for pair in head[-1] for v in pair)
+        ref_last = max(max(abs(mp.re(c)), abs(mp.im(c))) for c in refs[-1])
+        e = int(mp.nint(mp.log(ref_last / last, 2)))
+        assert last.bit_length() == wp
+        for m, (row, ref, vs) in enumerate(zip(head, refs, values)):
+            top = max(max(abs(mp.re(v)), abs(mp.im(v))) for v in vs) * abs(zf) ** m
+            bound = mp.ldexp(1, e) + mp.ldexp(top, 1 - wp)
+            for (re_, im_), c in zip(row, ref):
+                if c == 0:
+                    assert (re_, im_) == (0, 0)
+                    zeros += 1
+                    continue
+                assert abs(mp.ldexp(re_, e) - mp.re(c)) <= bound
+                assert abs(mp.ldexp(im_, e) - mp.im(c)) <= bound
+    return zeros
 
 
 @pytest.mark.parametrize(
@@ -1183,30 +1201,21 @@ def _head_term_case(monkeypatch, lam, x, p, dps=30):
     ],
 )
 def test_integer_head_terms_within_their_rounding(monkeypatch, lam, x, p):
-    # each part of each head term lies within 2^E + 2^(1-wp) |zf|^m max|c_m|
-    # of c_m zf^m at 2 wp bits (_first_kind_mp), with E read off the last
-    # term; a coefficient that is exactly 0 gives an exactly 0 term
+    # each series' head terms within their stated rounding of c_m zf^m
+    # (_check_head_terms), exact zeros where a pole crossing makes them
     _empty_store(monkeypatch)
-    wp, zf_abs, series_terms = _head_term_case(monkeypatch, lam, x, p)
-    zeros = 0
-    with mp.workprec(2 * wp):
-        for head, refs, tops in series_terms:
-            last = max(abs(v) for pair in head[-1] for v in pair)
-            ref_last = max(max(abs(mp.re(c)), abs(mp.im(c))) for c in refs[-1])
-            e = int(mp.nint(mp.log(ref_last / last, 2)))
-            assert last.bit_length() == wp
-            for row, ref, top in zip(head, refs, tops):
-                for (re_, im_), c in zip(row, ref):
-                    if c == 0:
-                        assert (re_, im_) == (0, 0)
-                        zeros += 1
-                        continue
-                    bound = mp.ldexp(1, e) + mp.ldexp(top, 1 - wp)
-                    assert abs(mp.ldexp(re_, e) - mp.re(c)) <= bound
-                    assert abs(mp.ldexp(im_, e) - mp.im(c)) <= bound
+    si = SpectralIndex(lam)
+    z = SurfacePoint.from_positive(x)
+    calls = _loop_calls(monkeypatch)
+    with mp.workdps(30):
+        rnd = series._Round(z, 1, si, mp.mpf(10) ** -30, p)
+        for l in range(1, si.rank + 1):
+            series._first_kind_mp(rnd, l)
+    zeros = sum(_check_head_terms(head, si.lam, l, rnd.wp, rnd.zf, p)
+                for l, (head, *_) in enumerate(calls, 1))
     assert (zeros > 0) == (lam[0] - lam[1] in (5.0, 1.0))
     if x < 1e-6:
-        assert zf_abs < mp.mpf(2) ** -40
+        assert abs(rnd.zf) < mp.mpf(2) ** -40
 
 
 @pytest.mark.parametrize("lam, signs, x", [((0.3, -0.1, -0.2), "++-", 20.0),
@@ -1723,10 +1732,8 @@ def test_store_holds_no_more_than_its_budget(monkeypatch):
     call = series._Store.__call__
 
     def watched(self, key, cost, build):
-        hit = key in self
+        charged.append(0 if key in self else cost)
         value = call(self, key, cost, build)
-        if not hit:  # a head entry's cost is asked of the value it builds
-            charged.append(cost(value) if callable(cost) else cost)
         held.append(self.held)
         assert self.held == sum(c for _, c in self.values())
         return value
@@ -1788,8 +1795,7 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
             table_lengths.add((len(key[1]), len(made.coeffs[0])))
         key_copy = pickle.loads(pickle.dumps(key))
         gc.collect()
-        size = tracemalloc.get_traced_memory()[0] - before
-        sizes.append((key[0], cost(value) if callable(cost) else cost, size))
+        sizes.append((key[0], cost, tracemalloc.get_traced_memory()[0] - before))
         del key_copy, made
         return value
 
