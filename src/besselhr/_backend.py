@@ -16,7 +16,7 @@ head, the coefficients c_m = prod_k 1/Gamma(d_k + m + 1) of the first terms
 (head_coeffs: one product of n reciprocal gammas at the top of the head,
 multiplied down by prod_k (d_k + m + 1), so a pole crossing gives an exact 0),
 every head from mp.rgamma: rounded once to doubles for the double pass
-(series_sum, series._lanczos_head), at 50 digits for the kernel grid's
+(series_sum, series._double_head), at 50 digits for the kernel grid's
 coefficient table, and at the working precision for the big-float rounds.
 The rounds sum all but the head terms in one fixed-point integer loop
 (sum_first_kind_fixed: one complex multiply and one division per term and

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _backend
+from . import _backend, _jet
 from . import mellinbarnes as mb
 from .asympt import (
     M_CAP,
@@ -64,9 +64,8 @@ from .core import (
     ToleranceNotMetError,
     check_tolerance,
     e2pi,
-    genericity_gap,
 )
-from .series import EPS_GEN, kernel_series, kernel_series_grid, root_factors, top_products
+from .series import kernel_series, kernel_series_grid, root_factors, top_products
 
 CANCEL_SWITCH = 1e6
 _BAND_TOP = 12.0  # below max(validity_floor, _BAND_TOP) a swept value must certify itself
@@ -529,11 +528,12 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     within a factor 2 of CANCEL_SWITCH (the pair grid's sums are not
     bessel_kernel's, so bessel_kernel decides the Mellin-Barnes switch
     there), the kept asymptotic nodes that do not stand, and the
-    series-route nodes of a non-generic index, which the pair grid cannot
-    sum.  Each node's value depends only on (u_i, sgn, ki, tol), whatever
-    block or pass it falls in.  Returns, for sgn = +1 and then -1, the
-    values, the errors, the route of each node (the method names of
-    EvalResult) and the mask of the nodes the array passes served.
+    series-route nodes of a non-generic index (two components that differ
+    by an integer), which the pair grid cannot sum.  Each node's value
+    depends only on (u_i, sgn, ki, tol), whatever block or pass it falls
+    in.  Returns, for sgn = +1 and then -1, the values, the errors, the
+    route of each node (the method names of EvalResult) and the mask of the
+    nodes the array passes served.
     ValueError names the first node below _LOG_TINY, where e^u leaves the
     normal double range, before any pass (hankel_transform's bound).
     """
@@ -564,7 +564,7 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
             idx = lo + tried[stands]
             values[side, idx], errors[side, idx] = v[stands], e[stands]
             routes[side, idx], swept[side, idx] = "asymptotic", True
-    generic = genericity_gap(si) >= EPS_GEN  # kernel_series_grid raises otherwise
+    generic = _jet.cluster_order(si.lam) == 1  # kernel_series_grid raises otherwise
     grid = np.flatnonzero(rest.any(axis=0) & generic)
     step = _SERIES_ROWS // n
     for lo in range(0, len(grid), step):

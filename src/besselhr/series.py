@@ -25,14 +25,12 @@ root-row and kernel coefficients are Laurent jets in eps (the formulas take
 _jet.context beside _DOUBLE and mpmath), each J_l a Taylor jet (_head_mp,
 the integer loop of every round, and the prefactor z^(-n(lam_l + eps u_l)),
 which brings in the powers of log z), and the value and the grouped sums
-are the eps^0 coefficients.  An index within EPS_GEN of a non-generic
-one skips the double pass too, its rounds run at the index itself.  The
-first big-float round takes the digits its noise test needs at an estimate
-of |value|: for a sign-vector function above the asymptotic floor and inside
-the sector of xi(sig), the modulus of the leading asymptotic term
-(_leading_log10) plus _ESTIMATE_GUARD digits; otherwise eps times the double
-pass's term mass (or the e^{n|z|} ridge where the double pass overflows
-or is skipped).
+are the eps^0 coefficients.  The first big-float round takes the digits its
+noise test needs at an estimate of |value|: for a sign-vector function above
+the asymptotic floor and inside the sector of xi(sig), the modulus of the
+leading asymptotic term (_leading_log10) plus _ESTIMATE_GUARD digits;
+otherwise eps times the double pass's term mass (or the e^{n|z|} ridge where
+the double pass overflows or is skipped).
 A round that fails escalates, up to a ceiling of digits; an estimate below
 what the ceiling resolves raises before any round.
 
@@ -40,7 +38,7 @@ The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
 the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
 where the integer pole crossings lie), from one product of n reciprocal
 gammas (_backend.head_coeffs), every one by mp.rgamma: rounded once to
-doubles for first_kind (_lanczos_head), at the working precision for the
+doubles for first_kind (_double_head), at the working precision for the
 big-float rounds (kept as integers, _head_mp; _first_kind_mp forms the
 head terms in integers and sums the rest in one integer loop for every jet
 order), and at zf = 1 at 50 digits for kernel_series_grid's table
@@ -59,10 +57,10 @@ bits and jet order), the grid's first-kind tables and coefficient pairs, the
 index-shift matrix of derivatives, and the asymptotic
 B_m tables of asympt (by index and root).  A key holds nothing of z, of a
 family value or of the tolerance, so every result is the same bit for bit
-with or without the store.  The double pass builds a sign vector's
-connection coefficients afresh (they cost little there, and keys of doubles
-would not tell 0.0 from -0.0) and rounds a kernel's from the grid's entry.
-Its heads are stored by index and l all the same (_lanczos_head says why).
+with or without the store.  The double pass rounds its coefficients once
+from 50-digit entries (a sign vector's from _coeffs_mp, a kernel's from the
+grid's) and keeps its heads by index and l (_double_head): a key of doubles
+does not tell 0.0 from -0.0, but mpmath, which builds every entry, has one.
 Each entry is charged an upper bound on its bytes from how many numbers it
 holds and their precision (_charge; a first-kind table for the terms it
 holds, charged again when a sweep grows it; a head entry for the integers
@@ -97,13 +95,11 @@ from .core import (
     ToleranceNotMetError,
     check_tolerance,
     e2pi,
-    genericity_gap,
     lambda_of_nu,
     nu_of_lambda,
 )
 from .coeffs import bessel_eq_coeffs, build_uv_tables, elementary_symmetric
 
-EPS_GEN = 1e-4  # below this gap the big-float rounds run without the double pass
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # exact i^n
 # the big-float rounds stop at the digits that resolve a value this small
 _DPS_CEILING_SIZE = 1e-300
@@ -170,12 +166,12 @@ def first_kind(
 ) -> SeriesEval:
     """First-kind solution J_l (l is 1-based) by the ascending series;
     OverflowEvalError where its terms overflow double range or its head is
-    longer than any round sums (_lanczos_head).
+    longer than any round sums (_double_head).
 
     tail_bound is |z^(-n lam_l)| (g + 8 eps sum_m |t_m|) + eps (|n lam_l
     log z| + 2) |value|: g bounds the terms left out as a geometric series
     (sum_m |t_m| where the term ratio is not below 3/4); 8 eps of term mass
-    covers the one rounding of each head coefficient (_lanczos_head), the
+    covers the one rounding of each head coefficient (_double_head), the
     powers of zf, the term ratios and the sum; the last term covers the
     prefactor exp(-n lam_l log z) in double.  tools/tail_scan.py checks it."""
     z = _as_point(z)
@@ -196,7 +192,7 @@ def first_kind(
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
             total, abs_total, terms, q, t_abs = _backend.series_sum(
-                zf, diffs, tol, m_min, m_cap, _lanczos_head(si.lam, l, diffs)
+                zf, diffs, tol, m_min, m_cap, _double_head(si.lam, l, diffs)
             )
     except OverflowError:  # the modulus of a term with finite parts
         total, abs_total, terms, q, t_abs = math.inf, math.inf, 0, 1.0, 0.0
@@ -217,11 +213,9 @@ def first_kind(
     return SeriesEval(value, int(terms), float(tail))
 
 
-# double stand-ins for the mpmath functions of the connection coefficients:
-# one formula serves the double pass and the big-float rounds (mpmath itself)
-_DOUBLE = SimpleNamespace(
-    pi=math.pi, expjpi=lambda x: e2pi(0.5 * x), sinpi=lambda x: complex(_backend.sinpi(complex(x)))
-)
+# the double stand-in for mpmath's expjpi in root_factors: one formula
+# serves the asymptotic and kernel weights and the big-float rounds
+_DOUBLE = SimpleNamespace(expjpi=lambda x: e2pi(0.5 * x))
 
 
 def _sines(ctx, lam):
@@ -400,7 +394,7 @@ def _kernel_coeffs(lam: tuple, deltas: tuple, parity: int, dps: int, rows):
         return coeffs, tuple(max(abs(c), m / 1000) for c, m in zip(coeffs, mass))
 
 
-def _lanczos_head(lam: tuple, l: int, diffs):
+def _double_head(lam: tuple, l: int, diffs):
     """The head of the l-th series for the double pass: prod_k 1/Gamma(d_k +
     m + 1) for m <= M = _m_fresh(diffs), d_k = lam_k - lam_l formed from lam
     (_backend.head_coeffs over mp.rgamma) at 64 bits plus the bit length of
@@ -417,7 +411,7 @@ def _lanczos_head(lam: tuple, l: int, diffs):
             d = [mp.mpc(lk) - mp.mpc(lam[l - 1]) for lk in lam]
             return tuple(map(complex, _backend.head_coeffs(d, fresh, lambda a: map(mp.rgamma, a))))
 
-    return _stored(("lanczos", lam, l), _charge(fresh + 1, 53), build)
+    return _stored(("double", lam, l), _charge(fresh + 1, 53), build)
 
 
 class _Head(NamedTuple):
@@ -490,10 +484,14 @@ def _head_mp(lam: tuple, l: int, wp: int, p: int = 1) -> _Head:
 
 
 def _coeffs_double(lam: tuple, kind):
-    """The c_l of kind, bounds on their moduli and a kernel's rows in double:
-    E E_l S_l afresh, or _kernel_grid_coeffs rounded once, |K_l| as bound."""
+    """The c_l of kind, bounds on their moduli and a kernel's rows in double,
+    rounded once from 50 digits (_coeffs_mp, _kernel_grid_coeffs: E E_l S_l
+    or K_l); OverflowEvalError where a c_l leaves the normal double range."""
     if kind[0] == "signvec":
-        return (*_connection_coeffs(_DOUBLE, lam, _sines(_DOUBLE, lam), kind[1]), ())
+        cs = [complex(c) for c in _coeffs_mp(lam, kind, _GRID_DPS)[0]]
+        if not all(np.finfo(float).tiny <= abs(c) < math.inf for c in cs):
+            raise OverflowEvalError("a connection coefficient leaves the normal double range")
+        return cs, [abs(c) for c in cs], ()
     kern, rows, kern_abs, _ = _kernel_grid_coeffs(lam, kind[1], kind[2])
     kern, *rows = ([complex(re[0], im[0]) for re, im in row] for row in (kern, *rows))
     return kern, kern_abs, rows
@@ -711,21 +709,21 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     the grouped sums G_k = sum_l R^(k)_l J_l of _root_rows at its parity,
     rebuilt from the family values of the accepted pass; () otherwise.
 
-    A generic index (genericity gap at least EPS_GEN) starts with the
-    double pass.  Below EPS_GEN the big-float rounds run alone, sized as
-    where the double pass overflows: in the band 0 < gap < EPS_GEN at the
-    index itself, whose differences are exact in mpmath while the double
-    pass's 8 eps noise model does not cover their rounding, and the term
-    mass carries the 1/gap growth of the coefficients; at gap 0 the limit,
-    on jets in one pass per round (_j_generic_mp), its value and the G_k
-    the eps^0 coefficients.  There a kernel can vanish identically: a round
+    A generic index (components differing by no integer, _jet.cluster_order
+    1) starts with the double pass, on coefficients rounded from 50-digit
+    entries (_coeffs_double), also near a non-generic index, where the term
+    mass carries their growth.  Past n|z| = 690 the big-float rounds run
+    alone, sized as where the double pass overflows, and so they do at a
+    non-generic index, taking the limit on jets in one pass per round
+    (_j_generic_mp), its value and the G_k the eps^0 coefficients.  There a
+    kernel can vanish identically: a round
     whose value lies inside its noise while that noise is at most tol times
     the cancellation reference (_peak) ends the rounds, with the noise as
     the error, at least |value|, so no digit is claimed.
     """
     sign, parity = (kind[1].product_sign, None) if kind[0] == "signvec" else (kind[2], kind[2])
-    alone = si.rank * z.modulus > 690.0 or genericity_gap(si) < EPS_GEN
     limit = _jet.cluster_order(si.lam) > 1
+    alone = si.rank * z.modulus > 690.0 or limit
     eps = np.finfo(float).eps
 
     def digits(logmass, log_size, guard=19):
@@ -734,8 +732,8 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         return 5 + guard + int(logmass - log_size) - int(math.log10(tol))
 
     if not alone:
-        cs, mags, rows = _coeffs_double(si.lam, kind)
         try:
+            cs, mags, rows = _coeffs_double(si.lam, kind)
             est, mass, family = _j_generic_double(z, sign, si, tol, cs, mags)
         except OverflowEvalError:  # at large |lambda| the terms overflow below n|z| = 690 too
             alone = True
@@ -1024,8 +1022,8 @@ def _sum_degrees(table: _FirstKindTable, zabs):
 
 def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     """The signed kernel sum_l K_l J_l(z; parity) at the points z of the
-    array inner, for one generic index and both parities, in double-double
-    arithmetic.
+    array inner, for one generic index (components that differ by no
+    integer) and both parities, in double-double arithmetic.
 
     kernel_series at one point, as one array pass: each J_l is z^{-n lam_l}
     times a power series in zf = parity i^n z^n whose coefficients c_m^(l)
@@ -1068,7 +1066,7 @@ def kernel_series_grid(inner, si: SpectralIndex, deltas, tol: float = 1e-9):
     m + 1 for m >= 1; for m = 0 they are 2, within the 16 (m + 1) of W_l
     since that term takes no product.
     """
-    if genericity_gap(si) < EPS_GEN:
+    if _jet.cluster_order(si.lam) > 1:
         raise ValueError("the grid sweep needs a generic index")
     n = si.rank
     deltas = tuple(int(d) % 2 for d in deltas)

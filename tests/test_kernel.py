@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -206,6 +207,11 @@ def test_kernel_series_nongeneric_cancellation(lam, deltas):
         assert r.cancellation == pytest.approx(peak / abs(r.value), rel=1e-7), x
 
 
+# the connection formulas' functions in double (series computes them in
+# mpmath and rounds): the rows' identity holds in either arithmetic
+_DOUBLE = SimpleNamespace(pi=math.pi, expjpi=series._DOUBLE.expjpi, sinpi=core.sinpi)
+
+
 def _check_root_rows(ctx, lam, rel):
     """Each sign vector's E E_l S_l against prod_S e(lam_l / 2) times the
     row of its number k of minus signs, and top_products against the
@@ -236,7 +242,7 @@ def test_root_rows_reproduce_connection_coeffs(n):
     re, im = rng.uniform(-0.4, 0.4, n), rng.uniform(-0.3, 0.3, n)
     for values in (re, re + 1j * im):
         lam = SpectralIndex(list(values)).lam
-        _check_root_rows(series._DOUBLE, lam, 1e-13)
+        _check_root_rows(_DOUBLE, lam, 1e-13)
         if n <= 6:
             with mp.workdps(50):
                 lam_mp = [mp.mpc(v) for v in lam]
@@ -837,6 +843,29 @@ def test_kernel_sweep_nongeneric_asymptotic_nodes_bits():
         for i, ui in enumerate(u):
             r = bessel_kernel(sgn * math.exp(ui), ki, "auto", 1e-9)
             assert (routes[i], values[i], errors[i]) == (r.method, r.value, r.error), (sgn, ui)
+
+
+def test_kernel_sweep_serves_a_band_index_in_the_pair_grid():
+    # an index 1e-6 from the non-generic (1/2, -1/2) is generic: the pair
+    # grid serves every series node, within the summed errors of
+    # bessel_kernel's series route
+    ki = KernelIndex(SpectralIndex([0.5, -0.5 + 1e-6]), (1, 0))
+    u = np.linspace(-3.0, 4.0, 15)
+    for sgn, (values, errors, routes, swept) in zip((1, -1), kernel_sweep(u, ki, 1e-9)):
+        assert swept.all() and routes.count("series") >= 5
+        for i in np.flatnonzero(np.array(routes) == "series"):
+            r = bessel_kernel(sgn * math.exp(u[i]), ki, "series", 1e-9)
+            assert abs(values[i] - r.value) <= errors[i] + r.error, (sgn, u[i])
+
+
+def test_kernel_series_grid_refuses_only_integer_differences():
+    # 1e-9 from lam = (1, -1) the grid certifies its points; at (1, -1)
+    # itself it refuses
+    v, e, peak, ok = series.kernel_series_grid(
+        np.array([1.0, 3.0]), SpectralIndex([1.0, -1.0 + 1e-9]), (0, 0))
+    assert ok.all()
+    with pytest.raises(ValueError, match="needs a generic index"):
+        series.kernel_series_grid(np.array([1.0]), SpectralIndex([1.0, -1.0]), (0, 0))
 
 
 def test_kernel_sweep_serves_asymptotic_nodes_below_the_switch():

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -253,13 +254,14 @@ def test_j_function_limit_rank3_against_mb(lam):
 
 
 def test_j_function_near_generic_band_against_cauchy_mean():
-    # lambda_1 - lambda_2 = 2 + 5e-7, inside EPS_GEN of an integer: the
-    # rounds run at the index itself.  Against the mean over 8 generic
-    # points on a circle of radius 1e-3 around it, which reproduces the
-    # value of the analytic function to O(1e-24)
+    # lambda_1 - lambda_2 = 2 + 5e-7, within 1e-4 of an integer but
+    # generic: the double pass runs on coefficients rounded from their
+    # 50-digit entry.  Against the mean over 8 generic points on a circle of
+    # radius 1e-3 around it, which reproduces the value of the analytic
+    # function to O(1e-24)
     lam = (1 + 2.5e-7, -1 - 2.5e-7)
     si = SpectralIndex(lam)
-    assert 0 < core.genericity_gap(si) < series.EPS_GEN
+    assert series._jet.cluster_order(si.lam) == 1 and 0 < core.genericity_gap(si) < 1e-4
     for s in ("++", "+-"):
         r = j_function(2.0, SignVector(s), si, 1e-10)
         vals, errs = [], []
@@ -271,6 +273,66 @@ def test_j_function_near_generic_band_against_cauchy_mean():
         mean = sum(vals) / 8
         assert abs(r.value - mean) <= r.tail_bound + max(errs) + 1e-15 * abs(mean), s
         assert r.tail_bound <= 1e-10 * abs(r.value)
+
+
+# indices near a non-generic one, gaps 3e-5 (real), 1e-7 (imaginary) and
+# 1e-12 (real), with two sign vectors each
+_BAND_CASES = [
+    ((1.0 + 3e-5, 0.0), ("+-", "++")),
+    ((-1.7452 - 0.2303j, -2.6274 + 0.1152j, 4.3726 + 0.1152001j), ("--+", "+-+")),
+    ((0.65, 0.2, -0.4, -1.4 - 1e-12), ("+-+-", "++--")),
+]
+
+
+def test_j_function_band_within_errors_of_a_tight_evaluation(monkeypatch):
+    # an index near a non-generic one is generic: the double pass runs on
+    # coefficients rounded from their 50-digit entry, and the big-float
+    # rounds at the index itself where it does not certify.  Each value lies
+    # within the summed errors of a tol-1e-14 evaluation, and some certify
+    # in the double pass
+    rounds = _record_rounds(monkeypatch)
+    in_double = 0
+    for lam, signs in _BAND_CASES:
+        si = SpectralIndex(lam)
+        assert series._jet.cluster_order(si.lam) == 1 and 0 < core.genericity_gap(si) < 1e-4
+        for sv in map(SignVector, signs):
+            for x in (0.3, 1.0, 3.0):
+                ref = j_function(x, sv, si, 1e-14)
+                for tol in (1e-10, 1e-6):
+                    rounds.clear()
+                    r = j_function(x, sv, si, tol)
+                    assert abs(r.value - ref.value) <= r.tail_bound + ref.tail_bound, (lam, x)
+                    assert r.tail_bound <= tol * abs(r.value)
+                    in_double += not rounds
+    assert in_double > 0
+
+
+def test_j_function_coefficients_below_double_range_against_mb():
+    # at lam = (250i, -250i) the connection coefficients lie below the
+    # normal double range (5e-341 at +-), where rounding them to doubles
+    # would drop their terms: the big-float rounds take the value alone
+    si = SpectralIndex([250j, -250j])
+    for sv, x in product(map(SignVector, ("+-", "++")), (0.5, 3.0)):
+        r = j_function(x, sv, si, 1e-10)
+        want, err = mb_eval_est(x, sv, si, 1e-10)
+        assert abs(r.value - want) <= r.tail_bound + err, (sv, x)
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_j_function_signed_zero_component_same_bits(monkeypatch, zeros):
+    # -0.0 == 0.0, so the store keys an index with a -0.0 component as the
+    # one with +0.0; every entry comes from mpmath, which has one zero, so
+    # the bits do not depend on which of the two was evaluated first
+    monkeypatch.setattr(series, "_stored", series._Store())
+    for index in (lambda zero: (0.3j, -0.3j, zero),
+                  lambda zero: (0.4, complex(zero, 0.2), -0.4 - 0.2j)):
+        bits = []
+        for zero in zeros:
+            si = SpectralIndex(index(zero))
+            for sv, x in product(map(SignVector, ("++-", "+-+")), (0.5, 2.0)):
+                r = j_function(x, sv, si, 1e-10)
+                bits.append((r.value.real.hex(), r.value.imag.hex(), float(r.tail_bound).hex()))
+        assert bits[:4] == bits[4:], index(0.0)
 
 
 @pytest.mark.parametrize("lam, x", [((0.0, 0.0), -3.0), ((1.0, -1.0), -2.0)])
@@ -1257,7 +1319,7 @@ def test_double_head_rows_ignore_the_sign_of_zero(monkeypatch):
         store = _empty_store(monkeypatch)
         for name in order + order:  # cold, then warm
             assert bits(minus if name == "minus" else plus) == fresh[name]
-        assert store.hits["lanczos"] > 0
+        assert store.hits["double"] > 0
 
 
 def _bits(rows):
@@ -1287,7 +1349,7 @@ def test_double_head_rows_are_one_point_reciprocal_gammas(monkeypatch):
         si = SpectralIndex(lam)
         for l in range(1, si.rank + 1):
             diffs = np.array([lk - si.lam[l - 1] for lk in si.lam], dtype=np.complex128)
-            head = _built_afresh(monkeypatch, series._lanczos_head, si.lam, l, diffs)
+            head = _built_afresh(monkeypatch, series._double_head, si.lam, l, diffs)
             heads[lam, l] = head
             top = len(head) - 1
             assert top == series._m_fresh(diffs)
@@ -1416,7 +1478,7 @@ def test_head_coeffs_vanish_before_an_integer_crossing(monkeypatch):
     for p in (1, 10):
         si = SpectralIndex([p / 2, -p / 2])
         diffs = np.array([lk - si.lam[0] for lk in si.lam], dtype=np.complex128)
-        double = _built_afresh(monkeypatch, series._lanczos_head, si.lam, 1, diffs)
+        double = _built_afresh(monkeypatch, series._double_head, si.lam, 1, diffs)
         entry = _built_afresh(monkeypatch, series._head_mp, si.lam, 1, 200)
         with mp.workprec(300):
             big = [_row_values(row, e)[0] for row, e in zip(entry.rows, entry.exps)]
@@ -1535,7 +1597,7 @@ def test_cached_rank3_kernel_repeats_bit_for_bit(monkeypatch):
     ki = KernelIndex(SpectralIndex([0.3, -0.1, -0.2]), (0, 1, 0))
     runs = _cold_warm_fresh(monkeypatch, lambda: bessel_kernel(2.0, ki, "series", 1e-9))
     assert runs[0].method == "series" and rounds == [43] * 3
-    assert min(runs[3][k] for k in ("coeffs", "roots", "head", "lanczos")) > 0
+    assert min(runs[3][k] for k in ("coeffs", "roots", "head", "double")) > 0
     assert len({(r.value, r.error, r.cancellation) for r in runs[:3]}) == 1
 
 
@@ -1809,7 +1871,7 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
     finally:
         tracemalloc.stop()
         gc.unfreeze()
-    kinds = {"coeffs", "roots", "head", "lanczos", "table", "grid", "u", "b"}
+    kinds = {"coeffs", "roots", "head", "double", "table", "grid", "u", "b"}
     assert {kind for kind, _, _ in sizes} == kinds
     assert [s for s in sizes if s[2] > s[1]] == []
     assert min(size for _, _, size in sizes) > 0

@@ -27,8 +27,9 @@ by default).  It prints, per workload:
   made again with m_cap = 0 (the last argument), which sums the first head
   term only, best of 5 passes over them
 - the builds and milliseconds of the double pass's heads in each round:
-  the calls of series._lanczos_head that miss the store, timed by wrapping
-  the module attribute first_kind calls
+  the calls of series._double_head (_lanczos_head in checkouts before its
+  rename) that miss the store, timed by wrapping the module attribute
+  first_kind calls
 - the store's entries and held bytes (the charges of series._stored) by
   kind of constant, after the cold round, and after the last warm round
   where they differ
@@ -118,13 +119,13 @@ def _set_up_us(captured, passes=5):
     return 1e6 * best / max(len(captured), 1)
 
 
-def _timed_head(fn, heads):
-    """fn, adding each call whose entry is not in the store yet to heads,
-    [builds, seconds]."""
+def _timed_head(fn, heads, kind):
+    """fn, adding each call whose entry (a store key of kind kind) is not
+    in the store yet to heads, [builds, seconds]."""
     from besselhr import series
 
     def wrapped(lam, l, diffs):
-        if ("lanczos", lam, l) in series._stored:
+        if (kind, lam, l) in series._stored:
             return fn(lam, l, diffs)
         t0 = time.perf_counter()
         out = fn(lam, l, diffs)
@@ -159,7 +160,9 @@ def one_workload(root: Path, name: str, warm: int) -> None:
     bigfloat = [0, 0.0]  # big-float rounds: calls, seconds
     series._j_generic_mp = _timed_rounds(series._j_generic_mp, bigfloat)
     heads = [0, 0.0]  # double heads built: count, seconds
-    series._lanczos_head = _timed_head(series._lanczos_head, heads)
+    attr, kind = ("_double_head", "double") if hasattr(series, "_double_head") else (
+        "_lanczos_head", "lanczos")
+    setattr(series, attr, _timed_head(getattr(series, attr), heads, kind))
     make_items, _ = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as workdir:
         items = make_items(Path(workdir))

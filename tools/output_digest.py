@@ -12,7 +12,10 @@ under perfbench/ is changed), series.j_function at the sign vectors and
 points of SIGNVEC_CASES, series.first_kind at FIRST_KIND_CASES and
 seeded draws, kernel.kernel_sweep on the fixed node sets
 of SWEEP_CASES, one big-float round (series._j_generic_mp) at each of
-BIGFLOAT_CASES, and the README's eval, coeffs, kernel, transform
+BIGFLOAT_CASES, series.j_function at the indices near a non-generic one
+of BAND_CASES and the transform of BAND_TRANSFORM there (its values, and
+how many kernel nodes kernel_sweep's array passes served and left to
+bessel_kernel), and the README's eval, coeffs, kernel, transform
 --fe-report and oracle compare commands through cli.main.  Each output
 becomes one line: the item, node or command, the route, the value and
 error as float.hex (exact; a big-float round's line adds its term mass
@@ -33,7 +36,7 @@ with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
 benchmark's signvec-routes and kernel-grid items, then signvec, first_kind,
-sweep, bigfloat, hankel-fe and readme by the first part of their labels)
+sweep, bigfloat, band, hankel-fe and readme by the first part of their labels)
 and per route (series, mb or asympt: the line's route, the kernel's method
 or a table's column prefix; "-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
@@ -128,6 +131,18 @@ SIGNVEC_CASES = {
     "triple": ((1.0, 0.0, -1.0), ("+++", "++-", "+--", "-+-"), (0.5, 2.0, 8.0)),
     "zero3": ((0.0, 0.0, 0.0), ("+++", "++-"), (0.5, 2.0, 8.0)),
 }
+
+# sign-vector functions by the series route at indices near a non-generic
+# one, of gaps 1e-5, 1e-8 and 1e-11 (real and imaginary): (lam, sign
+# vectors, x)
+BAND_CASES = {
+    "r2-gap1e-5": ((1.0 + 1e-5, 0.0), ("+-", "++"), (0.3, 1.0, 3.0)),
+    "r3-gap1e-8": ((0.7, -0.3 + 1e-8, -0.4), ("++-", "+-+"), (0.3, 1.0, 3.0)),
+    "r4-gap1e-11": ((0.65, 0.2, -0.4, -1.4 + 1e-11j), ("+-+-", "++--"), (0.3, 1.0, 3.0)),
+}
+# a transform at such an index: lam, deltas, the grid x and tol, with the
+# unit-mass gaussian-log weight
+BAND_TRANSFORM = ((0.5, -0.5 + 1e-6), (1, 0), (0.5, 1.0, 2.0), 1e-6)
 
 # first_kind by the double pass, value and tail, at x = 1 and sign +1 where
 # lam = (5, -5) once lay farther from a 40-digit sum than its tail and where
@@ -241,6 +256,34 @@ def main(argv) -> int:
             return complex(value), float(10 * rel * mass), float(mass), terms
 
         run(f"bigfloat/{name}/x={x:.4g}", "series", by_round)
+
+    for name, (lam, signs, xs) in BAND_CASES.items():
+        si = SpectralIndex(lam)
+        for sv in map(SignVector.from_string, signs):
+            for x in xs:
+                def by_series(x=x, sv=sv, si=si):
+                    r = series.j_function(x, sv, si, workloads.SERIES_TOL)
+                    return r.value, r.tail_bound
+
+                run(f"band/{name}/{sv}/x={x:.4g}", "series", by_series)
+
+    lam, deltas, xs, tol = BAND_TRANSFORM
+    sweep, nodes = kernel.kernel_sweep, [0, 0]  # left to bessel_kernel, all
+
+    def recorded_sweep(u, ki, tol):
+        out = sweep(u, ki, tol)
+        for *_, mask in out:
+            nodes[0] += int((~mask).sum())
+            nodes[1] += mask.size
+        return out
+
+    kernel.kernel_sweep = recorded_sweep
+    result = kernel.hankel_transform(
+        kernel.WeightFunction.unit_mass(), kernel.KernelIndex(SpectralIndex(lam), deltas), xs, tol)
+    kernel.kernel_sweep = sweep
+    for x, v, e in zip(result.x, result.values, result.errors):
+        print(f"band/transform/x={x:.4g} transform {_hex(complex(v))} {_hex(e)}")
+    print(f"band/transform/nodes - left to bessel_kernel {nodes[0]} of {nodes[1]}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -12,13 +12,18 @@ Re lambda in [-5, 5], Im lambda in [-1, 1] and x in [0.2, 3]:
   the 40-digit sum of the series (one reciprocal gamma per factor, the
   differences formed in mpmath), times x^(-n lambda_l)
 - j_function's double pass (series._j_generic_double at tol 1e-10):
-  default_rng(11), an index of genericity gap >= 1e-3 and a random sign
-  vector; the reference is series._j_generic_mp at 60 digits
+  default_rng(11), an index on which the double pass runs (no two
+  components differ by an integer: _jet.cluster_order 1) and a random sign
+  vector; the reference is series._j_generic_mp at 60 digits.  Half the
+  draws (by the same generator) lie in the band near a non-generic index:
+  one component moved to an integer offset of another plus 10^-k, k
+  uniform in [4, 12], real or imaginary
 
 For each it prints how many draws lie farther from the reference than
 their reported error (tail_bound), and the largest ratio of distance to
-error with its draw.  <checkout>/src is imported (default: the checkout
-holding this script).  A run takes about half a minute on a 2-core host.
+error with its draw; for the double pass also the same of its band draws.
+<checkout>/src is imported (default: the checkout holding this script).  A
+run takes under ten seconds on a 2-core host.
 """
 
 from __future__ import annotations
@@ -71,15 +76,26 @@ def scan_first_kind(count):
     return out
 
 
+def band_index(rng, lam):
+    """lam with one component moved to an integer offset of another, plus
+    10^-k (k uniform in [4, 12]) or i 10^-k."""
+    l, k = rng.choice(len(lam), 2, replace=False)
+    step = 10.0 ** -rng.uniform(4, 12) * (1j if rng.random() < 0.5 else 1)
+    lam[l] = lam[k] + round((lam[l] - lam[k]).real) + step
+    return lam
+
+
 def scan_double_pass(count):
-    from besselhr import series
-    from besselhr.core import SignVector, SpectralIndex, SurfacePoint, genericity_gap
+    from besselhr import _jet, series
+    from besselhr.core import SignVector, SpectralIndex, SurfacePoint
 
     rng = np.random.default_rng(11)
-    out = []
+    out, band = [], []
     while len(out) < count:
-        si = SpectralIndex(draw_index(rng))
-        if genericity_gap(si) < 1e-3:
+        lam = draw_index(rng)
+        near = rng.random() < 0.5
+        si = SpectralIndex(band_index(rng, lam) if near else lam)
+        if _jet.cluster_order(si.lam) > 1:
             continue
         z = SurfacePoint.from_positive(float(rng.uniform(0.2, 3)))
         sv = SignVector(tuple(int(s) for s in rng.choice([1, -1], si.rank)))
@@ -89,7 +105,9 @@ def scan_double_pass(count):
         ref = complex(series._j_generic_mp(z, sv.product_sign, si, 60, kind)[0])
         label = f"j_function({z.modulus!r}, {sv}, SpectralIndex({list(si.lam)}))"
         out.append((abs(est.value - ref) / est.tail_bound, label))
-    return out
+        if near:
+            band.append(out[-1])
+    return out, band
 
 
 def main(argv=None) -> int:
@@ -98,8 +116,9 @@ def main(argv=None) -> int:
     p.add_argument("--count", type=int, default=300)
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-    for name, scan in (("first_kind", scan_first_kind), ("j_function double pass", scan_double_pass)):
-        ratios = scan(args.count)
+    double, band = scan_double_pass(args.count)
+    for name, ratios in (("first_kind", scan_first_kind(args.count)),
+                         ("j_function double pass", double), ("of which band draws", band)):
         worst = max(ratios)
         over = sum(r > 1 for r, _ in ratios)
         print(f"{name}: {over} of {len(ratios)} draws over their reported error, "
