@@ -15,17 +15,20 @@ a straight vertical line it would only decay polynomially.
 
 Quadrature is adaptive Gauss-Kronrod 15(7) per straight segment with
 geometric subdivision toward the bend, deterministic summation order, and a
-tail cut where an empirical decay-rate bound drops below tol/10.  A piece
-whose Kronrod-Gauss difference is at most 50 eps times its absolute mass is
-at its rounding floor and is never split again, so the loop stops where the
-error estimate stops falling instead of running to its piece cap.  The
-integrand is called on batches of points: each t_max trial sends the
-segments no earlier trial evaluated together with its four tail probes, so
-the first call holds all the initial segments and a second one comes only
-when t_max grows; each refinement round sends the halves of all its splits
-together.  The integrands are elementwise and the GK15 sums run over the
-columns of all panels at once in a fixed order, so a panel's sums, and a
-probe's value, are the same bits alone or in a batch.
+tail cut where an empirical decay-rate bound drops below tol/10.  An
+integrand may return several terms per point (the kernel's two parities):
+the value and Kronrod-Gauss difference come from their sum, every magnitude
+(absolute mass, tail decay rates) from their summed moduli.  A piece whose
+Kronrod-Gauss difference is at most 50 eps times its absolute mass is at its
+rounding floor and is never split again, so the loop stops where the error
+estimate stops falling instead of running to its piece cap.  The integrand
+is called on batches of points: each t_max trial sends the segments no
+earlier trial evaluated together with its four tail probes, so the first
+call holds all the initial segments and a second one comes only when t_max
+grows; each refinement round sends the halves of all its splits together.
+The integrands are elementwise and the GK15 sums run over the columns of
+all panels at once in a fixed order, so a panel's sums, and a probe's
+value, are the same bits alone or in a batch.
 """
 
 from __future__ import annotations
@@ -108,11 +111,8 @@ def default_contour(si: SpectralIndex, x: float) -> Contour:
     max_im = max(abs(v.imag) for v in si.lam)
     base = max(0.6, max_re + _POLE_MARGIN)
     height = max(2.0, max_im + 1.5)
-    n = si.rank
-    chi = min(0.5 * math.pi / n, 4.0 / (1.0 + x))
-    chi = max(chi, 0.02)
-    t0 = 30.0 + 2.0 * x
-    return Contour(base, height, chi, t0)
+    chi = max(min(0.5 * math.pi / si.rank, 4.0 / (1.0 + x)), 0.02)
+    return Contour(base, height, chi, 30.0 + 2.0 * x)
 
 
 def _segments(c: Contour, osc_rate: float):
@@ -122,14 +122,10 @@ def _segments(c: Contour, osc_rate: float):
     geometrically out along the rays.
     """
     h0 = min(1.0, math.pi / (1.0 + abs(osc_rate)))
-    segs = []
-    bot = complex(c.base_real, -c.bend_height)
-    top = complex(c.base_real, c.bend_height)
 
     def ray_chunks(start, direction):
         out = []
-        t = 0.0
-        h = h0
+        t, h = 0.0, h0
         while t < c.t_max:
             t2 = min(c.t_max, t + h)
             out.append((start + t * direction, start + t2 * direction))
@@ -137,14 +133,14 @@ def _segments(c: Contour, osc_rate: float):
             h *= 1.35
         return out
 
-    for a, b in reversed(ray_chunks(bot, _ray_dir(c, up=False))):
-        segs.append((b, a))  # inward: far bottom toward the bend
+    bottom = ray_chunks(complex(c.base_real, -c.bend_height), _ray_dir(c, up=False))
+    segs = [(b, a) for a, b in reversed(bottom)]  # inward: far bottom toward the bend
     t = -c.bend_height
     while t < c.bend_height - 1e-12:
         t2 = min(c.bend_height, t + h0)
         segs.append((complex(c.base_real, t), complex(c.base_real, t2)))
         t = t2
-    segs.extend(ray_chunks(top, _ray_dir(c, up=True)))
+    segs.extend(ray_chunks(complex(c.base_real, c.bend_height), _ray_dir(c, up=True)))
     return segs
 
 
@@ -167,12 +163,18 @@ def _column_sum(rows, weights, centre, w_centre):
 
 
 def _gk15_sums(fv, half):
-    """(Kronrod value, |Kronrod - Gauss|, absolute mass) per piece from the
-    rows of fv, the 15 integrand values of each piece at _NODES, and the
-    half-lengths.  The symmetric node pairs are added first, as in QUADPACK
-    dqk15, and every sum runs over the columns for all pieces at once."""
-    pairs = fv[:, :7] + fv[:, :7:-1]  # f(-x_j) + f(x_j), x_j from outermost in
+    """(Kronrod value, |Kronrod - Gauss|, absolute mass) per piece from fv,
+    the integrand at the 15 _NODES of each piece in turn (one value per
+    point, or one row per term), and the half-lengths.  The terms are
+    summed at each point for the value and the difference, and the mass is
+    taken from their summed moduli.  The symmetric node pairs are added
+    first, as in QUADPACK dqk15, and every sum runs over the columns for
+    all pieces at once."""
+    fv = fv.reshape(fv.shape[:-1] + (-1, 15))
     av = np.abs(fv)
+    if fv.ndim == 3:
+        fv, av = fv.sum(axis=0), av.sum(axis=0)
+    pairs = fv[:, :7] + fv[:, :7:-1]  # f(-x_j) + f(x_j), x_j from outermost in
     ik = half * _column_sum(pairs, _WGK[:7], fv[:, 7], _WGK[7])
     ig = half * _column_sum(pairs[:, 1::2], _WG[:3], fv[:, 7], _WG[3])
     mass = np.abs(half) * _column_sum(av[:, :7] + av[:, :7:-1], _WGK[:7], av[:, 7], _WGK[7])
@@ -183,7 +185,7 @@ def _gk15(f, pieces):
     """GK15 on each straight piece (a, b), all nodes in one integrand call:
     (Kronrod value, |Kronrod - Gauss|, absolute mass) per piece."""
     points, half = _panel_nodes(pieces)
-    return _gk15_sums(f(points).reshape(-1, 15), half)
+    return _gk15_sums(f(points), half)
 
 
 def _adaptive(f, segs, tol, first):
@@ -230,9 +232,7 @@ def _adaptive(f, segs, tol, first):
             pieces.append([m, b, *next(halves)])
     # deterministic order: sort all pieces by (Im a, Re a)
     allp = sorted(pieces, key=lambda p: (p[0].imag, p[0].real, p[1].imag))
-    total = 0j
-    err = 0.0
-    mass = 0.0
+    total, err, mass = 0j, 0.0, 0.0
     for p in allp:
         total += p[2]
         err += p[3]
@@ -243,20 +243,16 @@ def _adaptive(f, segs, tol, first):
 def _tail_rates(fv):
     """Empirical decay rate of ln|f| (positive = decaying) and |f| at each
     ray end, from the values at two points 2 apart per ray, the inner one
-    first."""
-    out = []
-    for k in range(0, len(fv), 2):
-        f1 = abs(fv[k])
-        f0 = abs(fv[k + 1])
-        if f0 == 0.0:
-            out.append((math.inf, 0.0))
-        else:
-            out.append(((math.log(f1) - math.log(f0)) / 2.0, f0))
-    return out
+    first; |f| is the summed moduli of the terms (the rows of a 2-d fv)."""
+    av = [sum(map(abs, col)) for col in np.atleast_2d(fv).T]  # scalar abs: the probes' bits
+    return [(math.inf, 0.0) if f0 == 0.0 else ((math.log(f1) - math.log(f0)) / 2.0, f0)
+            for f1, f0 in zip(av[::2], av[1::2])]
 
 
 def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
-    """Integrate f along the contour, growing t_max until the tail is safe.
+    """Integrate f (a value or a row of terms per point) along the contour,
+    growing t_max until the tail is safe: the value, and its error, the
+    Kronrod-Gauss differences, the tail bound and 4 eps times the mass.
 
     Each t_max trial makes one integrand call: the GK15 nodes of the
     contour's segments not evaluated by an earlier trial, then the four
@@ -284,8 +280,8 @@ def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
             points, half = _panel_nodes(new)
             probes = np.array([p for end, d in ends for p in (end - 2.0 * d, end)])
             fv = f(np.concatenate([points, probes]))
-            known.update(zip(new, _gk15_sums(fv[: points.size].reshape(-1, 15), half)))
-            rates = _tail_rates(fv[points.size :])
+            known.update(zip(new, _gk15_sums(fv[..., : points.size], half)))
+            rates = _tail_rates(fv[..., points.size :])
             if all(rate > 0.05 and math.isfinite(f0) for rate, f0 in rates):
                 tail = sum(4.0 * f0 / rate for rate, f0 in rates)
                 if tail < 0.1 * tol:
@@ -298,7 +294,7 @@ def _integrate_contour(f, c: Contour, osc_rate: float, tol: float):
         raise ToleranceNotMetError(
             "the contour integral overflows double range: its value, error or mass is not finite"
         )
-    return val, err + tail, mass
+    return val, err + tail + 4.0 * np.finfo(float).eps * mass
 
 
 def mb_eval_est(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10):
@@ -325,11 +321,9 @@ def mb_eval_est(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10)
     def f(s):
         return _backend.mb_j_integrand(s, lam, sig, n, lnx)
 
-    val, err, mass = _integrate_contour(f, default_contour(si, x), n * lnx, tol)
+    val, err = _integrate_contour(f, default_contour(si, x), n * lnx, tol)
     scale = 1.0 / (2.0 * math.pi)
-    value = val * scale / 1j
-    achieved = (err + 4.0 * np.finfo(float).eps * mass) * scale
-    return value, achieved
+    return val * scale / 1j, err * scale
 
 
 def mb_eval(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10) -> complex:
@@ -347,8 +341,11 @@ def mb_eval(x: float, sv: SignVector, si: SpectralIndex, tol: float = 1e-10) -> 
 def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
     """Signed-kernel value at x != 0 with achieved-error estimate.
 
-    Evaluates sum over d in {0,1} of sgn(x)^d/(4 pi i) *
-    integral of prod_l G_{delta_l + d}(s - lam_l) |x|^{-s} ds.
+    Evaluates 1/(4 pi i) times the integral of the sum over d in {0,1} of
+    sgn(x)^d prod_l G_{delta_l + d}(s - lam_l) |x|^{-s} ds, one contour
+    integral whose integrand returns both parity terms at each point.  Where
+    the kernel vanishes identically they cancel point by point, so every
+    piece starts at the rounding floor of their summed moduli.
     """
     check_tolerance(tol)
     if not math.isfinite(x):
@@ -360,21 +357,17 @@ def mb_kernel_est(x: float, si: SpectralIndex, deltas, tol: float = 1e-9):
     if dl.shape[0] != n:
         raise ValueError("parity vector length must match the rank")
     lam = np.array(si.lam, dtype=np.complex128)
-    ax = abs(x)
-    lnx = math.log(ax)
+    lnx = math.log(abs(x))
     sgn = 1.0 if x > 0 else -1.0
-    c = default_contour(si, 2.0 * math.pi * ax ** (1.0 / n))
-    total = 0j
-    achieved = 0.0
-    for d in (0, 1):
-        def f(s, _d=d):
-            return _backend.mb_kernel_integrand(s, lam, dl, _d, lnx)
 
-        val, err, mass = _integrate_contour(f, c, lnx, tol)
-        scale = 1.0 / (4.0 * math.pi)
-        total += (sgn**d) * val * scale / 1j
-        achieved += (err + 4.0 * np.finfo(float).eps * mass) * scale
-    return total, achieved
+    def f(s):  # one row per parity term
+        terms = [_backend.mb_kernel_integrand(s, lam, dl, d, lnx) for d in (0, 1)]
+        return np.stack([terms[0], sgn * terms[1]])
+
+    c = default_contour(si, 2.0 * math.pi * abs(x) ** (1.0 / n))
+    val, err = _integrate_contour(f, c, lnx, tol)
+    scale = 1.0 / (4.0 * math.pi)
+    return val * scale / 1j, err * scale
 
 
 def g_delta(s, delta: int, form: str = "ratio") -> complex:

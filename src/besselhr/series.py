@@ -31,8 +31,9 @@ the asymptotic floor and inside the sector of xi(sig), the modulus of the
 leading asymptotic term (_leading_log10) plus _ESTIMATE_GUARD digits;
 otherwise eps times the double pass's term mass (or the e^{n|z|} ridge where
 the double pass overflows or is skipped).
-A round that fails escalates, up to a ceiling of digits; an estimate below
-what the ceiling resolves raises before any round.
+A round that fails escalates, up to a ceiling of digits (never below the
+round's own); an estimate below what the ceiling resolves raises before any
+round, and so does a round that resolves a value below double range.
 
 The terms of J_l come from one recurrence, _backend.first_kind_terms, fed
 the head c_m = prod_k 1/Gamma(d_k + m + 1) of its first terms (m <= _m_fresh,
@@ -271,7 +272,7 @@ def root_factors(lam, deltas, ctx=_DOUBLE):
 def top_products(lam):
     """For k = 0..n the product of the k largest |e(lam_l / 2)|, the largest
     |prod_S e(lam_l / 2)| over the sets S of k indices."""
-    top = sorted(map(abs, root_factors(lam, (0,) * len(lam))[0]), reverse=True)
+    top = sorted((abs(_DOUBLE.expjpi(v)) for v in lam), reverse=True)
     return [math.prod(top[:k]) for k in range(len(top) + 1)]
 
 
@@ -792,12 +793,17 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
         # a round there that fails asks for a value the series cannot give.
         # A failed round's |v| is its arithmetic's noise, which depends on
         # how the terms were rounded (and may be exactly 0), so the
-        # requirement is taken at no less than the noise bound
+        # requirement is taken at no less than the noise bound.  A round that
+        # resolves a value below double range, or whose term mass lies there
+        # (the ceiling is then this round's digits), ends the rounds
         logmass = float(mp.log10(mass)) if mass > 0 else 0.0
-        ceiling = digits(logmass, math.log10(_DPS_CEILING_SIZE))
-        if round_dps >= ceiling:
+        ceiling = max(digits(logmass, math.log10(_DPS_CEILING_SIZE)), round_dps)
+        below = v == 0 and abs(value) > noise
+        if below or round_dps == ceiling:
             ach, failed = _failed_round(noise, value)
             raise ToleranceNotMetError(
+                f"the series resolves the value in {round_dps} digits at |z|={z.modulus:.6g} "
+                f"({failed}), but it lies below double range" if below else
                 f"series precision ceiling of {ceiling} digits reached at "
                 f"|z|={z.modulus:.6g} ({failed}); "
                 "the value is below double range or beyond what the ascending "
@@ -832,10 +838,10 @@ def j_function(
     round on jets in a perturbation eps of the index (_evaluate): the eps^0
     coefficient, where the log-bearing solutions appear.  Raises
     ToleranceNotMetError when the leading asymptotic term puts the value
-    below what the big-float rounds resolve, when the rounds reach their
-    precision ceiling, which happens for values below double range, or when
-    they end their 8 rounds without certifying the value (use the
-    asymptotic route there).
+    below what the big-float rounds resolve, when a round resolves a value
+    below double range, when the rounds reach their precision ceiling,
+    which happens for values below double range, or when they end their 8
+    rounds without certifying the value (use the asymptotic route there).
     """
     z = _as_point(z)
     check_tolerance(tol)

@@ -1,6 +1,7 @@
 import cmath
 import heapq
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from besselhr import _backend, core, mellinbarnes
 from besselhr.core import SignVector, SpectralIndex, ToleranceNotMetError
-from besselhr.kernel import KernelIndex, bessel_kernel
+from besselhr.kernel import KernelIndex, WeightFunction, bessel_kernel, hankel_transform
 from besselhr.mellinbarnes import (
     _MAX_PIECES,
     _NODES,
@@ -18,6 +19,7 @@ from besselhr.mellinbarnes import (
     Contour,
     _adaptive,
     _gk15,
+    _integrate_contour,
     _panel_nodes,
     _segments,
     _tail_rates,
@@ -290,6 +292,98 @@ def test_vanishing_kernel_stops_at_rounding_floor(monkeypatch):
     assert abs(r.value) <= r.error
 
 
+def _mb_kernel_per_parity(x, si, deltas, tol):
+    """mb_kernel_est as one contour integral per parity d, each with its own
+    t_max search and refinement to tol: the reference for the one integral
+    whose integrand holds both parity terms."""
+    n = si.rank
+    dl = np.array([int(d) % 2 for d in deltas], dtype=np.int64)
+    lam = np.array(si.lam, dtype=np.complex128)
+    lnx = math.log(abs(x))
+    sgn = 1.0 if x > 0 else -1.0
+    c = default_contour(si, 2.0 * math.pi * abs(x) ** (1.0 / n))
+    total = 0j
+    achieved = 0.0
+    for d in (0, 1):
+        def f(s, _d=d):
+            return _backend.mb_kernel_integrand(s, lam, dl, _d, lnx)
+
+        val, err = _integrate_contour(f, c, lnx, tol)
+        scale = 1.0 / (4.0 * math.pi)
+        total += (sgn**d) * val * scale / 1j
+        achieved += err * scale
+    return total, achieved
+
+
+def test_mb_kernel_one_contour_integral_per_value(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _integrate_contour(*args)
+
+    monkeypatch.setattr(mellinbarnes, "_integrate_contour", counting)
+    si = SpectralIndex([0.3, -0.1, -0.2])
+    for x in (-3.0, 0.7, 25.0):
+        mb_kernel_est(x, si, (0, 1, 1))
+        assert len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("lam, x", [((0.0, 0.0), -3.0), ((1.0, -1.0), -2.0)])
+def test_vanishing_side_stops_at_the_floor_of_both_parities(monkeypatch, lam, x):
+    # delta = 10: the kernel vanishes identically for x < 0, where the two
+    # parity terms cancel point by point.  The one integral stops at the
+    # rounding floor of their summed moduli, with no digit claimed, in
+    # fewer integrand points than the two parity integrals, each refined to
+    # tol (1688 and 968 points; one integral 728)
+    si = SpectralIndex(lam)
+    f, tally = _counting(_backend.mb_kernel_integrand)
+    monkeypatch.setattr(_backend, "mb_kernel_integrand", f)
+    _mb_kernel_per_parity(x, si, (1, 0), 1e-9)
+    per_parity = tally["points"]
+    tally.update(calls=0, points=0)
+    value, err = mb_kernel_est(x, si, (1, 0), 1e-9)
+    assert abs(value) <= err
+    assert tally["points"] < per_parity
+
+
+def test_mb_kernel_agrees_with_per_parity_integrals():
+    # seeded generic indices of ranks 1-4 on both signs, and the vanishing
+    # side of lam = (0, 0), delta = 10 at log|x| = -20, -5, 0 and 2
+    rng = np.random.default_rng(40)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(2):
+            si = SpectralIndex(rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.5, 0.5, n))
+            deltas = tuple(int(d) for d in rng.integers(0, 2, n))
+            for x in rng.uniform(0.2, 5.0, 2):
+                cases += [(si, deltas, x, False), (si, deltas, -x, False)]
+    cases += [(SpectralIndex([0.0, 0.0]), (1, 0), -math.exp(u), True) for u in (-20, -5, 0, 2)]
+    for si, deltas, x, vanishes in cases:
+        got, err = mb_kernel_est(x, si, deltas, 1e-9)
+        want, want_err = _mb_kernel_per_parity(x, si, deltas, 1e-9)
+        assert abs(got - want) <= err + want_err, (si, deltas, x)
+        assert abs(got) <= err or not vanishes
+
+
+def test_odd_classical_kernel_transform_in_seconds():
+    # lam = (0, 0), delta = 10: auto mode sends every node of the vanishing
+    # side to the kernel integral, where the two parity integrals refined
+    # their rounding noise to tol for minutes.  On the plus side the kernel
+    # is 2 pi i J_0(4 pi sqrt x), the minus side 0
+    weight = WeightFunction.unit_mass()
+    t0 = time.perf_counter()
+    r = hankel_transform(weight, KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), [1.0], 1e-6)
+    assert time.perf_counter() - t0 < 10.0
+    with mp.workdps(20):
+        want = complex(mp.quad(
+            lambda u: weight(float(mp.exp(u))) * mp.exp(u) * mp.besselj(0, 4 * mp.pi * mp.exp(u / 2)),
+            mp.linspace(-8, 6, 15),
+        )) * 2j * math.pi
+    assert abs(r.values[0] - want) <= 1e-6 * abs(want)
+
+
 def _adaptive_one_split(f, segs, tol):
     """The loop that split one piece per integrand call, worst piece first
     from a heap: the reference the refinement rounds of _adaptive must
@@ -340,8 +434,8 @@ def _bits(result):
 
 def test_adaptive_rounds_match_one_split_reference(monkeypatch):
     # the j integrand at ranks 1-5 (prototype index; rank 5, +++++, x = 0.5
-    # is the floor point of test_mb_rank5_floor_agrees_with_series) and both
-    # parities of the vanishing kernel point: the same (value, error, mass)
+    # is the floor point of test_mb_rank5_floor_agrees_with_series) and the
+    # vanishing kernel point's one integral of both parities: the same (value, error, mass)
     # bits and points as one split per call, in at most half the calls.  The
     # initial panels come from the contour's tail-probe calls, with the bits
     # of the panels alone
@@ -358,7 +452,7 @@ def test_adaptive_rounds_match_one_split_reference(monkeypatch):
             for x in (0.5, 3.0, 40.0):
                 mb_eval_est(x, SignVector(signs), si, 1e-10)
     bessel_kernel(-3.0, KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), "auto", 1e-9)
-    assert len(cases) == 5 * 2 * 3 + 2
+    assert len(cases) == 5 * 2 * 3 + 1
     calls = {"rounds": 0, "reference": 0}
     for f, segs, tol, first in cases:
         assert first == _gk15(f, segs)

@@ -318,6 +318,20 @@ def test_j_function_coefficients_below_double_range_against_mb():
         assert abs(r.value - want) <= r.tail_bound + err, (sv, x)
 
 
+def test_j_function_resolved_below_double_range_raises():
+    # at lam = (250i, -250i), -+ and x = 0.5 the first round resolves
+    # |J| = 1.45e-683 (noise 1.29e-698), below double range, as is the term
+    # mass: the error says so with the big-float magnitudes, and reports no
+    # digit ceiling (the mass put it below the round's own digits)
+    t0 = time.perf_counter()
+    with pytest.raises(ToleranceNotMetError, match="but it lies below double range") as exc:
+        j_function(0.5, SignVector("-+"), SpectralIndex([250j, -250j]), 1e-10)
+    assert time.perf_counter() - t0 < 1.0
+    assert "achieved 1.29e-698, |value| 1.45e-683" in str(exc.value)
+    assert "ceiling" not in str(exc.value)
+    assert exc.value.value == 0 and exc.value.achieved == 5e-324
+
+
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
 def test_j_function_signed_zero_component_same_bits(monkeypatch, zeros):
     # -0.0 == 0.0, so the store keys an index with a -0.0 component as the

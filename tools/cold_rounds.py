@@ -21,15 +21,17 @@ by default).  It prints, per workload:
 - the calls, summed terms and milliseconds of the big-float rounds' integer
   loop in each round, at p = 1 (the series itself) and at p > 1 (jets of p
   coefficients at a non-generic index), timed by wrapping the _backend
-  attributes the rounds call: sum_first_kind_fixed, and where a checkout has
-  it, its separate jet loop sum_first_kind_fixed_jet
+  attribute the rounds call, sum_first_kind_fixed
 - the loop's set-up in microseconds per call: the last round's loop calls
   made again with m_cap = 0 (the last argument), which sums the first head
   term only, best of 5 passes over them
 - the builds and milliseconds of the double pass's heads in each round:
-  the calls of series._double_head (_lanczos_head in checkouts before its
-  rename) that miss the store, timed by wrapping the module attribute
-  first_kind calls
+  the calls of series._double_head that miss the store, timed by wrapping
+  the module attribute first_kind calls
+- the calls and points (integrand values) of the Mellin-Barnes integrands
+  _backend.mb_j_integrand and _backend.mb_kernel_integrand in each round,
+  counted by wrapping the module attributes (perfbench's mb.panels and
+  mb.tail_probes count by call size and read 0)
 - the store's entries and held bytes (the charges of series._stored) by
   kind of constant, after the cold round, and after the last warm round
   where they differ
@@ -74,17 +76,15 @@ def _print_store(when, kinds, held):
 
 def _timed(fn, loop, captured):
     """fn, adding each call's count, terms and seconds to loop under its p
-    and its (fn, arguments) to captured: a head entry of the one loop and
-    of a jet loop is a list of p (re, im) pairs, one of a separate p = 1
-    loop a single (re, im) pair."""
+    and its (fn, arguments) to captured: a head entry is a list of p
+    (re, im) pairs."""
 
     def wrapped(head, *args):
         t0 = time.perf_counter()
         out = fn(head, *args)
         seconds = time.perf_counter() - t0
         captured.append((fn, (head, *args)))
-        first = head[0]
-        p = len(first) if isinstance(first[0], tuple) else 1
+        p = len(head[0])
         entry = loop.setdefault("p = 1" if p == 1 else "p > 1", [0, 0, 0.0])
         entry[0] += 1
         entry[1] += out[-1]
@@ -103,6 +103,18 @@ def _timed_rounds(fn, rounds):
         rounds[0] += 1
         rounds[1] += time.perf_counter() - t0
         return out
+
+    return wrapped
+
+
+def _counted_points(fn, tally):
+    """fn, adding each call and the size of its first argument (the points
+    s) to tally, [calls, points]."""
+
+    def wrapped(s, *args):
+        tally[0] += 1
+        tally[1] += s.size
+        return fn(s, *args)
 
     return wrapped
 
@@ -154,25 +166,27 @@ def one_workload(root: Path, name: str, warm: int) -> None:
     # {"p = 1" or "p > 1": [calls, terms, seconds]} of the integer loop
     loop = {}
     captured = []  # (loop, arguments) of the round's loop calls
-    for attr in ("sum_first_kind_fixed", "sum_first_kind_fixed_jet"):
-        if hasattr(_backend, attr):
-            setattr(_backend, attr, _timed(getattr(_backend, attr), loop, captured))
+    _backend.sum_first_kind_fixed = _timed(_backend.sum_first_kind_fixed, loop, captured)
+    # {integrand name: [calls, points]} of the Mellin-Barnes integrands
+    integrands = {attr: [0, 0] for attr in ("mb_j_integrand", "mb_kernel_integrand")}
+    for attr, tally in integrands.items():
+        setattr(_backend, attr, _counted_points(getattr(_backend, attr), tally))
     bigfloat = [0, 0.0]  # big-float rounds: calls, seconds
     series._j_generic_mp = _timed_rounds(series._j_generic_mp, bigfloat)
     heads = [0, 0.0]  # double heads built: count, seconds
-    attr, kind = ("_double_head", "double") if hasattr(series, "_double_head") else (
-        "_lanczos_head", "lanczos")
-    setattr(series, attr, _timed_head(getattr(series, attr), heads, kind))
+    series._double_head = _timed_head(series._double_head, heads, "double")
     make_items, _ = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as workdir:
         items = make_items(Path(workdir))
-        times, counts, failed, loops, builds, rounds = [], [], [], [], [], []
+        times, counts, failed, loops, builds, rounds, points = [], [], [], [], [], [], []
         for r in range(warm + 1):
             calls[0] = 0
             heads[:] = [0, 0.0]
             bigfloat[:] = [0, 0.0]
             loop.clear()
             captured.clear()
+            for tally in integrands.values():
+                tally[:] = [0, 0]
             failed.append(0)
             t0 = time.perf_counter()
             for item in items:
@@ -186,6 +200,7 @@ def one_workload(root: Path, name: str, warm: int) -> None:
             builds.append(tuple(heads))
             rounds.append(tuple(bigfloat))
             loops.append({key: list(v) for key, v in loop.items()})
+            points.append({attr: tuple(v) for attr, v in integrands.items()})
             if r == 0:
                 cold_store = _store_by_kind(series._stored)
     print(f"{name}: {len(items)} items, operations raising per round: {failed}")
@@ -202,6 +217,9 @@ def one_workload(root: Path, name: str, warm: int) -> None:
               f"{len(captured)} calls: {_set_up_us(captured):.1f}")
     print("  double heads built, ms per round (cold, warm ...): " + "; ".join(
         f"{c} {1e3 * s:.1f}" for c, s in builds))
+    for attr in integrands:
+        print(f"  _backend.{attr}: calls, points per round (cold, warm ...): " + "; ".join(
+            f"{r[attr][0]} {r[attr][1]}" for r in points))
     _print_store("cold round", *cold_store)
     if _store_by_kind(series._stored) != cold_store:
         _print_store("last warm round", *_store_by_kind(series._stored))

@@ -8,7 +8,9 @@ Usage:
 
 Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
-under perfbench/ is changed), series.j_function at the sign vectors and
+under perfbench/ is changed), mellinbarnes.mb_kernel_est at the
+kernel-grid items labelled generic (the untimed reference of each) and at
+the vanishing-side nodes MBKERNEL_VANISHING, series.j_function at the sign vectors and
 points of SIGNVEC_CASES, series.first_kind at FIRST_KIND_CASES and
 seeded draws, kernel.kernel_sweep on the fixed node sets
 of SWEEP_CASES, one big-float round (series._j_generic_mp) at each of
@@ -35,8 +37,9 @@ with an error (a kernel, sign-vector, first_kind or sweep line, or a CLI table r
 with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
-benchmark's signvec-routes and kernel-grid items, then signvec, first_kind,
-sweep, bigfloat, band, hankel-fe and readme by the first part of their labels)
+benchmark's signvec-routes and kernel-grid items, then mbkernel, signvec,
+first_kind, sweep, bigfloat, band, hankel-fe and readme by the first part of
+their labels)
 and per route (series, mb or asympt: the line's route, the kernel's method
 or a table's column prefix; "-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
@@ -103,6 +106,10 @@ SWEEP_CASES = {
     "past-switch": ([1.0, -1.0], (1, 0), np.log([10.0, 30.0, 100.0])),
 }
 SWEEP_TOL = 1e-9
+
+# mb_kernel_est where the kernel vanishes identically: lam = (0, 0),
+# delta = 10 on the negative side, at these log|x|
+MBKERNEL_VANISHING = ((0.0, 0.0), (1, 0), (-20.0, -5.0, 0.0, 2.0))
 
 # big-float rounds (series._j_generic_mp) at fixed digits, value, noise
 # (10 rel mass, the error the rounds report) and term mass: a sign-vector
@@ -174,7 +181,7 @@ def main(argv) -> int:
     root = Path(argv[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from besselhr import cli, kernel, series
+    from besselhr import cli, kernel, mellinbarnes, series
     from besselhr.core import SignVector, SpectralIndex, SurfacePoint
 
     digits = []
@@ -200,7 +207,8 @@ def main(argv) -> int:
     for item in workloads.build_signvec_routes():
         for route, op in item.ops.items():
             run(item.key, route, op)
-    for item in workloads.build_kernel_grid():
+    kernel_items = workloads.build_kernel_grid()
+    for item in kernel_items:
         route = []
 
         def by_kernel(f=item.facts, route=route):
@@ -209,6 +217,15 @@ def main(argv) -> int:
             return r.value, r.error
 
         run(item.key, lambda route=route: f"kernel/{route[0] if route else '-'}", by_kernel)
+
+    lam, deltas, us = MBKERNEL_VANISHING
+    vanishing = kernel.KernelIndex(SpectralIndex(lam), deltas)
+    mb_cases = [(f"mbkernel/{item.key}", item.facts["ki"], item.facts["x"])
+                for item in kernel_items if item.facts["label"] == "generic"]
+    mb_cases += [(f"mbkernel/vanishing/u={u:g}", vanishing, -math.exp(u)) for u in us]
+    for label, ki, x in mb_cases:
+        run(label, "mb", lambda ki=ki, x=x: mellinbarnes.mb_kernel_est(
+            x, ki.lam, ki.deltas, workloads.KERNEL_TOL))
 
     for name, (lam, signs, xs) in SIGNVEC_CASES.items():
         si = SpectralIndex(lam)
