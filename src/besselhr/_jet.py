@@ -19,7 +19,8 @@ and expjpi for the formulas of series that take a ctx; they act on the
 linear jets lam + eps u and their combinations.  sinpi at an integer
 returns eps times a jet whose leading coefficient is nonzero, so the pole
 of 1/sin becomes a negative val.  rgamma is 1/Gamma(a + eps d) at Re a > 0
-by polygammas.
+by polygammas.  vanishing_side reads the classes of cluster_order for the
+side where a kernel vanishes identically.
 """
 
 from __future__ import annotations
@@ -187,6 +188,27 @@ def cluster_order(lam: tuple) -> int:
     index, and the number of coefficients the jets of the limit carry."""
     keys = [(Fraction(v.real) % 1, v.imag) for v in lam]
     return max(map(keys.count, keys))
+
+
+def vanishing_side(lam: tuple, deltas: tuple) -> int:
+    """-1 where the kernel of the index (lam, deltas) vanishes identically
+    on x < 0, else 0: no other side can.
+
+    The kernel's Mellin-Barnes integrand is P_0(s) + sgn(x) P_1(s) with
+    P_d = prod_l G_(delta_l + d)(s - lam_l), and G_1/G_0(s) = i tan(pi s/2),
+    so P_1/P_0 = prod_l i tan(pi (s - mu_l)/2), mu_l = lam_l + delta_l.  A
+    shift of mu by 1 turns tan into -1/tan, so the factors of one class of
+    cluster_order (components an exact integer apart) leave a constant
+    exactly when as many mu_l lie an even integer from the class's first
+    member as an odd one.  Then n is even and the constant is
+    i^n (-1)^(n/2) = +1: P_1 = P_0, and the side x < 0 vanishes."""
+    balance = {}
+    for v, d in zip(lam, deltas):
+        key = (Fraction(v.real) % 1, v.imag)
+        mu = Fraction(v.real) + d
+        first, count = balance.get(key, (mu, 0))
+        balance[key] = first, count + (1 if (mu - first) % 2 == 0 else -1)
+    return -1 if all(count == 0 for _, count in balance.values()) else 0
 
 
 def linear(c0, c1, p: int) -> Jet:

@@ -277,7 +277,7 @@ class EvalResult:
 
     value: complex
     error: float
-    method: str  # series | asymptotic | mellin-barnes
+    method: str  # series | asymptotic | mellin-barnes | exact (a kernel side that vanishes identically)
     cancellation: float = 1.0
 
 

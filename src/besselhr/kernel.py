@@ -13,12 +13,17 @@ for the kernel's own accuracy.  On the asymptotic route it is one array
 term A_k e_k(y) H_k per root, through one array path (_asymptotic_sweep)
 for one point and for many, and the Mellin-Barnes quadrature is available
 as arbiter.  The route of each point is one rule, _asymptotic_zone's.
-The signed sum can cancel catastrophically (holomorphic-parameter kernels
-vanish identically on one side), so results carry a cancellation
-indicator, max |J(sig)| / |kernel|, and auto mode switches to the direct
-kernel contour integral when it explodes, unless that integral has no
-correct digit where the first route has one.  On both routes that
+The signed sum can cancel catastrophically, so results carry a
+cancellation indicator, max |J(sig)| / |kernel|, and auto mode switches to
+the direct kernel contour integral when it explodes, unless that integral
+has no correct digit where the first route has one.  On both routes that
 reference is taken by root, with the factors of series.top_products.
+Where the sum cancels exactly, the kernel is 0 before any route: its
+Mellin-Barnes integrand is P_0 + sgn(x) P_1, and where P_1 = P_0
+(_jet.vanishing_side, an exact rule on the index, computed once per
+KernelIndex) the side x < 0 vanishes identically, as for the kernels of
+holomorphic parameters.  Auto mode and kernel_sweep answer that side with
+0, error 0 and the route "exact"; the forced routes still compute it.
 
 The Hankel transform Upsilon(x) = int upsilon(y) J(xy) dy is computed on a
 shared log grid: substituting w = xy makes the kernel samples independent of
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +87,8 @@ _FE_UX_HI = 6.5  # the highest cut in log x: transform_cut at width 2, through r
 class KernelIndex:
     lam: SpectralIndex
     deltas: tuple
+    # the sign of the side where the kernel vanishes identically, or 0
+    vanishing: int = field(repr=False, compare=False)
 
     def __init__(self, lam: SpectralIndex, deltas: Sequence[int]):
         object.__setattr__(self, "lam", lam)
@@ -89,6 +96,7 @@ class KernelIndex:
         if len(dl) != lam.rank:
             raise ValueError("parity vector length must match rank")
         object.__setattr__(self, "deltas", dl)
+        object.__setattr__(self, "vanishing", _jet.vanishing_side(lam.lam, dl))
 
     @property
     def rank(self) -> int:
@@ -257,7 +265,10 @@ def bessel_kernel(
 ) -> EvalResult:
     """Signed kernel J_(lambda,delta)(x), x != 0.
 
-    The route is _asymptotic_zone's rule.  On the series route the value
+    On the side where the kernel vanishes identically (ki.vanishing, the
+    exact rule _jet.vanishing_side) auto mode returns 0 with error 0, route
+    "exact" and cancellation 1.0 before any route.  Elsewhere the route is
+    _asymptotic_zone's rule.  On the series route the value
     is sum_l K_l J_l(z; sgn x), z = 2 pi |x|^{1/n}, and the reported error
     is relative to the kernel: at most tol * |value| (plus final rounding)
     unless the precision escalation gives up.  On the asymptotic route it
@@ -270,9 +281,10 @@ def bessel_kernel(
     divided by |value|; auto mode hands points above CANCEL_SWITCH to the
     Mellin-Barnes kernel integral, and keeps the first value if that
     integral has no correct digit (error >= |value|) while the first value
-    has one.  method "series" and "asympt" force a route; "asympt" takes
-    the expansion unchecked and raises ValueError below sweep_start.
-    "mb" takes the Mellin-Barnes integral alone.
+    has one.  method "series" and "asympt" force a route, also on a
+    vanishing side; "asympt" takes the expansion unchecked and raises
+    ValueError below sweep_start.  "mb" takes the Mellin-Barnes integral
+    alone.
     """
     check_tolerance(tol)
     if x == 0.0:
@@ -287,6 +299,8 @@ def bessel_kernel(
         return EvalResult(value, err, "mellin-barnes", 1.0)
     if method not in ("auto", "series", "asympt"):
         raise ValueError("method must be auto|series|mb|asympt")
+    if method == "auto" and parity == ki.vanishing:
+        return EvalResult(0j, 0.0, "exact", 1.0)
 
     use_asympt = False
     if method != "series":
@@ -517,7 +531,9 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     """bessel_kernel(sgn e^u_i, ki, "auto", tol) at every node u_i, for the
     kernel signs sgn = +1 and -1, in array passes: asymptotic ones over
     blocks of at most _BLOCK nodes, then one series pass over the nodes they
-    leave (more only where those reach _SERIES_ROWS rows, n per node).
+    leave (more only where those reach _SERIES_ROWS rows, n per node).  A
+    sign where the kernel vanishes identically (ki.vanishing) takes no pass:
+    its nodes are 0 with error 0, route "exact", and count as served.
 
     The argument of a node is the same on both signs; its route is
     _asymptotic_zone's per sign.  The nodes whose expansion stands take it;
@@ -556,9 +572,14 @@ def kernel_sweep(u, ki: KernelIndex, tol: float):
     routes = np.full((2, len(u)), None, dtype=object)
     swept = np.zeros((2, len(u)), dtype=bool)
     rest = np.ones((2, len(u)), dtype=bool)  # the nodes left to the series
+    # a side where the kernel vanishes identically: exact zeros, in no pass
+    dead = [side for side, sgn in enumerate((1, -1)) if sgn == ki.vanishing]
+    routes[dead], swept[dead], rest[dead] = "exact", True, False
     for lo in range(0, len(u), _BLOCK):
         z = inner[lo : lo + _BLOCK]
         for side, sgn in enumerate((1, -1)):
+            if side in dead:
+                continue
             tried, (v, e, _, _), keep, stands = _asymptotic_zone(z, sgn, ki, tol)
             rest[side, lo + tried[keep]] = False
             idx = lo + tried[stands]

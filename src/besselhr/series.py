@@ -516,10 +516,22 @@ def _j_generic_double(z: SurfacePoint, sign: int, si: SpectralIndex, tol: float,
     return SeriesEval(value, terms, err), mass, family
 
 
+def _tens(dps: int):
+    """10^-(dps-4) and 10^(-dps-30) at dps digits: the relative noise of a
+    dps-digit round (_j_generic_mp) and the floor of its series (_Round),
+    one stored entry per dps."""
+
+    def build():
+        with mp.workdps(dps):
+            return mp.mpf(10) ** (-(dps - 4)), mp.mpf(10) ** (-dps - 30)
+
+    return _stored(("tens", dps), _charge(2, dps_to_prec(dps)), build)
+
+
 class _Round:
     """What the n series of one big-float round share, at the current
     mpmath precision dps: the bits wp, m_min and m_cap, the floor
-    10^(-dps-30), and made in mp.workprec(wp), the precision the series run
+    10^(-dps-30) (_tens), and made in mp.workprec(wp), the precision the series run
     at: log z and zf = sign i^n z^n, their fixed-point forms and that of
     rel_tol, the series' constants (_head_mp; jets of p coefficients at
     order p > 1), and the powers zf^m through the longest head as integers
@@ -539,7 +551,7 @@ class _Round:
         wp = math.ceil(dps * math.log2(10)) + 2 * self.m_cap.bit_length() + 8
         wp += max(0, math.ceil(-n * z.log_modulus / math.log(2)))  # |zf| < 1
         self.wp = wp
-        self.floor = mp.mpf(10) ** (-dps - 30)
+        self.floor = _tens(dps)[1]
         with mp.workprec(wp):
             self.logz = mp.mpc(z.log_modulus, z.argument)
             self.zf = sign * mp.expjpi(mp.mpf(n) / 2) * mp.exp(n * self.logz)
@@ -639,7 +651,7 @@ def _j_generic_mp(z: SurfacePoint, sign: int, si: SpectralIndex, dps: int, kind)
     n = si.rank
     with mp.workdps(dps):
         cs, mags = _coeffs_mp(si.lam, kind, dps)
-        rel = mp.mpf(10) ** (-(dps - 4))
+        rel = _tens(dps)[0]
         rnd = _Round(z, sign, si, rel, _jet.cluster_order(si.lam))
         value = mp.mpc(0)
         mass = mp.mpf(0)
@@ -720,7 +732,9 @@ def _evaluate(z: SurfacePoint, si: SpectralIndex, tol: float, kind):
     kernel can vanish identically: a round
     whose value lies inside its noise while that noise is at most tol times
     the cancellation reference (_peak) ends the rounds, with the noise as
-    the error, at least |value|, so no digit is claimed.
+    the error, at least |value|, so no digit is claimed.  Auto mode no
+    longer comes here for such a side (it answers it exactly, by
+    _jet.vanishing_side); the forced series route and kernel_series do.
     """
     sign, parity = (kind[1].product_sign, None) if kind[0] == "signvec" else (kind[2], kind[2])
     limit = _jet.cluster_order(si.lam) > 1
@@ -871,6 +885,8 @@ def kernel_series(
     are limits, the eps^0 coefficients of jets (_evaluate); a kernel that
     vanishes there identically comes back with an error of at least its
     |value| once its noise is below tol times the cancellation reference.
+    bessel_kernel's auto mode does not call it on such a side, which the
+    exact rule _jet.vanishing_side answers with 0.
     """
     z = _as_point(z)
     kind = ("kernel", tuple(int(d) % 2 for d in deltas), parity)

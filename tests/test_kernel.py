@@ -2,13 +2,14 @@ import cmath
 import math
 import random
 import re
+import time
 from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from besselhr import _backend, asympt, coeffs, core
+from besselhr import _backend, _jet, asympt, coeffs, core
 from besselhr import kernel as kernel_module
 from besselhr import series
 from besselhr.asympt import (
@@ -267,10 +268,14 @@ def test_kernel_series_nongeneric_cauchy_mean():
 
 
 def test_kernel_cancellation_switch():
-    # holomorphic parameters: the minus side cancels exactly and auto mode
-    # must fall back to the direct contour integral
-    ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
-    r = bessel_kernel(-2.0, ki)
+    # holomorphic parameters: the minus side vanishes identically, which
+    # auto mode answers exactly.  1e-9 off them it is about 2 pi 1e-9 times
+    # the sign-vector terms, and auto mode falls back to the direct contour
+    # integral
+    assert bessel_kernel(-2.0, KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))) == core.EvalResult(
+        0j, 0.0, "exact", 1.0)
+    ki = KernelIndex(SpectralIndex([1 + 1e-9, -1 - 1e-9]), (1, 0))
+    r = bessel_kernel(-0.5, ki)
     assert r.method == "mellin-barnes"
     assert r.cancellation > 1e6
     assert abs(r.value) < 1e-9
@@ -283,6 +288,122 @@ def test_series_error_covers_a_vanishing_kernel():
     ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
     r = bessel_kernel(-2.0, ki, "series")
     assert r.method == "series" and r.error >= abs(r.value)
+
+
+# s points near the real axis, where no factor tan(pi (s - mu)/2) of
+# P_1/P_0 is near its limits +-i, and off every pole of the indices below
+_RATIO_S = np.array([0.31 + 0.17j, -0.52 + 0.43j, 1.27 - 0.29j, 2.13 + 0.05j])
+
+
+def _integrand_ratio(si, deltas):
+    """P_1/P_0 at _RATIO_S, from the kernel integrand at x = 1."""
+    lam, dl = np.array(si.lam), np.array(deltas)
+    p0, p1 = (_backend.mb_kernel_integrand(_RATIO_S, lam, dl, d, 0.0) for d in (0, 1))
+    return p1 / p0
+
+
+def _mirrored_indices(rng, count):
+    """Seeded indices of ranks 2-6 and their parities: n // 2 components,
+    each one of two bases (a multiple of 1/2 in [-1/2, 1/2], and a
+    multiple of 1/16 there, complex in half the draws) plus an integer in
+    [-2, 2], their negatives, and 0 at odd rank, in a random order.  Their
+    sum is exactly 0, so SpectralIndex keeps every component and every
+    integer difference."""
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        bases = [int(rng.integers(-1, 2)) / 2, int(rng.integers(-8, 9)) / 16
+                 + 1j * int(rng.integers(-4, 5)) / 16 * (rng.random() < 0.5)]
+        half = [bases[int(rng.integers(0, 2))] + int(rng.integers(-2, 3)) for _ in range(n // 2)]
+        lam = half + [-v for v in half] + [0.0] * (n % 2)
+        lam = [lam[i] for i in rng.permutation(n)]
+        yield lam, tuple(int(d) for d in rng.integers(0, 2, n))
+
+
+def test_vanishing_side_against_the_integrand_ratio():
+    # the exact rule against P_1/P_0: 1 at every s point where the rule puts
+    # a vanishing side at x < 0, and away from 1 at some point elsewhere
+    rng = np.random.default_rng(41)
+    cases = list(_mirrored_indices(rng, 300))
+    cases += [((0.5, -0.5), (1, 0)), ((0.0,), (0,)), ((0.0,), (1,)),
+              ((1.0, 0.0, -1.0), (0, 1, 0)), ((0.5, 0.5, -1.0), (0, 0, 1))]
+    # the kernel-grid indices bar its vanishing item, and the hankel-fe ones
+    p3, p4, p5, p6 = ([(n + 1 - 2 * l) / (2 * n) for l in range(1, n + 1)] for n in (3, 4, 5, 6))
+    g3 = (0.1 + 0.2j, -0.05 - 0.3j, -0.05 + 0.1j)
+    cases += [((0.3j, -0.3j), (0, 0)), ((0.3j, -0.3j), (0, 1)), ((0.3, -0.3), (1, 1)),
+              (p3, (0, 1, 0)), (p3, (0, 0, 0)), (p3, (1, 1, 0)), (g3, (0, 1, 0)), (g3, (0, 0, 1)),
+              (p4, (0, 1, 0, 1)), (p4, (0, 0, 0, 0)), (p4, (1, 1, 0, 0)),
+              ((0.3, -0.1, -0.25, 0.05), (0, 0, 0, 0)), (p5, (0, 1, 0, 0, 1)),
+              (p6, (0, 1, 0, 0, 1, 0)), ((0.25j, -0.25j), (0, 0))]
+    found = {-1: 0, 0: 0}
+    for lam, deltas in cases:
+        ki = KernelIndex(SpectralIndex(lam), deltas)
+        assert ki.vanishing == _jet.vanishing_side(ki.lam.lam, ki.deltas)
+        off = np.abs(_integrand_ratio(ki.lam, ki.deltas) - 1.0)
+        if ki.vanishing:
+            assert ki.rank % 2 == 0 and off.max() < 1e-12, (lam, deltas)
+        else:
+            assert off.max() > 1e-3, (lam, deltas)
+        found[ki.vanishing] += 1
+    assert found[-1] >= 20 and found[0] >= 200, found
+
+
+# the indices with a vanishing side x < 0 (holomorphic parameters)
+_VANISHING = [((0.5, -0.5), (0, 0)), ((1.0, -1.0), (1, 0)), ((0.0, 0.0), (1, 0))]
+
+
+def test_vanishing_side_is_exact_in_auto_mode_and_in_the_sweep():
+    xs = np.array([0.5, 3.0, 20.0])
+    for lam, deltas in _VANISHING:
+        ki = KernelIndex(SpectralIndex(lam), deltas)
+        assert ki.vanishing == -1
+        for x in xs:
+            assert bessel_kernel(-x, ki) == core.EvalResult(0j, 0.0, "exact", 1.0)
+        plus, minus = kernel_sweep(np.log(xs), ki, 1e-9)
+        values, errors, routes, swept = minus
+        assert swept.all() and routes == ["exact"] * 3
+        assert not values.any() and not errors.any()
+        for i, x in enumerate(xs):  # the side x > 0 keeps bessel_kernel's bits
+            r = bessel_kernel(x, ki)
+            assert r.method != "exact"
+            assert (plus[2][i], plus[0][i], plus[1][i]) == (r.method, r.value, r.error)
+
+
+def test_forced_routes_hold_zero_within_their_errors_on_a_vanishing_side():
+    # the forced routes keep computing that side: the independent checks of
+    # the rule
+    for lam, deltas in _VANISHING:
+        ki = KernelIndex(SpectralIndex(lam), deltas)
+        for x in (-0.5, -3.0):
+            for method in ("series", "mb"):
+                r = bessel_kernel(x, ki, method, 1e-9)
+                assert r.method == {"mb": "mellin-barnes"}.get(method, method)
+                assert abs(r.value) <= r.error, (lam, x, method)
+
+
+def test_vanishing_side_transform_in_a_second():
+    # lam = (0.5, -0.5), delta = 00: on the plus side -2 pi J_1(4 pi sqrt x),
+    # the minus side 0, so at the even weight the transform is the integral
+    # over y > 0 alone
+    weight = WeightFunction.unit_mass()
+    ki = KernelIndex(SpectralIndex([0.5, -0.5]), (0, 0))
+    t0 = time.perf_counter()
+    r = hankel_transform(weight, ki, [0.5, 1.0, 2.0], 1e-6)
+    assert time.perf_counter() - t0 < 1.0
+    with mp.workdps(20):
+        want = complex(mp.quad(
+            lambda u: weight(float(mp.exp(u))) * mp.exp(u) * mp.besselj(1, 4 * mp.pi * mp.exp(u / 2)),
+            mp.linspace(-8, 6, 15),
+        )) * -2 * math.pi
+    assert abs(r.values[1] - want) <= 1e-6 * abs(want)
+
+
+def test_vanishing_side_functional_equation_check_in_seconds():
+    t0 = time.perf_counter()
+    report = functional_equation_check(
+        KernelIndex(SpectralIndex([0.0, 0.0]), (1, 0)), WeightFunction.unit_mass(),
+        [0.5, 0.5 + 1j, 0.5 + 2j])
+    assert time.perf_counter() - t0 < 5.0
+    assert report.passed
 
 
 def test_mb_method_is_the_mellin_barnes_kernel_bits():
@@ -883,9 +1004,15 @@ def test_kernel_sweep_serves_asymptotic_nodes_below_the_switch():
 
 def test_kernel_sweep_past_the_switch_takes_the_mellin_barnes_bits():
     # negative-side asymptotic nodes with cancellation ~4e15 go to
-    # bessel_kernel, which takes the Mellin-Barnes route
-    ki = KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0))
+    # bessel_kernel, which takes the Mellin-Barnes route: 1e-20 i off the
+    # holomorphic parameters (1, -1), whose minus side the sweep answers
+    # exactly, the kernel there is about 2 pi 1e-20 times its terms
     xs = [10.0, 30.0, 100.0]
+    values, errors, routes, swept = kernel_sweep(
+        np.log(xs), KernelIndex(SpectralIndex([1.0, -1.0]), (1, 0)), 1e-9)[1]
+    assert swept.all() and routes == ["exact"] * 3
+    assert not values.any() and not errors.any()
+    ki = KernelIndex(SpectralIndex([1 + 1e-20j, -1 - 1e-20j]), (1, 0))
     values, errors, routes, swept = kernel_sweep(np.log(xs), ki, 1e-9)[1]
     assert not swept.any()
     for i, x in enumerate(xs):

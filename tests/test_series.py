@@ -976,6 +976,19 @@ def _raw(result):
     return value._mpc_, mass._mpf_, terms, rel._mpf_, [f._mpc_ for f in family]
 
 
+def test_round_powers_of_ten_are_stored_with_their_bits(monkeypatch):
+    # 10^-(dps-4) and 10^(-dps-30), one store entry per digits, with the
+    # bits of the powers taken at dps digits
+    store = _empty_store(monkeypatch)
+    for dps in (20, 45, 300):
+        rel, floor = series._tens(dps)
+        with mp.workdps(dps):
+            assert rel._mpf_ == (mp.mpf(10) ** (-(dps - 4)))._mpf_
+            assert floor._mpf_ == (mp.mpf(10) ** (-dps - 30))._mpf_
+        assert series._tens(dps)[1] is floor
+    assert store.hits == {"tens": 3}
+
+
 def test_bigfloat_round_matches_per_series_path(monkeypatch):
     # the round's shared constants and stored head rows give the same bits
     # as each series set up on its own, and the lean integer loop the same
@@ -1831,6 +1844,8 @@ def _build_each_kind():
     seconds, so the one there is rank 1's, 1/Gamma(m + 1))."""
     series._head_mp((0j,), 1, series.dps_to_prec(2000))
     series._head_mp((0.5 + 0j, -0.5 + 0j), 2, series.dps_to_prec(300), 2)  # jets, p = 2
+    for dps in (20, 300, 2000):
+        series._tens(dps)
     for n in range(1, 7):
         si = SpectralIndex([0.1 * k + 0.03j * k * k for k in range(n)])
         deltas = tuple(k % 2 for k in range(n))
@@ -1885,7 +1900,7 @@ def test_store_charges_bound_entry_sizes(monkeypatch):
     finally:
         tracemalloc.stop()
         gc.unfreeze()
-    kinds = {"coeffs", "roots", "head", "double", "table", "grid", "u", "b"}
+    kinds = {"coeffs", "roots", "head", "double", "table", "grid", "u", "b", "tens"}
     assert {kind for kind, _, _ in sizes} == kinds
     assert [s for s in sizes if s[2] > s[1]] == []
     assert min(size for _, _, size in sizes) > 0

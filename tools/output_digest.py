@@ -10,10 +10,11 @@ Runs, in one process and once each, every item of the three perfbench
 workloads of <checkout> (its src/ and perfbench/ are imported; nothing
 under perfbench/ is changed), mellinbarnes.mb_kernel_est at the
 kernel-grid items labelled generic (the untimed reference of each) and at
-the vanishing-side nodes MBKERNEL_VANISHING, series.j_function at the sign vectors and
-points of SIGNVEC_CASES, series.first_kind at FIRST_KIND_CASES and
-seeded draws, kernel.kernel_sweep on the fixed node sets
-of SWEEP_CASES, one big-float round (series._j_generic_mp) at each of
+the vanishing-side nodes MBKERNEL_VANISHING, kernel.bessel_kernel in auto
+mode on the vanishing side of the indices of KERNEL_VANISHING,
+series.j_function at the sign vectors and points of SIGNVEC_CASES,
+series.first_kind at FIRST_KIND_CASES and seeded draws,
+kernel.kernel_sweep on the fixed node sets of SWEEP_CASES, one big-float round (series._j_generic_mp) at each of
 BIGFLOAT_CASES, series.j_function at the indices near a non-generic one
 of BAND_CASES and the transform of BAND_TRANSFORM there (its values, and
 how many kernel nodes kernel_sweep's array passes served and left to
@@ -37,11 +38,11 @@ with an error (a kernel, sign-vector, first_kind or sweep line, or a CLI table r
 with re, im and err columns) the route change and |value_A - value_B| /
 (err_A + err_B), the largest over a row's value columns; for any other
 line both texts.  After that summary it prints, per workload (the
-benchmark's signvec-routes and kernel-grid items, then mbkernel, signvec,
-first_kind, sweep, bigfloat, band, hankel-fe and readme by the first part of
-their labels)
-and per route (series, mb or asympt: the line's route, the kernel's method
-or a table's column prefix; "-" for a line without one), how many lines differ and the largest ratio,
+benchmark's signvec-routes and kernel-grid items, then vanishing,
+mbkernel, signvec, first_kind, sweep, bigfloat, band, hankel-fe and readme
+by the first part of their labels) and per route (series, mb, asympt or
+exact: the line's route, the kernel's method or a table's column prefix;
+"-" for a line without one), how many lines differ and the largest ratio,
 so a change local to one route shows where its moved lines are.  A table
 row whose values moved on two routes counts once under each.  Then, per
 workload whose lines record big-float rounds, how many lines changed the
@@ -110,6 +111,11 @@ SWEEP_TOL = 1e-9
 # mb_kernel_est where the kernel vanishes identically: lam = (0, 0),
 # delta = 10 on the negative side, at these log|x|
 MBKERNEL_VANISHING = ((0.0, 0.0), (1, 0), (-20.0, -5.0, 0.0, 2.0))
+
+# bessel_kernel in auto mode where the kernel vanishes identically: the
+# side x < 0 of these (lam, deltas), at these x
+KERNEL_VANISHING = ((((0.5, -0.5), (0, 0)), ((1.0, -1.0), (1, 0)), ((0.0, 0.0), (1, 0))),
+                    (-0.5, -3.0, -20.0))
 
 # big-float rounds (series._j_generic_mp) at fixed digits, value, noise
 # (10 rel mass, the error the rounds report) and term mass: a sign-vector
@@ -208,15 +214,20 @@ def main(argv) -> int:
         for route, op in item.ops.items():
             run(item.key, route, op)
     kernel_items = workloads.build_kernel_grid()
-    for item in kernel_items:
+    indices, xs = KERNEL_VANISHING
+    kernel_cases = [(item.key, item.facts["ki"], item.facts["x"]) for item in kernel_items]
+    kernel_cases += [(f"vanishing/{','.join(map(str, lam))}/{''.join(map(str, deltas))}/x={x:g}",
+                      kernel.KernelIndex(SpectralIndex(lam), deltas), x)
+                     for lam, deltas in indices for x in xs]
+    for label, ki, x in kernel_cases:
         route = []
 
-        def by_kernel(f=item.facts, route=route):
-            r = kernel.bessel_kernel(f["x"], f["ki"], "auto", workloads.KERNEL_TOL)
+        def by_kernel(ki=ki, x=x, route=route):
+            r = kernel.bessel_kernel(x, ki, "auto", workloads.KERNEL_TOL)
             route.append(r.method)
             return r.value, r.error
 
-        run(item.key, lambda route=route: f"kernel/{route[0] if route else '-'}", by_kernel)
+        run(label, lambda route=route: f"kernel/{route[0] if route else '-'}", by_kernel)
 
     lam, deltas, us = MBKERNEL_VANISHING
     vanishing = kernel.KernelIndex(SpectralIndex(lam), deltas)
@@ -324,11 +335,11 @@ def main(argv) -> int:
 
 
 _ROUTES = {"series": "series", "mb": "mb", "mellin-barnes": "mb", "asympt": "asympt",
-           "asymptotic": "asympt"}
+           "asymptotic": "asympt", "exact": "exact"}
 
 
 def _route(name) -> str:
-    """The route (series, mb or asympt) a route label, a kernel route
+    """The route (series, mb, asympt or exact) a route label, a kernel route
     (kernel/<method>) or a column prefix (mb_) names; "-" for none."""
     return _ROUTES.get(name.rsplit("/", 1)[-1].rstrip("_"), "-")
 
